@@ -5,9 +5,7 @@
 //!   same-SSMP waiters) vs. strict FIFO;
 //! * **page size** (the grain of software sharing);
 //! * **read-only cleaning off the critical path** (the future-work
-//!   optimization of §4.2.4);
-//! * **lazy read invalidation** (TreadMarks-style acquire-side
-//!   coherence for read copies).
+//!   optimization of §4.2.4).
 
 use mgs_apps::{tsp::Tsp, water::Water, MgsApp};
 use mgs_bench::chart::table;
@@ -65,30 +63,25 @@ fn main() {
     println!("\nTSP at C = {c}:");
     println!("{}", table(&["config", "Mcyc", "hit ratio"], &rows));
 
-    // Extensions: read-only clean optimization and lazy read
-    // invalidation, on the most software-coherence-bound configuration.
+    // Extension: read-only clean optimization, on the most
+    // software-coherence-bound configuration.
     let mut rows = Vec::new();
-    for (label, ro, lazy) in [
-        ("baseline (eager MGS)", false, false),
-        ("readonly-clean opt", true, false),
-        ("lazy read inval", false, true),
-        ("both", true, true),
+    for (label, ro) in [
+        ("baseline (eager MGS)", false),
+        ("readonly-clean opt", true),
     ] {
         let mut cfg = base.clone();
         cfg.cluster_size = c;
         cfg.readonly_clean_opt = ro;
-        cfg.lazy_read_invalidation = lazy;
         eprintln!("water, {label}...");
-        let machine = Machine::new(cfg);
-        let r = water.execute(&machine);
+        let r = water.execute(&Machine::new(cfg));
         rows.push(vec![
             label.to_string(),
             format!("{:.2}", r.duration.as_mcycles()),
-            format!("{}", machine.proto_stats().lazy_notices.get()),
         ]);
     }
-    println!("\nWater at C = {c} with protocol extensions:");
-    println!("{}", table(&["config", "Mcyc", "notices"], &rows));
+    println!("\nWater at C = {c} with the read-only clean extension:");
+    println!("{}", table(&["config", "Mcyc"], &rows));
 
     // Page size.
     let mut rows = Vec::new();

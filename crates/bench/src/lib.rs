@@ -17,8 +17,6 @@
 //! | Target | Produces |
 //! |---|---|
 //! | `scaling` | External-latency / page-size / machine-size sweeps |
-//! | `hotpath` | Host-performance microbenchmarks → `BENCH_hotpath.json` |
-//! | `govscale` | Time-governor host-scalability sweep (herd/mutex/epoch engines) → `BENCH_scaling.json` |
 //! | `chaos` | Fault-injection sweep (drop × duplicate × jitter) with verified recovery → `BENCH_chaos.json` |
 //! | `profile` | Observability deep-dive for one app: metrics, hot pages, Perfetto timeline → `results/profile_*.json` |
 //!
@@ -32,5 +30,4 @@ pub mod cli;
 pub mod json;
 pub mod parallel;
 pub mod provenance;
-pub mod stopwatch;
 pub mod suite;

@@ -4,7 +4,7 @@
 //! commits when the record says what produced them: which execution
 //! engine ran the machine, how many host cores the runner had, and
 //! which governor spin policy was in effect. The sweep binaries stamp
-//! every root object with [`stamp`] so trajectory comparisons stay
+//! every root object with [`stamp_run`] so trajectory comparisons stay
 //! interpretable.
 
 use crate::cli::Options;
@@ -31,19 +31,14 @@ pub fn spin_policy_label() -> &'static str {
     }
 }
 
-/// Stamps `root` with the host provenance fields.
-pub fn stamp(root: &mut JsonObject) {
-    root.num("host_parallelism", host_parallelism() as f64);
-    root.str("spin_policy", spin_policy_label());
-}
-
 /// Stamps `root` with the host provenance fields *and* the run
 /// configuration that changes what the numbers mean: the coherence
 /// strategy the sweep ran under. Sweep binaries that honor
 /// `--protocol` must use this so a `BENCH_*.json` produced under
 /// `lrc` or `adaptive` is never mistaken for an eager-protocol record.
 pub fn stamp_run(root: &mut JsonObject, opts: &Options) {
-    stamp(root);
+    root.num("host_parallelism", host_parallelism() as f64);
+    root.str("spin_policy", spin_policy_label());
     root.str("protocol", opts.protocol.label());
 }
 
@@ -52,21 +47,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stamp_emits_both_fields() {
-        let mut o = JsonObject::new();
-        stamp(&mut o);
-        let s = o.render(0);
-        assert!(s.contains("\"host_parallelism\""));
-        assert!(s.contains("\"spin_policy\""));
-    }
-
-    #[test]
-    fn stamp_run_records_the_protocol() {
+    fn stamp_run_records_host_and_protocol() {
         let opts = Options::parse_from(["--protocol", "adaptive"].iter().map(|s| s.to_string()));
         let mut o = JsonObject::new();
         stamp_run(&mut o, &opts);
         let s = o.render(0);
         assert!(s.contains("\"protocol\": \"adaptive\""));
         assert!(s.contains("\"host_parallelism\""));
+        assert!(s.contains("\"spin_policy\""));
     }
 }

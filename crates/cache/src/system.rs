@@ -214,8 +214,7 @@ impl SsmpCacheSystem {
     /// Reference implementation of [`access`](Self::access): the
     /// original unfused sequence of directory calls, each taking its
     /// own shard lock. Kept as the behavioural oracle for the fused
-    /// path (see `tests/transact_oracle.rs`) and as the measured
-    /// baseline of the `hotpath` benchmark.
+    /// path (see `tests/transact_oracle.rs`).
     pub fn access_reference(
         &self,
         cache: &mut ProcCache,

@@ -2,45 +2,26 @@
 
 use mgs_net::{FaultPlan, Scenario};
 use mgs_proto::{AdaptiveParams, ProtocolKind, RetryPolicy};
-use mgs_sim::{CostModel, Cycles, SpinPolicy};
+use mgs_sim::{CostModel, Cycles};
 use mgs_vm::PageGeometry;
 use std::sync::Arc;
-
-/// Which engine implements the time governor. All variants bound skew
-/// identically and never charge simulated cycles, so simulated results
-/// are bit-identical; they differ only in host-side scalability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GovernorImpl {
-    /// The sharded, lock-free epoch gate (the default): per-thread
-    /// padded atomic slots, lock-free `tick`, elected-closer window
-    /// advance, targeted wake-ups, spin-then-park waiting.
-    #[default]
-    Epoch,
-    /// The original mutex + condvar governor with targeted per-thread
-    /// wake-ups, retained as the cross-implementation oracle.
-    Mutex,
-    /// The mutex governor with its historical wake-everyone behaviour
-    /// on window advance — the "before" baseline for the `govscale`
-    /// host-scalability bench.
-    MutexHerd,
-}
 
 /// How simulated processors map onto host threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionEngine {
     /// One dedicated OS thread per simulated processor, paced by the
-    /// configured [`GovernorImpl`]. The historical engine and the
-    /// cross-implementation oracle; practical up to `P ≈ 32`.
+    /// epoch gate. The historical engine and the cross-implementation
+    /// oracle; practical up to `P ≈ 32`.
     #[default]
     Threaded,
     /// M:N virtual processors: each simulated processor is a resumable
     /// task scheduled onto a bounded host worker budget, always running
     /// the lowest-simulated-time tasks first. The scheduler *is* the
-    /// governor (`governor_impl` is ignored), governed waits are
-    /// priority-queue reschedules, and the machine can be far larger
-    /// than the host (`P = 2048` completes on a laptop). With a worker
-    /// budget of 1 the entire run is bit-deterministic, including
-    /// workloads the threaded engine cannot reproduce run-to-run.
+    /// governor, governed waits are priority-queue reschedules, and the
+    /// machine can be far larger than the host (`P = 2048` completes on
+    /// a laptop). With a worker budget of 1 the entire run is
+    /// bit-deterministic, including workloads the threaded engine
+    /// cannot reproduce run-to-run.
     Virtual,
 }
 
@@ -84,10 +65,6 @@ pub struct DssmpConfig {
     /// path (the future-work optimization of §4.2.4; off by default,
     /// matching the measured prototype).
     pub readonly_clean_opt: bool,
-    /// TreadMarks-style lazy invalidation of read copies: write notices
-    /// at releases, copies dropped at the reader's next acquire point
-    /// (extension; off by default — MGS is eager, §3.1.1).
-    pub lazy_read_invalidation: bool,
     /// Which coherence strategy resolves per-page policies:
     /// [`ProtocolKind::Eager`] (the paper's protocol, the default,
     /// bit-identical to the pre-strategy code),
@@ -103,21 +80,20 @@ pub struct DssmpConfig {
     /// disables the governor. Small windows keep contended resources
     /// (locks, work queues) granted in near-simulated-time order, at
     /// some host-side synchronization cost; 2000 cycles reproduces the
-    /// paper's tightly-coupled speedups well.
+    /// paper's tightly-coupled speedups well. Each processor consults
+    /// the governor once per quarter-window of simulated cycles, so the
+    /// observable skew bound is `1.25 × governor_window`. Simulated
+    /// cycle counts within the deterministic envelope are bit-identical
+    /// with the governor on or off (gated by
+    /// `tests/governor_equivalence.rs`).
     pub governor_window: Option<Cycles>,
-    /// Which governor engine paces the run (ignored when
-    /// `governor_window` is `None`). Simulated cycle counts are
-    /// bit-identical across all variants — only host-side cost differs
-    /// (gated by `tests/governor_equivalence.rs`).
-    pub governor_impl: GovernorImpl,
     /// How simulated processors map onto host threads. Simulated cycle
     /// counts within the deterministic envelope are bit-identical
     /// across engines (gated by `tests/engine_equivalence.rs`); only
     /// host-side scalability differs. Under
-    /// [`ExecutionEngine::Virtual`] the `governor_impl` field is
-    /// ignored and a `governor_window` of `None` falls back to the
-    /// default window — the scheduler needs a skew bound to order its
-    /// run queue.
+    /// [`ExecutionEngine::Virtual`] a `governor_window` of `None`
+    /// falls back to the default window — the scheduler needs a skew
+    /// bound to order its run queue.
     pub engine: ExecutionEngine,
     /// Host worker budget for [`ExecutionEngine::Virtual`]: how many
     /// tasks may be admitted concurrently. `None` uses
@@ -125,22 +101,6 @@ pub struct DssmpConfig {
     /// environment variable overrides both. A budget of 1 makes the
     /// whole run bit-deterministic.
     pub workers: Option<usize>,
-    /// How often each processor thread consults the governor: at most
-    /// once per this many simulated cycles. `None` picks the default
-    /// (`governor_window / 4`). Larger strides cut governor overhead
-    /// but loosen the skew bound to `window + stride`.
-    pub governor_stride: Option<Cycles>,
-    /// How gated threads wait for the window to advance (epoch gate
-    /// only). [`SpinPolicy::Auto`] spins briefly when host cores ≥ sim
-    /// threads and parks immediately under oversubscription;
-    /// overridable at run time via the `MGS_GOV_SPIN` environment
-    /// variable (`0` = park, `1` = spin).
-    pub governor_spin: SpinPolicy,
-    /// Enable the adaptive window controller (epoch gate only): widens
-    /// the window up to 8× while gate-wait wall-time dominates host
-    /// thread-time, narrows it back when it stops. Off by default —
-    /// the skew bound is then exactly `governor_window` (+ stride).
-    pub governor_adaptive: bool,
     /// Token-affinity window of the MGS lock.
     pub lock_affinity_window: Cycles,
     /// Seed for per-processor workload RNGs.
@@ -193,16 +153,11 @@ impl DssmpConfig {
             cost: CostModel::alewife(),
             single_writer_opt: true,
             readonly_clean_opt: false,
-            lazy_read_invalidation: false,
             protocol: ProtocolKind::Eager,
             adaptive: AdaptiveParams::default(),
             governor_window: Some(Cycles(2_000)),
-            governor_impl: GovernorImpl::default(),
             engine: ExecutionEngine::default(),
             workers: None,
-            governor_stride: None,
-            governor_spin: SpinPolicy::default(),
-            governor_adaptive: false,
             lock_affinity_window: mgs_sync::MgsLock::DEFAULT_AFFINITY_WINDOW,
             seed: 0x4D47_5331, // "MGS1"
             trace: false,

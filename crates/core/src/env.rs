@@ -202,9 +202,9 @@ pub struct Env {
     /// path is a free tuple read — no strategy-table lookup and, when
     /// the adaptive controller is off, zero added cost of any kind.
     xlate_cache: Vec<Option<(u64, TlbEntry, PagePolicy)>>,
-    /// Whether the protocol posts write notices (lazy read invalidation
-    /// or an LRC-flavored strategy), hoisted because it is constant for
-    /// the machine's lifetime and gates every acquire point.
+    /// Whether the protocol posts write notices (an LRC-flavored
+    /// strategy), hoisted because it is constant for the machine's
+    /// lifetime and gates every acquire point.
     uses_notices: bool,
     /// The machine's observability sink, hoisted so the per-access
     /// counting path is a null check plus a relaxed atomic increment
@@ -224,19 +224,15 @@ impl Env {
         let null_mgs = cfg.is_tightly_coupled();
         let rng = XorShift64::new(cfg.seed ^ (proc as u64).wrapping_mul(RNG_STREAM) | 1);
         // Consult the governor at most once per stride of simulated
-        // cycles: the configured stride, or a quarter-window by
-        // default. The observable skew bound is `window + stride`.
+        // cycles, a quarter-window. The observable skew bound is
+        // `window + stride`.
         // Derived from the machine's actual governor, not the raw
         // config: the virtual engine installs a governor (with a
         // default window) even when `governor_window` is `None`, and
         // its scheduler relies on ticks to rotate admission.
         let tick_stride = machine
             .governor()
-            .map(|g| {
-                cfg.governor_stride
-                    .unwrap_or(Cycles((g.window().raw() / 4).max(1)))
-                    .max(Cycles(1))
-            })
+            .map(|g| Cycles((g.window().raw() / 4).max(1)))
             .unwrap_or(Cycles::MAX);
         let gov = machine.governor().cloned();
         let proto = Arc::clone(machine.protocol());
@@ -529,7 +525,7 @@ impl Env {
     }
 
     /// Waits at the machine-wide barrier (also a release point, and —
-    /// under lazy read invalidation — an acquire point that drains
+    /// under a notice-posting strategy — an acquire point that drains
     /// pending write notices).
     pub fn barrier(&mut self) {
         self.flush();
@@ -580,7 +576,7 @@ impl Env {
     }
 
     /// Acquire-side coherence (a no-op unless the protocol posts write
-    /// notices — lazy read invalidation or a home-based LRC strategy):
+    /// notices — a home-based LRC strategy):
     /// drop stale copies noticed by releases.
     fn acquire_sync(&mut self) {
         if self.null_mgs || !self.uses_notices {

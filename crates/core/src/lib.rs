@@ -53,7 +53,7 @@ mod trace;
 pub mod framework;
 pub mod micro;
 
-pub use config::{DssmpConfig, ExecutionEngine, GovernorImpl};
+pub use config::{DssmpConfig, ExecutionEngine};
 pub use env::{Env, SharedArray, Word};
 pub use machine::Machine;
 pub use report::RunReport;
@@ -71,8 +71,6 @@ pub use mgs_obs::{
 pub use mgs_proto::{
     AdaptiveParams, PagePolicy, PolicyDecision, ProtocolError, ProtocolKind, RetryPolicy,
 };
-pub use mgs_sim::{
-    CostCategory, CostModel, CycleAccount, Cycles, GovWaitSnapshot, GovWaitStats, SpinPolicy,
-};
+pub use mgs_sim::{CostCategory, CostModel, CycleAccount, Cycles, GovWaitSnapshot, GovWaitStats};
 pub use mgs_sync::{HwLock, MgsBarrier, MgsLock};
 pub use mgs_vm::{AccessKind, PageGeometry};

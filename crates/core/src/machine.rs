@@ -4,11 +4,11 @@ use crate::churn::ChurnState;
 use crate::env::{Env, SharedArray, Word};
 use crate::report::RunReport;
 use crate::trace::TraceEvent;
-use crate::{DssmpConfig, ExecutionEngine, GovernorImpl};
+use crate::{DssmpConfig, ExecutionEngine};
 use mgs_net::LanModel;
 use mgs_obs::ObsSink;
 use mgs_proto::{MgsProtocol, ProtoConfig, ProtoStats};
-use mgs_sim::{Cycles, EpochGate, GovWaitSnapshot, Occupancy, TimeGovernor};
+use mgs_sim::{Cycles, GovWaitSnapshot, Occupancy, TimeGovernor};
 use mgs_sync::{HwLock, MgsBarrier, MgsLock};
 use mgs_vm::{AccessKind, SharedHeap};
 use parking_lot::Mutex;
@@ -59,7 +59,6 @@ impl Machine {
         pcfg.cost = cfg.cost.clone();
         pcfg.single_writer_opt = cfg.single_writer_opt;
         pcfg.readonly_clean_opt = cfg.readonly_clean_opt;
-        pcfg.lazy_read_invalidation = cfg.lazy_read_invalidation;
         pcfg.protocol = cfg.protocol;
         pcfg.adaptive = cfg.adaptive;
         pcfg.retry = cfg.retry;
@@ -86,17 +85,9 @@ impl Machine {
             cfg.cluster_size,
         ));
         let governor = match cfg.engine {
-            ExecutionEngine::Threaded => cfg.governor_window.map(|w| {
-                Arc::new(match cfg.governor_impl {
-                    GovernorImpl::Epoch => TimeGovernor::Epoch(
-                        EpochGate::new(cfg.n_procs, w)
-                            .with_spin(cfg.governor_spin)
-                            .with_adaptive(cfg.governor_adaptive),
-                    ),
-                    GovernorImpl::Mutex => TimeGovernor::new_mutex_oracle(cfg.n_procs, w),
-                    GovernorImpl::MutexHerd => TimeGovernor::new_mutex_herd(cfg.n_procs, w),
-                })
-            }),
+            ExecutionEngine::Threaded => cfg
+                .governor_window
+                .map(|w| Arc::new(TimeGovernor::new(cfg.n_procs, w))),
             // The scheduler IS the governor in virtual mode: it needs a
             // window to order admission, so a disabled governor falls
             // back to the default width.

@@ -38,30 +38,6 @@ pub struct ProtoConfig {
     /// default, matching the measured MGS prototype; enable for the
     /// ablation study.
     pub readonly_clean_opt: bool,
-    /// Defer invalidation of read-only copies to the *acquirer* instead
-    /// of performing it on the releaser's critical path. MGS is eager
-    /// ("Eager invalidation was chosen for implementation simplicity",
-    /// §3.1.1) and its related work points at TreadMarks-style lazy
-    /// release consistency as a beneficial refinement; this implements
-    /// the read-copy half of that idea: at a release, stale read copies
-    /// receive a write notice and are dropped when their SSMP's
-    /// processors next pass an acquire point. Off by default.
-    ///
-    /// Interaction with the single-writer optimization: the 1WDATA path
-    /// ships the *whole page*, which is only sound when the writer's
-    /// copy derives from the current home image. A noticed-stale read
-    /// copy therefore cannot be upgraded in place — the protocol drops
-    /// it and refetches before granting write privilege.
-    ///
-    /// **Status: experimental.** The extension is exercised by unit,
-    /// property, concurrent-stress and application tests (including at
-    /// the paper's problem sizes), but long-running stress of
-    /// Water-style lock-intensive sharing has shown residual
-    /// ~1e-5-relative staleness on the order of once per hundred runs,
-    /// still under investigation. Barrier-phased sharing has shown no
-    /// such drift. The paper's protocol (eager invalidation, the
-    /// default) is unaffected.
-    pub lazy_read_invalidation: bool,
     /// Which coherence strategy resolves per-page policies
     /// ([`ProtocolKind::Eager`] reproduces the paper's protocol
     /// bit-identically; see [`crate::CoherenceStrategy`]).
@@ -94,7 +70,6 @@ impl ProtoConfig {
             cost: CostModel::alewife(),
             single_writer_opt: true,
             readonly_clean_opt: false,
-            lazy_read_invalidation: false,
             protocol: ProtocolKind::Eager,
             adaptive: AdaptiveParams::default(),
             retry: RetryPolicy::lan_default(),

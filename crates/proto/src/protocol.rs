@@ -84,7 +84,7 @@ pub struct MgsProtocol {
     caches: Vec<Arc<SsmpCacheSystem>>,
     shards: Vec<Mutex<HashMap<u64, Arc<PageEntry>>>>,
     home_overrides: Mutex<HashMap<u64, usize>>,
-    /// Per-SSMP write-notice boards for lazy read invalidation: pages
+    /// Per-SSMP write-notice boards (home-LRC lazy invalidation): pages
     /// whose local read copy is stale and must be dropped at the next
     /// acquire point, plus a count of drains in flight (an acquiring
     /// processor may not proceed past its acquire point until pending
@@ -238,11 +238,10 @@ impl MgsProtocol {
         self.strategy.policy(page)
     }
 
-    /// Does any mechanism post write notices that acquire points must
-    /// drain — the legacy `lazy_read_invalidation` flag or a strategy
-    /// that lazily invalidates (home-LRC)?
+    /// Does the strategy post write notices that acquire points must
+    /// drain (home-LRC lazily invalidates; eager never does)?
     pub fn uses_notices(&self) -> bool {
-        self.cfg.lazy_read_invalidation || self.strategy.uses_notices()
+        self.strategy.uses_notices()
     }
 
     /// The adaptive controller's policy-decision trace, in decision
@@ -632,9 +631,9 @@ impl MgsProtocol {
         let cost = &self.cfg.cost;
 
         let mut server = entry.server.lock();
-        // Under lazy read invalidation (the legacy flag or the home-LRC
-        // strategy) a pending write notice means this SSMP's READ copy
-        // is stale; upgrading it would twin stale data (and a later
+        // Under the home-LRC strategy a pending write notice means this
+        // SSMP's READ copy is stale; upgrading it would twin stale
+        // data (and a later
         // single-writer flush would ship the stale page whole). Drop
         // the copy and take the fill path instead. The check happens
         // before the client lock: the notice queue is held across
@@ -1097,11 +1096,7 @@ impl MgsProtocol {
             // write_dir (the single-writer optimization).
             let writer = dirs.write_dir.trailing_zeros() as usize;
             for reader in bits(dirs.read_dir) {
-                if self.cfg.lazy_read_invalidation {
-                    self.post_notice(reader, page, home_ssmp, t)?;
-                } else {
-                    self.invalidate_client(entry, server, reader, page, false, t)?;
-                }
+                self.invalidate_client(entry, server, reader, page, false, t)?;
             }
             self.single_writer_flush(entry, server, writer, page, t)?;
             server.dirs = ServerDirs {
@@ -1124,11 +1119,7 @@ impl MgsProtocol {
             }
             for s in bits(dirs.all()) {
                 let is_writer = dirs.write_dir & (1 << s) != 0;
-                if !is_writer && self.cfg.lazy_read_invalidation {
-                    self.post_notice(s, page, home_ssmp, t)?;
-                } else {
-                    self.invalidate_client(entry, server, s, page, is_writer, t)?;
-                }
+                self.invalidate_client(entry, server, s, page, is_writer, t)?;
             }
             server.dirs = ServerDirs::default();
         }
@@ -1667,7 +1658,7 @@ impl MgsProtocol {
         st.drains_in_flight > 0 || st.queue.contains(&page)
     }
 
-    /// Lazy read invalidation: post a write notice to a reader SSMP
+    /// Home-LRC lazy invalidation: post a write notice to a sharer SSMP
     /// instead of invalidating its copy on the releaser's critical path.
     /// The releaser pays one message; the reader drops the copy at its
     /// next acquire point. The notice is unacknowledged at the protocol
@@ -1687,10 +1678,10 @@ impl MgsProtocol {
         Ok(())
     }
 
-    /// Acquire-side coherence for lazy read invalidation: drops every
-    /// noticed stale read copy of the calling processor's SSMP. Called
+    /// Acquire-side coherence for home-LRC lazy invalidation: drops
+    /// every noticed stale copy of the calling processor's SSMP. Called
     /// by the runtime after lock acquisition and after barrier release
-    /// (the acquire half of release consistency). A no-op in eager mode
+    /// (the acquire half of release consistency). A no-op under eager
     /// or when no notices are pending.
     pub fn acquire_sync(&self, proc: usize, t: &mut dyn ProtoTiming) {
         if !self.uses_notices() {

@@ -30,7 +30,7 @@ pub struct ProtoStats {
     pub invalidations: Counter,
     /// TLB entries shot down by PINV.
     pub pinvs: Counter,
-    /// Write notices posted under lazy read invalidation.
+    /// Write notices posted by home-LRC lazy invalidation.
     pub lazy_notices: Counter,
     /// Merged diffs pushed to live sharer copies (write-through
     /// policy).

@@ -6,7 +6,6 @@
 
 use mgs_proto::{MgsProtocol, ProtoConfig, RecordingTiming};
 use mgs_sim::{CostModel, Cycles, XorShift64};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 const N_SSMPS: usize = 4;
@@ -22,7 +21,7 @@ fn timing() -> RecordingTiming {
 /// Runs a phased DRF workload: in each phase every processor writes a
 /// disjoint word set (derived from a seeded shuffle), then all release
 /// and rendezvous. Returns the expected final memory image.
-fn stress(proto: &Arc<MgsProtocol>, lazy: bool) -> Vec<Vec<u64>> {
+fn stress(proto: &Arc<MgsProtocol>) -> Vec<Vec<u64>> {
     let mut expected = vec![vec![0u64; 128]; N_PAGES as usize];
     // Precompute each phase's write plan (word -> (proc, value)).
     let mut plans: Vec<Vec<(usize, u64, u64, u64)>> = Vec::new(); // (proc, page, word, value)
@@ -44,13 +43,11 @@ fn stress(proto: &Arc<MgsProtocol>, lazy: bool) -> Vec<Vec<u64>> {
 
     let rendezvous = Arc::new(Barrier::new(N_PROCS));
     let plans = Arc::new(plans);
-    let drained = Arc::new(AtomicUsize::new(0));
     std::thread::scope(|scope| {
         for proc in 0..N_PROCS {
             let proto = Arc::clone(proto);
             let rendezvous = Arc::clone(&rendezvous);
             let plans = Arc::clone(&plans);
-            let drained = Arc::clone(&drained);
             scope.spawn(move || {
                 let mut t = timing();
                 for plan in plans.iter() {
@@ -86,11 +83,6 @@ fn stress(proto: &Arc<MgsProtocol>, lazy: bool) -> Vec<Vec<u64>> {
                     // Release point + rendezvous (a barrier).
                     proto.release_all(proc, &mut t);
                     rendezvous.wait();
-                    if lazy {
-                        proto.acquire_sync(proc, &mut t);
-                        drained.fetch_add(1, Ordering::Relaxed);
-                    }
-                    rendezvous.wait();
                 }
             });
         }
@@ -110,16 +102,7 @@ fn check(proto: &MgsProtocol, expected: &[Vec<u64>]) {
 #[test]
 fn concurrent_drf_stress_eager() {
     let proto = Arc::new(MgsProtocol::new(ProtoConfig::new(N_SSMPS, C)));
-    let expected = stress(&proto, false);
-    check(&proto, &expected);
-}
-
-#[test]
-fn concurrent_drf_stress_lazy() {
-    let mut cfg = ProtoConfig::new(N_SSMPS, C);
-    cfg.lazy_read_invalidation = true;
-    let proto = Arc::new(MgsProtocol::new(cfg));
-    let expected = stress(&proto, true);
+    let expected = stress(&proto);
     check(&proto, &expected);
 }
 
@@ -128,7 +111,7 @@ fn concurrent_drf_stress_without_single_writer_opt() {
     let mut cfg = ProtoConfig::new(N_SSMPS, C);
     cfg.single_writer_opt = false;
     let proto = Arc::new(MgsProtocol::new(cfg));
-    let expected = stress(&proto, false);
+    let expected = stress(&proto);
     check(&proto, &expected);
 }
 
@@ -136,7 +119,7 @@ fn concurrent_drf_stress_without_single_writer_opt() {
 fn repeated_stress_is_stable() {
     for _ in 0..3 {
         let proto = Arc::new(MgsProtocol::new(ProtoConfig::new(N_SSMPS, C)));
-        let expected = stress(&proto, false);
+        let expected = stress(&proto);
         check(&proto, &expected);
     }
 }

@@ -1,12 +1,12 @@
-//! Tests for the lazy read-invalidation extension (TreadMarks-style
-//! acquire-side coherence for read copies).
+//! Tests for the home-LRC write-notice board (TreadMarks-style
+//! acquire-side coherence: releases post notices, acquires drain them).
 
-use mgs_proto::{ClientState, MgsProtocol, ProtoConfig, RecordingTiming};
+use mgs_proto::{ClientState, MgsProtocol, ProtoConfig, ProtocolKind, RecordingTiming};
 use mgs_sim::{CostModel, Cycles};
 
-fn lazy_proto() -> MgsProtocol {
+fn lrc_proto() -> MgsProtocol {
     let mut cfg = ProtoConfig::new(4, 2);
-    cfg.lazy_read_invalidation = true;
+    cfg.protocol = ProtocolKind::HomeLrc;
     MgsProtocol::new(cfg)
 }
 
@@ -16,7 +16,7 @@ fn timing() -> RecordingTiming {
 
 #[test]
 fn release_posts_notice_instead_of_invalidating_readers() {
-    let p = lazy_proto();
+    let p = lrc_proto();
     let mut t = timing();
     p.fault(2, 0, false, &mut t); // reader, SSMP 1
     let w = p.fault(4, 0, true, &mut t); // writer, SSMP 2
@@ -32,7 +32,7 @@ fn release_posts_notice_instead_of_invalidating_readers() {
 
 #[test]
 fn acquire_sync_drops_noticed_copies() {
-    let p = lazy_proto();
+    let p = lrc_proto();
     let mut t = timing();
     let r = p.fault(2, 0, false, &mut t);
     assert_eq!(r.frame.load(0), 0); // stale value visible pre-acquire
@@ -61,9 +61,9 @@ fn acquire_sync_is_noop_in_eager_mode() {
 
 #[test]
 fn lazy_release_is_cheaper_for_the_releaser() {
-    let run = |lazy: bool| {
+    let run = |protocol: ProtocolKind| {
         let mut cfg = ProtoConfig::new(4, 2);
-        cfg.lazy_read_invalidation = lazy;
+        cfg.protocol = protocol;
         let p = MgsProtocol::new(cfg);
         let mut t = timing();
         // Three reader SSMPs hold copies; one writer releases.
@@ -77,26 +77,27 @@ fn lazy_release_is_cheaper_for_the_releaser() {
         t.elapsed()
     };
     assert!(
-        run(true) < run(false),
+        run(ProtocolKind::HomeLrc) < run(ProtocolKind::Eager),
         "notices must be cheaper than synchronous reader invalidation"
     );
 }
 
 #[test]
-fn upgraded_copy_is_skipped_by_stale_drain() {
-    let p = lazy_proto();
+fn upgraded_copy_is_merged_home_by_stale_drain() {
+    let p = lrc_proto();
     let mut t = timing();
     p.fault(2, 0, false, &mut t); // read copy at SSMP 1
     let w = p.fault(4, 0, true, &mut t);
     w.frame.store(1, 7);
-    p.release_all(4, &mut t); // notice posted to SSMP 1
-                              // SSMP 1 upgrades its (stale) copy before draining and writes a
-                              // different word.
+    p.release_all(4, &mut t);
+    // A notice is now posted to SSMP 1, which upgrades its (stale)
+    // copy before draining and writes a different word.
     let u = p.fault(2, 0, true, &mut t);
     u.frame.store(2, 8);
-    // The drain must not destroy the write copy.
+    // The drain finds a write copy behind the stale notice. Home-LRC
+    // evicts it, and the eviction must merge its diff home, not lose it.
     p.acquire_sync(2, &mut t);
-    assert_eq!(p.client_state(1, 0), ClientState::Write);
+    assert_eq!(p.client_state(1, 0), ClientState::Inv);
     p.release_all(2, &mut t);
     let home = p.home_frame(0);
     assert_eq!(home.load(1), 7, "earlier release preserved");
@@ -105,7 +106,7 @@ fn upgraded_copy_is_skipped_by_stale_drain() {
 
 #[test]
 fn duplicate_notices_drain_once() {
-    let p = lazy_proto();
+    let p = lrc_proto();
     let mut t = timing();
     p.fault(2, 0, false, &mut t);
     for round in 0..2 {
@@ -115,8 +116,8 @@ fn duplicate_notices_drain_once() {
     }
     assert_eq!(
         p.stats().lazy_notices.get(),
-        1,
-        "reader left read_dir after the first notice"
+        2,
+        "directories stay put under home-LRC, so each release re-notices the reader"
     );
     p.acquire_sync(2, &mut t);
     p.acquire_sync(2, &mut t); // second drain is a no-op

@@ -1,8 +1,7 @@
 //! Sharded epoch gate: the scalable core of the time governor.
 //!
-//! [`EpochGate`] bounds simulated-clock skew exactly like the classic
-//! mutex-based governor, but with a sharded, lock-free design built for
-//! host scalability at `P = 32` threads:
+//! [`EpochGate`] bounds simulated-clock skew with a sharded, lock-free
+//! design built for host scalability at `P = 32` threads:
 //!
 //! * **Per-thread slots.** Each thread owns one cache-line-padded
 //!   (`#[repr(align(128))]`) slot whose status and gate time are packed
@@ -35,7 +34,7 @@
 //! The gate *never* charges simulated cycles: it bounds how far apart
 //! thread-local clocks may drift, but a thread's clock is advanced only
 //! by the cost model. Simulated results are therefore bit-identical
-//! whichever governor implementation (or none) paces the run — see
+//! whether or not the gate paces the run — see
 //! `tests/governor_equivalence.rs` at the workspace root.
 
 use crate::Cycles;
@@ -60,15 +59,6 @@ fn bucket_of(ns: u64) -> usize {
 /// microseconds — enough to ride out a peer finishing its window,
 /// short enough to never matter when a real park was warranted.
 const SPIN_ITERS: u32 = 4096;
-
-/// The adaptive controller reconsiders the window width every this many
-/// window advances.
-const ADAPT_EVERY: u64 = 32;
-
-/// The adaptive controller never widens past `base_window * MAX_WIDEN`,
-/// so the worst-case skew bound stays within a small known factor of
-/// the configured one.
-const MAX_WIDEN: u64 = 8;
 
 // Slot status, packed into the low bits of the slot word; the thread's
 // gate time lives in the high 62 bits (shifted left by STATUS_BITS).
@@ -193,11 +183,11 @@ pub struct GovWaitStats {
 /// Per-thread governor wait accounting for a whole run.
 #[derive(Debug, Clone)]
 pub struct GovWaitSnapshot {
-    /// Which pacing engine produced this snapshot (`"epoch"`,
-    /// `"mutex"`, `"mutex-herd"`, or `"virtual"`). The numbers mean
-    /// different things per engine — threaded governors report condvar
-    /// parks, the virtual scheduler reports descheduling with zero
-    /// parks by construction — so consumers must label their output.
+    /// Which pacing engine produced this snapshot (`"epoch"` or
+    /// `"virtual"`). The numbers mean different things per engine —
+    /// the epoch gate reports condvar parks, the virtual scheduler
+    /// reports descheduling with zero parks by construction — so
+    /// consumers must label their output.
     pub engine: &'static str,
     /// One entry per simulated processor thread.
     pub per_proc: Vec<GovWaitStats>,
@@ -249,36 +239,23 @@ impl Slot {
 
 /// Sharded, lock-free windowed skew bound. See the `gate` module docs
 /// for the design; see `TimeGovernor` for the enum that selects
-/// between this and the retained mutex oracle.
+/// between this and the virtual scheduler.
 #[derive(Debug)]
 pub struct EpochGate {
     slots: Box<[Slot]>,
     /// End of the current window, in cycles. Monotonically advanced by
     /// CAS; the CAS is the closer election.
     window_end: AtomicU64,
-    /// The configured window (the skew bound when the adaptive
-    /// controller is off).
-    base_window: u64,
-    /// The window the next advance will use; equals `base_window`
-    /// unless the adaptive controller widened it (never beyond
-    /// `base_window * MAX_WIDEN`).
-    cur_window: AtomicU64,
+    /// The configured window: the skew bound, and the step by which
+    /// `window_end` advances.
+    window: u64,
     /// Spin budget before parking; 0 means park immediately.
     spin_iters: u32,
-    /// Whether the adaptive window controller is on.
-    adaptive: bool,
-    // Adaptive-controller state (all host-side, heuristic only).
-    advances: AtomicU64,
-    wait_ns_total: AtomicU64,
-    last_adjust_ns: AtomicU64,
-    last_adjust_wait_ns: AtomicU64,
-    epoch_start: Instant,
 }
 
 impl EpochGate {
-    /// Creates a gate for `n` threads with the given window size, the
-    /// [`SpinPolicy::Auto`] wait policy, and the adaptive controller
-    /// off.
+    /// Creates a gate for `n` threads with the given window size and
+    /// the [`SpinPolicy::Auto`] wait policy.
     ///
     /// # Panics
     ///
@@ -289,15 +266,8 @@ impl EpochGate {
         EpochGate {
             slots: (0..n).map(|_| Slot::new()).collect(),
             window_end: AtomicU64::new(window.raw()),
-            base_window: window.raw(),
-            cur_window: AtomicU64::new(window.raw()),
+            window: window.raw(),
             spin_iters: SpinPolicy::Auto.spin_iters(n),
-            adaptive: false,
-            advances: AtomicU64::new(0),
-            wait_ns_total: AtomicU64::new(0),
-            last_adjust_ns: AtomicU64::new(0),
-            last_adjust_wait_ns: AtomicU64::new(0),
-            epoch_start: Instant::now(),
         }
     }
 
@@ -307,29 +277,9 @@ impl EpochGate {
         self
     }
 
-    /// Turns the adaptive window controller on or off. When on, the
-    /// closer widens the window (up to 8× the configured bound) while
-    /// aggregate gate-wait wall-time dominates host thread-time, and
-    /// narrows it back toward the configured bound when it stops
-    /// dominating. The skew bound is then `8 × window` in the worst
-    /// case — simulated results remain bit-identical regardless, since
-    /// the gate never charges cycles.
-    pub fn with_adaptive(mut self, adaptive: bool) -> EpochGate {
-        self.adaptive = adaptive;
-        self
-    }
-
-    /// The configured window size (the skew bound while the adaptive
-    /// controller is off).
+    /// The configured window size (the skew bound).
     pub fn window(&self) -> Cycles {
-        Cycles(self.base_window)
-    }
-
-    /// The window width the next advance will use (differs from
-    /// [`window`](Self::window) only when the adaptive controller has
-    /// widened it).
-    pub fn current_window(&self) -> Cycles {
-        Cycles(self.cur_window.load(Ordering::Relaxed))
+        Cycles(self.window)
     }
 
     /// Number of threads the gate paces.
@@ -365,9 +315,8 @@ impl EpochGate {
         if self.window_end.load(Ordering::SeqCst) <= t {
             let start = Instant::now();
             let parks = self.wait_at_gate(id, t);
-            let ns = start.elapsed().as_nanos() as u64;
-            slot.stat.record_wait(ns, parks);
-            self.wait_ns_total.fetch_add(ns, Ordering::Relaxed);
+            slot.stat
+                .record_wait(start.elapsed().as_nanos() as u64, parks);
         }
         slot.state.store(pack(STATUS_RUNNING, 0), Ordering::SeqCst);
     }
@@ -408,9 +357,9 @@ impl EpochGate {
     }
 
     /// Scans the slot array and advances the window if every thread is
-    /// at the gate past the current end, blocked, or done. Exactly
-    /// mirrors the oracle's rule: any `Running` slot, or a gated slot
-    /// whose time already fits the current window, vetoes the advance.
+    /// at the gate past the current end, blocked, or done: any
+    /// `Running` slot, or a gated slot whose time already fits the
+    /// current window, vetoes the advance.
     fn try_advance(&self) {
         loop {
             let end = self.window_end.load(Ordering::SeqCst);
@@ -436,17 +385,13 @@ impl EpochGate {
             }
             // Advance just far enough for the earliest gated thread to
             // fit inside the window.
-            let window = self.cur_window.load(Ordering::Relaxed);
-            let steps = (min_gate + 1 - end).div_ceil(window);
-            let new_end = end + steps * window;
+            let steps = (min_gate + 1 - end).div_ceil(self.window);
+            let new_end = end + steps * self.window;
             if self
                 .window_end
                 .compare_exchange(end, new_end, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
             {
-                if self.adaptive {
-                    self.maybe_adjust_window();
-                }
                 self.wake_fitting(new_end);
                 return;
             }
@@ -490,34 +435,6 @@ impl EpochGate {
             }
             parks += 1;
             slot.park_cv.wait(&mut guard);
-        }
-    }
-
-    /// Adaptive window controller, run by the closer after an advance.
-    /// Every `ADAPT_EVERY` advances it compares aggregate gate-wait
-    /// wall-time against aggregate host thread-time over the interval:
-    /// when waiting dominates (> 1/2) the window widens (×2, capped at
-    /// `MAX_WIDEN × base`); when it stops mattering (< 1/8) the window
-    /// narrows back toward the configured bound.
-    fn maybe_adjust_window(&self) {
-        let advances = self.advances.fetch_add(1, Ordering::Relaxed) + 1;
-        if !advances.is_multiple_of(ADAPT_EVERY) {
-            return;
-        }
-        let now_ns = self.epoch_start.elapsed().as_nanos() as u64;
-        let last_ns = self.last_adjust_ns.swap(now_ns, Ordering::Relaxed);
-        let wall = now_ns.saturating_sub(last_ns).max(1);
-        let wait_now = self.wait_ns_total.load(Ordering::Relaxed);
-        let wait_last = self.last_adjust_wait_ns.swap(wait_now, Ordering::Relaxed);
-        let waited = wait_now.saturating_sub(wait_last);
-        let budget = self.slots.len() as u64 * wall;
-        let cur = self.cur_window.load(Ordering::Relaxed);
-        if waited.saturating_mul(2) > budget {
-            let widened = (cur * 2).min(self.base_window * MAX_WIDEN);
-            self.cur_window.store(widened, Ordering::Relaxed);
-        } else if waited.saturating_mul(8) < budget && cur > self.base_window {
-            self.cur_window
-                .store((cur / 2).max(self.base_window), Ordering::Relaxed);
         }
     }
 }
@@ -610,35 +527,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn adaptive_window_stays_bounded() {
-        let base = 10u64;
-        let gate = Arc::new(
-            EpochGate::new(2, Cycles(base))
-                .with_spin(SpinPolicy::Park)
-                .with_adaptive(true),
-        );
-        let g = Arc::clone(&gate);
-        let peer = std::thread::spawn(move || {
-            let mut t = 0u64;
-            for _ in 0..3_000 {
-                t += 3;
-                g.tick(1, Cycles(t));
-            }
-            g.finished(1);
-        });
-        let mut t = 0u64;
-        for _ in 0..3_000 {
-            t += 3;
-            gate.tick(0, Cycles(t));
-        }
-        gate.finished(0);
-        peer.join().unwrap();
-        let cur = gate.current_window().raw();
-        assert!(cur >= base, "window must never narrow below the base");
-        assert!(cur <= base * MAX_WIDEN, "window must stay within the cap");
     }
 
     #[test]

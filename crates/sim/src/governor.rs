@@ -1,32 +1,24 @@
 //! Windowed time governor bounding simulated-clock skew.
 //!
-//! [`TimeGovernor`] is the front door: an enum over the
-//! interchangeable implementations.
+//! [`TimeGovernor`] is the front door: an enum with one pacing
+//! implementation per execution engine.
 //!
-//! * [`EpochGate`](crate::EpochGate) — the sharded, lock-free default
-//!   for the threaded engine (see `gate.rs` for the design).
-//! * [`MutexGovernor`] — the original mutex + condvar implementation,
-//!   retained as the correctness oracle for cross-implementation
-//!   equivalence tests and as the "before" baseline for the `govscale`
-//!   host-scalability bench (including its historical `notify_all`
-//!   thundering-herd wake-up mode).
+//! * [`EpochGate`](crate::EpochGate) — the sharded, lock-free gate of
+//!   the threaded engine (see `gate.rs` for the design).
 //! * [`VirtualScheduler`](crate::VirtualScheduler) — the M:N
 //!   virtual-processor scheduler, where pacing is a side effect of
 //!   admission: the scheduler always runs the lowest-simulated-time
 //!   tasks, so a governed wait is a priority-queue reschedule rather
 //!   than a park/unpark round-trip (see `vsched.rs`).
 //!
-//! All bound skew identically and none ever charges simulated cycles,
-//! so simulated results are bit-identical across implementations;
-//! `tests/governor_equivalence.rs` and `tests/engine_equivalence.rs`
-//! enforce this.
+//! Both bound skew identically and neither ever charges simulated
+//! cycles, so simulated results are bit-identical with the governor on
+//! or off and across engines; `tests/governor_equivalence.rs` and
+//! `tests/engine_equivalence.rs` enforce this.
 
-use crate::gate::{EpochGate, GovWaitSnapshot, WaitStat};
+use crate::gate::{EpochGate, GovWaitSnapshot};
 use crate::vsched::VirtualScheduler;
 use crate::Cycles;
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Bounds the skew between the simulated clocks of concurrently-running
 /// processor threads.
@@ -63,8 +55,6 @@ use std::time::Instant;
 pub enum TimeGovernor {
     /// The sharded, lock-free epoch gate (the threaded default).
     Epoch(EpochGate),
-    /// The retained mutex-based oracle.
-    Oracle(MutexGovernor),
     /// The M:N virtual-processor scheduler: pacing by admission order
     /// instead of parking, for machines far larger than the host.
     Virtual(VirtualScheduler),
@@ -81,20 +71,6 @@ impl TimeGovernor {
         TimeGovernor::Epoch(EpochGate::new(n, window))
     }
 
-    /// Creates the retained mutex-based governor (the equivalence
-    /// oracle), with targeted per-thread wake-ups.
-    pub fn new_mutex_oracle(n: usize, window: Cycles) -> TimeGovernor {
-        TimeGovernor::Oracle(MutexGovernor::new(n, window))
-    }
-
-    /// Creates the mutex-based governor with its historical
-    /// wake-everyone behaviour on window advance. Host-performance
-    /// baseline for `govscale`; simulated results are identical to the
-    /// other variants.
-    pub fn new_mutex_herd(n: usize, window: Cycles) -> TimeGovernor {
-        TimeGovernor::Oracle(MutexGovernor::new(n, window).with_herd_wakeups())
-    }
-
     /// Creates the virtual-processor scheduler governor: `n` tasks
     /// scheduled onto at most `workers` concurrently-admitted host
     /// threads, lowest simulated time first (`MGS_VWORKERS` overrides
@@ -108,7 +84,6 @@ impl TimeGovernor {
     pub fn window(&self) -> Cycles {
         match self {
             TimeGovernor::Epoch(g) => g.window(),
-            TimeGovernor::Oracle(g) => g.window(),
             TimeGovernor::Virtual(g) => g.window(),
         }
     }
@@ -123,7 +98,7 @@ impl TimeGovernor {
     }
 
     /// Thread `id` announces itself ready to run. A no-op for the
-    /// threaded governors; under the virtual scheduler this parks the
+    /// threaded governor; under the virtual scheduler this parks the
     /// thread until it is admitted (and no task is admitted until all
     /// have checked in, making admission order spawn-invariant).
     pub fn check_in(&self, id: usize) {
@@ -139,7 +114,6 @@ impl TimeGovernor {
     pub fn tick(&self, id: usize, local_time: Cycles) {
         match self {
             TimeGovernor::Epoch(g) => g.tick(id, local_time),
-            TimeGovernor::Oracle(g) => g.tick(id, local_time),
             TimeGovernor::Virtual(g) => g.tick(id, local_time),
         }
     }
@@ -149,7 +123,6 @@ impl TimeGovernor {
     pub fn blocked(&self, id: usize) {
         match self {
             TimeGovernor::Epoch(g) => g.blocked(id),
-            TimeGovernor::Oracle(g) => g.blocked(id),
             TimeGovernor::Virtual(g) => g.blocked(id),
         }
     }
@@ -158,7 +131,6 @@ impl TimeGovernor {
     pub fn unblocked(&self, id: usize) {
         match self {
             TimeGovernor::Epoch(g) => g.unblocked(id),
-            TimeGovernor::Oracle(g) => g.unblocked(id),
             TimeGovernor::Virtual(g) => g.unblocked(id),
         }
     }
@@ -167,7 +139,6 @@ impl TimeGovernor {
     pub fn finished(&self, id: usize) {
         match self {
             TimeGovernor::Epoch(g) => g.finished(id),
-            TimeGovernor::Oracle(g) => g.finished(id),
             TimeGovernor::Virtual(g) => g.finished(id),
         }
     }
@@ -177,7 +148,6 @@ impl TimeGovernor {
     pub fn wait_snapshot(&self) -> GovWaitSnapshot {
         match self {
             TimeGovernor::Epoch(g) => g.wait_snapshot(),
-            TimeGovernor::Oracle(g) => g.wait_snapshot(),
             TimeGovernor::Virtual(g) => g.wait_snapshot(),
         }
     }
@@ -225,7 +195,7 @@ impl<'a> GovHook<'a> {
 
     /// Virtual-engine wait: deschedules the calling task until a peer
     /// [`wake`](Self::wake)s it, and returns `true`. Returns `false`
-    /// without waiting under the threaded governors — the caller must
+    /// without waiting under the threaded governor — the caller must
     /// then fall back to its condvar wait. **Never call while holding
     /// a mutex the waking peer needs**: the primitive registers the
     /// waiter, drops its lock, then deschedules (a wake that races
@@ -243,7 +213,7 @@ impl<'a> GovHook<'a> {
     /// Virtual-engine wake of peer task `target` (typically: a lock
     /// releaser rescheduling the waiter it granted to, or the final
     /// barrier arriver rescheduling the field). A no-op under the
-    /// threaded governors, so releasers can call it unconditionally
+    /// threaded governor, so releasers can call it unconditionally
     /// alongside their condvar notify.
     pub fn wake(&self, target: usize) {
         if let TimeGovernor::Virtual(g) = self.gov {
@@ -254,7 +224,7 @@ impl<'a> GovHook<'a> {
     /// Batched [`wake`](Self::wake) for group releases (a barrier's
     /// final arriver, a hardware-lock herd): one scheduler pass for the
     /// whole waiter set instead of one per task. A no-op under the
-    /// threaded governors.
+    /// threaded governor.
     pub fn wake_many(&self, targets: &[usize]) {
         if let TimeGovernor::Virtual(g) = self.gov {
             g.resume_many(targets);
@@ -276,268 +246,33 @@ impl Drop for BlockedSection<'_> {
     }
 }
 
-/// The original mutex + per-thread-condvar governor, retained as the
-/// cross-implementation oracle and bench baseline. Semantics are
-/// identical to [`EpochGate`](crate::EpochGate); only host-side cost
-/// differs (every slow path serializes on one mutex).
-#[derive(Debug)]
-pub struct MutexGovernor {
-    state: Mutex<GovState>,
-    /// One condvar per thread, so a window advance wakes only the
-    /// threads whose gate the new window actually covers (unless herd
-    /// mode re-enables the historical wake-everyone behaviour).
-    conds: Vec<Condvar>,
-    window: u64,
-    /// Mirror of `state.window_end` for the lock-free fast path.
-    window_end: AtomicU64,
-    /// When set, window advance notifies every gated thread — the
-    /// pre-fix thundering herd, kept selectable as the `govscale`
-    /// "before" baseline.
-    herd: bool,
-    stats: Vec<WaitStat>,
-}
-
-#[derive(Debug)]
-struct GovState {
-    /// End of the current window in cycles.
-    window_end: u64,
-    /// Per-thread status.
-    status: Vec<ThreadStatus>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ThreadStatus {
-    /// Running within the current window.
-    Running,
-    /// Waiting at the window boundary with the given local time.
-    AtGate(u64),
-    /// Blocked on real synchronization; excluded from window advance.
-    Blocked,
-    /// Finished; permanently excluded.
-    Done,
-}
-
-impl MutexGovernor {
-    /// Creates a governor for `n` threads with the given window size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `window` is zero cycles.
-    pub fn new(n: usize, window: Cycles) -> MutexGovernor {
-        assert!(n > 0, "governor needs at least one thread");
-        assert!(!window.is_zero(), "governor window must be nonzero");
-        MutexGovernor {
-            state: Mutex::new(GovState {
-                window_end: window.raw(),
-                status: vec![ThreadStatus::Running; n],
-            }),
-            conds: (0..n).map(|_| Condvar::new()).collect(),
-            window: window.raw(),
-            window_end: AtomicU64::new(window.raw()),
-            herd: false,
-            stats: (0..n).map(|_| WaitStat::new()).collect(),
-        }
-    }
-
-    /// Re-enables the historical `notify_all`-equivalent wake-up on
-    /// every window advance (bench baseline only).
-    pub fn with_herd_wakeups(mut self) -> MutexGovernor {
-        self.herd = true;
-        self
-    }
-
-    /// The window size.
-    pub fn window(&self) -> Cycles {
-        Cycles(self.window)
-    }
-
-    /// Called by thread `id` between operations with its current local
-    /// time. If the thread has run past the current window it waits
-    /// until the window advances.
-    pub fn tick(&self, id: usize, local_time: Cycles) {
-        let t = local_time.raw();
-        // Lock-free fast path: threads inside the window (the common
-        // case) never take the mutex, so small windows stay cheap.
-        if t < self.window_end.load(Ordering::Acquire) {
-            return;
-        }
-        self.stats[id].record_gate();
-        let mut st = self.state.lock();
-        if t < st.window_end {
-            // The window advanced while we were acquiring the lock.
-            st.status[id] = ThreadStatus::Running;
-            return;
-        }
-        st.status[id] = ThreadStatus::AtGate(t);
-        self.try_advance(&mut st);
-        if t >= st.window_end {
-            let start = Instant::now();
-            let mut parks = 0u64;
-            while t >= st.window_end {
-                parks += 1;
-                self.conds[id].wait(&mut st);
-            }
-            self.stats[id].record_wait(start.elapsed().as_nanos() as u64, parks);
-        }
-        st.status[id] = ThreadStatus::Running;
-    }
-
-    /// Marks thread `id` as blocked on real synchronization. The window
-    /// may advance without it. Pair with [`unblocked`](Self::unblocked).
-    pub fn blocked(&self, id: usize) {
-        let mut st = self.state.lock();
-        st.status[id] = ThreadStatus::Blocked;
-        self.try_advance(&mut st);
-    }
-
-    /// Marks thread `id` as runnable again after a real block.
-    pub fn unblocked(&self, id: usize) {
-        let mut st = self.state.lock();
-        st.status[id] = ThreadStatus::Running;
-    }
-
-    /// Marks thread `id` as finished for the rest of the run.
-    pub fn finished(&self, id: usize) {
-        let mut st = self.state.lock();
-        st.status[id] = ThreadStatus::Done;
-        self.try_advance(&mut st);
-    }
-
-    /// Captures per-thread wait accounting (host-side only).
-    pub fn wait_snapshot(&self) -> GovWaitSnapshot {
-        GovWaitSnapshot {
-            engine: if self.herd { "mutex-herd" } else { "mutex" },
-            per_proc: self.stats.iter().map(|s| s.snapshot()).collect(),
-        }
-    }
-
-    /// Advances the window if no thread is still running inside it.
-    fn try_advance(&self, st: &mut GovState) {
-        let mut min_gate: Option<u64> = None;
-        for s in &st.status {
-            match *s {
-                ThreadStatus::Running => return, // someone still inside
-                ThreadStatus::AtGate(t) => {
-                    min_gate = Some(min_gate.map_or(t, |m: u64| m.min(t)));
-                }
-                ThreadStatus::Blocked | ThreadStatus::Done => {}
-            }
-        }
-        let Some(t) = min_gate else {
-            return; // everyone blocked or done; nothing to gate
-        };
-        // Advance just far enough for the earliest gated thread to fit
-        // inside the window. (steps == 0 means a previously-gated
-        // thread that already fits has not woken yet: nothing to do.)
-        let needed = t + 1;
-        let steps = needed.saturating_sub(st.window_end).div_ceil(self.window);
-        if steps == 0 {
-            return;
-        }
-        st.window_end += steps * self.window;
-        self.window_end.store(st.window_end, Ordering::Release);
-        // Targeted wake-ups: only threads whose gate now falls inside
-        // the advanced window can make progress, so wake exactly those.
-        // (Herd mode wakes every gated thread — the pre-fix behaviour.)
-        for (id, s) in st.status.iter().enumerate() {
-            if let ThreadStatus::AtGate(t) = *s {
-                if self.herd || t < st.window_end {
-                    self.conds[id].notify_one();
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
-    #[test]
-    fn single_thread_never_waits() {
-        let gov = TimeGovernor::new(1, Cycles(100));
-        for t in (0..10_000).step_by(37) {
-            gov.tick(0, Cycles(t));
-        }
-    }
-
-    #[test]
-    fn fast_thread_waits_for_slow() {
-        for gov in [
-            TimeGovernor::new(2, Cycles(100)),
-            TimeGovernor::new_mutex_oracle(2, Cycles(100)),
-            TimeGovernor::new_mutex_herd(2, Cycles(100)),
-        ] {
-            let gov = Arc::new(gov);
-            let g = Arc::clone(&gov);
-            let fast = std::thread::spawn(move || {
-                g.tick(0, Cycles(1000)); // far ahead; must wait
-            });
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            assert!(!fast.is_finished(), "fast thread should be gated");
-            // Slow thread reaches the gate too; window advances.
-            gov.tick(1, Cycles(990));
-            // The slow thread retires; the window may now advance past
-            // the fast thread's gate.
-            gov.finished(1);
-            fast.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn blocked_thread_does_not_hold_window() {
-        for gov in [
-            TimeGovernor::new(2, Cycles(100)),
-            TimeGovernor::new_mutex_oracle(2, Cycles(100)),
-        ] {
-            gov.blocked(1);
-            // Thread 0 can sail through many windows alone.
-            for t in (0..5_000).step_by(100) {
-                gov.tick(0, Cycles(t));
-            }
-            gov.unblocked(1);
-            gov.finished(1);
-            gov.tick(0, Cycles(10_000));
-        }
-    }
-
-    #[test]
-    fn finished_thread_does_not_hold_window() {
-        for gov in [
-            TimeGovernor::new(2, Cycles(50)),
-            TimeGovernor::new_mutex_oracle(2, Cycles(50)),
-        ] {
-            gov.finished(1);
-            gov.tick(0, Cycles(100_000));
-        }
-    }
+    // Gate semantics proper are unit-tested in `gate.rs`; these cover the
+    // enum front door and the `GovHook` guard.
 
     #[test]
     fn many_threads_progress_together() {
-        for gov in [
-            TimeGovernor::new(8, Cycles(10)),
-            TimeGovernor::new_mutex_oracle(8, Cycles(10)),
-            TimeGovernor::new_mutex_herd(8, Cycles(10)),
-        ] {
-            let n = 8;
-            let gov = Arc::new(gov);
-            let mut handles = Vec::new();
-            for id in 0..n {
-                let g = Arc::clone(&gov);
-                handles.push(std::thread::spawn(move || {
-                    let mut t = 0u64;
-                    for step in 0..200 {
-                        t += 1 + ((id as u64 + step) % 7);
-                        g.tick(id, Cycles(t));
-                    }
-                    g.finished(id);
-                    t
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
+        let n = 8;
+        let gov = Arc::new(TimeGovernor::new(n, Cycles(10)));
+        let mut handles = Vec::new();
+        for id in 0..n {
+            let g = Arc::clone(&gov);
+            handles.push(std::thread::spawn(move || {
+                let mut t = 0u64;
+                for step in 0..200 {
+                    t += 1 + ((id as u64 + step) % 7);
+                    g.tick(id, Cycles(t));
+                }
+                g.finished(id);
+                t
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
         }
     }
 

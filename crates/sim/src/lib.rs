@@ -16,10 +16,9 @@
 //!   resource (a protocol engine, a LAN interface, a lock token).
 //! * [`TimeGovernor`] — a windowed skew bound keeping the simulated
 //!   clocks of concurrently-running processor threads close together;
-//!   its default engine is [`EpochGate`], a sharded lock-free epoch
-//!   gate with targeted wake-ups and adaptive spin-then-park waiting
-//!   (the original mutex-based [`MutexGovernor`] is retained as the
-//!   equivalence oracle).
+//!   the threaded engine paces with [`EpochGate`], a sharded lock-free
+//!   epoch gate with targeted wake-ups and adaptive spin-then-park
+//!   waiting.
 //! * [`VirtualScheduler`] — the M:N virtual-processor scheduler backing
 //!   the virtual execution engine: simulated processors become
 //!   resumable tasks admitted lowest-simulated-time-first onto a
@@ -57,7 +56,7 @@ pub use account::{CostCategory, CycleAccount};
 pub use clock::ProcClock;
 pub use cost::{CleanTier, CostModel};
 pub use gate::{EpochGate, GovWaitSnapshot, GovWaitStats, SpinPolicy, WAIT_HIST_BUCKETS};
-pub use governor::{BlockedSection, GovHook, MutexGovernor, TimeGovernor};
+pub use governor::{BlockedSection, GovHook, TimeGovernor};
 pub use resource::Occupancy;
 pub use rng::XorShift64;
 pub use stats::{Counter, RunningStats};

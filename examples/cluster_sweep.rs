@@ -36,7 +36,7 @@ fn main() {
 
     // A small Water problem keeps this example quick; the full
     // evaluation lives in the mgs-bench binaries (`figures`,
-    // `summary`), and the engine comparison in `vpscale`.
+    // `summary`), and the engine comparison in `benchmark/`.
     let app = Water {
         n: 64,
         ..Water::paper()

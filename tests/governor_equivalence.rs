@@ -1,40 +1,21 @@
-//! Cross-implementation governor equivalence: simulated cycle counts
-//! must be bit-identical whichever engine paces the run, because the
-//! governor only bounds host-side skew — it never charges cycles.
+//! Governor cycle-invisibility: simulated cycle counts must be
+//! bit-identical whether or not the epoch gate paces the run, because
+//! the governor only bounds host-side skew — it never charges cycles.
 //!
-//! Two layers of evidence:
+//! A workload inside the simulator's deterministic envelope (the
+//! page-disjoint, barrier-phased program of `tests/determinism.rs`) is
+//! run at `P = 32`, `C ∈ {1, 4, 32}`, with an aggressively small
+//! window, with a wide one, and with the governor off. All reports
+//! must be bit-identical. This is the strongest possible statement:
+//! heavy gating (thousands of window advances) leaves no trace in
+//! simulated time.
 //!
-//! * A workload inside the simulator's deterministic envelope (the
-//!   page-disjoint, barrier-phased program of `tests/determinism.rs`)
-//!   is run at `P = 32`, `C ∈ {1, 4, 32}`, with an aggressively small
-//!   window, under every governor implementation — and with the
-//!   governor off. All reports must be bit-identical. This is the
-//!   strongest possible statement: heavy gating (thousands of window
-//!   advances) leaves no trace in simulated time.
-//! * The full six-application suite at `C ∈ {1, 4, 32}`. Whole-app
-//!   runs are *not* bit-reproducible even under a single governor —
-//!   lock-grant order and home-node transaction arrival order are
-//!   host-interleaving-dependent, exactly like the hardware being
-//!   modelled (see `tests/determinism.rs`), and the resulting miss
-//!   classes feed back into every cycle category. Worse, pacing
-//!   *systematically* shapes those interleavings, so a component that
-//!   happens to reproduce under one engine can legitimately differ
-//!   under another. The suite is therefore compared only on components
-//!   that are invariant *by construction*: lock acquire counts for the
-//!   applications whose control flow is data-independent of the
-//!   schedule (Jacobi, MatMul, Water, the Water kernel — unlike TSP's
-//!   bound-pruned work queue or Barnes-Hut's hand-over-hand tree
-//!   build), and the zero-LAN invariant at `C = P`. Everything else is
-//!   still verified end-to-end — each application checks its numerical
-//!   result internally and panics on mismatch.
+//! Whole applications are *not* bit-reproducible under the threaded
+//! engine (see `tests/determinism.rs`); their pacing-invariant
+//! components are compared across engines by
+//! `tests/engine_equivalence.rs`.
 
-use mgs_repro::apps::{
-    barnes::BarnesHut, jacobi::Jacobi, matmul::MatMul, tsp::Tsp, water::Water,
-    water_kernel::WaterKernel, MgsApp,
-};
-use mgs_repro::core::{
-    AccessKind, CostCategory, Cycles, DssmpConfig, GovernorImpl, Machine, RunReport,
-};
+use mgs_repro::core::{AccessKind, CostCategory, Cycles, DssmpConfig, Machine, RunReport};
 
 fn assert_identical(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.duration.raw(), b.duration.raw(), "{what}: duration");
@@ -61,21 +42,13 @@ fn assert_identical(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.lan_bytes, b.lan_bytes, "{what}: LAN bytes");
 }
 
-// ---------------------------------------------------------------------
-// Deterministic-envelope workload: every implementation, heavy gating,
-// the full C sweep of the acceptance criterion.
-// ---------------------------------------------------------------------
-
 const PROCS: usize = 32;
 const WORDS_PER_PROC: u64 = 256;
 const PHASES: u64 = 2;
 
-fn run_disjoint(c: usize, impl_: Option<GovernorImpl>, window: Option<Cycles>) -> RunReport {
+fn run_disjoint(c: usize, window: Option<Cycles>) -> RunReport {
     let mut cfg = DssmpConfig::new(PROCS, c);
     cfg.governor_window = window;
-    if let Some(i) = impl_ {
-        cfg.governor_impl = i;
-    }
     let machine = Machine::new(cfg);
     let arr =
         machine.alloc_array_blocked::<u64>(WORDS_PER_PROC * PROCS as u64, AccessKind::DistArray);
@@ -101,124 +74,13 @@ fn run_disjoint(c: usize, impl_: Option<GovernorImpl>, window: Option<Cycles>) -
 #[test]
 fn every_governor_impl_is_cycle_invisible_on_deterministic_workload() {
     // A 50-cycle window forces constant gating; the ungoverned run is
-    // the reference. Bit-identity across all of these proves the
-    // governor (any engine) never perturbs simulated time.
+    // the reference. Bit-identity proves the gate never perturbs
+    // simulated time.
     for c in [1usize, 4, 32] {
-        let reference = run_disjoint(c, None, None);
-        for impl_ in [
-            GovernorImpl::Epoch,
-            GovernorImpl::Mutex,
-            GovernorImpl::MutexHerd,
-        ] {
-            let governed = run_disjoint(c, Some(impl_), Some(Cycles(50)));
-            assert_identical(&reference, &governed, &format!("C={c} {impl_:?} w=50"));
-        }
-        // And one wide-window run per C on the default engine.
-        let wide = run_disjoint(c, Some(GovernorImpl::Epoch), Some(Cycles(100_000)));
-        assert_identical(&reference, &wide, &format!("C={c} Epoch w=100k"));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Full application suite at C ∈ {1, 4, 32}: component-wise comparison.
-// ---------------------------------------------------------------------
-
-/// Tiny instances of all six applications: enough shared-memory and
-/// synchronization traffic to exercise every governor path at P = 32
-/// without making the suite slow.
-fn suite() -> Vec<(&'static str, Box<dyn MgsApp>)> {
-    vec![
-        (
-            "jacobi",
-            Box::new(Jacobi {
-                n: 32,
-                iters: 2,
-                ..Jacobi::small()
-            }),
-        ),
-        (
-            "matmul",
-            Box::new(MatMul {
-                n: 16,
-                ..MatMul::small()
-            }),
-        ),
-        (
-            "tsp",
-            Box::new(Tsp {
-                n: 6,
-                ..Tsp::small()
-            }),
-        ),
-        (
-            "water",
-            Box::new(Water {
-                n: 16,
-                iters: 1,
-                ..Water::small()
-            }),
-        ),
-        (
-            "barnes",
-            Box::new(BarnesHut {
-                n: 32,
-                iters: 1,
-                ..BarnesHut::small()
-            }),
-        ),
-        (
-            "water-kernel",
-            Box::new(WaterKernel {
-                n: 16,
-                iters: 1,
-                ..WaterKernel::small(false)
-            }),
-        ),
-    ]
-}
-
-fn run_app(app: &dyn MgsApp, c: usize, impl_: GovernorImpl) -> RunReport {
-    let mut cfg = DssmpConfig::new(32, c);
-    cfg.governor_impl = impl_;
-    app.execute(&Machine::new(cfg))
-}
-
-/// Applications whose lock acquire count is fixed by the algorithm —
-/// control flow never depends on values produced by other processors,
-/// so the count is identical under any pacing. (TSP's bound pruning
-/// and Barnes-Hut's hand-over-hand tree walk are excluded: their lock
-/// call counts legitimately vary with the interleaving.)
-const FIXED_LOCK_COUNT: &[&str] = &["jacobi", "matmul", "water", "water-kernel"];
-
-#[test]
-fn epoch_gate_matches_mutex_oracle_on_the_suite() {
-    let mut compared = 0usize;
-    for (name, app) in suite() {
-        for c in [1usize, 4, 32] {
-            let oracle = run_app(app.as_ref(), c, GovernorImpl::Mutex);
-            let epoch = run_app(app.as_ref(), c, GovernorImpl::Epoch);
-            assert!(epoch.duration.raw() > 0, "{name} C={c}: empty epoch run");
-            if FIXED_LOCK_COUNT.contains(&name) {
-                assert_eq!(
-                    oracle.lock_acquires, epoch.lock_acquires,
-                    "{name} C={c}: lock acquire count (oracle vs epoch)"
-                );
-                compared += 1;
-            }
-            if c == PROCS {
-                // One SSMP spans the whole machine: no page faults
-                // escape to the LAN, whichever engine paces the run.
-                assert_eq!(oracle.lan_messages, 0, "{name} C={c}: oracle LAN msgs");
-                assert_eq!(epoch.lan_messages, 0, "{name} C={c}: epoch LAN msgs");
-                assert_eq!(epoch.lan_bytes, 0, "{name} C={c}: epoch LAN bytes");
-                compared += 2;
-            }
+        let reference = run_disjoint(c, None);
+        for window in [50, 100_000] {
+            let governed = run_disjoint(c, Some(Cycles(window)));
+            assert_identical(&reference, &governed, &format!("C={c} w={window}"));
         }
     }
-    // Sanity: the comparison must have real coverage; if the suite or
-    // the invariant set shrinks, this test stops proving anything.
-    assert!(
-        compared >= 20,
-        "only {compared} invariant components compared across the suite"
-    );
 }

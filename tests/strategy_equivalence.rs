@@ -26,6 +26,8 @@ use mgs_repro::core::{
     AccessKind, CostCategory, Cycles, DssmpConfig, ExecutionEngine, FaultPlan, Machine,
     ProtocolKind, RunReport,
 };
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 const PROCS: usize = 32;
 const WORDS_PER_PROC: u64 = 256;
@@ -396,6 +398,28 @@ fn adaptive_converges_on_perfect_and_lossy_fabrics() {
     }
 }
 
+/// Runs `body` on its own thread and panics with `what` if no result
+/// arrives within `deadline`: a livelocked run (ROADMAP item 1) fails by
+/// name instead of spinning until the CI job limit. A panic in `body`
+/// is re-raised unchanged.
+fn within_deadline<T: Send + 'static>(
+    what: &str,
+    deadline: Duration,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    match rx.recv_timeout(deadline) {
+        Ok(result) => result,
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(runner.join().expect_err("sender dropped without a result"))
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: no result after {deadline:?}"),
+    }
+}
+
 #[test]
 fn adaptive_passes_application_self_verification() {
     for c in [1usize, 2, 8] {
@@ -403,7 +427,15 @@ fn adaptive_passes_application_self_verification() {
         cfg.governor_window = None;
         cfg.adaptive.sample_every = Cycles(10_000);
         cfg.adaptive.min_activity = 8;
-        let r = Tsp::small().execute(&Machine::new(cfg));
+        // A passing run takes under a second.
+        let r = within_deadline(
+            &format!(
+                "adaptive_passes_application_self_verification: \
+                 tsp-small P=8 C={c} Adaptive, governor off"
+            ),
+            Duration::from_secs(60),
+            move || Tsp::small().execute(&Machine::new(cfg)),
+        );
         assert!(r.duration.raw() > 0);
     }
 }
