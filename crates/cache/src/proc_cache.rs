@@ -11,6 +11,16 @@ use crate::CacheConfig;
 /// to touch this structure — a resident-but-invalidated tag simply
 /// fails the directory check on its next use.
 ///
+/// # Layout
+///
+/// One zeroed `Vec<u64>` of `sets × ways` tags, set-major. A tag is
+/// `line + 1`, so 0 means "empty" and a fresh array is a single zeroed
+/// allocation the host only backs with memory where sets are touched.
+/// Each set is kept in most-recently-used-first order with its empty
+/// ways last: a use moves the tag to way 0, so the last occupied way is
+/// always the least recently used one and exact LRU needs no
+/// timestamps. A hit on way 0 — the common case — writes nothing.
+///
 /// # Example
 ///
 /// ```
@@ -24,16 +34,18 @@ use crate::CacheConfig;
 #[derive(Debug, Clone)]
 pub struct ProcCache {
     cfg: CacheConfig,
-    sets: Vec<Vec<Slot>>,
-    tick: u64,
+    /// `sets × ways` tags, set-major; see the type docs for the order
+    /// kept within a set.
+    tags: Vec<u64>,
+    /// `sets - 1` (the set count is a power of two).
+    set_mask: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    /// Line address (address / line_bytes), or `None` if empty.
-    line: Option<u64>,
-    /// LRU timestamp.
-    last_use: u64,
+/// The tag stored for `line`. Line addresses are byte addresses divided
+/// by the line size, so `line + 1` cannot overflow.
+#[inline]
+fn tag_of(line: u64) -> u64 {
+    line + 1
 }
 
 impl ProcCache {
@@ -42,17 +54,8 @@ impl ProcCache {
         let sets = cfg.sets();
         ProcCache {
             cfg,
-            sets: vec![
-                vec![
-                    Slot {
-                        line: None,
-                        last_use: 0
-                    };
-                    cfg.ways
-                ];
-                sets
-            ],
-            tick: 0,
+            tags: vec![0; sets * cfg.ways],
+            set_mask: sets - 1,
         }
     }
 
@@ -61,84 +64,71 @@ impl ProcCache {
         &self.cfg
     }
 
-    fn set_index(&self, line: u64) -> usize {
-        (line as usize) & (self.sets.len() - 1)
+    /// The ways of the set `line` maps to, most recently used first.
+    #[inline]
+    fn set_of(&mut self, line: u64) -> &mut [u64] {
+        let ways = self.cfg.ways;
+        let first = ((line as usize) & self.set_mask) * ways;
+        &mut self.tags[first..first + ways]
+    }
+
+    /// Moves `line`'s tag to the front of `set` if it is resident.
+    #[inline]
+    fn touch(set: &mut [u64], line: u64) -> bool {
+        let tag = tag_of(line);
+        match set.iter().position(|&t| t == tag) {
+            Some(0) => true,
+            Some(way) => {
+                set[..=way].rotate_right(1);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Returns `true` if `line` is resident, updating its LRU position.
+    #[inline]
     pub fn contains(&mut self, line: u64) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        let idx = self.set_index(line);
-        for slot in &mut self.sets[idx] {
-            if slot.line == Some(line) {
-                slot.last_use = tick;
-                return true;
-            }
-        }
-        false
+        Self::touch(self.set_of(line), line)
     }
 
     /// Inserts `line`, returning the evicted line address if a resident
     /// line had to be displaced. Inserting a line that is already
     /// resident refreshes it and evicts nothing.
     pub fn insert(&mut self, line: u64) -> Option<u64> {
-        self.tick += 1;
-        let tick = self.tick;
-        let idx = self.set_index(line);
-        let set = &mut self.sets[idx];
-        // Already resident?
-        if let Some(slot) = set.iter_mut().find(|s| s.line == Some(line)) {
-            slot.last_use = tick;
+        let set = self.set_of(line);
+        if Self::touch(set, line) {
             return None;
         }
-        // Empty way?
-        if let Some(slot) = set.iter_mut().find(|s| s.line.is_none()) {
-            *slot = Slot {
-                line: Some(line),
-                last_use: tick,
-            };
-            return None;
-        }
-        // Evict LRU.
-        let victim = set.iter_mut().min_by_key(|s| s.last_use).expect("ways > 0");
-        let evicted = victim.line;
-        *victim = Slot {
-            line: Some(line),
-            last_use: tick,
-        };
-        evicted
+        // The last way holds an empty slot if the set has one, and the
+        // LRU line otherwise; either way it is the one to reuse.
+        set.rotate_right(1);
+        let displaced = std::mem::replace(&mut set[0], tag_of(line));
+        displaced.checked_sub(1)
     }
 
     /// Removes `line` if resident (used when the owner itself flushes,
     /// e.g. during page cleaning of its own pages).
     pub fn evict(&mut self, line: u64) -> bool {
-        let idx = self.set_index(line);
-        for slot in &mut self.sets[idx] {
-            if slot.line == Some(line) {
-                slot.line = None;
-                return true;
-            }
-        }
-        false
+        let tag = tag_of(line);
+        let set = self.set_of(line);
+        let Some(way) = set.iter().position(|&t| t == tag) else {
+            return false;
+        };
+        // Close the gap so the empties stay last.
+        set[way] = 0;
+        set[way..].rotate_left(1);
+        true
     }
 
     /// Drops every resident line.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            for slot in set {
-                slot.line = None;
-            }
-        }
+        self.tags.fill(0);
     }
 
     /// Number of resident lines (O(cache size); for tests/stats).
     pub fn resident(&self) -> usize {
-        self.sets
-            .iter()
-            .flatten()
-            .filter(|s| s.line.is_some())
-            .count()
+        self.tags.iter().filter(|&&t| t != 0).count()
     }
 }
 

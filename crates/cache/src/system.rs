@@ -79,31 +79,70 @@ impl fmt::Display for MissClass {
     }
 }
 
-/// Per-class access counters for one SSMP.
+/// One local processor's counters, on cache lines of their own so that
+/// the processors of an SSMP never write a line another one counts on
+/// (128 bytes covers the adjacent-line prefetcher's pairs).
 #[derive(Debug, Default)]
-pub struct CacheStats {
+#[repr(align(128))]
+struct StatShard {
     counts: [Counter; 6],
 }
 
+/// Per-class access counters for one SSMP.
+///
+/// Sharded by local processor: an access bumps only its own
+/// processor's shard, and readers sum the shards. The totals are exact
+/// — every access is recorded exactly once, in exactly one shard.
+#[derive(Debug)]
+pub struct CacheStats {
+    shards: Box<[StatShard]>,
+}
+
+impl Default for CacheStats {
+    fn default() -> CacheStats {
+        CacheStats::new()
+    }
+}
+
 impl CacheStats {
+    /// Shards per SSMP: the [`Directory`]'s sharer bitmask already caps
+    /// an SSMP at 64 local processors.
+    const SHARDS: usize = 64;
+
     /// Creates zeroed statistics.
     pub fn new() -> CacheStats {
-        CacheStats::default()
+        CacheStats {
+            shards: (0..Self::SHARDS).map(|_| StatShard::default()).collect(),
+        }
     }
 
-    /// Records one access of the given class.
+    /// Records one access of the given class (not attributed to a
+    /// particular processor).
     pub fn record(&self, class: MissClass) {
-        self.counts[class.index()].incr();
+        self.record_for(0, class);
+    }
+
+    /// Records one access of the given class by local processor `proc`.
+    #[inline]
+    fn record_for(&self, proc: usize, class: MissClass) {
+        self.shards[proc].counts[class.index()].incr();
     }
 
     /// Accesses of the given class so far.
     pub fn count(&self, class: MissClass) -> u64 {
-        self.counts[class.index()].get()
+        self.shards
+            .iter()
+            .map(|s| s.counts[class.index()].get())
+            .sum()
     }
 
     /// Total accesses.
     pub fn total(&self) -> u64 {
-        self.counts.iter().map(Counter::get).sum()
+        self.shards
+            .iter()
+            .flat_map(|s| &s.counts)
+            .map(Counter::get)
+            .sum()
     }
 
     /// Fraction of accesses that hit (0.0 when no accesses).
@@ -207,7 +246,7 @@ impl SsmpCacheSystem {
                 "fused access must take exactly one directory shard lock"
             );
         }
-        self.stats.record(class);
+        self.stats.record_for(proc, class);
         class
     }
 
@@ -224,7 +263,7 @@ impl SsmpCacheSystem {
         is_write: bool,
     ) -> MissClass {
         let class = self.access_reference_inner(cache, proc, line, home, is_write);
-        self.stats.record(class);
+        self.stats.record_for(proc, class);
         class
     }
 

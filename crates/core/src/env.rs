@@ -352,19 +352,30 @@ impl Env {
         // the generation check below, so the only requirements here are
         // page match and sufficient privilege.
         let slot = (page as usize) & (XLATE_SLOTS - 1);
-        let mut entry = match &self.xlate_cache[slot] {
-            Some((p, e, _)) if *p == page && (e.writable || !write) => e.clone(),
-            _ => self.translate_slow(page, write),
-        };
+        let cached = matches!(
+            &self.xlate_cache[slot],
+            Some((p, e, _)) if *p == page && (e.writable || !write)
+        );
+        if !cached {
+            self.translate_slow(page, write);
+        }
         // Perform the access under the frame's guard, re-validating the
-        // mapping generation: a mapping cloned just before a shootdown
+        // mapping generation: a mapping read just before a shootdown
         // must re-fault rather than touch a retired copy (the
         // translation critical section of §4.2.1). An invalidation
         // bumps the generation under the exclusive guard, so a store
         // that lands here is always covered by the subsequent diff.
+        //
+        // The entry is borrowed from the slot, not cloned: the frame's
+        // `Arc` count is a line every processor mapping the page would
+        // otherwise write on every access. Nothing below touches
+        // `xlate_cache`, so the borrow lives across the access.
         let word = self.geometry.word_offset(va);
         loop {
-            let frame = entry.frame.clone();
+            let (_, entry, _) = self.xlate_cache[slot]
+                .as_ref()
+                .expect("translate_slow fills the page's slot");
+            let frame = &*entry.frame;
             let guard = frame.begin_access();
             if frame.generation() == entry.gen {
                 // Intra-SSMP hardware coherence: classify and charge the
@@ -397,21 +408,20 @@ impl Env {
                 return result;
             }
             drop(guard);
-            entry = self.translate_slow(page, write);
+            self.translate_slow(page, write);
         }
     }
 
     /// Translation slow path: consult the shared TLB (mutex-protected)
-    /// and fault if it has no sufficient mapping; refresh this page's
-    /// slot in the Env-local cache either way.
-    fn translate_slow(&mut self, page: u64, write: bool) -> TlbEntry {
+    /// and fault if it has no sufficient mapping; either way the result
+    /// lands in this page's slot of the Env-local cache.
+    fn translate_slow(&mut self, page: u64, write: bool) {
         let entry = match self.proto.tlb(self.proc).lookup(page, write) {
             Some(e) => e,
             None => self.fault(page, write),
         };
         let policy = self.proto.policy(page);
-        self.xlate_cache[(page as usize) & (XLATE_SLOTS - 1)] = Some((page, entry.clone(), policy));
-        entry
+        self.xlate_cache[(page as usize) & (XLATE_SLOTS - 1)] = Some((page, entry, policy));
     }
 
     /// The coherence policy currently governing the page holding `va`,

@@ -350,7 +350,11 @@ impl Machine {
         /// Task stacks under the virtual engine: the app body plus
         /// inline protocol handlers need far less than the 2 MiB thread
         /// default, and at `P = 2048` the difference is 3.5 GiB of
-        /// address space.
+        /// address space. Address space, not resident memory: a stack
+        /// is mapped whole but only the pages a task has run on are
+        /// backed. What did make a processor cost resident memory at
+        /// large `P` was its `ProcCache`, when that was a heap block per
+        /// set written at construction (see `mgs_cache::ProcCache`).
         const VIRTUAL_TASK_STACK: usize = 512 * 1024;
 
         /// Wakes every parked task into a panic when the owning task

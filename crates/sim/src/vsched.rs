@@ -104,10 +104,26 @@ struct VState {
     /// was between registering as a waiter and parking); consumed by
     /// the next `suspend`, which then returns immediately.
     resume_pending: Vec<bool>,
-    /// Number of tasks currently `Running`.
-    running: usize,
+    /// The tasks currently `Running`, in no particular order: at most
+    /// the worker budget plus transient `unblocked` overshoot, so the
+    /// window minimum is a scan of this set, not of every task.
+    running: Vec<usize>,
+    /// Number of tasks currently `Blocked`.
+    blocked: usize,
     started: usize,
     finished: usize,
+}
+
+impl VState {
+    /// Takes task `id` out of the running set.
+    fn leave_running(&mut self, id: usize) {
+        let at = self
+            .running
+            .iter()
+            .position(|&r| r == id)
+            .expect("task leaving the running set was admitted");
+        self.running.swap_remove(at);
+    }
 }
 
 /// Per-task parking slot: the admission token handed over on grant.
@@ -160,7 +176,8 @@ impl VirtualScheduler {
                 time: vec![0; n],
                 status: vec![VStatus::Unstarted; n],
                 resume_pending: vec![false; n],
-                running: 0,
+                running: Vec::with_capacity(workers),
+                blocked: 0,
                 started: 0,
                 finished: 0,
             }),
@@ -242,7 +259,7 @@ impl VirtualScheduler {
         self.slots[id].stat.record_gate();
         st.status[id] = VStatus::Ready;
         st.ready.push(Reverse((t, id)));
-        st.running -= 1;
+        st.leave_running(id);
         self.admit(&mut st);
         drop(st);
         let start = Instant::now();
@@ -261,7 +278,8 @@ impl VirtualScheduler {
         let mut st = self.state.lock();
         debug_assert_eq!(st.status[id], VStatus::Running);
         st.status[id] = VStatus::Blocked;
-        st.running -= 1;
+        st.leave_running(id);
+        st.blocked += 1;
         self.admit(&mut st);
     }
 
@@ -276,7 +294,8 @@ impl VirtualScheduler {
         let mut st = self.state.lock();
         debug_assert_eq!(st.status[id], VStatus::Blocked);
         st.status[id] = VStatus::Running;
-        st.running += 1;
+        st.blocked -= 1;
+        st.running.push(id);
         // Its (possibly low) time re-enters the window computation.
         self.publish_horizon(&st);
     }
@@ -296,7 +315,7 @@ impl VirtualScheduler {
             debug_assert_eq!(st.status[id], VStatus::Running);
             self.slots[id].stat.record_gate();
             st.status[id] = VStatus::Suspended;
-            st.running -= 1;
+            st.leave_running(id);
             self.admit(&mut st);
         }
         let start = Instant::now();
@@ -342,11 +361,11 @@ impl VirtualScheduler {
     /// Marks task `id` as finished for the rest of the run.
     pub fn finished(&self, id: usize) {
         let mut st = self.state.lock();
-        if st.status[id] == VStatus::Done {
-            return;
-        }
-        if st.status[id] == VStatus::Running {
-            st.running -= 1;
+        match st.status[id] {
+            VStatus::Done => return,
+            VStatus::Running => st.leave_running(id),
+            VStatus::Blocked => st.blocked -= 1,
+            _ => {}
         }
         st.status[id] = VStatus::Done;
         st.finished += 1;
@@ -367,15 +386,23 @@ impl VirtualScheduler {
     // Internals
     // -----------------------------------------------------------------
 
-    /// Lowest recorded time over active (ready or running) tasks.
+    /// Lowest recorded time over active (ready or running) tasks: the
+    /// heap's top and a scan of the running set, O(workers) whatever
+    /// the machine size.
     fn active_min(&self, st: &VState) -> u64 {
-        let mut min = st.ready.peek().map_or(u64::MAX, |Reverse((t, _))| *t);
-        if st.running > 0 {
-            for (id, &s) in st.status.iter().enumerate() {
-                if s == VStatus::Running {
-                    min = min.min(st.time[id]);
-                }
-            }
+        let ready = st.ready.peek().map_or(u64::MAX, |Reverse((t, _))| *t);
+        let min = st.running.iter().fold(ready, |m, &id| m.min(st.time[id]));
+        // Debug builds re-derive the minimum from every task's status,
+        // checking the running set's bookkeeping at every gate.
+        #[cfg(debug_assertions)]
+        {
+            let scanned = st
+                .status
+                .iter()
+                .zip(&st.time)
+                .filter(|(&s, _)| s == VStatus::Running)
+                .fold(ready, |m, (_, &t)| m.min(t));
+            debug_assert_eq!(min, scanned, "running set out of step with task status");
         }
         min
     }
@@ -387,8 +414,8 @@ impl VirtualScheduler {
             .store(min.saturating_add(self.window), Ordering::Release);
     }
 
-    /// Fills free admission slots with the lowest-time ready tasks that
-    /// fit inside the window, then republishes the horizon. Also the
+    /// Republishes the horizon, then fills free admission slots with
+    /// the lowest-time ready tasks that fit inside the window. Also the
     /// deadlock-of-last-resort detector: if nothing is admissible,
     /// nothing is running, and nothing is host-blocked while tasks
     /// remain suspended, no future event can wake the machine.
@@ -396,7 +423,20 @@ impl VirtualScheduler {
         if st.started < st.time.len() {
             return; // hold everyone until the full machine has spawned
         }
-        while st.running < self.workers {
+        debug_assert_eq!(
+            st.blocked,
+            st.status.iter().filter(|&&s| s == VStatus::Blocked).count(),
+            "blocked count out of step with task status"
+        );
+        // Publish before granting: admission moves tasks from the ready
+        // heap to the running set without changing the minimum over
+        // both, so the value is already final — and a task granted
+        // below starts ticking against `horizon` at once, on its own
+        // host thread, while this one is still in the loop. It must not
+        // find a stale value there (that would make its first ticks a
+        // host-timing race, even at `workers = 1`).
+        self.publish_horizon(st);
+        while st.running.len() < self.workers {
             let Some(&Reverse((t, _))) = st.ready.peek() else {
                 break;
             };
@@ -409,15 +449,15 @@ impl VirtualScheduler {
             let Reverse((_, id)) = st.ready.pop().expect("peeked");
             debug_assert_eq!(st.status[id], VStatus::Ready);
             st.status[id] = VStatus::Running;
-            st.running += 1;
+            st.running.push(id);
             self.grant(id);
         }
-        self.publish_horizon(st);
-        if st.running == 0
+        // (No task is `Unstarted` here: admission is held until every
+        // task has checked in.)
+        if st.running.is_empty()
             && st.ready.is_empty()
             && st.finished < st.time.len()
-            && !st.status.contains(&VStatus::Blocked)
-            && !st.status.contains(&VStatus::Unstarted)
+            && st.blocked == 0
         {
             let stuck: Vec<usize> = st
                 .status
@@ -681,10 +721,37 @@ mod tests {
     }
 
     #[test]
-    fn worker_env_override_pins_budget() {
-        std::env::set_var(VWORKERS_ENV, "1");
-        let s = VirtualScheduler::new(4, Cycles(100), 3);
-        std::env::remove_var(VWORKERS_ENV);
-        assert_eq!(s.workers(), 1);
+    fn running_set_tracks_every_transition_and_ends_empty() {
+        // Four waiters suspend until the last of four drivers wakes
+        // them in one batch; everyone also passes through a host-side
+        // blocked bracket. Debug builds cross-check the running set and
+        // the blocked count against the status array at every step.
+        let s = Arc::new(VirtualScheduler::new(8, Cycles(100), 2));
+        let released = Arc::new(AtomicBool::new(false));
+        let drivers_left = Arc::new(AtomicUsize::new(4));
+        let (s2, r, d) = (Arc::clone(&s), Arc::clone(&released), drivers_left);
+        run_tasks(&s, 8, move |id| {
+            if id < 4 {
+                while !r.load(Ordering::SeqCst) {
+                    s2.suspend(id);
+                }
+            } else {
+                for t in (0..2_000).step_by(50) {
+                    s2.tick(id, Cycles(t));
+                }
+            }
+            s2.blocked(id);
+            s2.unblocked(id);
+            s2.tick(id, Cycles(2_000));
+            if id >= 4 && d.fetch_sub(1, Ordering::SeqCst) == 1 {
+                r.store(true, Ordering::SeqCst);
+                s2.resume_many(&[0, 1, 2, 3]);
+            }
+        });
+        let st = s.state.lock();
+        assert!(st.running.is_empty(), "running set: {:?}", st.running);
+        assert_eq!(st.blocked, 0);
+        assert!(st.ready.is_empty());
+        assert_eq!(st.finished, 8);
     }
 }
