@@ -22,17 +22,13 @@
 //! after the run — an end-to-end correctness check of the entire
 //! multigrain protocol stack.
 //!
-//! The applications are engine-agnostic: they run unchanged under
-//! both execution engines (`ExecutionEngine::Threaded` and
-//! `::Virtual`). No access-loop restructuring was needed for the
-//! virtual engine because every charged operation — `Env::read`,
-//! `Env::write`, lock acquire/release, barrier arrival — already
-//! funnels through the governor hook, which under the virtual engine
-//! is a task suspension point: the worker running the context parks
-//! its continuation and picks up the lowest-simulated-time ready
-//! task instead. Application code written against `Env` therefore
-//! gets M:N scheduling for free (see `DESIGN.md` § "Execution
-//! engines").
+//! The applications know nothing about scheduling. Every charged
+//! operation — `Env::read`, `Env::write`, lock acquire/release,
+//! barrier arrival — funnels through `Env`, which is where the
+//! machine's scheduler may suspend the task and run the
+//! lowest-simulated-time ready one instead, so application code
+//! written against `Env` gets M:N scheduling for free (see `DESIGN.md`
+//! § "Pacing").
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

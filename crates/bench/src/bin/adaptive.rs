@@ -34,7 +34,7 @@ use mgs_bench::json::JsonObject;
 use mgs_bench::parallel::{run_weighted, WorkerBudget};
 use mgs_bench::suite;
 use mgs_core::framework::SweepPoint;
-use mgs_core::{DssmpConfig, ExecutionEngine, LinkTier, Machine, ProtocolKind, TieredScenario};
+use mgs_core::{DssmpConfig, LinkTier, Machine, ProtocolKind, TieredScenario};
 use mgs_sim::Cycles;
 use std::sync::Arc;
 
@@ -127,13 +127,6 @@ fn run_sweep(
             .with_protocol(protocol)
             .with_scenario(Arc::new(TieredScenario::uniform(tier, latency)));
         cfg.cluster_size = c;
-        // Deterministic execution: the virtual engine at one worker
-        // makes every duration a pure function of the configuration,
-        // so penalty ratios compare strategies, not scheduling noise
-        // (TSP's branch-and-bound pruning is timing-sensitive under
-        // the threaded engine).
-        cfg.engine = ExecutionEngine::Virtual;
-        cfg.workers = Some(1);
         let machine = Machine::new(cfg);
         // Self-verifying: panics unless the numerical result matches
         // the plain-Rust reference — a convergence proof per point.
@@ -166,7 +159,12 @@ fn main() {
         vec![ProtocolKind::Eager, opts.protocol]
     };
 
-    let base = suite::base_config(&opts);
+    // Deterministic execution: one worker makes every duration a pure
+    // function of the configuration, so penalty ratios compare
+    // strategies, not scheduling noise (TSP's branch-and-bound pruning
+    // is timing-sensitive at any wider budget).
+    let mut base = suite::base_config(&opts);
+    base.workers = Some(1);
     let mut apps: Vec<Box<dyn MgsApp>> = ["tsp", "water", "jacobi"]
         .iter()
         .filter_map(|n| suite::by_name(&opts, n))
@@ -288,7 +286,7 @@ fn main() {
         .num("smoke", if smoke { 1.0 } else { 0.0 })
         .array("summary", summaries)
         .array("sweeps", sweep_records);
-    mgs_bench::provenance::stamp_run(&mut root, &opts);
+    mgs_bench::provenance::stamp_run(&mut root, &opts, base.governor_window, base.workers);
     if smoke {
         println!("\nsmoke run complete (BENCH_adaptive.json left untouched)");
         return;

@@ -337,7 +337,7 @@ fn main() {
         .num("jitter_cycles", JITTER.raw() as f64)
         .array("equivalence", equivalence)
         .array("sweep", sweep_records);
-    mgs_bench::provenance::stamp_run(&mut root, &opts);
+    mgs_bench::provenance::stamp_run(&mut root, &opts, None, None);
     let path = "BENCH_chaos.json";
     std::fs::write(path, root.render(0) + "\n").expect("write BENCH_chaos.json");
     println!("\nwrote {path}: every run recovered to the fault-free result");

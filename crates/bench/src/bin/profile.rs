@@ -15,10 +15,9 @@
 //!
 //! Flags beyond the usual `--p`/`--scale`: `--c <C>` picks the cluster
 //! size (default 4, or `P` when `P < 4`); `--top <N>` sizes the hot-page
-//! table (default 10); `--engine <threaded|virtual>` picks the
-//! execution engine (the governor-wait table is labeled with whichever
-//! engine produced it); `--workers <W>` bounds the virtual engine's
-//! host worker pool; `--smoke` is `--quick` at `P = 8` — the CI
+//! table (default 10); `--workers <W>` bounds the scheduler's host
+//! worker pool (default: host parallelism, at least 2; 1 makes the run
+//! bit-deterministic); `--smoke` is `--quick` at `P = 8` — the CI
 //! configuration; `--no-trace` skips the timeline (observability
 //! without the trace's allocation overhead).
 //!
@@ -28,7 +27,7 @@
 
 use mgs_bench::cli::Options;
 use mgs_bench::suite::by_name;
-use mgs_core::{export_perfetto, DssmpConfig, ExecutionEngine, GovernorWaitReport, Machine};
+use mgs_core::{export_perfetto, DssmpConfig, GovernorWaitReport, Machine};
 
 fn main() {
     let mut opts = Options::parse();
@@ -36,7 +35,6 @@ fn main() {
     let mut top = 10usize;
     let mut trace = true;
     let mut smoke = false;
-    let mut engine = ExecutionEngine::Threaded;
     let mut workers: Option<usize> = None;
     // Binary-specific flags arrive as positionals; drain them.
     let mut app_name = String::from("jacobi");
@@ -57,13 +55,6 @@ fn main() {
                     .expect("--top needs an integer");
             }
             "--no-trace" => trace = false,
-            "--engine" => {
-                engine = match it.next().as_deref() {
-                    Some("threaded") => ExecutionEngine::Threaded,
-                    Some("virtual") => ExecutionEngine::Virtual,
-                    other => panic!("--engine needs threaded|virtual, got {other:?}"),
-                };
-            }
             "--workers" => {
                 workers = Some(
                     it.next()
@@ -89,18 +80,11 @@ fn main() {
     let app = by_name(&opts, &app_name).unwrap_or_else(|| panic!("unknown application {app_name}"));
     let mut cfg = DssmpConfig::new(opts.p, c).with_observability();
     cfg.trace = trace;
-    if engine == ExecutionEngine::Virtual {
-        cfg = cfg.with_virtual_engine(workers);
-    }
+    cfg.workers = workers;
 
     eprintln!(
-        "profiling {app_name} at P = {}, C = {c} (scale 1/{}, {} engine)...",
-        opts.p,
-        opts.scale,
-        match engine {
-            ExecutionEngine::Threaded => "threaded",
-            ExecutionEngine::Virtual => "virtual",
-        }
+        "profiling {app_name} at P = {}, C = {c} (scale 1/{})...",
+        opts.p, opts.scale,
     );
     let machine = Machine::new(cfg);
     let report = app.execute(&machine);
@@ -116,8 +100,8 @@ fn main() {
     });
     println!("{sharing}");
 
-    // Governor wait accounting: host-side cost of the skew gate
-    // (gate counts, parks, wall-clock wait histograms per processor).
+    // Scheduler wait accounting: host-side cost of pacing (times
+    // descheduled, wall-clock wait histograms per processor).
     let governor = machine
         .governor_waits()
         .map(|snap| GovernorWaitReport::from_snapshot(&snap));

@@ -409,7 +409,7 @@ fn main() {
         .array("contention", contention)
         .array("churn", churn)
         .array("tiers", tier_records);
-    mgs_bench::provenance::stamp_run(&mut root, &opts);
+    mgs_bench::provenance::stamp_run(&mut root, &opts, None, None);
     let path = "BENCH_scenario.json";
     std::fs::write(path, root.render(0) + "\n").expect("write BENCH_scenario.json");
     println!("\nwrote {path}: breakup penalty charted against link tier");

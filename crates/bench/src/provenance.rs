@@ -1,14 +1,14 @@
 //! Host provenance for the benchmark history files.
 //!
 //! Throughput numbers in `BENCH_*.json` are only comparable across
-//! commits when the record says what produced them: which execution
-//! engine ran the machine, how many host cores the runner had, and
-//! which governor spin policy was in effect. The sweep binaries stamp
-//! every root object with [`stamp_run`] so trajectory comparisons stay
-//! interpretable.
+//! commits when the record says what produced them: how many host cores
+//! the runner had, and how the machines were paced (window and worker
+//! budget). The sweep binaries stamp every root object with
+//! [`stamp_run`] so trajectory comparisons stay interpretable.
 
 use crate::cli::Options;
 use crate::json::JsonObject;
+use mgs_sim::Cycles;
 
 /// The host's available parallelism (1 if it cannot be determined) —
 /// the denominator that decides whether a given `P` oversubscribes the
@@ -19,26 +19,26 @@ pub fn host_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// The governor spin policy in effect, as a label: the `MGS_GOV_SPIN`
-/// override when set (`"park"`/`"spin"`), otherwise `"auto"` (decided
-/// per gate from the core count). Only meaningful for the threaded
-/// engines; the virtual engine never spins or parks at the gate.
-pub fn spin_policy_label() -> &'static str {
-    match std::env::var("MGS_GOV_SPIN").ok().as_deref() {
-        Some("0") => "park",
-        Some("1") => "spin",
-        _ => "auto",
-    }
-}
-
 /// Stamps `root` with the host provenance fields *and* the run
 /// configuration that changes what the numbers mean: the coherence
-/// strategy the sweep ran under. Sweep binaries that honor
-/// `--protocol` must use this so a `BENCH_*.json` produced under
-/// `lrc` or `adaptive` is never mistaken for an eager-protocol record.
-pub fn stamp_run(root: &mut JsonObject, opts: &Options) {
+/// strategy the sweep ran under, and how its machines were paced —
+/// `DssmpConfig::governor_window` (`"unpaced"` for `None`, which also
+/// ignores the worker budget) and `DssmpConfig::workers` (`"host"` for
+/// `None`). Sweep binaries that honor `--protocol` must use this so a
+/// `BENCH_*.json` produced under `lrc` or `adaptive` is never mistaken
+/// for an eager-protocol record.
+pub fn stamp_run(
+    root: &mut JsonObject,
+    opts: &Options,
+    window: Option<Cycles>,
+    workers: Option<usize>,
+) {
     root.num("host_parallelism", host_parallelism() as f64);
-    root.str("spin_policy", spin_policy_label());
+    match (window, workers) {
+        (None, _) => root.str("window", "unpaced").str("workers", "all"),
+        (Some(w), None) => root.num("window", w.raw() as f64).str("workers", "host"),
+        (Some(w), Some(n)) => root.num("window", w.raw() as f64).num("workers", n as f64),
+    };
     root.str("protocol", opts.protocol.label());
 }
 
@@ -50,10 +50,11 @@ mod tests {
     fn stamp_run_records_host_and_protocol() {
         let opts = Options::parse_from(["--protocol", "adaptive"].iter().map(|s| s.to_string()));
         let mut o = JsonObject::new();
-        stamp_run(&mut o, &opts);
+        stamp_run(&mut o, &opts, None, Some(1));
         let s = o.render(0);
         assert!(s.contains("\"protocol\": \"adaptive\""));
         assert!(s.contains("\"host_parallelism\""));
-        assert!(s.contains("\"spin_policy\""));
+        assert!(s.contains("\"window\": \"unpaced\""));
+        assert!(s.contains("\"workers\": \"all\""));
     }
 }

@@ -20,9 +20,8 @@
 //! Determinism: the page drains iterate in page order and all costs are
 //! simulated cycles, but *which* processor applies a transition (and
 //! therefore whose clock absorbs the drain) depends on host
-//! interleaving — churn runs are bit-deterministic only under the
-//! virtual engine with one worker, like the fault-injection paths. See
-//! `docs/SCENARIOS.md`.
+//! interleaving — churn runs are bit-deterministic only with one
+//! worker, like the fault-injection paths. See `docs/SCENARIOS.md`.
 
 use crate::runtime::RuntimeTiming;
 use crate::Machine;

@@ -6,25 +6,6 @@ use mgs_sim::{CostModel, Cycles};
 use mgs_vm::PageGeometry;
 use std::sync::Arc;
 
-/// How simulated processors map onto host threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionEngine {
-    /// One dedicated OS thread per simulated processor, paced by the
-    /// epoch gate. The historical engine and the cross-implementation
-    /// oracle; practical up to `P ≈ 32`.
-    #[default]
-    Threaded,
-    /// M:N virtual processors: each simulated processor is a resumable
-    /// task scheduled onto a bounded host worker budget, always running
-    /// the lowest-simulated-time tasks first. The scheduler *is* the
-    /// governor, governed waits are priority-queue reschedules, and the
-    /// machine can be far larger than the host (`P = 2048` completes on
-    /// a laptop). With a worker budget of 1 the entire run is
-    /// bit-deterministic, including workloads the threaded engine
-    /// cannot reproduce run-to-run.
-    Virtual,
-}
-
 /// Configuration of a DSSMP machine.
 ///
 /// The paper's evaluation fixes the total processor count `P = 32` and
@@ -76,30 +57,26 @@ pub struct DssmpConfig {
     /// Thresholds and pacing of the adaptive-grain controller (only
     /// consulted under [`ProtocolKind::Adaptive`]).
     pub adaptive: AdaptiveParams,
-    /// Simulated-clock skew bound between processor threads; `None`
-    /// disables the governor. Small windows keep contended resources
-    /// (locks, work queues) granted in near-simulated-time order, at
-    /// some host-side synchronization cost; 2000 cycles reproduces the
-    /// paper's tightly-coupled speedups well. Each processor consults
-    /// the governor once per quarter-window of simulated cycles, so the
-    /// observable skew bound is `1.25 × governor_window`. Simulated
-    /// cycle counts within the deterministic envelope are bit-identical
-    /// with the governor on or off (gated by
-    /// `tests/governor_equivalence.rs`).
+    /// Pacing window of the machine's scheduler: a processor may run
+    /// at most this far (plus one tick stride, a quarter-window) past
+    /// the slowest runnable processor before it yields its host slot.
+    /// The scheduler grants slots, lock hand-overs and barrier wake-ups
+    /// in exact simulated-time order at any window, so the window only
+    /// trades hand-overs against how far running processors may race
+    /// ahead; the default is 32,000 cycles. `None` means **unpaced**:
+    /// every processor gets a host thread that free-runs, `workers` and
+    /// `MGS_VWORKERS` are not consulted, and only locks and barriers
+    /// deschedule. Pacing never charges simulated cycles: within the
+    /// deterministic envelope, cycle counts are bit-identical at every
+    /// window, paced or not (gated by `tests/governor_equivalence.rs`
+    /// and `tests/engine_equivalence.rs`).
     pub governor_window: Option<Cycles>,
-    /// How simulated processors map onto host threads. Simulated cycle
-    /// counts within the deterministic envelope are bit-identical
-    /// across engines (gated by `tests/engine_equivalence.rs`); only
-    /// host-side scalability differs. Under
-    /// [`ExecutionEngine::Virtual`] a `governor_window` of `None`
-    /// falls back to the default window — the scheduler needs a skew
-    /// bound to order its run queue.
-    pub engine: ExecutionEngine,
-    /// Host worker budget for [`ExecutionEngine::Virtual`]: how many
-    /// tasks may be admitted concurrently. `None` uses
-    /// [`std::thread::available_parallelism`]; the `MGS_VWORKERS`
-    /// environment variable overrides both. A budget of 1 makes the
-    /// whole run bit-deterministic.
+    /// Host worker budget of a paced run: how many processors may
+    /// execute at once. `None` uses
+    /// [`std::thread::available_parallelism`], floored at 2 so a worker
+    /// parked in a hand-over always leaves another running; the
+    /// `MGS_VWORKERS` environment variable overrides both. A budget of
+    /// 1 makes the whole run bit-deterministic.
     pub workers: Option<usize>,
     /// Token-affinity window of the MGS lock.
     pub lock_affinity_window: Cycles,
@@ -155,8 +132,7 @@ impl DssmpConfig {
             readonly_clean_opt: false,
             protocol: ProtocolKind::Eager,
             adaptive: AdaptiveParams::default(),
-            governor_window: Some(Cycles(2_000)),
-            engine: ExecutionEngine::default(),
+            governor_window: Some(Cycles(32_000)),
             workers: None,
             lock_affinity_window: mgs_sync::MgsLock::DEFAULT_AFFINITY_WINDOW,
             seed: 0x4D47_5331, // "MGS1"
@@ -181,27 +157,11 @@ impl DssmpConfig {
         self
     }
 
-    /// The virtual engine's recommended pacing window. The virtual
-    /// scheduler grants admission in exact simulated-time order at any
-    /// window size (its ready queue is a time-ordered heap), so the
-    /// window only bounds how far the running tasks may race past the
-    /// descheduled minimum before a handoff — unlike the threaded
-    /// governors, where the window is also the grant-order fuzz. It can
-    /// therefore run a much wider window than the threaded default
-    /// without giving up grant ordering, paying far fewer handoffs.
-    pub const VIRTUAL_WINDOW: Cycles = Cycles(32_000);
-
-    /// Selects the virtual-processor execution engine at its
-    /// recommended operating point: the given worker budget (`None` =
-    /// host parallelism, floored at 2 so a parked handoff always leaves
-    /// a runnable worker) and the wide
-    /// [`VIRTUAL_WINDOW`](Self::VIRTUAL_WINDOW) pacing window. Set
-    /// `governor_window` after this call to pin a custom skew bound
-    /// instead.
+    /// Sets the host worker budget (see
+    /// [`workers`](DssmpConfig::workers)). The name dates from when
+    /// this also selected an engine; `benchmark/` calls it.
     pub fn with_virtual_engine(mut self, workers: Option<usize>) -> DssmpConfig {
-        self.engine = ExecutionEngine::Virtual;
         self.workers = workers;
-        self.governor_window = Some(Self::VIRTUAL_WINDOW);
         self
     }
 

@@ -8,7 +8,7 @@ use mgs_cache::{CacheConfig, ProcCache};
 use mgs_obs::{LatencyClass, Metric, ObsSink};
 use mgs_proto::{MgsProtocol, PagePolicy};
 use mgs_sim::{
-    CostCategory, CostModel, CycleAccount, Cycles, GovHook, ProcClock, TimeGovernor, XorShift64,
+    CostCategory, CostModel, CycleAccount, Cycles, GovHook, ProcClock, VirtualScheduler, XorShift64,
 };
 use mgs_sync::{HwLock, MgsLock};
 use mgs_vm::{AccessKind, PageGeometry, TlbEntry, VRange};
@@ -172,10 +172,10 @@ pub struct Env {
     start: (Cycles, CycleAccount),
     next_tick: Cycles,
     tick_stride: Cycles,
-    /// The time governor, hoisted out of the `Arc<Machine>` so the
+    /// The machine's scheduler, hoisted out of the `Arc<Machine>` so the
     /// tick-throttle path and the sync-primitive hooks dereference no
     /// machine state.
-    gov: Option<Arc<TimeGovernor>>,
+    gov: Arc<VirtualScheduler>,
     // --- Hot-path state, hoisted out of the Arc<Machine> so the
     // per-access path dereferences no config and clones no Arc. ---
     /// The protocol handle (one Arc clone at construction).
@@ -223,18 +223,12 @@ impl Env {
         let ssmp = cfg.ssmp_of(proc);
         let null_mgs = cfg.is_tightly_coupled();
         let rng = XorShift64::new(cfg.seed ^ (proc as u64).wrapping_mul(RNG_STREAM) | 1);
-        // Consult the governor at most once per stride of simulated
+        // Consult the scheduler at most once per stride of simulated
         // cycles, a quarter-window. The observable skew bound is
-        // `window + stride`.
-        // Derived from the machine's actual governor, not the raw
-        // config: the virtual engine installs a governor (with a
-        // default window) even when `governor_window` is `None`, and
-        // its scheduler relies on ticks to rotate admission.
-        let tick_stride = machine
-            .governor()
-            .map(|g| Cycles((g.window().raw() / 4).max(1)))
-            .unwrap_or(Cycles::MAX);
-        let gov = machine.governor().cloned();
+        // `window + stride`. (An unpaced scheduler's window is
+        // `Cycles::MAX`, so the stride is never reached.)
+        let gov = Arc::clone(machine.governor());
+        let tick_stride = Cycles((gov.window().raw() / 4).max(1));
         let proto = Arc::clone(machine.protocol());
         let uses_notices = proto.uses_notices();
         let geometry = cfg.geometry;
@@ -480,7 +474,7 @@ impl Env {
         self.maybe_churn();
         self.maybe_adapt();
         let requested = self.clock.now();
-        let (granted, hit) = lock.acquire_gov(self.ssmp, requested, self.gov_hook());
+        let (granted, hit) = lock.acquire_gov(self.ssmp, requested, Some(self.gov_hook()));
         if let Some(obs) = &self.obs {
             let m = if hit {
                 Metric::LockAcquiresLocal
@@ -506,7 +500,7 @@ impl Env {
         self.flush();
         self.clock
             .charge(CostCategory::Lock, self.cost.lock_local_release);
-        lock.release_gov(self.clock.now(), self.gov_hook());
+        lock.release_gov(self.clock.now(), Some(self.gov_hook()));
     }
 
     /// Acquires an intra-SSMP hardware lock (no software coherence
@@ -514,7 +508,7 @@ impl Env {
     pub fn acquire_hw(&mut self, lock: &HwLock) {
         self.maybe_tick();
         let requested = self.clock.now();
-        let granted = lock.acquire_gov(requested, self.gov_hook());
+        let granted = lock.acquire_gov(requested, Some(self.gov_hook()));
         if let Some(obs) = &self.obs {
             obs.registry.count(self.proc, Metric::HwLockAcquires, 1);
             obs.registry.record_latency(
@@ -531,7 +525,7 @@ impl Env {
     pub fn release_hw(&mut self, lock: &HwLock) {
         self.clock
             .charge(CostCategory::Lock, self.cost.lock_local_release);
-        lock.release_gov(self.clock.now(), self.gov_hook());
+        lock.release_gov(self.clock.now(), Some(self.gov_hook()));
     }
 
     /// Waits at the machine-wide barrier (also a release point, and —
@@ -546,7 +540,7 @@ impl Env {
         let released = self
             .machine
             .barrier_obj()
-            .arrive_gov(arrived, self.gov_hook());
+            .arrive_gov(arrived, Some(self.gov_hook()));
         if let Some(obs) = &self.obs {
             obs.registry.count(self.proc, Metric::BarrierArrivals, 1);
             obs.registry.record_latency(
@@ -573,7 +567,7 @@ impl Env {
         let released = self
             .machine
             .barrier_obj()
-            .arrive_gov(arrived, self.gov_hook());
+            .arrive_gov(arrived, Some(self.gov_hook()));
         if let Some(obs) = &self.obs {
             obs.registry.count(self.proc, Metric::BarrierArrivals, 1);
             obs.registry.record_latency(
@@ -644,27 +638,20 @@ impl Env {
     }
 
     fn maybe_tick(&mut self) {
-        if self.tick_stride == Cycles::MAX {
-            return; // governor disabled
-        }
         if self.clock.now() >= self.next_tick {
-            if let Some(gov) = &self.gov {
-                gov.tick(self.proc, self.clock.now());
-            }
+            self.gov.tick(self.proc, self.clock.now());
             self.next_tick = self.clock.now() + self.tick_stride;
         }
     }
 
-    /// Governor hook handed to sync primitives so they can mark this
-    /// thread blocked for exactly the duration of a host-side wait.
-    fn gov_hook(&self) -> Option<GovHook<'_>> {
-        self.gov.as_deref().map(|g| GovHook::new(g, self.proc))
+    /// Scheduler hook handed to sync primitives so a contended wait
+    /// deschedules this task instead of parking its host thread.
+    fn gov_hook(&self) -> GovHook<'_> {
+        GovHook::new(&self.gov, self.proc)
     }
 
     pub(crate) fn finish(self) -> ProcResult {
-        if let Some(gov) = &self.gov {
-            gov.finished(self.proc);
-        }
+        self.gov.finished(self.proc);
         let (start_time, start_account) = self.start;
         let mut delta = CycleAccount::new();
         for c in CostCategory::ALL {

@@ -53,7 +53,7 @@ mod trace;
 pub mod framework;
 pub mod micro;
 
-pub use config::{DssmpConfig, ExecutionEngine};
+pub use config::DssmpConfig;
 pub use env::{Env, SharedArray, Word};
 pub use machine::Machine;
 pub use report::RunReport;

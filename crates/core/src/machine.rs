@@ -4,11 +4,11 @@ use crate::churn::ChurnState;
 use crate::env::{Env, SharedArray, Word};
 use crate::report::RunReport;
 use crate::trace::TraceEvent;
-use crate::{DssmpConfig, ExecutionEngine};
+use crate::DssmpConfig;
 use mgs_net::LanModel;
 use mgs_obs::ObsSink;
 use mgs_proto::{MgsProtocol, ProtoConfig, ProtoStats};
-use mgs_sim::{Cycles, GovWaitSnapshot, Occupancy, TimeGovernor};
+use mgs_sim::{Cycles, GovWaitSnapshot, Occupancy, VirtualScheduler};
 use mgs_sync::{HwLock, MgsBarrier, MgsLock};
 use mgs_vm::{AccessKind, SharedHeap};
 use parking_lot::Mutex;
@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// Owns every piece of simulated machine state: the MGS protocol (which
 /// in turn owns page tables, TLBs, DUQs and cache directories), the LAN
 /// model, per-node protocol-engine occupancies, the shared heap, the
-/// synchronization primitives, and the optional time governor.
+/// synchronization primitives, and the scheduler that paces the run.
 ///
 /// Construct with [`Machine::new`], allocate shared data with
 /// [`alloc_array`](Machine::alloc_array) and locks with
@@ -37,7 +37,7 @@ pub struct Machine {
     engines: Vec<Arc<Occupancy>>,
     heap: SharedHeap,
     barrier: Arc<MgsBarrier>,
-    governor: Option<Arc<TimeGovernor>>,
+    governor: Arc<VirtualScheduler>,
     locks: Mutex<Vec<Arc<MgsLock>>>,
     trace: Option<Mutex<Vec<TraceEvent>>>,
     obs: Option<Arc<ObsSink>>,
@@ -84,28 +84,18 @@ impl Machine {
             cfg.n_ssmps(),
             cfg.cluster_size,
         ));
-        let governor = match cfg.engine {
-            ExecutionEngine::Threaded => cfg
-                .governor_window
-                .map(|w| Arc::new(TimeGovernor::new(cfg.n_procs, w))),
-            // The scheduler IS the governor in virtual mode: it needs a
-            // window to order admission, so a disabled governor falls
-            // back to the default width.
-            ExecutionEngine::Virtual => {
-                let w = cfg.governor_window.unwrap_or(DssmpConfig::VIRTUAL_WINDOW);
-                // Default worker budget: host parallelism, floored at 2
-                // so that while one worker parks in a handoff the other
-                // keeps the core busy. Pin `workers` to 1 for a fully
-                // deterministic run.
+        let governor = Arc::new(match cfg.governor_window {
+            Some(window) => {
                 let workers = cfg.workers.unwrap_or_else(|| {
                     std::thread::available_parallelism()
                         .map(|c| c.get())
                         .unwrap_or(1)
                         .max(2)
                 });
-                Some(Arc::new(TimeGovernor::new_virtual(cfg.n_procs, w, workers)))
+                VirtualScheduler::new(cfg.n_procs, window, workers)
             }
-        };
+            None => VirtualScheduler::unpaced(cfg.n_procs),
+        });
         let trace = cfg.trace.then(|| Mutex::new(Vec::new()));
         let obs = cfg.observe.then(|| {
             Arc::new(ObsSink::new(
@@ -156,8 +146,8 @@ impl Machine {
         &self.barrier
     }
 
-    pub(crate) fn governor(&self) -> Option<&Arc<TimeGovernor>> {
-        self.governor.as_ref()
+    pub(crate) fn governor(&self) -> &Arc<VirtualScheduler> {
+        &self.governor
     }
 
     pub(crate) fn churn(&self) -> Option<&Arc<ChurnState>> {
@@ -170,12 +160,12 @@ impl Machine {
         self.churn.as_ref().map_or(0, |c| c.repaired())
     }
 
-    /// Per-processor governor wait accounting for the run so far, when
-    /// a governor is attached. Host-side observations only (gate
-    /// counts, condvar parks, wall-clock wait histograms) — the
-    /// governor never touches simulated time.
+    /// Per-processor scheduler wait accounting for the run so far.
+    /// Host-side observations only (times descheduled, wall-clock wait
+    /// histograms) — the scheduler never touches simulated time.
+    /// Always `Some`; the `Option` is what `benchmark/` matches on.
     pub fn governor_waits(&self) -> Option<GovWaitSnapshot> {
-        self.governor.as_ref().map(|g| g.wait_snapshot())
+        Some(self.governor.wait_snapshot())
     }
 
     pub(crate) fn record_trace(&self, event: TraceEvent) {
@@ -336,42 +326,44 @@ impl Machine {
     /// Runs `body` on every simulated processor and collects the run
     /// report. The closure receives each processor's [`Env`].
     ///
-    /// Under [`ExecutionEngine::Threaded`] every processor gets a
-    /// dedicated OS thread that runs freely (paced by the governor).
-    /// Under [`ExecutionEngine::Virtual`] each processor is a task
-    /// backed by a small-stacked thread used purely as a resumable
-    /// continuation: tasks check in with the scheduler, park until
-    /// admitted, and at most the worker budget of them executes at any
-    /// instant, lowest simulated time first.
+    /// Each processor is a task backed by a small-stacked host thread
+    /// used purely as a resumable continuation: tasks check in with the
+    /// scheduler, park until admitted, and at most the worker budget of
+    /// them executes at any instant, lowest simulated time first (all
+    /// of them at once when the run is unpaced). A task that panics
+    /// aborts the run: its peers are woken into a panic instead of
+    /// waiting for a grant that cannot come.
+    ///
+    /// `body` must not block on host-side synchronization the scheduler
+    /// cannot see (a `std` mutex, barrier or channel shared between
+    /// processors): the task it waits for may not hold a host slot, and
+    /// the deadlock detector only sees waits made through [`Env`].
     pub fn run<F>(self: &Arc<Machine>, body: F) -> RunReport
     where
         F: Fn(&mut Env) + Sync,
     {
-        /// Task stacks under the virtual engine: the app body plus
-        /// inline protocol handlers need far less than the 2 MiB thread
-        /// default, and at `P = 2048` the difference is 3.5 GiB of
-        /// address space. Address space, not resident memory: a stack
-        /// is mapped whole but only the pages a task has run on are
-        /// backed. What did make a processor cost resident memory at
-        /// large `P` was its `ProcCache`, when that was a heap block per
-        /// set written at construction (see `mgs_cache::ProcCache`).
+        /// The app body plus inline protocol handlers need far less
+        /// than the 2 MiB thread default, and at `P = 2048` the
+        /// difference is 3.5 GiB of address space. Address space, not
+        /// resident memory: a stack is mapped whole but only the pages
+        /// a task has run on are backed. What did make a processor cost
+        /// resident memory at large `P` was its `ProcCache`, when that
+        /// was a heap block per set written at construction (see
+        /// `mgs_cache::ProcCache`).
         const VIRTUAL_TASK_STACK: usize = 512 * 1024;
 
         /// Wakes every parked task into a panic when the owning task
         /// unwinds, so a failing run joins instead of hanging.
-        struct PoisonOnPanic(Option<Arc<TimeGovernor>>);
-        impl Drop for PoisonOnPanic {
+        struct PoisonOnPanic<'a>(&'a VirtualScheduler);
+        impl Drop for PoisonOnPanic<'_> {
             fn drop(&mut self) {
                 if std::thread::panicking() {
-                    if let Some(s) = self.0.as_ref().and_then(|g| g.virtual_scheduler()) {
-                        s.poison();
-                    }
+                    self.0.poison();
                 }
             }
         }
 
         let n = self.cfg.n_procs;
-        let virtual_engine = self.cfg.engine == ExecutionEngine::Virtual;
         let mut results: Vec<Option<crate::report::ProcResult>> = (0..n).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
@@ -379,24 +371,20 @@ impl Machine {
                 let machine = Arc::clone(self);
                 let body = &body;
                 let task = move || {
-                    let _guard =
-                        PoisonOnPanic(virtual_engine.then(|| machine.governor.clone()).flatten());
-                    if let Some(gov) = machine.governor() {
-                        gov.check_in(proc);
-                    }
+                    let sched = Arc::clone(machine.governor());
+                    let _guard = PoisonOnPanic(&sched);
+                    sched.start(proc);
                     let mut env = Env::new(machine, proc);
                     body(&mut env);
                     env.finish()
                 };
-                handles.push(if virtual_engine {
+                handles.push(
                     std::thread::Builder::new()
                         .name(format!("vproc-{proc}"))
                         .stack_size(VIRTUAL_TASK_STACK)
                         .spawn_scoped(scope, task)
-                        .expect("failed to spawn virtual-processor task")
-                } else {
-                    scope.spawn(task)
-                });
+                        .expect("failed to spawn virtual-processor task"),
+                );
             }
             for (proc, h) in handles.into_iter().enumerate() {
                 results[proc] = Some(h.join().expect("processor thread panicked"));

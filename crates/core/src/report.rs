@@ -63,9 +63,8 @@ pub struct RunReport {
     /// when [`DssmpConfig::observe`](crate::DssmpConfig) was enabled.
     pub metrics: Option<MetricsReport>,
     /// The adaptive-grain controller's policy-decision trace, in
-    /// decision order (empty under the static strategies). At `W=1`
-    /// under the virtual engine the trace is bit-deterministic
-    /// run-to-run.
+    /// decision order (empty under the static strategies). With one
+    /// worker the trace is bit-deterministic run-to-run.
     pub policy_decisions: Vec<PolicyDecision>,
 }
 

@@ -264,15 +264,11 @@ impl ProtoTiming for RuntimeTiming<'_> {
     }
 
     fn block_begin(&mut self) {
-        if let Some(gov) = self.machine.governor() {
-            gov.blocked(self.proc);
-        }
+        self.machine.governor().blocked(self.proc);
     }
 
     fn block_end(&mut self) {
-        if let Some(gov) = self.machine.governor() {
-            gov.unblocked(self.proc);
-        }
+        self.machine.governor().unblocked(self.proc);
     }
 
     fn observing(&self) -> bool {

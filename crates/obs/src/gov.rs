@@ -1,11 +1,11 @@
-//! Governor wait reporting: how much host time the time governor's
-//! skew gate cost each simulated processor.
+//! Pacing wait reporting: how much host time pacing cost each
+//! simulated processor.
 //!
-//! The time governor (`mgs_sim::TimeGovernor`) bounds simulated-clock
+//! The scheduler (`mgs_sim::VirtualScheduler`) bounds simulated-clock
 //! skew and never charges simulated cycles, so its cost is purely
-//! host-side: threads gated at a window boundary spin or park until the
-//! window advances. [`GovernorWaitReport`] turns the governor's raw
-//! per-thread accounting ([`mgs_sim::GovWaitSnapshot`]) into the same
+//! host-side: a task that yields or waits on a lock or barrier is
+//! descheduled until it is readmitted. [`GovernorWaitReport`] turns the
+//! raw per-task accounting ([`mgs_sim::GovWaitSnapshot`]) into the same
 //! report shape the rest of `mgs-obs` uses — per-processor counts plus
 //! a log2 [`HistSummary`] of individual wait durations — so the
 //! `profile` bench can print and serialize it next to the simulated
@@ -19,14 +19,13 @@ use std::fmt;
 /// One processor's governor wait accounting, report-shaped.
 #[derive(Debug, Clone)]
 pub struct ProcGovWaits {
-    /// Times the thread reached the gate slow path (its simulated
-    /// clock had passed the current window's end). Under the virtual
-    /// engine: times the task was descheduled (yields + suspensions).
+    /// Times the task was descheduled (yields + suspensions). For a
+    /// standalone `EpochGate` snapshot: times the thread reached the
+    /// gate slow path.
     pub gates: u64,
-    /// Times the thread parked on a condvar while gated (0 under a
-    /// pure spin policy, when every wait resolved within the spin
-    /// budget — or always, under the virtual engine, which deschedules
-    /// instead of parking).
+    /// Times the thread parked on a condvar while gated. Always 0 for
+    /// a machine (the scheduler deschedules instead of parking);
+    /// nonzero only in a standalone `EpochGate` snapshot.
     pub parks: u64,
     /// Distribution of individual gate waits, in host **nanoseconds**
     /// (log2 buckets; `count` is the number of waits, `sum` the total
@@ -39,11 +38,11 @@ pub struct ProcGovWaits {
 /// `Machine::governor_waits()`.
 #[derive(Debug, Clone)]
 pub struct GovernorWaitReport {
-    /// Which pacing engine produced the numbers (`"epoch"`, `"mutex"`,
-    /// `"mutex-herd"`, or `"virtual"`). The semantics differ: threaded
-    /// engines report condvar parks; the virtual engine counts
-    /// deschedules as gates and reports zero parks by construction,
-    /// with the wait histogram holding descheduled host time.
+    /// What produced the numbers: `"virtual"` for every machine (the
+    /// scheduler counts deschedules as gates and reports zero parks by
+    /// construction, with the wait histogram holding descheduled host
+    /// time), `"epoch"` for a standalone `EpochGate`, which reports
+    /// condvar parks.
     pub engine: &'static str,
     /// One entry per simulated processor.
     pub per_proc: Vec<ProcGovWaits>,

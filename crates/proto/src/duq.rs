@@ -11,7 +11,10 @@ use parking_lot::Mutex;
 ///
 /// Entries are also removed remotely: when a page is invalidated, the
 /// Remote Client prunes it from every local processor's DUQ (Table 1,
-/// arc 12), hence the internal mutex.
+/// arc 12), hence the internal mutex. A pruned page's updates travel
+/// home inside the *pruner's* transaction, which may still be in
+/// flight when the owner next releases; the queue remembers such pages
+/// ([`take_pruned`](Duq::take_pruned)) so that release can wait for it.
 ///
 /// # Example
 ///
@@ -27,7 +30,8 @@ use parking_lot::Mutex;
 /// ```
 #[derive(Debug, Default)]
 pub struct Duq {
-    pages: Mutex<Vec<u64>>,
+    /// `(queued, pruned since the last take_pruned)`.
+    pages: Mutex<(Vec<u64>, Vec<u64>)>,
 }
 
 impl Duq {
@@ -39,7 +43,7 @@ impl Duq {
     /// Appends `page` unless it is already queued. Returns whether the
     /// page was newly queued.
     pub fn push(&self, page: u64) -> bool {
-        let mut pages = self.pages.lock();
+        let pages = &mut self.pages.lock().0;
         if pages.contains(&page) {
             false
         } else {
@@ -48,33 +52,40 @@ impl Duq {
         }
     }
 
-    /// Removes `page` if queued (arc 12: `DUQ = DUQ − {addr}`). Returns
-    /// whether it was present.
+    /// Removes `page` if queued (arc 12: `DUQ = DUQ − {addr}`) and
+    /// remembers it as pruned. Returns whether it was present.
     pub fn remove(&self, page: u64) -> bool {
-        let mut pages = self.pages.lock();
+        let (pages, pruned) = &mut *self.pages.lock();
         match pages.iter().position(|&p| p == page) {
             Some(i) => {
                 pages.remove(i);
+                pruned.push(page);
                 true
             }
             None => false,
         }
     }
 
+    /// Takes the pages [`remove`](Duq::remove) pruned since the last
+    /// call.
+    pub fn take_pruned(&self) -> Vec<u64> {
+        std::mem::take(&mut self.pages.lock().1)
+    }
+
     /// Is `page` queued?
     pub fn contains(&self, page: u64) -> bool {
-        self.pages.lock().contains(&page)
+        self.pages.lock().0.contains(&page)
     }
 
     /// Takes the queued pages in FIFO order, leaving the queue empty
     /// (arc 8/10: the release loop pops the head until empty).
     pub fn drain(&self) -> Vec<u64> {
-        std::mem::take(&mut *self.pages.lock())
+        std::mem::take(&mut self.pages.lock().0)
     }
 
     /// Number of queued pages.
     pub fn len(&self) -> usize {
-        self.pages.lock().len()
+        self.pages.lock().0.len()
     }
 
     /// `true` when nothing is queued.
@@ -105,7 +116,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_prunes() {
+    fn remove_prunes_and_remembers() {
         let q = Duq::new();
         q.push(1);
         q.push(2);
@@ -113,6 +124,8 @@ mod tests {
         assert!(!q.remove(1));
         assert!(!q.contains(1));
         assert!(q.contains(2));
+        assert_eq!(q.take_pruned(), vec![1]);
+        assert_eq!(q.take_pruned(), Vec::<u64>::new());
     }
 
     #[test]

@@ -675,9 +675,7 @@ impl MgsProtocol {
             // it too and take the fill path below. (An in-place
             // upgrade would twin the pre-merge image, and the pinned
             // release path ships whole pages, clobbering the merge.)
-            for w in bits(server.dirs.write_dir & !(1 << ssmp)) {
-                self.evict_copy(entry, &mut server, w, page, t)?;
-            }
+            self.pin_evict_writers(entry, &mut server, ssmp, page, t)?;
             let frame = client.frame.clone().expect("READ page has a frame");
             let rc_node = frame.home_node();
             self.shoot_down(&mut client, ssmp, page, rc_node, t);
@@ -963,6 +961,18 @@ impl MgsProtocol {
         t: &mut dyn ProtoTiming,
     ) -> Result<(), ProtocolError> {
         let pages = self.duqs[proc].drain();
+        // A page another transaction pruned from this queue (arc 12)
+        // carries this processor's writes home inside *that*
+        // transaction, which holds the page's server lock until every
+        // copy is invalidated. Until then some SSMP can still hold a
+        // stale writable copy, so this release must not complete — and
+        // hand a lock over to that SSMP — before it does: the next
+        // holder would update the stale word and its diff would
+        // overwrite the merged one. Host-side wait only; no simulated
+        // time is charged.
+        for page in self.duqs[proc].take_pruned() {
+            drop(self.page_entry(page).server.lock());
+        }
         if pages.is_empty() {
             return Ok(());
         }
@@ -1426,9 +1436,15 @@ impl MgsProtocol {
     }
 
     /// Single-writer pinning: evicts every *other* writer of `page`
-    /// (merging their diffs into the home) under the held server lock.
-    /// A no-op unless the page's policy is
-    /// [`PagePolicy::SingleWriterPin`].
+    /// (merging their diffs into the home) under the held server lock,
+    /// and with them every other reader. The readers go because the
+    /// evicted writer's next release no longer covers this page — its
+    /// DUQ entry was pruned with its mapping — so a READ copy filled
+    /// before the eviction would stay valid, and stale, past that
+    /// release: the writer's words are in the home copy now and nobody
+    /// else is left to invalidate it. A no-op unless the page's policy
+    /// is [`PagePolicy::SingleWriterPin`] and another SSMP holds write
+    /// privilege.
     fn pin_evict_writers(
         &self,
         entry: &PageEntry,
@@ -1437,11 +1453,12 @@ impl MgsProtocol {
         page: u64,
         t: &mut dyn ProtoTiming,
     ) -> Result<(), ProtocolError> {
-        if self.policy(page) != PagePolicy::SingleWriterPin {
+        let writers = server.dirs.write_dir & !(1 << ssmp);
+        if writers == 0 || self.policy(page) != PagePolicy::SingleWriterPin {
             return Ok(());
         }
-        for w in bits(server.dirs.write_dir & !(1 << ssmp)) {
-            self.evict_copy(entry, server, w, page, t)?;
+        for s in bits(writers | server.dirs.read_dir & !(1 << ssmp)) {
+            self.evict_copy(entry, server, s, page, t)?;
         }
         Ok(())
     }

@@ -14,16 +14,14 @@
 //!   reproduced.
 //! * [`Occupancy`] — an occupancy clock modelling a contended serial
 //!   resource (a protocol engine, a LAN interface, a lock token).
-//! * [`TimeGovernor`] — a windowed skew bound keeping the simulated
-//!   clocks of concurrently-running processor threads close together;
-//!   the threaded engine paces with [`EpochGate`], a sharded lock-free
-//!   epoch gate with targeted wake-ups and adaptive spin-then-park
-//!   waiting.
-//! * [`VirtualScheduler`] — the M:N virtual-processor scheduler backing
-//!   the virtual execution engine: simulated processors become
-//!   resumable tasks admitted lowest-simulated-time-first onto a
-//!   bounded host worker budget, so the machine can be far larger than
-//!   the host.
+//! * [`VirtualScheduler`] — the M:N virtual-processor scheduler that
+//!   paces every machine: simulated processors are resumable tasks
+//!   admitted lowest-simulated-time-first onto a bounded host worker
+//!   budget, inside a windowed skew bound, so the machine can be far
+//!   larger than the host. [`GovHook`] is the handle sync primitives
+//!   deschedule and wake tasks through.
+//! * [`EpochGate`] — a sharded lock-free epoch gate; no machine uses it
+//!   any more, it stays for the benchmark's `sim.gate_*` unit costs.
 //! * [`XorShift64`] — a small deterministic RNG used by workloads.
 //!
 //! # Example
@@ -45,7 +43,6 @@ mod account;
 mod clock;
 mod cost;
 mod gate;
-mod governor;
 mod resource;
 mod rng;
 mod stats;
@@ -56,9 +53,8 @@ pub use account::{CostCategory, CycleAccount};
 pub use clock::ProcClock;
 pub use cost::{CleanTier, CostModel};
 pub use gate::{EpochGate, GovWaitSnapshot, GovWaitStats, SpinPolicy, WAIT_HIST_BUCKETS};
-pub use governor::{BlockedSection, GovHook, TimeGovernor};
 pub use resource::Occupancy;
 pub use rng::XorShift64;
 pub use stats::{Counter, RunningStats};
 pub use time::Cycles;
-pub use vsched::{VirtualScheduler, VWORKERS_ENV};
+pub use vsched::{GovHook, VirtualScheduler, VWORKERS_ENV};

@@ -1,20 +1,17 @@
 //! The virtual-processor scheduler: M:N execution of simulated
-//! processors on a bounded host worker budget.
+//! processors on a bounded host worker budget. It paces every machine.
 //!
-//! The threaded execution engine gives every simulated processor a
-//! dedicated, always-runnable OS thread and bounds skew with a
-//! governor ([`EpochGate`](crate::EpochGate)) that parks threads the
-//! host cannot run anyway. That shape caps the machine at roughly the
-//! host's core count times a small constant: at `P = 2048` the OS
-//! scheduler round-robins thousands of runnable threads and the
-//! governor's window advance turns into a futex storm.
+//! Giving every simulated processor a dedicated, always-runnable OS
+//! thread caps the machine at roughly the host's core count times a
+//! small constant: at `P = 2048` the OS scheduler round-robins
+//! thousands of runnable threads and every skew-bound advance turns
+//! into a futex storm.
 //!
 //! [`VirtualScheduler`] inverts the relationship: the scheduler *is*
-//! the governor. Each simulated processor is a **task** — a resumable
-//! continuation whose suspension points are exactly the places the
-//! threaded engine consulted the governor (every charged access via
-//! `tick`, every lock/barrier wait via `suspend`). The scheduler keeps
-//! a time-ordered ready queue (a binary heap keyed on
+//! the skew bound. Each simulated processor is a **task** — a resumable
+//! continuation whose suspension points are every charged access (via
+//! `tick`) and every lock/barrier wait (via `suspend`). The scheduler
+//! keeps a time-ordered ready queue (a binary heap keyed on
 //! `(local_time, pid)`) and admits at most `workers` tasks at once,
 //! always preferring the tasks with the **lowest simulated time**.
 //! A governed wait is then an O(log P) heap reschedule instead of a
@@ -33,26 +30,22 @@
 //!
 //! # Pacing semantics
 //!
-//! The scheduler enforces the same skew discipline as the epoch gate:
-//! a task may run while its local time is under
+//! A task may run while its local time is under
 //! `min(active task times) + window`, where *active* spans ready and
 //! admitted tasks (suspended and host-blocked tasks do not hold the
-//! window, exactly like [`TimeGovernor::blocked`]). Like every
-//! governor implementation, the scheduler **never charges simulated
-//! cycles** — simulated results on the deterministic envelope are
-//! bit-identical whichever engine paces the run
-//! (`tests/engine_equivalence.rs`).
+//! window). The scheduler **never charges simulated cycles** —
+//! simulated results on the deterministic envelope are bit-identical
+//! at every window and worker budget, and with pacing off
+//! ([`VirtualScheduler::unpaced`]); `tests/engine_equivalence.rs` and
+//! `tests/governor_equivalence.rs` at the workspace root enforce this.
 //!
 //! # Determinism
 //!
-//! With `workers = 1` the engine is **fully deterministic**: exactly
-//! one task executes at any instant, every scheduling decision is a
-//! pure function of simulated time and pid, and therefore *entire
+//! With `workers = 1` a run is **fully deterministic**: exactly one
+//! task executes at any instant, every scheduling decision is a pure
+//! function of simulated time and pid, and therefore *entire
 //! application runs* — including schedule-sensitive ones like TSP and
 //! lossy-fabric runs — produce bit-identical reports run after run.
-//! The threaded engine cannot make that promise at any worker count.
-//!
-//! [`TimeGovernor`]: crate::TimeGovernor
 
 use crate::gate::WaitStat;
 use crate::{Cycles, GovWaitSnapshot};
@@ -136,8 +129,7 @@ struct TaskSlot {
 
 /// M:N scheduler of simulated-processor tasks onto a bounded host
 /// worker budget, ordered by simulated time. See the module docs for
-/// the design; construct via the machine configuration
-/// (`ExecutionEngine::Virtual` in `mgs-core`).
+/// the design; `mgs-core`'s `Machine::new` builds one per machine.
 #[derive(Debug)]
 pub struct VirtualScheduler {
     state: Mutex<VState>,
@@ -163,12 +155,30 @@ impl VirtualScheduler {
     /// Panics if `n == 0`, `window` is zero, or the resolved worker
     /// budget is zero.
     pub fn new(n: usize, window: Cycles, workers: usize) -> VirtualScheduler {
-        assert!(n > 0, "scheduler needs at least one task");
-        assert!(!window.is_zero(), "scheduler window must be nonzero");
         let workers = std::env::var(VWORKERS_ENV)
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(workers);
+        VirtualScheduler::build(n, window, workers)
+    }
+
+    /// Creates a scheduler that does not pace: all `n` tasks are
+    /// admitted at once and no task ever waits for a slower one, so
+    /// host threads free-run and only sync primitives deschedule. The
+    /// `MGS_VWORKERS` override is **not** consulted — a task that spins
+    /// on shared state (TSP polling its work queue) must never hold the
+    /// only admission slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn unpaced(n: usize) -> VirtualScheduler {
+        VirtualScheduler::build(n, Cycles::MAX, n)
+    }
+
+    fn build(n: usize, window: Cycles, workers: usize) -> VirtualScheduler {
+        assert!(n > 0, "scheduler needs at least one task");
+        assert!(!window.is_zero(), "scheduler window must be nonzero");
         assert!(workers > 0, "worker budget must be nonzero");
         VirtualScheduler {
             state: Mutex::new(VState {
@@ -471,7 +481,7 @@ impl VirtualScheduler {
             // forever on tasks waiting for grants that cannot come.
             self.poison_slots();
             panic!(
-                "virtual engine deadlock: tasks {stuck:?} suspended with no \
+                "scheduler deadlock: tasks {stuck:?} suspended with no \
                  runnable task left to resume them (simulated deadlock in the \
                  application or a lost wakeup in a sync primitive)"
             );
@@ -482,7 +492,11 @@ impl VirtualScheduler {
     fn grant(&self, id: usize) {
         let slot = &self.slots[id];
         let mut g = slot.granted.lock();
-        debug_assert!(!*g, "double grant to task {id}");
+        // (A poisoned run has force-granted every slot already.)
+        debug_assert!(
+            !*g || self.poisoned.load(Ordering::Acquire),
+            "double grant to task {id}"
+        );
         *g = true;
         slot.cv.notify_one();
     }
@@ -503,7 +517,7 @@ impl VirtualScheduler {
         *g = false;
         drop(g);
         if self.poisoned.load(Ordering::Acquire) {
-            panic!("virtual engine poisoned: another task failed while task {id} was parked");
+            panic!("scheduler poisoned: another task failed while task {id} was parked");
         }
     }
 
@@ -523,6 +537,51 @@ impl VirtualScheduler {
             *g = true;
             slot.cv.notify_one();
         }
+    }
+}
+
+/// Borrowed handle pairing the scheduler with a task id, for layers
+/// (like `mgs-sync`) that wait and wake without knowing the task's
+/// `Env`. A primitive handed a hook waits by
+/// [`deschedule`](Self::deschedule) and wakes by
+/// [`wake`](Self::wake)/[`wake_many`](Self::wake_many); without one
+/// (standalone use) it falls back to its own condvar.
+#[derive(Debug, Clone, Copy)]
+pub struct GovHook<'a> {
+    sched: &'a VirtualScheduler,
+    id: usize,
+}
+
+impl<'a> GovHook<'a> {
+    /// Pairs `sched` with task `id`.
+    pub fn new(sched: &'a VirtualScheduler, id: usize) -> GovHook<'a> {
+        GovHook { sched, id }
+    }
+
+    /// The task id this hook speaks for.
+    pub fn id(&self) -> usize {
+        self.id
+    }
+
+    /// Deschedules the calling task until a peer [`wake`](Self::wake)s
+    /// it. **Never call while holding a mutex the waking peer needs**:
+    /// the primitive registers the waiter, drops its lock, then
+    /// deschedules (a wake that races ahead is consumed, not lost).
+    pub fn deschedule(&self) {
+        self.sched.suspend(self.id);
+    }
+
+    /// Reschedules peer task `target` (typically: a lock releaser
+    /// rescheduling the waiter it granted to).
+    pub fn wake(&self, target: usize) {
+        self.sched.resume(target);
+    }
+
+    /// Batched [`wake`](Self::wake) for group releases (a barrier's
+    /// final arriver, a hardware-lock herd): one scheduler pass for the
+    /// whole waiter set instead of one per task.
+    pub fn wake_many(&self, targets: &[usize]) {
+        self.sched.resume_many(targets);
     }
 }
 
@@ -717,7 +776,7 @@ mod tests {
         let gates: u64 = snap.per_proc.iter().map(|p| p.gates).sum();
         let parks: u64 = snap.per_proc.iter().map(|p| p.parks).sum();
         assert!(gates > 0, "interleaved tasks must have rescheduled");
-        assert_eq!(parks, 0, "virtual engine reports zero governor parks");
+        assert_eq!(parks, 0, "a descheduled task is not a park");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Randomized stress and regression tests for the time governor.
 //!
-//! 32 host threads drive a [`TimeGovernor`] through a seeded random
+//! 32 host threads drive an [`EpochGate`] through a seeded random
 //! mix of the full protocol — variable-size clock charges, blocked
 //! sections, early finishes — while continuously checking the skew
 //! invariant: a running thread's clock never exceeds the minimum
@@ -24,7 +24,7 @@
 //! text (ROADMAP item 1). Each random mix therefore runs under a
 //! deadline and fails by name instead.
 
-use mgs_sim::{Cycles, EpochGate, SpinPolicy, TimeGovernor, XorShift64};
+use mgs_sim::{Cycles, EpochGate, SpinPolicy, XorShift64};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -45,7 +45,7 @@ fn stress_within_deadline(test: &str, spin: SpinPolicy, seed: u64) {
     let (tx, rx) = mpsc::channel();
     let runner = thread::spawn(move || {
         let gate = EpochGate::new(THREADS, Cycles(WINDOW)).with_spin(spin);
-        stress(TimeGovernor::Epoch(gate), seed);
+        stress(gate, seed);
         let _ = tx.send(());
     });
     match rx.recv_timeout(DEADLINE) {
@@ -60,7 +60,7 @@ fn stress_within_deadline(test: &str, spin: SpinPolicy, seed: u64) {
     }
 }
 
-fn stress(gov: TimeGovernor, seed: u64) {
+fn stress(gov: EpochGate, seed: u64) {
     let gov = Arc::new(gov);
     // Published clocks: the thread's current simulated time while
     // running, `u64::MAX` while blocked or finished (out of quorum).
@@ -152,7 +152,7 @@ fn random_mix_holds_skew_invariant_epoch_forced_park() {
 /// all park while one processor streams compute.
 #[test]
 fn lone_runner_advances_while_all_others_are_blocked() {
-    let gov = TimeGovernor::new(4, Cycles(WINDOW));
+    let gov = EpochGate::new(4, Cycles(WINDOW));
     for id in 1..4 {
         gov.blocked(id);
     }
@@ -173,7 +173,7 @@ fn lone_runner_advances_while_all_others_are_blocked() {
 /// waiting for a wake-up that can never come.
 #[test]
 fn unblock_after_all_blocked_does_not_strand_the_resumer() {
-    let gov = TimeGovernor::new(2, Cycles(WINDOW));
+    let gov = EpochGate::new(2, Cycles(WINDOW));
     gov.blocked(0);
     gov.blocked(1);
     // Quiescent: nothing runs, nothing can advance the window.

@@ -9,9 +9,9 @@ struct BarInner {
     arrived: usize,
     latest: Cycles,
     release_time: Cycles,
-    /// Virtual-scheduler task ids of the descheduled arrivers of the
-    /// current episode; the final arriver reschedules them through the
-    /// time-ordered ready queue instead of a condvar broadcast.
+    /// Scheduler task ids of the descheduled arrivers of the current
+    /// episode; the final arriver reschedules them through the
+    /// time-ordered ready queue.
     vwaiters: Vec<usize>,
 }
 
@@ -115,11 +115,10 @@ impl MgsBarrier {
         self.arrive_gov(now, None)
     }
 
-    /// [`arrive`](Self::arrive) with governor integration: when a
-    /// [`GovHook`] is supplied, a non-final arriver is marked blocked
-    /// for exactly the host-side wait for the episode's last arrival,
-    /// so the governor window can advance without it. The final arriver
-    /// never reports a block.
+    /// [`arrive`](Self::arrive) for a scheduled task: with a
+    /// [`GovHook`], a non-final arriver is descheduled until the
+    /// episode's last arrival reschedules it; without one it waits on
+    /// the barrier's condvar. The final arriver never waits.
     pub fn arrive_gov(&self, now: Cycles, gov: Option<GovHook<'_>>) -> Cycles {
         let mut inner = self.inner.lock();
         inner.arrived += 1;
@@ -133,26 +132,26 @@ impl MgsBarrier {
             let release_time = inner.release_time;
             let waiters = std::mem::take(&mut inner.vwaiters);
             drop(inner);
-            // Virtual engine: reschedule every descheduled arriver
-            // through the ready queue — they resume in simulated-time
-            // order as admission slots free up, not as a herd.
+            // Reschedule every descheduled arriver through the ready
+            // queue — they resume in simulated-time order as admission
+            // slots free up, not as a herd.
             if let Some(g) = gov {
                 g.wake_many(&waiters);
             }
             release_time
         } else {
             let epoch = inner.epoch;
-            if let Some(g) = gov.filter(GovHook::is_virtual) {
+            if let Some(g) = gov {
                 inner.vwaiters.push(g.id());
-                while inner.epoch == epoch {
-                    drop(inner);
-                    g.deschedule();
-                    inner = self.inner.lock();
-                }
-            } else {
-                let _blocked = gov.map(GovHook::enter_blocked);
-                while inner.epoch == epoch {
-                    self.cond.wait(&mut inner);
+            }
+            while inner.epoch == epoch {
+                match gov {
+                    Some(g) => {
+                        drop(inner);
+                        g.deschedule();
+                        inner = self.inner.lock();
+                    }
+                    None => self.cond.wait(&mut inner),
                 }
             }
             inner.release_time

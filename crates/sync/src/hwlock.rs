@@ -36,9 +36,9 @@ pub struct HwLock {
 struct HwInner {
     held: bool,
     free_at: Cycles,
-    /// Virtual-scheduler task ids descheduled on this lock; the
-    /// releaser reschedules them all and the lowest-simulated-time one
-    /// wins the re-acquire (the rest re-deschedule).
+    /// Scheduler task ids descheduled on this lock; the releaser
+    /// reschedules them all and the lowest-simulated-time one wins the
+    /// re-acquire (the rest re-deschedule).
     vwaiters: Vec<usize>,
 }
 
@@ -63,18 +63,18 @@ impl HwLock {
         self.acquire_gov(now, None)
     }
 
-    /// [`acquire`](Self::acquire) with governor integration: when a
-    /// [`GovHook`] is supplied, the calling thread is marked blocked
-    /// for exactly the host-side wait on a held lock; an uncontended
-    /// acquire never reports a block.
+    /// [`acquire`](Self::acquire) for a scheduled task: with a
+    /// [`GovHook`], the calling task is descheduled while the lock is
+    /// held; without one the calling thread waits on the lock's
+    /// condvar. An uncontended acquire never waits either way.
     pub fn acquire_gov(&self, now: Cycles, gov: Option<GovHook<'_>>) -> Cycles {
         let mut inner = self.inner.lock();
-        if inner.held {
-            if let Some(g) = gov.filter(GovHook::is_virtual) {
-                // Virtual engine: deschedule with the primitive mutex
-                // dropped; re-register before each wait in case the
-                // releaser drained us but another task won the lock.
-                while inner.held {
+        while inner.held {
+            match gov {
+                // Deschedule with the primitive mutex dropped;
+                // re-register before each wait in case the releaser
+                // drained us but another task won the lock.
+                Some(g) => {
                     if !inner.vwaiters.contains(&g.id()) {
                         inner.vwaiters.push(g.id());
                     }
@@ -82,11 +82,7 @@ impl HwLock {
                     g.deschedule();
                     inner = self.inner.lock();
                 }
-            } else {
-                let _blocked = gov.map(GovHook::enter_blocked);
-                while inner.held {
-                    self.cond.wait(&mut inner);
-                }
+                None => self.cond.wait(&mut inner),
             }
         }
         inner.held = true;
@@ -102,9 +98,9 @@ impl HwLock {
         self.release_gov(now, None);
     }
 
-    /// [`release`](Self::release) with governor integration: under the
-    /// virtual engine every descheduled waiter is rescheduled (the
-    /// lowest simulated time re-acquires first).
+    /// [`release`](Self::release) for a scheduled task: every
+    /// descheduled waiter is rescheduled through the hook (the lowest
+    /// simulated time re-acquires first).
     ///
     /// # Panics
     ///

@@ -31,9 +31,9 @@ struct Waiter {
     id: u64,
     ssmp: usize,
     req_time: Cycles,
-    /// The waiter's virtual-scheduler task id, when the virtual engine
-    /// paces the run: the releaser reschedules exactly this task
-    /// instead of broadcasting on the condvar.
+    /// The waiter's scheduler task id, when it waits descheduled: the
+    /// releaser reschedules exactly this task. `None` for a standalone
+    /// waiter parked on the condvar.
     task: Option<usize>,
     grant: Option<(Cycles, bool)>,
 }
@@ -154,12 +154,11 @@ impl MgsLock {
         self.acquire_gov(ssmp, now, None)
     }
 
-    /// [`acquire`](Self::acquire) with governor integration: when a
-    /// [`GovHook`] is supplied, the calling thread is marked blocked
-    /// for exactly the host-side wait (a contended acquire), so the
-    /// governor window can advance without it — or, under the virtual
-    /// engine, the calling *task* is descheduled until the releaser
-    /// reschedules it. Uncontended acquires never report a block.
+    /// [`acquire`](Self::acquire) for a scheduled task: with a
+    /// [`GovHook`], a contended acquire deschedules the calling task
+    /// until the releaser reschedules it; without one the calling
+    /// thread waits on the lock's condvar. Uncontended acquires never
+    /// wait either way.
     pub fn acquire_gov(
         &self,
         ssmp: usize,
@@ -177,38 +176,30 @@ impl MgsLock {
             return (t, hit);
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let task = gov.filter(GovHook::is_virtual).map(|g| g.id());
         inner.waiters.push(Waiter {
             id,
             ssmp,
             req_time: now,
-            task,
+            task: gov.map(|g| g.id()),
             grant: None,
         });
-        if let Some(g) = gov.filter(GovHook::is_virtual) {
-            // Virtual engine: wait by descheduling. The waiter record
-            // is visible before the primitive mutex is dropped, so the
-            // releaser's wake can never be lost (a wake racing ahead of
-            // the deschedule is consumed, not dropped), and the mutex
-            // is never held across a deschedule.
-            loop {
-                if let Some(res) = self.try_take_grant(&mut inner, id) {
-                    return res;
-                }
-                drop(inner);
-                g.deschedule();
-                inner = self.inner.lock();
-            }
-        }
-        // Holding `inner` here, so the releaser cannot have granted us
-        // the lock before we mark ourselves blocked. Governor calls
-        // never take sync-primitive mutexes, so the nesting is safe.
-        let _blocked = gov.map(GovHook::enter_blocked);
         loop {
             if let Some(res) = self.try_take_grant(&mut inner, id) {
                 return res;
             }
-            self.cond.wait(&mut inner);
+            match gov {
+                // The waiter record is visible before the primitive
+                // mutex is dropped, so the releaser's wake can never be
+                // lost (a wake racing ahead of the deschedule is
+                // consumed, not dropped), and the mutex is never held
+                // across a deschedule.
+                Some(g) => {
+                    drop(inner);
+                    g.deschedule();
+                    inner = self.inner.lock();
+                }
+                None => self.cond.wait(&mut inner),
+            }
         }
     }
 
@@ -239,10 +230,10 @@ impl MgsLock {
         self.release_gov(now, None);
     }
 
-    /// [`release`](Self::release) with governor integration: under the
-    /// virtual engine the granted waiter's task is rescheduled through
-    /// the time-ordered ready queue (a no-op for the threaded
-    /// governors, which rely on the condvar broadcast).
+    /// [`release`](Self::release) for a scheduled task: a granted
+    /// waiter that descheduled is rescheduled through the hook's
+    /// time-ordered ready queue; condvar waiters are notified either
+    /// way.
     ///
     /// # Panics
     ///

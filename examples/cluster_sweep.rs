@@ -7,18 +7,16 @@
 //! cargo run --release --example cluster_sweep -- --large # P = 512
 //! ```
 //!
-//! Both sweeps run under the virtual execution engine
-//! ([`DssmpConfig::with_virtual_engine`]): each simulated processor is
-//! a resumable task on a bounded host worker pool, so the machine size
-//! is decoupled from the host's thread capacity. The `--large` sweep
-//! is a machine 16× bigger than the paper's — 512 dedicated OS
-//! threads under the threaded engine, a handful of workers here.
+//! Each simulated processor is a resumable task on a bounded host
+//! worker pool, so the machine size is decoupled from the host's
+//! thread capacity. The `--large` sweep is a machine 16× bigger than
+//! the paper's, on the same handful of host workers.
 //! Measured output on a 1-core container (about one second of wall
 //! time; C is bounded to 8 ≤ C ≤ 64 at P = 512 by the protocol's
 //! 64-bit directory masks):
 //!
 //! ```text
-//! Sweeping Water over cluster sizes (P = 512, virtual engine)...
+//! Sweeping Water over cluster sizes (P = 512)...
 //!
 //!    C        Mcycles  lock hits
 //!    8          55.30      51.2%
@@ -36,7 +34,7 @@ fn main() {
 
     // A small Water problem keeps this example quick; the full
     // evaluation lives in the mgs-bench binaries (`figures`,
-    // `summary`), and the engine comparison in `benchmark/`.
+    // `summary`), and host-speed measurement in `benchmark/`.
     let app = Water {
         n: 64,
         ..Water::paper()
@@ -48,11 +46,11 @@ fn main() {
         // the directory masks exclude at this size, so this sweep
         // prints the raw curve only.
         let p = 512;
-        println!("Sweeping Water over cluster sizes (P = {p}, virtual engine)...\n");
+        println!("Sweeping Water over cluster sizes (P = {p})...\n");
         println!("{:>4} {:>14} {:>10}", "C", "Mcycles", "lock hits");
         let mut c = 8;
         while c <= 64 {
-            let mut cfg = DssmpConfig::new(p, c).with_virtual_engine(None);
+            let mut cfg = DssmpConfig::new(p, c);
             cfg.cluster_size = c;
             let machine = Machine::new(cfg);
             let report = app.execute(&machine);
@@ -67,9 +65,9 @@ fn main() {
         return;
     }
 
-    let base = DssmpConfig::new(16, 1).with_virtual_engine(None);
+    let base = DssmpConfig::new(16, 1);
 
-    println!("Sweeping Water over cluster sizes (P = 16, virtual engine)...\n");
+    println!("Sweeping Water over cluster sizes (P = 16)...\n");
     let points = sweep_app(&base, &app);
 
     println!("{:>4} {:>14} {:>10}", "C", "Mcycles", "lock hits");

@@ -12,8 +12,7 @@
 //! transport through the outage.
 
 use mgs_repro::core::{
-    AccessKind, ChurnEvent, Cycles, DssmpConfig, ExecutionEngine, LinkTier, Machine, RunReport,
-    TieredScenario,
+    AccessKind, ChurnEvent, Cycles, DssmpConfig, LinkTier, Machine, RunReport, TieredScenario,
 };
 use mgs_repro::proto::ClientState;
 use std::sync::Arc;
@@ -26,10 +25,11 @@ const ROUNDS: u64 = 24;
 const DEPART: u64 = 60_000;
 const REJOIN: u64 = 260_000;
 
-fn build_config(virtual_engine: bool, churn: bool) -> DssmpConfig {
+/// `deterministic` runs on one worker; otherwise the machine is
+/// unpaced and every processor free-runs on its own host thread.
+fn build_config(deterministic: bool, churn: bool) -> DssmpConfig {
     let mut cfg = DssmpConfig::new(PROCS, CLUSTER);
-    if virtual_engine {
-        cfg.engine = ExecutionEngine::Virtual;
+    if deterministic {
         cfg.workers = Some(1);
     } else {
         cfg.governor_window = None;
@@ -138,7 +138,7 @@ fn churn_converges_to_the_fault_free_image_deterministic() {
 }
 
 #[test]
-fn churn_converges_under_the_threaded_engine() {
+fn churn_converges_unpaced() {
     // Host interleaving varies which processor applies each transition;
     // the converged state must not.
     let (machine, report, image) = run_grid(build_config(false, true));

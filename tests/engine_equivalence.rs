@@ -1,8 +1,9 @@
-//! Cross-engine equivalence: the threaded engine (one OS thread per
-//! simulated processor, epoch-gate governor) and the virtual engine
-//! (M:N tasks on a bounded worker budget, scheduler-as-governor) must
-//! produce bit-identical simulated results, because neither pacing
-//! mechanism ever charges simulated cycles.
+//! Pacing equivalence: however the scheduler paces a machine — unpaced
+//! (every processor free-running on its own host thread), the default
+//! window and worker budget, a single worker, or a narrow window — the
+//! simulated results must be bit-identical, because pacing never
+//! charges simulated cycles. (The file keeps its name from when the
+//! axis was a choice between two execution engines.)
 //!
 //! Layers of evidence, strongest first:
 //!
@@ -11,26 +12,25 @@
 //!   one-active-writer token ring on a seeded lossy fabric, where every
 //!   cross-SSMP transaction — including injected drops and the retries
 //!   they force — is serialized by construction). `P = 32`,
-//!   `C ∈ {1, 4, 32}`, both fabrics.
-//! * Worker-count invariance: the virtual engine's report does not
-//!   depend on how many host workers execute the tasks.
+//!   `C ∈ {1, 4, 32}`, both fabrics, all four pacings.
+//! * Worker-count invariance: the report does not depend on how many
+//!   host workers execute the tasks.
 //! * Single-worker bit-reproducibility: with a worker budget of 1 the
-//!   virtual engine serializes every interaction in deterministic heap
+//!   scheduler serializes every interaction in deterministic heap
 //!   order, so even *schedule-sensitive* whole applications (TSP's
 //!   bound-pruned search, contended locks) reproduce bit-identically
-//!   run to run — a guarantee the threaded engine cannot make at any
-//!   thread count (see `tests/determinism.rs` for why).
-//! * The full six-application suite compared across engines on the
+//!   run to run — a guarantee no wider budget can make (see
+//!   `tests/determinism.rs` for why).
+//! * The full six-application suite compared paced vs. unpaced on the
 //!   components that are invariant by construction (fixed lock-acquire
-//!   counts, the zero-LAN invariant at `C = P`), exactly as
-//!   `tests/governor_equivalence.rs` compares governor implementations.
+//!   counts, the zero-LAN invariant at `C = P`).
 
 use mgs_repro::apps::{
     barnes::BarnesHut, jacobi::Jacobi, matmul::MatMul, tsp::Tsp, water::Water,
     water_kernel::WaterKernel, MgsApp,
 };
 use mgs_repro::core::{
-    AccessKind, CostCategory, Cycles, DssmpConfig, ExecutionEngine, FaultPlan, Machine, RunReport,
+    AccessKind, CostCategory, Cycles, DssmpConfig, FaultPlan, Machine, RunReport,
 };
 
 const PROCS: usize = 32;
@@ -64,13 +64,43 @@ fn assert_identical(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.lan_bytes, b.lan_bytes, "{what}: LAN bytes");
 }
 
-/// Engine-parameterized config: threaded keeps the default epoch gate;
-/// virtual takes an explicit worker budget (`None` = host parallelism).
-fn config(c: usize, engine: ExecutionEngine, workers: Option<usize>) -> DssmpConfig {
+/// Default pacing with an explicit worker budget (`None` = host
+/// parallelism).
+fn config(c: usize, workers: Option<usize>) -> DssmpConfig {
     let mut cfg = DssmpConfig::new(PROCS, c);
-    cfg.engine = engine;
     cfg.workers = workers;
     cfg
+}
+
+/// The pacing axis: the free-running reference first, then every way of
+/// pacing the same machine (default, one worker, a narrow window).
+fn pacings(c: usize) -> Vec<DssmpConfig> {
+    let mut unpaced = config(c, None);
+    unpaced.governor_window = None;
+    let mut narrow = config(c, None);
+    narrow.governor_window = Some(Cycles(2_000));
+    vec![unpaced, config(c, None), config(c, Some(1)), narrow]
+}
+
+/// Runs `run` under every pacing and asserts all reports equal the
+/// unpaced one; returns that reference report.
+fn assert_pacing_invariant(
+    c: usize,
+    what: &str,
+    run: impl Fn(DssmpConfig) -> RunReport,
+) -> RunReport {
+    let mut cfgs = pacings(c).into_iter();
+    let reference = run(cfgs.next().expect("the unpaced reference"));
+    for cfg in cfgs {
+        let pacing = format!("window {:?} workers {:?}", cfg.governor_window, cfg.workers);
+        let report = run(cfg);
+        assert_identical(
+            &reference,
+            &report,
+            &format!("C={c} {what}: unpaced vs {pacing}"),
+        );
+    }
+    reference
 }
 
 // ---------------------------------------------------------------------
@@ -102,27 +132,18 @@ fn run_disjoint(cfg: DssmpConfig) -> RunReport {
 }
 
 #[test]
-fn virtual_engine_is_bit_identical_to_threaded_on_deterministic_workload() {
+fn pacing_modes_are_bit_identical_on_deterministic_workload() {
     for c in [1usize, 4, 32] {
-        let threaded = run_disjoint(config(c, ExecutionEngine::Threaded, None));
-        let virt = run_disjoint(config(c, ExecutionEngine::Virtual, None));
-        assert_identical(&threaded, &virt, &format!("C={c} threaded vs virtual"));
-        // And with the scheduler forced down to one admission slot.
-        let serial = run_disjoint(config(c, ExecutionEngine::Virtual, Some(1)));
-        assert_identical(
-            &threaded,
-            &serial,
-            &format!("C={c} threaded vs virtual W=1"),
-        );
+        assert_pacing_invariant(c, "disjoint", run_disjoint);
     }
 }
 
 #[test]
 fn virtual_reports_are_invariant_across_worker_counts() {
     for c in [1usize, 4] {
-        let w1 = run_disjoint(config(c, ExecutionEngine::Virtual, Some(1)));
+        let w1 = run_disjoint(config(c, Some(1)));
         for workers in [2usize, 8] {
-            let wn = run_disjoint(config(c, ExecutionEngine::Virtual, Some(workers)));
+            let wn = run_disjoint(config(c, Some(workers)));
             assert_identical(&w1, &wn, &format!("C={c} W=1 vs W={workers}"));
         }
     }
@@ -131,7 +152,7 @@ fn virtual_reports_are_invariant_across_worker_counts() {
 // ---------------------------------------------------------------------
 // Seeded lossy fabric: the one-active-writer token ring (from
 // `tests/chaos.rs`), where injected drops and the retries they force
-// are serialized and therefore engine-invariant.
+// are serialized and therefore pacing-invariant.
 // ---------------------------------------------------------------------
 
 const RING_WORDS: u64 = 64;
@@ -160,7 +181,7 @@ fn run_ring(cfg: DssmpConfig) -> RunReport {
 }
 
 #[test]
-fn engines_agree_on_perfect_and_seeded_lossy_fabrics() {
+fn pacing_modes_agree_on_perfect_and_seeded_lossy_fabrics() {
     for c in [1usize, 4, 32] {
         for (fabric, plan) in [
             ("perfect", FaultPlan::none()),
@@ -169,13 +190,12 @@ fn engines_agree_on_perfect_and_seeded_lossy_fabrics() {
                 FaultPlan::uniform(LOSSY_SEED, 0.05, 0.05, Cycles(200)),
             ),
         ] {
-            let threaded =
-                run_ring(config(c, ExecutionEngine::Threaded, None).with_faults(plan.clone()));
-            let virt = run_ring(config(c, ExecutionEngine::Virtual, None).with_faults(plan));
-            assert_identical(&threaded, &virt, &format!("C={c} {fabric} ring"));
+            let reference = assert_pacing_invariant(c, &format!("{fabric} ring"), |cfg| {
+                run_ring(cfg.with_faults(plan.clone()))
+            });
             if c < PROCS && fabric == "perfect" {
                 assert!(
-                    threaded.lan_messages > 0,
+                    reference.lan_messages > 0,
                     "C={c}: ring produced no LAN traffic — fabric comparison is vacuous"
                 );
             }
@@ -190,8 +210,8 @@ fn engines_agree_on_perfect_and_seeded_lossy_fabrics() {
 #[test]
 fn single_worker_virtual_runs_reproduce_schedule_sensitive_apps() {
     // TSP (bound-pruned work queue) and Water (contended locks) are the
-    // workloads `tests/determinism.rs` shows are NOT reproducible under
-    // the threaded engine. With one admission slot every interaction is
+    // workloads `tests/determinism.rs` shows are NOT reproducible when
+    // processors run concurrently. With one admission slot every interaction is
     // serialized in deterministic heap order, so two fresh runs must be
     // bit-identical — full reports, per-processor.
     let apps: Vec<(&str, Box<dyn MgsApp>)> = vec![
@@ -214,7 +234,7 @@ fn single_worker_virtual_runs_reproduce_schedule_sensitive_apps() {
     for (name, app) in apps {
         for c in [4usize, 32] {
             let run = |_: usize| {
-                let cfg = config(c, ExecutionEngine::Virtual, Some(1));
+                let cfg = config(c, Some(1));
                 app.execute(&Machine::new(cfg))
             };
             let first = run(0);
@@ -279,30 +299,34 @@ fn suite() -> Vec<(&'static str, Box<dyn MgsApp>)> {
     ]
 }
 
-/// Applications whose lock acquire count is fixed by the algorithm (see
-/// `tests/governor_equivalence.rs` for why TSP and Barnes-Hut are
-/// excluded).
+/// Applications whose lock acquire count is fixed by the algorithm —
+/// control flow never depends on values produced by other processors,
+/// so the count is identical under any pacing. (TSP's bound pruning
+/// and Barnes-Hut's hand-over-hand tree walk are excluded: their lock
+/// call counts legitimately vary with the interleaving.)
 const FIXED_LOCK_COUNT: &[&str] = &["jacobi", "matmul", "water", "water-kernel"];
 
 #[test]
-fn virtual_engine_matches_threaded_on_the_suite() {
+fn paced_matches_unpaced_on_the_suite() {
     let mut compared = 0usize;
     for (name, app) in suite() {
         for c in [1usize, 4, 32] {
-            let threaded = app.execute(&Machine::new(config(c, ExecutionEngine::Threaded, None)));
-            let virt = app.execute(&Machine::new(config(c, ExecutionEngine::Virtual, None)));
-            assert!(virt.duration.raw() > 0, "{name} C={c}: empty virtual run");
+            let mut free = config(c, None);
+            free.governor_window = None;
+            let unpaced = app.execute(&Machine::new(free));
+            let paced = app.execute(&Machine::new(config(c, None)));
+            assert!(paced.duration.raw() > 0, "{name} C={c}: empty paced run");
             if FIXED_LOCK_COUNT.contains(&name) {
                 assert_eq!(
-                    threaded.lock_acquires, virt.lock_acquires,
-                    "{name} C={c}: lock acquire count (threaded vs virtual)"
+                    unpaced.lock_acquires, paced.lock_acquires,
+                    "{name} C={c}: lock acquire count (unpaced vs paced)"
                 );
                 compared += 1;
             }
             if c == PROCS {
-                assert_eq!(threaded.lan_messages, 0, "{name} C={c}: threaded LAN msgs");
-                assert_eq!(virt.lan_messages, 0, "{name} C={c}: virtual LAN msgs");
-                assert_eq!(virt.lan_bytes, 0, "{name} C={c}: virtual LAN bytes");
+                assert_eq!(unpaced.lan_messages, 0, "{name} C={c}: unpaced LAN msgs");
+                assert_eq!(paced.lan_messages, 0, "{name} C={c}: paced LAN msgs");
+                assert_eq!(paced.lan_bytes, 0, "{name} C={c}: paced LAN bytes");
                 compared += 2;
             }
         }

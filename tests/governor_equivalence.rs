@@ -1,19 +1,18 @@
-//! Governor cycle-invisibility: simulated cycle counts must be
-//! bit-identical whether or not the epoch gate paces the run, because
-//! the governor only bounds host-side skew — it never charges cycles.
+//! Pacing cycle-invisibility: simulated cycle counts must be
+//! bit-identical whether or not the scheduler paces the run, because
+//! pacing only bounds host-side skew — it never charges cycles.
 //!
 //! A workload inside the simulator's deterministic envelope (the
 //! page-disjoint, barrier-phased program of `tests/determinism.rs`) is
 //! run at `P = 32`, `C ∈ {1, 4, 32}`, with an aggressively small
-//! window, with a wide one, and with the governor off. All reports
-//! must be bit-identical. This is the strongest possible statement:
-//! heavy gating (thousands of window advances) leaves no trace in
-//! simulated time.
+//! window, with a wide one, and unpaced. All reports must be
+//! bit-identical. This is the strongest possible statement: heavy
+//! yielding (thousands of hand-overs) leaves no trace in simulated
+//! time.
 //!
-//! Whole applications are *not* bit-reproducible under the threaded
-//! engine (see `tests/determinism.rs`); their pacing-invariant
-//! components are compared across engines by
-//! `tests/engine_equivalence.rs`.
+//! Whole applications are *not* bit-reproducible when processors run
+//! concurrently (see `tests/determinism.rs`); their pacing-invariant
+//! components are compared by `tests/engine_equivalence.rs`.
 
 use mgs_repro::core::{AccessKind, CostCategory, Cycles, DssmpConfig, Machine, RunReport};
 
@@ -73,8 +72,8 @@ fn run_disjoint(c: usize, window: Option<Cycles>) -> RunReport {
 
 #[test]
 fn every_governor_impl_is_cycle_invisible_on_deterministic_workload() {
-    // A 50-cycle window forces constant gating; the ungoverned run is
-    // the reference. Bit-identity proves the gate never perturbs
+    // A 50-cycle window forces constant yielding; the unpaced run is
+    // the reference. Bit-identity proves pacing never perturbs
     // simulated time.
     for c in [1usize, 4, 32] {
         let reference = run_disjoint(c, None);

@@ -1,17 +1,17 @@
-//! The governor's skew bound: with a window `w` and a tick stride
+//! The scheduler's skew bound: with a window `w` and a tick stride
 //! `δ = w / 4`, no simulated clock may run more than `w + δ` cycles
 //! ahead of the slowest still-running processor.
 //!
-//! Why `w + δ` and not `w`: the governor only sees a clock when the
+//! Why `w + δ` and not `w`: the scheduler only sees a clock when the
 //! runtime ticks it, and ticks are throttled to at most one per `δ`
 //! simulated cycles. Between ticks a processor can charge up to `δ`
-//! cycles past the last window end it was gated against, so the
+//! cycles past the horizon it was last checked against, so the
 //! instantaneous bound is `window + stride` — still O(w).
 //!
 //! The probe is host-side and zero-perturbation: every processor
 //! publishes its simulated clock into a shared atomic slot after each
 //! one-cycle charge (`u64::MAX` once finished, mirroring the
-//! governor's own quorum rule), and asserts its own clock never
+//! scheduler's own rule that finished tasks leave the window), and asserts its own clock never
 //! exceeds the minimum published clock of the still-running processors
 //! by more than the bound. Published values can be stale — but a stale
 //! value only *under*-reports the laggard's progress, so the check is
@@ -53,7 +53,7 @@ fn max_observed_skew(window: u64) -> u64 {
                 local_worst = local_worst.max(now.saturating_sub(min));
             }
             // Finished: drop out of the probe the same way the
-            // governor drops finished threads from its quorum.
+            // scheduler drops finished tasks from its window.
             clocks[me].store(u64::MAX, Ordering::SeqCst);
             worst.fetch_max(local_worst, Ordering::SeqCst);
         });
@@ -70,8 +70,8 @@ fn skew_stays_within_window_plus_default_stride() {
         "observed skew {skew} > window {window} + stride {}",
         window / 4
     );
-    // And the gate must actually have bitten: a free-running
-    // 8-thread race over 4000 cycles with no governor would show
-    // skew far above one window on any real host.
+    // And pacing must actually have bitten: an unpaced 8-thread
+    // race over 4000 cycles would show skew far above one window on
+    // any real host.
     assert!(skew > 0, "probe never observed any skew");
 }
