@@ -174,8 +174,8 @@ impl Directory {
     /// array; `evicted` is the victim the tag array displaced to make
     /// room (`None` on a tag hit). Behaviour is observably identical to
     /// the unfused sequence `is_sharer` / `probe` / `take_exclusive` /
-    /// `downgrade` / `add_sharer` / `remove_sharer` used by
-    /// [`crate::SsmpCacheSystem::access_reference`].
+    /// `downgrade` / `add_sharer` / `remove_sharer` that
+    /// `tests/transact_oracle.rs` keeps as the reference.
     #[allow(clippy::too_many_arguments)] // the fused hot path: one call, one lock
     pub fn transact(
         &self,

@@ -250,87 +250,6 @@ impl SsmpCacheSystem {
         class
     }
 
-    /// Reference implementation of [`access`](Self::access): the
-    /// original unfused sequence of directory calls, each taking its
-    /// own shard lock. Kept as the behavioural oracle for the fused
-    /// path (see `tests/transact_oracle.rs`).
-    pub fn access_reference(
-        &self,
-        cache: &mut ProcCache,
-        proc: usize,
-        line: u64,
-        home: usize,
-        is_write: bool,
-    ) -> MissClass {
-        let class = self.access_reference_inner(cache, proc, line, home, is_write);
-        self.stats.record_for(proc, class);
-        class
-    }
-
-    fn access_reference_inner(
-        &self,
-        cache: &mut ProcCache,
-        proc: usize,
-        line: u64,
-        home: usize,
-        is_write: bool,
-    ) -> MissClass {
-        let resident = cache.contains(line) && self.directory.is_sharer(line, proc);
-        if resident {
-            if !is_write {
-                return MissClass::Hit;
-            }
-            let (_, owner) = self.directory.probe(line);
-            if owner == Some(proc) {
-                return MissClass::Hit;
-            }
-            // Write to a shared line: upgrade, invalidating other
-            // sharers through the directory.
-            let others = self.directory.take_exclusive(line, proc);
-            return if others > 0 {
-                MissClass::TwoParty
-            } else {
-                MissClass::LocalMiss
-            };
-        }
-
-        // Miss: classify from directory state before updating it.
-        let (sharers, owner) = self.directory.probe(line);
-        let class = match owner {
-            Some(o) if o != proc => {
-                if o == home {
-                    MissClass::TwoParty
-                } else {
-                    MissClass::ThreeParty
-                }
-            }
-            _ => {
-                if !is_write && sharers as usize >= self.hw_pointers {
-                    MissClass::SwDirectory
-                } else if home == proc {
-                    MissClass::LocalMiss
-                } else {
-                    MissClass::RemoteClean
-                }
-            }
-        };
-
-        if is_write {
-            self.directory.take_exclusive(line, proc);
-        } else {
-            if let Some(o) = owner {
-                // Reading a dirty line forces a write-back; the line
-                // becomes shared.
-                self.directory.downgrade(line, o);
-            }
-            self.directory.add_sharer(line, proc);
-        }
-        if let Some(evicted) = cache.insert(line) {
-            self.directory.remove_sharer(evicted, proc);
-        }
-        class
-    }
-
     /// Cleans a page's lines (§4.2.4): removes them from the directory
     /// and returns the cycle cost under `cost`, tiered per line by
     /// whether the line was dirty.

@@ -2,13 +2,96 @@
 //! access traces, [`SsmpCacheSystem::access`] (one shard-lock
 //! acquisition per access) must produce exactly the same [`MissClass`]
 //! sequence, directory state, tag-array contents, and statistics as
-//! [`SsmpCacheSystem::access_reference`] (the original multi-call
-//! path).
+//! [`access_reference`] (the original multi-call path, which lived in
+//! `SsmpCacheSystem` until the fused path replaced it in production).
 
 use mgs_cache::{CacheConfig, MissClass, ProcCache, SsmpCacheSystem};
 use mgs_sim::XorShift64;
 
 const PROCS: usize = 4;
+/// LimitLESS hardware pointer count both systems are built with.
+const HW_POINTERS: usize = 5;
+
+/// Reference implementation of [`SsmpCacheSystem::access`]: the
+/// original unfused sequence of directory calls, each taking its own
+/// shard lock.
+fn access_reference(
+    sys: &SsmpCacheSystem,
+    cache: &mut ProcCache,
+    proc: usize,
+    line: u64,
+    home: usize,
+    is_write: bool,
+) -> MissClass {
+    let class = access_reference_inner(sys, cache, proc, line, home, is_write);
+    sys.stats().record(class);
+    class
+}
+
+fn access_reference_inner(
+    sys: &SsmpCacheSystem,
+    cache: &mut ProcCache,
+    proc: usize,
+    line: u64,
+    home: usize,
+    is_write: bool,
+) -> MissClass {
+    let directory = sys.directory();
+    let resident = cache.contains(line) && directory.is_sharer(line, proc);
+    if resident {
+        if !is_write {
+            return MissClass::Hit;
+        }
+        let (_, owner) = directory.probe(line);
+        if owner == Some(proc) {
+            return MissClass::Hit;
+        }
+        // Write to a shared line: upgrade, invalidating other
+        // sharers through the directory.
+        let others = directory.take_exclusive(line, proc);
+        return if others > 0 {
+            MissClass::TwoParty
+        } else {
+            MissClass::LocalMiss
+        };
+    }
+
+    // Miss: classify from directory state before updating it.
+    let (sharers, owner) = directory.probe(line);
+    let class = match owner {
+        Some(o) if o != proc => {
+            if o == home {
+                MissClass::TwoParty
+            } else {
+                MissClass::ThreeParty
+            }
+        }
+        _ => {
+            if !is_write && sharers as usize >= HW_POINTERS {
+                MissClass::SwDirectory
+            } else if home == proc {
+                MissClass::LocalMiss
+            } else {
+                MissClass::RemoteClean
+            }
+        }
+    };
+
+    if is_write {
+        directory.take_exclusive(line, proc);
+    } else {
+        if let Some(o) = owner {
+            // Reading a dirty line forces a write-back; the line
+            // becomes shared.
+            directory.downgrade(line, o);
+        }
+        directory.add_sharer(line, proc);
+    }
+    if let Some(evicted) = cache.insert(line) {
+        directory.remove_sharer(evicted, proc);
+    }
+    class
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Access {
@@ -31,14 +114,20 @@ fn random_trace(rng: &mut XorShift64, len: usize, lines: u64) -> Vec<Access> {
 }
 
 fn assert_equivalent(seed: u64, cfg: CacheConfig, trace: &[Access], lines: u64) {
-    let fused = SsmpCacheSystem::new(5);
-    let reference = SsmpCacheSystem::new(5);
+    let fused = SsmpCacheSystem::new(HW_POINTERS);
+    let reference = SsmpCacheSystem::new(HW_POINTERS);
     let mut fused_caches: Vec<ProcCache> = (0..PROCS).map(|_| ProcCache::new(cfg)).collect();
     let mut ref_caches: Vec<ProcCache> = (0..PROCS).map(|_| ProcCache::new(cfg)).collect();
     for (i, a) in trace.iter().enumerate() {
         let f = fused.access(&mut fused_caches[a.proc], a.proc, a.line, a.home, a.write);
-        let r =
-            reference.access_reference(&mut ref_caches[a.proc], a.proc, a.line, a.home, a.write);
+        let r = access_reference(
+            &reference,
+            &mut ref_caches[a.proc],
+            a.proc,
+            a.line,
+            a.home,
+            a.write,
+        );
         assert_eq!(f, r, "class diverged at step {i} on {a:?} (seed {seed:#x})");
     }
     // Directory state must match line for line.

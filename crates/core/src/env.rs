@@ -6,7 +6,7 @@ use crate::runtime::RuntimeTiming;
 use crate::Machine;
 use mgs_cache::{CacheConfig, ProcCache};
 use mgs_obs::{LatencyClass, Metric, ObsSink};
-use mgs_proto::{MgsProtocol, PagePolicy};
+use mgs_proto::MgsProtocol;
 use mgs_sim::{
     CostCategory, CostModel, CycleAccount, Cycles, GovHook, ProcClock, VirtualScheduler, XorShift64,
 };
@@ -196,12 +196,7 @@ pub struct Env {
     /// Purely a host-side optimization: simulated cycle charges are
     /// identical, though the shared TLB's host-side hit counters no
     /// longer see the cached lookups.
-    ///
-    /// Each slot also caches the page's coherence policy, refreshed on
-    /// every slow-path translation, so policy inspection on the access
-    /// path is a free tuple read — no strategy-table lookup and, when
-    /// the adaptive controller is off, zero added cost of any kind.
-    xlate_cache: Vec<Option<(u64, TlbEntry, PagePolicy)>>,
+    xlate_cache: Vec<Option<(u64, TlbEntry)>>,
     /// Whether the protocol posts write notices (an LRC-flavored
     /// strategy), hoisted because it is constant for the machine's
     /// lifetime and gates every acquire point.
@@ -348,7 +343,7 @@ impl Env {
         let slot = (page as usize) & (XLATE_SLOTS - 1);
         let cached = matches!(
             &self.xlate_cache[slot],
-            Some((p, e, _)) if *p == page && (e.writable || !write)
+            Some((p, e)) if *p == page && (e.writable || !write)
         );
         if !cached {
             self.translate_slow(page, write);
@@ -366,7 +361,7 @@ impl Env {
         // `xlate_cache`, so the borrow lives across the access.
         let word = self.geometry.word_offset(va);
         loop {
-            let (_, entry, _) = self.xlate_cache[slot]
+            let (_, entry) = self.xlate_cache[slot]
                 .as_ref()
                 .expect("translate_slow fills the page's slot");
             let frame = &*entry.frame;
@@ -414,23 +409,7 @@ impl Env {
             Some(e) => e,
             None => self.fault(page, write),
         };
-        let policy = self.proto.policy(page);
-        self.xlate_cache[(page as usize) & (XLATE_SLOTS - 1)] = Some((page, entry, policy));
-    }
-
-    /// The coherence policy currently governing the page holding `va`,
-    /// read from the Env-local translation cache when possible. Policy
-    /// only changes at protocol slow paths, and every policy change is
-    /// accompanied by a mapping revocation (or takes effect lazily at
-    /// the next release), so a cached value is as fresh as the mapping
-    /// itself. Host-side only: consults no locks on the cached path and
-    /// charges no simulated cycles.
-    pub fn page_policy(&self, va: u64) -> PagePolicy {
-        let page = self.geometry.page_of(va);
-        match &self.xlate_cache[(page as usize) & (XLATE_SLOTS - 1)] {
-            Some((p, _, policy)) if *p == page => *policy,
-            _ => self.proto.policy(page),
-        }
+        self.xlate_cache[(page as usize) & (XLATE_SLOTS - 1)] = Some((page, entry));
     }
 
     fn fault(&mut self, page: u64, write: bool) -> TlbEntry {
@@ -533,23 +512,7 @@ impl Env {
     /// pending write notices).
     pub fn barrier(&mut self) {
         self.flush();
-        self.maybe_tick();
-        self.maybe_churn();
-        self.maybe_adapt();
-        let arrived = self.clock.now();
-        let released = self
-            .machine
-            .barrier_obj()
-            .arrive_gov(arrived, Some(self.gov_hook()));
-        if let Some(obs) = &self.obs {
-            obs.registry.count(self.proc, Metric::BarrierArrivals, 1);
-            obs.registry.record_latency(
-                self.proc,
-                LatencyClass::BarrierWait,
-                released.saturating_sub(arrived),
-            );
-        }
-        self.clock.advance_to(CostCategory::Barrier, released);
+        self.barrier_sync_only();
         self.acquire_sync();
     }
 

@@ -56,6 +56,23 @@ impl<'a> RuntimeTiming<'a> {
         }
         None
     }
+
+    /// Records `kind` in the machine trace (when tracing), stamped with
+    /// this processor's clock at `time`.
+    fn trace_at(&self, time: Cycles, kind: TraceKind) {
+        if self.machine.tracing() {
+            self.machine.record_trace(TraceEvent {
+                proc: self.proc,
+                time,
+                kind,
+            });
+        }
+    }
+
+    /// [`trace_at`](RuntimeTiming::trace_at) the current instant.
+    fn trace(&self, kind: TraceKind) {
+        self.trace_at(self.clock.now(), kind);
+    }
 }
 
 impl ProtoTiming for RuntimeTiming<'_> {
@@ -68,71 +85,27 @@ impl ProtoTiming for RuntimeTiming<'_> {
     }
 
     fn message(&mut self, from: usize, to: usize, kind: MsgKind, payload_bytes: u64) {
-        if self.machine.tracing() {
-            self.machine.record_trace(TraceEvent {
-                proc: self.proc,
-                time: self.clock.now(),
-                kind: TraceKind::Message {
-                    from,
-                    to,
-                    kind,
-                    bytes: payload_bytes,
-                },
-            });
-        }
-        let cost = &self.machine.config().cost;
-        if from == to {
-            self.clock.charge(CostCategory::Mgs, cost.intra_msg);
-            return;
-        }
-        if let Some(obs) = self.machine.obs() {
-            obs.registry.count_lan(self.proc, kind);
-        }
-        self.clock.charge(CostCategory::Mgs, cost.msg_send);
-        let sent = self.clock.now();
-        let arrival = self.machine.lan().send(from, to, kind, payload_bytes, sent);
-        if let Some(obs) = self.machine.obs() {
-            obs.registry.record_latency(
-                self.proc,
-                LatencyClass::for_tier(self.machine.lan().tier(from, to)),
-                arrival.saturating_sub(sent),
-            );
-        }
-        self.clock.advance_to(CostCategory::Mgs, arrival);
-        self.clock.charge(CostCategory::Mgs, cost.msg_recv);
+        // Only intra-SSMP sends are unconditional: what crosses the LAN
+        // goes through the reliable transport, which handles a drop.
+        debug_assert_eq!(from, to, "an inter-SSMP send can be dropped");
+        self.try_message(from, to, kind, payload_bytes);
     }
 
     fn node_work(&mut self, node: usize, cycles: Cycles) {
-        if node == self.proc {
-            // Work on the requesting processor itself.
-            if self.machine.tracing() {
-                self.machine.record_trace(TraceEvent {
-                    proc: self.proc,
-                    time: self.clock.now(),
-                    kind: TraceKind::NodeWork {
-                        node,
-                        start: self.clock.now(),
-                        cycles,
-                    },
-                });
-            }
-            self.clock.charge(CostCategory::Mgs, cycles);
-            return;
-        }
-        // Serialize on the remote node's protocol engine; contention
+        let now = self.clock.now();
+        // Work on the requesting processor itself starts at once; a
+        // remote node's protocol engine serializes it, and contention
         // shows up as queueing delay on the requester's clock.
-        let (start, end) = self.machine.engines()[node].occupy(self.clock.now(), cycles);
-        if self.machine.tracing() {
-            self.machine.record_trace(TraceEvent {
-                proc: self.proc,
-                time: self.clock.now(),
-                kind: TraceKind::NodeWork {
-                    node,
-                    start,
-                    cycles,
-                },
-            });
-        }
+        let (start, end) = if node == self.proc {
+            (now, now + cycles)
+        } else {
+            self.machine.engines()[node].occupy(now, cycles)
+        };
+        self.trace(TraceKind::NodeWork {
+            node,
+            start,
+            cycles,
+        });
         self.clock.advance_to(CostCategory::Mgs, end);
     }
 
@@ -147,19 +120,27 @@ impl ProtoTiming for RuntimeTiming<'_> {
         kind: MsgKind,
         payload_bytes: u64,
     ) -> SendOutcome {
-        if from == to || self.machine.lan().is_perfect() {
-            // Intra-SSMP messages and perfect fabrics (no fault plan, no
-            // churn): identical charge sequence to the
-            // pre-fault-injection runtime.
-            self.message(from, to, kind, payload_bytes);
+        let cost = &self.machine.config().cost;
+        let message = TraceKind::Message {
+            from,
+            to,
+            kind,
+            bytes: payload_bytes,
+        };
+        if from == to {
+            // Intra-SSMP messages never touch the LAN.
+            self.trace(message);
+            self.clock.charge(CostCategory::Mgs, cost.intra_msg);
             return SendOutcome::Delivered { duplicates: 0 };
         }
         // One transmission enters the fabric whatever its fate, matching
-        // `NetStats`' counting rule.
+        // `NetStats`' counting rule. Without a fault plan or churn
+        // `transmit` always delivers, at `LanModel::send`'s arrival
+        // time: the charge sequence of the paper's perfect LAN.
         if let Some(obs) = self.machine.obs() {
             obs.registry.count_lan(self.proc, kind);
         }
-        let cost = &self.machine.config().cost;
+        let launched = self.clock.now();
         self.clock.charge(CostCategory::Mgs, cost.msg_send);
         let sent = self.clock.now();
         let delivery = self
@@ -171,35 +152,20 @@ impl ProtoTiming for RuntimeTiming<'_> {
                 arrival,
                 duplicates,
             } => {
+                // A delivered message is stamped when it was launched,
+                // whatever fabric carried it.
+                self.trace_at(launched, message);
                 if duplicates > 0 {
                     if let Some(obs) = self.machine.obs() {
                         obs.registry
                             .count(self.proc, Metric::LanDuplicates, u64::from(duplicates));
                     }
-                }
-                if self.machine.tracing() {
-                    self.machine.record_trace(TraceEvent {
-                        proc: self.proc,
-                        time: self.clock.now(),
-                        kind: TraceKind::Message {
-                            from,
-                            to,
-                            kind,
-                            bytes: payload_bytes,
-                        },
+                    self.trace(TraceKind::Fault {
+                        from,
+                        to,
+                        kind,
+                        duplicates,
                     });
-                    if duplicates > 0 {
-                        self.machine.record_trace(TraceEvent {
-                            proc: self.proc,
-                            time: self.clock.now(),
-                            kind: TraceKind::Fault {
-                                from,
-                                to,
-                                kind,
-                                duplicates,
-                            },
-                        });
-                    }
                 }
                 if let Some(obs) = self.machine.obs() {
                     obs.registry.record_latency(
@@ -216,18 +182,12 @@ impl ProtoTiming for RuntimeTiming<'_> {
                 if let Some(obs) = self.machine.obs() {
                     obs.registry.count(self.proc, Metric::LanDrops, 1);
                 }
-                if self.machine.tracing() {
-                    self.machine.record_trace(TraceEvent {
-                        proc: self.proc,
-                        time: self.clock.now(),
-                        kind: TraceKind::Fault {
-                            from,
-                            to,
-                            kind,
-                            duplicates: 0,
-                        },
-                    });
-                }
+                self.trace(TraceKind::Fault {
+                    from,
+                    to,
+                    kind,
+                    duplicates: 0,
+                });
                 SendOutcome::Dropped
             }
         }
@@ -239,19 +199,13 @@ impl ProtoTiming for RuntimeTiming<'_> {
             obs.registry
                 .record_latency(self.proc, LatencyClass::RetryBackoff, wait);
         }
-        if self.machine.tracing() {
-            self.machine.record_trace(TraceEvent {
-                proc: self.proc,
-                time: self.clock.now(),
-                kind: TraceKind::Retry {
-                    from,
-                    to,
-                    kind,
-                    attempt,
-                    wait,
-                },
-            });
-        }
+        self.trace(TraceKind::Retry {
+            from,
+            to,
+            kind,
+            attempt,
+            wait,
+        });
         self.clock.charge(CostCategory::Mgs, wait);
         // A retrying sender may be the only processor making progress
         // (everyone else parked at a barrier behind it), and it may hold
@@ -284,13 +238,7 @@ impl ProtoTiming for RuntimeTiming<'_> {
                     self.xacts[self.depth] = (xact, page, self.clock.now());
                     self.depth += 1;
                 }
-                if self.machine.tracing() {
-                    self.machine.record_trace(TraceEvent {
-                        proc: self.proc,
-                        time: self.clock.now(),
-                        kind: TraceKind::XactBegin { xact, page },
-                    });
-                }
+                self.trace(TraceKind::XactBegin { xact, page });
             }
             ObsEvent::XactEnd {
                 xact,
@@ -330,17 +278,11 @@ impl ProtoTiming for RuntimeTiming<'_> {
                     let ssmp = self.machine.config().ssmp_of(self.proc);
                     obs.profiler.record(ssmp, &event);
                 }
-                if self.machine.tracing() {
-                    self.machine.record_trace(TraceEvent {
-                        proc: self.proc,
-                        time: self.clock.now(),
-                        kind: TraceKind::XactEnd {
-                            xact,
-                            page,
-                            outcome,
-                        },
-                    });
-                }
+                self.trace(TraceKind::XactEnd {
+                    xact,
+                    page,
+                    outcome,
+                });
             }
             // Churn transitions are machine-level: counters plus a trace
             // instant, no page attribution.
@@ -361,17 +303,11 @@ impl ProtoTiming for RuntimeTiming<'_> {
                             .count(self.proc, Metric::ChurnRehomedPages, rehomed);
                     }
                 }
-                if self.machine.tracing() {
-                    self.machine.record_trace(TraceEvent {
-                        proc: self.proc,
-                        time: self.clock.now(),
-                        kind: TraceKind::Churn {
-                            ssmp,
-                            rejoin,
-                            rehomed,
-                        },
-                    });
-                }
+                self.trace(TraceKind::Churn {
+                    ssmp,
+                    rejoin,
+                    rehomed,
+                });
             }
             // Everything else: a counter bump plus per-page attribution.
             _ => {

@@ -195,13 +195,6 @@ impl LanModel {
         }
     }
 
-    /// `true` when the fabric never misbehaves: no active fault plan
-    /// and no churn schedule. The runtime's decision-free fast path is
-    /// gated on this.
-    pub fn is_perfect(&self) -> bool {
-        self.faults.is_none() && self.scenario.churn().is_empty()
-    }
-
     /// Flips SSMP `ssmp`'s link state (churn). While down, every
     /// [`transmit`](LanModel::transmit) to or from it is dropped.
     pub fn set_link_up(&self, ssmp: usize, up: bool) {
@@ -517,23 +510,6 @@ mod tests {
             Delivery::Delivered { .. }
         ));
         assert_eq!(lan.stats().dropped_total(), 2);
-    }
-
-    #[test]
-    fn churn_free_default_is_perfect() {
-        use crate::{ChurnEvent, TieredScenario};
-        assert!(LanModel::new(2, Cycles(1000)).is_perfect());
-        assert!(!LanModel::new(2, Cycles(1000))
-            .with_faults(FaultPlan::uniform(1, 0.1, 0.0, Cycles::ZERO))
-            .is_perfect());
-        let churny = TieredScenario::new(1, 1).with_churn(ChurnEvent {
-            ssmp: 0,
-            depart: Cycles(10),
-            rejoin: Cycles(20),
-        });
-        assert!(!LanModel::new(2, Cycles(1000))
-            .with_scenario(Arc::new(churny))
-            .is_perfect());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 /// Defined here (rather than in `mgs-proto`) because it is part of the
 /// structured event vocabulary — [`ObsEvent::PolicySwitch`] carries it —
 /// and the observability crate sits below the protocol in the
-/// dependency graph. `mgs-proto` re-exports it as the policy type of
-/// its `CoherenceStrategy` trait.
+/// dependency graph. `mgs-proto` re-exports it as the type its
+/// `MgsProtocol::policy` resolves pages to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PagePolicy {
     /// The paper's protocol: eager invalidation at release, Munin-style

@@ -40,7 +40,7 @@ pub struct ProtoConfig {
     pub readonly_clean_opt: bool,
     /// Which coherence strategy resolves per-page policies
     /// ([`ProtocolKind::Eager`] reproduces the paper's protocol
-    /// bit-identically; see [`crate::CoherenceStrategy`]).
+    /// bit-identically; see [`crate::MgsProtocol::policy`]).
     pub protocol: ProtocolKind,
     /// Thresholds and pacing of the adaptive-grain controller (only
     /// consulted when `protocol` is [`ProtocolKind::Adaptive`]).

@@ -1,115 +1,26 @@
 //! Twin/diff machinery (Munin-style multiple-writer support, §3.1.1).
 //!
-//! Two representations coexist:
+//! Only changed words are propagated back to the home copy at release
+//! time, which is what lets multiple SSMPs write disjoint parts of the
+//! same page concurrently (false sharing costs bandwidth, not
+//! correctness).
 //!
-//! * [`PageDiff`] — the original per-word `(index, value)` list. Kept
-//!   as the **reference oracle**: simple enough to audit by eye, and
-//!   the property tests assert the span kernel is equivalent to it.
-//! * [`SpanDiff`] — contiguous `(start_word, run_of_values)` runs,
-//!   built by a chunked 8-words-at-a-time comparison that skips clean
-//!   chunks fast, computed against the frame's quiesced plain-slice
-//!   view (no intermediate snapshot allocation, vectorizable) and
-//!   applied with per-run copies. This is what the release path uses; its
-//!   internal buffers are recycled between releases so a steady-state
-//!   diff allocates nothing.
+//! A [`SpanDiff`] holds them as contiguous `(start_word,
+//! run_of_values)` runs, built by a chunked 8-words-at-a-time
+//! comparison that skips clean chunks fast, computed against the
+//! frame's quiesced plain-slice view (no intermediate snapshot
+//! allocation, vectorizable) and applied with per-run copies. Its
+//! internal buffers are recycled between releases so a steady-state
+//! diff allocates nothing.
 //!
-//! Both report the same changed-word count, so every simulated-cycle
-//! charge (`diff_compute_cost`, `diff_transfer_apply_cost`, DIFF
-//! payload bytes) is bit-identical whichever kernel computes it.
+//! The original per-word `(index, value)` list — simple enough to
+//! audit by eye — is the **reference oracle** in
+//! `tests/span_diff_props.rs`, which asserts the span kernel reports
+//! the same changed words, so every simulated-cycle charge
+//! (`diff_compute_cost`, `diff_transfer_apply_cost`, DIFF payload
+//! bytes) is what the per-word kernel would have charged.
 
 use mgs_vm::PageFrame;
-
-/// A diff between a page copy and its twin: the set of words the local
-/// SSMP changed since twinning.
-///
-/// Only changed words are propagated back to the home copy at release
-/// time, which is what lets multiple SSMPs write disjoint parts of the
-/// same page concurrently (false sharing costs bandwidth, not
-/// correctness).
-///
-/// # Example
-///
-/// ```
-/// use mgs_proto::PageDiff;
-///
-/// let twin = vec![0, 1, 2, 3];
-/// let current = vec![0, 9, 2, 7];
-/// let diff = PageDiff::compute(&current, &twin);
-/// assert_eq!(diff.len(), 2);
-/// let mut home = vec![100, 101, 102, 103];
-/// diff.apply_to_slice(&mut home);
-/// assert_eq!(home, vec![100, 9, 102, 7]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PageDiff {
-    entries: Vec<(u32, u64)>,
-}
-
-impl PageDiff {
-    /// Computes the diff of `current` against `twin`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lengths differ.
-    pub fn compute(current: &[u64], twin: &[u64]) -> PageDiff {
-        assert_eq!(current.len(), twin.len(), "page/twin size mismatch");
-        PageDiff {
-            entries: current
-                .iter()
-                .zip(twin)
-                .enumerate()
-                .filter(|(_, (c, t))| c != t)
-                .map(|(i, (c, _))| (i as u32, *c))
-                .collect(),
-        }
-    }
-
-    /// Computes the diff of a live frame against its twin (the frame is
-    /// snapshotted word-atomically).
-    pub fn compute_from_frame(frame: &PageFrame, twin: &[u64]) -> PageDiff {
-        PageDiff::compute(&frame.snapshot(), twin)
-    }
-
-    /// Number of changed words.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The changed `(word_index, value)` pairs, in ascending index
-    /// order.
-    pub fn entries(&self) -> &[(u32, u64)] {
-        &self.entries
-    }
-
-    /// Applies the diff to a plain buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    pub fn apply_to_slice(&self, target: &mut [u64]) {
-        for &(idx, val) in &self.entries {
-            target[idx as usize] = val;
-        }
-    }
-
-    /// Applies the diff to a live frame (the home copy).
-    pub fn apply_to_frame(&self, frame: &PageFrame) {
-        for &(idx, val) in &self.entries {
-            frame.store(idx as u64, val);
-        }
-    }
-
-    /// Word indices touched by the diff (used to mark home cache lines
-    /// dirty after a merge).
-    pub fn word_indices(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|&(i, _)| i as u64)
-    }
-}
 
 /// One contiguous run of changed words: `len` values starting at word
 /// `start`. The values live in the owning [`SpanDiff`]'s flat buffer.
@@ -121,8 +32,8 @@ struct Span {
 
 /// A page diff as contiguous spans of changed words.
 ///
-/// Semantically identical to [`PageDiff`] (the property tests assert
-/// it), but:
+/// Semantically identical to the per-word reference list (the
+/// property tests assert it), but:
 ///
 /// * **compute** walks the page 8 words at a time and skips clean
 ///   chunks with one branch, reading the live frame word-atomically —
@@ -298,8 +209,8 @@ impl SpanDiff {
     }
 
     /// The changed `(word_index, value)` pairs in ascending index order
-    /// (flattened spans; directly comparable with
-    /// [`PageDiff::entries`]).
+    /// (flattened spans; directly comparable with the per-word
+    /// reference's).
     pub fn entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.spans().flat_map(|(start, vals)| {
             vals.iter()
@@ -360,70 +271,6 @@ mod tests {
     use mgs_vm::{FrameAllocator, PageGeometry};
 
     #[test]
-    fn identical_pages_empty_diff() {
-        let a = vec![1, 2, 3];
-        assert!(PageDiff::compute(&a, &a.clone()).is_empty());
-    }
-
-    #[test]
-    fn diff_finds_all_changes() {
-        let twin = vec![0; 8];
-        let mut cur = twin.clone();
-        cur[0] = 5;
-        cur[7] = 9;
-        let d = PageDiff::compute(&cur, &twin);
-        assert_eq!(d.entries(), &[(0, 5), (7, 9)]);
-    }
-
-    #[test]
-    fn disjoint_diffs_merge_cleanly() {
-        // Two writers twin the same original and write disjoint words;
-        // applying both diffs to the home yields both updates.
-        let original = vec![10, 20, 30, 40];
-        let mut w1 = original.clone();
-        w1[1] = 21;
-        let mut w2 = original.clone();
-        w2[3] = 41;
-        let d1 = PageDiff::compute(&w1, &original);
-        let d2 = PageDiff::compute(&w2, &original);
-        let mut home = original.clone();
-        d1.apply_to_slice(&mut home);
-        d2.apply_to_slice(&mut home);
-        assert_eq!(home, vec![10, 21, 30, 41]);
-    }
-
-    #[test]
-    fn overlapping_diffs_last_applied_wins() {
-        let original = vec![0];
-        let d1 = PageDiff::compute(&[1], &original);
-        let d2 = PageDiff::compute(&[2], &original);
-        let mut home = vec![0];
-        d1.apply_to_slice(&mut home);
-        d2.apply_to_slice(&mut home);
-        assert_eq!(home, vec![2]);
-    }
-
-    #[test]
-    fn frame_roundtrip() {
-        let frames = FrameAllocator::new(PageGeometry::default());
-        let frame = frames.alloc(0);
-        let twin = frame.snapshot();
-        frame.store(12, 99);
-        let d = PageDiff::compute_from_frame(&frame, &twin);
-        assert_eq!(d.entries(), &[(12, 99)]);
-        let home = frames.alloc(0);
-        d.apply_to_frame(&home);
-        assert_eq!(home.load(12), 99);
-        assert_eq!(d.word_indices().collect::<Vec<_>>(), vec![12]);
-    }
-
-    #[test]
-    #[should_panic(expected = "size mismatch")]
-    fn mismatched_sizes_panic() {
-        PageDiff::compute(&[1, 2], &[1]);
-    }
-
-    #[test]
     fn span_identical_pages_empty() {
         let a: Vec<u64> = (0..100).collect();
         let d = SpanDiff::compute(&a, &a.clone());
@@ -463,29 +310,6 @@ mod tests {
             d.entries().collect::<Vec<_>>(),
             vec![(1, 5), (3, 6), (30, 7)]
         );
-    }
-
-    #[test]
-    fn span_matches_page_diff_on_frames() {
-        let frames = FrameAllocator::new(PageGeometry::default());
-        let frame = frames.alloc(0);
-        let twin = frame.snapshot();
-        for w in [0u64, 1, 2, 64, 126, 127] {
-            frame.store(w, w + 100);
-        }
-        let oracle = PageDiff::compute_from_frame(&frame, &twin);
-        let span = SpanDiff::compute_from_frame(&frame, &twin);
-        assert_eq!(
-            span.entries().collect::<Vec<_>>(),
-            oracle.entries().to_vec()
-        );
-        assert_eq!(span.changed_words(), oracle.len() as u64);
-
-        let home = frames.alloc(0);
-        span.apply_to_frame(&home);
-        for w in [0u64, 1, 2, 64, 126, 127] {
-            assert_eq!(home.load(w), w + 100);
-        }
     }
 
     #[test]

@@ -57,14 +57,11 @@ mod timing;
 mod transport;
 
 pub use config::ProtoConfig;
-pub use diff::{PageDiff, SpanDiff};
+pub use diff::SpanDiff;
 pub use duq::Duq;
 pub use protocol::MgsProtocol;
 pub use state::{ClientState, ServerDirs};
 pub use stats::ProtoStats;
-pub use strategy::{
-    AdaptiveController, AdaptiveParams, CoherenceStrategy, EagerStrategy, HomeLrcStrategy,
-    PagePolicy, PolicyDecision, ProtocolKind, StrategyBox,
-};
+pub use strategy::{AdaptiveController, AdaptiveParams, PagePolicy, PolicyDecision, ProtocolKind};
 pub use timing::{ProtoTiming, RecordingTiming, TimingEvent};
 pub use transport::{ProtocolError, RetryPolicy, SendOutcome, SeqFilter, Transaction};

@@ -13,14 +13,16 @@
 //! requests): the per-page server mutex serializes whole transactions.
 
 use crate::state::{bits, ClientPage, ClientState, PageEntry, ServerDirs, ServerPage};
-use crate::strategy::{CoherenceStrategy, PagePolicy, PolicyDecision, StrategyBox};
+use crate::strategy::{AdaptiveController, PagePolicy, PolicyDecision, ProtocolKind};
 use crate::transport::{ProtocolError, SendOutcome, SeqFilter, Transaction};
 use crate::{Duq, ProtoConfig, ProtoStats, ProtoTiming, SpanDiff};
 use mgs_cache::SsmpCacheSystem;
 use mgs_net::MsgKind;
 use mgs_obs::{ObsEvent, SharingProfiler, XactKind, XactOutcome};
 use mgs_sim::Cycles;
-use mgs_vm::{FrameAllocator, PageBuf, PageGeometry, PoolStats, Tlb, TlbEntry, TwinPool};
+use mgs_vm::{
+    FrameAllocator, PageBuf, PageFrame, PageGeometry, PoolStats, Tlb, TlbEntry, TwinPool,
+};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,10 +112,11 @@ pub struct MgsProtocol {
     /// [`diff_scratch_created`](MgsProtocol::diff_scratch_created)).
     diff_scratch_created: AtomicU64,
     stats: ProtoStats,
-    /// The coherence strategy resolving per-page policies (see
-    /// [`crate::CoherenceStrategy`]). Consulted only on protocol slow
-    /// paths — faults, releases, acquire drains — never per access.
-    strategy: StrategyBox,
+    /// The adaptive controller's per-page policy table: present iff
+    /// `cfg.protocol` is [`ProtocolKind::Adaptive`]. Consulted only on
+    /// protocol slow paths — faults, releases, acquire drains — never
+    /// per access.
+    controller: Option<AdaptiveController>,
 }
 
 impl MgsProtocol {
@@ -146,9 +149,10 @@ impl MgsProtocol {
         assert_eq!(duqs.len(), cfg.n_procs(), "one DUQ per processor");
         assert_eq!(caches.len(), cfg.n_ssmps, "one cache system per SSMP");
         let n_ssmps = cfg.n_ssmps;
-        let strategy = StrategyBox::new(cfg.protocol, cfg.adaptive);
+        let controller =
+            (cfg.protocol == ProtocolKind::Adaptive).then(|| AdaptiveController::new(cfg.adaptive));
         MgsProtocol {
-            strategy,
+            controller,
             frames: FrameAllocator::new(cfg.geometry),
             twin_pools: (0..n_ssmps)
                 .map(|_| TwinPool::new(cfg.geometry.words_per_page() as usize))
@@ -225,30 +229,45 @@ impl MgsProtocol {
         &self.stats
     }
 
-    /// The coherence strategy resolving per-page policies.
-    pub fn strategy(&self) -> &StrategyBox {
-        &self.strategy
+    /// The adaptive controller, when the protocol is
+    /// [`ProtocolKind::Adaptive`].
+    pub fn controller(&self) -> Option<&AdaptiveController> {
+        self.controller.as_ref()
     }
 
-    /// The policy currently in effect for `page`. Host-side only: the
-    /// lookup charges no simulated cycles (for the static strategies it
-    /// folds to a constant).
+    /// The policy currently in effect for `page`: a constant under the
+    /// static protocols, the controller's table under the adaptive one.
+    ///
+    /// The contract the protocol engines rely on:
+    ///
+    /// * the answer is **stable between protocol slow-path entries** of
+    ///   the same page — it may change over time (the adaptive
+    ///   controller does), but only through the controller's serialized
+    ///   apply step, never mid-transaction (the engines read it once
+    ///   per transaction, under the page's server lock for releases);
+    /// * the lookup charges **no simulated cycles** and takes no page
+    ///   locks: it is called with the page's server mutex held.
     #[inline]
     pub fn policy(&self, page: u64) -> PagePolicy {
-        self.strategy.policy(page)
+        match (self.cfg.protocol, &self.controller) {
+            (ProtocolKind::HomeLrc, _) => PagePolicy::HomeLrc,
+            (_, Some(controller)) => controller.policy(page),
+            _ => PagePolicy::Eager,
+        }
     }
 
-    /// Does the strategy post write notices that acquire points must
-    /// drain (home-LRC lazily invalidates; eager never does)?
+    /// Does the protocol post write notices that acquire points must
+    /// drain (home-LRC lazily invalidates; eager never does)? Constant
+    /// for the lifetime of the protocol instance.
     pub fn uses_notices(&self) -> bool {
-        self.strategy.uses_notices()
+        self.cfg.protocol == ProtocolKind::HomeLrc
     }
 
     /// The adaptive controller's policy-decision trace, in decision
     /// order (empty for the static strategies).
     pub fn policy_decisions(&self) -> Vec<PolicyDecision> {
-        self.strategy
-            .controller()
+        self.controller
+            .as_ref()
             .map(|c| c.decisions())
             .unwrap_or_default()
     }
@@ -258,9 +277,7 @@ impl MgsProtocol {
     /// must follow with [`adapt`](MgsProtocol::adapt); always `false`
     /// for the static strategies.
     pub fn adapt_due(&self, now: Cycles) -> bool {
-        self.strategy
-            .controller()
-            .is_some_and(|c| c.sample_due(now))
+        self.controller.as_ref().is_some_and(|c| c.sample_due(now))
     }
 
     /// Runs one adaptive-controller sample: classifies hot pages from
@@ -272,7 +289,7 @@ impl MgsProtocol {
     /// the decision trace is short and, at `W=1` under the virtual
     /// engine, fully deterministic.
     pub fn adapt(&self, profiler: &SharingProfiler, now: Cycles, t: &mut dyn ProtoTiming) {
-        let Some(ctl) = self.strategy.controller() else {
+        let Some(ctl) = &self.controller else {
             return;
         };
         for (page, profile) in profiler.snapshot_sorted() {
@@ -365,12 +382,7 @@ impl MgsProtocol {
         let shard = &self.shards[(page as usize) % PAGE_SHARDS];
         let mut map = shard.lock();
         Arc::clone(map.entry(page).or_insert_with(|| {
-            let home = self
-                .home_overrides
-                .lock()
-                .get(&page)
-                .copied()
-                .unwrap_or_else(|| self.cfg.home_node(page));
+            let home = self.home_node(page);
             Arc::new(PageEntry::new(self.cfg.n_ssmps, self.frames.alloc(home)))
         }))
     }
@@ -494,24 +506,15 @@ impl MgsProtocol {
             XactKind::ReadFault
         };
         t.observe(ObsEvent::XactBegin { xact, page });
-        match self.fault_inner(proc, page, want_write, t) {
-            Ok((e, outcome)) => {
-                t.observe(ObsEvent::XactEnd {
-                    xact,
-                    page,
-                    outcome,
-                });
-                Ok(e)
-            }
-            Err(err) => {
-                t.observe(ObsEvent::XactEnd {
-                    xact,
-                    page,
-                    outcome: XactOutcome::Aborted,
-                });
-                Err(err)
-            }
-        }
+        let res = self.fault_inner(proc, page, want_write, t);
+        t.observe(ObsEvent::XactEnd {
+            xact,
+            page,
+            outcome: res
+                .as_ref()
+                .map_or(XactOutcome::Aborted, |(_, outcome)| *outcome),
+        });
+        res.map(|(e, _)| e)
     }
 
     /// The body of [`try_fault`](MgsProtocol::try_fault), additionally
@@ -601,14 +604,27 @@ impl MgsProtocol {
             // Arc 3: DUQ = DUQ ∪ {addr}.
             t.local(self.cfg.cost.duq_insert);
         }
+        self.stats.tlb_fills.incr();
+        self.install_tlb(proc, page, frame, want_write, t)
+    }
+
+    /// The tail of every fault: charge the TLB insert and the fault
+    /// exit, and map `frame` at its current generation.
+    fn install_tlb(
+        &self,
+        proc: usize,
+        page: u64,
+        frame: Arc<PageFrame>,
+        writable: bool,
+        t: &mut dyn ProtoTiming,
+    ) -> TlbEntry {
         t.local(self.cfg.cost.tlb_insert + self.cfg.cost.fault_exit);
         let e = TlbEntry {
             gen: frame.generation(),
             frame,
-            writable: want_write,
+            writable,
         };
         self.tlbs[proc].insert(page, e.clone());
-        self.stats.tlb_fills.incr();
         e
     }
 
@@ -632,36 +648,18 @@ impl MgsProtocol {
 
         let mut server = entry.server.lock();
         // Under the home-LRC strategy a pending write notice means this
-        // SSMP's READ copy is stale; upgrading it would twin stale
-        // data (and a later
-        // single-writer flush would ship the stale page whole). Drop
-        // the copy and take the fill path instead. The check happens
-        // before the client lock: the notice queue is held across
-        // drains, so notices-then-client is the one legal order.
+        // SSMP's READ copy is stale; upgrading it would twin stale data
+        // (and a later single-writer flush would ship the stale page
+        // whole). Drop the copy and take the fill path instead. The
+        // check happens before the client lock: the notice queue is held
+        // across drains, so notices-then-client is the one legal order.
         let noticed_stale = self.uses_notices() && self.notice_pending(ssmp, page);
         let (lock, _) = &entry.clients[ssmp];
         let mut client = lock.lock();
         if noticed_stale && client.state == ClientState::Read {
-            let frame = client.frame.clone().expect("READ page has a frame");
-            let rc_node = frame.home_node();
-            self.shoot_down(&mut client, ssmp, page, rc_node, t);
-            {
-                let _drain = frame.quiesce();
-                frame.bump_generation();
-            }
-            client.state = ClientState::Inv;
-            client.frame = None;
-            client.twin = None;
-            // The server must stop tracking the dropped copy (the
-            // conservative drains-in-flight check can drop a fresh,
-            // still-tracked copy).
-            server.dirs.read_dir &= !(1 << ssmp);
-            self.stats.invalidations.incr();
-            t.observe(ObsEvent::Invalidate {
-                page,
-                ssmp,
-                writer: false,
-            });
+            // (The conservative drains-in-flight check can drop a
+            // fresh, still-tracked copy; no page clean is charged.)
+            self.drop_read_copy(&mut client, &mut server, ssmp, page, t);
         }
         if client.state == ClientState::Read
             && server.dirs.write_dir & !(1 << ssmp) != 0
@@ -676,23 +674,7 @@ impl MgsProtocol {
             // upgrade would twin the pre-merge image, and the pinned
             // release path ships whole pages, clobbering the merge.)
             self.pin_evict_writers(entry, &mut server, ssmp, page, t)?;
-            let frame = client.frame.clone().expect("READ page has a frame");
-            let rc_node = frame.home_node();
-            self.shoot_down(&mut client, ssmp, page, rc_node, t);
-            {
-                let _drain = frame.quiesce();
-                frame.bump_generation();
-            }
-            client.state = ClientState::Inv;
-            client.frame = None;
-            client.twin = None;
-            server.dirs.read_dir &= !(1 << ssmp);
-            self.stats.invalidations.incr();
-            t.observe(ObsEvent::Invalidate {
-                page,
-                ssmp,
-                writer: false,
-            });
+            self.drop_read_copy(&mut client, &mut server, ssmp, page, t);
         }
         match client.state {
             ClientState::Read => {
@@ -746,14 +728,8 @@ impl MgsProtocol {
                 if self.duqs[proc].push(page) {
                     t.local(cost.duq_insert);
                 }
-                t.local(cost.tlb_insert + cost.fault_exit);
-                let e = TlbEntry {
-                    gen: frame.generation(),
-                    frame,
-                    writable: true,
-                };
-                self.tlbs[proc].insert(page, e.clone());
                 self.stats.upgrades.incr();
+                let e = self.install_tlb(proc, page, frame, true, t);
                 Ok(Some((e, XactOutcome::Upgrade)))
             }
             // Another local processor upgraded first: just map.
@@ -846,10 +822,7 @@ impl MgsProtocol {
             // (page cleaning, §4.2.4), then DMA it out. The transfer
             // buffer is pooled: on a write fill it becomes the twin,
             // on a read fill it is recycled.
-            let clean = self.caches[home_ssmp]
-                .directory()
-                .clean_page(server.home_frame.lines());
-            t.node_work(home_node, SsmpCacheSystem::clean_cost(clean, cost));
+            self.clean_page(home_ssmp, &server.home_frame, home_node, t);
             let mut data = self.twin_pools[ssmp].acquire();
             server.home_frame.snapshot_into(&mut data);
             t.node_work(home_node, cost.page_dma_cost(words));
@@ -914,19 +887,12 @@ impl MgsProtocol {
         cond.notify_all();
         drop(client);
 
-        t.local(cost.tlb_insert + cost.fault_exit);
-        let e = TlbEntry {
-            gen: frame.generation(),
-            frame,
-            writable: want_write,
-        };
-        self.tlbs[proc].insert(page, e.clone());
         if want_write {
             self.stats.write_misses.incr();
         } else {
             self.stats.read_misses.incr();
         }
-        Ok(e)
+        Ok(self.install_tlb(proc, page, frame, want_write, t))
     }
 
     // ------------------------------------------------------------------
@@ -1026,7 +992,9 @@ impl MgsProtocol {
         res
     }
 
-    /// The body of [`try_release_page`](MgsProtocol::try_release_page).
+    /// The body of [`try_release_page`](MgsProtocol::try_release_page):
+    /// the one REL … RACK envelope, around the flush discipline the
+    /// page's policy selects.
     fn release_page_inner(
         &self,
         proc: usize,
@@ -1041,33 +1009,47 @@ impl MgsProtocol {
 
         t.local(cost.rel_entry);
         let mut server = entry.server.lock();
+        // The page's policy selects the flush discipline. Read once,
+        // under the server lock, so one release sees one policy even if
+        // the adaptive controller reclassifies concurrently.
+        let policy = self.policy(page);
         // Lazy migratory release (policy `SingleWriterPin`, sole
-        // writer): skip the data flush entirely. The writer keeps its
-        // WRITE mapping and twin; its accumulated updates are recalled
-        // on demand when another SSMP faults on the page (every fill
-        // evicts the pinned writer first, merging its diff). Readers
-        // must still be invalidated here — release consistency promises
-        // that copies filled before this release go stale now — but a
-        // migratory page rarely has any, so the common release is
-        // message-free. This is where the policy earns its keep: a
-        // lock-protected page whose lock stays inside one SSMP pays
-        // nothing per critical section instead of a whole-page flush.
-        if self.policy(page) == PagePolicy::SingleWriterPin && server.dirs.write_dir == (1 << ssmp)
-        {
-            return self.pinned_release(&entry, &mut server, ssmp, page, t);
+        // writer): no data moves. The writer keeps its mapping, its
+        // twin and its write privilege, so the next same-SSMP critical
+        // section runs entirely in hardware — this is where the policy
+        // earns its keep: a lock-protected page whose lock stays inside
+        // one SSMP pays nothing per critical section instead of a
+        // whole-page flush. The unflushed updates stay recoverable:
+        // every fill of a pinned page evicts the writer first
+        // (`pin_evict_writers`), diffing against the kept twin and
+        // merging home, so a remote acquirer always reads the released
+        // words. Readers must still be invalidated here — release
+        // consistency promises that copies filled before this release
+        // go stale now — but a migratory page rarely has any, so the
+        // common release is two local constants and zero messages.
+        let pinned = policy == PagePolicy::SingleWriterPin && server.dirs.write_dir == (1 << ssmp);
+        let stale_readers = server.dirs.read_dir & !(1 << ssmp);
+        if pinned && stale_readers == 0 {
+            self.stats.pages_released.incr();
+            t.local(cost.rel_finish);
+            return Ok(());
         }
         self.reliable(t, ssmp, home_ssmp, MsgKind::Rel, 0, page)?;
         t.node_work(home_node, cost.server_rel);
         self.stats.pages_released.incr();
 
-        // The page's policy selects the flush discipline. Read once,
-        // under the server lock, so one release sees one policy even if
-        // the adaptive controller reclassifies concurrently.
-        match self.policy(page) {
+        match policy {
+            // The pinned sole writer: no data moves, stale readers go.
+            PagePolicy::SingleWriterPin if pinned => {
+                for reader in bits(stale_readers) {
+                    self.invalidate_client(&entry, &mut server, reader, page, false, t)?;
+                }
+                server.dirs.read_dir &= 1 << ssmp;
+            }
             // The paper's protocol. A pinned page's releases land here
-            // only during multi-writer transition windows (the sole-
-            // writer case returned above); the eager multi-writer path
-            // merges every writer and restores single-writer mode.
+            // only during multi-writer transition windows; the eager
+            // multi-writer path merges every writer and restores
+            // single-writer mode.
             PagePolicy::Eager | PagePolicy::SingleWriterPin => {
                 self.eager_flush(&entry, &mut server, page, t)?;
             }
@@ -1098,7 +1080,6 @@ impl MgsProtocol {
     ) -> Result<(), ProtocolError> {
         let home_node = self.home_node(page);
         let home_ssmp = self.cfg.ssmp_of(home_node);
-        let cost = &self.cfg.cost;
 
         let dirs = server.dirs;
         if self.cfg.single_writer_opt && dirs.writers() == 1 {
@@ -1122,10 +1103,7 @@ impl MgsProtocol {
             // merged data; when the home SSMP holds a copy its
             // invalidation below performs that clean.
             if dirs.all() & (1 << home_ssmp) == 0 && dirs.writers() > 0 {
-                let clean = self.caches[home_ssmp]
-                    .directory()
-                    .clean_page(server.home_frame.lines());
-                t.node_work(home_node, SsmpCacheSystem::clean_cost(clean, cost));
+                self.clean_page(home_ssmp, &server.home_frame, home_node, t);
             }
             for s in bits(dirs.all()) {
                 let is_writer = dirs.write_dir & (1 << s) != 0;
@@ -1138,15 +1116,11 @@ impl MgsProtocol {
 
     /// Home-based lazy release consistency flush (policy
     /// [`PagePolicy::HomeLrc`]): the releasing SSMP ships its diff to
-    /// the home and posts write notices to the other sharers instead of
+    /// the home ([`flush_own_diff`](MgsProtocol::flush_own_diff)) and
+    /// posts write notices to the other sharers instead of
     /// invalidating them — their copies are dropped (writers: evicted,
     /// merging their diffs) at their next acquire point, off this
-    /// release's critical path. The releaser keeps its copy in WRITE
-    /// state with its twin refreshed to the flushed image, but its own
-    /// mappings are shot down **before** the diff so no store lands
-    /// between diff and twin refresh and the next local write re-faults
-    /// and re-enters the DUQ — without that re-arm, later releases
-    /// would find nothing to flush and updates would be lost.
+    /// release's critical path.
     fn lrc_flush(
         &self,
         entry: &PageEntry,
@@ -1155,91 +1129,23 @@ impl MgsProtocol {
         page: u64,
         t: &mut dyn ProtoTiming,
     ) -> Result<(), ProtocolError> {
-        let home_node = self.home_node(page);
-        let home_ssmp = self.cfg.ssmp_of(home_node);
-        let cost = &self.cfg.cost;
-        let words = self.cfg.geometry.words_per_page();
+        let home_ssmp = self.home_ssmp(page);
         let dirs = server.dirs;
 
         if dirs.write_dir & (1 << ssmp) != 0 && ssmp != home_ssmp {
-            let (lock, _) = &entry.clients[ssmp];
-            let mut client = lock.lock();
-            debug_assert_eq!(client.state, ClientState::Write, "writer holds WRITE");
-            let frame = client.frame.clone().expect("writer has a frame");
-            let rc_node = frame.home_node();
-            t.node_work(rc_node, cost.rc_entry);
-            // DUQ re-arm (see the doc comment): shoot down and retire
-            // the generation before touching the data, so faulters
-            // block until the flushed image is consistent.
-            self.shoot_down(&mut client, ssmp, page, rc_node, t);
-            {
-                let _drain = frame.quiesce();
-                frame.bump_generation();
-            }
-            // Page cleaning (§4.2.4): flush this SSMP's cached lines so
-            // the diff reads coherent data.
-            let clean = self.caches[ssmp].directory().clean_page(frame.lines());
-            t.node_work(rc_node, SsmpCacheSystem::clean_cost(clean, cost));
-            // Diff and twin refresh under ONE exclusive drain: the kept
-            // twin must equal exactly the image that was diffed, or the
-            // next release's diff would re-ship (or miss) words written
-            // in between.
-            let mut twin = client.twin.take().expect("LRC writer has a twin");
             let mut diff = self.acquire_diff_scratch(ssmp);
-            frame.with_quiesced(|w| {
-                diff.compute_into(w, &twin);
-                twin.copy_from_slice(w);
-            });
-            client.twin = Some(twin);
-            t.node_work(rc_node, cost.diff_compute_cost(words));
-            let changed = diff.changed_words();
-            if let Err(e) = self.reliable(t, ssmp, home_ssmp, MsgKind::Diff, changed * 8, page) {
-                self.release_diff_scratch(ssmp, diff);
-                return Err(e);
-            }
-            t.node_work(home_node, cost.diff_transfer_apply_cost(changed));
-            if dirs.all() & (1 << home_ssmp) == 0 {
-                // The home's cached lines must be flushed before the
-                // merge so post-merge reads at the home see merged data.
-                let hclean = self.caches[home_ssmp]
-                    .directory()
-                    .clean_page(server.home_frame.lines());
-                t.node_work(home_node, SsmpCacheSystem::clean_cost(hclean, cost));
-            }
-            diff.apply_to_frame(&server.home_frame);
-            self.mark_home_merge(server, &diff, home_node, home_ssmp);
-            t.observe(ObsEvent::Diff {
-                page,
-                ssmp,
-                words: changed,
-                spans: diff.span_count() as u64,
-            });
-            if t.observing() {
-                let base_line = server.home_frame.base() / PageGeometry::LINE_BYTES;
-                for line in diff.touched_lines(&server.home_frame) {
-                    t.observe(ObsEvent::DiffLine {
-                        page,
-                        line: line - base_line,
-                    });
-                }
-            }
+            let flushed = self.flush_own_diff(entry, server, ssmp, page, &mut diff, t);
             self.release_diff_scratch(ssmp, diff);
-            self.stats.diffs.incr();
-            self.stats.diff_words.add(changed);
+            flushed?;
         } else if dirs.write_dir & (1 << ssmp) != 0 {
             // Home-SSMP writer: its stores are already in the home
             // copy, so nothing travels — but the DUQ must still be
             // re-armed so the *next* batch of local writes re-faults
             // and triggers a future release (which is what notifies the
             // other sharers).
-            let (lock, _) = &entry.clients[ssmp];
-            let mut client = lock.lock();
+            let mut client = entry.clients[ssmp].0.lock();
             let frame = client.frame.clone().expect("writer has a frame");
-            self.shoot_down(&mut client, ssmp, page, frame.home_node(), t);
-            {
-                let _drain = frame.quiesce();
-                frame.bump_generation();
-            }
+            self.shoot_down(&mut client, ssmp, page, &frame, t);
         }
 
         // Post write notices to every other sharer: their copies are
@@ -1247,10 +1153,7 @@ impl MgsProtocol {
         // home SSMP's copy IS the just-merged home frame, so it is
         // never stale and gets no notice. Directories are left
         // unchanged — every copy stays live until drained.
-        for s in bits(dirs.all()) {
-            if s == ssmp || s == home_ssmp {
-                continue;
-            }
+        for s in bits(dirs.all() & !(1 << ssmp | 1 << home_ssmp)) {
             self.post_notice(s, page, home_ssmp, t)?;
         }
         Ok(())
@@ -1259,12 +1162,13 @@ impl MgsProtocol {
     /// Write-through flush (policy [`PagePolicy::WriteThrough`], chosen
     /// by the adaptive controller for falsely-shared and
     /// producer/consumer pages): the releaser's diff is merged at the
-    /// home and then **pushed to every live sharer copy in place**
-    /// (UPDATE messages) instead of invalidating them. Sharers keep
-    /// their mappings — no shootdown, no refault, no page refetch — so
-    /// a page that ping-pongs a few words per release (TSP's 56-byte
-    /// path records) stops paying whole-page breakup costs. Directories
-    /// are left unchanged; the sharer set only grows.
+    /// home ([`flush_own_diff`](MgsProtocol::flush_own_diff)) and then
+    /// **pushed to every live sharer copy in place** (UPDATE messages)
+    /// instead of invalidating them. Sharers keep their mappings — no
+    /// shootdown, no refault, no page refetch — so a page that
+    /// ping-pongs a few words per release (TSP's 56-byte path records)
+    /// stops paying whole-page breakup costs. Directories are left
+    /// unchanged; the sharer set only grows.
     fn write_through_flush(
         &self,
         entry: &PageEntry,
@@ -1273,10 +1177,7 @@ impl MgsProtocol {
         page: u64,
         t: &mut dyn ProtoTiming,
     ) -> Result<(), ProtocolError> {
-        let home_node = self.home_node(page);
-        let home_ssmp = self.cfg.ssmp_of(home_node);
-        let cost = &self.cfg.cost;
-        let words = self.cfg.geometry.words_per_page();
+        let home_ssmp = self.home_ssmp(page);
         let dirs = server.dirs;
 
         if dirs.write_dir & (1 << ssmp) == 0 {
@@ -1291,147 +1192,112 @@ impl MgsProtocol {
             return self.eager_flush(entry, server, page, t);
         }
 
-        // Flush our diff to the home — same mechanics as the LRC flush:
-        // re-arm the DUQ first, then diff + twin refresh under one
-        // exclusive drain.
-        let (lock, _) = &entry.clients[ssmp];
-        let mut client = lock.lock();
+        let mut diff = self.acquire_diff_scratch(ssmp);
+        let pushed = self
+            .flush_own_diff(entry, server, ssmp, page, &mut diff, t)
+            .and_then(|()| {
+                bits(dirs.all() & !(1 << ssmp | 1 << home_ssmp))
+                    .try_for_each(|s| self.push_update(entry, &diff, s, page, home_ssmp, t))
+            });
+        self.release_diff_scratch(ssmp, diff);
+        pushed
+    }
+
+    /// The releaser-side home flush of the two disciplines that keep
+    /// the releaser's copy ([`lrc_flush`](MgsProtocol::lrc_flush),
+    /// [`write_through_flush`](MgsProtocol::write_through_flush)):
+    /// writer SSMP `ssmp` (not the home's) ships its diff home and
+    /// stays in WRITE state with its twin refreshed to the flushed
+    /// image. Its own mappings are shot down **before** the diff so no
+    /// store lands between diff and twin refresh and the next local
+    /// write re-faults and re-enters the DUQ — without that re-arm,
+    /// later releases would find nothing to flush and updates would be
+    /// lost — and faulters block until the flushed image is consistent.
+    /// `diff` (the caller's scratch) holds the merged diff afterwards,
+    /// for the discipline that pushes it on to the sharers.
+    fn flush_own_diff(
+        &self,
+        entry: &PageEntry,
+        server: &ServerPage,
+        ssmp: usize,
+        page: u64,
+        diff: &mut SpanDiff,
+        t: &mut dyn ProtoTiming,
+    ) -> Result<(), ProtocolError> {
+        let cost = &self.cfg.cost;
+        let mut client = entry.clients[ssmp].0.lock();
         debug_assert_eq!(client.state, ClientState::Write, "writer holds WRITE");
         let frame = client.frame.clone().expect("writer has a frame");
         let rc_node = frame.home_node();
         t.node_work(rc_node, cost.rc_entry);
-        self.shoot_down(&mut client, ssmp, page, rc_node, t);
-        {
-            let _drain = frame.quiesce();
-            frame.bump_generation();
-        }
-        let clean = self.caches[ssmp].directory().clean_page(frame.lines());
-        t.node_work(rc_node, SsmpCacheSystem::clean_cost(clean, cost));
-        let mut twin = client.twin.take().expect("write-through writer has a twin");
-        let mut diff = self.acquire_diff_scratch(ssmp);
+        self.shoot_down(&mut client, ssmp, page, &frame, t); // the DUQ re-arm
+                                                             // Flush this SSMP's cached lines so the diff reads coherent
+                                                             // data.
+        self.clean_page(ssmp, &frame, rc_node, t);
+        // Diff and twin refresh under ONE exclusive drain: the kept
+        // twin must equal exactly the image that was diffed, or the
+        // next release's diff would re-ship (or miss) words written in
+        // between.
+        let twin = client.twin.as_mut().expect("releasing writer has a twin");
         frame.with_quiesced(|w| {
-            diff.compute_into(w, &twin);
+            diff.compute_into(w, twin);
             twin.copy_from_slice(w);
         });
-        client.twin = Some(twin);
-        t.node_work(rc_node, cost.diff_compute_cost(words));
-        let changed = diff.changed_words();
-        if let Err(e) = self.reliable(t, ssmp, home_ssmp, MsgKind::Diff, changed * 8, page) {
-            self.release_diff_scratch(ssmp, diff);
-            return Err(e);
-        }
-        t.node_work(home_node, cost.diff_transfer_apply_cost(changed));
-        if dirs.all() & (1 << home_ssmp) == 0 {
-            let hclean = self.caches[home_ssmp]
-                .directory()
-                .clean_page(server.home_frame.lines());
-            t.node_work(home_node, SsmpCacheSystem::clean_cost(hclean, cost));
-        }
-        diff.apply_to_frame(&server.home_frame);
-        self.mark_home_merge(server, &diff, home_node, home_ssmp);
-        t.observe(ObsEvent::Diff {
-            page,
-            ssmp,
-            words: changed,
-            spans: diff.span_count() as u64,
-        });
-        if t.observing() {
-            let base_line = server.home_frame.base() / PageGeometry::LINE_BYTES;
-            for line in diff.touched_lines(&server.home_frame) {
-                t.observe(ObsEvent::DiffLine {
-                    page,
-                    line: line - base_line,
-                });
-            }
-        }
-        self.stats.diffs.incr();
-        self.stats.diff_words.add(changed);
-        drop(client);
-
-        // Push the merged diff to every other live sharer copy, in
-        // place. Word-atomic stores on the live frame — no quiesce, no
-        // generation bump: the sharers' mappings stay valid throughout.
-        // A sharer's twin (if it is a writer) is patched identically,
-        // so its own next diff ships only its own words. A sharer
-        // concurrently storing to a *different* word loses nothing
-        // (stores are word-atomic both ways); same-word concurrent
-        // stores are a data race the release-consistency model already
-        // leaves undefined.
-        for s in bits(dirs.all()) {
-            if s == ssmp || s == home_ssmp {
-                continue;
-            }
-            let (slock, _) = &entry.clients[s];
-            let mut sclient = slock.lock();
-            if sclient.state == ClientState::Inv {
-                continue;
-            }
-            let sframe = sclient.frame.clone().expect("live sharer has a frame");
-            if let Err(e) = self.reliable(t, home_ssmp, s, MsgKind::Update, changed * 8, page) {
-                self.release_diff_scratch(ssmp, diff);
-                return Err(e);
-            }
-            let s_node = sframe.home_node();
-            t.node_work(s_node, cost.diff_transfer_apply_cost(changed));
-            diff.apply_to_frame(&sframe);
-            if let Some(stwin) = sclient.twin.as_mut() {
-                diff.apply_to_slice(stwin);
-            }
-            // The pushed words entered the sharer's memory through its
-            // protocol processor's cache: mark those lines dirty so a
-            // later page clean pays the dirty tier.
-            self.caches[s]
-                .directory()
-                .mark_dirty_lines(diff.touched_lines(&sframe), self.cfg.local_index(s_node));
-            self.stats.update_pushes.incr();
-            self.stats.update_push_words.add(changed);
-            t.observe(ObsEvent::UpdatePush {
-                page,
-                ssmp: s,
-                words: changed,
-            });
-        }
-        self.release_diff_scratch(ssmp, diff);
-        Ok(())
+        t.node_work(
+            rc_node,
+            cost.diff_compute_cost(self.cfg.geometry.words_per_page()),
+        );
+        // The home's cached lines must be flushed before the merge so
+        // post-merge reads at the home see merged data; a copy held by
+        // the home SSMP is the home frame itself.
+        let clean_home = server.dirs.all() & (1 << self.home_ssmp(page)) == 0;
+        self.merge_diff_home(server, diff, ssmp, page, clean_home, t)
     }
 
-    /// Lazy migratory release (policy [`PagePolicy::SingleWriterPin`],
-    /// sole writer): no data moves. Any reader copies are invalidated —
-    /// they were filled before this release and are stale the moment it
-    /// completes — but the writer keeps its mapping, its twin, and its
-    /// write privilege, so the next same-SSMP critical section runs
-    /// entirely in hardware. The unflushed updates stay recoverable:
-    /// every fill of a pinned page evicts the writer first
-    /// ([`pin_evict_writers`](MgsProtocol::pin_evict_writers)), which
-    /// diffs against the kept twin and merges home, so a remote
-    /// acquirer always reads the released words. With no readers the
-    /// release costs two local constants and zero messages.
-    fn pinned_release(
+    /// Write-through's per-sharer half: UPDATE ⇒ `s`, patching the
+    /// merged `diff` into its live copy in place. Word-atomic stores
+    /// on the live frame — no quiesce, no generation bump: the
+    /// sharer's mappings stay valid throughout. A sharer's twin (if it
+    /// is a writer) is patched identically, so its own next diff ships
+    /// only its own words. A sharer concurrently storing to a
+    /// *different* word loses nothing (stores are word-atomic both
+    /// ways); same-word concurrent stores are a data race the
+    /// release-consistency model already leaves undefined.
+    fn push_update(
         &self,
         entry: &PageEntry,
-        server: &mut ServerPage,
-        ssmp: usize,
+        diff: &SpanDiff,
+        s: usize,
         page: u64,
+        home_ssmp: usize,
         t: &mut dyn ProtoTiming,
     ) -> Result<(), ProtocolError> {
-        let cost = &self.cfg.cost;
-        self.stats.pages_released.incr();
-        let readers = server.dirs.read_dir & !(1 << ssmp);
-        if readers == 0 {
-            t.local(cost.rel_finish);
+        let mut sclient = entry.clients[s].0.lock();
+        if sclient.state == ClientState::Inv {
             return Ok(());
         }
-        let home_node = self.home_node(page);
-        let home_ssmp = self.cfg.ssmp_of(home_node);
-        self.reliable(t, ssmp, home_ssmp, MsgKind::Rel, 0, page)?;
-        t.node_work(home_node, cost.server_rel);
-        for reader in bits(readers) {
-            self.invalidate_client(entry, server, reader, page, false, t)?;
+        let sframe = sclient.frame.clone().expect("live sharer has a frame");
+        let changed = diff.changed_words();
+        self.reliable(t, home_ssmp, s, MsgKind::Update, changed * 8, page)?;
+        let s_node = sframe.home_node();
+        t.node_work(s_node, self.cfg.cost.diff_transfer_apply_cost(changed));
+        diff.apply_to_frame(&sframe);
+        if let Some(stwin) = sclient.twin.as_mut() {
+            diff.apply_to_slice(stwin);
         }
-        server.dirs.read_dir &= 1 << ssmp;
-        t.node_work(home_node, cost.server_merge);
-        self.reliable(t, home_ssmp, ssmp, MsgKind::RAck, 0, page)?;
-        t.local(cost.rel_finish);
+        // The pushed words entered the sharer's memory through its
+        // protocol processor's cache: mark those lines dirty so a
+        // later page clean pays the dirty tier.
+        self.caches[s]
+            .directory()
+            .mark_dirty_lines(diff.touched_lines(&sframe), self.cfg.local_index(s_node));
+        self.stats.update_pushes.incr();
+        self.stats.update_push_words.add(changed);
+        t.observe(ObsEvent::UpdatePush {
+            page,
+            ssmp: s,
+            words: changed,
+        });
         Ok(())
     }
 
@@ -1497,21 +1363,12 @@ impl MgsProtocol {
         let rc_node = frame.home_node();
         t.node_work(rc_node, cost.rc_entry);
 
-        self.shoot_down(&mut client, ssmp, page, rc_node, t);
-
-        // Drain in-flight accesses and retire the mapping generation
-        // (the paper's translation-critical-section rollback, §4.2.1):
-        // accesses that cloned a TLB entry before the shootdown will
-        // observe the generation bump and re-fault instead of touching
-        // a retired copy. The bump and the later diff each take the
-        // guard briefly rather than fusing into one long exclusive
-        // section: stale-TLB racers blocked on the guard should be
-        // held for as short a window as the seed held them, keeping
-        // host-side interleavings on live pages undisturbed.
-        {
-            let _drain = frame.quiesce();
-            frame.bump_generation();
-        }
+        // The shootdown's generation bump and the later diff each take
+        // the frame's guard briefly rather than fusing into one long
+        // exclusive section: stale-TLB racers blocked on the guard
+        // should be held for as short a window as the seed held them,
+        // keeping host-side interleavings on live pages undisturbed.
+        self.shoot_down(&mut client, ssmp, page, &frame, t);
 
         let at_home = ssmp == home_ssmp;
         if !at_home {
@@ -1535,42 +1392,19 @@ impl MgsProtocol {
             // the twin buffer and the diff scratch are both recycled,
             // so a steady-state release allocates nothing. Cycle
             // charges are unchanged: the changed-word count is
-            // identical to `PageDiff`'s (the span_diff_props tests
-            // gate this).
+            // identical to the per-word reference diff's (the
+            // span_diff_props tests gate this).
             let twin = client.twin.take().expect("writer SSMP has a twin");
             let mut diff = self.acquire_diff_scratch(ssmp);
             diff.compute_from_frame_into(&frame, &twin);
             drop(twin); // back to the pool before the transfer
             t.node_work(rc_node, cost.diff_compute_cost(words));
-            let changed = diff.changed_words();
-            if let Err(e) = self.reliable(t, ssmp, home_ssmp, MsgKind::Diff, changed * 8, page) {
-                self.release_diff_scratch(ssmp, diff);
-                return Err(e);
-            }
-            t.node_work(home_node, cost.diff_transfer_apply_cost(changed));
-            diff.apply_to_frame(&server.home_frame);
-            self.mark_home_merge(server, &diff, home_node, home_ssmp);
-            t.observe(ObsEvent::Diff {
-                page,
-                ssmp,
-                words: changed,
-                spans: diff.span_count() as u64,
-            });
-            if t.observing() {
-                // Per-line attribution for the sharing profiler. The
-                // second `touched_lines` walk only happens when someone
-                // is listening.
-                let base_line = server.home_frame.base() / PageGeometry::LINE_BYTES;
-                for line in diff.touched_lines(&server.home_frame) {
-                    t.observe(ObsEvent::DiffLine {
-                        page,
-                        line: line - base_line,
-                    });
-                }
-            }
+            // No home clean here: the eager flush that fans these
+            // invalidations out cleaned the home once for all writers
+            // (an eviction outside a release merges without one).
+            let merged = self.merge_diff_home(server, &diff, ssmp, page, false, t);
             self.release_diff_scratch(ssmp, diff);
-            self.stats.diffs.incr();
-            self.stats.diff_words.add(changed);
+            merged?;
         } else {
             // Arc 14 (READ) → 16 (tt == 1): clean page, ACK ⇒ g_home.
             // Home-SSMP writers also land here: their stores went
@@ -1611,21 +1445,14 @@ impl MgsProtocol {
         let rc_node = frame.home_node();
         t.node_work(rc_node, cost.rc_entry);
 
-        self.shoot_down(&mut client, ssmp, page, rc_node, t);
-        // Retire the mapping generation under a brief drain, as in the
-        // multi-writer invalidate path above.
-        {
-            let _drain = frame.quiesce();
-            frame.bump_generation();
-        }
+        self.shoot_down(&mut client, ssmp, page, &frame, t);
 
         if ssmp != home_ssmp {
             // Gather a globally coherent page image before the DMA
             // (§4.2.4). When the sole writer is the home SSMP itself
             // its stores are already in the home copy and its caches
             // are the valid data: only the mappings are invalidated.
-            let clean = self.caches[ssmp].directory().clean_page(frame.lines());
-            t.node_work(rc_node, SsmpCacheSystem::clean_cost(clean, cost));
+            self.clean_page(ssmp, &frame, rc_node, t);
             // 1WDATA: the whole page travels instead of a diff —
             // "diff computation overhead is traded off for higher
             // communication bandwidth" (§3.1.1). One pooled snapshot
@@ -1646,10 +1473,7 @@ impl MgsProtocol {
                 page,
             )?;
             // The home cleans its own copy before overwriting it.
-            let hclean = self.caches[home_ssmp]
-                .directory()
-                .clean_page(server.home_frame.lines());
-            t.node_work(home_node, SsmpCacheSystem::clean_cost(hclean, cost));
+            self.clean_page(home_ssmp, &server.home_frame, home_node, t);
             server.home_frame.fill(&data);
             t.node_work(home_node, cost.page_dma_cost(words));
             // Refresh the twin: the kept copy is now identical to the
@@ -1723,10 +1547,7 @@ impl MgsProtocol {
         };
         for page in pending {
             let entry = self.page_entry(page);
-            // Canonical lock order (server before client): the drain may
-            // drop a *fresh* copy (a stale queue entry can survive an
-            // eager invalidate + refetch), in which case the server must
-            // stop tracking it.
+            // Canonical lock order: server before client.
             let mut server = entry.server.lock();
             let (lock, _) = &entry.clients[ssmp];
             let mut client = lock.lock();
@@ -1759,25 +1580,11 @@ impl MgsProtocol {
                 // eager release handled.
                 _ => continue,
             }
-            let frame = client.frame.clone().expect("READ copy has a frame");
-            let rc_node = frame.home_node();
-            self.shoot_down(&mut client, ssmp, page, rc_node, t);
-            {
-                let _drain = frame.quiesce();
-                frame.bump_generation();
-            }
-            let clean = self.caches[ssmp].directory().clean_page(frame.lines());
-            t.node_work(rc_node, SsmpCacheSystem::clean_cost(clean, &self.cfg.cost));
-            client.state = ClientState::Inv;
-            client.frame = None;
-            client.twin = None;
-            server.dirs.read_dir &= !(1 << ssmp);
-            self.stats.invalidations.incr();
-            t.observe(ObsEvent::Invalidate {
-                page,
-                ssmp,
-                writer: false,
-            });
+            let frame = self.drop_read_copy(&mut client, &mut server, ssmp, page, t);
+            // Of the three drop sites only this one owes the page clean
+            // (§4.2.4): an acquire is where a lazily invalidated copy's
+            // cached lines are finally flushed.
+            self.clean_page(ssmp, &frame, frame.home_node(), t);
         }
         let mut st = self.notices[ssmp].state.lock();
         st.drains_in_flight -= 1;
@@ -1803,8 +1610,7 @@ impl MgsProtocol {
     }
 
     /// Invalidates `ssmp`'s copy of a page (if any) and clears its
-    /// directory bits, under the held server lock. Returns whether a
-    /// live copy was dropped.
+    /// directory bits, under the held server lock.
     fn evict_copy(
         &self,
         entry: &PageEntry,
@@ -1812,15 +1618,14 @@ impl MgsProtocol {
         ssmp: usize,
         page: u64,
         t: &mut dyn ProtoTiming,
-    ) -> Result<bool, ProtocolError> {
-        let had_copy = server.dirs.all() & (1 << ssmp) != 0;
-        if had_copy {
+    ) -> Result<(), ProtocolError> {
+        if server.dirs.all() & (1 << ssmp) != 0 {
             let is_writer = server.dirs.write_dir & (1 << ssmp) != 0;
             self.invalidate_client(entry, server, ssmp, page, is_writer, t)?;
             server.dirs.read_dir &= !(1 << ssmp);
             server.dirs.write_dir &= !(1 << ssmp);
         }
-        Ok(had_copy)
+        Ok(())
     }
 
     /// Flushes every page still pinned by the lazy migratory release
@@ -1898,10 +1703,7 @@ impl MgsProtocol {
 
             // Gather a coherent image of the home copy (§4.2.4 page
             // cleaning) and ship it whole, like a 1WDATA flush.
-            let clean = self.caches[ssmp]
-                .directory()
-                .clean_page(server.home_frame.lines());
-            t.node_work(old_home_node, SsmpCacheSystem::clean_cost(clean, cost));
+            self.clean_page(ssmp, &server.home_frame, old_home_node, t);
             let mut data = self.twin_pools[ssmp].acquire();
             server.home_frame.snapshot_into(&mut data);
             t.node_work(old_home_node, cost.page_dma_cost(words));
@@ -1965,17 +1767,57 @@ impl MgsProtocol {
         Ok((evicted, repaired))
     }
 
+    /// Page cleaning (§4.2.4): flushes `ssmp`'s cached lines of `frame`,
+    /// the walk charged to `node`'s protocol engine.
+    fn clean_page(&self, ssmp: usize, frame: &PageFrame, node: usize, t: &mut dyn ProtoTiming) {
+        let walk = self.caches[ssmp].clean_page(frame.lines(), &self.cfg.cost);
+        t.node_work(node, walk);
+    }
+
+    /// The message-free drop of a stale READ copy, under the page's
+    /// server and client locks: shoot the mappings down, client → INV,
+    /// and the server stops tracking the copy (a drop can take a copy
+    /// the directory still lists — a stale notice-queue entry survives
+    /// an eager invalidate + refetch). Returns the retired frame for
+    /// the caller that owes it a page clean.
+    fn drop_read_copy(
+        &self,
+        client: &mut ClientPage,
+        server: &mut ServerPage,
+        ssmp: usize,
+        page: u64,
+        t: &mut dyn ProtoTiming,
+    ) -> Arc<PageFrame> {
+        let frame = client.frame.take().expect("READ copy has a frame");
+        self.shoot_down(client, ssmp, page, &frame, t);
+        client.state = ClientState::Inv;
+        client.twin = None;
+        server.dirs.read_dir &= !(1 << ssmp);
+        self.stats.invalidations.incr();
+        t.observe(ObsEvent::Invalidate {
+            page,
+            ssmp,
+            writer: false,
+        });
+        frame
+    }
+
     /// PINV fan-out: invalidate the TLB entry of every mapping processor
-    /// and prune the page from their DUQs (arcs 11, 12, 15).
+    /// and prune the page from their DUQs (arcs 11, 12, 15), then drain
+    /// in-flight accesses and retire `frame`'s mapping generation (the
+    /// paper's translation-critical-section rollback, §4.2.1): accesses
+    /// that cloned a TLB entry before the shootdown will observe the
+    /// generation bump and re-fault instead of touching a retired copy.
     fn shoot_down(
         &self,
         client: &mut ClientPage,
         ssmp: usize,
         page: u64,
-        rc_node: usize,
+        frame: &PageFrame,
         t: &mut dyn ProtoTiming,
     ) {
         let cost = &self.cfg.cost;
+        let rc_node = frame.home_node();
         for lidx in bits(client.tlb_dir) {
             let gproc = ssmp * self.cfg.procs_per_ssmp + lidx;
             self.tlbs[gproc].shootdown(page);
@@ -1986,29 +1828,69 @@ impl MgsProtocol {
             t.observe(ObsEvent::Pinv { page, proc: gproc });
         }
         client.tlb_dir = 0;
+        let _drain = frame.quiesce();
+        frame.bump_generation();
     }
 
-    /// After a diff merge, the home node's protocol engine has written
-    /// the changed words through its cache: mark those lines dirty in
-    /// the home SSMP's directory so later page cleans pay the dirty
-    /// tier (§4.2.4).
+    /// Arc 16 (`tt == 2`) → 22, the one place a diff is merged home:
+    /// DIFF ⇒ g_home, applied to the home copy. `clean_home` asks for
+    /// the home's cached lines to be flushed first, for a transaction
+    /// that has not cleaned the home already. The caller owns `diff`
+    /// (a pooled scratch) and hands it back on both outcomes.
     ///
-    /// Marking is driven off the diff's spans, **deduped to one mark
-    /// per cache line** ([`SpanDiff::touched_lines`]): a line holding
-    /// several changed words is still marked exactly once, and no
-    /// intermediate set is allocated. The span_diff_props tests assert
-    /// the marked set equals the per-changed-word reference.
-    fn mark_home_merge(
+    /// After the merge, the home node's protocol engine has written
+    /// the changed words through its cache: those lines are marked
+    /// dirty in the home SSMP's directory so later page cleans pay the
+    /// dirty tier (§4.2.4). Marking is driven off the diff's spans,
+    /// **deduped to one mark per cache line**
+    /// ([`SpanDiff::touched_lines`]): a line holding several changed
+    /// words is still marked exactly once, and no intermediate set is
+    /// allocated. The span_diff_props tests assert the marked set
+    /// equals the per-changed-word reference.
+    fn merge_diff_home(
         &self,
         server: &ServerPage,
         diff: &SpanDiff,
-        home_node: usize,
-        home_ssmp: usize,
-    ) {
+        ssmp: usize,
+        page: u64,
+        clean_home: bool,
+        t: &mut dyn ProtoTiming,
+    ) -> Result<(), ProtocolError> {
+        let home_node = self.home_node(page);
+        let home_ssmp = self.cfg.ssmp_of(home_node);
+        let cost = &self.cfg.cost;
+        let changed = diff.changed_words();
+        self.reliable(t, ssmp, home_ssmp, MsgKind::Diff, changed * 8, page)?;
+        t.node_work(home_node, cost.diff_transfer_apply_cost(changed));
+        if clean_home {
+            self.clean_page(home_ssmp, &server.home_frame, home_node, t);
+        }
+        diff.apply_to_frame(&server.home_frame);
         self.caches[home_ssmp].directory().mark_dirty_lines(
             diff.touched_lines(&server.home_frame),
             self.cfg.local_index(home_node),
         );
+        t.observe(ObsEvent::Diff {
+            page,
+            ssmp,
+            words: changed,
+            spans: diff.span_count() as u64,
+        });
+        if t.observing() {
+            // Per-line attribution for the sharing profiler. The second
+            // `touched_lines` walk only happens when someone is
+            // listening.
+            let base_line = server.home_frame.base() / PageGeometry::LINE_BYTES;
+            for line in diff.touched_lines(&server.home_frame) {
+                t.observe(ObsEvent::DiffLine {
+                    page,
+                    line: line - base_line,
+                });
+            }
+        }
+        self.stats.diffs.incr();
+        self.stats.diff_words.add(changed);
+        Ok(())
     }
 
     /// Total simulated time helper used by micro-benchmarks: number of

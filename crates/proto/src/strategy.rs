@@ -1,18 +1,19 @@
-//! Pluggable per-page coherence strategies and the profile-driven
-//! adaptive-grain controller.
+//! Per-page coherence policies and the profile-driven adaptive-grain
+//! controller.
 //!
 //! The paper's protocol is one point in a large design space: eager
 //! invalidation at release, Munin-style twin/diff multiple writers, the
 //! single-writer 1WDATA optimization. This module makes the choice
-//! explicit. A [`CoherenceStrategy`] resolves each virtual page to a
-//! [`PagePolicy`] that the protocol engines dispatch on at their *slow
-//! paths only* (faults, releases, acquires) — the per-access hot path
-//! never consults a policy, so strategy dispatch is free when the
-//! static [`Eager`](ProtocolKind::Eager) strategy is selected (the
-//! `strategy_equivalence` suite gates that its reports are
-//! bit-identical to the pre-trait protocol).
+//! explicit. [`MgsProtocol::policy`](crate::MgsProtocol::policy)
+//! resolves each virtual page to a [`PagePolicy`] — a `match` on the
+//! configured [`ProtocolKind`] — that the protocol engines dispatch on
+//! at their *slow paths only* (faults, releases, acquires): the
+//! per-access hot path never consults a policy, so under the static
+//! [`Eager`](ProtocolKind::Eager) protocol the dispatch folds to a
+//! constant (the `strategy_equivalence` suite gates that its reports
+//! are bit-identical to the protocol before policies existed).
 //!
-//! Three strategies exist:
+//! Three protocols exist:
 //!
 //! * [`ProtocolKind::Eager`] — the paper's protocol, unchanged.
 //! * [`ProtocolKind::HomeLrc`] — home-based lazy release consistency:
@@ -138,63 +139,6 @@ impl fmt::Display for PolicyDecision {
     }
 }
 
-/// A coherence strategy: resolves pages to policies.
-///
-/// The contract the protocol engines rely on:
-///
-/// * `policy` must be **stable between protocol slow-path entries** of
-///   the same page — it may change over time (the adaptive controller
-///   does), but only through the controller's serialized apply step,
-///   never mid-transaction (the engines read it once per transaction,
-///   under the page's server lock for releases).
-/// * `policy` must charge **no simulated cycles** and take no page
-///   locks: it is called with the page's server mutex held.
-/// * `uses_notices` must be constant for the lifetime of the protocol
-///   instance (it gates whether acquire points drain notice boards).
-pub trait CoherenceStrategy: fmt::Debug {
-    /// Short label for reports and provenance.
-    fn name(&self) -> &'static str;
-    /// The policy in effect for `page`.
-    fn policy(&self, page: u64) -> PagePolicy;
-    /// Does this strategy post write notices that acquire points must
-    /// drain?
-    fn uses_notices(&self) -> bool;
-}
-
-/// The static all-pages-eager strategy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EagerStrategy;
-
-impl CoherenceStrategy for EagerStrategy {
-    fn name(&self) -> &'static str {
-        "eager"
-    }
-    #[inline]
-    fn policy(&self, _page: u64) -> PagePolicy {
-        PagePolicy::Eager
-    }
-    fn uses_notices(&self) -> bool {
-        false
-    }
-}
-
-/// The static all-pages home-LRC strategy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HomeLrcStrategy;
-
-impl CoherenceStrategy for HomeLrcStrategy {
-    fn name(&self) -> &'static str {
-        "lrc"
-    }
-    #[inline]
-    fn policy(&self, _page: u64) -> PagePolicy {
-        PagePolicy::HomeLrc
-    }
-    fn uses_notices(&self) -> bool {
-        true
-    }
-}
-
 const TABLE_SHARDS: usize = 16;
 
 /// The profile-driven adaptive-grain controller.
@@ -259,6 +203,15 @@ impl AdaptiveController {
             .lock()
             .insert(decision.page, decision.policy);
         self.decisions.lock().push(decision);
+    }
+
+    /// The policy installed for `page` (`Eager` until reclassified).
+    pub fn policy(&self, page: u64) -> PagePolicy {
+        self.table[(page as usize) % TABLE_SHARDS]
+            .lock()
+            .get(&page)
+            .copied()
+            .unwrap_or(PagePolicy::Eager)
     }
 
     /// The decision trace so far, in decision order.
@@ -333,93 +286,28 @@ impl AdaptiveController {
     }
 }
 
-impl CoherenceStrategy for AdaptiveController {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-    fn policy(&self, page: u64) -> PagePolicy {
-        self.table[(page as usize) % TABLE_SHARDS]
-            .lock()
-            .get(&page)
-            .copied()
-            .unwrap_or(PagePolicy::Eager)
-    }
-    fn uses_notices(&self) -> bool {
-        false
-    }
-}
-
-/// Enum dispatch over the three strategies (no `dyn` indirection on
-/// protocol slow paths; the `Eager` arm folds to a constant).
-#[derive(Debug)]
-pub enum StrategyBox {
-    /// All pages [`PagePolicy::Eager`].
-    Eager(EagerStrategy),
-    /// All pages [`PagePolicy::HomeLrc`].
-    HomeLrc(HomeLrcStrategy),
-    /// Profile-driven per-page policies.
-    Adaptive(AdaptiveController),
-}
-
-impl StrategyBox {
-    /// Builds the strategy a configuration asks for.
-    pub fn new(kind: ProtocolKind, params: AdaptiveParams) -> StrategyBox {
-        match kind {
-            ProtocolKind::Eager => StrategyBox::Eager(EagerStrategy),
-            ProtocolKind::HomeLrc => StrategyBox::HomeLrc(HomeLrcStrategy),
-            ProtocolKind::Adaptive => StrategyBox::Adaptive(AdaptiveController::new(params)),
-        }
-    }
-
-    /// The adaptive controller, when this strategy is adaptive.
-    pub fn controller(&self) -> Option<&AdaptiveController> {
-        match self {
-            StrategyBox::Adaptive(c) => Some(c),
-            _ => None,
-        }
-    }
-}
-
-impl CoherenceStrategy for StrategyBox {
-    fn name(&self) -> &'static str {
-        match self {
-            StrategyBox::Eager(s) => s.name(),
-            StrategyBox::HomeLrc(s) => s.name(),
-            StrategyBox::Adaptive(s) => s.name(),
-        }
-    }
-    #[inline]
-    fn policy(&self, page: u64) -> PagePolicy {
-        match self {
-            StrategyBox::Eager(s) => s.policy(page),
-            StrategyBox::HomeLrc(s) => s.policy(page),
-            StrategyBox::Adaptive(s) => s.policy(page),
-        }
-    }
-    fn uses_notices(&self) -> bool {
-        match self {
-            StrategyBox::Eager(s) => s.uses_notices(),
-            StrategyBox::HomeLrc(s) => s.uses_notices(),
-            StrategyBox::Adaptive(s) => s.uses_notices(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MgsProtocol, ProtoConfig};
     use mgs_obs::PageProfile;
 
     #[test]
-    fn static_strategies_are_uniform() {
-        let e = StrategyBox::new(ProtocolKind::Eager, AdaptiveParams::default());
-        let l = StrategyBox::new(ProtocolKind::HomeLrc, AdaptiveParams::default());
+    fn static_protocols_are_uniform() {
+        let proto = |protocol| {
+            MgsProtocol::new(ProtoConfig {
+                protocol,
+                ..ProtoConfig::new(2, 2)
+            })
+        };
+        let (e, l) = (proto(ProtocolKind::Eager), proto(ProtocolKind::HomeLrc));
         for page in [0u64, 7, 1 << 40] {
             assert_eq!(e.policy(page), PagePolicy::Eager);
             assert_eq!(l.policy(page), PagePolicy::HomeLrc);
         }
-        assert!(!e.uses_notices());
-        assert!(l.uses_notices());
+        assert!(!e.uses_notices() && e.controller().is_none());
+        assert!(l.uses_notices() && l.controller().is_none());
+        assert!(proto(ProtocolKind::Adaptive).controller().is_some());
     }
 
     #[test]

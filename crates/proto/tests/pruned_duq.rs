@@ -144,7 +144,7 @@ fn evicting_a_pinned_writer_takes_the_stale_readers_with_it() {
     let mut cfg = ProtoConfig::new(4, 1);
     cfg.protocol = ProtocolKind::Adaptive;
     let proto = MgsProtocol::new(cfg);
-    let controller = proto.strategy().controller().expect("adaptive");
+    let controller = proto.controller().expect("adaptive");
     controller.install(PolicyDecision {
         page: PAGE,
         policy: PagePolicy::SingleWriterPin,

@@ -1,5 +1,7 @@
 //! Randomized equivalence of the span diff kernel against the
-//! [`PageDiff`] reference oracle, plus pooling invariants.
+//! [`PageDiff`] reference oracle (the original per-word kernel, which
+//! lives here now that nothing in production computes it), plus pooling
+//! invariants.
 //!
 //! Cases come from a seeded [`XorShift64`] stream (proptest is
 //! unavailable offline); every failure message names the case seed.
@@ -14,13 +16,91 @@
 //! * pooled buffers never leak stale words into a twin,
 //! * a steady-state release cycle performs zero pool allocations.
 
-use mgs_proto::{MgsProtocol, PageDiff, ProtoConfig, RecordingTiming, SpanDiff};
+use mgs_proto::{MgsProtocol, ProtoConfig, RecordingTiming, SpanDiff};
 use mgs_sim::{Cycles, XorShift64};
 use mgs_vm::{FrameAllocator, PageFrame, PageGeometry, TwinPool};
 use std::collections::BTreeSet;
 
 const CASES: u64 = 300;
 const WORDS: u64 = 128;
+
+/// A diff between a page copy and its twin: the set of words the local
+/// SSMP changed since twinning.
+///
+/// Only changed words are propagated back to the home copy at release
+/// time, which is what lets multiple SSMPs write disjoint parts of the
+/// same page concurrently (false sharing costs bandwidth, not
+/// correctness).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct PageDiff {
+    entries: Vec<(u32, u64)>,
+}
+
+impl PageDiff {
+    /// Computes the diff of `current` against `twin`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ.
+    fn compute(current: &[u64], twin: &[u64]) -> PageDiff {
+        assert_eq!(current.len(), twin.len(), "page/twin size mismatch");
+        PageDiff {
+            entries: current
+                .iter()
+                .zip(twin)
+                .enumerate()
+                .filter(|(_, (c, t))| c != t)
+                .map(|(i, (c, _))| (i as u32, *c))
+                .collect(),
+        }
+    }
+
+    /// Computes the diff of a live frame against its twin (the frame is
+    /// snapshotted word-atomically).
+    fn compute_from_frame(frame: &PageFrame, twin: &[u64]) -> PageDiff {
+        PageDiff::compute(&frame.snapshot(), twin)
+    }
+
+    /// Number of changed words.
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` when nothing changed.
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The changed `(word_index, value)` pairs, in ascending index
+    /// order.
+    fn entries(&self) -> &[(u32, u64)] {
+        &self.entries
+    }
+
+    /// Applies the diff to a plain buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range.
+    fn apply_to_slice(&self, target: &mut [u64]) {
+        for &(idx, val) in &self.entries {
+            target[idx as usize] = val;
+        }
+    }
+
+    /// Applies the diff to a live frame (the home copy).
+    fn apply_to_frame(&self, frame: &PageFrame) {
+        for &(idx, val) in &self.entries {
+            frame.store(idx as u64, val);
+        }
+    }
+
+    /// Word indices touched by the diff (used to mark home cache lines
+    /// dirty after a merge).
+    fn word_indices(&self) -> impl Iterator<Item = u64> + '_ {
+        self.entries.iter().map(|&(i, _)| i as u64)
+    }
+}
 
 /// Builds a frame/twin pair with a randomized change pattern: a mix of
 /// contiguous dirty runs (the common application pattern) and isolated
@@ -84,6 +164,7 @@ fn span_diff_equals_page_diff_oracle() {
             oracle.len() as u64,
             "seed {seed}: transfer word count differs"
         );
+        assert_eq!(scratch.is_empty(), oracle.is_empty(), "seed {seed}");
 
         // Same post-apply image, slice target.
         let mut a: Vec<u64> = (0..WORDS).map(|w| w.wrapping_mul(0x9E37)).collect();
@@ -119,6 +200,29 @@ fn span_diff_equals_page_diff_oracle() {
             oracle_lines,
             "seed {seed}: touched-line sets differ"
         );
+    }
+}
+
+#[test]
+fn span_matches_page_diff_on_frames() {
+    let frames = FrameAllocator::new(PageGeometry::default());
+    let frame = frames.alloc(0);
+    let twin = frame.snapshot();
+    for w in [0u64, 1, 2, 64, 126, 127] {
+        frame.store(w, w + 100);
+    }
+    let oracle = PageDiff::compute_from_frame(&frame, &twin);
+    let span = SpanDiff::compute_from_frame(&frame, &twin);
+    assert_eq!(
+        span.entries().collect::<Vec<_>>(),
+        oracle.entries().to_vec()
+    );
+    assert_eq!(span.changed_words(), oracle.len() as u64);
+
+    let home = frames.alloc(0);
+    span.apply_to_frame(&home);
+    for w in [0u64, 1, 2, 64, 126, 127] {
+        assert_eq!(home.load(w), w + 100);
     }
 }
 

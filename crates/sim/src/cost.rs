@@ -281,7 +281,7 @@ impl CostModel {
     /// Alewife software diff walks the whole page against its twin
     /// regardless of how much changed. The charge is a function of the
     /// page size only, so which host-side kernel produced the diff
-    /// (the per-word reference `PageDiff` or the chunked span kernel)
+    /// (the per-word reference kernel or the chunked span kernel)
     /// cannot affect simulated cycles.
     pub fn diff_compute_cost(&self, words: u64) -> Cycles {
         self.diff_setup + self.diff_per_word * words

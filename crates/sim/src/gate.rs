@@ -238,8 +238,9 @@ impl Slot {
 }
 
 /// Sharded, lock-free windowed skew bound. See the `gate` module docs
-/// for the design; see `TimeGovernor` for the enum that selects
-/// between this and the virtual scheduler.
+/// for the design. No machine is paced by it any more — the
+/// [`VirtualScheduler`](crate::VirtualScheduler) paces them all — it
+/// stays for the benchmark's `sim.gate_*` unit costs.
 #[derive(Debug)]
 pub struct EpochGate {
     slots: Box<[Slot]>,

@@ -13,10 +13,14 @@
 //! * **Perfetto export** — the exported `trace_event` JSON parses, and
 //!   on every track the begin/end spans nest: depth never goes
 //!   negative, every span closes, and timestamps are monotonic.
+//! * **One message clock** — a delivered message's trace event carries
+//!   the instant it was launched, with or without a fault plan.
 
 use mgs_repro::core::{
-    export_perfetto, AccessKind, CostCategory, DssmpConfig, FaultPlan, Machine, Metric, RunReport,
+    export_perfetto, AccessKind, CostCategory, DssmpConfig, FaultPlan, FaultSpec, Machine, Metric,
+    RunReport, TraceEvent, TraceKind,
 };
+use mgs_repro::net::MsgKind;
 use mgs_repro::sim::Cycles;
 
 const PROCS: usize = 32;
@@ -270,4 +274,39 @@ fn perfetto_export_parses_and_spans_nest() {
     for ((pid, tid), (depth, _)) in tracks {
         assert_eq!(depth, 0, "track ({pid}, {tid}): every span must close");
     }
+}
+
+/// Processor 2's message events on a run where it alone does protocol
+/// work: one cross-SSMP write fault, released at the barrier.
+fn message_trace(plan: FaultPlan) -> Vec<TraceEvent> {
+    let mut cfg = DssmpConfig::new(4, 2).with_faults(plan);
+    cfg.trace = true;
+    let machine = Machine::new(cfg);
+    let arr = machine.alloc_array_blocked::<u64>(WORDS * 4, AccessKind::DistArray);
+    machine.run(|env| {
+        if env.pid() == 2 {
+            arr.write(env, 0, 1);
+        }
+        env.barrier();
+    });
+    let mut trace = machine.take_trace();
+    trace.retain(|e| e.proc == 2 && matches!(e.kind, TraceKind::Message { .. }));
+    trace
+}
+
+#[test]
+fn delivered_message_is_stamped_the_same_under_any_fault_plan() {
+    let perfect = message_trace(FaultPlan::none());
+    // An active plan that happens to deliver everything this run
+    // sends: it only ever loses UPDATE pushes, which eager never sends.
+    let lossy_updates = FaultSpec {
+        drop: 0.5,
+        ..FaultSpec::NONE
+    };
+    let spared = message_trace(FaultPlan::seeded(7).with_kind(MsgKind::Update, lossy_updates));
+    let crossings = perfect
+        .iter()
+        .filter(|e| matches!(e.kind, TraceKind::Message { from, to, .. } if from != to));
+    assert!(crossings.count() > 0, "the write fault must cross SSMPs");
+    assert_eq!(perfect, spared);
 }

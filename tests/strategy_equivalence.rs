@@ -6,10 +6,12 @@
 //!   default) reproduces the pre-refactor protocol *exactly*: every
 //!   run report below (duration, LAN traffic, lock counts, retries,
 //!   and the full four-way cycle breakdown) equals a golden value
-//!   captured from the tree immediately before the `CoherenceStrategy`
-//!   trait was introduced, at the default worker budget and at one
+//!   captured from the tree immediately before per-page policies
+//!   were introduced, at the default worker budget and at one
 //!   worker, on perfect and seeded-lossy fabrics, and cluster sizes
-//!   1 / 4 / 32;
+//!   1 / 4 / 32 — and the [`ProtocolKind::HomeLrc`] and
+//!   [`ProtocolKind::Adaptive`] rows equal what the tree produced
+//!   immediately before the protocol's arcs became shared steps;
 //! * **convergence** — the [`ProtocolKind::HomeLrc`] and
 //!   [`ProtocolKind::Adaptive`] strategies produce the fault-free
 //!   memory image on data-race-free programs (checked against a
@@ -146,6 +148,83 @@ const GOLDENS: &[(&str, [u64; 9])] = &[
         "water-c32-virtual-w1",
         [191633, 0, 0, 272, 0, 68229, 22887, 100517, 0],
     ),
+    // Home-LRC and Adaptive, one worker (`virtual_w1`), captured from
+    // commit `0aaddea` — the tree immediately before the protocol's
+    // release, invalidate and drop arcs became shared steps.
+    (
+        "jacobi-lrc-c1",
+        [200375, 602, 119456, 0, 0, 9180, 0, 86822, 100474],
+    ),
+    (
+        "jacobi-lrc-c4",
+        [110640, 161, 23888, 0, 0, 11396, 0, 53053, 39095],
+    ),
+    (
+        "tsp-lrc-c1",
+        [
+            6816856, 2258, 276800, 218, 0, 18265, 6355553, 239424, 203614,
+        ],
+    ),
+    (
+        "tsp-lrc-c4",
+        [2943128, 761, 95552, 225, 0, 19037, 2751237, 80262, 92592],
+    ),
+    (
+        "water-lrc-c1",
+        [
+            6184222, 4475, 497880, 272, 0, 63374, 1119190, 3425315, 1575775,
+        ],
+    ),
+    (
+        "water-lrc-c4",
+        [
+            3755081, 1786, 190576, 272, 0, 63988, 734523, 2183078, 748800,
+        ],
+    ),
+    (
+        "phased-lrc-c1",
+        [914576, 487, 79360, 0, 0, 2440, 0, 372787, 539349],
+    ),
+    (
+        "phased-lrc-c2",
+        [547607, 225, 33792, 0, 0, 3531, 0, 274182, 269894],
+    ),
+    (
+        "jacobi-adaptive-c1",
+        [1499110, 2311, 596648, 0, 0, 9243, 0, 785652, 704215],
+    ),
+    (
+        "jacobi-adaptive-c4",
+        [211751, 183, 43304, 0, 0, 11247, 0, 133661, 66843],
+    ),
+    (
+        "tsp-adaptive-c1",
+        [4719151, 1816, 159232, 221, 0, 18369, 4491975, 66438, 142369],
+    ),
+    (
+        "tsp-adaptive-c4",
+        [2440809, 647, 87016, 240, 0, 20039, 2280254, 64967, 75549],
+    ),
+    (
+        "water-adaptive-c1",
+        [
+            7221087, 4281, 261200, 272, 0, 63346, 1328025, 4105716, 1724000,
+        ],
+    ),
+    (
+        "water-adaptive-c4",
+        [
+            5840649, 2689, 648168, 272, 0, 64056, 1082078, 3317015, 1377500,
+        ],
+    ),
+    (
+        "phased-adaptive-c1",
+        [979432, 408, 80560, 0, 0, 2429, 0, 402618, 574385],
+    ),
+    (
+        "phased-adaptive-c2",
+        [655775, 213, 41944, 0, 0, 3453, 0, 324626, 327696],
+    ),
 ];
 
 fn golden(name: &str) -> [u64; 9] {
@@ -160,7 +239,7 @@ fn check(name: &str, r: &RunReport) {
     assert_eq!(
         fields(r),
         golden(name),
-        "{name}: Eager must be bit-identical to the pre-refactor protocol"
+        "{name}: the report must be bit-identical to the pre-refactor protocol's"
     );
 }
 
@@ -253,9 +332,10 @@ fn eager_microbenchmarks_match_pre_refactor_goldens() {
     }
 }
 
-#[test]
-fn eager_applications_match_pre_refactor_goldens() {
-    let apps: Vec<(&str, Box<dyn MgsApp>)> = vec![
+/// The three applications the golden table pins, at sizes small enough
+/// for one worker.
+fn golden_apps() -> Vec<(&'static str, Box<dyn MgsApp>)> {
+    vec![
         (
             "jacobi",
             Box::new(Jacobi {
@@ -279,13 +359,47 @@ fn eager_applications_match_pre_refactor_goldens() {
                 ..Water::small()
             }),
         ),
-    ];
-    for (name, app) in &apps {
+    ]
+}
+
+#[test]
+fn eager_applications_match_pre_refactor_goldens() {
+    for (name, app) in &golden_apps() {
         for c in [1usize, 4, 32] {
             let mut cfg = DssmpConfig::new(PROCS, c).with_protocol(ProtocolKind::Eager);
             virtual_w1(&mut cfg);
             let r = app.execute(&Machine::new(cfg));
             check(&format!("{name}-c{c}-virtual-w1"), &r);
+        }
+    }
+}
+
+/// The benchmark runs Eager only, so these rows are what sees a
+/// home-LRC or adaptive cycle-accounting change: the golden apps and
+/// the phased false-sharing program at one worker, under both
+/// non-eager protocols.
+#[test]
+fn non_eager_runs_match_pre_refactor_goldens() {
+    for kind in [ProtocolKind::HomeLrc, ProtocolKind::Adaptive] {
+        let label = kind.label();
+        for (name, app) in &golden_apps() {
+            for c in [1usize, 4] {
+                let mut cfg = DssmpConfig::new(PROCS, c).with_protocol(kind);
+                virtual_w1(&mut cfg);
+                cfg.adaptive.sample_every = Cycles(10_000);
+                cfg.adaptive.min_activity = 8;
+                let r = app.execute(&Machine::new(cfg));
+                check(&format!("{name}-{label}-c{c}"), &r);
+            }
+        }
+        for c in [1usize, 2] {
+            let mut cfg = DssmpConfig::new(CP, c).with_protocol(kind);
+            virtual_w1(&mut cfg);
+            cfg.adaptive.sample_every = Cycles(5_000);
+            cfg.adaptive.min_activity = 8;
+            let (image, r) = run_phased(cfg);
+            assert_eq!(image, interpret(&phased_writes()), "phased {label} C={c}");
+            check(&format!("phased-{label}-c{c}"), &r);
         }
     }
 }
