@@ -38,6 +38,7 @@
 
 pub mod barnes;
 pub mod common;
+pub mod envelope;
 pub mod jacobi;
 pub mod matmul;
 pub mod tsp;
@@ -62,71 +63,7 @@ pub trait MgsApp: Sync {
 /// returning one sweep point per configuration (Figures 6–10
 /// methodology: fresh machine per point, everything fixed except `C`).
 pub fn sweep_app(base: &DssmpConfig, app: &dyn MgsApp) -> Vec<mgs_core::framework::SweepPoint> {
-    let mut points = Vec::new();
-    let mut c = 1;
-    while c <= base.n_procs {
-        let mut cfg = base.clone();
-        cfg.cluster_size = c;
-        let machine = Machine::new(cfg);
-        let report = app.execute(&machine);
-        points.push(mgs_core::framework::SweepPoint {
-            cluster_size: c,
-            report,
-            lock_hit_ratio: machine.lock_hit_ratio(),
-        });
-        c *= 2;
-    }
-    points
-}
-
-/// Like [`sweep_app`], but averages `reps` independent runs per
-/// cluster size (execution-driven runs are timing-nondeterministic; the
-/// harness uses a few repetitions for stable figures).
-pub fn sweep_app_averaged(
-    base: &DssmpConfig,
-    app: &dyn MgsApp,
-    reps: usize,
-) -> Vec<mgs_core::framework::SweepPoint> {
-    use mgs_core::{CostCategory, CycleAccount, Cycles};
-    assert!(reps >= 1, "at least one repetition");
-    let mut points = Vec::new();
-    let mut c = 1;
-    while c <= base.n_procs {
-        let mut durations = 0u64;
-        let mut breakdown_sum = CycleAccount::new();
-        let mut hit_sum = 0.0;
-        let mut acquires = 0;
-        let mut hits = 0;
-        let mut last: Option<mgs_core::RunReport> = None;
-        for _ in 0..reps {
-            let mut cfg = base.clone();
-            cfg.cluster_size = c;
-            let machine = Machine::new(cfg);
-            let report = app.execute(&machine);
-            durations += report.duration.raw();
-            breakdown_sum.merge(&report.breakdown);
-            hit_sum += machine.lock_hit_ratio();
-            acquires += report.lock_acquires;
-            hits += report.lock_hits;
-            last = Some(report);
-        }
-        let mut report = last.expect("reps >= 1");
-        report.duration = Cycles(durations / reps as u64);
-        let mut mean = CycleAccount::new();
-        for cat in CostCategory::ALL {
-            mean.record(cat, breakdown_sum.get(cat) / reps as u64);
-        }
-        report.breakdown = mean;
-        report.lock_acquires = acquires / reps as u64;
-        report.lock_hits = hits / reps as u64;
-        points.push(mgs_core::framework::SweepPoint {
-            cluster_size: c,
-            report,
-            lock_hit_ratio: hit_sum / reps as f64,
-        });
-        c *= 2;
-    }
-    points
+    mgs_core::framework::sweep_with(base, |machine| app.execute(machine))
 }
 
 /// The sequential runtime of `app` (Table 4's "Seq" column): one

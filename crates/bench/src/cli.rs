@@ -1,8 +1,8 @@
-//! Minimal command-line parsing for the harness binaries.
+//! Minimal command-line parsing for the harness commands.
 
 use mgs_core::ProtocolKind;
 
-/// Common options shared by the harness binaries.
+/// Common options shared by the harness commands.
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Total processor count `P` (default 32, as in the paper).
@@ -10,16 +10,20 @@ pub struct Options {
     /// Problem-size divisor: 1 = the paper's sizes; larger values
     /// shrink the workloads for quick runs.
     pub scale: usize,
-    /// Repetitions per configuration (averaged) for sweep binaries.
+    /// Repetitions per configuration (averaged) for sweep commands.
     pub reps: usize,
-    /// Host worker-thread budget for parallel sweeps (`--jobs`);
-    /// `None` = the host's available parallelism. Each sweep point
-    /// costs its machine's `P` threads against this budget.
+    /// Worker budget for parallel sweeps (`--jobs`); `None` = the
+    /// host's available parallelism. A sweep point costs its machine's
+    /// `P` permits of `max(jobs, P)`, so below `2P` points run one at
+    /// a time (see [`crate::parallel`]).
     pub jobs: Option<usize>,
     /// Coherence strategy the sweeps run under (`--protocol
     /// {eager,lrc,adaptive}`; default eager — the paper's protocol).
     pub protocol: ProtocolKind,
-    /// Positional arguments (e.g. an application name).
+    /// Positional arguments (e.g. an application name; `main` takes
+    /// the first one as the command). Flags this parser does not know
+    /// (`--smoke`, `--json`, `--c 4`, …) land here too, for the command
+    /// to read.
     pub args: Vec<String>,
 }
 

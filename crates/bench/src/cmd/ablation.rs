@@ -13,9 +13,8 @@ use mgs_bench::cli::Options;
 use mgs_bench::suite::base_config;
 use mgs_core::{Cycles, Machine};
 
-fn main() {
-    let opts = Options::parse();
-    let base = base_config(&opts);
+pub fn run(opts: &Options) {
+    let base = base_config(opts);
     let water = Water {
         n: opts.dim(343, 48),
         ..Water::paper()

@@ -23,7 +23,7 @@
 //! convergence proof for the non-eager strategies. Results go to
 //! `BENCH_adaptive.json` with one `summary` record per (app, tier).
 //!
-//! Run with `cargo run --release -p mgs-bench --bin adaptive -- --quick`.
+//! Run with `cargo run --release -p mgs-bench -- adaptive --quick`.
 //! `--smoke` shrinks the matrix to a CI-sized gate (one app, two
 //! tiers, no C=1 point). Accepts `--p`, `--scale`, `--reps`, `--jobs`
 //! and `--protocol` (the latter restricts the sweep to one strategy).
@@ -148,8 +148,7 @@ fn run_sweep(
     }
 }
 
-fn main() {
-    let opts = Options::parse();
+pub fn run(opts: &Options) {
     let smoke = opts.args.iter().any(|a| a == "--smoke");
     let protocols: Vec<ProtocolKind> = if opts.protocol == ProtocolKind::Eager {
         PROTOCOLS.to_vec()
@@ -163,11 +162,11 @@ fn main() {
     // function of the configuration, so penalty ratios compare
     // strategies, not scheduling noise (TSP's branch-and-bound pruning
     // is timing-sensitive at any wider budget).
-    let mut base = suite::base_config(&opts);
+    let mut base = suite::base_config(opts);
     base.workers = Some(1);
     let mut apps: Vec<Box<dyn MgsApp>> = ["tsp", "water", "jacobi"]
         .iter()
-        .filter_map(|n| suite::by_name(&opts, n))
+        .filter_map(|n| suite::by_name(opts, n))
         .collect();
     if smoke {
         apps.truncate(1); // TSP: the paper's worst breakup penalty
@@ -184,11 +183,7 @@ fn main() {
         if smoke { ", smoke" } else { "" }
     );
 
-    let budget = WorkerBudget::new(
-        opts.jobs
-            .unwrap_or_else(mgs_bench::parallel::host_parallelism)
-            .max(opts.p),
-    );
+    let budget = WorkerBudget::for_jobs(opts.jobs, opts.p);
     let mut jobs: Vec<(usize, Box<dyn FnOnce() -> ProtoSweep + Send>)> = Vec::new();
     for app in &apps {
         for &(tier, latency) in &tier_list {
@@ -286,7 +281,7 @@ fn main() {
         .num("smoke", if smoke { 1.0 } else { 0.0 })
         .array("summary", summaries)
         .array("sweeps", sweep_records);
-    mgs_bench::provenance::stamp_run(&mut root, &opts, base.governor_window, base.workers);
+    mgs_bench::provenance::stamp_run(&mut root, opts, &base);
     if smoke {
         println!("\nsmoke run complete (BENCH_adaptive.json left untouched)");
         return;

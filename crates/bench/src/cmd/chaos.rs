@@ -2,10 +2,10 @@
 //!
 //! Two sections, both written to `BENCH_chaos.json`:
 //!
-//! * **equivalence** — a deterministic token-ring workload (one active
-//!   remote writer per barrier phase, time governor off, exactly like
-//!   `tests/determinism.rs`) run under three fabrics and *asserted*
-//!   cycle-exact:
+//! * **equivalence** — the deterministic token ring of
+//!   `mgs_apps::envelope` (one active remote writer per barrier phase),
+//!   unpaced, run under three fabrics and *asserted* cycle-exact
+//!   (`RunReport::first_divergence`):
 //!   - a drop-rate-0 [`FaultPlan`] must be bit-identical to
 //!     [`FaultPlan::none`] — the inactive plan is discarded and the
 //!     pre-fault delivery path runs;
@@ -21,17 +21,15 @@
 //!   fault-free answer — and each point records the injected drops,
 //!   duplicates and protocol retransmissions alongside the runtime.
 //!
-//! Run with `cargo run --release -p mgs-bench --bin chaos -- --quick`.
+//! Run with `cargo run --release -p mgs-bench -- chaos --quick`.
 //! Accepts the usual `--p`, `--scale`, `--reps` and `--jobs` flags.
 
-use mgs_apps::MgsApp;
+use mgs_apps::{envelope, MgsApp};
 use mgs_bench::cli::Options;
 use mgs_bench::json::JsonObject;
 use mgs_bench::parallel::{run_weighted, WorkerBudget};
 use mgs_bench::suite;
-use mgs_core::{
-    AccessKind, CostCategory, DssmpConfig, FaultPlan, Machine, ProtocolKind, RunReport,
-};
+use mgs_core::{CostCategory, DssmpConfig, FaultPlan, Machine, ProtocolKind, RunReport};
 use mgs_sim::Cycles;
 
 /// Seed of every fault schedule in this harness ("CHAOS").
@@ -47,65 +45,14 @@ const RING_PROCS: usize = 8;
 /// Words per processor block (4 one-KB pages each).
 const RING_WORDS: u64 = 512;
 
-/// The deterministic ring: in phase `k` only processor `k` touches
-/// shared state — it writes its successor's self-homed block and reads
-/// it back — then everyone barriers. With a single active processor per
-/// phase, every cross-SSMP transaction is serialized, so no occupancy
-/// resource is ever contended and the cycle accounting is a pure
-/// function of the configuration (the envelope `tests/determinism.rs`
-/// establishes).
-fn run_ring(cluster_size: usize, plan: FaultPlan, protocol: ProtocolKind) -> RunReport {
+/// The envelope's token ring (`mgs_apps::envelope::ring`), unpaced, on
+/// the given fabric.
+fn ring(cluster_size: usize, plan: FaultPlan, protocol: ProtocolKind) -> RunReport {
     let mut cfg = DssmpConfig::new(RING_PROCS, cluster_size)
         .with_protocol(protocol)
         .with_faults(plan);
     cfg.governor_window = None;
-    let machine = Machine::new(cfg);
-    let arr =
-        machine.alloc_array_blocked::<u64>(RING_WORDS * RING_PROCS as u64, AccessKind::DistArray);
-    machine.run(|env| {
-        let pid = env.pid();
-        env.start_measurement();
-        for phase in 0..RING_PROCS {
-            if pid == phase {
-                let base = ((pid + 1) % RING_PROCS) as u64 * RING_WORDS;
-                for i in 0..RING_WORDS {
-                    arr.write(env, base + i, ((phase as u64) << 32) | i);
-                }
-                let mut acc = 0u64;
-                for i in 0..RING_WORDS {
-                    acc = acc.wrapping_add(arr.read(env, base + i));
-                }
-                std::hint::black_box(acc);
-            }
-            env.barrier();
-        }
-    })
-}
-
-/// Panics unless the two reports carry bit-identical cycle accounting
-/// and LAN traffic (same criteria as `tests/determinism.rs`).
-fn assert_identical(a: &RunReport, b: &RunReport, what: &str) {
-    assert_eq!(a.duration.raw(), b.duration.raw(), "{what}: duration");
-    for cat in CostCategory::ALL {
-        assert_eq!(
-            a.breakdown.get(cat).raw(),
-            b.breakdown.get(cat).raw(),
-            "{what}: breakdown {}",
-            cat.label()
-        );
-    }
-    for (p, (x, y)) in a.per_proc.iter().zip(&b.per_proc).enumerate() {
-        for cat in CostCategory::ALL {
-            assert_eq!(
-                x.get(cat).raw(),
-                y.get(cat).raw(),
-                "{what}: proc {p} {}",
-                cat.label()
-            );
-        }
-    }
-    assert_eq!(a.lan_messages, b.lan_messages, "{what}: LAN messages");
-    assert_eq!(a.lan_bytes, b.lan_bytes, "{what}: LAN bytes");
+    envelope::ring(&Machine::new(cfg), RING_WORDS)
 }
 
 fn equivalence_record(name: &str, c: usize, r: &RunReport) -> JsonObject {
@@ -125,24 +72,28 @@ fn equivalence_record(name: &str, c: usize, r: &RunReport) -> JsonObject {
 fn run_equivalence(protocol: ProtocolKind) -> Vec<JsonObject> {
     let mut records = Vec::new();
     for c in [1, 2, 4] {
-        let baseline = run_ring(c, FaultPlan::none(), protocol);
+        let baseline = ring(c, FaultPlan::none(), protocol);
         assert!(baseline.lan_messages > 0, "ring must cross SSMPs at C={c}");
 
-        let zero = run_ring(
+        let zero = ring(
             c,
             FaultPlan::uniform(SEED, 0.0, 0.0, Cycles::ZERO),
             protocol,
         );
-        assert_identical(&baseline, &zero, &format!("drop-0 plan C={c}"));
+        assert_eq!(baseline.first_divergence(&zero), None, "drop-0 plan C={c}");
         assert_eq!(zero.lan_drops + zero.lan_duplicates + zero.retries, 0);
         records.push(equivalence_record("ring/drop0", c, &zero));
 
-        let storm = run_ring(
+        let storm = ring(
             c,
             FaultPlan::uniform(SEED, 0.0, 1.0, Cycles::ZERO),
             protocol,
         );
-        assert_identical(&baseline, &storm, &format!("duplicate storm C={c}"));
+        assert_eq!(
+            baseline.first_divergence(&storm),
+            None,
+            "duplicate storm C={c}"
+        );
         assert!(
             storm.lan_duplicates >= storm.lan_messages,
             "storm must duplicate every inter-SSMP message at C={c}"
@@ -221,9 +172,8 @@ fn run_point(base: &DssmpConfig, app: &dyn MgsApp, c: usize, drop: f64, reps: us
     }
 }
 
-fn main() {
-    let opts = Options::parse();
-    let base = suite::base_config(&opts);
+pub fn run(opts: &Options) {
+    let base = suite::base_config(opts);
 
     println!(
         "chaos: protocol recovery on an unreliable LAN (P = {}, {} protocol)",
@@ -235,27 +185,13 @@ fn main() {
 
     // The six applications of the acceptance criteria: the suite plus
     // the (unmodified) Water kernel.
-    let mut apps: Vec<Box<dyn MgsApp>> = suite::suite(&opts)
-        .into_iter()
-        .map(|(app, _)| app)
-        .collect();
-    apps.push(Box::new(suite::kernels(&opts)[0].0.clone()));
+    let mut apps: Vec<Box<dyn MgsApp>> =
+        suite::suite(opts).into_iter().map(|(app, _)| app).collect();
+    apps.push(Box::new(suite::kernels(opts)[0].0.clone()));
 
-    let cluster_sizes: Vec<usize> = {
-        let mut v = Vec::new();
-        let mut c = 1;
-        while c <= opts.p {
-            v.push(c);
-            c *= 2;
-        }
-        v
-    };
+    let cluster_sizes: Vec<usize> = base.cluster_sizes().collect();
 
-    let budget = WorkerBudget::new(
-        opts.jobs
-            .unwrap_or_else(mgs_bench::parallel::host_parallelism)
-            .max(opts.p),
-    );
+    let budget = WorkerBudget::for_jobs(opts.jobs, opts.p);
     let mut jobs: Vec<(usize, Box<dyn FnOnce() -> Point + Send>)> = Vec::new();
     for app in &apps {
         for &c in &cluster_sizes {
@@ -337,7 +273,7 @@ fn main() {
         .num("jitter_cycles", JITTER.raw() as f64)
         .array("equivalence", equivalence)
         .array("sweep", sweep_records);
-    mgs_bench::provenance::stamp_run(&mut root, &opts, None, None);
+    mgs_bench::provenance::stamp_run(&mut root, opts, &base);
     let path = "BENCH_chaos.json";
     std::fs::write(path, root.render(0) + "\n").expect("write BENCH_chaos.json");
     println!("\nwrote {path}: every run recovered to the fault-free result");

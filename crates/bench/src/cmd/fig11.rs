@@ -1,20 +1,19 @@
 //! Regenerates **Figure 11**: the MGS token-lock hit ratio as a
 //! function of cluster size for the lock-using applications
-//! (TSP, Water, Barnes-Hut). The three sweeps run concurrently under
-//! the `--jobs` worker budget.
+//! (TSP, Water, Barnes-Hut). The three sweeps share the `--jobs`
+//! worker budget (`mgs_bench::parallel`).
 
 use mgs_bench::chart::series_chart;
 use mgs_bench::cli::Options;
 use mgs_bench::parallel::parallel_sweeps;
 use mgs_bench::suite::{base_config, by_name};
 
-fn main() {
-    let opts = Options::parse();
-    let base = base_config(&opts);
+pub fn run(opts: &Options) {
+    let base = base_config(opts);
     let names = ["tsp", "water", "barnes-hut"];
     let apps: Vec<Box<dyn mgs_apps::MgsApp>> = names
         .iter()
-        .map(|n| by_name(&opts, n).expect("known app"))
+        .map(|n| by_name(opts, n).expect("known app"))
         .collect();
     eprintln!("sweeping {names:?} in parallel...");
     let sweeps = parallel_sweeps(&base, &apps, opts.reps, opts.jobs);

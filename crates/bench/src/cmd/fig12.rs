@@ -1,8 +1,8 @@
 //! Regenerates **Figure 12**: the Water force-interaction kernel
 //! without (left) and with (right) the tiling loop transformation of
 //! §5.2.3, including the breakup-penalty collapse the paper reports
-//! (334% → 26%). Both kernel sweeps run concurrently under the
-//! `--jobs` worker budget.
+//! (334% → 26%). Both kernel sweeps share the `--jobs` worker budget
+//! (`mgs_bench::parallel`).
 
 use mgs_apps::MgsApp;
 use mgs_bench::chart::breakdown_chart;
@@ -11,10 +11,9 @@ use mgs_bench::parallel::parallel_sweeps;
 use mgs_bench::suite::{base_config, kernels};
 use mgs_core::framework;
 
-fn main() {
-    let opts = Options::parse();
-    let base = base_config(&opts);
-    let apps: Vec<Box<dyn MgsApp>> = kernels(&opts)
+pub fn run(opts: &Options) {
+    let base = base_config(opts);
+    let apps: Vec<Box<dyn MgsApp>> = kernels(opts)
         .into_iter()
         .map(|(k, _)| Box::new(k) as Box<dyn MgsApp>)
         .collect();

@@ -4,8 +4,8 @@
 //!
 //! Usage: `figures [app ...]` — any of jacobi, matmul, tsp, water,
 //! barnes-hut, water-kernel, water-kernel-tiled; default: the paper's
-//! five applications. All `(app × cluster size)` points run
-//! concurrently under the `--jobs` worker budget.
+//! five applications. All `(app × cluster size)` points share the
+//! `--jobs` worker budget (`mgs_bench::parallel`).
 
 use mgs_bench::chart::breakdown_chart;
 use mgs_bench::cli::Options;
@@ -13,15 +13,14 @@ use mgs_bench::parallel::parallel_sweeps;
 use mgs_bench::suite::{base_config, by_name, suite};
 use mgs_core::framework;
 
-fn main() {
-    let opts = Options::parse();
-    let base = base_config(&opts);
+pub fn run(opts: &Options) {
+    let base = base_config(opts);
     let apps: Vec<Box<dyn mgs_apps::MgsApp>> = if opts.args.is_empty() {
-        suite(&opts).into_iter().map(|(a, _)| a).collect()
+        suite(opts).into_iter().map(|(a, _)| a).collect()
     } else {
         opts.args
             .iter()
-            .map(|n| by_name(&opts, n).unwrap_or_else(|| panic!("unknown app: {n}")))
+            .map(|n| by_name(opts, n).unwrap_or_else(|| panic!("unknown app: {n}")))
             .collect()
     };
     eprintln!(

@@ -22,21 +22,21 @@
 //! without the trace's allocation overhead).
 //!
 //! ```text
-//! cargo run --release -p mgs-bench --bin profile -- water --c 8
+//! cargo run --release -p mgs-bench -- profile water --c 8
 //! ```
 
 use mgs_bench::cli::Options;
 use mgs_bench::suite::by_name;
 use mgs_core::{export_perfetto, DssmpConfig, GovernorWaitReport, Machine};
 
-fn main() {
-    let mut opts = Options::parse();
+pub fn run(opts: &Options) {
+    let mut opts = opts.clone();
     let mut cluster: Option<usize> = None;
     let mut top = 10usize;
     let mut trace = true;
     let mut smoke = false;
     let mut workers: Option<usize> = None;
-    // Binary-specific flags arrive as positionals; drain them.
+    // Command-specific flags arrive as positionals; drain them.
     let mut app_name = String::from("jacobi");
     let mut it = std::mem::take(&mut opts.args).into_iter();
     while let Some(a) = it.next() {

@@ -8,18 +8,18 @@
 //!   amortize protocol overhead but aggravate false sharing);
 //! * **machine size sweep** — P at a fixed cluster size.
 //!
-//! All points in each study run concurrently under the `--jobs` worker
-//! budget, weighted by each configuration's processor count.
+//! All points in each study share the `--jobs` worker budget
+//! (`mgs_bench::parallel`), weighted by each configuration's processor
+//! count.
 
 use mgs_apps::{water::Water, MgsApp};
 use mgs_bench::chart::table;
 use mgs_bench::cli::Options;
-use mgs_bench::parallel::{host_parallelism, parallel_sweeps_of, run_weighted, WorkerBudget};
+use mgs_bench::parallel::{parallel_sweeps_of, run_weighted, WorkerBudget};
 use mgs_bench::suite::base_config;
 use mgs_core::{framework, Cycles, Machine, PageGeometry};
 
-fn main() {
-    let opts = Options::parse();
+pub fn run(opts: &Options) {
     let water = Water {
         n: opts.dim(343, 48),
         ..Water::paper()
@@ -31,7 +31,7 @@ fn main() {
     eprintln!("water sweeps at ext latencies {latencies:?} in parallel...");
     let bases: Vec<_> = latencies
         .iter()
-        .map(|&ext| base_config(&opts).with_ext_latency(Cycles(ext)))
+        .map(|&ext| base_config(opts).with_ext_latency(Cycles(ext)))
         .collect();
     let sweeps: Vec<(mgs_core::DssmpConfig, &dyn MgsApp)> = bases
         .iter()
@@ -64,20 +64,20 @@ fn main() {
     let machines = [8usize, 16, 32];
     let mut configs = Vec::new();
     for &page in &pages {
-        let mut cfg = base_config(&opts);
+        let mut cfg = base_config(opts);
         cfg.cluster_size = c;
         cfg.geometry = PageGeometry::new(page);
         configs.push(cfg);
     }
     for &p in &machines {
-        let mut cfg = base_config(&opts);
+        let mut cfg = base_config(opts);
         cfg.n_procs = p;
         cfg.cluster_size = 4.min(p);
         configs.push(cfg);
     }
     eprintln!("page-size and machine-size points in parallel...");
     let max_weight = configs.iter().map(|c| c.n_procs).max().unwrap_or(1);
-    let budget = WorkerBudget::new(opts.jobs.unwrap_or_else(host_parallelism).max(max_weight));
+    let budget = WorkerBudget::for_jobs(opts.jobs, max_weight);
     let jobs: Vec<(usize, _)> = configs
         .into_iter()
         .map(|cfg| {

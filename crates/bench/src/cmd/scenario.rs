@@ -2,7 +2,8 @@
 //! contention, and SSMP churn. Four sections, all written to
 //! `BENCH_scenario.json`:
 //!
-//! * **equivalence** — the deterministic token-ring workload run under
+//! * **equivalence** — the deterministic token ring of
+//!   `mgs_apps::envelope`, unpaced, run under
 //!   an explicit [`FixedScenario`] and a uniform-LAN
 //!   [`TieredScenario`], *asserted* bit-identical in cycle accounting
 //!   to the legacy default-constructed machine (the scenario engine
@@ -20,19 +21,19 @@
 //!   image (verified word-for-word), with the re-homed page count,
 //!   retry traffic, and slowdown versus the churn-free run recorded.
 //!
-//! Run with `cargo run --release -p mgs-bench --bin scenario -- --quick`.
+//! Run with `cargo run --release -p mgs-bench -- scenario --quick`.
 //! `--smoke` shrinks the matrix to a CI-sized gate (2 tiers, 1 app).
 //! Accepts the usual `--p`, `--scale`, `--reps` and `--jobs` flags.
 
-use mgs_apps::MgsApp;
+use mgs_apps::{envelope, MgsApp};
 use mgs_bench::cli::Options;
 use mgs_bench::json::JsonObject;
 use mgs_bench::parallel::{run_weighted, WorkerBudget};
 use mgs_bench::suite;
 use mgs_core::framework::{metrics, SweepPoint};
 use mgs_core::{
-    AccessKind, ChurnEvent, CostCategory, DssmpConfig, FixedScenario, LinkTier, Machine,
-    ProtocolKind, RunReport, Scenario, TieredScenario,
+    ChurnEvent, DssmpConfig, FixedScenario, LinkTier, Machine, ProtocolKind, RunReport, Scenario,
+    TieredScenario,
 };
 use mgs_sim::Cycles;
 use std::sync::Arc;
@@ -44,7 +45,7 @@ const RING_WORDS: u64 = 512;
 /// Interface service time per message in the contention section.
 const IFACE_SERVICE: Cycles = Cycles(500);
 
-/// Churn grid shape and schedule (mirrors `tests/churn.rs`).
+/// Churn grid shape and schedule (the ones `tests/churn.rs` uses).
 const GRID_WORDS: u64 = 64;
 const GRID_ROUNDS: u64 = 24;
 const DEPART: Cycles = Cycles(60_000);
@@ -61,10 +62,9 @@ fn tier_latency(tier: LinkTier) -> Cycles {
     }
 }
 
-/// The deterministic ring of the chaos harness: one active processor
-/// per barrier phase, so the cycle accounting is a pure function of the
-/// configuration.
-fn run_ring(
+/// The envelope's token ring (`mgs_apps::envelope::ring`), unpaced, on
+/// the given fabric (`None` = the legacy default-constructed machine).
+fn ring(
     cluster_size: usize,
     scenario: Option<Arc<dyn Scenario>>,
     protocol: ProtocolKind,
@@ -74,60 +74,28 @@ fn run_ring(
     if let Some(s) = scenario {
         cfg = cfg.with_scenario(s);
     }
-    let machine = Machine::new(cfg);
-    let arr =
-        machine.alloc_array_blocked::<u64>(RING_WORDS * RING_PROCS as u64, AccessKind::DistArray);
-    machine.run(|env| {
-        let pid = env.pid();
-        env.start_measurement();
-        for phase in 0..RING_PROCS {
-            if pid == phase {
-                let base = ((pid + 1) % RING_PROCS) as u64 * RING_WORDS;
-                for i in 0..RING_WORDS {
-                    arr.write(env, base + i, ((phase as u64) << 32) | i);
-                }
-                let mut acc = 0u64;
-                for i in 0..RING_WORDS {
-                    acc = acc.wrapping_add(arr.read(env, base + i));
-                }
-                std::hint::black_box(acc);
-            }
-            env.barrier();
-        }
-    })
-}
-
-/// Panics unless the two reports carry bit-identical cycle accounting
-/// and LAN traffic.
-fn assert_identical(a: &RunReport, b: &RunReport, what: &str) {
-    assert_eq!(a.duration.raw(), b.duration.raw(), "{what}: duration");
-    for cat in CostCategory::ALL {
-        assert_eq!(
-            a.breakdown.get(cat).raw(),
-            b.breakdown.get(cat).raw(),
-            "{what}: breakdown {}",
-            cat.label()
-        );
-    }
-    assert_eq!(a.lan_messages, b.lan_messages, "{what}: LAN messages");
-    assert_eq!(a.lan_bytes, b.lan_bytes, "{what}: LAN bytes");
+    envelope::ring(&Machine::new(cfg), RING_WORDS)
 }
 
 /// The asserted section: the trivial scenario must not move a cycle.
 fn run_equivalence(protocol: ProtocolKind) -> Vec<JsonObject> {
     let mut records = Vec::new();
     for c in [1, 2, 4] {
-        let legacy = run_ring(c, None, protocol);
+        let legacy = ring(c, None, protocol);
         assert!(legacy.lan_messages > 0, "ring must cross SSMPs at C={c}");
 
-        let fixed = run_ring(
+        let fixed = ring(
             c,
             Some(Arc::new(FixedScenario::new(Cycles(1000)))),
             protocol,
         );
-        assert_identical(&legacy, &fixed, &format!("fixed scenario C={c}"));
+        assert_eq!(
+            legacy.first_divergence(&fixed),
+            None,
+            "fixed scenario C={c}"
+        );
 
-        let uniform = run_ring(
+        let uniform = ring(
             c,
             Some(Arc::new(TieredScenario::uniform(
                 LinkTier::Lan,
@@ -135,7 +103,7 @@ fn run_equivalence(protocol: ProtocolKind) -> Vec<JsonObject> {
             ))),
             protocol,
         );
-        assert_identical(&legacy, &uniform, &format!("uniform-lan C={c}"));
+        assert_eq!(legacy.first_divergence(&uniform), None, "uniform-lan C={c}");
 
         let mut o = JsonObject::new();
         o.str("workload", "ring")
@@ -158,7 +126,7 @@ fn run_equivalence(protocol: ProtocolKind) -> Vec<JsonObject> {
 fn run_contention(protocol: ProtocolKind) -> Vec<JsonObject> {
     let mut records = Vec::new();
     for c in [1, 2] {
-        let free = run_ring(
+        let free = ring(
             c,
             Some(Arc::new(TieredScenario::uniform(
                 LinkTier::Lan,
@@ -166,7 +134,7 @@ fn run_contention(protocol: ProtocolKind) -> Vec<JsonObject> {
             ))),
             protocol,
         );
-        let contended = run_ring(
+        let contended = ring(
             c,
             Some(Arc::new(
                 TieredScenario::uniform(LinkTier::Lan, Cycles(1000))
@@ -210,35 +178,23 @@ struct TierPoint {
 
 fn run_tier_sweep(base: &DssmpConfig, app: &dyn MgsApp, tier: LinkTier) -> TierPoint {
     let latency = tier_latency(tier);
-    let mut points = Vec::new();
-    let mut c = 1;
-    while c <= base.n_procs {
-        let mut cfg = base
-            .clone()
-            .with_scenario(Arc::new(TieredScenario::uniform(tier, latency)));
-        cfg.cluster_size = c;
-        let machine = Machine::new(cfg);
-        let report = app.execute(&machine);
-        points.push(SweepPoint {
-            cluster_size: c,
-            report,
-            lock_hit_ratio: machine.lock_hit_ratio(),
-        });
-        c *= 2;
-    }
+    let base = base
+        .clone()
+        .with_scenario(Arc::new(TieredScenario::uniform(tier, latency)));
     TierPoint {
         app: app.name(),
         tier,
         latency,
-        points,
+        points: mgs_apps::sweep_app(&base, app),
     }
 }
 
-/// The churn grid of `tests/churn.rs`: every processor writes its own
-/// block and reads its successor's each round, then cools down in
-/// lockstep past the rejoin. Returns the report and whether the final
-/// home-copy image matched the closed-form expectation.
-fn run_grid(p: usize, churn: bool, protocol: ProtocolKind) -> (RunReport, u64, bool) {
+/// The envelope's churn grid (`mgs_apps::envelope::grid`), unpaced, on
+/// two SSMPs, with or without SSMP 1 departing and rejoining mid-run.
+/// Returns the report, the stale directory entries the rejoin drain
+/// repaired, and whether the final home-copy image matched the
+/// closed-form expectation.
+fn grid(p: usize, churn: bool, protocol: ProtocolKind) -> (RunReport, u64, bool) {
     let cluster = (p / 2).max(1);
     let mut cfg = DssmpConfig::new(p, cluster).with_protocol(protocol);
     cfg.governor_window = None;
@@ -252,44 +208,18 @@ fn run_grid(p: usize, churn: bool, protocol: ProtocolKind) -> (RunReport, u64, b
         cfg = cfg.with_scenario(Arc::new(scenario));
     }
     let machine = Machine::new(cfg);
-    let arr = machine.alloc_array_blocked::<u64>(GRID_WORDS * p as u64, AccessKind::DistArray);
-    let report = machine.run(|env| {
-        let pid = env.pid() as u64;
-        let n = env.nprocs() as u64;
-        env.start_measurement();
-        for round in 1..=GRID_ROUNDS {
-            for i in 0..GRID_WORDS {
-                arr.write(env, pid * GRID_WORDS + i, round * 1000 + pid);
-            }
-            env.barrier();
-            let nb = ((pid + 1) % n) * GRID_WORDS;
-            let mut acc = 0u64;
-            for i in 0..GRID_WORDS {
-                acc = acc.wrapping_add(arr.read(env, nb + i));
-            }
-            std::hint::black_box(acc);
-            env.barrier();
-        }
-        for _ in 0..80 {
-            env.compute(5_000);
-            env.barrier();
-        }
-    });
-    let mut verified = true;
-    for pid in 0..p as u64 {
-        for i in 0..GRID_WORDS {
-            if machine.peek(&arr, pid * GRID_WORDS + i) != GRID_ROUNDS * 1000 + pid {
-                verified = false;
-            }
-        }
-    }
+    let (report, image) = envelope::grid(&machine, GRID_WORDS, GRID_ROUNDS);
+    let verified = image
+        .chunks(GRID_WORDS as usize)
+        .zip(0u64..)
+        .all(|(block, pid)| block.iter().all(|&w| w == GRID_ROUNDS * 1000 + pid));
     (report, machine.churn_repaired(), verified)
 }
 
 fn run_churn_section(p: usize, protocol: ProtocolKind) -> Vec<JsonObject> {
-    let (baseline, _, base_ok) = run_grid(p, false, protocol);
+    let (baseline, _, base_ok) = grid(p, false, protocol);
     assert!(base_ok, "churn-free grid must verify");
-    let (churned, repaired, churn_ok) = run_grid(p, true, protocol);
+    let (churned, repaired, churn_ok) = grid(p, true, protocol);
     assert!(churn_ok, "churned grid must converge to fault-free image");
     assert_eq!(churned.churn_departs, 1, "departure applied");
     assert_eq!(churned.churn_rejoins, 1, "rejoin applied");
@@ -315,10 +245,9 @@ fn run_churn_section(p: usize, protocol: ProtocolKind) -> Vec<JsonObject> {
     vec![o]
 }
 
-fn main() {
-    let opts = Options::parse();
+pub fn run(opts: &Options) {
     let smoke = opts.args.iter().any(|a| a == "--smoke");
-    let base = suite::base_config(&opts);
+    let base = suite::base_config(opts);
 
     println!(
         "scenario: latency tiers, contention and churn (P = {}, {} protocol{})",
@@ -341,19 +270,13 @@ fn main() {
     } else {
         LinkTier::ALL.as_slice()
     };
-    let mut apps: Vec<Box<dyn MgsApp>> = suite::suite(&opts)
-        .into_iter()
-        .map(|(app, _)| app)
-        .collect();
+    let mut apps: Vec<Box<dyn MgsApp>> =
+        suite::suite(opts).into_iter().map(|(app, _)| app).collect();
     if smoke {
         apps.truncate(1);
     }
 
-    let budget = WorkerBudget::new(
-        opts.jobs
-            .unwrap_or_else(mgs_bench::parallel::host_parallelism)
-            .max(opts.p),
-    );
+    let budget = WorkerBudget::for_jobs(opts.jobs, opts.p);
     let mut jobs: Vec<(usize, Box<dyn FnOnce() -> TierPoint + Send>)> = Vec::new();
     for app in &apps {
         for &tier in tiers {
@@ -409,7 +332,7 @@ fn main() {
         .array("contention", contention)
         .array("churn", churn)
         .array("tiers", tier_records);
-    mgs_bench::provenance::stamp_run(&mut root, &opts, None, None);
+    mgs_bench::provenance::stamp_run(&mut root, opts, &base);
     let path = "BENCH_scenario.json";
     std::fs::write(path, root.render(0) + "\n").expect("write BENCH_scenario.json");
     println!("\nwrote {path}: breakup penalty charted against link tier");

@@ -3,21 +3,31 @@
 
 use mgs_bench::chart::table;
 use mgs_bench::cli::Options;
-use mgs_bench::json::JsonSweep;
+use mgs_bench::json::sweep_json;
+use mgs_bench::parallel::parallel_sweeps;
 use mgs_bench::suite::{base_config, kernels, suite};
 use mgs_core::framework;
 
-fn main() {
-    let opts = Options::parse();
+pub fn run(opts: &Options) {
     let json = opts.args.iter().any(|a| a == "--json");
-    let base = base_config(&opts);
+    let base = base_config(opts);
+    let (apps, papers): (Vec<Box<dyn mgs_apps::MgsApp>>, Vec<_>) = suite(opts)
+        .into_iter()
+        .chain(
+            kernels(opts)
+                .into_iter()
+                .map(|(k, paper)| (Box::new(k) as Box<dyn mgs_apps::MgsApp>, paper)),
+        )
+        .unzip();
+    for app in &apps {
+        eprintln!("sweeping {}...", app.name());
+    }
     let mut rows = Vec::new();
     let mut sweeps = Vec::new();
-    let mut run = |app: &dyn mgs_apps::MgsApp, paper: mgs_bench::suite::PaperNumbers| {
-        eprintln!("sweeping {}...", app.name());
-        let points = mgs_apps::sweep_app_averaged(&base, app, opts.reps);
+    let results = parallel_sweeps(&base, &apps, opts.reps, opts.jobs);
+    for ((app, paper), points) in apps.iter().zip(papers).zip(results) {
         let m = framework::metrics(&points);
-        sweeps.push(JsonSweep::new(app.name(), opts.p, &points, &m));
+        sweeps.push(sweep_json(app.name(), opts.p, &points, &m));
         rows.push(vec![
             app.name().to_string(),
             format!("{:.0}%", m.breakup_penalty * 100.0),
@@ -27,12 +37,6 @@ fn main() {
             m.curvature.to_string(),
             paper.curvature.to_string(),
         ]);
-    };
-    for (app, paper) in suite(&opts) {
-        run(app.as_ref(), paper);
-    }
-    for (kernel, paper) in kernels(&opts) {
-        run(&kernel, paper);
     }
     println!(
         "\nDSSMP framework metrics (P = {}, scale 1/{}):",
@@ -54,7 +58,7 @@ fn main() {
         )
     );
     if json {
-        let body: Vec<String> = sweeps.iter().map(JsonSweep::to_json).collect();
+        let body: Vec<String> = sweeps.iter().map(|s| s.render(0)).collect();
         let path = "results/summary.json";
         std::fs::create_dir_all("results").expect("create results dir");
         std::fs::write(path, format!("[{}]", body.join(",\n"))).expect("write summary.json");

@@ -2,7 +2,9 @@
 //! measured on the real simulated machine (1 KB pages, zero external
 //! latency, 20 MHz Alewife cost model).
 
-fn main() {
+use mgs_bench::cli::Options;
+
+pub fn run(_opts: &Options) {
     println!("Table 3: Shared Memory Costs on MGS (cycles)");
     println!(
         "{:<34} {:>8} {:>8} {:>8}",

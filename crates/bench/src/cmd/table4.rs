@@ -6,9 +6,8 @@ use mgs_bench::cli::Options;
 use mgs_bench::suite::{base_config, suite};
 use mgs_core::Machine;
 
-fn main() {
-    let opts = Options::parse();
-    let base = base_config(&opts);
+pub fn run(opts: &Options) {
+    let base = base_config(opts);
     // Paper values at the full problem sizes (Seq in Mcycles, S32).
     let paper: &[(&str, f64, f64)] = &[
         ("jacobi", 1618.0, 30.0),
@@ -18,7 +17,7 @@ fn main() {
         ("barnes-hut", 977.0, 13.8),
     ];
     let mut rows = Vec::new();
-    for (app, _) in suite(&opts) {
+    for (app, _) in suite(opts) {
         eprintln!("running {} sequentially...", app.name());
         let seq = mgs_apps::sequential_runtime(&base, app.as_ref());
         eprintln!(

@@ -6,101 +6,38 @@ use mgs_core::framework::{FrameworkMetrics, SweepPoint};
 use mgs_core::CostCategory;
 use std::fmt::Write as _;
 
-/// One serialized sweep point.
-#[derive(Debug)]
-pub struct JsonPoint {
-    /// Cluster size `C`.
-    pub cluster_size: usize,
-    /// Execution time in cycles.
-    pub duration_cycles: u64,
-    /// Mean per-processor breakdown in cycles.
-    pub user: u64,
-    /// Lock component.
-    pub lock: u64,
-    /// Barrier component.
-    pub barrier: u64,
-    /// MGS software-coherence component.
-    pub mgs: u64,
-    /// Machine-wide lock hit ratio (Figure 11).
-    pub lock_hit_ratio: f64,
-    /// Inter-SSMP messages.
-    pub lan_messages: u64,
-    /// Inter-SSMP payload bytes.
-    pub lan_bytes: u64,
-}
-
-/// One application's serialized sweep plus framework metrics.
-#[derive(Debug)]
-pub struct JsonSweep {
-    /// Application name.
-    pub app: String,
-    /// Total processors.
-    pub p: usize,
-    /// The sweep points in increasing cluster size.
-    pub points: Vec<JsonPoint>,
-    /// Breakup penalty (fraction).
-    pub breakup_penalty: f64,
-    /// Multigrain potential (fraction).
-    pub multigrain_potential: f64,
-    /// Curvature classification.
-    pub curvature: String,
-    /// Signed curvature value.
-    pub curvature_value: f64,
-}
-
-impl JsonSweep {
-    /// Builds the serializable record from a sweep and its metrics.
-    pub fn new(app: &str, p: usize, points: &[SweepPoint], m: &FrameworkMetrics) -> JsonSweep {
-        JsonSweep {
-            app: app.to_string(),
-            p,
-            points: points
-                .iter()
-                .map(|pt| JsonPoint {
-                    cluster_size: pt.cluster_size,
-                    duration_cycles: pt.report.duration.raw(),
-                    user: pt.report.breakdown.get(CostCategory::User).raw(),
-                    lock: pt.report.breakdown.get(CostCategory::Lock).raw(),
-                    barrier: pt.report.breakdown.get(CostCategory::Barrier).raw(),
-                    mgs: pt.report.breakdown.get(CostCategory::Mgs).raw(),
-                    lock_hit_ratio: pt.lock_hit_ratio,
-                    lan_messages: pt.report.lan_messages,
-                    lan_bytes: pt.report.lan_bytes,
-                })
-                .collect(),
-            breakup_penalty: m.breakup_penalty,
-            multigrain_potential: m.multigrain_potential,
-            curvature: m.curvature.to_string(),
-            curvature_value: m.curvature_value,
-        }
-    }
-
-    /// Serializes to a pretty-printed JSON string.
-    pub fn to_json(&self) -> String {
-        let mut points = Vec::with_capacity(self.points.len());
-        for pt in &self.points {
+/// One application's sweep plus its framework metrics, as the object
+/// `summary --json` writes per application.
+pub fn sweep_json(app: &str, p: usize, points: &[SweepPoint], m: &FrameworkMetrics) -> JsonObject {
+    let points = points
+        .iter()
+        .map(|pt| {
             let mut o = JsonObject::new();
-            o.num("cluster_size", pt.cluster_size as f64);
-            o.num("duration_cycles", pt.duration_cycles as f64);
-            o.num("user", pt.user as f64);
-            o.num("lock", pt.lock as f64);
-            o.num("barrier", pt.barrier as f64);
-            o.num("mgs", pt.mgs as f64);
-            o.num("lock_hit_ratio", pt.lock_hit_ratio);
-            o.num("lan_messages", pt.lan_messages as f64);
-            o.num("lan_bytes", pt.lan_bytes as f64);
-            points.push(o);
-        }
-        let mut root = JsonObject::new();
-        root.str("app", &self.app);
-        root.num("p", self.p as f64);
-        root.array("points", points);
-        root.num("breakup_penalty", self.breakup_penalty);
-        root.num("multigrain_potential", self.multigrain_potential);
-        root.str("curvature", &self.curvature);
-        root.num("curvature_value", self.curvature_value);
-        root.render(0)
-    }
+            o.num("cluster_size", pt.cluster_size as f64)
+                .num("duration_cycles", pt.report.duration.raw() as f64);
+            for (key, cat) in [
+                ("user", CostCategory::User),
+                ("lock", CostCategory::Lock),
+                ("barrier", CostCategory::Barrier),
+                ("mgs", CostCategory::Mgs),
+            ] {
+                o.num(key, pt.report.breakdown.get(cat).raw() as f64);
+            }
+            o.num("lock_hit_ratio", pt.lock_hit_ratio)
+                .num("lan_messages", pt.report.lan_messages as f64)
+                .num("lan_bytes", pt.report.lan_bytes as f64);
+            o
+        })
+        .collect();
+    let mut root = JsonObject::new();
+    root.str("app", app)
+        .num("p", p as f64)
+        .array("points", points)
+        .num("breakup_penalty", m.breakup_penalty)
+        .num("multigrain_potential", m.multigrain_potential)
+        .str("curvature", &m.curvature.to_string())
+        .num("curvature_value", m.curvature_value);
+    root
 }
 
 /// A minimal ordered JSON object builder (numbers, strings, and arrays
@@ -243,8 +180,7 @@ mod tests {
     fn serializes_a_sweep() {
         let pts = vec![point(1, 400), point(2, 300), point(4, 200), point(8, 100)];
         let m = metrics(&pts);
-        let j = JsonSweep::new("demo", 8, &pts, &m);
-        let s = j.to_json();
+        let s = sweep_json("demo", 8, &pts, &m).render(0);
         assert!(s.contains("\"app\": \"demo\""));
         assert!(s.contains("\"cluster_size\": 8"));
         assert!(s.contains("breakup_penalty"));

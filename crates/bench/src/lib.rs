@@ -1,8 +1,10 @@
 //! Benchmark harness for the MGS reproduction.
 //!
-//! One binary per table/figure of the paper:
+//! One binary, `mgs-bench <command>` (`cargo run --release -p mgs-bench
+//! -- <command> [flags]`), with one command per table/figure of the
+//! paper:
 //!
-//! | Target | Regenerates |
+//! | Command | Regenerates |
 //! |---|---|
 //! | `table3` | Table 3 — primitive shared-memory operation costs |
 //! | `table4` | Table 4 — applications, sequential runtimes, 32-way speedups |
@@ -12,9 +14,9 @@
 //! | `summary` | Framework metrics (breakup penalty, potential, curvature) vs. paper |
 //! | `ablation` | Design-choice ablations (single-writer opt, lock affinity, page size) |
 //!
-//! Plus the study binaries beyond the paper's figures:
+//! Plus the study commands beyond the paper's figures:
 //!
-//! | Target | Produces |
+//! | Command | Produces |
 //! |---|---|
 //! | `scaling` | External-latency / page-size / machine-size sweeps |
 //! | `chaos` | Fault-injection sweep (drop × duplicate × jitter) with verified recovery → `BENCH_chaos.json` |
@@ -22,7 +24,7 @@
 //! | `adaptive` | Coherence strategy × app × link tier, reduced to the §2.4 framework metrics → `BENCH_adaptive.json` |
 //! | `profile` | Observability deep-dive for one app: metrics, hot pages, Perfetto timeline → `results/profile_*.json` |
 //!
-//! All binaries accept `--p <procs>` (default 32) and `--scale <div>`
+//! All commands accept `--p <procs>` (default 32) and `--scale <div>`
 //! (divide the problem size for quick runs; default 1 = paper sizes).
 
 #![warn(missing_docs)]

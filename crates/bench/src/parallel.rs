@@ -1,13 +1,15 @@
-//! Parallel sweep execution for the harness binaries.
+//! Parallel sweep execution for the harness commands.
 //!
 //! A sweep evaluates many independent `(application × cluster size)`
-//! points, and every point internally spawns `P` simulated-processor
-//! threads. Running points back-to-back leaves most of a multicore host
-//! idle; running all of them at once oversubscribes it by `P×`. This
-//! module bounds the total with a weighted worker budget: each point
-//! costs `P` permits, the budget defaults to the host's available
-//! parallelism (raised to at least one point's weight so every job can
-//! run), and points start in submission order as permits free up.
+//! points. Running them back-to-back leaves most of a multicore host
+//! idle; running all of them at once oversubscribes it. This module
+//! bounds the total with a weighted worker budget, and the rule is:
+//! a point costs its machine's `P` permits of a budget of
+//! `max(jobs, P)`, where `jobs` is `--jobs` or, by default, the host's
+//! available parallelism; points start in submission order as permits
+//! free up. So `floor(max(jobs, P) / P)` points run at once — below
+//! `jobs = 2P` that is one at a time (ROADMAP item 3 has the
+//! measurement and the follow-up).
 
 use mgs_apps::MgsApp;
 use mgs_core::framework::SweepPoint;
@@ -23,6 +25,13 @@ pub struct WorkerBudget {
 }
 
 impl WorkerBudget {
+    /// The budget every harness command runs under: `jobs` (`--jobs`;
+    /// default the host's available parallelism) permits, raised to
+    /// `max_weight` so the heaviest point can run.
+    pub fn for_jobs(jobs: Option<usize>, max_weight: usize) -> WorkerBudget {
+        WorkerBudget::new(jobs.unwrap_or_else(host_parallelism).max(max_weight))
+    }
+
     /// Creates a budget of `total` permits (at least 1).
     pub fn new(total: usize) -> WorkerBudget {
         let total = total.max(1);
@@ -61,7 +70,9 @@ impl WorkerBudget {
     }
 }
 
-/// The host's available parallelism (1 if unknown).
+/// The host's available parallelism (1 if it cannot be determined) —
+/// the default `--jobs`, and the denominator a `BENCH_*.json` record
+/// needs to say whether a given `P` oversubscribed the runner.
 pub fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -108,25 +119,13 @@ where
         .collect()
 }
 
-fn cluster_sizes_of(p: usize) -> Vec<usize> {
-    let mut v = Vec::new();
-    let mut c = 1;
-    while c <= p {
-        v.push(c);
-        c *= 2;
-    }
-    v
-}
-
 /// Runs several independent sweeps — each `(base config, app)` pair
 /// swept over all power-of-two cluster sizes with `reps` repetitions
 /// per point — with every `(sweep × C × rep)` run scheduled
-/// concurrently under one worker budget of `host_threads` (default:
-/// the host's available parallelism). Each run's weight is its
-/// machine's `P` (every point spawns `P` simulated-processor threads
-/// regardless of `C`). Returns one point list per input sweep, in
-/// order, with the same per-point averaging as
-/// [`mgs_apps::sweep_app_averaged`].
+/// concurrently under one [`WorkerBudget::for_jobs`] budget of
+/// `host_threads`. Each run's weight is its machine's `P`. Returns one
+/// point list per input sweep, in order, each point the
+/// `average_point` of its repetitions.
 pub fn parallel_sweeps_of(
     sweeps: &[(DssmpConfig, &dyn MgsApp)],
     reps: usize,
@@ -134,14 +133,10 @@ pub fn parallel_sweeps_of(
 ) -> Vec<Vec<SweepPoint>> {
     assert!(reps >= 1, "at least one repetition");
     let max_weight = sweeps.iter().map(|(b, _)| b.n_procs).max().unwrap_or(1);
-    let budget = WorkerBudget::new(
-        host_threads
-            .unwrap_or_else(host_parallelism)
-            .max(max_weight),
-    );
+    let budget = WorkerBudget::for_jobs(host_threads, max_weight);
     let mut jobs = Vec::new();
     for (base, app) in sweeps {
-        for c in cluster_sizes_of(base.n_procs) {
+        for c in base.cluster_sizes() {
             for _ in 0..reps {
                 let base = base.clone();
                 let app = *app;
@@ -160,8 +155,7 @@ pub fn parallel_sweeps_of(
     sweeps
         .iter()
         .map(|(base, _)| {
-            cluster_sizes_of(base.n_procs)
-                .into_iter()
+            base.cluster_sizes()
                 .map(|c| average_point(c, (&mut runs).take(reps).collect()))
                 .collect()
         })
@@ -184,9 +178,10 @@ pub fn parallel_sweeps(
     parallel_sweeps_of(&sweeps, reps, host_threads)
 }
 
-/// Averages `reps` independent runs of one sweep point — the same
-/// reduction as `mgs_apps::sweep_app_averaged`, factored out so the
-/// parallel path produces identical figures.
+/// Averages `reps` independent runs of one sweep point (runs above
+/// one worker are timing-nondeterministic; the harness uses a few
+/// repetitions for stable figures): duration, breakdown, lock counts
+/// and hit ratio are means, everything else is the last run's.
 fn average_point(c: usize, runs: Vec<(RunReport, f64)>) -> SweepPoint {
     let reps = runs.len() as u64;
     assert!(reps >= 1, "at least one repetition");
@@ -271,17 +266,19 @@ mod tests {
 
     #[test]
     fn average_point_matches_serial_sweep() {
-        use mgs_apps::{jacobi::Jacobi, sweep_app_averaged};
+        use mgs_apps::{jacobi::Jacobi, sweep_app};
         let app = Jacobi::small();
         let mut base = DssmpConfig::new(4, 1);
-        base.governor_window = None;
-        let serial = sweep_app_averaged(&base, &app, 1);
+        base.workers = Some(1);
+        let serial = sweep_app(&base, &app);
         let apps: Vec<Box<dyn MgsApp>> = vec![Box::new(app)];
         let par = parallel_sweeps(&base, &apps, 1, Some(1));
         assert_eq!(par.len(), 1);
         assert_eq!(par[0].len(), serial.len());
         for (a, b) in par[0].iter().zip(&serial) {
             assert_eq!(a.cluster_size, b.cluster_size);
+            assert_eq!(a.lock_hit_ratio, b.lock_hit_ratio);
+            assert_eq!(a.report.first_divergence(&b.report), None);
         }
     }
 }

@@ -3,38 +3,26 @@
 //! Throughput numbers in `BENCH_*.json` are only comparable across
 //! commits when the record says what produced them: how many host cores
 //! the runner had, and how the machines were paced (window and worker
-//! budget). The sweep binaries stamp every root object with
+//! budget). The sweep commands stamp every root object with
 //! [`stamp_run`] so trajectory comparisons stay interpretable.
 
 use crate::cli::Options;
 use crate::json::JsonObject;
-use mgs_sim::Cycles;
-
-/// The host's available parallelism (1 if it cannot be determined) —
-/// the denominator that decides whether a given `P` oversubscribes the
-/// runner.
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1)
-}
+use crate::parallel::host_parallelism;
+use mgs_core::DssmpConfig;
 
 /// Stamps `root` with the host provenance fields *and* the run
 /// configuration that changes what the numbers mean: the coherence
-/// strategy the sweep ran under, and how its machines were paced —
+/// strategy the sweep ran under, and how `cfg` — the configuration the
+/// command's sweep ran on — paces its machines:
 /// `DssmpConfig::governor_window` (`"unpaced"` for `None`, which also
 /// ignores the worker budget) and `DssmpConfig::workers` (`"host"` for
-/// `None`). Sweep binaries that honor `--protocol` must use this so a
+/// `None`). Sweep commands that honor `--protocol` must use this so a
 /// `BENCH_*.json` produced under `lrc` or `adaptive` is never mistaken
 /// for an eager-protocol record.
-pub fn stamp_run(
-    root: &mut JsonObject,
-    opts: &Options,
-    window: Option<Cycles>,
-    workers: Option<usize>,
-) {
+pub fn stamp_run(root: &mut JsonObject, opts: &Options, cfg: &DssmpConfig) {
     root.num("host_parallelism", host_parallelism() as f64);
-    match (window, workers) {
+    match (cfg.governor_window, cfg.workers) {
         (None, _) => root.str("window", "unpaced").str("workers", "all"),
         (Some(w), None) => root.num("window", w.raw() as f64).str("workers", "host"),
         (Some(w), Some(n)) => root.num("window", w.raw() as f64).num("workers", n as f64),
@@ -45,16 +33,17 @@ pub fn stamp_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::base_config;
 
     #[test]
-    fn stamp_run_records_host_and_protocol() {
+    fn stamp_run_records_host_protocol_and_the_paced_default() {
         let opts = Options::parse_from(["--protocol", "adaptive"].iter().map(|s| s.to_string()));
         let mut o = JsonObject::new();
-        stamp_run(&mut o, &opts, None, Some(1));
+        stamp_run(&mut o, &opts, &base_config(&opts));
         let s = o.render(0);
         assert!(s.contains("\"protocol\": \"adaptive\""));
         assert!(s.contains("\"host_parallelism\""));
-        assert!(s.contains("\"window\": \"unpaced\""));
-        assert!(s.contains("\"workers\": \"all\""));
+        assert!(s.contains("\"window\": 32000"));
+        assert!(s.contains("\"workers\": \"host\""));
     }
 }

@@ -25,6 +25,7 @@ use std::sync::Arc;
 ///
 /// let cfg = DssmpConfig::new(32, 8);
 /// assert_eq!(cfg.n_ssmps(), 4);
+/// assert_eq!(cfg.cluster_sizes().collect::<Vec<_>>(), [1, 2, 4, 8, 16, 32]);
 /// assert!(!cfg.is_tightly_coupled());
 /// assert!(DssmpConfig::new(32, 32).is_tightly_coupled());
 /// ```
@@ -182,6 +183,13 @@ impl DssmpConfig {
     /// Number of SSMPs (`P / C`).
     pub fn n_ssmps(&self) -> usize {
         self.n_procs / self.cluster_size
+    }
+
+    /// The cluster sizes of the paper's method (§2.4): every power of
+    /// two from 1 up to `P`, in increasing order.
+    pub fn cluster_sizes(&self) -> impl Iterator<Item = usize> {
+        let p = self.n_procs;
+        std::iter::successors(Some(1usize), |c| c.checked_mul(2)).take_while(move |&c| c <= p)
     }
 
     /// `true` when the whole machine is one SSMP (`C = P`): the paper's

@@ -82,33 +82,38 @@ impl fmt::Display for FrameworkMetrics {
     }
 }
 
-/// Runs `body` at every power-of-two cluster size from 1 to `P`,
-/// constructing a fresh machine per point from `base` (only
-/// `cluster_size` varies). `setup` is invoked once per machine to
-/// allocate shared state; the allocation it returns is handed to every
-/// processor's `body` call.
+/// Runs `run` at every cluster size of [`DssmpConfig::cluster_sizes`],
+/// on a fresh machine per point built from `base` (only `cluster_size`
+/// varies) — the loop of the paper's method, written once.
+pub fn sweep_with(base: &DssmpConfig, run: impl Fn(&Arc<Machine>) -> RunReport) -> Vec<SweepPoint> {
+    base.cluster_sizes()
+        .map(|c| {
+            let mut cfg = base.clone();
+            cfg.cluster_size = c;
+            let machine = Machine::new(cfg);
+            let report = run(&machine);
+            SweepPoint {
+                cluster_size: c,
+                report,
+                lock_hit_ratio: machine.lock_hit_ratio(),
+            }
+        })
+        .collect()
+}
+
+/// [`sweep_with`] for a program written against [`Env`]: `setup` is
+/// invoked once per machine to allocate shared state; the allocation it
+/// returns is handed to every processor's `body` call.
 pub fn sweep<S, F, G>(base: &DssmpConfig, setup: G, body: F) -> Vec<SweepPoint>
 where
     S: Sync,
     G: Fn(&Arc<Machine>) -> S,
     F: Fn(&mut Env, &S) + Sync,
 {
-    let mut points = Vec::new();
-    let mut c = 1;
-    while c <= base.n_procs {
-        let mut cfg = base.clone();
-        cfg.cluster_size = c;
-        let machine = Machine::new(cfg);
-        let shared = setup(&machine);
-        let report = machine.run(|env| body(env, &shared));
-        points.push(SweepPoint {
-            cluster_size: c,
-            report,
-            lock_hit_ratio: machine.lock_hit_ratio(),
-        });
-        c *= 2;
-    }
-    points
+    sweep_with(base, |machine| {
+        let shared = setup(machine);
+        machine.run(|env| body(env, &shared))
+    })
 }
 
 fn time_at(points: &[SweepPoint], c: usize) -> Option<Cycles> {

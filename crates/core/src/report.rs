@@ -142,6 +142,58 @@ impl RunReport {
     pub fn fraction(&self, category: CostCategory) -> f64 {
         self.breakdown.fraction(category)
     }
+
+    /// Every counter [`first_divergence`](Self::first_divergence)
+    /// compares, named, in its documented order.
+    fn counters(&self) -> Vec<(String, u64)> {
+        let account = |what: String, acc: &CycleAccount| {
+            CostCategory::ALL.map(|cat| (format!("{what} {}", cat.label()), acc.get(cat).raw()))
+        };
+        let mut out = vec![("duration".to_string(), self.duration.raw())];
+        out.extend(account("breakdown".to_string(), &self.breakdown));
+        // The count precedes the accounts, so two reports of different
+        // sizes diverge here, before their lists stop lining up.
+        out.push(("processor count".to_string(), self.per_proc.len() as u64));
+        for (p, acc) in self.per_proc.iter().enumerate() {
+            out.extend(account(format!("proc {p}"), acc));
+        }
+        let totals = [
+            ("lock acquires", self.lock_acquires),
+            ("lock hits", self.lock_hits),
+            ("LAN messages", self.lan_messages),
+            ("LAN bytes", self.lan_bytes),
+            ("LAN drops", self.lan_drops),
+            ("retries", self.retries),
+            ("churn departs", self.churn_departs),
+            ("churn rejoins", self.churn_rejoins),
+            ("re-homed pages", self.rehomed_pages),
+        ];
+        out.extend(totals.map(|(name, value)| (name.to_string(), value)));
+        out
+    }
+
+    /// Names the first counter on which two reports differ, with both
+    /// values (`"proc 3 MGS: 5120 vs 5184"`), or `None` when the runs
+    /// are the same — the repository's one definition of
+    /// "bit-identical". Fixed order: duration; breakdown by category;
+    /// processor count; each processor's account by category; lock
+    /// acquires and hits; LAN messages, bytes, drops; retries; churn
+    /// departs, rejoins, re-homed pages.
+    ///
+    /// Three fields are left out on purpose. `lan_duplicates`: a
+    /// duplicate copy is discarded by the sequence filters without
+    /// charging a cycle, so a duplicate storm is *defined* identical to
+    /// the perfect fabric. `metrics`: present only when the
+    /// observability sink is attached, and attaching it must not move
+    /// a counter above. `policy_decisions`: a trace, not a counter —
+    /// `tests/strategy_equivalence.rs` compares it with `==`.
+    pub fn first_divergence(&self, other: &RunReport) -> Option<String> {
+        self.counters()
+            .into_iter()
+            .zip(other.counters())
+            .find(|((_, a), (_, b))| a != b)
+            .map(|((name, a), (_, b))| format!("{name}: {a} vs {b}"))
+    }
 }
 
 impl fmt::Display for RunReport {
@@ -299,6 +351,60 @@ mod tests {
             Vec::new(),
         );
         assert!((r2.lock_hit_ratio() - 0.4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn first_divergence_names_each_field_in_documented_order() {
+        use CostCategory::{Barrier, Mgs, User};
+        const ONE: Cycles = Cycles(1);
+        let base = RunReport::from_procs(
+            vec![result(0, 20, 10), result(0, 20, 20)],
+            (1, 1),
+            (1, 1),
+            (1, 1, 1),
+            (1, 1, 1),
+            None,
+            Vec::new(),
+        );
+        assert_eq!(base.first_divergence(&base.clone()), None);
+
+        // One perturbation per counter, last field first: each step
+        // leaves the later fields perturbed too, so the name returned
+        // shows the earlier field wins.
+        type Perturb = fn(&mut RunReport);
+        let steps: [(&str, Perturb); 15] = [
+            ("re-homed pages: 1 vs 2", |r| r.rehomed_pages += 1),
+            ("churn rejoins: 1 vs 2", |r| r.churn_rejoins += 1),
+            ("churn departs: 1 vs 2", |r| r.churn_departs += 1),
+            ("retries: 1 vs 2", |r| r.retries += 1),
+            ("LAN drops: 1 vs 2", |r| r.lan_drops += 1),
+            ("LAN bytes: 1 vs 2", |r| r.lan_bytes += 1),
+            ("LAN messages: 1 vs 2", |r| r.lan_messages += 1),
+            ("lock hits: 1 vs 2", |r| r.lock_hits += 1),
+            ("lock acquires: 1 vs 2", |r| r.lock_acquires += 1),
+            ("proc 1 MGS: 0 vs 1", |r| r.per_proc[1].record(Mgs, ONE)),
+            ("proc 0 User: 10 vs 11", |r| r.per_proc[0].record(User, ONE)),
+            ("processor count: 2 vs 3", |r| {
+                r.per_proc.push(CycleAccount::new())
+            }),
+            ("breakdown Barrier: 0 vs 1", |r| {
+                r.breakdown.record(Barrier, ONE)
+            }),
+            ("breakdown User: 15 vs 16", |r| {
+                r.breakdown.record(User, ONE)
+            }),
+            ("duration: 20 vs 21", |r| r.duration = Cycles(21)),
+        ];
+        let mut other = base.clone();
+        for (want, perturb) in steps {
+            perturb(&mut other);
+            assert_eq!(base.first_divergence(&other).as_deref(), Some(want));
+        }
+
+        // Duplicates alone are not a divergence (see the method's doc).
+        let mut storm = base.clone();
+        storm.lan_duplicates += 100;
+        assert_eq!(base.first_divergence(&storm), None);
     }
 
     #[test]

@@ -59,15 +59,11 @@ pub enum Delivery {
 pub struct LanModel {
     n_ssmps: usize,
     latency: Cycles,
-    per_byte: Cycles,
     /// The fabric description consulted per message. Defaults to the
-    /// trivial [`FixedScenario`] mirroring `latency`/`per_byte`, whose
-    /// cost arithmetic is bit-identical to the historical fixed-latency
-    /// model (gated by `tests/scenario_equivalence.rs`).
+    /// trivial [`FixedScenario`] at `latency`, whose cost arithmetic is
+    /// bit-identical to the historical fixed-latency model (gated by
+    /// `tests/scenario_equivalence.rs`).
     scenario: Arc<dyn Scenario>,
-    /// `true` while the scenario is the auto-installed [`FixedScenario`]
-    /// (so `with_per_byte` keeps the mirror in sync).
-    trivial: bool,
     /// Per-SSMP link state, flipped by churn: a down endpoint drops
     /// every transmission to or from it.
     down: Vec<AtomicBool>,
@@ -101,9 +97,7 @@ impl LanModel {
         LanModel {
             n_ssmps,
             latency,
-            per_byte: Cycles::ZERO,
             scenario: Arc::new(FixedScenario::new(latency)),
-            trivial: true,
             down: (0..n_ssmps).map(|_| AtomicBool::new(false)).collect(),
             interfaces: None,
             iface_service: Cycles::ZERO,
@@ -123,7 +117,6 @@ impl LanModel {
             self.iface_service = service;
         }
         self.scenario = scenario;
-        self.trivial = false;
         self
     }
 
@@ -132,17 +125,6 @@ impl LanModel {
     pub fn with_interface_contention(mut self, service: Cycles) -> LanModel {
         self.interfaces = Some((0..self.n_ssmps).map(|_| Occupancy::new()).collect());
         self.iface_service = service;
-        self
-    }
-
-    /// Adds a per-payload-byte wire cost (0 by default: the paper models
-    /// latency only). Applies to the trivial fixed-latency scenario;
-    /// an installed [`Scenario`] carries its own per-byte costs.
-    pub fn with_per_byte(mut self, per_byte: Cycles) -> LanModel {
-        self.per_byte = per_byte;
-        if self.trivial {
-            self.scenario = Arc::new(FixedScenario::new(self.latency).with_per_byte(per_byte));
-        }
         self
     }
 
@@ -352,7 +334,9 @@ mod tests {
 
     #[test]
     fn per_byte_cost_scales_with_payload() {
-        let lan = LanModel::new(2, Cycles(100)).with_per_byte(Cycles(2));
+        let lan = LanModel::new(2, Cycles(100)).with_scenario(Arc::new(
+            FixedScenario::new(Cycles(100)).with_per_byte(Cycles(2)),
+        ));
         assert_eq!(lan.send(0, 1, MsgKind::RDat, 10, Cycles(0)), Cycles(120));
     }
 
@@ -385,8 +369,12 @@ mod tests {
 
     #[test]
     fn transmit_without_plan_matches_send() {
-        let a = LanModel::new(2, Cycles(1000)).with_per_byte(Cycles(2));
-        let b = LanModel::new(2, Cycles(1000)).with_per_byte(Cycles(2));
+        let mk = || {
+            LanModel::new(2, Cycles(1000)).with_scenario(Arc::new(
+                FixedScenario::new(Cycles(1000)).with_per_byte(Cycles(2)),
+            ))
+        };
+        let (a, b) = (mk(), mk());
         for (n, bytes) in [(0u64, 0u64), (1, 8), (2, 1024)] {
             let sent = a.send(0, 1, MsgKind::RDat, bytes, Cycles(n * 10));
             match b.transmit(0, 1, MsgKind::RDat, bytes, Cycles(n * 10)) {

@@ -3,7 +3,8 @@
 //! A DSSMP has two communication substrates (§2.1 of the paper):
 //!
 //! * an **internal network** connecting the processors of one SSMP — on
-//!   Alewife, a 2-D mesh ([`MeshTopology`]);
+//!   Alewife, a 2-D mesh, which this crate does not model: Table 3's
+//!   latency classes already average over mesh distance;
 //! * an **external network** connecting the SSMPs — a commodity LAN,
 //!   which the paper models as a fixed message latency added at the
 //!   sender (§4.2.2). [`LanModel`] reproduces that methodology and adds
@@ -37,12 +38,10 @@
 
 mod fault;
 mod lan;
-mod mesh;
 mod msg;
 mod scenario;
 
 pub use fault::{Fate, FaultPlan, FaultSpec};
 pub use lan::{Delivery, LanModel};
-pub use mesh::MeshTopology;
 pub use msg::{MsgKind, NetStats};
 pub use scenario::{ChurnEvent, FixedScenario, Link, LinkTier, Scenario, TieredScenario};

@@ -55,6 +55,6 @@ pub use cost::{CleanTier, CostModel};
 pub use gate::{EpochGate, GovWaitSnapshot, GovWaitStats, SpinPolicy, WAIT_HIST_BUCKETS};
 pub use resource::Occupancy;
 pub use rng::XorShift64;
-pub use stats::{Counter, RunningStats};
+pub use stats::Counter;
 pub use time::Cycles;
 pub use vsched::{GovHook, VirtualScheduler, VWORKERS_ENV};

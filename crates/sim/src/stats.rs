@@ -53,91 +53,6 @@ impl fmt::Display for Counter {
     }
 }
 
-/// Running mean / min / max over a stream of samples.
-///
-/// # Example
-///
-/// ```
-/// use mgs_sim::RunningStats;
-///
-/// let mut s = RunningStats::new();
-/// s.push(2.0);
-/// s.push(4.0);
-/// assert_eq!(s.mean(), 3.0);
-/// assert_eq!(s.min(), 2.0);
-/// assert_eq!(s.max(), 4.0);
-/// assert_eq!(s.count(), 2);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> RunningStats {
-        RunningStats {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of the samples (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest sample seen (+∞ when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample seen (−∞ when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-impl fmt::Display for RunningStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3} min={:.3} max={:.3}",
-            self.count,
-            self.mean(),
-            self.min,
-            self.max
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,28 +90,8 @@ mod tests {
     }
 
     #[test]
-    fn running_stats_empty() {
-        let s = RunningStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn running_stats_tracks_extremes() {
-        let mut s = RunningStats::new();
-        for x in [5.0, -1.0, 3.5] {
-            s.push(x);
-        }
-        assert_eq!(s.min(), -1.0);
-        assert_eq!(s.max(), 5.0);
-        assert!((s.mean() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn displays_are_nonempty() {
         let c = Counter::new();
         assert!(!c.to_string().is_empty());
-        let s = RunningStats::new();
-        assert!(!s.to_string().is_empty());
     }
 }

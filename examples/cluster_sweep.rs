@@ -33,7 +33,7 @@ fn main() {
     let large = std::env::args().any(|a| a == "--large");
 
     // A small Water problem keeps this example quick; the full
-    // evaluation lives in the mgs-bench binaries (`figures`,
+    // evaluation lives in the mgs-bench commands (`figures`,
     // `summary`), and host-speed measurement in `benchmark/`.
     let app = Water {
         n: 64,
@@ -48,11 +48,8 @@ fn main() {
         let p = 512;
         println!("Sweeping Water over cluster sizes (P = {p})...\n");
         println!("{:>4} {:>14} {:>10}", "C", "Mcycles", "lock hits");
-        let mut c = 8;
-        while c <= 64 {
-            let mut cfg = DssmpConfig::new(p, c);
-            cfg.cluster_size = c;
-            let machine = Machine::new(cfg);
+        for c in [8, 16, 32, 64] {
+            let machine = Machine::new(DssmpConfig::new(p, c));
             let report = app.execute(&machine);
             println!(
                 "{:>4} {:>14.2} {:>9.1}%",
@@ -60,7 +57,6 @@ fn main() {
                 report.duration.as_mcycles(),
                 100.0 * machine.lock_hit_ratio()
             );
-            c *= 2;
         }
         return;
     }

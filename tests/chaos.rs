@@ -14,12 +14,10 @@
 //!   retransmission and deduplication equals the fault-free answer.
 
 use mgs_repro::apps::{
-    barnes::BarnesHut, jacobi::Jacobi, matmul::MatMul, tsp::Tsp, water::Water,
+    barnes::BarnesHut, envelope, jacobi::Jacobi, matmul::MatMul, sweep_app, tsp::Tsp, water::Water,
     water_kernel::WaterKernel, MgsApp,
 };
-use mgs_repro::core::{
-    AccessKind, CostCategory, Cycles, DssmpConfig, FaultPlan, Machine, RunReport,
-};
+use mgs_repro::core::{CostCategory, Cycles, DssmpConfig, FaultPlan, Machine, RunReport};
 
 const SEED: u64 = 0x4D47_5343_4841_4F53;
 
@@ -30,57 +28,20 @@ const SEED: u64 = 0x4D47_5343_4841_4F53;
 const RING_PROCS: usize = 4;
 const RING_WORDS: u64 = 256;
 
-/// In phase `k` only processor `k` writes its successor's self-homed
-/// block and reads it back; barriers separate phases. One active
-/// processor per phase serializes every cross-SSMP transaction, so the
-/// cycle accounting is deterministic.
-fn run_ring(cluster_size: usize, plan: FaultPlan) -> RunReport {
+/// The envelope's token ring, unpaced, on the given fabric.
+fn ring(cluster_size: usize, plan: FaultPlan) -> RunReport {
     let mut cfg = DssmpConfig::new(RING_PROCS, cluster_size).with_faults(plan);
     cfg.governor_window = None;
-    let machine = Machine::new(cfg);
-    let arr =
-        machine.alloc_array_blocked::<u64>(RING_WORDS * RING_PROCS as u64, AccessKind::DistArray);
-    machine.run(|env| {
-        let pid = env.pid();
-        env.start_measurement();
-        for phase in 0..RING_PROCS {
-            if pid == phase {
-                let base = ((pid + 1) % RING_PROCS) as u64 * RING_WORDS;
-                for i in 0..RING_WORDS {
-                    arr.write(env, base + i, ((phase as u64) << 32) | i);
-                }
-                let mut acc = 0u64;
-                for i in 0..RING_WORDS {
-                    acc = acc.wrapping_add(arr.read(env, base + i));
-                }
-                std::hint::black_box(acc);
-            }
-            env.barrier();
-        }
-    })
-}
-
-fn assert_identical(a: &RunReport, b: &RunReport, what: &str) {
-    assert_eq!(a.duration.raw(), b.duration.raw(), "{what}: duration");
-    for cat in CostCategory::ALL {
-        assert_eq!(
-            a.breakdown.get(cat).raw(),
-            b.breakdown.get(cat).raw(),
-            "{what}: breakdown {}",
-            cat.label()
-        );
-    }
-    assert_eq!(a.lan_messages, b.lan_messages, "{what}: LAN messages");
-    assert_eq!(a.lan_bytes, b.lan_bytes, "{what}: LAN bytes");
+    envelope::ring(&Machine::new(cfg), RING_WORDS)
 }
 
 #[test]
 fn drop_rate_zero_is_bit_identical_to_no_plan() {
     for c in [1, 2] {
-        let baseline = run_ring(c, FaultPlan::none());
+        let baseline = ring(c, FaultPlan::none());
         assert!(baseline.lan_messages > 0, "ring crosses SSMPs at C={c}");
-        let zero = run_ring(c, FaultPlan::uniform(SEED, 0.0, 0.0, Cycles::ZERO));
-        assert_identical(&baseline, &zero, &format!("drop-0 C={c}"));
+        let zero = ring(c, FaultPlan::uniform(SEED, 0.0, 0.0, Cycles::ZERO));
+        assert_eq!(baseline.first_divergence(&zero), None, "drop-0 C={c}");
         assert_eq!(zero.lan_drops + zero.lan_duplicates + zero.retries, 0);
     }
 }
@@ -88,9 +49,9 @@ fn drop_rate_zero_is_bit_identical_to_no_plan() {
 #[test]
 fn duplicate_storm_is_cycle_invisible() {
     for c in [1, 2] {
-        let baseline = run_ring(c, FaultPlan::none());
-        let storm = run_ring(c, FaultPlan::uniform(SEED, 0.0, 1.0, Cycles::ZERO));
-        assert_identical(&baseline, &storm, &format!("dup-storm C={c}"));
+        let baseline = ring(c, FaultPlan::none());
+        let storm = ring(c, FaultPlan::uniform(SEED, 0.0, 1.0, Cycles::ZERO));
+        assert_eq!(baseline.first_divergence(&storm), None, "dup-storm C={c}");
         assert!(
             storm.lan_duplicates >= storm.lan_messages,
             "every inter-SSMP message duplicated at C={c}"
@@ -100,7 +61,7 @@ fn duplicate_storm_is_cycle_invisible() {
 
 #[test]
 fn lossy_ring_recovers_and_reports_faults() {
-    let lossy = run_ring(1, FaultPlan::uniform(SEED, 0.05, 0.05, Cycles(200)));
+    let lossy = ring(1, FaultPlan::uniform(SEED, 0.05, 0.05, Cycles(200)));
     assert!(lossy.lan_drops > 0, "5% loss must drop something");
     assert_eq!(lossy.retries, lossy.lan_drops, "every drop retried once");
     // Recovery time is charged to the MGS category.
@@ -124,25 +85,17 @@ fn all_applications_recover_on_a_lossy_lan() {
         Box::new(BarnesHut::small()),
         Box::new(WaterKernel::small(false)),
     ];
-    let p = 8;
+    let mut base =
+        DssmpConfig::new(8, 1).with_faults(FaultPlan::uniform(SEED, 0.01, 0.01, Cycles(200)));
+    base.governor_window = None;
     let mut drops = 0u64;
     let mut retries = 0u64;
     for app in &apps {
-        let mut c = 1;
-        while c <= p {
-            let mut cfg = DssmpConfig::new(p, c).with_faults(FaultPlan::uniform(
-                SEED,
-                0.01,
-                0.01,
-                Cycles(200),
-            ));
-            cfg.governor_window = None;
-            let machine = Machine::new(cfg);
-            let report = app.execute(&machine);
-            assert!(report.duration.raw() > 0, "{} C={c} ran", app.name());
-            drops += report.lan_drops;
-            retries += report.retries;
-            c *= 2;
+        for pt in sweep_app(&base, app.as_ref()) {
+            let c = pt.cluster_size;
+            assert!(pt.report.duration.raw() > 0, "{} C={c} ran", app.name());
+            drops += pt.report.lan_drops;
+            retries += pt.report.retries;
         }
     }
     assert!(drops > 0, "a 1% loss rate must drop messages somewhere");

@@ -11,8 +11,9 @@
 //! reads that target it (or its re-homed pages) ride the retry
 //! transport through the outage.
 
+use mgs_repro::apps::envelope;
 use mgs_repro::core::{
-    AccessKind, ChurnEvent, Cycles, DssmpConfig, LinkTier, Machine, RunReport, TieredScenario,
+    ChurnEvent, Cycles, DssmpConfig, LinkTier, Machine, RunReport, TieredScenario,
 };
 use mgs_repro::proto::ClientState;
 use std::sync::Arc;
@@ -46,40 +47,11 @@ fn build_config(deterministic: bool, churn: bool) -> DssmpConfig {
     cfg
 }
 
-/// Runs the grid workload; returns the machine, report, and the final
-/// home-copy image of the shared array.
-fn run_grid(cfg: DssmpConfig) -> (Arc<Machine>, RunReport, Vec<u64>) {
+/// Runs the envelope's grid; returns the machine, report, and the
+/// final home-copy image of the shared array.
+fn grid(cfg: DssmpConfig) -> (Arc<Machine>, RunReport, Vec<u64>) {
     let machine = Machine::new(cfg);
-    let arr = machine.alloc_array_blocked::<u64>(WORDS * PROCS as u64, AccessKind::DistArray);
-    let report = machine.run(|env| {
-        let pid = env.pid() as u64;
-        env.start_measurement();
-        for round in 1..=ROUNDS {
-            for i in 0..WORDS {
-                arr.write(env, pid * WORDS + i, round * 1000 + pid);
-            }
-            env.barrier();
-            let nb = ((pid + 1) % PROCS as u64) * WORDS;
-            let mut acc = 0u64;
-            for i in 0..WORDS {
-                acc = acc.wrapping_add(arr.read(env, nb + i));
-            }
-            std::hint::black_box(acc);
-            env.barrier();
-        }
-        // Cool-down in lockstep: guarantee every processor's clock
-        // passes the rejoin so both churn transitions (and the deferred
-        // directory-repair drain) are applied before the run ends. A
-        // fixed iteration count keeps every processor doing the same
-        // number of barriers regardless of clock divergence.
-        for _ in 0..80 {
-            env.compute(5_000);
-            env.barrier();
-        }
-    });
-    let image = (0..WORDS * PROCS as u64)
-        .map(|i| machine.peek(&arr, i))
-        .collect();
+    let (report, image) = envelope::grid(&machine, WORDS, ROUNDS);
     (machine, report, image)
 }
 
@@ -118,8 +90,8 @@ fn assert_converged(machine: &Arc<Machine>, image: &[u64]) {
 
 #[test]
 fn churn_converges_to_the_fault_free_image_deterministic() {
-    let (machine, report, image) = run_grid(build_config(true, true));
-    let (_, baseline_report, baseline_image) = run_grid(build_config(true, false));
+    let (machine, report, image) = grid(build_config(true, true));
+    let (_, baseline_report, baseline_image) = grid(build_config(true, false));
 
     assert_eq!(report.churn_departs, 1, "departure applied");
     assert_eq!(report.churn_rejoins, 1, "rejoin applied");
@@ -141,7 +113,7 @@ fn churn_converges_to_the_fault_free_image_deterministic() {
 fn churn_converges_unpaced() {
     // Host interleaving varies which processor applies each transition;
     // the converged state must not.
-    let (machine, report, image) = run_grid(build_config(false, true));
+    let (machine, report, image) = grid(build_config(false, true));
     assert_eq!(report.churn_departs, 1);
     assert_eq!(report.churn_rejoins, 1);
     assert_eq!(machine.churn_repaired(), 0);
@@ -150,7 +122,7 @@ fn churn_converges_unpaced() {
 
 #[test]
 fn churn_free_scenario_reports_zero_churn() {
-    let (machine, report, image) = run_grid(build_config(true, false));
+    let (machine, report, image) = grid(build_config(true, false));
     assert_eq!(report.churn_departs, 0);
     assert_eq!(report.churn_rejoins, 0);
     assert_eq!(report.rehomed_pages, 0);

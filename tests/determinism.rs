@@ -20,37 +20,18 @@
 //!   line's access sequence — and hence its directory transitions,
 //!   miss classes and LRU evictions — schedule-independent.
 
+use mgs_repro::apps::envelope;
 use mgs_repro::core::{AccessKind, CostCategory, DssmpConfig, Machine, RunReport};
 
 const PROCS: usize = 4;
 const WORDS_PER_PROC: u64 = 1024; // 8 KiB: several 1 KiB pages each
 const PHASES: u64 = 3;
 
-/// Every processor writes and re-reads only its own block, homed at
-/// itself (`alloc_array_blocked`), with barriers between phases.
-fn run_disjoint(cluster_size: usize) -> RunReport {
+/// The envelope's page-disjoint program, unpaced.
+fn disjoint_at(cluster_size: usize) -> RunReport {
     let mut cfg = DssmpConfig::new(PROCS, cluster_size);
     cfg.governor_window = None;
-    let machine = Machine::new(cfg);
-    let arr =
-        machine.alloc_array_blocked::<u64>(WORDS_PER_PROC * PROCS as u64, AccessKind::DistArray);
-    machine.run(|env| {
-        let pid = env.pid() as u64;
-        let base = pid * WORDS_PER_PROC;
-        env.start_measurement();
-        for phase in 0..PHASES {
-            for i in 0..WORDS_PER_PROC {
-                arr.write(env, base + i, pid * 1_000_000 + phase * 1_000 + i);
-            }
-            env.barrier();
-            let mut acc = 0u64;
-            for i in 0..WORDS_PER_PROC {
-                acc = acc.wrapping_add(arr.read(env, base + i));
-            }
-            std::hint::black_box(acc);
-            env.barrier();
-        }
-    })
+    envelope::disjoint(&Machine::new(cfg), WORDS_PER_PROC, PHASES)
 }
 
 /// One SSMP (C = P): barrier-separated neighbour reads through the
@@ -84,38 +65,17 @@ fn run_shared_hw() -> RunReport {
     })
 }
 
-fn assert_identical(a: &RunReport, b: &RunReport, what: &str) {
-    assert_eq!(a.duration.raw(), b.duration.raw(), "{what}: duration");
-    for cat in CostCategory::ALL {
-        assert_eq!(
-            a.breakdown.get(cat).raw(),
-            b.breakdown.get(cat).raw(),
-            "{what}: breakdown {}",
-            cat.label()
-        );
-    }
-    assert_eq!(a.per_proc.len(), b.per_proc.len(), "{what}: proc count");
-    for (p, (x, y)) in a.per_proc.iter().zip(&b.per_proc).enumerate() {
-        for cat in CostCategory::ALL {
-            assert_eq!(
-                x.get(cat).raw(),
-                y.get(cat).raw(),
-                "{what}: proc {p} {}",
-                cat.label()
-            );
-        }
-    }
-    assert_eq!(a.lan_messages, b.lan_messages, "{what}: LAN messages");
-    assert_eq!(a.lan_bytes, b.lan_bytes, "{what}: LAN bytes");
-}
-
 #[test]
 fn disjoint_cycle_accounting_is_deterministic() {
     for cluster in [1, 2, 4] {
-        let first = run_disjoint(cluster);
+        let first = disjoint_at(cluster);
         for rep in 1..4 {
-            let again = run_disjoint(cluster);
-            assert_identical(&first, &again, &format!("disjoint C={cluster} rep {rep}"));
+            let again = disjoint_at(cluster);
+            assert_eq!(
+                first.first_divergence(&again),
+                None,
+                "disjoint C={cluster} rep {rep}"
+            );
         }
     }
 }
@@ -125,13 +85,13 @@ fn hardware_sharing_cycle_accounting_is_deterministic() {
     let first = run_shared_hw();
     for rep in 1..4 {
         let again = run_shared_hw();
-        assert_identical(&first, &again, &format!("shared-hw rep {rep}"));
+        assert_eq!(first.first_divergence(&again), None, "shared-hw rep {rep}");
     }
 }
 
 #[test]
 fn deterministic_runs_do_real_work() {
-    let disjoint = run_disjoint(2);
+    let disjoint = disjoint_at(2);
     assert!(disjoint.duration.raw() > 0, "simulated time advanced");
     assert!(
         disjoint.breakdown.get(CostCategory::User).raw() > 0,

@@ -26,43 +26,15 @@
 //!   counts, the zero-LAN invariant at `C = P`).
 
 use mgs_repro::apps::{
-    barnes::BarnesHut, jacobi::Jacobi, matmul::MatMul, tsp::Tsp, water::Water,
+    barnes::BarnesHut, envelope, jacobi::Jacobi, matmul::MatMul, tsp::Tsp, water::Water,
     water_kernel::WaterKernel, MgsApp,
 };
-use mgs_repro::core::{
-    AccessKind, CostCategory, Cycles, DssmpConfig, FaultPlan, Machine, RunReport,
-};
+use mgs_repro::core::{Cycles, DssmpConfig, FaultPlan, Machine, RunReport};
 
 const PROCS: usize = 32;
 const WORDS_PER_PROC: u64 = 256;
 const PHASES: u64 = 2;
 const LOSSY_SEED: u64 = 0x4D47_5345_4E47_5631;
-
-fn assert_identical(a: &RunReport, b: &RunReport, what: &str) {
-    assert_eq!(a.duration.raw(), b.duration.raw(), "{what}: duration");
-    for cat in CostCategory::ALL {
-        assert_eq!(
-            a.breakdown.get(cat).raw(),
-            b.breakdown.get(cat).raw(),
-            "{what}: breakdown {}",
-            cat.label()
-        );
-    }
-    assert_eq!(a.per_proc.len(), b.per_proc.len(), "{what}: proc count");
-    for (p, (x, y)) in a.per_proc.iter().zip(&b.per_proc).enumerate() {
-        for cat in CostCategory::ALL {
-            assert_eq!(
-                x.get(cat).raw(),
-                y.get(cat).raw(),
-                "{what}: proc {p} {}",
-                cat.label()
-            );
-        }
-    }
-    assert_eq!(a.lock_acquires, b.lock_acquires, "{what}: lock acquires");
-    assert_eq!(a.lan_messages, b.lan_messages, "{what}: LAN messages");
-    assert_eq!(a.lan_bytes, b.lan_bytes, "{what}: LAN bytes");
-}
 
 /// Default pacing with an explicit worker budget (`None` = host
 /// parallelism).
@@ -94,10 +66,10 @@ fn assert_pacing_invariant(
     for cfg in cfgs {
         let pacing = format!("window {:?} workers {:?}", cfg.governor_window, cfg.workers);
         let report = run(cfg);
-        assert_identical(
-            &reference,
-            &report,
-            &format!("C={c} {what}: unpaced vs {pacing}"),
+        assert_eq!(
+            reference.first_divergence(&report),
+            None,
+            "C={c} {what}: unpaced vs {pacing}"
         );
     }
     reference
@@ -108,43 +80,24 @@ fn assert_pacing_invariant(
 // page-disjoint writes and reads, barrier-phased.
 // ---------------------------------------------------------------------
 
-fn run_disjoint(cfg: DssmpConfig) -> RunReport {
-    let machine = Machine::new(cfg);
-    let arr =
-        machine.alloc_array_blocked::<u64>(WORDS_PER_PROC * PROCS as u64, AccessKind::DistArray);
-    machine.run(|env| {
-        let pid = env.pid() as u64;
-        let base = pid * WORDS_PER_PROC;
-        env.start_measurement();
-        for phase in 0..PHASES {
-            for i in 0..WORDS_PER_PROC {
-                arr.write(env, base + i, pid * 1_000_000 + phase * 1_000 + i);
-            }
-            env.barrier();
-            let mut acc = 0u64;
-            for i in 0..WORDS_PER_PROC {
-                acc = acc.wrapping_add(arr.read(env, base + i));
-            }
-            std::hint::black_box(acc);
-            env.barrier();
-        }
-    })
+fn disjoint(cfg: DssmpConfig) -> RunReport {
+    envelope::disjoint(&Machine::new(cfg), WORDS_PER_PROC, PHASES)
 }
 
 #[test]
 fn pacing_modes_are_bit_identical_on_deterministic_workload() {
     for c in [1usize, 4, 32] {
-        assert_pacing_invariant(c, "disjoint", run_disjoint);
+        assert_pacing_invariant(c, "disjoint", disjoint);
     }
 }
 
 #[test]
 fn virtual_reports_are_invariant_across_worker_counts() {
     for c in [1usize, 4] {
-        let w1 = run_disjoint(config(c, Some(1)));
+        let w1 = disjoint(config(c, Some(1)));
         for workers in [2usize, 8] {
-            let wn = run_disjoint(config(c, Some(workers)));
-            assert_identical(&w1, &wn, &format!("C={c} W=1 vs W={workers}"));
+            let wn = disjoint(config(c, Some(workers)));
+            assert_eq!(w1.first_divergence(&wn), None, "C={c} W=1 vs W={workers}");
         }
     }
 }
@@ -157,29 +110,6 @@ fn virtual_reports_are_invariant_across_worker_counts() {
 
 const RING_WORDS: u64 = 64;
 
-fn run_ring(cfg: DssmpConfig) -> RunReport {
-    let machine = Machine::new(cfg);
-    let arr = machine.alloc_array_blocked::<u64>(RING_WORDS * PROCS as u64, AccessKind::DistArray);
-    machine.run(|env| {
-        let pid = env.pid();
-        env.start_measurement();
-        for phase in 0..PROCS {
-            if pid == phase {
-                let base = ((pid + 1) % PROCS) as u64 * RING_WORDS;
-                for i in 0..RING_WORDS {
-                    arr.write(env, base + i, ((phase as u64) << 32) | i);
-                }
-                let mut acc = 0u64;
-                for i in 0..RING_WORDS {
-                    acc = acc.wrapping_add(arr.read(env, base + i));
-                }
-                std::hint::black_box(acc);
-            }
-            env.barrier();
-        }
-    })
-}
-
 #[test]
 fn pacing_modes_agree_on_perfect_and_seeded_lossy_fabrics() {
     for c in [1usize, 4, 32] {
@@ -191,7 +121,7 @@ fn pacing_modes_agree_on_perfect_and_seeded_lossy_fabrics() {
             ),
         ] {
             let reference = assert_pacing_invariant(c, &format!("{fabric} ring"), |cfg| {
-                run_ring(cfg.with_faults(plan.clone()))
+                envelope::ring(&Machine::new(cfg.with_faults(plan.clone())), RING_WORDS)
             });
             if c < PROCS && fabric == "perfect" {
                 assert!(
@@ -239,7 +169,11 @@ fn single_worker_virtual_runs_reproduce_schedule_sensitive_apps() {
             };
             let first = run(0);
             let second = run(1);
-            assert_identical(&first, &second, &format!("{name} C={c} W=1 rerun"));
+            assert_eq!(
+                first.first_divergence(&second),
+                None,
+                "{name} C={c} W=1 rerun"
+            );
         }
     }
 }

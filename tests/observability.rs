@@ -16,9 +16,10 @@
 //! * **One message clock** — a delivered message's trace event carries
 //!   the instant it was launched, with or without a fault plan.
 
+use mgs_repro::apps::envelope;
 use mgs_repro::core::{
-    export_perfetto, AccessKind, CostCategory, DssmpConfig, FaultPlan, FaultSpec, Machine, Metric,
-    RunReport, TraceEvent, TraceKind,
+    export_perfetto, AccessKind, DssmpConfig, FaultPlan, FaultSpec, Machine, Metric, RunReport,
+    TraceEvent, TraceKind,
 };
 use mgs_repro::net::MsgKind;
 use mgs_repro::sim::Cycles;
@@ -28,31 +29,12 @@ const PROCS: usize = 32;
 const WORDS: u64 = 256;
 const PHASES: u64 = 2;
 
-/// Deterministic pattern 1: every processor writes and re-reads only
-/// its own self-homed block, with barriers between phases.
-fn run_disjoint(cluster: usize, observe: bool) -> RunReport {
+/// Deterministic pattern 1: the envelope's page-disjoint program.
+fn disjoint(cluster: usize, observe: bool) -> RunReport {
     let mut cfg = DssmpConfig::new(PROCS, cluster);
     cfg.governor_window = None;
     cfg.observe = observe;
-    let machine = Machine::new(cfg);
-    let arr = machine.alloc_array_blocked::<u64>(WORDS * PROCS as u64, AccessKind::DistArray);
-    machine.run(|env| {
-        let pid = env.pid() as u64;
-        let base = pid * WORDS;
-        env.start_measurement();
-        for phase in 0..PHASES {
-            for i in 0..WORDS {
-                arr.write(env, base + i, pid * 1_000_000 + phase * 1_000 + i);
-            }
-            env.barrier();
-            let mut acc = 0u64;
-            for i in 0..WORDS {
-                acc = acc.wrapping_add(arr.read(env, base + i));
-            }
-            std::hint::black_box(acc);
-            env.barrier();
-        }
-    })
+    envelope::disjoint(&Machine::new(cfg), WORDS, PHASES)
 }
 
 /// Deterministic pattern 2: a token ring — in phase `k` only processor
@@ -83,41 +65,17 @@ fn run_ring(procs: usize, cluster: usize, observe: bool, plan: FaultPlan) -> Run
     })
 }
 
-fn assert_identical(a: &RunReport, b: &RunReport, what: &str) {
-    assert_eq!(a.duration.raw(), b.duration.raw(), "{what}: duration");
-    for cat in CostCategory::ALL {
-        assert_eq!(
-            a.breakdown.get(cat).raw(),
-            b.breakdown.get(cat).raw(),
-            "{what}: breakdown {}",
-            cat.label()
-        );
-    }
-    for (p, (x, y)) in a.per_proc.iter().zip(&b.per_proc).enumerate() {
-        for cat in CostCategory::ALL {
-            assert_eq!(
-                x.get(cat).raw(),
-                y.get(cat).raw(),
-                "{what}: proc {p} {}",
-                cat.label()
-            );
-        }
-    }
-    assert_eq!(a.lan_messages, b.lan_messages, "{what}: LAN messages");
-    assert_eq!(a.lan_bytes, b.lan_bytes, "{what}: LAN bytes");
-}
-
 #[test]
 fn observability_is_zero_perturbation() {
     for cluster in [4, PROCS] {
-        let off = run_disjoint(cluster, false);
-        let on = run_disjoint(cluster, true);
+        let off = disjoint(cluster, false);
+        let on = disjoint(cluster, true);
         assert!(off.metrics.is_none() && on.metrics.is_some());
-        assert_identical(&off, &on, &format!("disjoint C={cluster}"));
+        assert_eq!(off.first_divergence(&on), None, "disjoint C={cluster}");
 
         let off = run_ring(PROCS, cluster, false, FaultPlan::none());
         let on = run_ring(PROCS, cluster, true, FaultPlan::none());
-        assert_identical(&off, &on, &format!("ring C={cluster}"));
+        assert_eq!(off.first_divergence(&on), None, "ring C={cluster}");
     }
 }
 

@@ -10,85 +10,47 @@
 //! barrier phase, governor off; the envelope `determinism.rs`
 //! establishes).
 
+use mgs_repro::apps::envelope;
 use mgs_repro::core::{
-    AccessKind, CostCategory, Cycles, DssmpConfig, FixedScenario, LinkTier, Machine, RunReport,
-    Scenario, TieredScenario,
+    Cycles, DssmpConfig, FixedScenario, LinkTier, Machine, RunReport, Scenario, TieredScenario,
 };
 use std::sync::Arc;
 
 const PROCS: usize = 32;
 const RING_WORDS: u64 = 128;
 
-/// In phase `k` only processor `k` writes its successor's self-homed
-/// block and reads it back; barriers separate phases. One active
-/// processor per phase serializes every cross-SSMP transaction, so the
-/// cycle accounting is deterministic.
-fn run_ring(cluster_size: usize, scenario: Option<Arc<dyn Scenario>>) -> RunReport {
+/// The envelope's token ring, unpaced, on the given fabric (`None` =
+/// the legacy default-constructed machine).
+fn ring(cluster_size: usize, scenario: Option<Arc<dyn Scenario>>) -> RunReport {
     let mut cfg = DssmpConfig::new(PROCS, cluster_size);
     cfg.governor_window = None;
     if let Some(s) = scenario {
         cfg = cfg.with_scenario(s);
     }
-    let machine = Machine::new(cfg);
-    let arr = machine.alloc_array_blocked::<u64>(RING_WORDS * PROCS as u64, AccessKind::DistArray);
-    machine.run(|env| {
-        let pid = env.pid();
-        env.start_measurement();
-        for phase in 0..PROCS {
-            if pid == phase {
-                let base = ((pid + 1) % PROCS) as u64 * RING_WORDS;
-                for i in 0..RING_WORDS {
-                    arr.write(env, base + i, ((phase as u64) << 32) | i);
-                }
-                let mut acc = 0u64;
-                for i in 0..RING_WORDS {
-                    acc = acc.wrapping_add(arr.read(env, base + i));
-                }
-                std::hint::black_box(acc);
-            }
-            env.barrier();
-        }
-    })
-}
-
-fn assert_identical(a: &RunReport, b: &RunReport, what: &str) {
-    assert_eq!(a.duration.raw(), b.duration.raw(), "{what}: duration");
-    for cat in CostCategory::ALL {
-        assert_eq!(
-            a.breakdown.get(cat).raw(),
-            b.breakdown.get(cat).raw(),
-            "{what}: breakdown {}",
-            cat.label()
-        );
-    }
-    assert_eq!(a.lan_messages, b.lan_messages, "{what}: LAN messages");
-    assert_eq!(a.lan_bytes, b.lan_bytes, "{what}: LAN bytes");
-    assert_eq!(a.lan_drops, b.lan_drops, "{what}: drops");
-    assert_eq!(a.retries, b.retries, "{what}: retries");
-    assert_eq!(a.churn_departs, b.churn_departs, "{what}: churn departs");
+    envelope::ring(&Machine::new(cfg), RING_WORDS)
 }
 
 #[test]
 fn explicit_fixed_scenario_is_bit_identical_to_legacy_default() {
     for c in [1, 4, 32] {
-        let legacy = run_ring(c, None);
-        let fixed = run_ring(c, Some(Arc::new(FixedScenario::new(Cycles(1000)))));
-        assert_identical(&legacy, &fixed, &format!("C={c} fixed"));
+        let legacy = ring(c, None);
+        let fixed = ring(c, Some(Arc::new(FixedScenario::new(Cycles(1000)))));
+        assert_eq!(legacy.first_divergence(&fixed), None, "C={c} fixed");
     }
 }
 
 #[test]
 fn uniform_lan_tier_matches_the_fixed_model() {
     for c in [1, 4, 32] {
-        let legacy = run_ring(c, None);
-        let uniform = run_ring(
+        let legacy = ring(c, None);
+        let uniform = ring(
             c,
             Some(Arc::new(TieredScenario::uniform(
                 LinkTier::Lan,
                 Cycles(1000),
             ))),
         );
-        assert_identical(&legacy, &uniform, &format!("C={c} uniform-lan"));
+        assert_eq!(legacy.first_divergence(&uniform), None, "C={c} uniform-lan");
     }
 }
 
@@ -97,8 +59,8 @@ fn slower_tiers_strictly_dilate_execution() {
     // Sanity in the other direction: the scenario engine is not inert.
     // A WAN-latency uniform scenario must cost real simulated time over
     // the LAN default whenever cross-SSMP traffic exists (C < P).
-    let lan = run_ring(4, None);
-    let wan = run_ring(
+    let lan = ring(4, None);
+    let wan = ring(
         4,
         Some(Arc::new(TieredScenario::uniform(
             LinkTier::Wan,
@@ -119,14 +81,14 @@ fn slower_tiers_strictly_dilate_execution() {
 fn single_ssmp_machines_never_touch_the_lan() {
     // At C = P there is no inter-SSMP traffic, so even a WAN scenario
     // is bit-identical to the default machine.
-    let base = run_ring(32, None);
-    let wan = run_ring(
+    let base = ring(32, None);
+    let wan = ring(
         32,
         Some(Arc::new(TieredScenario::uniform(
             LinkTier::Wan,
             TieredScenario::WAN_LATENCY,
         ))),
     );
-    assert_identical(&base, &wan, "C=P wan");
+    assert_eq!(base.first_divergence(&wan), None, "C=P wan");
     assert_eq!(base.lan_messages, 0);
 }

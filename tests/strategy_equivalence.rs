@@ -24,7 +24,7 @@
 //! anchor for the protocol's cycle accounting: any change to the eager
 //! path — intended or not — shows up as a numeric diff here.
 
-use mgs_repro::apps::{jacobi::Jacobi, tsp::Tsp, water::Water, MgsApp};
+use mgs_repro::apps::{envelope, jacobi::Jacobi, tsp::Tsp, water::Water, MgsApp};
 use mgs_repro::core::{
     AccessKind, CostCategory, Cycles, DssmpConfig, FaultPlan, Machine, ProtocolKind, RunReport,
 };
@@ -245,53 +245,15 @@ fn check(name: &str, r: &RunReport) {
 
 /// Disjoint writer/reader blocks separated by barriers: pure eager
 /// single-writer traffic.
-fn run_disjoint(cfg: DssmpConfig) -> RunReport {
-    let machine = Machine::new(cfg);
-    let arr =
-        machine.alloc_array_blocked::<u64>(WORDS_PER_PROC * PROCS as u64, AccessKind::DistArray);
-    machine.run(|env| {
-        let pid = env.pid() as u64;
-        let base = pid * WORDS_PER_PROC;
-        env.start_measurement();
-        for phase in 0..PHASES {
-            for i in 0..WORDS_PER_PROC {
-                arr.write(env, base + i, pid * 1_000_000 + phase * 1_000 + i);
-            }
-            env.barrier();
-            let mut acc = 0u64;
-            for i in 0..WORDS_PER_PROC {
-                acc = acc.wrapping_add(arr.read(env, base + i));
-            }
-            std::hint::black_box(acc);
-            env.barrier();
-        }
-    })
+fn disjoint(cfg: DssmpConfig) -> RunReport {
+    envelope::disjoint(&Machine::new(cfg), WORDS_PER_PROC, PHASES)
 }
 
 /// One active remote writer per barrier phase (the chaos bench's
 /// token ring): serialized cross-SSMP fills, diffs, and — on the lossy
 /// fabric — retransmissions.
-fn run_ring(cfg: DssmpConfig) -> RunReport {
-    let machine = Machine::new(cfg);
-    let arr = machine.alloc_array_blocked::<u64>(RING_WORDS * PROCS as u64, AccessKind::DistArray);
-    machine.run(|env| {
-        let pid = env.pid();
-        env.start_measurement();
-        for phase in 0..PROCS {
-            if pid == phase {
-                let base = ((pid + 1) % PROCS) as u64 * RING_WORDS;
-                for i in 0..RING_WORDS {
-                    arr.write(env, base + i, ((phase as u64) << 32) | i);
-                }
-                let mut acc = 0u64;
-                for i in 0..RING_WORDS {
-                    acc = acc.wrapping_add(arr.read(env, base + i));
-                }
-                std::hint::black_box(acc);
-            }
-            env.barrier();
-        }
-    })
+fn ring(cfg: DssmpConfig) -> RunReport {
+    envelope::ring(&Machine::new(cfg), RING_WORDS)
 }
 
 /// One worker at the window the golden table was recorded at:
@@ -309,13 +271,10 @@ fn virtual_w1(cfg: &mut DssmpConfig) {
 fn eager_microbenchmarks_match_pre_refactor_goldens() {
     for c in [1usize, 4, 32] {
         let cfg = DssmpConfig::new(PROCS, c).with_protocol(ProtocolKind::Eager);
-        check(
-            &format!("disjoint-c{c}-threaded"),
-            &run_disjoint(cfg.clone()),
-        );
+        check(&format!("disjoint-c{c}-threaded"), &disjoint(cfg.clone()));
         let mut w1 = cfg;
         virtual_w1(&mut w1);
-        check(&format!("disjoint-c{c}-virtual"), &run_disjoint(w1));
+        check(&format!("disjoint-c{c}-virtual"), &disjoint(w1));
         for (fabric, plan) in [
             ("perfect", FaultPlan::none()),
             (
@@ -327,7 +286,7 @@ fn eager_microbenchmarks_match_pre_refactor_goldens() {
                 .with_protocol(ProtocolKind::Eager)
                 .with_faults(plan);
             virtual_w1(&mut cfg);
-            check(&format!("ring-{fabric}-c{c}-virtual"), &run_ring(cfg));
+            check(&format!("ring-{fabric}-c{c}-virtual"), &ring(cfg));
         }
     }
 }
