@@ -65,17 +65,19 @@ pub struct DssmpConfig {
     /// in exact simulated-time order at any window, so the window only
     /// trades hand-overs against how far running processors may race
     /// ahead; the default is 32,000 cycles. `None` means **unpaced**:
-    /// every processor gets a host thread that free-runs, `workers` and
-    /// `MGS_VWORKERS` are not consulted, and only locks and barriers
-    /// deschedule. Pacing never charges simulated cycles: within the
-    /// deterministic envelope, cycle counts are bit-identical at every
-    /// window, paced or not (gated by `tests/governor_equivalence.rs`
-    /// and `tests/engine_equivalence.rs`).
+    /// the worker budget is `P`, so every processor holds a free-running
+    /// host thread, `workers` and `MGS_VWORKERS` are not consulted, and
+    /// only locks and barriers deschedule. Pacing never charges
+    /// simulated cycles: within the deterministic envelope, cycle counts
+    /// are bit-identical at every window, paced or not (gated by
+    /// `tests/governor_equivalence.rs` and
+    /// `tests/engine_equivalence.rs`).
     pub governor_window: Option<Cycles>,
     /// Host worker budget of a paced run: how many processors may
-    /// execute at once. `None` uses
-    /// [`std::thread::available_parallelism`], floored at 2 so a worker
-    /// parked in a hand-over always leaves another running; the
+    /// execute at once — and, where processors are coroutines, how many
+    /// host threads the run starts. `None` uses
+    /// [`std::thread::available_parallelism`], floored at 2 so the
+    /// default run always has two processors genuinely concurrent; the
     /// `MGS_VWORKERS` environment variable overrides both. A budget of
     /// 1 makes the whole run bit-deterministic.
     pub workers: Option<usize>,

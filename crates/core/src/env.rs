@@ -21,7 +21,7 @@ const RNG_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Slots in the Env-local translation cache (direct-mapped by page
 /// number). 64 entries cover the working set of every application's
-/// inner loop while costing ~2 KB per processor thread.
+/// inner loop while costing ~2 KB per processor.
 const XLATE_SLOTS: usize = 64;
 
 /// Maps a hardware [`MissClass`](mgs_cache::MissClass) (by `index()`)
@@ -156,7 +156,7 @@ impl<T: Word> SharedArray<T> {
 
 /// A simulated processor's execution environment.
 ///
-/// One `Env` exists per processor thread during [`Machine::run`]. All
+/// One `Env` exists per processor task during [`Machine::run`]. All
 /// simulated work flows through it: shared-memory accesses (translated,
 /// cached, faulted, and charged), synchronization, and explicit compute
 /// charging.
@@ -187,7 +187,7 @@ pub struct Env {
     /// The cost table (cloned out of the config).
     cost: CostModel,
     /// Env-local translation cache: a direct-mapped array of recent
-    /// `(page, TlbEntry)` pairs private to this processor thread. A hit
+    /// `(page, TlbEntry)` pairs private to this processor. A hit
     /// skips the shared TLB's mutex and map lookup entirely; validity
     /// is still guaranteed by the frame-generation check of the
     /// translation critical section (§4.2.1) — every path that revokes
@@ -608,13 +608,12 @@ impl Env {
     }
 
     /// Scheduler hook handed to sync primitives so a contended wait
-    /// deschedules this task instead of parking its host thread.
+    /// deschedules this task instead of blocking its host thread.
     fn gov_hook(&self) -> GovHook<'_> {
         GovHook::new(&self.gov, self.proc)
     }
 
     pub(crate) fn finish(self) -> ProcResult {
-        self.gov.finished(self.proc);
         let (start_time, start_account) = self.start;
         let mut delta = CycleAccount::new();
         for c in CostCategory::ALL {

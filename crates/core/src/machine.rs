@@ -2,7 +2,7 @@
 
 use crate::churn::ChurnState;
 use crate::env::{Env, SharedArray, Word};
-use crate::report::RunReport;
+use crate::report::{ProcResult, RunReport};
 use crate::trace::TraceEvent;
 use crate::DssmpConfig;
 use mgs_net::LanModel;
@@ -13,7 +13,8 @@ use mgs_sync::{HwLock, MgsBarrier, MgsLock};
 use mgs_vm::{AccessKind, SharedHeap};
 use parking_lot::Mutex;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// A Distributed Scalable Shared-memory Multiprocessor.
 ///
@@ -25,10 +26,8 @@ use std::sync::Arc;
 /// Construct with [`Machine::new`], allocate shared data with
 /// [`alloc_array`](Machine::alloc_array) and locks with
 /// [`new_lock`](Machine::new_lock), then execute with
-/// [`run`](Machine::run). A machine is intended for **one** `run` call;
-/// simulated state (caches, protocol statistics, resource clocks)
-/// persists across calls, so sweeps construct a fresh machine per
-/// configuration.
+/// [`run`](Machine::run). A machine runs **once** (a second `run`
+/// panics): sweeps construct a fresh machine per configuration.
 #[derive(Debug)]
 pub struct Machine {
     cfg: DssmpConfig,
@@ -42,6 +41,8 @@ pub struct Machine {
     trace: Option<Mutex<Vec<TraceEvent>>>,
     obs: Option<Arc<ObsSink>>,
     churn: Option<Arc<ChurnState>>,
+    /// Set by the first [`run`](Machine::run); a second one panics.
+    ran: AtomicBool,
 }
 
 impl Machine {
@@ -115,6 +116,7 @@ impl Machine {
             trace,
             obs,
             churn,
+            ran: AtomicBool::new(false),
         })
     }
 
@@ -326,69 +328,46 @@ impl Machine {
     /// Runs `body` on every simulated processor and collects the run
     /// report. The closure receives each processor's [`Env`].
     ///
-    /// Each processor is a task backed by a small-stacked host thread
-    /// used purely as a resumable continuation: tasks check in with the
-    /// scheduler, park until admitted, and at most the worker budget of
-    /// them executes at any instant, lowest simulated time first (all
-    /// of them at once when the run is unpaced). A task that panics
-    /// aborts the run: its peers are woken into a panic instead of
-    /// waiting for a grant that cannot come.
+    /// Each processor is a task of the machine's scheduler
+    /// ([`VirtualScheduler::run`]): on x86_64 Linux a coroutine on a
+    /// small guard-paged stack, switched into by `min(workers, P)` host
+    /// threads (elsewhere a parked host thread), so at most the worker
+    /// budget of them executes at any instant, lowest simulated time
+    /// first — all of them at once when the run is unpaced. A task that
+    /// panics aborts the run: its peers are resumed into a panic, so
+    /// their locals are dropped, and `run` re-raises the first task's
+    /// payload. A task may resume on a different host thread than it
+    /// was suspended on, so `body` must not keep anything tied to a
+    /// thread (a thread-local borrow, a host lock guard) across an
+    /// [`Env`] call.
     ///
     /// `body` must not block on host-side synchronization the scheduler
     /// cannot see (a `std` mutex, barrier or channel shared between
     /// processors): the task it waits for may not hold a host slot, and
     /// the deadlock detector only sees waits made through [`Env`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if called a second time: a machine runs once. Its tasks
+    /// are spent and its simulated state (caches, protocol statistics,
+    /// resource clocks) is that of the finished run, so build a fresh
+    /// machine per run.
     pub fn run<F>(self: &Arc<Machine>, body: F) -> RunReport
     where
         F: Fn(&mut Env) + Sync,
     {
-        /// The app body plus inline protocol handlers need far less
-        /// than the 2 MiB thread default, and at `P = 2048` the
-        /// difference is 3.5 GiB of address space. Address space, not
-        /// resident memory: a stack is mapped whole but only the pages
-        /// a task has run on are backed. What did make a processor cost
-        /// resident memory at large `P` was its `ProcCache`, when that
-        /// was a heap block per set written at construction (see
-        /// `mgs_cache::ProcCache`).
-        const VIRTUAL_TASK_STACK: usize = 512 * 1024;
-
-        /// Wakes every parked task into a panic when the owning task
-        /// unwinds, so a failing run joins instead of hanging.
-        struct PoisonOnPanic<'a>(&'a VirtualScheduler);
-        impl Drop for PoisonOnPanic<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.poison();
-                }
-            }
-        }
-
-        let n = self.cfg.n_procs;
-        let mut results: Vec<Option<crate::report::ProcResult>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for proc in 0..n {
-                let machine = Arc::clone(self);
-                let body = &body;
-                let task = move || {
-                    let sched = Arc::clone(machine.governor());
-                    let _guard = PoisonOnPanic(&sched);
-                    sched.start(proc);
-                    let mut env = Env::new(machine, proc);
-                    body(&mut env);
-                    env.finish()
-                };
-                handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("vproc-{proc}"))
-                        .stack_size(VIRTUAL_TASK_STACK)
-                        .spawn_scoped(scope, task)
-                        .expect("failed to spawn virtual-processor task"),
-                );
-            }
-            for (proc, h) in handles.into_iter().enumerate() {
-                results[proc] = Some(h.join().expect("processor thread panicked"));
-            }
+        assert!(
+            !self.ran.swap(true, Ordering::Relaxed),
+            "Machine::run called twice: a machine runs once, build a fresh one per run"
+        );
+        let results: Vec<OnceLock<ProcResult>> =
+            (0..self.cfg.n_procs).map(|_| OnceLock::new()).collect();
+        self.governor.run(&|proc| {
+            let mut env = Env::new(Arc::clone(self), proc);
+            body(&mut env);
+            results[proc]
+                .set(env.finish())
+                .expect("a processor finishes once");
         });
         // Post-run reconciliation: flush every page the lazy migratory
         // release left pinned, so host-side readback (`peek`, result
@@ -401,7 +380,10 @@ impl Machine {
             .drain_pinned(&mut drain)
             .unwrap_or_else(|e| panic!("unrecoverable MGS protocol failure: {e}"));
         RunReport::from_procs(
-            results.into_iter().map(|r| r.expect("joined")).collect(),
+            results
+                .into_iter()
+                .map(|r| r.into_inner().expect("every processor finished"))
+                .collect(),
             self.lock_totals(),
             (
                 self.lan.stats().total_msgs(),

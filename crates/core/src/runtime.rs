@@ -217,14 +217,6 @@ impl ProtoTiming for RuntimeTiming<'_> {
         }
     }
 
-    fn block_begin(&mut self) {
-        self.machine.governor().blocked(self.proc);
-    }
-
-    fn block_end(&mut self) {
-        self.machine.governor().unblocked(self.proc);
-    }
-
     fn observing(&self) -> bool {
         self.machine.obs().is_some() || self.machine.tracing()
     }

@@ -14,12 +14,56 @@
 //!   place.
 //! * [`RwLock`] / [`RwLockReadGuard`] / [`RwLockWriteGuard`] — with
 //!   `try_read` / `try_write` returning `Option`.
+//!
+//! One thing the real crate does not have: [`held_locks`], a debug-build
+//! count of the [`Mutex`] guards the calling thread holds. The
+//! simulator's tasks are coroutines that may resume on another host
+//! thread, so a guard must never live across a suspension point; the
+//! scheduler asserts the count is zero wherever a task gives up its
+//! thread.
 
 #![warn(missing_docs)]
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::TryLockError;
+
+// ---------------------------------------------------------------------
+// Held-lock count (debug builds)
+// ---------------------------------------------------------------------
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static HELD: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Number of [`MutexGuard`]s the calling thread holds; always 0 in
+/// release builds, which compile the count out.
+///
+/// Never inlined (nor is the bump in `lock` / `drop`): a caller that
+/// can be suspended on one thread and resumed on another must not have
+/// this thread-local's address cached across the suspension.
+#[inline(never)]
+pub fn held_locks() -> usize {
+    #[cfg(debug_assertions)]
+    return HELD.with(std::cell::Cell::get);
+    #[cfg(not(debug_assertions))]
+    0
+}
+
+#[cfg(debug_assertions)]
+#[inline(never)]
+fn note_held(acquired: bool) {
+    // `try_with`: a guard may drop during thread teardown, after the
+    // thread-local is gone.
+    let _ = HELD.try_with(|h| {
+        h.set(if acquired {
+            h.get() + 1
+        } else {
+            h.get().saturating_sub(1)
+        })
+    });
+}
 
 // ---------------------------------------------------------------------
 // Mutex
@@ -50,22 +94,18 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            inner: Some(
-                self.inner
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            ),
-        }
+        MutexGuard::holding(
+            self.inner
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        )
     }
 
     /// Attempts to acquire the mutex without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { inner: Some(g) }),
-            Err(TryLockError::Poisoned(p)) => Some(MutexGuard {
-                inner: Some(p.into_inner()),
-            }),
+            Ok(g) => Some(MutexGuard::holding(g)),
+            Err(TryLockError::Poisoned(p)) => Some(MutexGuard::holding(p.into_inner())),
             Err(TryLockError::WouldBlock) => None,
         }
     }
@@ -94,6 +134,21 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 /// other moment.
 pub struct MutexGuard<'a, T: ?Sized> {
     inner: Option<std::sync::MutexGuard<'a, T>>,
+}
+
+impl<'a, T: ?Sized> MutexGuard<'a, T> {
+    fn holding(inner: std::sync::MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        #[cfg(debug_assertions)]
+        note_held(true);
+        MutexGuard { inner: Some(inner) }
+    }
+}
+
+impl<T: ?Sized> Drop for MutexGuard<'_, T> {
+    fn drop(&mut self) {
+        #[cfg(debug_assertions)]
+        note_held(false);
+    }
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
@@ -294,6 +349,22 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
+    }
+
+    #[test]
+    fn held_locks_counts_this_threads_guards_in_debug_builds() {
+        let (a, b) = (Mutex::new(0), Mutex::new(0));
+        assert_eq!(held_locks(), 0);
+        let ga = a.lock();
+        let gb = b.try_lock().expect("uncontended");
+        assert_eq!(held_locks(), if cfg!(debug_assertions) { 2 } else { 0 });
+        // Another thread's guards are its own.
+        std::thread::scope(|s| {
+            s.spawn(|| assert_eq!(held_locks(), 0));
+        });
+        drop(ga);
+        drop(gb);
+        assert_eq!(held_locks(), 0);
     }
 
     #[test]

@@ -539,12 +539,13 @@ impl MgsProtocol {
             if client.pending {
                 // Another local processor is already filling this page
                 // (`BUSY`); wait for it rather than issuing a duplicate
-                // request.
-                t.block_begin();
+                // request. A host wait, and safe as one: the filler is
+                // inside this transaction, which contains no scheduler
+                // tick or suspension, so it holds a host thread of its
+                // own and finishes without needing ours.
                 while client.pending {
                     cond.wait(&mut client);
                 }
-                t.block_end();
                 let resume = client.installed_at;
                 drop(client);
                 t.wait_until(resume);

@@ -61,13 +61,6 @@ pub trait ProtoTiming {
         self.local(wait);
     }
 
-    /// The calling thread is about to block on real synchronization
-    /// (lets a time governor exclude it from window advancement).
-    fn block_begin(&mut self) {}
-
-    /// The calling thread resumed after a real block.
-    fn block_end(&mut self) {}
-
     /// A structured observability event. Purely a host-side side
     /// channel: implementations must never advance any simulated clock
     /// here (the zero-perturbation invariant of `mgs-obs` depends on

@@ -18,8 +18,11 @@
 //!   paces every machine: simulated processors are resumable tasks
 //!   admitted lowest-simulated-time-first onto a bounded host worker
 //!   budget, inside a windowed skew bound, so the machine can be far
-//!   larger than the host. [`GovHook`] is the handle sync primitives
-//!   deschedule and wake tasks through.
+//!   larger than the host. Under [`VirtualScheduler::run`] a task is a
+//!   stackful coroutine on x86_64 Linux (the private `coro` module:
+//!   `workers` host threads switch between tasks in user space) and a
+//!   parked host thread elsewhere. [`GovHook`] is the handle sync
+//!   primitives deschedule and wake tasks through.
 //! * [`EpochGate`] — a sharded lock-free epoch gate; no machine uses it
 //!   any more, it stays for the benchmark's `sim.gate_*` unit costs.
 //! * [`XorShift64`] — a small deterministic RNG used by workloads.
@@ -41,6 +44,8 @@
 
 mod account;
 mod clock;
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+mod coro;
 mod cost;
 mod gate;
 mod resource;

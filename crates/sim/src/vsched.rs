@@ -19,25 +19,53 @@
 //! blocks on simulated synchronization costs the host *nothing* until
 //! the releaser reschedules it.
 //!
-//! Tasks are backed by host threads used purely as continuations
-//! (stack + register state); a task not admitted by the scheduler is
-//! parked and invisible to the OS scheduler. This gives the
-//! corosensei/generator shape — suspend anywhere, resume later —
-//! with no dependency beyond `std`, and it means the application
-//! loops in `mgs-apps` need **no** explicit-state rewrite: every
-//! `Env::read`/`write`/lock/barrier already routes through the hooks
-//! below.
+//! # Continuations
+//!
+//! The *policy* — [`VState`], the heap, the window test, the
+//! `resume_pending` flag, the horizon mirror — is written once; what a
+//! task is suspended *as* depends on who runs it.
+//!
+//! * [`VirtualScheduler::run`] is how a machine runs. On x86_64 Linux
+//!   it hosts every task as a stackful coroutine (the private `coro`
+//!   module: a guard-paged 512 KB stack each and a context switch of
+//!   a dozen instructions) on `min(workers, n)` host threads. Each
+//!   worker loops *pop the lowest-time admissible task → switch into it
+//!   → take control back when it yields, suspends or finishes → do that
+//!   task's bookkeeping → pop the next*, and sleeps — all workers on
+//!   one condvar — only when nothing is admissible. A hand-over is a
+//!   function call, and `P = 2048` needs `workers` OS threads. A task
+//!   becomes visible as ready, suspended or done only **after** its
+//!   context is saved: the task side of a yield only decides, and the
+//!   worker it switches back to does the requeue. The ready heap is
+//!   global, so a task may resume on a different worker than it left;
+//!   `coro`'s safety contract says what that forbids. On every other
+//!   target `run` backs each task with a parked host thread.
+//! * [`start`](VirtualScheduler::start) /
+//!   [`finished`](VirtualScheduler::finished) are that thread-backed
+//!   continuation, open to a *foreign* thread on any target: the caller
+//!   parks on a per-task `Mutex<bool>` + `Condvar` until admitted.
+//!
+//! Either way the application loops in `mgs-apps` need **no**
+//! explicit-state rewrite: every `Env::read`/`write`/lock/barrier
+//! already routes through the hooks below.
 //!
 //! # Pacing semantics
 //!
 //! A task may run while its local time is under
 //! `min(active task times) + window`, where *active* spans ready and
-//! admitted tasks (suspended and host-blocked tasks do not hold the
-//! window). The scheduler **never charges simulated cycles** —
-//! simulated results on the deterministic envelope are bit-identical
-//! at every window and worker budget, and with pacing off
-//! ([`VirtualScheduler::unpaced`]); `tests/engine_equivalence.rs` and
-//! `tests/governor_equivalence.rs` at the workspace root enforce this.
+//! admitted tasks (suspended tasks do not hold the window). The
+//! scheduler **never charges simulated cycles** — simulated results on
+//! the deterministic envelope are bit-identical at every window and
+//! worker budget, and with pacing off ([`VirtualScheduler::unpaced`]);
+//! `tests/engine_equivalence.rs` and `tests/governor_equivalence.rs` at
+//! the workspace root enforce this.
+//!
+//! A task that waits on a *host* condvar (the protocol's BUSY-fill wait
+//! and its write-notice drain) keeps its slot: what it waits for is a
+//! task inside a protocol transaction, no transaction contains a tick
+//! or a suspension, so that task holds a slot of its own and finishes
+//! without the scheduler's help. With one worker neither wait is ever
+//! reached.
 //!
 //! # Determinism
 //!
@@ -45,13 +73,16 @@
 //! task executes at any instant, every scheduling decision is a pure
 //! function of simulated time and pid, and therefore *entire
 //! application runs* — including schedule-sensitive ones like TSP and
-//! lossy-fabric runs — produce bit-identical reports run after run.
+//! lossy-fabric runs — produce bit-identical reports run after run, on
+//! either continuation.
 
 use crate::gate::WaitStat;
 use crate::{Cycles, GovWaitSnapshot};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -61,28 +92,50 @@ use std::time::Instant;
 /// oversubscription-safe on a single host thread.
 pub const VWORKERS_ENV: &str = "MGS_VWORKERS";
 
+/// Stack of one task under [`VirtualScheduler::run`]. The app body plus
+/// inline protocol handlers need far less than a thread's 2 MiB
+/// default, and at `P = 2048` the difference is 3 GiB of address space.
+/// Address space, not resident memory: `run` maps the stacks itself
+/// (`mmap`, `MAP_NORESERVE`, unmapped before it returns; on targets
+/// without coroutines they are the task threads' stacks) and only the
+/// pages a task has run on are ever backed.
+const TASK_STACK: usize = 512 * 1024;
+
 /// A task's lifecycle state, as the scheduler sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VStatus {
-    /// Spawned but not yet checked in via [`VirtualScheduler::start`].
+    /// Not yet checked in via [`VirtualScheduler::start`] (or armed by
+    /// [`VirtualScheduler::run`]).
     Unstarted,
     /// In the ready heap, waiting for an admission slot.
     Ready,
-    /// Admitted: its host thread is running (or transiently finishing
-    /// a host-side wait after `unblocked`).
+    /// Admitted: it holds a slot and is executing (or, on a worker, is
+    /// being switched in or out).
     Running,
     /// Descheduled by a sync primitive; only [`resume`] makes it ready
     /// again.
     ///
     /// [`resume`]: VirtualScheduler::resume
     Suspended,
-    /// In a host-side wait the scheduler cannot see through (the
-    /// protocol's BUSY-fill condvar); excluded from the window, will
-    /// return via `unblocked` without re-queuing.
-    Blocked,
     /// Finished for the rest of the run.
     Done,
 }
+
+/// How a running task gives up its admission slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Leave {
+    /// A window ahead of the slowest active task: requeue at its own
+    /// time.
+    Yield,
+    /// Waiting on a sync primitive until a peer resumes it.
+    Suspend,
+    /// Finished.
+    Done,
+}
+
+/// The failure stored when the deadlock detector fires; `run` re-raises
+/// it as an ordinary panic with this report.
+struct Deadlock(String);
 
 #[derive(Debug)]
 struct VState {
@@ -94,17 +147,18 @@ struct VState {
     time: Vec<u64>,
     status: Vec<VStatus>,
     /// A resume that arrived while the task had not suspended yet (it
-    /// was between registering as a waiter and parking); consumed by
-    /// the next `suspend`, which then returns immediately.
+    /// was between registering as a waiter and giving up its slot);
+    /// consumed by the next suspension, which is then cancelled.
     resume_pending: Vec<bool>,
     /// The tasks currently `Running`, in no particular order: at most
-    /// the worker budget plus transient `unblocked` overshoot, so the
-    /// window minimum is a scan of this set, not of every task.
+    /// the worker budget, so the window minimum is a scan of this set,
+    /// not of every task.
     running: Vec<usize>,
-    /// Number of tasks currently `Blocked`.
-    blocked: usize,
     started: usize,
     finished: usize,
+    /// Why the run failed, if it did: the first panic payload of a task
+    /// under `run`, or the deadlock report. `run` re-raises it.
+    failure: Option<Box<dyn Any + Send>>,
 }
 
 impl VState {
@@ -119,7 +173,8 @@ impl VState {
     }
 }
 
-/// Per-task parking slot: the admission token handed over on grant.
+/// Per-task parking slot: the admission token handed over on grant to
+/// a thread-backed task, and the wait accounting of either kind.
 #[derive(Debug)]
 struct TaskSlot {
     granted: Mutex<bool>,
@@ -138,11 +193,14 @@ pub struct VirtualScheduler {
     horizon: AtomicU64,
     /// Set when the run can no longer make progress (simulated deadlock
     /// detected, or a task panicked): every parked task is woken into a
-    /// panic instead of waiting on a grant that will never come.
+    /// panic instead of waiting for an admission that will never come.
     poisoned: AtomicBool,
     window: u64,
     workers: usize,
     slots: Vec<TaskSlot>,
+    /// The coroutine continuation's share of the state.
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    hosting: hosted::Hosting,
 }
 
 impl VirtualScheduler {
@@ -164,10 +222,10 @@ impl VirtualScheduler {
 
     /// Creates a scheduler that does not pace: all `n` tasks are
     /// admitted at once and no task ever waits for a slower one, so
-    /// host threads free-run and only sync primitives deschedule. The
-    /// `MGS_VWORKERS` override is **not** consulted — a task that spins
-    /// on shared state (TSP polling its work queue) must never hold the
-    /// only admission slot.
+    /// `n` host threads free-run and only sync primitives deschedule.
+    /// The `MGS_VWORKERS` override is **not** consulted — a task that
+    /// spins on shared state (TSP polling its work queue) must never
+    /// hold the only admission slot.
     ///
     /// # Panics
     ///
@@ -187,9 +245,9 @@ impl VirtualScheduler {
                 status: vec![VStatus::Unstarted; n],
                 resume_pending: vec![false; n],
                 running: Vec::with_capacity(workers),
-                blocked: 0,
                 started: 0,
                 finished: 0,
+                failure: None,
             }),
             horizon: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
@@ -202,6 +260,8 @@ impl VirtualScheduler {
                     stat: WaitStat::new(),
                 })
                 .collect(),
+            #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+            hosting: hosted::Hosting::new(n),
         }
     }
 
@@ -216,11 +276,67 @@ impl VirtualScheduler {
         self.workers
     }
 
-    /// Task `id` checks in from its freshly-spawned host thread and
-    /// parks until the scheduler admits it. No task is admitted until
-    /// **all** tasks have checked in, so admission order — and, at
-    /// `workers = 1`, the entire execution — is independent of thread
-    /// spawn timing.
+    /// Runs `body(id)` as task `id` for every task, lowest simulated
+    /// time first, at most the worker budget at once, and returns when
+    /// all have finished. Call it once per scheduler.
+    ///
+    /// This target has no coroutine switch, so every task is a host
+    /// thread on a 512 KB stack, parked unless admitted.
+    ///
+    /// # Panics
+    ///
+    /// If a task panics — or the deadlock detector panics in one — the
+    /// run is poisoned, every parked task is woken into a panic, and
+    /// `run` re-raises the first payload once all have unwound.
+    #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+    pub fn run(&self, body: &(dyn Fn(usize) + Sync)) {
+        self.run_on_threads(body);
+    }
+
+    /// The thread-per-task [`run`](Self::run); also what this module's
+    /// tests drive the thread-backed continuation with on every target.
+    #[cfg(any(test, not(all(target_arch = "x86_64", target_os = "linux"))))]
+    fn run_on_threads(&self, body: &(dyn Fn(usize) + Sync)) {
+        std::thread::scope(|scope| {
+            for id in 0..self.slots.len() {
+                let task = move || {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        self.start(id);
+                        body(id);
+                        self.finished(id);
+                    }));
+                    if let Err(payload) = outcome {
+                        // Poisoning wakes the peers parked on a grant
+                        // that cannot come, or the scope would never
+                        // join.
+                        self.fail(&mut self.state.lock(), payload);
+                    }
+                };
+                std::thread::Builder::new()
+                    .name(format!("vproc-{id}"))
+                    .stack_size(TASK_STACK)
+                    .spawn_scoped(scope, task)
+                    .expect("failed to spawn virtual-processor task");
+            }
+        });
+        self.reraise_failure();
+    }
+
+    /// Ends a `run`: if it failed, panics with the first failure.
+    fn reraise_failure(&self) {
+        let failure = self.state.lock().failure.take();
+        if let Some(payload) = failure {
+            match payload.downcast::<Deadlock>() {
+                Ok(report) => panic!("{}", report.0),
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+    }
+
+    /// Task `id` checks in from its own host thread and parks until the
+    /// scheduler admits it. No task is admitted until **all** tasks
+    /// have checked in, so admission order — and, at `workers = 1`, the
+    /// entire execution — is independent of thread spawn timing.
     pub fn start(&self, id: usize) {
         {
             let mut st = self.state.lock();
@@ -238,8 +354,8 @@ impl VirtualScheduler {
 
     /// Called by task `id` between operations with its current local
     /// time. If the task has run `window` cycles past the slowest
-    /// active task it reschedules itself and parks until the queue
-    /// ordering readmits it.
+    /// active task it reschedules itself and does not return until the
+    /// queue ordering readmits it.
     #[inline]
     pub fn tick(&self, id: usize, local_time: Cycles) {
         let t = local_time.raw();
@@ -266,48 +382,7 @@ impl VirtualScheduler {
         }
         // Yield: requeue at our own time and hand the slot to the
         // lowest-time ready task.
-        self.slots[id].stat.record_gate();
-        st.status[id] = VStatus::Ready;
-        st.ready.push(Reverse((t, id)));
-        st.leave_running(id);
-        self.admit(&mut st);
-        drop(st);
-        let start = Instant::now();
-        self.wait_for_grant(id);
-        // Suspension waits are descheduled time, not governor parks:
-        // report them in the wait histogram with a park count of zero.
-        self.slots[id]
-            .stat
-            .record_wait(start.elapsed().as_nanos() as u64, 0);
-    }
-
-    /// Marks task `id` as entering a host-side wait the scheduler has
-    /// no visibility into (the protocol's BUSY-fill condvar). The
-    /// window advances without it and its admission slot is released.
-    pub fn blocked(&self, id: usize) {
-        let mut st = self.state.lock();
-        debug_assert_eq!(st.status[id], VStatus::Running);
-        st.status[id] = VStatus::Blocked;
-        st.leave_running(id);
-        st.blocked += 1;
-        self.admit(&mut st);
-    }
-
-    /// Marks task `id` runnable again after a host-side wait. The task
-    /// resumes **immediately** (without re-queuing), transiently
-    /// overshooting the worker budget; it re-enters normal admission at
-    /// its next tick. This keeps the blocked/unblocked bracket safe to
-    /// use while holding protocol mutexes — an `unblocked` that parked
-    /// could deadlock the machine against the task holding its
-    /// admission slot.
-    pub fn unblocked(&self, id: usize) {
-        let mut st = self.state.lock();
-        debug_assert_eq!(st.status[id], VStatus::Blocked);
-        st.status[id] = VStatus::Running;
-        st.blocked -= 1;
-        st.running.push(id);
-        // Its (possibly low) time re-enters the window computation.
-        self.publish_horizon(&st);
+        self.deschedule(Some(st), id, Leave::Yield);
     }
 
     /// Deschedules task `id` until [`resume`](Self::resume). Called by
@@ -316,30 +391,44 @@ impl VirtualScheduler {
     /// it; a resume that raced ahead of this call is consumed and the
     /// task keeps running.
     pub fn suspend(&self, id: usize) {
-        {
-            let mut st = self.state.lock();
-            if st.resume_pending[id] {
-                st.resume_pending[id] = false;
-                return;
-            }
-            debug_assert_eq!(st.status[id], VStatus::Running);
-            self.slots[id].stat.record_gate();
-            st.status[id] = VStatus::Suspended;
-            st.leave_running(id);
-            self.admit(&mut st);
-        }
+        self.deschedule(None, id, Leave::Suspend);
+    }
+
+    /// Task `id` gives up its slot — `st` is the state lock if the
+    /// caller decided under it — and returns once it is admitted again,
+    /// or at once if a pending resume cancels a suspension.
+    fn deschedule(&self, st: Option<MutexGuard<'_, VState>>, id: usize, how: Leave) {
         let start = Instant::now();
+        // Descheduled time is not a governor park: it goes in the wait
+        // histogram with a park count of zero.
+        let record_wait = || {
+            let waited = start.elapsed().as_nanos() as u64;
+            self.slots[id].stat.record_wait(waited, 0);
+        };
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        if self.hosting.is_on() {
+            // The worker applies `how` once this context is saved: a
+            // task requeued from here could be popped by another worker
+            // while its registers are still live in this one.
+            drop(st);
+            self.switch_out(id, how);
+            return record_wait();
+        }
+        let mut st = st.unwrap_or_else(|| self.state.lock());
+        if !self.leave(&mut st, id, how) {
+            return;
+        }
+        self.admit(&mut st);
+        drop(st);
         self.wait_for_grant(id);
-        self.slots[id]
-            .stat
-            .record_wait(start.elapsed().as_nanos() as u64, 0);
+        record_wait();
     }
 
     /// Makes a suspended task ready again (at its suspension-time
-    /// priority). Races with a not-yet-parked suspender are resolved by
-    /// `resume_pending`; resuming a ready/running/done task is a
-    /// harmless no-op beyond that flag (waiters re-check their
-    /// condition after every wake).
+    /// priority). Races with a suspender that has not given up its slot
+    /// yet are resolved by `resume_pending`; resuming a
+    /// ready/running/done task is a harmless no-op beyond that flag
+    /// (waiters re-check their condition after every wake).
     pub fn resume(&self, id: usize) {
         self.resume_many(std::slice::from_ref(&id));
     }
@@ -368,18 +457,13 @@ impl VirtualScheduler {
         self.admit(&mut st);
     }
 
-    /// Marks task `id` as finished for the rest of the run.
+    /// Marks thread-backed task `id` as finished for the rest of the
+    /// run. (A task under [`run`](Self::run) finishes by returning.)
     pub fn finished(&self, id: usize) {
         let mut st = self.state.lock();
-        match st.status[id] {
-            VStatus::Done => return,
-            VStatus::Running => st.leave_running(id),
-            VStatus::Blocked => st.blocked -= 1,
-            _ => {}
+        if self.leave(&mut st, id, Leave::Done) {
+            self.admit(&mut st);
         }
-        st.status[id] = VStatus::Done;
-        st.finished += 1;
-        self.admit(&mut st);
     }
 
     /// Per-task wait accounting: suspensions count as gates, the wait
@@ -393,7 +477,7 @@ impl VirtualScheduler {
     }
 
     // -----------------------------------------------------------------
-    // Internals
+    // Policy: written once, whatever a task is suspended as
     // -----------------------------------------------------------------
 
     /// Lowest recorded time over active (ready or running) tasks: the
@@ -424,20 +508,94 @@ impl VirtualScheduler {
             .store(min.saturating_add(self.window), Ordering::Release);
     }
 
-    /// Republishes the horizon, then fills free admission slots with
-    /// the lowest-time ready tasks that fit inside the window. Also the
-    /// deadlock-of-last-resort detector: if nothing is admissible,
-    /// nothing is running, and nothing is host-blocked while tasks
-    /// remain suspended, no future event can wake the machine.
+    /// Task `id` gives up its slot: the one place a task stops being
+    /// `Running`. Returns `false`, having changed nothing, when there
+    /// is nothing to give up — a resume raced ahead of this suspension
+    /// (the task keeps its slot and runs on), or the task was already
+    /// done.
+    fn leave(&self, st: &mut VState, id: usize, how: Leave) -> bool {
+        let nothing_to_give_up = match how {
+            Leave::Yield => false,
+            Leave::Suspend => std::mem::take(&mut st.resume_pending[id]),
+            Leave::Done => st.status[id] == VStatus::Done,
+        };
+        if nothing_to_give_up {
+            return false;
+        }
+        // (A thread-backed task may call `finished` from any state.)
+        debug_assert!(how == Leave::Done || st.status[id] == VStatus::Running);
+        if st.status[id] == VStatus::Running {
+            st.leave_running(id);
+        }
+        match how {
+            Leave::Yield => {
+                st.status[id] = VStatus::Ready;
+                let t = st.time[id];
+                st.ready.push(Reverse((t, id)));
+            }
+            Leave::Suspend => st.status[id] = VStatus::Suspended,
+            Leave::Done => {
+                st.status[id] = VStatus::Done;
+                st.finished += 1;
+                return true;
+            }
+        }
+        self.slots[id].stat.record_gate();
+        true
+    }
+
+    /// The lowest-time ready task, if it fits inside the window: a
+    /// ready task is admissible while it is within a window of the
+    /// slowest active task, and the global minimum always is.
+    fn admissible(&self, st: &VState) -> Option<usize> {
+        let &Reverse((t, id)) = st.ready.peek()?;
+        (t < self.active_min(st).saturating_add(self.window)).then_some(id)
+    }
+
+    /// Admits the task [`admissible`](Self::admissible) names.
+    fn pop_admissible(&self, st: &mut VState) -> Option<usize> {
+        let id = self.admissible(st)?;
+        st.ready.pop();
+        debug_assert_eq!(st.status[id], VStatus::Ready);
+        st.status[id] = VStatus::Running;
+        st.running.push(id);
+        Some(id)
+    }
+
+    /// The deadlock of last resort, as a report: nothing is running and
+    /// nothing is ready while tasks remain suspended, so no future
+    /// event can wake the machine.
+    fn deadlock(&self, st: &VState) -> Option<String> {
+        // (No task is `Unstarted` here: admission is held until every
+        // task has checked in. And a poisoned run is already failing:
+        // its parked tasks are on their way out, not stuck.)
+        if !st.running.is_empty()
+            || !st.ready.is_empty()
+            || st.finished == st.time.len()
+            || self.poisoned.load(Ordering::Acquire)
+        {
+            return None;
+        }
+        let stuck: Vec<usize> = st
+            .status
+            .iter()
+            .enumerate()
+            .filter(|(_, &s)| s == VStatus::Suspended)
+            .map(|(i, _)| i)
+            .collect();
+        Some(format!(
+            "scheduler deadlock: tasks {stuck:?} suspended with no \
+             runnable task left to resume them (simulated deadlock in the \
+             application or a lost wakeup in a sync primitive)"
+        ))
+    }
+
+    /// Republishes the horizon, then lets the lowest-time ready tasks
+    /// that fit inside the window into the free admission slots.
     fn admit(&self, st: &mut VState) {
         if st.started < st.time.len() {
             return; // hold everyone until the full machine has spawned
         }
-        debug_assert_eq!(
-            st.blocked,
-            st.status.iter().filter(|&&s| s == VStatus::Blocked).count(),
-            "blocked count out of step with task status"
-        );
         // Publish before granting: admission moves tasks from the ready
         // heap to the running set without changing the minimum over
         // both, so the value is already final — and a task granted
@@ -446,49 +604,29 @@ impl VirtualScheduler {
         // find a stale value there (that would make its first ticks a
         // host-timing race, even at `workers = 1`).
         self.publish_horizon(st);
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        if self.hosting.is_on() {
+            // Workers admit for themselves, and the caller is a task
+            // occupying one: all there is to do is wake a sleeping one.
+            return self.wake_idle(st);
+        }
         while st.running.len() < self.workers {
-            let Some(&Reverse((t, _))) = st.ready.peek() else {
+            let Some(id) = self.pop_admissible(st) else {
                 break;
             };
-            // A ready task is admissible while it is within a window of
-            // the slowest active task; the global minimum always is.
-            let min = self.active_min(st);
-            if t >= min.saturating_add(self.window) {
-                break;
-            }
-            let Reverse((_, id)) = st.ready.pop().expect("peeked");
-            debug_assert_eq!(st.status[id], VStatus::Ready);
-            st.status[id] = VStatus::Running;
-            st.running.push(id);
             self.grant(id);
         }
-        // (No task is `Unstarted` here: admission is held until every
-        // task has checked in.)
-        if st.running.is_empty()
-            && st.ready.is_empty()
-            && st.finished < st.time.len()
-            && st.blocked == 0
-        {
-            let stuck: Vec<usize> = st
-                .status
-                .iter()
-                .enumerate()
-                .filter(|(_, &s)| s == VStatus::Suspended)
-                .map(|(i, _)| i)
-                .collect();
-            // Wake every parked task into a panic before panicking
-            // ourselves, or the machine's thread scope would join
-            // forever on tasks waiting for grants that cannot come.
-            self.poison_slots();
-            panic!(
-                "scheduler deadlock: tasks {stuck:?} suspended with no \
-                 runnable task left to resume them (simulated deadlock in the \
-                 application or a lost wakeup in a sync primitive)"
-            );
+        if let Some(report) = self.deadlock(st) {
+            // Record it and wake every parked task into a panic before
+            // panicking ourselves: whoever joins the task threads would
+            // wait forever on grants that cannot come, and the peers'
+            // "poisoned" panics must not be taken for the cause.
+            self.fail(st, Box::new(Deadlock(report.clone())));
+            panic!("{report}");
         }
     }
 
-    /// Hands the admission token to task `id`.
+    /// Hands the admission token to thread-backed task `id`.
     fn grant(&self, id: usize) {
         let slot = &self.slots[id];
         let mut g = slot.granted.lock();
@@ -501,13 +639,12 @@ impl VirtualScheduler {
         slot.cv.notify_one();
     }
 
-    /// Parks the calling task until its admission token arrives.
+    /// Parks the calling thread-backed task until its admission token
+    /// arrives.
     ///
     /// # Panics
     ///
-    /// Panics if the scheduler was [`poison`](Self::poison)ed while the
-    /// task was parked — the run is already failing elsewhere and this
-    /// task must unwind rather than keep executing the application.
+    /// Panics if the run was poisoned while the task was parked.
     fn wait_for_grant(&self, id: usize) {
         let slot = &self.slots[id];
         let mut g = slot.granted.lock();
@@ -516,26 +653,311 @@ impl VirtualScheduler {
         }
         *g = false;
         drop(g);
+        self.check_poison(id);
+    }
+
+    /// Where a task comes back from being parked.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run was poisoned meanwhile — it is already failing
+    /// elsewhere and this task must unwind rather than keep executing
+    /// the application.
+    fn check_poison(&self, id: usize) {
         if self.poisoned.load(Ordering::Acquire) {
             panic!("scheduler poisoned: another task failed while task {id} was parked");
         }
     }
 
-    /// Marks the run as failed and wakes every parked task into a
-    /// panic. Called by the deadlock detector and by the machine's
-    /// per-task panic guard: without it, one panicking task would leave
-    /// its peers parked forever and the run's thread scope would never
-    /// join. Idempotent.
-    pub fn poison(&self) {
-        self.poison_slots();
-    }
-
-    fn poison_slots(&self) {
+    /// Records why the run failed (the first reason wins) and poisons
+    /// it: every parked task — thread-backed ones here, hosted ones as
+    /// the workers get to them — is woken into a panic instead of
+    /// waiting forever. Idempotent beyond the first payload.
+    fn fail(&self, st: &mut VState, payload: Box<dyn Any + Send>) {
+        st.failure.get_or_insert(payload);
         self.poisoned.store(true, Ordering::Release);
         for slot in &self.slots {
             let mut g = slot.granted.lock();
             *g = true;
             slot.cv.notify_one();
+        }
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        self.hosting.wake_all();
+    }
+}
+
+/// The coroutine continuation: what `run` is on x86_64 Linux.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+mod hosted {
+    use super::*;
+    use crate::coro;
+    use std::cell::UnsafeCell;
+    use std::sync::atomic::AtomicUsize;
+
+    /// A hosted task's two saved stack pointers and the message it
+    /// leaves its worker. Touched only by whoever holds the task: the
+    /// worker that popped it (status `Running` under the state lock)
+    /// and, while that worker is switched into it, the task itself.
+    #[derive(Debug)]
+    struct TaskCtx {
+        /// The task's stack pointer while it is switched out.
+        sp: *mut u8,
+        /// The hosting worker's stack pointer while the task is
+        /// switched in.
+        host: *mut u8,
+        /// Why the task last switched out; its worker applies it.
+        how: Leave,
+    }
+
+    #[derive(Debug)]
+    struct CtxCell(UnsafeCell<TaskCtx>);
+
+    // SAFETY: a cell is accessed by one thread at a time (see
+    // `TaskCtx`), and every hand-over of a task between threads goes
+    // through the scheduler's state lock; the pointers name stacks
+    // `run` keeps mapped.
+    unsafe impl Sync for CtxCell {}
+    // SAFETY: as above — the raw pointers are not tied to any thread.
+    unsafe impl Send for CtxCell {}
+
+    /// The scheduler state only this continuation uses.
+    #[derive(Debug)]
+    pub(super) struct Hosting {
+        /// Set by `run` before any task executes: tasks are contexts
+        /// that workers switch into, not parked threads.
+        on: AtomicBool,
+        /// Workers asleep on `wake` because nothing was admissible.
+        /// Changed only under the state lock (atomic for `Sync` only).
+        idle: AtomicUsize,
+        /// Where those workers sleep, with the state lock.
+        wake: Condvar,
+        ctxs: Vec<CtxCell>,
+    }
+
+    impl Hosting {
+        pub(super) fn new(n: usize) -> Hosting {
+            let ctx = || TaskCtx {
+                sp: std::ptr::null_mut(),
+                host: std::ptr::null_mut(),
+                how: Leave::Done,
+            };
+            Hosting {
+                on: AtomicBool::new(false),
+                idle: AtomicUsize::new(0),
+                wake: Condvar::new(),
+                ctxs: (0..n).map(|_| CtxCell(UnsafeCell::new(ctx()))).collect(),
+            }
+        }
+
+        /// Whether tasks are hosted. (Relaxed: set before the workers
+        /// that run them are spawned.)
+        pub(super) fn is_on(&self) -> bool {
+            self.on.load(Ordering::Relaxed)
+        }
+
+        /// Wakes every sleeping worker: the run failed or is over.
+        pub(super) fn wake_all(&self) {
+            self.wake.notify_all();
+        }
+    }
+
+    /// What `run` lends its tasks for the run.
+    struct Lent<'a> {
+        sched: &'a VirtualScheduler,
+        body: &'a (dyn Fn(usize) + Sync),
+    }
+
+    /// Where a hosted task starts, on its own fresh stack. The body's
+    /// panics stop here: the frame below is hand-built and has nothing
+    /// to unwind into.
+    unsafe extern "C" fn task_entry(lent: *const (), id: usize) -> ! {
+        // SAFETY: `run` passes a pointer to the `Lent` in its own
+        // frame, which it keeps alive until every worker has joined.
+        let Lent { sched, body } = unsafe { &*lent.cast::<Lent<'_>>() };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            sched.check_poison(id);
+            body(id);
+        }));
+        if let Err(payload) = outcome {
+            sched.fail(&mut sched.state.lock(), payload);
+        }
+        sched.switch_out(id, Leave::Done);
+        unreachable!("a finished task is never resumed")
+    }
+
+    impl VirtualScheduler {
+        /// Runs `body(id)` as task `id` for every task, lowest simulated
+        /// time first, at most the worker budget at once, and returns when
+        /// all have finished. Call it once per scheduler.
+        ///
+        /// Every task is a coroutine on a guard-paged 512 KB stack mapped
+        /// here and unmapped before returning, and `min(workers, n)` host
+        /// threads switch into them; see the module docs. Overflowing a
+        /// task stack hits its guard page and kills the process with
+        /// SIGSEGV (not `std`'s "has overflowed its stack" report, which
+        /// only knows thread stacks).
+        ///
+        /// # Panics
+        ///
+        /// If a task panics, the panic is caught at the task's entry, the
+        /// run is poisoned, every parked task is resumed into a panic so
+        /// its destructors run on its own stack, and `run` re-raises the
+        /// first payload once all have unwound. If every unfinished task is
+        /// suspended with none left to resume them, `run` panics with a
+        /// `scheduler deadlock` report naming them, after unwinding them
+        /// the same way.
+        pub fn run(&self, body: &(dyn Fn(usize) + Sync)) {
+            let n = self.slots.len();
+            let stacks = coro::Stacks::map(n, TASK_STACK);
+            let lent = Lent { sched: self, body };
+            {
+                let mut st = self.state.lock();
+                assert_eq!(st.started, 0, "a scheduler runs its tasks once");
+                self.hosting.on.store(true, Ordering::Relaxed);
+                for id in 0..n {
+                    // SAFETY: stack `id` is fresh and `TASK_STACK` deep; no
+                    // worker exists yet, so the context cell is ours.
+                    // `lent` is erased to a thin pointer that `task_entry`
+                    // casts back; it outlives every task because the
+                    // workers are joined below, in this frame.
+                    unsafe {
+                        (*self.hosting.ctxs[id].0.get()).sp =
+                            coro::prepare(stacks.top(id), task_entry, (&raw const lent).cast(), id);
+                    }
+                    st.status[id] = VStatus::Ready;
+                    st.ready.push(Reverse((0, id)));
+                }
+                st.started = n;
+            }
+            std::thread::scope(|scope| {
+                for w in 0..self.workers.min(n) {
+                    std::thread::Builder::new()
+                        .name(format!("vworker-{w}"))
+                        .spawn_scoped(scope, || self.worker())
+                        .expect("failed to spawn scheduler worker");
+                }
+            });
+            drop(stacks);
+            self.reraise_failure();
+        }
+
+        /// One host thread of [`run`](Self::run): runs admissible
+        /// tasks, lowest time first, until every task is done.
+        fn worker(&self) {
+            /// A panic here is a broken scheduler invariant with tasks
+            /// parked mid-switch: there is no state to unwind them
+            /// from, and returning would leave the other workers
+            /// waiting forever.
+            struct AbortOnPanic;
+            impl Drop for AbortOnPanic {
+                fn drop(&mut self) {
+                    if std::thread::panicking() {
+                        std::process::abort();
+                    }
+                }
+            }
+            let _guard = AbortOnPanic;
+
+            let idle = &self.hosting.idle;
+            let mut st = self.state.lock();
+            loop {
+                self.publish_horizon(&st);
+                let Some(id) = self.next_task(&mut st) else {
+                    if st.finished == st.time.len() {
+                        return;
+                    }
+                    if let Some(report) = self.deadlock(&st) {
+                        self.fail(&mut st, Box::new(Deadlock(report)));
+                        continue;
+                    }
+                    idle.fetch_add(1, Ordering::Relaxed);
+                    self.hosting.wake.wait(&mut st);
+                    idle.fetch_sub(1, Ordering::Relaxed);
+                    continue;
+                };
+                self.wake_idle(&st);
+                // Run the task until it really gives its slot up: a
+                // resume that raced ahead of a suspension sends it
+                // straight back.
+                loop {
+                    drop(st);
+                    let how = self.switch_in(id);
+                    st = self.state.lock();
+                    if self.leave(&mut st, id, how) {
+                        break;
+                    }
+                }
+                if st.finished == st.time.len() {
+                    self.hosting.wake_all();
+                }
+            }
+        }
+
+        /// The task this worker runs next, marked `Running`. On a
+        /// poisoned run that is any task still parked, whatever the
+        /// window says: it is resumed to unwind, not to compute.
+        fn next_task(&self, st: &mut VState) -> Option<usize> {
+            if !self.poisoned.load(Ordering::Acquire) {
+                return self.pop_admissible(st);
+            }
+            let id = st
+                .status
+                .iter()
+                .position(|&s| matches!(s, VStatus::Ready | VStatus::Suspended))?;
+            st.status[id] = VStatus::Running;
+            st.running.push(id);
+            Some(id)
+        }
+
+        /// Wakes one sleeping worker if there is a task it would pop
+        /// (it wakes the next in turn).
+        pub(super) fn wake_idle(&self, st: &VState) {
+            if self.hosting.idle.load(Ordering::Relaxed) > 0 && self.admissible(st).is_some() {
+                self.hosting.wake.notify_one();
+            }
+        }
+
+        /// Worker side of the switch: resumes task `id`, which this
+        /// worker popped, and returns why it came back.
+        fn switch_in(&self, id: usize) -> Leave {
+            let ctx = self.hosting.ctxs[id].0.get();
+            // SAFETY: popping `id` under the state lock made this
+            // worker the task's only holder, and that lock orders us
+            // after the `switch` that saved `sp` (`leave` publishes a
+            // task only after its worker has regained control). The
+            // stack is mapped until `run` has joined us. `how` is read
+            // after the task has switched back, i.e. stopped running.
+            unsafe {
+                coro::switch(&raw mut (*ctx).host, (*ctx).sp);
+                (*ctx).how
+            }
+        }
+
+        /// Task side of the switch: hands `how` to the hosting worker
+        /// and returns when some worker switches back in. Never inlined
+        /// and free of thread-locals, because it may return on another
+        /// thread (`coro`'s safety contract).
+        ///
+        /// # Panics
+        ///
+        /// Panics on return if the run was poisoned meanwhile.
+        #[inline(never)]
+        pub(super) fn switch_out(&self, id: usize, how: Leave) {
+            debug_assert_eq!(
+                parking_lot::held_locks(),
+                0,
+                "task {id} gives up its worker holding a host lock"
+            );
+            let ctx = self.hosting.ctxs[id].0.get();
+            // SAFETY: only task `id` itself, running on the worker that
+            // holds it, gets here; that worker is suspended in
+            // `switch_in` with its stack pointer in `host`, and touches
+            // the cell again only after this switch has saved ours.
+            unsafe {
+                (*ctx).how = how;
+                coro::switch(&raw mut (*ctx).sp, (*ctx).host);
+            }
+            self.check_poison(id);
         }
     }
 }
@@ -564,9 +986,10 @@ impl<'a> GovHook<'a> {
     }
 
     /// Deschedules the calling task until a peer [`wake`](Self::wake)s
-    /// it. **Never call while holding a mutex the waking peer needs**:
-    /// the primitive registers the waiter, drops its lock, then
-    /// deschedules (a wake that races ahead is consumed, not lost).
+    /// it. **Never call while holding a host lock**: the primitive
+    /// registers the waiter, drops its lock, then deschedules (a wake
+    /// that races ahead is consumed, not lost) — the waking peer needs
+    /// that lock, and the task may resume on another host thread.
     pub fn deschedule(&self) {
         self.sched.suspend(self.id);
     }
@@ -591,139 +1014,182 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
-    /// Runs `n` tasks through a scheduler, each executing `body(id)`.
-    fn run_tasks(sched: &Arc<VirtualScheduler>, n: usize, body: impl Fn(usize) + Sync) {
-        std::thread::scope(|scope| {
-            for id in 0..n {
-                let sched = Arc::clone(sched);
-                let body = &body;
-                scope.spawn(move || {
-                    sched.start(id);
-                    body(id);
-                    sched.finished(id);
-                });
-            }
-        });
+    /// Runs `body(scheduler, id)` to completion on a fresh scheduler
+    /// under each continuation — thread-backed, then whatever `run`
+    /// uses on this target — and hands each finished scheduler to
+    /// `check`.
+    fn on_each_continuation(
+        make: impl Fn() -> VirtualScheduler,
+        body: impl Fn(&VirtualScheduler, usize) + Sync,
+        check: impl Fn(&VirtualScheduler),
+    ) {
+        let s = make();
+        s.run_on_threads(&|id| body(&s, id));
+        check(&s);
+        let s = make();
+        s.run(&|id| body(&s, id));
+        check(&s);
+    }
+
+    fn message(payload: Box<dyn Any + Send>) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
     }
 
     #[test]
     fn single_task_never_waits() {
-        let s = Arc::new(VirtualScheduler::new(1, Cycles(100), 1));
-        run_tasks(&s, 1, |_| {
-            for t in (0..10_000).step_by(37) {
-                s.tick(0, Cycles(t));
-            }
-        });
+        on_each_continuation(
+            || VirtualScheduler::new(1, Cycles(100), 1),
+            |s, _| {
+                for t in (0..10_000).step_by(37) {
+                    s.tick(0, Cycles(t));
+                }
+            },
+            |s| assert_eq!(s.wait_snapshot().total_gates(), 0),
+        );
     }
 
     #[test]
     fn one_worker_serializes_in_time_order() {
         // Each task appends its id on every slice; with one worker and
         // equal strides the log must interleave in strict time order.
-        let s = Arc::new(VirtualScheduler::new(3, Cycles(10), 1));
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let l = Arc::clone(&log);
-        let s2 = Arc::clone(&s);
-        run_tasks(&s, 3, move |id| {
-            for step in 1..=5u64 {
-                l.lock().push((step * 100, id));
-                s2.tick(id, Cycles(step * 100));
-            }
-        });
-        let log = log.lock();
-        // Everyone logs (100, _) before anyone logs (200, _), etc.:
-        // times along the log are non-decreasing once sorted per step.
-        let mut max_completed = 0;
-        for w in log.windows(3) {
-            let t = w[0].0;
-            assert!(
-                t >= max_completed,
-                "slice at t={t} ran after t={max_completed} completed: {log:?}"
-            );
-            max_completed = max_completed.max(t.saturating_sub(100));
-        }
-        assert_eq!(log.len(), 15);
+        let log = Mutex::new(Vec::new());
+        on_each_continuation(
+            || VirtualScheduler::new(3, Cycles(10), 1),
+            |s, id| {
+                for step in 1..=5u64 {
+                    log.lock().push((step * 100, id));
+                    s.tick(id, Cycles(step * 100));
+                }
+            },
+            |_| {
+                let log = std::mem::take(&mut *log.lock());
+                // Everyone logs (100, _) before anyone logs (200, _),
+                // etc.: times along the log are non-decreasing once
+                // sorted per step.
+                let mut max_completed = 0;
+                for w in log.windows(3) {
+                    let t = w[0].0;
+                    assert!(
+                        t >= max_completed,
+                        "slice at t={t} ran after t={max_completed} completed: {log:?}"
+                    );
+                    max_completed = max_completed.max(t.saturating_sub(100));
+                }
+                assert_eq!(log.len(), 15);
+            },
+        );
+    }
+
+    #[test]
+    fn one_worker_schedules_identically_on_either_continuation() {
+        // The whole interleaving, not just its order property: ticks,
+        // a lock-like suspend/resume chain and uneven strides, logged
+        // at every step. `W = 1` is a pure function of time and pid, so
+        // the thread-backed and the hosted run must agree entry for
+        // entry.
+        let log = Mutex::new(Vec::new());
+        let logs = Mutex::new(Vec::new());
+        on_each_continuation(
+            || VirtualScheduler::new(5, Cycles(64), 1),
+            |s, id| {
+                for step in 1..=40u64 {
+                    let t = step * (17 + 9 * id as u64);
+                    log.lock().push((id, t));
+                    s.tick(id, Cycles(t));
+                    if step % 8 == 0 {
+                        if id == 4 {
+                            s.resume_many(&[0, 1, 2, 3]);
+                        } else {
+                            s.suspend(id);
+                        }
+                    }
+                }
+                // Whoever is still suspended when 4 is done stays so
+                // for nobody: wake them all on the way out.
+                s.resume_many(&[0, 1, 2, 3]);
+            },
+            |s| {
+                logs.lock().push((
+                    std::mem::take(&mut *log.lock()),
+                    s.wait_snapshot().total_gates(),
+                ));
+            },
+        );
+        let logs = logs.lock();
+        assert_eq!(logs[0].0.len(), 200);
+        assert!(logs[0].1 > 0, "tasks must have rescheduled");
+        assert_eq!(logs[0], logs[1]);
     }
 
     #[test]
     fn worker_budget_is_respected() {
-        let s = Arc::new(VirtualScheduler::new(8, Cycles(1_000_000), 2));
-        let live = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        let (l, p) = (Arc::clone(&live), Arc::clone(&peak));
-        let s2 = Arc::clone(&s);
-        run_tasks(&s, 8, move |id| {
-            for step in 0..50u64 {
-                let now = l.fetch_add(1, Ordering::SeqCst) + 1;
-                p.fetch_max(now, Ordering::SeqCst);
-                std::hint::spin_loop();
-                l.fetch_sub(1, Ordering::SeqCst);
-                s2.tick(id, Cycles(step));
-            }
-        });
-        assert!(
-            peak.load(Ordering::SeqCst) <= 2,
-            "admission exceeded budget"
+        let live = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        on_each_continuation(
+            || VirtualScheduler::new(8, Cycles(1_000_000), 2),
+            |s, id| {
+                for step in 0..50u64 {
+                    let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    std::hint::spin_loop();
+                    live.fetch_sub(1, Ordering::SeqCst);
+                    s.tick(id, Cycles(step));
+                }
+            },
+            |_| {
+                assert!(
+                    peak.load(Ordering::SeqCst) <= 2,
+                    "admission exceeded budget"
+                )
+            },
         );
     }
 
     #[test]
     fn suspend_resume_roundtrip() {
-        let s = Arc::new(VirtualScheduler::new(2, Cycles(100), 1));
-        let flag = Arc::new(Mutex::new(false));
-        let f = Arc::clone(&flag);
-        let s2 = Arc::clone(&s);
-        run_tasks(&s, 2, move |id| {
-            if id == 0 {
-                // Wait (suspended) until task 1 sets the flag.
-                loop {
-                    if *f.lock() {
-                        break;
+        let flag = AtomicBool::new(false);
+        on_each_continuation(
+            || VirtualScheduler::new(2, Cycles(100), 1),
+            |s, id| {
+                if id == 0 {
+                    // Wait (suspended) until task 1 sets the flag.
+                    while !flag.load(Ordering::SeqCst) {
+                        s.suspend(0);
                     }
-                    s2.suspend(0);
+                } else {
+                    for t in (0..5_000).step_by(100) {
+                        s.tick(1, Cycles(t));
+                    }
+                    flag.store(true, Ordering::SeqCst);
+                    s.resume(0);
                 }
-            } else {
-                for t in (0..5_000).step_by(100) {
-                    s2.tick(1, Cycles(t));
-                }
-                *f.lock() = true;
-                s2.resume(0);
-            }
-        });
+            },
+            |_| flag.store(false, Ordering::SeqCst),
+        );
     }
 
     #[test]
     fn resume_before_suspend_is_not_lost() {
-        let s = Arc::new(VirtualScheduler::new(2, Cycles(100), 2));
-        let s2 = Arc::clone(&s);
-        run_tasks(&s, 2, move |id| {
-            if id == 0 {
-                // Peer resumes us before (or while) we suspend; either
-                // way the pending flag guarantees we come back.
-                s2.suspend(0);
-            } else {
-                s2.resume(0);
-            }
-        });
-    }
-
-    #[test]
-    fn blocked_task_does_not_hold_window() {
-        let s = Arc::new(VirtualScheduler::new(2, Cycles(50), 2));
-        let s2 = Arc::clone(&s);
-        run_tasks(&s, 2, move |id| {
-            if id == 0 {
-                s2.blocked(0);
-                // Host-side wait stand-in; scheduler ignores us.
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                s2.unblocked(0);
-            } else {
-                // Sails through many windows while 0 is blocked.
-                for t in (0..50_000).step_by(50) {
-                    s2.tick(1, Cycles(t));
-                }
-            }
-        });
+        // Two workers, so the peer's resume lands before, while or
+        // after task 0 gives up its slot; the pending flag guarantees
+        // it comes back in every case. Many rounds, to see them all.
+        for _ in 0..200 {
+            on_each_continuation(
+                || VirtualScheduler::new(2, Cycles(100), 2),
+                |s, id| {
+                    if id == 0 {
+                        s.suspend(0);
+                    } else {
+                        s.resume(0);
+                    }
+                },
+                |_| {},
+            );
+        }
     }
 
     #[test]
@@ -743,14 +1209,7 @@ mod tests {
         // the parked peer too, so both joins fail instead of hanging.
         let msgs: Vec<String> = handles
             .into_iter()
-            .map(|h| {
-                let payload = h.join().expect_err("task should have panicked");
-                payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_default()
-            })
+            .map(|h| message(h.join().expect_err("task should have panicked")))
             .collect();
         assert!(
             msgs.iter().any(|m| m.contains("deadlock")),
@@ -762,55 +1221,172 @@ mod tests {
         );
     }
 
+    /// Counts itself out when dropped: a stand-in for a task's locals.
+    struct Local<'a>(&'a AtomicUsize);
+    impl Drop for Local<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn run_reports_a_deadlock_after_unwinding_the_stuck_tasks() {
+        for hosted in [false, true] {
+            let dropped = AtomicUsize::new(0);
+            let s = VirtualScheduler::new(4, Cycles(100), 2);
+            let body = |id: usize| {
+                let _local = Local(&dropped);
+                if id != 0 {
+                    s.suspend(id); // task 0 finishes without resuming anyone
+                }
+            };
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if hosted {
+                    s.run(&body)
+                } else {
+                    s.run_on_threads(&body)
+                }
+            }));
+            let msg = message(outcome.expect_err("a deadlocked run panics"));
+            assert!(
+                msg.contains("scheduler deadlock: tasks [1, 2, 3] suspended"),
+                "{msg}"
+            );
+            assert_eq!(dropped.load(Ordering::SeqCst), 4, "every task unwound");
+        }
+    }
+
+    #[test]
+    fn run_reraises_the_first_panic_after_unwinding_every_parked_task() {
+        for hosted in [false, true] {
+            let dropped = AtomicUsize::new(0);
+            let s = VirtualScheduler::new(6, Cycles(100), 2);
+            let body = |id: usize| {
+                let _local = Local(&dropped);
+                match id {
+                    // Parked in both ways a task can be: suspended, and
+                    // ready but a window ahead.
+                    0 | 1 => s.suspend(id),
+                    2 | 3 => s.tick(id, Cycles(1 << 30)),
+                    4 => {
+                        for t in (0..1_000).step_by(10) {
+                            s.tick(id, Cycles(t));
+                        }
+                        panic!("task 4 fails");
+                    }
+                    _ => {}
+                }
+            };
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if hosted {
+                    s.run(&body)
+                } else {
+                    s.run_on_threads(&body)
+                }
+            }));
+            let msg = message(outcome.expect_err("the run fails"));
+            assert_eq!(msg, "task 4 fails");
+            assert_eq!(dropped.load(Ordering::SeqCst), 6, "every task unwound");
+        }
+    }
+
     #[test]
     fn snapshot_counts_suspensions_as_gates_with_zero_parks() {
-        let s = Arc::new(VirtualScheduler::new(2, Cycles(10), 1));
-        let s2 = Arc::clone(&s);
-        run_tasks(&s, 2, move |id| {
-            for step in 1..=20u64 {
-                s2.tick(id, Cycles(step * 10));
-            }
-        });
-        let snap = s.wait_snapshot();
-        assert_eq!(snap.engine, "virtual");
-        let gates: u64 = snap.per_proc.iter().map(|p| p.gates).sum();
-        let parks: u64 = snap.per_proc.iter().map(|p| p.parks).sum();
-        assert!(gates > 0, "interleaved tasks must have rescheduled");
-        assert_eq!(parks, 0, "a descheduled task is not a park");
+        on_each_continuation(
+            || VirtualScheduler::new(2, Cycles(10), 1),
+            |s, id| {
+                for step in 1..=20u64 {
+                    s.tick(id, Cycles(step * 10));
+                }
+            },
+            |s| {
+                let snap = s.wait_snapshot();
+                assert_eq!(snap.engine, "virtual");
+                let gates: u64 = snap.per_proc.iter().map(|p| p.gates).sum();
+                let parks: u64 = snap.per_proc.iter().map(|p| p.parks).sum();
+                assert!(gates > 0, "interleaved tasks must have rescheduled");
+                assert_eq!(parks, 0, "a descheduled task is not a park");
+            },
+        );
     }
 
     #[test]
     fn running_set_tracks_every_transition_and_ends_empty() {
         // Four waiters suspend until the last of four drivers wakes
-        // them in one batch; everyone also passes through a host-side
-        // blocked bracket. Debug builds cross-check the running set and
-        // the blocked count against the status array at every step.
-        let s = Arc::new(VirtualScheduler::new(8, Cycles(100), 2));
-        let released = Arc::new(AtomicBool::new(false));
-        let drivers_left = Arc::new(AtomicUsize::new(4));
-        let (s2, r, d) = (Arc::clone(&s), Arc::clone(&released), drivers_left);
-        run_tasks(&s, 8, move |id| {
-            if id < 4 {
-                while !r.load(Ordering::SeqCst) {
-                    s2.suspend(id);
+        // them in one batch. Debug builds cross-check the running set
+        // against the status array at every step.
+        let released = AtomicBool::new(false);
+        let drivers_left = AtomicUsize::new(4);
+        on_each_continuation(
+            || VirtualScheduler::new(8, Cycles(100), 2),
+            |s, id| {
+                if id < 4 {
+                    while !released.load(Ordering::SeqCst) {
+                        s.suspend(id);
+                    }
+                } else {
+                    for t in (0..2_000).step_by(50) {
+                        s.tick(id, Cycles(t));
+                    }
                 }
-            } else {
-                for t in (0..2_000).step_by(50) {
-                    s2.tick(id, Cycles(t));
+                s.tick(id, Cycles(2_000));
+                if id >= 4 && drivers_left.fetch_sub(1, Ordering::SeqCst) == 1 {
+                    released.store(true, Ordering::SeqCst);
+                    s.resume_many(&[0, 1, 2, 3]);
                 }
+            },
+            |s| {
+                let st = s.state.lock();
+                assert!(st.running.is_empty(), "running set: {:?}", st.running);
+                assert!(st.ready.is_empty());
+                assert_eq!(st.finished, 8);
+                released.store(false, Ordering::SeqCst);
+                drivers_left.store(4, Ordering::SeqCst);
+            },
+        );
+    }
+
+    #[test]
+    fn hosted_tasks_migrate_between_workers_and_keep_their_stacks() {
+        // 64 tasks on two workers, every one yielding at every step:
+        // each keeps a running sum in a local across hundreds of
+        // switches, on whichever worker picks it up.
+        let threads = Mutex::new(std::collections::HashSet::new());
+        let s = VirtualScheduler::new(64, Cycles(8), 2);
+        let sums: Vec<AtomicU64> = (0..64).map(|_| AtomicU64::new(0)).collect();
+        s.run(&|id| {
+            let mut sum = 0u64;
+            for step in 1..=300u64 {
+                sum += step * (id as u64 + 1);
+                s.tick(id, Cycles(step * 8));
             }
-            s2.blocked(id);
-            s2.unblocked(id);
-            s2.tick(id, Cycles(2_000));
-            if id >= 4 && d.fetch_sub(1, Ordering::SeqCst) == 1 {
-                r.store(true, Ordering::SeqCst);
-                s2.resume_many(&[0, 1, 2, 3]);
-            }
+            sums[id].store(sum, Ordering::SeqCst);
+            threads.lock().insert(std::thread::current().id());
         });
-        let st = s.state.lock();
-        assert!(st.running.is_empty(), "running set: {:?}", st.running);
-        assert_eq!(st.blocked, 0);
-        assert!(st.ready.is_empty());
-        assert_eq!(st.finished, 8);
+        for (id, sum) in sums.iter().enumerate() {
+            assert_eq!(sum.load(Ordering::SeqCst), 45_150 * (id as u64 + 1));
+        }
+        let threads = threads.lock().len();
+        if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+            assert!(threads <= 2, "{threads} host threads for two workers");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+    fn suspending_with_a_host_lock_held_is_caught_where_it_happens() {
+        let s = VirtualScheduler::new(2, Cycles(100), 1);
+        let shared = Mutex::new(());
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            s.run(&|id| {
+                if id == 0 {
+                    let _guard = shared.lock();
+                    s.suspend(0);
+                }
+            })
+        }));
+        let msg = message(outcome.expect_err("the contract check fires"));
+        assert!(msg.contains("holding a host lock"), "{msg}");
     }
 }

@@ -18,8 +18,8 @@
 //!   communication.
 //!
 //! Both primitives provide *real* mutual exclusion / rendezvous for the
-//! simulator's OS threads while computing *simulated* grant and release
-//! times from the machine's cost model. At cluster size `C = P` (one
+//! simulator's tasks (or, standalone, OS threads) while computing
+//! *simulated* grant and release times from the machine's cost model. At cluster size `C = P` (one
 //! SSMP) they degenerate to flat centralized primitives, which is how
 //! the paper's tightly-coupled baseline (null MGS calls + the P4
 //! library) is modelled.

@@ -1,12 +1,14 @@
 //! Counting-allocator gate on what one simulated processor costs the
-//! host heap.
+//! host heap, and — where processors are coroutines — a bound on what
+//! it costs the host in threads and resident memory.
 //!
 //! A processor that runs an empty body touches no simulated memory, so
-//! its host-side state — the `Env`, its tag array, its scheduler slot,
-//! its thread bookkeeping — must come to a few allocations of a few
-//! kilobytes, not a structure sized and written for the whole cache
-//! geometry. (Task stacks are mapped by the OS, not the allocator, and
-//! are not what this counts.)
+//! its host-side state — the `Env`, its tag array, its scheduler slot —
+//! must come to a few allocations of a few kilobytes, not a structure
+//! sized and written for the whole cache geometry. (Task stacks are
+//! mapped by `VirtualScheduler::run` with `mmap`, not by the allocator,
+//! and are not what the first half counts; the second half does see
+//! them, as resident pages.)
 //!
 //! Kept to a single `#[test]`: the allocator counts every thread while
 //! armed, so no sibling test may run inside the window.
@@ -75,4 +77,54 @@ fn an_idle_processor_costs_the_heap_a_few_small_blocks() {
     );
     // The window was open: a run allocates *something* per processor.
     assert!(blocks > 0 && bytes > 0);
+
+    if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
+        a_processor_is_not_a_host_thread();
+    }
+}
+
+/// One field of `/proc/self/status`, in the unit the kernel prints
+/// (a count, or kB).
+fn proc_status(field: &str) -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))
+        .unwrap_or_else(|| panic!("no {field} in /proc/self/status"));
+    let value = line.split_whitespace().next().expect("a value");
+    value.parse().expect("a number")
+}
+
+/// `P = 2048` on two workers: the process holds a handful of host
+/// threads while every task exists (a thread per task would read over
+/// 2,000), and a task that runs an empty body costs a few resident
+/// kilobytes — the pages of its own stack it touched, its `Env`.
+fn a_processor_is_not_a_host_thread() {
+    const PROCS: usize = 2048;
+    const MAX_THREADS: u64 = 16;
+    const MAX_RESIDENT_KB_PER_PROC: u64 = 16;
+
+    let machine = Machine::new(DssmpConfig::new(PROCS, 32).with_virtual_engine(Some(2)));
+    let threads = AtomicU64::new(0);
+    let resident_before = proc_status("VmRSS");
+    machine.run(|env| {
+        if env.pid() == 0 {
+            // Task 0 runs first, with all the others parked behind it.
+            threads.store(proc_status("Threads"), Ordering::SeqCst);
+        }
+    });
+    let grown = proc_status("VmHWM").saturating_sub(resident_before);
+
+    let threads = threads.load(Ordering::SeqCst);
+    assert!(
+        (1..MAX_THREADS).contains(&threads),
+        "{threads} host threads while {PROCS} simulated processors exist (limit {MAX_THREADS})"
+    );
+    let per_proc = grown / PROCS as u64;
+    assert!(
+        per_proc < MAX_RESIDENT_KB_PER_PROC,
+        "{per_proc} kB resident per simulated processor (limit {MAX_RESIDENT_KB_PER_PROC}); \
+         peak grew {grown} kB over the run"
+    );
+    eprintln!("P = {PROCS}: {threads} host threads, {per_proc} kB resident per processor");
 }
