@@ -13,8 +13,10 @@
 //! * [`ProcCache`] — a per-processor set-associative tag array tracking
 //!   capacity and conflict behaviour. It is owned by the simulated
 //!   processor's thread; no other thread touches it.
-//! * [`Directory`] — the per-SSMP line directory (sharded for
-//!   concurrency). It is the single source of truth for which
+//! * [`Directory`] — the per-SSMP line directory: dense 64-line blocks
+//!   beside the pages they describe, eight lock stripes to a block,
+//!   reached through a hint the caller carries and never by hashing a
+//!   line. It is the single source of truth for which
 //!   processors hold a line and who owns it dirty; a processor-side tag
 //!   is only *valid* if the directory still lists that processor as a
 //!   sharer, which is how remote invalidations take effect without

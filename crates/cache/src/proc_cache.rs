@@ -13,13 +13,20 @@ use crate::CacheConfig;
 ///
 /// # Layout
 ///
-/// One zeroed `Vec<u64>` of `sets × ways` tags, set-major. A tag is
-/// `line + 1`, so 0 means "empty" and a fresh array is a single zeroed
-/// allocation the host only backs with memory where sets are touched.
+/// One zeroed `Vec<u64>` of `sets × ways` tag words, set-major. A word's
+/// low 40 bits are `line + 1`, so 0 means "empty" and a fresh array is a
+/// single zeroed allocation the host only backs with memory where sets
+/// are touched; its high 24 bits remember the [`Directory`] hint the
+/// line's last transaction returned (0: none), so that when the line is
+/// evicted its directory block is reached without a lookup. The memo
+/// is only ever a guess — see the directory's docs — and costs no
+/// memory of its own.
 /// Each set is kept in most-recently-used-first order with its empty
 /// ways last: a use moves the tag to way 0, so the last occupied way is
 /// always the least recently used one and exact LRU needs no
 /// timestamps. A hit on way 0 — the common case — writes nothing.
+///
+/// [`Directory`]: crate::Directory
 ///
 /// # Example
 ///
@@ -34,18 +41,33 @@ use crate::CacheConfig;
 #[derive(Debug, Clone)]
 pub struct ProcCache {
     cfg: CacheConfig,
-    /// `sets × ways` tags, set-major; see the type docs for the order
-    /// kept within a set.
+    /// `sets × ways` tag words, set-major; see the type docs for the
+    /// order kept within a set.
     tags: Vec<u64>,
     /// `sets - 1` (the set count is a power of two).
     set_mask: usize,
 }
 
-/// The tag stored for `line`. Line addresses are byte addresses divided
-/// by the line size, so `line + 1` cannot overflow.
+/// Bits of a tag word that hold `line + 1`; the rest hold the memo.
+const LINE_BITS: u32 = 40;
+const LINE_MASK: u64 = (1 << LINE_BITS) - 1;
+/// The largest hint the memo can hold.
+const MEMO_MAX: u32 = (1 << (u64::BITS - LINE_BITS)) - 1;
+
+/// The tag word for `line` remembering `hint`. A hint too large for
+/// the memo is remembered as "none".
 #[inline]
-fn tag_of(line: u64) -> u64 {
-    line + 1
+fn word_of(line: u64, hint: u32) -> u64 {
+    assert!(line < LINE_MASK, "line address {line:#x} exceeds 40 bits");
+    let memo = if hint <= MEMO_MAX { u64::from(hint) } else { 0 };
+    memo << LINE_BITS | (line + 1)
+}
+
+/// Does `word` hold `line`'s tag? (A line past 40 bits is never
+/// resident.)
+#[inline]
+fn holds(word: u64, line: u64) -> bool {
+    line < LINE_MASK && word & LINE_MASK == line + 1
 }
 
 impl ProcCache {
@@ -72,47 +94,65 @@ impl ProcCache {
         &mut self.tags[first..first + ways]
     }
 
-    /// Moves `line`'s tag to the front of `set` if it is resident.
+    /// If `line` is resident, moves its tag to the front of its set and
+    /// returns the directory hint remembered beside it.
     #[inline]
-    fn touch(set: &mut [u64], line: u64) -> bool {
-        let tag = tag_of(line);
-        match set.iter().position(|&t| t == tag) {
-            Some(0) => true,
-            Some(way) => {
-                set[..=way].rotate_right(1);
-                true
-            }
-            None => false,
+    pub(crate) fn lookup(&mut self, line: u64) -> Option<u32> {
+        let set = self.set_of(line);
+        let way = set.iter().position(|&w| holds(w, line))?;
+        if way != 0 {
+            set[..=way].rotate_right(1);
         }
+        Some((set[0] >> LINE_BITS) as u32)
+    }
+
+    /// Installs `line`, which must not be resident, with no hint
+    /// remembered; returns the displaced line and the hint remembered
+    /// beside it, if a resident line had to go.
+    #[inline]
+    pub(crate) fn fill(&mut self, line: u64) -> Option<(u64, u32)> {
+        let word = word_of(line, 0);
+        let set = self.set_of(line);
+        debug_assert!(!set.iter().any(|&w| holds(w, line)));
+        // The last way holds an empty slot if the set has one, and the
+        // LRU line otherwise; either way it is the one to reuse.
+        set.rotate_right(1);
+        let displaced = std::mem::replace(&mut set[0], word);
+        let victim = (displaced & LINE_MASK).checked_sub(1)?;
+        Some((victim, (displaced >> LINE_BITS) as u32))
+    }
+
+    /// Remembers `hint` beside `line`, the most recently used line of
+    /// its set.
+    #[inline]
+    pub(crate) fn remember(&mut self, line: u64, hint: u32) {
+        let word = word_of(line, hint);
+        let set = self.set_of(line);
+        debug_assert!(holds(set[0], line));
+        set[0] = word;
     }
 
     /// Returns `true` if `line` is resident, updating its LRU position.
     #[inline]
     pub fn contains(&mut self, line: u64) -> bool {
-        Self::touch(self.set_of(line), line)
+        self.lookup(line).is_some()
     }
 
     /// Inserts `line`, returning the evicted line address if a resident
     /// line had to be displaced. Inserting a line that is already
     /// resident refreshes it and evicts nothing.
     pub fn insert(&mut self, line: u64) -> Option<u64> {
-        let set = self.set_of(line);
-        if Self::touch(set, line) {
+        if self.contains(line) {
             return None;
         }
-        // The last way holds an empty slot if the set has one, and the
-        // LRU line otherwise; either way it is the one to reuse.
-        set.rotate_right(1);
-        let displaced = std::mem::replace(&mut set[0], tag_of(line));
-        displaced.checked_sub(1)
+        self.fill(line).map(|(victim, _)| victim)
     }
 
     /// Removes `line` if resident (used when the owner itself flushes,
     /// e.g. during page cleaning of its own pages).
     pub fn evict(&mut self, line: u64) -> bool {
-        let tag = tag_of(line);
         let set = self.set_of(line);
-        let Some(way) = set.iter().position(|&t| t == tag) else {
+        let Some(way) = set.iter().position(|&w| holds(w, line)) else {
             return false;
         };
         // Close the gap so the empties stay last.

@@ -204,16 +204,8 @@ impl SsmpCacheSystem {
     /// Simulates one access by local processor `proc` to `line` whose
     /// backing memory is homed at local processor `home`. Updates the
     /// directory and the processor's tag array, and returns the latency
-    /// class.
-    ///
-    /// This is the simulator's hottest function. The tag array is
-    /// probed (and, on a tag miss, filled) first — it is private to the
-    /// calling thread — and the entire directory transaction
-    /// (classification, state change, victim removal) then runs under a
-    /// single shard-lock acquisition in [`Directory::transact`]. Debug
-    /// builds assert the one-lock property whenever the cache geometry
-    /// guarantees victim co-location (set count a multiple of
-    /// [`Directory::SHARDS`]).
+    /// class. This is [`access_hinted`](Self::access_hinted) for a
+    /// caller with no hint to give.
     pub fn access(
         &self,
         cache: &mut ProcCache,
@@ -222,32 +214,76 @@ impl SsmpCacheSystem {
         home: usize,
         is_write: bool,
     ) -> MissClass {
+        self.access_hinted(cache, proc, line, home, is_write, Directory::NO_HINT)
+            .0
+    }
+
+    /// [`access`](Self::access) given the caller's guess at `line`'s
+    /// directory block — the hint an earlier access to the same page
+    /// returned, or [`Directory::NO_HINT`]. Returns the latency class
+    /// and the block's true hint, for the caller to remember.
+    ///
+    /// This is the simulator's hottest function. The tag array is
+    /// probed (and, on a tag miss, filled) first — it is private to the
+    /// calling thread — and the entire directory transaction
+    /// (classification, state change) then runs under one stripe lock
+    /// of the line's block in [`Directory::transact_hinted`], the
+    /// victim's removal under another. With no hint from the caller a
+    /// tag hit uses the one remembered beside the tag. Debug builds
+    /// assert that a tag hit whose hint was right (it never consulted
+    /// the index) took exactly one stripe lock.
+    pub fn access_hinted(
+        &self,
+        cache: &mut ProcCache,
+        proc: usize,
+        line: u64,
+        home: usize,
+        is_write: bool,
+        hint: u32,
+    ) -> (MissClass, u32) {
         #[cfg(debug_assertions)]
-        let locks_before = Directory::thread_shard_locks();
-        let tag_hit = cache.contains(line);
+        let locks_before = Directory::thread_locks();
+        let memo = cache.lookup(line);
         // On a tag miss every outcome installs the line, so the fill
         // (and its LRU eviction decision) can run before the directory
-        // transaction; on a tag hit `contains` already refreshed LRU.
-        let evicted = if tag_hit { None } else { cache.insert(line) };
-        let class = self.directory.transact(
+        // transaction; on a tag hit `lookup` already refreshed LRU.
+        let evicted = if memo.is_none() {
+            cache.fill(line)
+        } else {
+            None
+        };
+        let guess = if hint == Directory::NO_HINT {
+            memo.unwrap_or(hint)
+        } else {
+            hint
+        };
+        let (class, found) = self.directory.transact_hinted(
             line,
             proc,
             home,
             is_write,
             self.hw_pointers,
-            tag_hit,
+            memo.is_some(),
+            guess,
             evicted,
         );
+        if memo != Some(found) {
+            cache.remember(line, found);
+        }
         #[cfg(debug_assertions)]
-        if cache.config().sets().is_multiple_of(Directory::SHARDS) {
-            debug_assert_eq!(
-                Directory::thread_shard_locks() - locks_before,
-                1,
-                "fused access must take exactly one directory shard lock"
-            );
+        {
+            let (stripes, index) = Directory::thread_locks();
+            // No index lookup means no guess was wrong.
+            if memo.is_some() && index == locks_before.1 {
+                debug_assert_eq!(
+                    stripes - locks_before.0,
+                    1,
+                    "a rightly hinted tag hit takes exactly one stripe lock"
+                );
+            }
         }
         self.stats.record_for(proc, class);
-        class
+        (class, found)
     }
 
     /// Cleans a page's lines (§4.2.4): removes them from the directory

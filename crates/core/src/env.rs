@@ -373,13 +373,18 @@ impl Env {
                 let line = frame.line_of_word(word);
                 let home_local = frame.home_node() % self.cluster_size;
                 let my_local = self.proc % self.cluster_size;
-                let class = self.proto.cache_system(self.ssmp).access(
+                let hint = frame.dir_hint();
+                let (class, found) = self.proto.cache_system(self.ssmp).access_hinted(
                     &mut self.pcache,
                     my_local,
                     line,
                     home_local,
                     write,
+                    hint,
                 );
+                if found != hint {
+                    frame.set_dir_hint(found);
+                }
                 self.clock
                     .charge(CostCategory::User, class.cost(&self.cost));
                 if let Some(obs) = &self.obs {

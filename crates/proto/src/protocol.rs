@@ -1289,9 +1289,11 @@ impl MgsProtocol {
         // The pushed words entered the sharer's memory through its
         // protocol processor's cache: mark those lines dirty so a
         // later page clean pays the dirty tier.
-        self.caches[s]
-            .directory()
-            .mark_dirty_lines(diff.touched_lines(&sframe), self.cfg.local_index(s_node));
+        self.caches[s].directory().mark_dirty_lines_hinted(
+            diff.touched_lines(&sframe),
+            self.cfg.local_index(s_node),
+            sframe.dir_hint(),
+        );
         self.stats.update_pushes.incr();
         self.stats.update_push_words.add(changed);
         t.observe(ObsEvent::UpdatePush {
@@ -1378,7 +1380,9 @@ impl MgsProtocol {
             // SSMP's cached lines ARE the valid data (its frame is the
             // home copy), so no cleaning happens there — only its
             // mappings are invalidated, re-arming fault-on-write.
-            let clean = self.caches[ssmp].directory().clean_page(frame.lines());
+            let clean = self.caches[ssmp]
+                .directory()
+                .clean_page_hinted(frame.lines(), frame.dir_hint());
             if is_writer || !self.cfg.readonly_clean_opt {
                 t.node_work(rc_node, SsmpCacheSystem::clean_cost(clean, cost));
             }
@@ -1771,8 +1775,10 @@ impl MgsProtocol {
     /// Page cleaning (§4.2.4): flushes `ssmp`'s cached lines of `frame`,
     /// the walk charged to `node`'s protocol engine.
     fn clean_page(&self, ssmp: usize, frame: &PageFrame, node: usize, t: &mut dyn ProtoTiming) {
-        let walk = self.caches[ssmp].clean_page(frame.lines(), &self.cfg.cost);
-        t.node_work(node, walk);
+        let clean = self.caches[ssmp]
+            .directory()
+            .clean_page_hinted(frame.lines(), frame.dir_hint());
+        t.node_work(node, SsmpCacheSystem::clean_cost(clean, &self.cfg.cost));
     }
 
     /// The message-free drop of a stale READ copy, under the page's
@@ -1867,9 +1873,10 @@ impl MgsProtocol {
             self.clean_page(home_ssmp, &server.home_frame, home_node, t);
         }
         diff.apply_to_frame(&server.home_frame);
-        self.caches[home_ssmp].directory().mark_dirty_lines(
+        self.caches[home_ssmp].directory().mark_dirty_lines_hinted(
             diff.touched_lines(&server.home_frame),
             self.cfg.local_index(home_node),
+            server.home_frame.dir_hint(),
         );
         t.observe(ObsEvent::Diff {
             page,

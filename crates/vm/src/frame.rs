@@ -2,7 +2,7 @@
 
 use crate::PageGeometry;
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A physical page frame.
@@ -22,7 +22,12 @@ use std::sync::Arc;
 ///   invalidation takes it exclusively *after* the TLB shootdown, which
 ///   drains in-flight accesses. This is the simulator's analogue of the
 ///   paper's "translation critical section" roll-back mechanism
-///   (§4.2.1).
+///   (§4.2.1),
+/// * a **directory-slot cell**: one relaxed `u32`, zero in a fresh
+///   frame, that `mgs-vm` stores and returns and gives no meaning. The
+///   cache model keeps its guess at where the frame's lines sit in the
+///   SSMP's line directory here, so that the guess travels with the
+///   frame every accessor already has in hand.
 #[derive(Debug)]
 pub struct PageFrame {
     base: u64,
@@ -30,6 +35,7 @@ pub struct PageFrame {
     words: Box<[AtomicU64]>,
     guard: RwLock<()>,
     generation: AtomicU64,
+    dir_hint: AtomicU32,
 }
 
 impl PageFrame {
@@ -182,6 +188,19 @@ impl PageFrame {
         self.generation.store(g + 1, Ordering::Release);
     }
 
+    /// The directory-slot cell's value (0 until someone sets it). A
+    /// guess published to nobody in particular: relaxed.
+    #[inline]
+    pub fn dir_hint(&self) -> u32 {
+        self.dir_hint.load(Ordering::Relaxed)
+    }
+
+    /// Sets the directory-slot cell.
+    #[inline]
+    pub fn set_dir_hint(&self, hint: u32) {
+        self.dir_hint.store(hint, Ordering::Relaxed);
+    }
+
     /// Line addresses (for the cache model) covering this frame.
     pub fn lines(&self) -> impl Iterator<Item = u64> {
         let first = self.base / PageGeometry::LINE_BYTES;
@@ -244,6 +263,7 @@ impl FrameAllocator {
             words,
             guard: RwLock::new(()),
             generation: AtomicU64::new(0),
+            dir_hint: AtomicU32::new(0),
         })
     }
 
@@ -307,6 +327,14 @@ mod tests {
         assert_eq!(f.line_of_word(0), lines[0]);
         assert_eq!(f.line_of_word(2), lines[1]);
         assert_eq!(f.line_of_word(127), lines[63]);
+    }
+
+    #[test]
+    fn dir_hint_cell_starts_at_zero_and_holds_what_is_set() {
+        let f = alloc().alloc(0);
+        assert_eq!(f.dir_hint(), 0);
+        f.set_dir_hint(41);
+        assert_eq!(f.dir_hint(), 41);
     }
 
     #[test]

@@ -78,9 +78,35 @@ fn an_idle_processor_costs_the_heap_a_few_small_blocks() {
     // The window was open: a run allocates *something* per processor.
     assert!(blocks > 0 && bytes > 0);
 
+    machine_new_allocates_no_more_than_it_did();
+
     if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
         a_processor_is_not_a_host_thread();
     }
+}
+
+/// `Machine::new` at `P = 2048, C = 32` builds 64 SSMP line
+/// directories, and an empty directory owns no heap. The limits are
+/// what the constructor allocated while each directory pre-sized eight
+/// hash maps (commit `e3ee601`); it now reads 2.5 MB in 6,424 blocks.
+fn machine_new_allocates_no_more_than_it_did() {
+    const MAX_BYTES: u64 = 28_710_808;
+    const MAX_BLOCKS: u64 = 7_000;
+
+    let (blocks_before, bytes_before) =
+        (BLOCKS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst));
+    ARMED.store(true, Ordering::SeqCst);
+    let machine = Machine::new(DssmpConfig::new(2048, 32).with_virtual_engine(Some(2)));
+    ARMED.store(false, Ordering::SeqCst);
+    let blocks = BLOCKS.load(Ordering::SeqCst) - blocks_before;
+    let bytes = BYTES.load(Ordering::SeqCst) - bytes_before;
+    drop(machine);
+    eprintln!("Machine::new(P = 2048, C = 32): {bytes} bytes in {blocks} blocks");
+    assert!(
+        bytes <= MAX_BYTES && blocks <= MAX_BLOCKS,
+        "Machine::new(P = 2048, C = 32) allocated {bytes} bytes in {blocks} blocks \
+         (limits {MAX_BYTES}, {MAX_BLOCKS})"
+    );
 }
 
 /// One field of `/proc/self/status`, in the unit the kernel prints
