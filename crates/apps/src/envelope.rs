@@ -78,9 +78,9 @@ pub fn disjoint(machine: &Arc<Machine>, words_per_proc: u64, phases: u64) -> Run
 /// every processor writes its own block of `words` words and reads its
 /// successor's, with barriers between, so pages continuously cross the
 /// SSMP boundary. Returns the report and the final home-copy image of
-/// the array, which must read `rounds * 1000 + pid` in every word of
-/// processor `pid`'s block. Cycle-deterministic on one worker only:
-/// the neighbour reads of one round meet at shared home nodes.
+/// the array, which must equal [`grid_image`]. Cycle-deterministic on
+/// one worker only: the neighbour reads of one round meet at shared
+/// home nodes.
 pub fn grid(machine: &Arc<Machine>, words: u64, rounds: u64) -> (RunReport, Vec<u64>) {
     let procs = machine.config().n_procs as u64;
     let arr = machine.alloc_array_blocked::<u64>(words * procs, AccessKind::DistArray);
@@ -114,6 +114,15 @@ pub fn grid(machine: &Arc<Machine>, words: u64, rounds: u64) -> (RunReport, Vec<
     (report, image)
 }
 
+/// The image [`grid`] must leave behind on `procs` processors, in
+/// closed form: `rounds * 1000 + pid` in every word of processor
+/// `pid`'s block.
+pub fn grid_image(procs: u64, words: u64, rounds: u64) -> Vec<u64> {
+    (0..procs)
+        .flat_map(|pid| std::iter::repeat_n(rounds * 1000 + pid, words as usize))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,9 +141,7 @@ mod tests {
     fn grid_returns_the_closed_form_image() {
         let (report, image) = grid(&Machine::new(DssmpConfig::new(4, 2)), 16, 3);
         assert!(report.lan_messages > 0, "neighbour reads cross SSMPs");
-        let want: Vec<u64> = (0..4u64)
-            .flat_map(|pid| std::iter::repeat_n(3 * 1000 + pid, 16))
-            .collect();
-        assert_eq!(image, want);
+        assert_eq!(image, grid_image(4, 16, 3));
+        assert_eq!(image[17], 3001, "second word of processor 1's block");
     }
 }

@@ -10,12 +10,10 @@ pub struct Options {
     /// Problem-size divisor: 1 = the paper's sizes; larger values
     /// shrink the workloads for quick runs.
     pub scale: usize,
-    /// Repetitions per configuration (averaged) for sweep commands.
-    pub reps: usize,
-    /// Worker budget for parallel sweeps (`--jobs`); `None` = the
-    /// host's available parallelism. A sweep point costs its machine's
-    /// `P` permits of `max(jobs, P)`, so below `2P` points run one at
-    /// a time (see [`crate::parallel`]).
+    /// How many sweep points run at once (`--jobs`); `None` = the
+    /// host's available parallelism. A point is one single-worker
+    /// machine on one host thread (see [`crate::parallel`]), so the
+    /// value changes how long a command takes, never what it prints.
     pub jobs: Option<usize>,
     /// Coherence strategy the sweeps run under (`--protocol
     /// {eager,lrc,adaptive}`; default eager — the paper's protocol).
@@ -23,12 +21,12 @@ pub struct Options {
     /// Positional arguments (e.g. an application name; `main` takes
     /// the first one as the command). Flags this parser does not know
     /// (`--smoke`, `--json`, `--c 4`, …) land here too, for the command
-    /// to read.
+    /// to read; `main` rejects the ones its command does not declare.
     pub args: Vec<String>,
 }
 
 impl Options {
-    /// Parses `--p N`, `--scale N` and positionals from `std::env`.
+    /// Parses the common flags and positionals from `std::env`.
     ///
     /// # Panics
     ///
@@ -42,7 +40,6 @@ impl Options {
         let mut opts = Options {
             p: 32,
             scale: 1,
-            reps: 1,
             jobs: None,
             protocol: ProtocolKind::Eager,
             args: Vec::new(),
@@ -63,12 +60,6 @@ impl Options {
                         .expect("--scale needs an integer");
                 }
                 "--quick" => opts.scale = 8,
-                "--reps" => {
-                    opts.reps = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--reps needs an integer");
-                }
                 "--jobs" => {
                     opts.jobs = Some(
                         it.next()
@@ -88,7 +79,6 @@ impl Options {
         }
         assert!(opts.p.is_power_of_two(), "--p must be a power of two");
         assert!(opts.scale >= 1, "--scale must be >= 1");
-        assert!(opts.reps >= 1, "--reps must be >= 1");
         assert!(opts.jobs != Some(0), "--jobs must be >= 1");
         opts
     }

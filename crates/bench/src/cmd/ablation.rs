@@ -10,92 +10,115 @@
 use mgs_apps::{tsp::Tsp, water::Water, MgsApp};
 use mgs_bench::chart::table;
 use mgs_bench::cli::Options;
+use mgs_bench::parallel::run_pool;
 use mgs_bench::suite::base_config;
 use mgs_core::{Cycles, Machine};
 
 pub fn run(opts: &Options) {
-    let base = base_config(opts);
-    let water = Water {
+    let water = &Water {
         n: opts.dim(343, 48),
         ..Water::paper()
     };
-    let tsp = Tsp {
+    let tsp = &Tsp {
         n: if opts.scale > 1 { 8 } else { 10 },
         ..Tsp::paper()
     };
     let c = (opts.p / 4).max(1);
+    let mut base = base_config(opts);
+    base.cluster_size = c;
+
+    // Every machine of the four studies goes to the `--jobs` pool
+    // (`mgs_bench::parallel`); each job returns its table row.
+    let mut jobs: Vec<Box<dyn FnOnce() -> Vec<String> + Send + '_>> = Vec::new();
 
     // Single-writer optimization.
-    let mut rows = Vec::new();
     for on in [true, false] {
         let mut cfg = base.clone();
-        cfg.cluster_size = c;
         cfg.single_writer_opt = on;
-        eprintln!("water, single-writer opt = {on}...");
-        let machine = Machine::new(cfg);
-        let r = water.execute(&machine);
-        rows.push(vec![
-            format!("single-writer {}", if on { "on" } else { "off" }),
-            format!("{:.2}", r.duration.as_mcycles()),
-            format!("{}", machine.proto_stats().diffs.get()),
-            format!("{}", machine.proto_stats().single_writer_flushes.get()),
-        ]);
+        jobs.push(Box::new(move || {
+            eprintln!("water, single-writer opt = {on}...");
+            let machine = Machine::new(cfg);
+            let r = water.execute(&machine);
+            vec![
+                format!("single-writer {}", if on { "on" } else { "off" }),
+                format!("{:.2}", r.duration.as_mcycles()),
+                format!("{}", machine.proto_stats().diffs.get()),
+                format!("{}", machine.proto_stats().single_writer_flushes.get()),
+            ]
+        }));
     }
-    println!("\nWater at C = {c} (Mcycles; diffs; 1W flushes):");
-    println!("{}", table(&["config", "Mcyc", "diffs", "1w"], &rows));
 
     // Lock affinity.
-    let mut rows = Vec::new();
     for window in [Cycles(2000), Cycles::ZERO] {
         let mut cfg = base.clone();
-        cfg.cluster_size = c;
         cfg.lock_affinity_window = window;
-        eprintln!("tsp, affinity window = {window}...");
-        let machine = Machine::new(cfg);
-        let r = tsp.execute(&machine);
-        rows.push(vec![
-            format!("affinity {}", window),
-            format!("{:.2}", r.duration.as_mcycles()),
-            format!("{:.3}", machine.lock_hit_ratio()),
-        ]);
+        jobs.push(Box::new(move || {
+            eprintln!("tsp, affinity window = {window}...");
+            let machine = Machine::new(cfg);
+            let r = tsp.execute(&machine);
+            vec![
+                format!("affinity {}", window),
+                format!("{:.2}", r.duration.as_mcycles()),
+                format!("{:.3}", machine.lock_hit_ratio()),
+            ]
+        }));
     }
-    println!("\nTSP at C = {c}:");
-    println!("{}", table(&["config", "Mcyc", "hit ratio"], &rows));
 
     // Extension: read-only clean optimization, on the most
     // software-coherence-bound configuration.
-    let mut rows = Vec::new();
     for (label, ro) in [
         ("baseline (eager MGS)", false),
         ("readonly-clean opt", true),
     ] {
         let mut cfg = base.clone();
-        cfg.cluster_size = c;
         cfg.readonly_clean_opt = ro;
-        eprintln!("water, {label}...");
-        let r = water.execute(&Machine::new(cfg));
-        rows.push(vec![
-            label.to_string(),
-            format!("{:.2}", r.duration.as_mcycles()),
-        ]);
+        jobs.push(Box::new(move || {
+            eprintln!("water, {label}...");
+            let r = water.execute(&Machine::new(cfg));
+            vec![label.to_string(), format!("{:.2}", r.duration.as_mcycles())]
+        }));
     }
-    println!("\nWater at C = {c} with the read-only clean extension:");
-    println!("{}", table(&["config", "Mcyc"], &rows));
 
     // Page size.
-    let mut rows = Vec::new();
     for page in [512u64, 1024, 4096] {
         let mut cfg = base.clone();
-        cfg.cluster_size = c;
         cfg.geometry = mgs_core::PageGeometry::new(page);
-        eprintln!("water, page = {page} bytes...");
-        let machine = Machine::new(cfg);
-        let r = water.execute(&machine);
-        rows.push(vec![
-            format!("{page} B pages"),
-            format!("{:.2}", r.duration.as_mcycles()),
-        ]);
+        jobs.push(Box::new(move || {
+            eprintln!("water, page = {page} bytes...");
+            let r = water.execute(&Machine::new(cfg));
+            vec![
+                format!("{page} B pages"),
+                format!("{:.2}", r.duration.as_mcycles()),
+            ]
+        }));
     }
-    println!("\nWater at C = {c} by page size:");
-    println!("{}", table(&["config", "Mcyc"], &rows));
+
+    let mut rows = run_pool(opts.jobs, jobs).into_iter();
+    let mut section = |title: &str, header: &[&str], n: usize| {
+        println!("\n{title}");
+        println!(
+            "{}",
+            table(header, &rows.by_ref().take(n).collect::<Vec<_>>())
+        );
+    };
+    section(
+        &format!("Water at C = {c} (Mcycles; diffs; 1W flushes):"),
+        &["config", "Mcyc", "diffs", "1w"],
+        2,
+    );
+    section(
+        &format!("TSP at C = {c}:"),
+        &["config", "Mcyc", "hit ratio"],
+        2,
+    );
+    section(
+        &format!("Water at C = {c} with the read-only clean extension:"),
+        &["config", "Mcyc"],
+        2,
+    );
+    section(
+        &format!("Water at C = {c} by page size:"),
+        &["config", "Mcyc"],
+        3,
+    );
 }

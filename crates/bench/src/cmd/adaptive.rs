@@ -25,16 +25,16 @@
 //!
 //! Run with `cargo run --release -p mgs-bench -- adaptive --quick`.
 //! `--smoke` shrinks the matrix to a CI-sized gate (one app, two
-//! tiers, no C=1 point). Accepts `--p`, `--scale`, `--reps`, `--jobs`
-//! and `--protocol` (the latter restricts the sweep to one strategy).
+//! tiers, no C=1 point). Accepts `--p`, `--scale`, `--jobs` and
+//! `--protocol` (the latter restricts the sweep to one strategy).
 
 use mgs_apps::MgsApp;
 use mgs_bench::cli::Options;
 use mgs_bench::json::JsonObject;
-use mgs_bench::parallel::{run_weighted, WorkerBudget};
+use mgs_bench::parallel::run_pool;
 use mgs_bench::suite;
-use mgs_core::framework::SweepPoint;
-use mgs_core::{DssmpConfig, LinkTier, Machine, ProtocolKind, TieredScenario};
+use mgs_core::framework::{sweep_point, SweepPoint};
+use mgs_core::{DssmpConfig, LinkTier, ProtocolKind, TieredScenario};
 use mgs_sim::Cycles;
 use std::sync::Arc;
 
@@ -121,22 +121,16 @@ fn run_sweep(
 ) -> ProtoSweep {
     let mut points = Vec::new();
     let mut reclassified = 0u64;
+    let base = base
+        .clone()
+        .with_protocol(protocol)
+        .with_scenario(Arc::new(TieredScenario::uniform(tier, latency)));
     for c in cluster_sizes(base.n_procs, smoke) {
-        let mut cfg = base
-            .clone()
-            .with_protocol(protocol)
-            .with_scenario(Arc::new(TieredScenario::uniform(tier, latency)));
-        cfg.cluster_size = c;
-        let machine = Machine::new(cfg);
         // Self-verifying: panics unless the numerical result matches
         // the plain-Rust reference — a convergence proof per point.
-        let report = app.execute(&machine);
-        reclassified += report.policy_decisions.len() as u64;
-        points.push(SweepPoint {
-            cluster_size: c,
-            report,
-            lock_hit_ratio: machine.lock_hit_ratio(),
-        });
+        let point = sweep_point(&base, c, |machine| app.execute(machine));
+        reclassified += point.report.policy_decisions.len() as u64;
+        points.push(point);
     }
     ProtoSweep {
         app: app.name(),
@@ -158,12 +152,10 @@ pub fn run(opts: &Options) {
         vec![ProtocolKind::Eager, opts.protocol]
     };
 
-    // Deterministic execution: one worker makes every duration a pure
-    // function of the configuration, so penalty ratios compare
-    // strategies, not scheduling noise (TSP's branch-and-bound pruning
-    // is timing-sensitive at any wider budget).
-    let mut base = suite::base_config(opts);
-    base.workers = Some(1);
+    // Single-worker like every harness machine, so penalty ratios
+    // compare strategies, not scheduling noise (TSP's branch-and-bound
+    // pruning is timing-sensitive at any wider budget).
+    let base = &suite::base_config(opts);
     let mut apps: Vec<Box<dyn MgsApp>> = ["tsp", "water", "jacobi"]
         .iter()
         .filter_map(|n| suite::by_name(opts, n))
@@ -183,21 +175,16 @@ pub fn run(opts: &Options) {
         if smoke { ", smoke" } else { "" }
     );
 
-    let budget = WorkerBudget::for_jobs(opts.jobs, opts.p);
-    let mut jobs: Vec<(usize, Box<dyn FnOnce() -> ProtoSweep + Send>)> = Vec::new();
+    let mut jobs = Vec::new();
     for app in &apps {
         for &(tier, latency) in &tier_list {
             for &protocol in &protocols {
-                let base = base.clone();
                 let app = app.as_ref();
-                jobs.push((
-                    opts.p,
-                    Box::new(move || run_sweep(&base, app, tier, latency, protocol, smoke)),
-                ));
+                jobs.push(move || run_sweep(base, app, tier, latency, protocol, smoke));
             }
         }
     }
-    let sweeps = run_weighted(&budget, jobs);
+    let sweeps = run_pool(opts.jobs, jobs);
 
     // One summary per (app, tier): the three penalties side by side and
     // the eager/adaptive ratio — the number this harness exists for.
@@ -277,11 +264,10 @@ pub fn run(opts: &Options) {
     root.str("bench", "adaptive")
         .num("p", opts.p as f64)
         .num("scale", opts.scale as f64)
-        .num("reps", opts.reps as f64)
         .num("smoke", if smoke { 1.0 } else { 0.0 })
         .array("summary", summaries)
         .array("sweeps", sweep_records);
-    mgs_bench::provenance::stamp_run(&mut root, opts, &base);
+    mgs_bench::provenance::stamp_run(&mut root, opts, base);
     if smoke {
         println!("\nsmoke run complete (BENCH_adaptive.json left untouched)");
         return;

@@ -22,12 +22,12 @@
 //!   duplicates and protocol retransmissions alongside the runtime.
 //!
 //! Run with `cargo run --release -p mgs-bench -- chaos --quick`.
-//! Accepts the usual `--p`, `--scale`, `--reps` and `--jobs` flags.
+//! Accepts the usual `--p`, `--scale` and `--jobs` flags.
 
 use mgs_apps::{envelope, MgsApp};
 use mgs_bench::cli::Options;
 use mgs_bench::json::JsonObject;
-use mgs_bench::parallel::{run_weighted, WorkerBudget};
+use mgs_bench::parallel::run_pool;
 use mgs_bench::suite;
 use mgs_core::{CostCategory, DssmpConfig, FaultPlan, Machine, ProtocolKind, RunReport};
 use mgs_sim::Cycles;
@@ -109,18 +109,18 @@ fn run_equivalence(protocol: ProtocolKind) -> Vec<JsonObject> {
     records
 }
 
-/// One sweep point: `reps` verified runs of `app` at `(C, drop)`,
-/// durations averaged, fault counters summed over the repetitions.
+/// One sweep point: a verified run of `app` at `(C, drop)`.
 struct Point {
     app: &'static str,
     cluster_size: usize,
     drop: f64,
-    duration: u64,
-    mgs_cycles: u64,
-    lan_messages: u64,
-    lan_drops: u64,
-    lan_duplicates: u64,
-    retries: u64,
+    report: RunReport,
+}
+
+impl Point {
+    fn duration(&self) -> u64 {
+        self.report.duration.raw()
+    }
 }
 
 fn plan_for(drop: f64) -> FaultPlan {
@@ -133,42 +133,25 @@ fn plan_for(drop: f64) -> FaultPlan {
     }
 }
 
-fn run_point(base: &DssmpConfig, app: &dyn MgsApp, c: usize, drop: f64, reps: usize) -> Point {
-    let mut duration = 0u64;
-    let mut mgs_cycles = 0u64;
-    let mut last: Option<RunReport> = None;
-    let mut drops = 0u64;
-    let mut dups = 0u64;
-    let mut retries = 0u64;
-    for _ in 0..reps {
-        let mut cfg = base.clone().with_faults(plan_for(drop));
-        cfg.cluster_size = c;
-        let machine = Machine::new(cfg);
-        // `execute` verifies the numerical result against a plain-Rust
-        // reference and panics on mismatch: a run that survives here
-        // recovered to the exact fault-free memory image.
-        let report = app.execute(&machine);
-        duration += report.duration.raw();
-        mgs_cycles += report.breakdown.get(CostCategory::Mgs).raw();
-        drops += report.lan_drops;
-        dups += report.lan_duplicates;
-        retries += report.retries;
-        last = Some(report);
-    }
-    let report = last.expect("reps >= 1");
+fn run_point(base: &DssmpConfig, app: &dyn MgsApp, c: usize, drop: f64) -> Point {
+    let mut cfg = base.clone().with_faults(plan_for(drop));
+    cfg.cluster_size = c;
+    // `execute` verifies the numerical result against a plain-Rust
+    // reference and panics on mismatch: a run that survives here
+    // recovered to the exact fault-free memory image.
+    let report = app.execute(&Machine::new(cfg));
     if drop == 0.0 {
-        assert_eq!(drops + dups + retries, 0, "perfect fabric injected faults");
+        assert_eq!(
+            report.lan_drops + report.lan_duplicates + report.retries,
+            0,
+            "perfect fabric injected faults"
+        );
     }
     Point {
         app: app.name(),
         cluster_size: c,
         drop,
-        duration: duration / reps as u64,
-        mgs_cycles: mgs_cycles / reps as u64,
-        lan_messages: report.lan_messages,
-        lan_drops: drops,
-        lan_duplicates: dups,
-        retries,
+        report,
     }
 }
 
@@ -191,18 +174,13 @@ pub fn run(opts: &Options) {
 
     let cluster_sizes: Vec<usize> = base.cluster_sizes().collect();
 
-    let budget = WorkerBudget::for_jobs(opts.jobs, opts.p);
-    let mut jobs: Vec<(usize, Box<dyn FnOnce() -> Point + Send>)> = Vec::new();
+    let base = &base;
+    let mut jobs = Vec::new();
     for app in &apps {
         for &c in &cluster_sizes {
             for &drop in &DROP_RATES {
-                let base = base.clone();
                 let app = app.as_ref();
-                let reps = opts.reps;
-                jobs.push((
-                    opts.p,
-                    Box::new(move || run_point(&base, app, c, drop, reps)),
-                ));
+                jobs.push(move || run_point(base, app, c, drop));
             }
         }
     }
@@ -211,16 +189,16 @@ pub fn run(opts: &Options) {
         apps.len(),
         cluster_sizes.len(),
         DROP_RATES,
-        jobs.len() * opts.reps
+        jobs.len()
     );
-    let points = run_weighted(&budget, jobs);
+    let points = run_pool(opts.jobs, jobs);
 
     // Baseline (drop 0) durations per (app, C) for the slowdown column.
     let baseline = |app: &str, c: usize| -> u64 {
         points
             .iter()
             .find(|pt| pt.app == app && pt.cluster_size == c && pt.drop == 0.0)
-            .map(|pt| pt.duration)
+            .map(Point::duration)
             .expect("drop-0 point exists")
     };
 
@@ -231,16 +209,19 @@ pub fn run(opts: &Options) {
         o.str("app", pt.app)
             .num("cluster_size", pt.cluster_size as f64)
             .num("drop_rate", pt.drop)
-            .num("duration_cycles", pt.duration as f64)
+            .num("duration_cycles", pt.duration() as f64)
             .num(
                 "slowdown_vs_faultfree",
-                pt.duration as f64 / base_cycles as f64,
+                pt.duration() as f64 / base_cycles as f64,
             )
-            .num("mgs_cycles", pt.mgs_cycles as f64)
-            .num("lan_messages", pt.lan_messages as f64)
-            .num("lan_drops", pt.lan_drops as f64)
-            .num("lan_duplicates", pt.lan_duplicates as f64)
-            .num("retries", pt.retries as f64)
+            .num(
+                "mgs_cycles",
+                pt.report.breakdown.get(CostCategory::Mgs).raw() as f64,
+            )
+            .num("lan_messages", pt.report.lan_messages as f64)
+            .num("lan_drops", pt.report.lan_drops as f64)
+            .num("lan_duplicates", pt.report.lan_duplicates as f64)
+            .num("retries", pt.report.retries as f64)
             .num("verified", 1.0);
         sweep_records.push(o);
     }
@@ -250,12 +231,12 @@ pub fn run(opts: &Options) {
         let worst = points
             .iter()
             .filter(|pt| pt.app == name && pt.drop == DROP_RATES[3])
-            .map(|pt| pt.duration as f64 / baseline(name, pt.cluster_size) as f64)
+            .map(|pt| pt.duration() as f64 / baseline(name, pt.cluster_size) as f64)
             .fold(0.0f64, f64::max);
         let retries: u64 = points
             .iter()
             .filter(|pt| pt.app == name)
-            .map(|pt| pt.retries)
+            .map(|pt| pt.report.retries)
             .sum();
         println!(
             "  {name:>14}: verified at every point; {retries} retries, worst slowdown {:.3}x at {}% drop",
@@ -268,12 +249,11 @@ pub fn run(opts: &Options) {
     root.str("bench", "chaos")
         .num("p", opts.p as f64)
         .num("scale", opts.scale as f64)
-        .num("reps", opts.reps as f64)
         .str("seed", &format!("{SEED:#018x}"))
         .num("jitter_cycles", JITTER.raw() as f64)
         .array("equivalence", equivalence)
         .array("sweep", sweep_records);
-    mgs_bench::provenance::stamp_run(&mut root, opts, &base);
+    mgs_bench::provenance::stamp_run(&mut root, opts, base);
     let path = "BENCH_chaos.json";
     std::fs::write(path, root.render(0) + "\n").expect("write BENCH_chaos.json");
     println!("\nwrote {path}: every run recovered to the fault-free result");

@@ -1,7 +1,7 @@
 //! Regenerates **Figure 11**: the MGS token-lock hit ratio as a
 //! function of cluster size for the lock-using applications
 //! (TSP, Water, Barnes-Hut). The three sweeps share the `--jobs`
-//! worker budget (`mgs_bench::parallel`).
+//! pool (`mgs_bench::parallel`).
 
 use mgs_bench::chart::series_chart;
 use mgs_bench::cli::Options;
@@ -16,7 +16,7 @@ pub fn run(opts: &Options) {
         .map(|n| by_name(opts, n).expect("known app"))
         .collect();
     eprintln!("sweeping {names:?} in parallel...");
-    let sweeps = parallel_sweeps(&base, &apps, opts.reps, opts.jobs);
+    let sweeps = parallel_sweeps(&base, &apps, opts.jobs);
     for (name, points) in names.iter().zip(sweeps) {
         let series: Vec<(usize, f64)> = points
             .iter()

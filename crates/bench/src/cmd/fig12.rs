@@ -1,7 +1,7 @@
 //! Regenerates **Figure 12**: the Water force-interaction kernel
 //! without (left) and with (right) the tiling loop transformation of
 //! §5.2.3, including the breakup-penalty collapse the paper reports
-//! (334% → 26%). Both kernel sweeps share the `--jobs` worker budget
+//! (334% → 26%). Both kernel sweeps share the `--jobs` pool
 //! (`mgs_bench::parallel`).
 
 use mgs_apps::MgsApp;
@@ -18,7 +18,7 @@ pub fn run(opts: &Options) {
         .map(|(k, _)| Box::new(k) as Box<dyn MgsApp>)
         .collect();
     eprintln!("sweeping both Water-kernel variants in parallel...");
-    let sweeps = parallel_sweeps(&base, &apps, opts.reps, opts.jobs);
+    let sweeps = parallel_sweeps(&base, &apps, opts.jobs);
     for (kernel, points) in apps.iter().zip(sweeps) {
         println!("\n=== {} (P = {}) ===", kernel.name(), opts.p);
         let bars: Vec<_> = points

@@ -5,7 +5,7 @@
 //! Usage: `figures [app ...]` — any of jacobi, matmul, tsp, water,
 //! barnes-hut, water-kernel, water-kernel-tiled; default: the paper's
 //! five applications. All `(app × cluster size)` points share the
-//! `--jobs` worker budget (`mgs_bench::parallel`).
+//! `--jobs` pool (`mgs_bench::parallel`).
 
 use mgs_bench::chart::breakdown_chart;
 use mgs_bench::cli::Options;
@@ -27,7 +27,7 @@ pub fn run(opts: &Options) {
         "sweeping {} application(s) over cluster sizes in parallel...",
         apps.len()
     );
-    let sweeps = parallel_sweeps(&base, &apps, opts.reps, opts.jobs);
+    let sweeps = parallel_sweeps(&base, &apps, opts.jobs);
     for (app, points) in apps.iter().zip(sweeps) {
         println!(
             "\n=== {} (P = {}, 1 KB pages, 1000-cycle LAN, {} protocol) ===",

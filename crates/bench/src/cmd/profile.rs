@@ -15,19 +15,20 @@
 //!
 //! Flags beyond the usual `--p`/`--scale`: `--c <C>` picks the cluster
 //! size (default 4, or `P` when `P < 4`); `--top <N>` sizes the hot-page
-//! table (default 10); `--workers <W>` bounds the scheduler's host
-//! worker pool (default: host parallelism, at least 2; 1 makes the run
-//! bit-deterministic); `--smoke` is `--quick` at `P = 8` — the CI
-//! configuration; `--no-trace` skips the timeline (observability
-//! without the trace's allocation overhead).
+//! table (default 10); `--workers <W>` widens the scheduler's host
+//! worker pool (default 1, like every harness machine: everything but
+//! the host-side wait table repeats to the byte; above 1 is a stress
+//! mode); `--smoke` is `--quick` at `P = 8` — the CI configuration;
+//! `--no-trace` skips the timeline (observability without the trace's
+//! allocation overhead).
 //!
 //! ```text
 //! cargo run --release -p mgs-bench -- profile water --c 8
 //! ```
 
 use mgs_bench::cli::Options;
-use mgs_bench::suite::by_name;
-use mgs_core::{export_perfetto, DssmpConfig, GovernorWaitReport, Machine};
+use mgs_bench::suite::{base_config, by_name};
+use mgs_core::{export_perfetto, GovernorWaitReport, Machine};
 
 pub fn run(opts: &Options) {
     let mut opts = opts.clone();
@@ -78,9 +79,12 @@ pub fn run(opts: &Options) {
     );
 
     let app = by_name(&opts, &app_name).unwrap_or_else(|| panic!("unknown application {app_name}"));
-    let mut cfg = DssmpConfig::new(opts.p, c).with_observability();
+    let mut cfg = base_config(&opts).with_observability();
+    cfg.cluster_size = c;
     cfg.trace = trace;
-    cfg.workers = workers;
+    if workers.is_some() {
+        cfg.workers = workers;
+    }
 
     eprintln!(
         "profiling {app_name} at P = {}, C = {c} (scale 1/{})...",

@@ -8,14 +8,13 @@
 //!   amortize protocol overhead but aggravate false sharing);
 //! * **machine size sweep** — P at a fixed cluster size.
 //!
-//! All points in each study share the `--jobs` worker budget
-//! (`mgs_bench::parallel`), weighted by each configuration's processor
-//! count.
+//! All points in each study share the `--jobs` pool
+//! (`mgs_bench::parallel`).
 
 use mgs_apps::{water::Water, MgsApp};
 use mgs_bench::chart::table;
 use mgs_bench::cli::Options;
-use mgs_bench::parallel::{parallel_sweeps_of, run_weighted, WorkerBudget};
+use mgs_bench::parallel::{parallel_sweeps_of, run_pool};
 use mgs_bench::suite::base_config;
 use mgs_core::{framework, Cycles, Machine, PageGeometry};
 
@@ -29,15 +28,14 @@ pub fn run(opts: &Options) {
     // latency is a full cluster-size sweep, so run them as one batch.
     let latencies = [0u64, 1_000, 4_000, 16_000];
     eprintln!("water sweeps at ext latencies {latencies:?} in parallel...");
-    let bases: Vec<_> = latencies
+    let sweeps: Vec<(mgs_core::DssmpConfig, &dyn MgsApp)> = latencies
         .iter()
-        .map(|&ext| base_config(opts).with_ext_latency(Cycles(ext)))
+        .map(|&ext| {
+            let base = base_config(opts).with_ext_latency(Cycles(ext));
+            (base, &water as &dyn MgsApp)
+        })
         .collect();
-    let sweeps: Vec<(mgs_core::DssmpConfig, &dyn MgsApp)> = bases
-        .iter()
-        .map(|b| (b.clone(), &water as &dyn MgsApp))
-        .collect();
-    let results = parallel_sweeps_of(&sweeps, opts.reps, opts.jobs);
+    let results = parallel_sweeps_of(&sweeps, opts.jobs);
     let mut rows = Vec::new();
     for (ext, points) in latencies.iter().zip(results) {
         let m = framework::metrics(&points);
@@ -58,7 +56,7 @@ pub fn run(opts: &Options) {
     );
 
     // Page size sweep at C = P/4, and machine size sweep at C = 4;
-    // single runs each, all batched under one budget.
+    // one run each, all in one pool.
     let c = (opts.p / 4).max(1);
     let pages = [512u64, 1024, 2048, 4096];
     let machines = [8usize, 16, 32];
@@ -76,18 +74,12 @@ pub fn run(opts: &Options) {
         configs.push(cfg);
     }
     eprintln!("page-size and machine-size points in parallel...");
-    let max_weight = configs.iter().map(|c| c.n_procs).max().unwrap_or(1);
-    let budget = WorkerBudget::for_jobs(opts.jobs, max_weight);
-    let jobs: Vec<(usize, _)> = configs
+    let water = &water;
+    let jobs: Vec<_> = configs
         .into_iter()
-        .map(|cfg| {
-            let water = &water;
-            (cfg.n_procs, move || {
-                water.execute(&Machine::new(cfg)).duration.as_mcycles()
-            })
-        })
+        .map(|cfg| move || water.execute(&Machine::new(cfg)).duration.as_mcycles())
         .collect();
-    let mut mcycles = run_weighted(&budget, jobs).into_iter();
+    let mut mcycles = run_pool(opts.jobs, jobs).into_iter();
 
     let rows: Vec<_> = pages
         .iter()

@@ -23,14 +23,14 @@
 //!
 //! Run with `cargo run --release -p mgs-bench -- scenario --quick`.
 //! `--smoke` shrinks the matrix to a CI-sized gate (2 tiers, 1 app).
-//! Accepts the usual `--p`, `--scale`, `--reps` and `--jobs` flags.
+//! Accepts the usual `--p`, `--scale` and `--jobs` flags.
 
 use mgs_apps::{envelope, MgsApp};
 use mgs_bench::cli::Options;
 use mgs_bench::json::JsonObject;
-use mgs_bench::parallel::{run_weighted, WorkerBudget};
+use mgs_bench::parallel::parallel_sweeps_of;
 use mgs_bench::suite;
-use mgs_core::framework::{metrics, SweepPoint};
+use mgs_core::framework::metrics;
 use mgs_core::{
     ChurnEvent, DssmpConfig, FixedScenario, LinkTier, Machine, ProtocolKind, RunReport, Scenario,
     TieredScenario,
@@ -167,37 +167,15 @@ fn run_contention(protocol: ProtocolKind) -> Vec<JsonObject> {
     records
 }
 
-/// One tier sweep: a full cluster-size sweep of `app` with every link
-/// priced at `tier`, reduced to the §2.4 framework metrics.
-struct TierPoint {
-    app: &'static str,
-    tier: LinkTier,
-    latency: Cycles,
-    points: Vec<SweepPoint>,
-}
-
-fn run_tier_sweep(base: &DssmpConfig, app: &dyn MgsApp, tier: LinkTier) -> TierPoint {
-    let latency = tier_latency(tier);
-    let base = base
-        .clone()
-        .with_scenario(Arc::new(TieredScenario::uniform(tier, latency)));
-    TierPoint {
-        app: app.name(),
-        tier,
-        latency,
-        points: mgs_apps::sweep_app(&base, app),
-    }
-}
-
-/// The envelope's churn grid (`mgs_apps::envelope::grid`), unpaced, on
-/// two SSMPs, with or without SSMP 1 departing and rejoining mid-run.
-/// Returns the report, the stale directory entries the rejoin drain
-/// repaired, and whether the final home-copy image matched the
-/// closed-form expectation.
-fn grid(p: usize, churn: bool, protocol: ProtocolKind) -> (RunReport, u64, bool) {
-    let cluster = (p / 2).max(1);
-    let mut cfg = DssmpConfig::new(p, cluster).with_protocol(protocol);
-    cfg.governor_window = None;
+/// The envelope's churn grid (`mgs_apps::envelope::grid`) on `p`
+/// processors in two SSMPs, paced like every harness machine, with or
+/// without SSMP 1 departing and rejoining mid-run. Returns the report,
+/// the stale directory entries the rejoin drain repaired, and whether
+/// the final home-copy image matched the closed-form expectation.
+fn grid(base: &DssmpConfig, p: usize, churn: bool) -> (RunReport, u64, bool) {
+    let mut cfg = base.clone();
+    cfg.n_procs = p;
+    cfg.cluster_size = (p / 2).max(1);
     if churn {
         let scenario =
             TieredScenario::uniform(LinkTier::Lan, Cycles(1000)).with_churn(ChurnEvent {
@@ -209,17 +187,14 @@ fn grid(p: usize, churn: bool, protocol: ProtocolKind) -> (RunReport, u64, bool)
     }
     let machine = Machine::new(cfg);
     let (report, image) = envelope::grid(&machine, GRID_WORDS, GRID_ROUNDS);
-    let verified = image
-        .chunks(GRID_WORDS as usize)
-        .zip(0u64..)
-        .all(|(block, pid)| block.iter().all(|&w| w == GRID_ROUNDS * 1000 + pid));
+    let verified = image == envelope::grid_image(p as u64, GRID_WORDS, GRID_ROUNDS);
     (report, machine.churn_repaired(), verified)
 }
 
-fn run_churn_section(p: usize, protocol: ProtocolKind) -> Vec<JsonObject> {
-    let (baseline, _, base_ok) = grid(p, false, protocol);
+fn run_churn_section(base: &DssmpConfig, p: usize) -> Vec<JsonObject> {
+    let (baseline, _, base_ok) = grid(base, p, false);
     assert!(base_ok, "churn-free grid must verify");
-    let (churned, repaired, churn_ok) = grid(p, true, protocol);
+    let (churned, repaired, churn_ok) = grid(base, p, true);
     assert!(churn_ok, "churned grid must converge to fault-free image");
     assert_eq!(churned.churn_departs, 1, "departure applied");
     assert_eq!(churned.churn_rejoins, 1, "rejoin applied");
@@ -263,7 +238,7 @@ pub fn run(opts: &Options) {
     let contention = run_contention(opts.protocol);
 
     println!("\nchurn (SSMP departure + rejoin, verified convergence):");
-    let churn = run_churn_section(if smoke { 4 } else { opts.p.min(8) }, opts.protocol);
+    let churn = run_churn_section(&base, if smoke { 4 } else { opts.p.min(8) });
 
     let tiers: &[LinkTier] = if smoke {
         &[LinkTier::Rack, LinkTier::Wan]
@@ -276,13 +251,15 @@ pub fn run(opts: &Options) {
         apps.truncate(1);
     }
 
-    let budget = WorkerBudget::for_jobs(opts.jobs, opts.p);
-    let mut jobs: Vec<(usize, Box<dyn FnOnce() -> TierPoint + Send>)> = Vec::new();
+    // One full cluster-size sweep per (app, tier), every link priced
+    // at the tier; all their points share the pool.
+    let mut sweeps: Vec<(DssmpConfig, &dyn MgsApp)> = Vec::new();
+    let mut labels = Vec::new();
     for app in &apps {
         for &tier in tiers {
-            let base = base.clone();
-            let app = app.as_ref();
-            jobs.push((opts.p, Box::new(move || run_tier_sweep(&base, app, tier))));
+            let fabric = TieredScenario::uniform(tier, tier_latency(tier));
+            sweeps.push((base.clone().with_scenario(Arc::new(fabric)), app.as_ref()));
+            labels.push((app.name(), tier));
         }
     }
     println!(
@@ -290,21 +267,22 @@ pub fn run(opts: &Options) {
         apps.len(),
         tiers.len()
     );
-    let tier_points = run_weighted(&budget, jobs);
+    let tier_sweeps = parallel_sweeps_of(&sweeps, opts.jobs);
 
-    let mut tier_records = Vec::with_capacity(tier_points.len());
-    for tp in &tier_points {
-        let m = metrics(&tp.points);
+    let mut tier_records = Vec::with_capacity(tier_sweeps.len());
+    for (&(app, tier), points) in labels.iter().zip(&tier_sweeps) {
+        let latency = tier_latency(tier);
+        let m = metrics(points);
         let mut o = JsonObject::new();
-        o.str("app", tp.app)
-            .str("tier", tp.tier.name())
-            .num("latency_cycles", tp.latency.raw() as f64)
+        o.str("app", app)
+            .str("tier", tier.name())
+            .num("latency_cycles", latency.raw() as f64)
             .num("breakup_penalty", m.breakup_penalty)
             .num("multigrain_potential", m.multigrain_potential)
             .num("curvature_value", m.curvature_value)
             .str("curvature", &m.curvature.to_string());
-        let mut sweep = Vec::with_capacity(tp.points.len());
-        for pt in &tp.points {
+        let mut sweep = Vec::with_capacity(points.len());
+        for pt in points {
             let mut s = JsonObject::new();
             s.num("cluster_size", pt.cluster_size as f64)
                 .num("duration_cycles", pt.report.duration.raw() as f64)
@@ -315,9 +293,9 @@ pub fn run(opts: &Options) {
         o.array("sweep", sweep);
         println!(
             "  {:>12} @ {:>10} ({} cyc): {}",
-            tp.app,
-            tp.tier.name(),
-            tp.latency.raw(),
+            app,
+            tier.name(),
+            latency.raw(),
             m
         );
         tier_records.push(o);

@@ -24,7 +24,7 @@ pub fn run(opts: &Options) {
     }
     let mut rows = Vec::new();
     let mut sweeps = Vec::new();
-    let results = parallel_sweeps(&base, &apps, opts.reps, opts.jobs);
+    let results = parallel_sweeps(&base, &apps, opts.jobs);
     for ((app, paper), points) in apps.iter().zip(papers).zip(results) {
         let m = framework::metrics(&points);
         sweeps.push(sweep_json(app.name(), opts.p, &points, &m));

@@ -1,13 +1,16 @@
 //! Regenerates **Table 4**: applications, problem sizes, sequential
-//! runtime (Mcycles) and speedup on P processors (default 32).
+//! runtime (Mcycles) and speedup on P processors (default 32). The ten
+//! machines (five applications, sequential and `C = P`) share the
+//! `--jobs` pool (`mgs_bench::parallel`).
 
 use mgs_bench::chart::table;
 use mgs_bench::cli::Options;
+use mgs_bench::parallel::run_pool;
 use mgs_bench::suite::{base_config, suite};
 use mgs_core::Machine;
 
 pub fn run(opts: &Options) {
-    let base = base_config(opts);
+    let base = &base_config(opts);
     // Paper values at the full problem sizes (Seq in Mcycles, S32).
     let paper: &[(&str, f64, f64)] = &[
         ("jacobi", 1618.0, 30.0),
@@ -16,18 +19,31 @@ pub fn run(opts: &Options) {
         ("water", 1993.0, 26.9),
         ("barnes-hut", 977.0, 13.8),
     ];
+    let apps = suite(opts);
+    let mut jobs = Vec::new();
+    for (app, _) in &apps {
+        for sequential in [true, false] {
+            jobs.push(move || {
+                if sequential {
+                    eprintln!("running {} sequentially...", app.name());
+                    return mgs_apps::sequential_runtime(base, app.as_ref());
+                }
+                eprintln!(
+                    "running {} on {} processors (tightly coupled)...",
+                    app.name(),
+                    opts.p
+                );
+                let mut cfg = base.clone();
+                cfg.cluster_size = cfg.n_procs; // C = P: the baseline of Table 4
+                app.execute(&Machine::new(cfg)).duration
+            });
+        }
+    }
+    let mut durations = run_pool(opts.jobs, jobs).into_iter();
     let mut rows = Vec::new();
-    for (app, _) in suite(opts) {
-        eprintln!("running {} sequentially...", app.name());
-        let seq = mgs_apps::sequential_runtime(&base, app.as_ref());
-        eprintln!(
-            "running {} on {} processors (tightly coupled)...",
-            app.name(),
-            opts.p
-        );
-        let mut cfg = base.clone();
-        cfg.cluster_size = cfg.n_procs; // C = P: the baseline of Table 4
-        let par = app.execute(&Machine::new(cfg)).duration;
+    for (app, _) in &apps {
+        let seq = durations.next().expect("sequential run");
+        let par = durations.next().expect("C = P run");
         let speedup = seq.raw() as f64 / par.raw() as f64;
         let (pseq, ps32) = paper
             .iter()

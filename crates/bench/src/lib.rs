@@ -24,8 +24,13 @@
 //! | `adaptive` | Coherence strategy × app × link tier, reduced to the §2.4 framework metrics → `BENCH_adaptive.json` |
 //! | `profile` | Observability deep-dive for one app: metrics, hot pages, Perfetto timeline → `results/profile_*.json` |
 //!
-//! All commands accept `--p <procs>` (default 32) and `--scale <div>`
-//! (divide the problem size for quick runs; default 1 = paper sizes).
+//! All commands accept `--p <procs>` (default 32), `--scale <div>`
+//! (divide the problem size for quick runs; default 1 = paper sizes)
+//! and `--jobs <n>` (how many sweep points run at once; default the
+//! host's cores). Every machine a command builds runs on one host
+//! worker ([`suite::base_config`]), so what a command prints is a pure
+//! function of its flags — `--jobs` excluded — and
+//! `scripts/results.sh --check` holds the committed outputs to that.
 
 #![warn(missing_docs)]
 

@@ -22,38 +22,58 @@ mod cmd {
 
 type Run = fn(&Options);
 
-/// Every command: name and entry point.
-const COMMANDS: [(&str, Run); 12] = [
-    ("table3", cmd::table3::run),
-    ("table4", cmd::table4::run),
-    ("figures", cmd::figures::run),
-    ("fig11", cmd::fig11::run),
-    ("fig12", cmd::fig12::run),
-    ("summary", cmd::summary::run),
-    ("ablation", cmd::ablation::run),
-    ("scaling", cmd::scaling::run),
-    ("chaos", cmd::chaos::run),
-    ("scenario", cmd::scenario::run),
-    ("adaptive", cmd::adaptive::run),
-    ("profile", cmd::profile::run),
+/// Every command: name, entry point, and the flags it reads from
+/// `Options::args` itself (a flag's value is not `--`-prefixed, so the
+/// table needs no arity).
+const COMMANDS: [(&str, Run, &[&str]); 12] = [
+    ("table3", cmd::table3::run, &[]),
+    ("table4", cmd::table4::run, &[]),
+    ("figures", cmd::figures::run, &[]),
+    ("fig11", cmd::fig11::run, &[]),
+    ("fig12", cmd::fig12::run, &[]),
+    ("summary", cmd::summary::run, &["--json"]),
+    ("ablation", cmd::ablation::run, &[]),
+    ("scaling", cmd::scaling::run, &[]),
+    ("chaos", cmd::chaos::run, &[]),
+    ("scenario", cmd::scenario::run, &["--smoke"]),
+    ("adaptive", cmd::adaptive::run, &["--smoke"]),
+    (
+        "profile",
+        cmd::profile::run,
+        &["--c", "--top", "--no-trace", "--workers", "--smoke"],
+    ),
 ];
+
+/// Prints `problem`, the usage line and the command table on stderr and
+/// exits with status 2.
+fn usage_error(problem: &str) -> ! {
+    let names: Vec<&str> = COMMANDS.iter().map(|(n, ..)| *n).collect();
+    eprintln!(
+        "mgs-bench: {problem}\n\
+         usage: mgs-bench <command> [--p N] [--scale N | --quick] [--jobs N] \
+         [--protocol eager|lrc|adaptive] [command flags]\n\
+         commands: {}",
+        names.join(" ")
+    );
+    std::process::exit(2);
+}
 
 fn main() {
     let mut opts = Options::parse();
     // The first positional is the command; the rest are the command's.
     let name = (!opts.args.is_empty()).then(|| opts.args.remove(0));
-    match COMMANDS.iter().find(|(n, _)| Some(*n) == name.as_deref()) {
-        Some((_, run)) => run(&opts),
-        None => {
-            let names: Vec<&str> = COMMANDS.iter().map(|(n, _)| *n).collect();
-            eprintln!(
-                "mgs-bench: unknown command {name:?}\n\
-                 usage: mgs-bench <command> [--p N] [--scale N | --quick] [--reps N] [--jobs N] \
-                 [--protocol eager|lrc|adaptive] [command flags]\n\
-                 commands: {}",
-                names.join(" ")
-            );
-            std::process::exit(2);
-        }
+    let Some((name, run, flags)) = COMMANDS.iter().find(|(n, ..)| Some(*n) == name.as_deref())
+    else {
+        usage_error(&format!("unknown command {name:?}"));
+    };
+    // A flag nobody consumes is a mistake (`--job 4`, a retired flag),
+    // not a positional.
+    if let Some(flag) = opts
+        .args
+        .iter()
+        .find(|a| a.starts_with("--") && !flags.contains(&a.as_str()))
+    {
+        usage_error(&format!("unknown flag {flag:?} for {name}"));
     }
+    run(&opts);
 }

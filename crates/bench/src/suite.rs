@@ -112,9 +112,17 @@ pub fn kernels(opts: &Options) -> [(WaterKernel, PaperNumbers); 2] {
 
 /// Base machine configuration from the command-line options: the
 /// paper's defaults (1 KB pages, 1000-cycle external latency) with the
-/// requested processor count and coherence strategy.
+/// requested processor count and coherence strategy, on **one host
+/// worker** — the only place a harness machine's pacing is decided.
+/// One worker makes every simulated cycle a pure function of the
+/// configuration, so a published number repeats to the byte; the
+/// host's cores go to running *points* side by side
+/// ([`crate::parallel`]). Wider budgets and unpaced mode are stress
+/// modes for the tests, not for the harness (DESIGN.md § "Pacing").
 pub fn base_config(opts: &Options) -> DssmpConfig {
-    DssmpConfig::new(opts.p, 1).with_protocol(opts.protocol)
+    let mut cfg = DssmpConfig::new(opts.p, 1).with_protocol(opts.protocol);
+    cfg.workers = Some(1);
+    cfg
 }
 
 /// Looks an application up by harness name.
@@ -142,7 +150,6 @@ mod tests {
         Options {
             p: 8,
             scale,
-            reps: 1,
             jobs: None,
             protocol: mgs_core::ProtocolKind::Eager,
             args: vec![],

@@ -16,7 +16,7 @@
 //!   small cluster sizes (good for DSSMPs of small multiprocessors),
 //!   *concave* means it needs large clusters.
 
-use crate::{DssmpConfig, Env, Machine, RunReport};
+use crate::{DssmpConfig, Machine, RunReport};
 use mgs_sim::Cycles;
 use std::fmt;
 use std::sync::Arc;
@@ -82,38 +82,31 @@ impl fmt::Display for FrameworkMetrics {
     }
 }
 
-/// Runs `run` at every cluster size of [`DssmpConfig::cluster_sizes`],
-/// on a fresh machine per point built from `base` (only `cluster_size`
-/// varies) — the loop of the paper's method, written once.
-pub fn sweep_with(base: &DssmpConfig, run: impl Fn(&Arc<Machine>) -> RunReport) -> Vec<SweepPoint> {
-    base.cluster_sizes()
-        .map(|c| {
-            let mut cfg = base.clone();
-            cfg.cluster_size = c;
-            let machine = Machine::new(cfg);
-            let report = run(&machine);
-            SweepPoint {
-                cluster_size: c,
-                report,
-                lock_hit_ratio: machine.lock_hit_ratio(),
-            }
-        })
-        .collect()
+/// One point of a sweep: `run` on a fresh machine built from `base`
+/// with cluster size `c`.
+pub fn sweep_point(
+    base: &DssmpConfig,
+    c: usize,
+    run: impl FnOnce(&Arc<Machine>) -> RunReport,
+) -> SweepPoint {
+    let mut cfg = base.clone();
+    cfg.cluster_size = c;
+    let machine = Machine::new(cfg);
+    let report = run(&machine);
+    SweepPoint {
+        cluster_size: c,
+        report,
+        lock_hit_ratio: machine.lock_hit_ratio(),
+    }
 }
 
-/// [`sweep_with`] for a program written against [`Env`]: `setup` is
-/// invoked once per machine to allocate shared state; the allocation it
-/// returns is handed to every processor's `body` call.
-pub fn sweep<S, F, G>(base: &DssmpConfig, setup: G, body: F) -> Vec<SweepPoint>
-where
-    S: Sync,
-    G: Fn(&Arc<Machine>) -> S,
-    F: Fn(&mut Env, &S) + Sync,
-{
-    sweep_with(base, |machine| {
-        let shared = setup(machine);
-        machine.run(|env| body(env, &shared))
-    })
+/// Runs `run` at every cluster size of [`DssmpConfig::cluster_sizes`],
+/// one [`sweep_point`] each (only `cluster_size` varies) — the loop of
+/// the paper's method, written once.
+pub fn sweep_with(base: &DssmpConfig, run: impl Fn(&Arc<Machine>) -> RunReport) -> Vec<SweepPoint> {
+    base.cluster_sizes()
+        .map(|c| sweep_point(base, c, &run))
+        .collect()
 }
 
 fn time_at(points: &[SweepPoint], c: usize) -> Option<Cycles> {

@@ -11,16 +11,15 @@ fn quiet(p: usize, c: usize) -> DssmpConfig {
 
 #[test]
 fn framework_sweep_runs_every_power_of_two() {
-    let points = framework::sweep(
-        &quiet(8, 1),
-        |machine| machine.alloc_array::<u64>(64, AccessKind::DistArray),
-        |env, arr| {
+    let points = framework::sweep_with(&quiet(8, 1), |machine| {
+        let arr = machine.alloc_array::<u64>(64, AccessKind::DistArray);
+        machine.run(|env| {
             let pid = env.pid() as u64;
             arr.write(env, pid, pid);
             env.barrier();
             let _ = arr.read(env, (pid + 1) % 8);
-        },
-    );
+        })
+    });
     let sizes: Vec<usize> = points.iter().map(|p| p.cluster_size).collect();
     assert_eq!(sizes, vec![1, 2, 4, 8]);
     let m = framework::metrics(&points);

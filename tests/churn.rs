@@ -57,15 +57,7 @@ fn grid(cfg: DssmpConfig) -> (Arc<Machine>, RunReport, Vec<u64>) {
 
 fn assert_converged(machine: &Arc<Machine>, image: &[u64]) {
     // Final memory equals the closed-form expectation.
-    for pid in 0..PROCS as u64 {
-        for i in 0..WORDS {
-            assert_eq!(
-                image[(pid * WORDS + i) as usize],
-                ROUNDS * 1000 + pid,
-                "proc {pid} word {i}"
-            );
-        }
-    }
+    assert_eq!(image, envelope::grid_image(PROCS as u64, WORDS, ROUNDS));
     // No stale sharer entries: every directory bit corresponds to a
     // live client copy.
     let geom = machine.config().geometry;
