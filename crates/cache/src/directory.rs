@@ -1,9 +1,9 @@
 //! Per-SSMP cache-line directory: a slab of dense 64-line blocks.
 
 use crate::MissClass;
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// Lines per block.
 const BLOCK_LINES: u64 = 64;
@@ -230,7 +230,12 @@ impl Directory {
     fn index_lookup(&self, chunk: u64) -> Option<u32> {
         #[cfg(debug_assertions)]
         note_lock(false);
-        self.index.read().hints.get(&chunk).copied()
+        self.index
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .hints
+            .get(&chunk)
+            .copied()
     }
 
     /// Gives `chunk` a block (unless a racing caller just did) and
@@ -239,7 +244,7 @@ impl Directory {
     fn create(&self, chunk: u64) -> u32 {
         #[cfg(debug_assertions)]
         note_lock(false);
-        let mut index = self.index.write();
+        let mut index = self.index.write().unwrap_or_else(PoisonError::into_inner);
         if let Some(&hint) = index.hints.get(&chunk) {
             return hint;
         }
@@ -268,7 +273,7 @@ impl Directory {
     fn recycle(&self, chunk: u64) {
         #[cfg(debug_assertions)]
         note_lock(false);
-        let mut index = self.index.write();
+        let mut index = self.index.write().unwrap_or_else(PoisonError::into_inner);
         let Some(&hint) = index.hints.get(&chunk) else {
             return;
         };
@@ -620,7 +625,10 @@ impl Directory {
     /// Blocks the slab has ever handed out, in use or on the free list
     /// (for the bounded-memory test).
     pub fn blocks_allocated(&self) -> u32 {
-        self.index.read().next
+        self.index
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .next
     }
 }
 

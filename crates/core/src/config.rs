@@ -70,8 +70,7 @@ pub struct DssmpConfig {
     /// only locks and barriers deschedule. Pacing never charges
     /// simulated cycles: within the deterministic envelope, cycle counts
     /// are bit-identical at every window, paced or not (gated by
-    /// `tests/governor_equivalence.rs` and
-    /// `tests/engine_equivalence.rs`).
+    /// `tests/pacing.rs`).
     pub governor_window: Option<Cycles>,
     /// Host worker budget of a paced run: how many processors may
     /// execute at once — and, where processors are coroutines, how many
@@ -85,9 +84,11 @@ pub struct DssmpConfig {
     pub lock_affinity_window: Cycles,
     /// Seed for per-processor workload RNGs.
     pub seed: u64,
-    /// Record every protocol message and handler occupancy into the
-    /// machine trace (see [`Machine::take_trace`](crate::Machine)).
-    /// Off by default: tracing large runs allocates heavily.
+    /// Record the protocol event stream into the machine trace (see
+    /// [`Machine::take_trace`](crate::Machine)): every
+    /// [`ObsEvent`](mgs_obs::ObsEvent) but the requester-local charges,
+    /// stamped with the acting processor and its simulated time. Off by
+    /// default: tracing large runs allocates heavily.
     pub trace: bool,
     /// Attach the `mgs-obs` observability sink: typed metrics, latency
     /// histograms and the per-page sharing profiler (see

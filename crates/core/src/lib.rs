@@ -48,7 +48,6 @@ mod env;
 mod machine;
 mod report;
 mod runtime;
-mod trace;
 
 pub mod framework;
 pub mod micro;
@@ -57,7 +56,6 @@ pub use config::DssmpConfig;
 pub use env::{Env, SharedArray, Word};
 pub use machine::Machine;
 pub use report::RunReport;
-pub use trace::{export_perfetto, TraceEvent, TraceKind};
 
 // Re-exports used throughout the public API.
 pub use mgs_net::{
@@ -65,8 +63,9 @@ pub use mgs_net::{
     TieredScenario,
 };
 pub use mgs_obs::{
-    GovernorWaitReport, HistSummary, LatencyClass, Metric, MetricsReport, ObsSink, PageProfile,
-    SharingReport, XactKind, XactOutcome,
+    export_perfetto, first_divergence, GovernorWaitReport, HistSummary, LatencyClass, Metric,
+    MetricsReport, ObsEvent, ObsSink, PageProfile, SharingReport, TraceEvent, XactKind,
+    XactOutcome,
 };
 pub use mgs_proto::{
     AdaptiveParams, PagePolicy, PolicyDecision, ProtocolError, ProtocolKind, RetryPolicy,

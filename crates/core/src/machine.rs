@@ -3,11 +3,10 @@
 use crate::churn::ChurnState;
 use crate::env::{Env, SharedArray, Word};
 use crate::report::{ProcResult, RunReport};
-use crate::trace::TraceEvent;
 use crate::DssmpConfig;
 use mgs_net::LanModel;
-use mgs_obs::ObsSink;
-use mgs_proto::{MgsProtocol, ProtoConfig, ProtoStats};
+use mgs_obs::{ObsEvent, ObsSink, TraceEvent};
+use mgs_proto::{MgsProtocol, ProtoConfig, ProtoStats, ProtoTiming, RecordingTiming};
 use mgs_sim::{Cycles, GovWaitSnapshot, Occupancy, VirtualScheduler};
 use mgs_sync::{HwLock, MgsBarrier, MgsLock};
 use mgs_vm::{AccessKind, SharedHeap};
@@ -170,9 +169,19 @@ impl Machine {
         Some(self.governor.wait_snapshot())
     }
 
-    pub(crate) fn record_trace(&self, event: TraceEvent) {
+    /// Records one protocol event on behalf of processor `proc` at its
+    /// simulated `time`: into the observability sink, and into the
+    /// trace when tracing — except the requester-local charges (`Local`,
+    /// `WaitUntil`), which a transaction span's length already sums.
+    #[inline]
+    pub(crate) fn record(&self, proc: usize, time: Cycles, event: ObsEvent) {
+        if let Some(obs) = &self.obs {
+            obs.record(proc, self.cfg.ssmp_of(proc), &event);
+        }
         if let Some(t) = &self.trace {
-            t.lock().push(event);
+            if !matches!(event, ObsEvent::Local { .. } | ObsEvent::WaitUntil { .. }) {
+                t.lock().push(TraceEvent { proc, time, event });
+            }
         }
     }
 
@@ -369,21 +378,29 @@ impl Machine {
                 .set(env.finish())
                 .expect("a processor finishes once");
         });
+        let results: Vec<ProcResult> = results
+            .into_iter()
+            .map(|r| r.into_inner().expect("every processor finished"))
+            .collect();
         // Post-run reconciliation: flush every page the lazy migratory
         // release left pinned, so host-side readback (`peek`, result
         // verification) sees the canonical final memory image. Runs on
         // a detached recording sink after the simulated clocks are
         // final — it charges no simulated time and perturbs nothing; a
-        // no-op unless the adaptive controller pinned pages.
-        let mut drain = mgs_proto::RecordingTiming::new(self.cfg.cost.clone(), Cycles::ZERO);
+        // no-op unless the adaptive controller pinned pages. Its events
+        // still happened, so they are recorded for processor 0 at the
+        // run's final time (the recorder's clock starts there too).
+        let end = results.iter().map(|r| r.end).max().unwrap_or(Cycles::ZERO);
+        let mut drain = RecordingTiming::new(self.cfg.cost.clone(), Cycles::ZERO);
+        drain.wait_until(end);
         self.proto
             .drain_pinned(&mut drain)
             .unwrap_or_else(|e| panic!("unrecoverable MGS protocol failure: {e}"));
+        for &event in drain.events() {
+            self.record(0, end, event);
+        }
         RunReport::from_procs(
-            results
-                .into_iter()
-                .map(|r| r.into_inner().expect("every processor finished"))
-                .collect(),
+            results,
             self.lock_totals(),
             (
                 self.lan.stats().total_msgs(),

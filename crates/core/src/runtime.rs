@@ -2,18 +2,19 @@
 //! the faulting processor's clock, serializes handler work on remote
 //! protocol engines, and routes inter-SSMP messages through the LAN.
 //!
-//! It is also the point where the protocol's structured
-//! [`ObsEvent`](mgs_obs::ObsEvent) stream fans out to the machine's
-//! observability sink (metrics registry + sharing profiler) and, when
-//! tracing, to the structured trace. Everything on that path is a
-//! host-side side channel: no simulated clock is touched, and the open
-//! transaction spans live in a fixed-size stack so observing a
-//! steady-state access allocates nothing.
+//! It is also where the protocol's event stream leaves for the
+//! machine's recorders: every charge but the two requester-local ones,
+//! and every observed event, goes to [`Machine::record`] (the
+//! observability sink, and the trace when tracing). What stays here is
+//! what needs this processor's clock: the open transaction spans and
+//! the latency samples. Everything on that path is a host-side side
+//! channel: no simulated clock is touched, and the open spans live in a
+//! fixed-size stack so observing a steady-state access allocates
+//! nothing.
 
-use crate::trace::{TraceEvent, TraceKind};
 use crate::Machine;
 use mgs_net::{Delivery, MsgKind};
-use mgs_obs::{LatencyClass, Metric, ObsEvent, XactKind, XactOutcome};
+use mgs_obs::{LatencyClass, ObsEvent, XactKind};
 use mgs_proto::{ProtoTiming, SendOutcome};
 use mgs_sim::{CostCategory, Cycles, ProcClock};
 
@@ -57,21 +58,16 @@ impl<'a> RuntimeTiming<'a> {
         None
     }
 
-    /// Records `kind` in the machine trace (when tracing), stamped with
-    /// this processor's clock at `time`.
-    fn trace_at(&self, time: Cycles, kind: TraceKind) {
-        if self.machine.tracing() {
-            self.machine.record_trace(TraceEvent {
-                proc: self.proc,
-                time,
-                kind,
-            });
-        }
+    /// Records `event` for this processor at its current instant.
+    fn record(&self, event: ObsEvent) {
+        self.machine.record(self.proc, self.clock.now(), event);
     }
 
-    /// [`trace_at`](RuntimeTiming::trace_at) the current instant.
-    fn trace(&self, kind: TraceKind) {
-        self.trace_at(self.clock.now(), kind);
+    /// Records a latency sample when the observability sink is attached.
+    fn sample(&self, class: LatencyClass, latency: Cycles) {
+        if let Some(obs) = self.machine.obs() {
+            obs.registry.record_latency(self.proc, class, latency);
+        }
     }
 }
 
@@ -101,7 +97,7 @@ impl ProtoTiming for RuntimeTiming<'_> {
         } else {
             self.machine.engines()[node].occupy(now, cycles)
         };
-        self.trace(TraceKind::NodeWork {
+        self.record(ObsEvent::NodeWork {
             node,
             start,
             cycles,
@@ -121,7 +117,7 @@ impl ProtoTiming for RuntimeTiming<'_> {
         payload_bytes: u64,
     ) -> SendOutcome {
         let cost = &self.machine.config().cost;
-        let message = TraceKind::Message {
+        let message = ObsEvent::Message {
             from,
             to,
             kind,
@@ -129,17 +125,13 @@ impl ProtoTiming for RuntimeTiming<'_> {
         };
         if from == to {
             // Intra-SSMP messages never touch the LAN.
-            self.trace(message);
+            self.record(message);
             self.clock.charge(CostCategory::Mgs, cost.intra_msg);
             return SendOutcome::Delivered { duplicates: 0 };
         }
-        // One transmission enters the fabric whatever its fate, matching
-        // `NetStats`' counting rule. Without a fault plan or churn
-        // `transmit` always delivers, at `LanModel::send`'s arrival
-        // time: the charge sequence of the paper's perfect LAN.
-        if let Some(obs) = self.machine.obs() {
-            obs.registry.count_lan(self.proc, kind);
-        }
+        // Without a fault plan or churn `transmit` always delivers, at
+        // `LanModel::send`'s arrival time: the charge sequence of the
+        // paper's perfect LAN.
         let launched = self.clock.now();
         self.clock.charge(CostCategory::Mgs, cost.msg_send);
         let sent = self.clock.now();
@@ -154,52 +146,34 @@ impl ProtoTiming for RuntimeTiming<'_> {
             } => {
                 // A delivered message is stamped when it was launched,
                 // whatever fabric carried it.
-                self.trace_at(launched, message);
+                self.machine.record(self.proc, launched, message);
                 if duplicates > 0 {
-                    if let Some(obs) = self.machine.obs() {
-                        obs.registry
-                            .count(self.proc, Metric::LanDuplicates, u64::from(duplicates));
-                    }
-                    self.trace(TraceKind::Fault {
+                    self.record(ObsEvent::Duplicate {
                         from,
                         to,
                         kind,
-                        duplicates,
+                        copies: duplicates,
                     });
                 }
                 if let Some(obs) = self.machine.obs() {
-                    obs.registry.record_latency(
-                        self.proc,
-                        LatencyClass::for_tier(self.machine.lan().tier(from, to)),
-                        arrival.saturating_sub(sent),
-                    );
+                    let class = LatencyClass::for_tier(self.machine.lan().tier(from, to));
+                    obs.registry
+                        .record_latency(self.proc, class, arrival.saturating_sub(sent));
                 }
                 self.clock.advance_to(CostCategory::Mgs, arrival);
                 self.clock.charge(CostCategory::Mgs, cost.msg_recv);
                 SendOutcome::Delivered { duplicates }
             }
             Delivery::Dropped => {
-                if let Some(obs) = self.machine.obs() {
-                    obs.registry.count(self.proc, Metric::LanDrops, 1);
-                }
-                self.trace(TraceKind::Fault {
-                    from,
-                    to,
-                    kind,
-                    duplicates: 0,
-                });
+                self.record(ObsEvent::Drop { from, to, kind });
                 SendOutcome::Dropped
             }
         }
     }
 
     fn retry_wait(&mut self, from: usize, to: usize, kind: MsgKind, attempt: u32, wait: Cycles) {
-        if let Some(obs) = self.machine.obs() {
-            obs.registry.count(self.proc, Metric::Retries, 1);
-            obs.registry
-                .record_latency(self.proc, LatencyClass::RetryBackoff, wait);
-        }
-        self.trace(TraceKind::Retry {
+        self.sample(LatencyClass::RetryBackoff, wait);
+        self.record(ObsEvent::Retry {
             from,
             to,
             kind,
@@ -225,12 +199,9 @@ impl ProtoTiming for RuntimeTiming<'_> {
         // Span bookkeeping happens even when only tracing is on, so the
         // structured trace always carries balanced begin/end pairs.
         match event {
-            ObsEvent::XactBegin { xact, page } => {
-                if self.depth < XACT_DEPTH {
-                    self.xacts[self.depth] = (xact, page, self.clock.now());
-                    self.depth += 1;
-                }
-                self.trace(TraceKind::XactBegin { xact, page });
+            ObsEvent::XactBegin { xact, page } if self.depth < XACT_DEPTH => {
+                self.xacts[self.depth] = (xact, page, self.clock.now());
+                self.depth += 1;
             }
             ObsEvent::XactEnd {
                 xact,
@@ -238,103 +209,12 @@ impl ProtoTiming for RuntimeTiming<'_> {
                 outcome,
             } => {
                 let begin = self.close_span(xact, page);
-                if let Some(obs) = self.machine.obs() {
-                    let (metric, class) = match outcome {
-                        XactOutcome::TlbFill => {
-                            (Some(Metric::TlbFills), Some(LatencyClass::TlbFill))
-                        }
-                        XactOutcome::ReadMiss => {
-                            (Some(Metric::ReadMisses), Some(LatencyClass::ReadMiss))
-                        }
-                        XactOutcome::WriteMiss => {
-                            (Some(Metric::WriteMisses), Some(LatencyClass::WriteMiss))
-                        }
-                        XactOutcome::Upgrade => {
-                            (Some(Metric::Upgrades), Some(LatencyClass::Upgrade))
-                        }
-                        XactOutcome::Released => {
-                            (Some(Metric::PagesReleased), Some(LatencyClass::PageRelease))
-                        }
-                        XactOutcome::Aborted => (Some(Metric::XactAborts), None),
-                    };
-                    if let Some(m) = metric {
-                        obs.registry.count(self.proc, m, 1);
-                    }
-                    if let (Some(c), Some(begin)) = (class, begin) {
-                        obs.registry.record_latency(
-                            self.proc,
-                            c,
-                            self.clock.now().saturating_sub(begin),
-                        );
-                    }
-                    let ssmp = self.machine.config().ssmp_of(self.proc);
-                    obs.profiler.record(ssmp, &event);
-                }
-                self.trace(TraceKind::XactEnd {
-                    xact,
-                    page,
-                    outcome,
-                });
-            }
-            // Churn transitions are machine-level: counters plus a trace
-            // instant, no page attribution.
-            ObsEvent::Churn {
-                ssmp,
-                rejoin,
-                rehomed,
-            } => {
-                if let Some(obs) = self.machine.obs() {
-                    let metric = if rejoin {
-                        Metric::ChurnRejoins
-                    } else {
-                        Metric::ChurnDepartures
-                    };
-                    obs.registry.count(self.proc, metric, 1);
-                    if rehomed > 0 {
-                        obs.registry
-                            .count(self.proc, Metric::ChurnRehomedPages, rehomed);
-                    }
-                }
-                self.trace(TraceKind::Churn {
-                    ssmp,
-                    rejoin,
-                    rehomed,
-                });
-            }
-            // Everything else: a counter bump plus per-page attribution.
-            _ => {
-                if let Some(obs) = self.machine.obs() {
-                    let metric = match event {
-                        ObsEvent::TwinCreate { .. } => Some(Metric::TwinCreates),
-                        ObsEvent::Diff { words, spans, .. } => {
-                            obs.registry.count(self.proc, Metric::DiffWords, words);
-                            obs.registry.count(self.proc, Metric::DiffSpans, spans);
-                            Some(Metric::DiffsSent)
-                        }
-                        ObsEvent::DiffLine { .. } => None,
-                        ObsEvent::Invalidate { .. } => Some(Metric::Invalidations),
-                        ObsEvent::SingleWriterFlush { .. } => Some(Metric::SingleWriterFlushes),
-                        ObsEvent::SingleWriterBreak { .. } => Some(Metric::SingleWriterBreaks),
-                        ObsEvent::DuqFlush { .. } => Some(Metric::DuqFlushes),
-                        ObsEvent::LazyNotice { .. } => Some(Metric::LazyNotices),
-                        ObsEvent::Pinv { .. } => Some(Metric::Pinvs),
-                        ObsEvent::UpdatePush { words, .. } => {
-                            obs.registry
-                                .count(self.proc, Metric::UpdatePushWords, words);
-                            Some(Metric::UpdatePushes)
-                        }
-                        ObsEvent::PolicySwitch { .. } => Some(Metric::PolicySwitches),
-                        ObsEvent::XactBegin { .. }
-                        | ObsEvent::XactEnd { .. }
-                        | ObsEvent::Churn { .. } => unreachable!(),
-                    };
-                    if let Some(m) = metric {
-                        obs.registry.count(self.proc, m, 1);
-                    }
-                    let ssmp = self.machine.config().ssmp_of(self.proc);
-                    obs.profiler.record(ssmp, &event);
+                if let (Some(class), Some(begin)) = (LatencyClass::for_outcome(outcome), begin) {
+                    self.sample(class, self.clock.now().saturating_sub(begin));
                 }
             }
+            _ => {}
         }
+        self.record(event);
     }
 }

@@ -140,7 +140,7 @@ fn word_types_roundtrip_through_shared_memory() {
 
 #[test]
 fn trace_records_protocol_messages() {
-    use mgs_core::TraceKind;
+    use mgs_core::ObsEvent;
     let mut cfg = quiet(4, 2);
     cfg.trace = true;
     let machine = Machine::new(cfg);
@@ -154,14 +154,18 @@ fn trace_records_protocol_messages() {
     let trace = machine.take_trace();
     assert!(!trace.is_empty());
     assert!(trace.iter().any(|e| matches!(
-        e.kind,
-        TraceKind::Message { from, to, .. } if from != to
+        e.event,
+        ObsEvent::Message { from, to, .. } if from != to
     )));
     assert!(trace
         .iter()
-        .any(|e| matches!(e.kind, TraceKind::NodeWork { .. })));
-    // Display is non-empty.
-    assert!(!trace[0].to_string().is_empty());
+        .any(|e| matches!(e.event, ObsEvent::NodeWork { .. })));
+    // The requester-local charges are left out.
+    assert!(!trace
+        .iter()
+        .any(|e| matches!(e.event, ObsEvent::Local { .. } | ObsEvent::WaitUntil { .. })));
+    // Display is the processor and time, then the event.
+    assert!(trace[0].to_string().starts_with("[p"));
     // Taking again yields nothing.
     assert!(machine.take_trace().is_empty());
 }

@@ -1,11 +1,17 @@
-//! The structured protocol-event vocabulary.
+//! The protocol-event vocabulary: the one stream every recorder reads.
 //!
-//! `mgs-proto`'s engines emit these through the `ProtoTiming::observe`
-//! hook as their transactions execute; the runtime forwards them to the
-//! [`ObsRegistry`](crate::ObsRegistry), the
-//! [`SharingProfiler`](crate::SharingProfiler) and (when tracing) the
-//! machine's structured trace. Every variant is `Copy` and carries only
-//! scalars, so emitting one allocates nothing.
+//! Two kinds of event share the type. *Charges* (`Local`, `WaitUntil`,
+//! `Message`, `NodeWork`, `Drop`, `Duplicate`, `Retry`) are the
+//! `ProtoTiming` hook calls that move simulated time or cross the
+//! fabric; *observations* (everything else) are what `mgs-proto`'s
+//! engines emit through the `ProtoTiming::observe` hook as state
+//! changes. The runtime feeds both to [`ObsSink::record`](crate::ObsSink)
+//! and (when tracing) to the machine's [`TraceEvent`](crate::TraceEvent)
+//! list; `RecordingTiming` keeps both in one list. Every variant is
+//! `Copy` and carries only scalars, so emitting one allocates nothing.
+
+use mgs_net::MsgKind;
+use mgs_sim::Cycles;
 
 /// The per-page coherence policy a strategy resolved for a page.
 ///
@@ -106,11 +112,81 @@ impl XactOutcome {
     }
 }
 
-/// One structured protocol event, emitted by the engines at the instant
-/// the corresponding state transition happens (with its page-level
+/// One protocol event: a timing charge, or a state transition emitted
+/// by the engines at the instant it happens (with its page-level
 /// attribution, which the flat `ProtoStats` counters lack).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsEvent {
+    /// Work executed on the requesting processor itself.
+    Local {
+        /// Cycles charged.
+        cycles: Cycles,
+    },
+    /// The requester waited (e.g. for another local processor's fill)
+    /// until `instant`.
+    WaitUntil {
+        /// The instant waited for.
+        instant: Cycles,
+    },
+    /// A delivered protocol message between SSMPs (or within one,
+    /// `from == to`).
+    Message {
+        /// Sending SSMP.
+        from: usize,
+        /// Receiving SSMP.
+        to: usize,
+        /// Protocol message type (Table 2).
+        kind: MsgKind,
+        /// Payload bytes.
+        bytes: u64,
+    },
+    /// Handler or data-movement work serialized at a node's protocol
+    /// engine.
+    NodeWork {
+        /// Global processor id of the engine.
+        node: usize,
+        /// When the engine began serving the work (for a remote engine,
+        /// the occupancy-granted instant: queueing delay is the gap
+        /// from the requester's time to this).
+        start: Cycles,
+        /// Service time.
+        cycles: Cycles,
+    },
+    /// A transmission lost by the fault-injecting fabric (the sender
+    /// will time out and retransmit).
+    Drop {
+        /// Sending SSMP.
+        from: usize,
+        /// Receiving SSMP.
+        to: usize,
+        /// Protocol message type.
+        kind: MsgKind,
+    },
+    /// Fabric-injected duplicate copies delivered alongside a message
+    /// (discarded by the receiver's sequence filter).
+    Duplicate {
+        /// Sending SSMP.
+        from: usize,
+        /// Receiving SSMP.
+        to: usize,
+        /// Protocol message type.
+        kind: MsgKind,
+        /// Extra copies delivered.
+        copies: u32,
+    },
+    /// A timeout wait charged before retransmitting a lost message.
+    Retry {
+        /// Sending SSMP.
+        from: usize,
+        /// Receiving SSMP.
+        to: usize,
+        /// Protocol message type.
+        kind: MsgKind,
+        /// 0-based index of the lost transmission.
+        attempt: u32,
+        /// Backoff wait charged to the sender.
+        wait: Cycles,
+    },
     /// A bracketed transaction began.
     XactBegin {
         /// Transaction class.

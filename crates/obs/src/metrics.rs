@@ -7,6 +7,7 @@
 //! cache-line contention. Shards are merged into an immutable
 //! [`MetricsReport`] when the run finishes.
 
+use crate::XactOutcome;
 use mgs_net::MsgKind;
 use mgs_sim::Cycles;
 use std::fmt;
@@ -242,6 +243,19 @@ impl LatencyClass {
             mgs_net::LinkTier::Rack => LatencyClass::TierRack,
             mgs_net::LinkTier::Datacenter => LatencyClass::TierDatacenter,
             mgs_net::LinkTier::Wan => LatencyClass::TierWan,
+        }
+    }
+
+    /// The class timing a transaction span that resolved as `outcome`
+    /// (`None` for an abort, which has no meaningful latency).
+    pub fn for_outcome(outcome: XactOutcome) -> Option<LatencyClass> {
+        match outcome {
+            XactOutcome::TlbFill => Some(LatencyClass::TlbFill),
+            XactOutcome::ReadMiss => Some(LatencyClass::ReadMiss),
+            XactOutcome::WriteMiss => Some(LatencyClass::WriteMiss),
+            XactOutcome::Upgrade => Some(LatencyClass::Upgrade),
+            XactOutcome::Released => Some(LatencyClass::PageRelease),
+            XactOutcome::Aborted => None,
         }
     }
 

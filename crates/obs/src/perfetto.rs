@@ -1,19 +1,147 @@
-//! A builder for Chrome/Perfetto `trace_event` JSON.
+//! The machine trace and its Chrome/Perfetto `trace_event` export.
 //!
-//! Produces the legacy JSON trace format that both `chrome://tracing`
-//! and [ui.perfetto.dev](https://ui.perfetto.dev) load directly. The
-//! builder is deliberately generic — it speaks pids, tids and
-//! microsecond timestamps — so the runtime can map simulated processors
-//! and SSMP protocol engines onto tracks however it likes (the
-//! convention used by `mgs-core` is one *process* per SSMP, one
-//! *thread* per simulated processor, plus one thread per protocol
-//! engine; 1 simulated cycle = 1 µs).
+//! A traced machine records a list of [`TraceEvent`]s: each protocol
+//! [`ObsEvent`] stamped with the acting processor and its simulated
+//! time. [`export_perfetto`] renders that list in the legacy JSON trace
+//! format that both `chrome://tracing` and
+//! [ui.perfetto.dev](https://ui.perfetto.dev) load directly, through
+//! the generic [`PerfettoTrace`] builder (pids, tids and microsecond
+//! timestamps; 1 simulated cycle = 1 µs). [`first_divergence`] names
+//! where two traces first differ.
 //!
 //! Serialization is hand-rolled: the build environment is offline, so
 //! no serde. Each event is rendered to its JSON string at `push` time,
 //! keeping [`finish`](PerfettoTrace::finish) a cheap join.
 
+use crate::ObsEvent;
+use mgs_sim::Cycles;
+use std::fmt;
 use std::fmt::Write as _;
+
+/// One event of a machine trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceEvent {
+    /// The simulated processor whose transaction generated the event.
+    pub proc: usize,
+    /// That processor's simulated time when the event happened (a
+    /// delivered message: when it was launched).
+    pub time: Cycles,
+    /// What happened.
+    pub event: ObsEvent,
+}
+
+impl fmt::Display for TraceEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "[p{:02} @{:>10}] {:?}",
+            self.proc,
+            self.time.raw(),
+            self.event
+        )
+    }
+}
+
+/// Converts a machine trace into Chrome/Perfetto `trace_event` JSON.
+///
+/// Track layout: one Perfetto *process* per SSMP, and within it two
+/// *threads* per simulated processor — `proc p` carrying that
+/// processor's transaction spans (fault begin → TLB installed, release
+/// begin → RACK; the outcome is an instant at the end) and one instant
+/// per other event, named for its variant (a message by its kind) with
+/// the event's fields as its arguments; and `engine p` carrying the
+/// protocol engine's `NodeWork` slices (whose gaps from the requester's
+/// time are queueing delay).
+///
+/// Events are grouped per acting processor in recording order (each
+/// processor's clock is monotonic, which is what Perfetto's begin/end
+/// stack pairing needs); different processors' clocks are only loosely
+/// ordered, exactly as on the simulated machine.
+pub fn export_perfetto(events: &[TraceEvent], n_procs: usize, cluster_size: usize) -> String {
+    let cluster = cluster_size.max(1);
+    let mut t = PerfettoTrace::new();
+    for ssmp in 0..n_procs.div_ceil(cluster) {
+        t.process_name(ssmp as u64, &format!("ssmp {ssmp}"));
+    }
+    for proc in 0..n_procs {
+        let pid = (proc / cluster) as u64;
+        t.thread_name(pid, (2 * proc) as u64, &format!("proc {proc}"));
+        t.thread_name(pid, (2 * proc + 1) as u64, &format!("engine {proc}"));
+    }
+    for proc in 0..n_procs {
+        let pid = (proc / cluster) as u64;
+        let tid = (2 * proc) as u64;
+        for e in events.iter().filter(|e| e.proc == proc) {
+            let ts = e.time.raw();
+            match e.event {
+                ObsEvent::XactBegin { xact, page } => {
+                    t.begin(pid, tid, ts, xact.label(), &[("page", page.into())]);
+                }
+                ObsEvent::XactEnd { outcome, .. } => {
+                    t.instant(pid, tid, ts, outcome.label(), &[]);
+                    t.end(pid, tid, ts);
+                }
+                ObsEvent::NodeWork {
+                    node,
+                    start,
+                    cycles,
+                } => t.complete(
+                    (node / cluster) as u64,
+                    (2 * node + 1) as u64,
+                    start.raw(),
+                    cycles.raw(),
+                    "handler",
+                    &[("requester", proc.into())],
+                ),
+                event => {
+                    // `Variant { field: value, … }`: every variant has
+                    // named scalar fields, so `Debug` splits cleanly.
+                    let debug = format!("{event:?}");
+                    let (variant, fields) = debug.split_once(" { ").unwrap_or((&debug, ""));
+                    let args: Vec<(&str, ArgValue)> = fields
+                        .trim_end_matches(" }")
+                        .split(", ")
+                        .filter_map(|field| field.split_once(": "))
+                        .map(|(k, v)| (k, v.parse().map_or_else(|_| v.into(), ArgValue::Int)))
+                        .collect();
+                    let name = match event {
+                        ObsEvent::Message { kind, .. } => kind.name(),
+                        _ => variant,
+                    };
+                    t.instant(pid, tid, ts, name, &args);
+                }
+            }
+        }
+    }
+    t.finish()
+}
+
+/// Names the first event on which two traces differ, or `None` when
+/// they are the same: the processor, the event's index in that
+/// processor's own stream, and both events (`"p3 event 17: [p03 @ …]
+/// Invalidate { … } vs [p03 @ …] Pinv { … }"`; a stream that ends early
+/// reads `end of trace`). Each processor's stream is compared on its
+/// own, in recording order, lowest processor first: processors' clocks
+/// are only loosely ordered, so a different interleaving of identical
+/// per-processor histories is not a divergence.
+pub fn first_divergence(a: &[TraceEvent], b: &[TraceEvent]) -> Option<String> {
+    let show = |e: Option<&TraceEvent>| e.map_or("end of trace".to_string(), |e| e.to_string());
+    let procs = a.iter().chain(b).map(|e| e.proc + 1).max().unwrap_or(0);
+    for proc in 0..procs {
+        let mut xs = a.iter().filter(|e| e.proc == proc);
+        let mut ys = b.iter().filter(|e| e.proc == proc);
+        for i in 0.. {
+            match (xs.next(), ys.next()) {
+                (None, None) => break,
+                (x, y) if x != y => {
+                    return Some(format!("p{proc} event {i}: {} vs {}", show(x), show(y)))
+                }
+                _ => {}
+            }
+        }
+    }
+    None
+}
 
 /// A typed argument value for an event's `args` object.
 #[derive(Debug, Clone)]

@@ -137,7 +137,6 @@ impl SharingProfiler {
     /// explicitly.
     pub fn record(&self, ssmp: usize, event: &ObsEvent) {
         match *event {
-            ObsEvent::XactBegin { .. } => {}
             ObsEvent::XactEnd { page, outcome, .. } => self.with_page(page, |p| match outcome {
                 XactOutcome::TlbFill => p.tlb_fills += 1,
                 XactOutcome::ReadMiss => {
@@ -184,7 +183,6 @@ impl SharingProfiler {
             ObsEvent::SingleWriterBreak { page, .. } => {
                 self.with_page(page, |p| p.single_writer_breaks += 1)
             }
-            ObsEvent::DuqFlush { .. } => {}
             ObsEvent::LazyNotice { page, ssmp } => self.with_page(page, |p| {
                 p.lazy_notices += 1;
                 p.reader_mask |= 1 << (ssmp as u64 & 63);
@@ -194,12 +192,10 @@ impl SharingProfiler {
                 p.update_pushes += 1;
                 p.reader_mask |= 1 << (ssmp as u64 & 63);
             }),
-            // Policy switches are controller-level; the registry's
-            // policy_switches counter and the decision trace carry them.
-            ObsEvent::PolicySwitch { .. } => {}
-            // Churn is machine-level, not page-level; the registry's
-            // churn counters and the trace carry it.
-            ObsEvent::Churn { .. } => {}
+            // Charges, span begins, DUQ drains, policy switches and churn
+            // are not page activity; the registry and the trace carry
+            // them.
+            _ => {}
         }
     }
 

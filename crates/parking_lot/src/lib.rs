@@ -12,8 +12,9 @@
 //!   matches `parking_lot` semantics.
 //! * [`Condvar`] — `wait` takes `&mut MutexGuard` and re-arms it in
 //!   place.
-//! * [`RwLock`] / [`RwLockReadGuard`] / [`RwLockWriteGuard`] — with
-//!   `try_read` / `try_write` returning `Option`.
+//!
+//! Reader-writer locks use `std::sync::RwLock` directly, recovering from
+//! poisoning at the call site.
 //!
 //! One thing the real crate does not have: [`held_locks`], a debug-build
 //! count of the [`Mutex`] guards the calling thread holds. The
@@ -210,134 +211,6 @@ impl Condvar {
     }
 }
 
-// ---------------------------------------------------------------------
-// RwLock
-// ---------------------------------------------------------------------
-
-/// A reader-writer lock (std-backed, `parking_lot`-flavoured).
-#[derive(Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new lock protecting `value`.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access, blocking until available.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: self
-                .inner
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        }
-    }
-
-    /// Acquires exclusive write access, blocking until available.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: self
-                .inner
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        }
-    }
-
-    /// Attempts shared read access without blocking.
-    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.inner.try_read() {
-            Ok(g) => Some(RwLockReadGuard { inner: g }),
-            Err(TryLockError::Poisoned(p)) => Some(RwLockReadGuard {
-                inner: p.into_inner(),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Attempts exclusive write access without blocking.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.inner.try_write() {
-            Ok(g) => Some(RwLockWriteGuard { inner: g }),
-            Err(TryLockError::Poisoned(p)) => Some(RwLockWriteGuard {
-                inner: p.into_inner(),
-            }),
-            Err(TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.try_read() {
-            Some(g) => f.debug_struct("RwLock").field("data", &&*g).finish(),
-            None => f.debug_struct("RwLock").field("data", &"<locked>").finish(),
-        }
-    }
-}
-
-/// RAII guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockReadGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// RAII guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockWriteGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,16 +247,6 @@ mod tests {
         assert!(m.try_lock().is_none());
         drop(g);
         assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_excludes_writers() {
-        let l = RwLock::new(0);
-        let r = l.read();
-        assert!(l.try_write().is_none());
-        assert!(l.try_read().is_some());
-        drop(r);
-        assert!(l.try_write().is_some());
     }
 
     #[test]

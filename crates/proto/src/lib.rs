@@ -63,5 +63,5 @@ pub use protocol::MgsProtocol;
 pub use state::{ClientState, ServerDirs};
 pub use stats::ProtoStats;
 pub use strategy::{AdaptiveController, AdaptiveParams, PagePolicy, PolicyDecision, ProtocolKind};
-pub use timing::{ProtoTiming, RecordingTiming, TimingEvent};
+pub use timing::{ProtoTiming, RecordingTiming};
 pub use transport::{ProtocolError, RetryPolicy, SendOutcome, SeqFilter, Transaction};

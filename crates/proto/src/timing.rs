@@ -78,49 +78,6 @@ pub trait ProtoTiming {
     }
 }
 
-/// One recorded timing event (see [`RecordingTiming`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TimingEvent {
-    /// Local work on the requester.
-    Local(Cycles),
-    /// A message crossing.
-    Message {
-        /// Sending SSMP.
-        from: usize,
-        /// Receiving SSMP.
-        to: usize,
-        /// Protocol message kind.
-        kind: MsgKind,
-        /// Payload bytes.
-        bytes: u64,
-    },
-    /// Work at a node's protocol engine.
-    NodeWork {
-        /// Global processor id.
-        node: usize,
-        /// Service time.
-        cycles: Cycles,
-    },
-    /// A wait until an instant.
-    WaitUntil(Cycles),
-    /// A transmission lost by the injected-fault fabric.
-    Dropped {
-        /// Sending SSMP.
-        from: usize,
-        /// Receiving SSMP.
-        to: usize,
-        /// Protocol message kind.
-        kind: MsgKind,
-    },
-    /// A timeout wait before a retransmission.
-    Retry {
-        /// 0-based index of the transmission that was lost.
-        attempt: u32,
-        /// Backoff wait charged before retransmitting.
-        wait: Cycles,
-    },
-}
-
 /// A deterministic [`ProtoTiming`] for tests and micro-measurements.
 ///
 /// Accumulates every cost into a single serial clock (no occupancy, no
@@ -130,6 +87,11 @@ pub enum TimingEvent {
 /// implementation a protocol transaction's elapsed time equals the
 /// composite reference costs of
 /// [`CostModel`](mgs_sim::CostModel) exactly.
+///
+/// It records the whole event stream in one list, in order: every hook
+/// call as its charge variant of [`ObsEvent`] (a `NodeWork` starts at
+/// the clock before its charge) and every observed event (it always
+/// [observes](ProtoTiming::observing)).
 ///
 /// # Example
 ///
@@ -146,7 +108,7 @@ pub struct RecordingTiming {
     cost: CostModel,
     ext_latency: Cycles,
     clock: Cycles,
-    events: Vec<TimingEvent>,
+    events: Vec<ObsEvent>,
     plan: Option<FaultPlan>,
     seq: HashMap<(usize, usize, MsgKind), u64>,
 }
@@ -174,7 +136,8 @@ impl RecordingTiming {
     ///
     /// ```
     /// use mgs_net::{FaultPlan, MsgKind};
-    /// use mgs_proto::{ProtoTiming, RecordingTiming, SendOutcome, TimingEvent};
+    /// use mgs_obs::ObsEvent;
+    /// use mgs_proto::{ProtoTiming, RecordingTiming, SendOutcome};
     /// use mgs_sim::{CostModel, Cycles};
     ///
     /// // Fabric that loses every other message on average.
@@ -192,7 +155,7 @@ impl RecordingTiming {
     /// let drops = t
     ///     .events()
     ///     .iter()
-    ///     .filter(|e| matches!(e, TimingEvent::Dropped { .. }))
+    ///     .filter(|e| matches!(e, ObsEvent::Drop { .. }))
     ///     .count();
     /// assert_eq!(drops, attempt as usize);
     /// ```
@@ -202,7 +165,7 @@ impl RecordingTiming {
     }
 
     /// Everything recorded so far, in order.
-    pub fn events(&self) -> &[TimingEvent] {
+    pub fn events(&self) -> &[ObsEvent] {
         &self.events
     }
 
@@ -223,7 +186,7 @@ impl RecordingTiming {
     pub fn crossings(&self) -> usize {
         self.events
             .iter()
-            .filter(|e| matches!(e, TimingEvent::Message { from, to, .. } if from != to))
+            .filter(|e| matches!(e, ObsEvent::Message { from, to, .. } if from != to))
             .count()
     }
 }
@@ -235,7 +198,7 @@ impl ProtoTiming for RecordingTiming {
 
     fn local(&mut self, cycles: Cycles) {
         self.clock += cycles;
-        self.events.push(TimingEvent::Local(cycles));
+        self.events.push(ObsEvent::Local { cycles });
     }
 
     fn message(&mut self, from: usize, to: usize, kind: MsgKind, payload_bytes: u64) {
@@ -244,7 +207,7 @@ impl ProtoTiming for RecordingTiming {
         } else {
             self.cost.crossing(self.ext_latency)
         };
-        self.events.push(TimingEvent::Message {
+        self.events.push(ObsEvent::Message {
             from,
             to,
             kind,
@@ -253,13 +216,18 @@ impl ProtoTiming for RecordingTiming {
     }
 
     fn node_work(&mut self, node: usize, cycles: Cycles) {
+        let start = self.clock;
         self.clock += cycles;
-        self.events.push(TimingEvent::NodeWork { node, cycles });
+        self.events.push(ObsEvent::NodeWork {
+            node,
+            start,
+            cycles,
+        });
     }
 
     fn wait_until(&mut self, instant: Cycles) {
         self.clock = self.clock.max(instant);
-        self.events.push(TimingEvent::WaitUntil(instant));
+        self.events.push(ObsEvent::WaitUntil { instant });
     }
 
     fn try_message(
@@ -286,21 +254,42 @@ impl ProtoTiming for RecordingTiming {
                 // The sender still spends its launch cost before the
                 // fabric loses the message.
                 self.clock += self.cost.msg_send;
-                self.events.push(TimingEvent::Dropped { from, to, kind });
+                self.events.push(ObsEvent::Drop { from, to, kind });
                 SendOutcome::Dropped
             }
             Fate::Deliver { jitter, duplicates } => {
                 self.message(from, to, kind, payload_bytes);
                 self.clock += jitter;
+                if duplicates > 0 {
+                    self.events.push(ObsEvent::Duplicate {
+                        from,
+                        to,
+                        kind,
+                        copies: duplicates,
+                    });
+                }
                 SendOutcome::Delivered { duplicates }
             }
         }
     }
 
     fn retry_wait(&mut self, from: usize, to: usize, kind: MsgKind, attempt: u32, wait: Cycles) {
-        let _ = (from, to, kind);
         self.clock += wait;
-        self.events.push(TimingEvent::Retry { attempt, wait });
+        self.events.push(ObsEvent::Retry {
+            from,
+            to,
+            kind,
+            attempt,
+            wait,
+        });
+    }
+
+    fn observe(&mut self, event: ObsEvent) {
+        self.events.push(event);
+    }
+
+    fn observing(&self) -> bool {
+        true
     }
 }
 
@@ -397,7 +386,7 @@ mod tests {
         assert_eq!(t.elapsed(), cm.msg_send);
         assert_eq!(
             t.events(),
-            &[TimingEvent::Dropped {
+            &[ObsEvent::Drop {
                 from: 0,
                 to: 1,
                 kind: MsgKind::RReq
@@ -424,7 +413,10 @@ mod tests {
         assert_eq!(t.elapsed(), Cycles(16_000));
         assert_eq!(
             t.events(),
-            &[TimingEvent::Retry {
+            &[ObsEvent::Retry {
+                from: 0,
+                to: 1,
+                kind: MsgKind::RReq,
                 attempt: 2,
                 wait: Cycles(16_000)
             }]

@@ -12,7 +12,8 @@
 //! exactly-once: identical state, always.
 
 use mgs_net::{FaultPlan, MsgKind};
-use mgs_proto::{ClientState, MgsProtocol, ProtoConfig, RecordingTiming, TimingEvent};
+use mgs_obs::ObsEvent;
+use mgs_proto::{ClientState, MgsProtocol, ProtoConfig, RecordingTiming};
 use mgs_sim::{CostModel, Cycles, XorShift64};
 use std::collections::HashSet;
 
@@ -156,7 +157,7 @@ fn faulty_runs_converge_to_fault_free_state() {
         total_drops += chaos_t
             .events()
             .iter()
-            .filter(|e| matches!(e, TimingEvent::Dropped { .. }))
+            .filter(|e| matches!(e, ObsEvent::Drop { .. }))
             .count();
         total_retries += chaos.stats().retries.get();
     }
@@ -204,7 +205,7 @@ fn duplicate_delivery_is_a_handler_noop() {
             .events()
             .iter()
             .filter_map(|e| match e {
-                TimingEvent::Message { from, to, kind, .. } if from != to => Some(*kind),
+                ObsEvent::Message { from, to, kind, .. } if from != to => Some(*kind),
                 _ => None,
             })
             .collect();

@@ -34,8 +34,8 @@
 //! The gate *never* charges simulated cycles: it bounds how far apart
 //! thread-local clocks may drift, but a thread's clock is advanced only
 //! by the cost model. Simulated results are therefore bit-identical
-//! whether or not the gate paces the run — see
-//! `tests/governor_equivalence.rs` at the workspace root.
+//! whether or not the gate paces the run — see `tests/pacing.rs` at the
+//! workspace root.
 
 use crate::Cycles;
 use parking_lot::{Condvar, Mutex};

@@ -57,8 +57,7 @@
 //! scheduler **never charges simulated cycles** — simulated results on
 //! the deterministic envelope are bit-identical at every window and
 //! worker budget, and with pacing off ([`VirtualScheduler::unpaced`]);
-//! `tests/engine_equivalence.rs` and `tests/governor_equivalence.rs` at
-//! the workspace root enforce this.
+//! `tests/pacing.rs` at the workspace root enforces this.
 //!
 //! A task that waits on a *host* condvar (the protocol's BUSY-fill wait
 //! and its write-notice drain) keeps its slot: what it waits for is a

@@ -1,9 +1,8 @@
 //! Physical page frames: the actual backing store.
 
 use crate::PageGeometry;
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A physical page frame.
 ///
@@ -130,7 +129,7 @@ impl PageFrame {
     /// on a live frame the exclusive guard would serialize concurrent
     /// accessors, changing host-side interleavings.
     pub fn with_quiesced<R>(&self, f: impl FnOnce(&[u64]) -> R) -> R {
-        let _drain = self.guard.write();
+        let _drain = self.quiesce();
         // SAFETY: `AtomicU64` has the same size and bit validity as
         // `u64`, and the exclusive guard drains every in-flight
         // accessor, so no atomic access can race with these plain
@@ -155,16 +154,17 @@ impl PageFrame {
     }
 
     /// Takes the access guard shared; memory operations hold this across
-    /// the word access.
-    pub fn begin_access(&self) -> parking_lot::RwLockReadGuard<'_, ()> {
-        self.guard.read()
+    /// the word access. (The guard protects no data, so a poisoned lock
+    /// is simply taken.)
+    pub fn begin_access(&self) -> RwLockReadGuard<'_, ()> {
+        self.guard.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Takes the access guard exclusively, draining in-flight accesses.
     /// The protocol holds this while computing diffs and pruning DUQs so
     /// that no store can land unrecorded.
-    pub fn quiesce(&self) -> parking_lot::RwLockWriteGuard<'_, ()> {
-        self.guard.write()
+    pub fn quiesce(&self) -> RwLockWriteGuard<'_, ()> {
+        self.guard.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The frame's mapping generation. A TLB entry is only valid while
@@ -341,9 +341,9 @@ mod tests {
     fn guard_excludes_quiesce_during_access() {
         let f = alloc().alloc(0);
         let read = f.begin_access();
-        assert!(f.guard.try_write().is_none());
+        assert!(f.guard.try_write().is_err());
         drop(read);
-        assert!(f.guard.try_write().is_some());
+        assert!(f.guard.try_write().is_ok());
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Tracing MGS protocol transactions on a running machine: the
-//! structured event stream records every transaction span (fault begin
-//! → TLB installed, release begin → RACK), protocol message, handler
-//! occupancy and fabric fault, exactly as Table 1 / Figure 5 of the
+//! Tracing MGS protocol transactions on a running machine: the protocol
+//! event stream records every transaction span (fault begin → TLB
+//! installed, release begin → RACK), protocol message, handler
+//! occupancy, fabric fault and page-level state change (twins, diffs,
+//! invalidations, TLB shootdowns), exactly as Table 1 / Figure 5 of the
 //! paper describe them.
 //!
 //! ```text
@@ -14,7 +15,7 @@
 //! `ui.perfetto.dev` to see one track per simulated processor (its
 //! transaction spans) and one per protocol engine (its occupancy).
 
-use mgs_repro::core::{export_perfetto, AccessKind, DssmpConfig, Machine, TraceEvent, TraceKind};
+use mgs_repro::core::{export_perfetto, AccessKind, DssmpConfig, Machine, ObsEvent, TraceEvent};
 
 fn main() {
     let perfetto_path = {
@@ -68,7 +69,7 @@ fn main() {
 
     let spans = events
         .iter()
-        .filter(|e| matches!(e.kind, TraceKind::XactBegin { .. }))
+        .filter(|e| matches!(e.event, ObsEvent::XactBegin { .. }))
         .count();
     println!("\n{spans} protocol transactions traced");
     println!("\nRun report:\n{report}");

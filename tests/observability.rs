@@ -8,21 +8,25 @@
 //!   traffic.
 //! * **Reconciliation** — the `mgs-obs` registry counts events at
 //!   different layers than the `RunReport` totals (per-proc shards vs.
-//!   `NetStats` / lock stats / protocol stats); on the same run they
-//!   must agree exactly.
+//!   `NetStats` / lock stats / protocol stats), and the trace is a third
+//!   record of the same event stream; on the same run all of them must
+//!   agree exactly, including the adaptive protocol's post-run drain.
 //! * **Perfetto export** — the exported `trace_event` JSON parses, and
 //!   on every track the begin/end spans nest: depth never goes
 //!   negative, every span closes, and timestamps are monotonic.
 //! * **One message clock** — a delivered message's trace event carries
 //!   the instant it was launched, with or without a fault plan.
+//! * **Trace determinism** — at one worker, two traced runs of a
+//!   schedule-sensitive application record the same trace.
 
-use mgs_repro::apps::envelope;
+use mgs_repro::apps::{envelope, tsp::Tsp, water::Water, MgsApp};
 use mgs_repro::core::{
-    export_perfetto, AccessKind, DssmpConfig, FaultPlan, FaultSpec, Machine, Metric, RunReport,
-    TraceEvent, TraceKind,
+    export_perfetto, first_divergence, AccessKind, DssmpConfig, FaultPlan, FaultSpec, Machine,
+    Metric, ObsEvent, ProtocolKind, RunReport, TraceEvent,
 };
 use mgs_repro::net::MsgKind;
 use mgs_repro::sim::Cycles;
+use std::sync::Arc;
 
 const PROCS: usize = 32;
 /// Words per processor block (two 1 KB pages each).
@@ -38,31 +42,41 @@ fn disjoint(cluster: usize, observe: bool) -> RunReport {
 }
 
 /// Deterministic pattern 2: a token ring — in phase `k` only processor
-/// `k` touches shared state (it writes its successor's self-homed block
-/// under a lock), so every cross-SSMP transaction is serialized and no
+/// `k` touches shared state (under a lock it writes its successor's
+/// self-homed block, then its own, which recalls its predecessor's
+/// copy), so every cross-SSMP transaction is serialized and no
 /// occupancy resource is ever contended.
 fn run_ring(procs: usize, cluster: usize, observe: bool, plan: FaultPlan) -> RunReport {
     let mut cfg = DssmpConfig::new(procs, cluster).with_faults(plan);
-    cfg.governor_window = None;
     cfg.observe = observe;
+    ring(cfg).1
+}
+
+/// The token ring on a machine built from `cfg`, unpaced; returns the
+/// machine too, for its trace and statistics.
+fn ring(mut cfg: DssmpConfig) -> (Arc<Machine>, RunReport) {
+    cfg.governor_window = None;
+    let procs = cfg.n_procs;
     let machine = Machine::new(cfg);
     let arr = machine.alloc_array_blocked::<u64>(WORDS * procs as u64, AccessKind::DistArray);
     let lock = machine.new_lock();
-    machine.run(|env| {
+    let report = machine.run(|env| {
         let pid = env.pid();
         env.start_measurement();
         for phase in 0..procs {
             if pid == phase {
                 env.acquire(&lock);
-                let base = ((pid + 1) % procs) as u64 * WORDS;
-                for i in 0..WORDS {
-                    arr.write(env, base + i, ((phase as u64) << 32) | i);
+                for block in [(pid + 1) % procs, pid] {
+                    for i in 0..WORDS {
+                        arr.write(env, block as u64 * WORDS + i, ((phase as u64) << 32) | i);
+                    }
                 }
                 env.release(&lock);
             }
             env.barrier();
         }
-    })
+    });
+    (machine, report)
 }
 
 #[test]
@@ -174,23 +188,8 @@ fn field_str<'a>(line: &'a str, key: &str) -> &'a str {
 #[test]
 fn perfetto_export_parses_and_spans_nest() {
     let mut cfg = DssmpConfig::new(8, 4);
-    cfg.governor_window = None;
     cfg.trace = true;
-    let machine = Machine::new(cfg);
-    let arr = machine.alloc_array_blocked::<u64>(WORDS * 8, AccessKind::DistArray);
-    machine.run(|env| {
-        let pid = env.pid();
-        env.start_measurement();
-        for phase in 0..8usize {
-            if pid == phase {
-                let base = ((pid + 1) % 8) as u64 * WORDS;
-                for i in 0..WORDS {
-                    arr.write(env, base + i, i);
-                }
-            }
-            env.barrier();
-        }
-    });
+    let (machine, _) = ring(cfg);
     let events = machine.take_trace();
     assert!(!events.is_empty(), "trace must record something");
     let json = export_perfetto(&events, 8, 4);
@@ -248,7 +247,7 @@ fn message_trace(plan: FaultPlan) -> Vec<TraceEvent> {
         env.barrier();
     });
     let mut trace = machine.take_trace();
-    trace.retain(|e| e.proc == 2 && matches!(e.kind, TraceKind::Message { .. }));
+    trace.retain(|e| e.proc == 2 && matches!(e.event, ObsEvent::Message { .. }));
     trace
 }
 
@@ -264,7 +263,109 @@ fn delivered_message_is_stamped_the_same_under_any_fault_plan() {
     let spared = message_trace(FaultPlan::seeded(7).with_kind(MsgKind::Update, lossy_updates));
     let crossings = perfect
         .iter()
-        .filter(|e| matches!(e.kind, TraceKind::Message { from, to, .. } if from != to));
+        .filter(|e| matches!(e.event, ObsEvent::Message { from, to, .. } if from != to));
     assert!(crossings.count() > 0, "the write fault must cross SSMPs");
-    assert_eq!(perfect, spared);
+    assert_eq!(first_divergence(&perfect, &spared), None);
+}
+
+#[test]
+fn trace_registry_and_stats_count_the_same_events() {
+    let mut cfg = DssmpConfig::new(8, 2)
+        .with_faults(FaultPlan::uniform(0xB0B, 0.25, 0.05, Cycles(200)))
+        .with_observability();
+    cfg.trace = true;
+    let (machine, r) = ring(cfg);
+    let m = r.metrics.as_ref().expect("observability on");
+    let s = machine.proto_stats();
+    // Per count: the trace's (tallied below), the registry's, the stats'.
+    let mut rows = [
+        (
+            "invalidations",
+            0,
+            m.get(Metric::Invalidations),
+            s.invalidations.get(),
+        ),
+        ("pinvs", 0, m.get(Metric::Pinvs), s.pinvs.get()),
+        ("diffs", 0, m.get(Metric::DiffsSent), s.diffs.get()),
+        ("retries", 0, m.get(Metric::Retries), s.retries.get()),
+        ("drops", 0, m.get(Metric::LanDrops), r.lan_drops),
+        (
+            "duplicates",
+            0,
+            m.get(Metric::LanDuplicates),
+            r.lan_duplicates,
+        ),
+        ("LAN transmissions", 0, m.lan_total(), r.lan_messages),
+    ];
+    for e in machine.take_trace() {
+        let (row, n) = match e.event {
+            ObsEvent::Invalidate { .. } => (0, 1),
+            ObsEvent::Pinv { .. } => (1, 1),
+            ObsEvent::Diff { .. } => (2, 1),
+            ObsEvent::Retry { .. } => (3, 1),
+            ObsEvent::Drop { .. } => {
+                rows[6].1 += 1; // a dropped transmission entered the fabric
+                (4, 1)
+            }
+            ObsEvent::Duplicate { copies, .. } => (5, u64::from(copies)),
+            ObsEvent::Message { from, to, .. } if from != to => (6, 1),
+            _ => continue,
+        };
+        rows[row].1 += n;
+    }
+    for (name, traced, registry, stat) in rows {
+        assert!(traced > 0, "{name}: the ring must produce some");
+        assert_eq!(
+            (traced, registry),
+            (stat, stat),
+            "{name}: trace, registry vs stats"
+        );
+    }
+}
+
+/// Under the adaptive protocol `Machine::run` drains the pages the
+/// controller left pinned after the processors finish; the registry
+/// must see that drain's events exactly as the protocol counts them.
+#[test]
+fn adaptive_proto_stats_reconcile_with_metrics_after_the_pinned_drain() {
+    for c in [2, 4] {
+        let mut cfg = DssmpConfig::new(8, c).with_protocol(ProtocolKind::Adaptive);
+        cfg.workers = Some(1);
+        let machine = Machine::new(cfg);
+        let r = Water::small().execute(&machine);
+        let m = r.metrics.as_ref().expect("adaptive forces observability");
+        let s = machine.proto_stats();
+        for (name, metric, stat) in [
+            ("invalidations", Metric::Invalidations, &s.invalidations),
+            ("pinvs", Metric::Pinvs, &s.pinvs),
+            ("diffs", Metric::DiffsSent, &s.diffs),
+            ("diff words", Metric::DiffWords, &s.diff_words),
+            ("TLB fills", Metric::TlbFills, &s.tlb_fills),
+            ("read misses", Metric::ReadMisses, &s.read_misses),
+            ("write misses", Metric::WriteMisses, &s.write_misses),
+            ("upgrades", Metric::Upgrades, &s.upgrades),
+            (
+                "single-writer flushes",
+                Metric::SingleWriterFlushes,
+                &s.single_writer_flushes,
+            ),
+        ] {
+            assert_eq!(m.get(metric), stat.get(), "C={c} {name}: registry vs stats");
+        }
+    }
+}
+
+#[test]
+fn single_worker_traces_repeat() {
+    let traced = || {
+        let mut cfg = DssmpConfig::new(8, 2);
+        cfg.workers = Some(1);
+        cfg.trace = true;
+        let machine = Machine::new(cfg);
+        Tsp::small().execute(&machine);
+        machine.take_trace()
+    };
+    let first = traced();
+    assert!(first.len() > 1000, "TSP must trace real protocol work");
+    assert_eq!(first_divergence(&first, &traced()), None);
 }
