@@ -41,7 +41,10 @@
 //! `pagestate = INV`), so a server that forgot the writer would never
 //! invalidate that copy again, losing coherence. We therefore retain
 //! `write_dir = {writer}` after a single-writer release, which is the
-//! only reading consistent with the prose of §3.1.1.
+//! only reading consistent with the prose of §3.1.1. The interleaving
+//! checker shows the literal reading losing a released write:
+//! `table_1_arc_23_read_literally_loses_a_released_write` in
+//! `crates/proto/tests/protocol_model.rs`.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -50,8 +53,8 @@ mod config;
 mod diff;
 mod duq;
 mod protocol;
-mod state;
 mod stats;
+pub mod step;
 mod strategy;
 mod timing;
 mod transport;
@@ -60,8 +63,8 @@ pub use config::ProtoConfig;
 pub use diff::SpanDiff;
 pub use duq::Duq;
 pub use protocol::MgsProtocol;
-pub use state::{ClientState, ServerDirs};
 pub use stats::ProtoStats;
+pub use step::{ClientState, ServerDirs};
 pub use strategy::{AdaptiveController, AdaptiveParams, PagePolicy, PolicyDecision, ProtocolKind};
 pub use timing::{ProtoTiming, RecordingTiming};
 pub use transport::{ProtocolError, RetryPolicy, SendOutcome, SeqFilter, Transaction};

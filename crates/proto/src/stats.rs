@@ -1,5 +1,6 @@
 //! Protocol event statistics.
 
+use mgs_obs::{ObsEvent, XactOutcome};
 use mgs_sim::Counter;
 use std::fmt;
 
@@ -51,6 +52,36 @@ impl ProtoStats {
     /// Creates zeroed statistics.
     pub fn new() -> ProtoStats {
         ProtoStats::default()
+    }
+
+    /// Counts one protocol event: the protocol's half of the mapping
+    /// `mgs_obs::ObsSink::record` makes for the registry.
+    pub(crate) fn record(&self, event: &ObsEvent) {
+        match *event {
+            ObsEvent::XactEnd { outcome, .. } => match outcome {
+                XactOutcome::TlbFill => self.tlb_fills.incr(),
+                XactOutcome::ReadMiss => self.read_misses.incr(),
+                XactOutcome::WriteMiss => self.write_misses.incr(),
+                XactOutcome::Upgrade => self.upgrades.incr(),
+                XactOutcome::Released => self.pages_released.incr(),
+                XactOutcome::Aborted => {}
+            },
+            ObsEvent::DuqFlush { .. } => self.releases.incr(),
+            ObsEvent::SingleWriterFlush { .. } => self.single_writer_flushes.incr(),
+            ObsEvent::Diff { words, .. } => {
+                self.diffs.incr();
+                self.diff_words.add(words);
+            }
+            ObsEvent::Invalidate { .. } => self.invalidations.incr(),
+            ObsEvent::Pinv { .. } => self.pinvs.incr(),
+            ObsEvent::LazyNotice { .. } => self.lazy_notices.incr(),
+            ObsEvent::UpdatePush { words, .. } => {
+                self.update_pushes.incr();
+                self.update_push_words.add(words);
+            }
+            ObsEvent::PolicySwitch { .. } => self.policy_switches.incr(),
+            _ => {}
+        }
     }
 
     /// Resets every counter.

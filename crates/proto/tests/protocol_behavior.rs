@@ -301,3 +301,17 @@ fn distinct_pages_have_distinct_homes() {
     assert_eq!(cfg.home_ssmp(0), 0);
     assert_eq!(cfg.home_ssmp(7), 3);
 }
+
+#[test]
+fn churn_departure_rehomes_the_page_with_its_data() {
+    let p = proto(4, 1);
+    let mut t = timing();
+    // SSMP 1 releases a word of page 0 (homed at SSMP 0), which departs.
+    p.fault(1, 0, true, &mut t).frame.store(3, 9);
+    p.release_all(1, &mut t);
+    assert_eq!(p.depart_ssmp(0, 2, &mut t), Ok(1));
+    assert_eq!(p.home_node(0), 2, "the page's state holds its new home");
+    assert_eq!(p.home_frame(0).home_node(), 2);
+    assert_eq!(p.home_frame(0).load(3), 9);
+    assert_eq!(p.server_dirs(0).write_dir, 0b0010, "SSMP 1 keeps its copy");
+}
