@@ -86,24 +86,45 @@ impl ProcCache {
         &self.cfg
     }
 
+    /// Where the set `line` maps to starts in `tags`.
+    #[inline]
+    fn first_way(&self, line: u64) -> usize {
+        ((line as usize) & self.set_mask) * self.cfg.ways
+    }
+
     /// The ways of the set `line` maps to, most recently used first.
     #[inline]
     fn set_of(&mut self, line: u64) -> &mut [u64] {
-        let ways = self.cfg.ways;
-        let first = ((line as usize) & self.set_mask) * ways;
-        &mut self.tags[first..first + ways]
+        let first = self.first_way(line);
+        &mut self.tags[first..first + self.cfg.ways]
+    }
+
+    /// If `line` is resident, its way and the directory hint remembered
+    /// beside it; moves nothing.
+    #[inline]
+    pub(crate) fn peek(&self, line: u64) -> Option<(usize, u32)> {
+        let first = self.first_way(line);
+        let set = &self.tags[first..first + self.cfg.ways];
+        let way = set.iter().position(|&w| holds(w, line))?;
+        Some((way, (set[way] >> LINE_BITS) as u32))
+    }
+
+    /// Marks the resident line at `way` of `line`'s set (as
+    /// [`peek`](Self::peek) found it) most recently used.
+    #[inline]
+    pub(crate) fn promote(&mut self, line: u64, way: usize) {
+        if way != 0 {
+            self.set_of(line)[..=way].rotate_right(1);
+        }
     }
 
     /// If `line` is resident, moves its tag to the front of its set and
     /// returns the directory hint remembered beside it.
     #[inline]
-    pub(crate) fn lookup(&mut self, line: u64) -> Option<u32> {
-        let set = self.set_of(line);
-        let way = set.iter().position(|&w| holds(w, line))?;
-        if way != 0 {
-            set[..=way].rotate_right(1);
-        }
-        Some((set[0] >> LINE_BITS) as u32)
+    fn lookup(&mut self, line: u64) -> Option<u32> {
+        let (way, memo) = self.peek(line)?;
+        self.promote(line, way);
+        Some(memo)
     }
 
     /// Installs `line`, which must not be resident, with no hint

@@ -1,8 +1,10 @@
 //! The combined intra-SSMP cache system and latency classification.
 
 use crate::{CleanOutcome, Directory, ProcCache};
-use mgs_sim::{CleanTier, CostModel, Counter, Cycles};
+use mgs_sim::{CleanTier, CostModel, Cycles};
 use std::fmt;
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 
 /// Latency class of one hardware shared-memory access, matching the
 /// first group of Table 3 of the paper.
@@ -79,13 +81,49 @@ impl fmt::Display for MissClass {
     }
 }
 
+/// The frame side of one access ([`SsmpCacheSystem::access_hinted`]):
+/// the word it loads or stores and the mapping generation it must find
+/// unchanged. The page frame that owns both builds it.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameWord<'a> {
+    /// The frame's mapping generation.
+    pub generation: &'a AtomicU64,
+    /// The generation the caller's translation was made against; once
+    /// the frame has moved past it the access is refused.
+    pub expect: u64,
+    /// The word.
+    pub cell: &'a AtomicU64,
+    /// What a write stores (a read ignores it).
+    pub value: u64,
+}
+
+impl FrameWord<'_> {
+    /// Whether the caller's translation is still the frame's.
+    #[inline]
+    fn current(&self) -> bool {
+        self.generation.load(Acquire) == self.expect
+    }
+}
+
+/// What one access did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Served {
+    /// Its latency class.
+    pub class: MissClass,
+    /// The true hint of the line's directory block, for the caller to
+    /// remember.
+    pub hint: u32,
+    /// The word a read loaded or a write stored (0 with no frame word).
+    pub value: u64,
+}
+
 /// One local processor's counters, on cache lines of their own so that
 /// the processors of an SSMP never write a line another one counts on
 /// (128 bytes covers the adjacent-line prefetcher's pairs).
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct StatShard {
-    counts: [Counter; 6],
+    counts: [AtomicU64; 6],
 }
 
 /// Per-class access counters for one SSMP.
@@ -93,6 +131,13 @@ struct StatShard {
 /// Sharded by local processor: an access bumps only its own
 /// processor's shard, and readers sum the shards. The totals are exact
 /// — every access is recorded exactly once, in exactly one shard.
+///
+/// A shard has a single writer: the simulated processor it belongs to,
+/// whose task runs on one host worker at a time (a task that moves to
+/// another worker is handed over through the scheduler's lock, which
+/// orders its last increment before its next). So an increment is a
+/// relaxed load and a relaxed store, not a read-modify-write; readers
+/// may see a count one access behind, never a lost one.
 #[derive(Debug)]
 pub struct CacheStats {
     shards: Box<[StatShard]>,
@@ -116,23 +161,25 @@ impl CacheStats {
         }
     }
 
-    /// Records one access of the given class (not attributed to a
-    /// particular processor).
+    /// Records one access of the given class, in local processor 0's
+    /// shard (its one writer, like every access of processor 0).
     pub fn record(&self, class: MissClass) {
         self.record_for(0, class);
     }
 
-    /// Records one access of the given class by local processor `proc`.
+    /// Records one access of the given class by local processor `proc`,
+    /// the shard's one writer.
     #[inline]
     fn record_for(&self, proc: usize, class: MissClass) {
-        self.shards[proc].counts[class.index()].incr();
+        let count = &self.shards[proc].counts[class.index()];
+        count.store(count.load(Relaxed) + 1, Relaxed);
     }
 
     /// Accesses of the given class so far.
     pub fn count(&self, class: MissClass) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.counts[class.index()].get())
+            .map(|s| s.counts[class.index()].load(Relaxed))
             .sum()
     }
 
@@ -141,7 +188,7 @@ impl CacheStats {
         self.shards
             .iter()
             .flat_map(|s| &s.counts)
-            .map(Counter::get)
+            .map(|c| c.load(Relaxed))
             .sum()
     }
 
@@ -204,8 +251,8 @@ impl SsmpCacheSystem {
     /// Simulates one access by local processor `proc` to `line` whose
     /// backing memory is homed at local processor `home`. Updates the
     /// directory and the processor's tag array, and returns the latency
-    /// class. This is [`access_hinted`](Self::access_hinted) for a
-    /// caller with no hint to give.
+    /// class. This is [`access_hinted`](Self::access_hinted) given no
+    /// hint and no frame word.
     pub fn access(
         &self,
         cache: &mut ProcCache,
@@ -214,24 +261,38 @@ impl SsmpCacheSystem {
         home: usize,
         is_write: bool,
     ) -> MissClass {
-        self.access_hinted(cache, proc, line, home, is_write, Directory::NO_HINT)
-            .0
+        self.access_hinted(cache, proc, line, home, is_write, Directory::NO_HINT, None)
+            .expect("an access with no frame word is never refused")
+            .class
     }
 
-    /// [`access`](Self::access) given the caller's guess at `line`'s
-    /// directory block — the hint an earlier access to the same page
-    /// returned, or [`Directory::NO_HINT`]. Returns the latency class
-    /// and the block's true hint, for the caller to remember.
+    /// One whole access: [`access`](Self::access) given the caller's
+    /// guess at `line`'s directory block — the hint an earlier access
+    /// to the same page returned, or [`Directory::NO_HINT`] — and the
+    /// frame word it loads or stores. Returns what it did, or `None`,
+    /// having changed nothing, when the frame's mapping generation has
+    /// moved past the one `word` expects: the caller's translation is
+    /// stale and must be redone.
     ///
-    /// This is the simulator's hottest function. The tag array is
-    /// probed (and, on a tag miss, filled) first — it is private to the
-    /// calling thread — and the entire directory transaction
-    /// (classification, state change) then runs under one stripe lock
-    /// of the line's block in [`Directory::transact_hinted`], the
-    /// victim's removal under another. With no hint from the caller a
-    /// tag hit uses the one remembered beside the tag. Debug builds
-    /// assert that a tag hit whose hint was right (it never consulted
-    /// the index) took exactly one stripe lock.
+    /// This is the simulator's hottest function, and it synchronizes on
+    /// one word, the sequence number of the line's directory stripe. A
+    /// read whose tag hits, whose hint names the line's block and whose
+    /// sharer bit is set is served without a lock and without a store
+    /// to anything shared: the directory entry, the generation check
+    /// and the word load run inside an optimistic read of the stripe,
+    /// kept only if no writer took it meanwhile. Every other access
+    /// takes the stripe and, under it, checks the generation, then does
+    /// the tag-array work (LRU, fill and victim choice), the
+    /// transaction (classification, state change) and the word load or
+    /// store; the victim's sharer bit is removed after, under the
+    /// victim's stripe. The tag array is private to the calling
+    /// processor, so it is only peeked at until the access is sure to
+    /// happen. With no hint from the caller a tag hit uses the one
+    /// remembered beside the tag. A stale access is refused before it
+    /// could create a block for the line. Debug builds assert that a
+    /// locked access whose hint was right (it never consulted the
+    /// index) took exactly one stripe lock for its line.
+    #[allow(clippy::too_many_arguments)] // the fused hot path: one call
     pub fn access_hinted(
         &self,
         cache: &mut ProcCache,
@@ -240,50 +301,73 @@ impl SsmpCacheSystem {
         home: usize,
         is_write: bool,
         hint: u32,
-    ) -> (MissClass, u32) {
-        #[cfg(debug_assertions)]
-        let locks_before = Directory::thread_locks();
-        let memo = cache.lookup(line);
-        // On a tag miss every outcome installs the line, so the fill
-        // (and its LRU eviction decision) can run before the directory
-        // transaction; on a tag hit `lookup` already refreshed LRU.
-        let evicted = if memo.is_none() {
-            cache.fill(line)
-        } else {
-            None
-        };
+        word: Option<FrameWord<'_>>,
+    ) -> Option<Served> {
+        let stale = || word.is_some_and(|w| !w.current());
+        // Not yet the check that counts, which is made under the
+        // stripe; but a translation retired well before costs nothing
+        // more than this.
+        if stale() {
+            return None;
+        }
+        let tag = cache.peek(line);
+        let memo = tag.map(|(_, memo)| memo);
         let guess = if hint == Directory::NO_HINT {
             memo.unwrap_or(hint)
         } else {
             hint
         };
-        let (class, found) = self.directory.transact_hinted(
-            line,
-            proc,
-            home,
-            is_write,
-            self.hw_pointers,
-            memo.is_some(),
-            guess,
-            evicted,
-        );
-        if memo != Some(found) {
-            cache.remember(line, found);
+        let served = |cache: &mut ProcCache, class: MissClass, hint: u32, value: u64| {
+            if memo != Some(hint) {
+                cache.remember(line, hint);
+            }
+            self.stats.record_for(proc, class);
+            Some(Served { class, hint, value })
+        };
+        if let (false, Some((way, _))) = (is_write, tag) {
+            let load = || word.map_or(Some(0), |w| w.current().then(|| w.cell.load(Acquire)));
+            if let Some(value) = self.directory.read_shared(line, proc, guess, load) {
+                cache.promote(line, way);
+                return served(cache, MissClass::Hit, guess, value);
+            }
+        }
+        #[cfg(debug_assertions)]
+        let locks_before = Directory::thread_locks();
+        let mut entry = self.directory.lock_line(line, guess, || !stale())?;
+        if stale() {
+            return None;
         }
         #[cfg(debug_assertions)]
         {
             let (stripes, index) = Directory::thread_locks();
             // No index lookup means no guess was wrong.
-            if memo.is_some() && index == locks_before.1 {
+            if index == locks_before.1 {
                 debug_assert_eq!(
                     stripes - locks_before.0,
                     1,
-                    "a rightly hinted tag hit takes exactly one stripe lock"
+                    "a rightly hinted access takes exactly one stripe lock for its line"
                 );
             }
         }
-        self.stats.record_for(proc, class);
-        (class, found)
+        let evicted = match tag {
+            Some((way, _)) => {
+                cache.promote(line, way);
+                None
+            }
+            None => cache.fill(line),
+        };
+        let class = entry.transact(proc, home, is_write, self.hw_pointers, tag.is_some());
+        let value = word.map_or(0, |w| {
+            if is_write {
+                w.cell.store(w.value, Release);
+                w.value
+            } else {
+                w.cell.load(Acquire)
+            }
+        });
+        let found = entry.hint();
+        entry.evict(evicted, proc);
+        served(cache, class, found, value)
     }
 
     /// Cleans a page's lines (§4.2.4): removes them from the directory
@@ -459,6 +543,125 @@ mod tests {
         assert_eq!(sys.stats().count(MissClass::LocalMiss), 1);
         assert_eq!(sys.stats().count(MissClass::Hit), 1);
         assert!((sys.stats().hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    /// Lines 0, 8 and 16 share set 0 of the 8-set cache and (one
+    /// block, all ≡ 0 mod 8) one stripe: the victim goes under the
+    /// line's own lock.
+    #[test]
+    fn a_victim_in_the_lines_stripe_is_removed_under_one_lock() {
+        let sys = SsmpCacheSystem::new(5);
+        let mut cache = ProcCache::new(CacheConfig::tiny());
+        sys.access(&mut cache, 0, 0, 0, false);
+        sys.access(&mut cache, 0, 8, 0, false);
+        #[cfg(debug_assertions)]
+        let before = Directory::thread_locks();
+        assert_eq!(
+            sys.access(&mut cache, 0, 16, 0, false),
+            MissClass::LocalMiss
+        );
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            Directory::thread_locks(),
+            (before.0 + 1, before.1 + 1),
+            "no hint to go by: one index lookup, then one stripe for the line and its victim"
+        );
+        assert!(
+            !sys.directory().is_sharer(0, 0),
+            "victim's sharer bit cleared"
+        );
+        assert!(sys.directory().is_sharer(16, 0));
+    }
+
+    #[test]
+    fn victims_in_another_stripe_and_block_are_removed() {
+        let sys = SsmpCacheSystem::new(5);
+        // Two sets of two ways: even lines share set 0 across stripes.
+        let mut cache = ProcCache::new(CacheConfig {
+            size_bytes: 64,
+            line_bytes: 16,
+            ways: 2,
+        });
+        // 4 evicts 0 (stripe 0 of the same block); 64 evicts 2 (in
+        // another block).
+        for line in [0, 2, 4, 64] {
+            sys.access(&mut cache, 0, line, 0, false);
+        }
+        assert!(!sys.directory().is_sharer(0, 0));
+        assert!(!sys.directory().is_sharer(2, 0));
+        assert!(sys.directory().is_sharer(4, 0) && sys.directory().is_sharer(64, 0));
+        assert_eq!(sys.directory().tracked_lines(), 2);
+    }
+
+    #[test]
+    fn write_upgrade_matches_take_exclusive() {
+        let (sys, mut caches) = setup();
+        let reference = Directory::new();
+        for (proc, cache) in caches.iter_mut().enumerate().take(2) {
+            sys.access(cache, proc, 5, 0, false);
+            reference.add_sharer(5, proc);
+        }
+        assert_eq!(
+            sys.access(&mut caches[0], 0, 5, 0, true),
+            MissClass::TwoParty
+        );
+        reference.take_exclusive(5, 0);
+        assert_eq!(sys.directory().probe(5), reference.probe(5));
+    }
+
+    /// An access whose translation went stale is refused with nothing
+    /// changed — tags, entries, counts, blocks — even where it would
+    /// have created the line's block; given the new generation it goes
+    /// through.
+    #[test]
+    fn a_stale_access_changes_nothing() {
+        let sys = SsmpCacheSystem::new(5);
+        let mut cache = ProcCache::new(CacheConfig::tiny());
+        let (generation, cell) = (AtomicU64::new(1), AtomicU64::new(0));
+        let word = |expect, value| {
+            Some(FrameWord {
+                generation: &generation,
+                expect,
+                cell: &cell,
+                value,
+            })
+        };
+        for (line, write) in [(64, false), (3, true), (3, false)] {
+            let tags = cache.clone();
+            let before = (sys.directory().tracked_lines(), sys.stats().total());
+            let blocks = sys.directory().blocks_allocated();
+            let got = sys.access_hinted(
+                &mut cache,
+                0,
+                line,
+                0,
+                write,
+                Directory::NO_HINT,
+                word(0, 9),
+            );
+            assert_eq!(got, None, "line {line}");
+            assert_eq!(cache.peek(line), tags.peek(line));
+            assert_eq!(cache.resident(), tags.resident());
+            assert_eq!(
+                (sys.directory().tracked_lines(), sys.stats().total()),
+                before
+            );
+            assert_eq!(sys.directory().blocks_allocated(), blocks);
+            let served = sys.access_hinted(
+                &mut cache,
+                0,
+                line,
+                0,
+                write,
+                Directory::NO_HINT,
+                word(1, 9),
+            );
+            assert_eq!(
+                served.map(|s| s.value),
+                Some(if write { 9 } else { cell.load(Relaxed) })
+            );
+        }
+        assert_eq!(cell.load(Relaxed), 9);
     }
 
     #[test]

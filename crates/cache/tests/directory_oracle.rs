@@ -16,6 +16,23 @@ use mgs_cache::{CacheConfig, CleanOutcome, Directory, MissClass, ProcCache, Ssmp
 use mgs_sim::XorShift64;
 use std::collections::HashMap;
 
+/// `SsmpCacheSystem::access_hinted` with no frame word: the class and
+/// the block's true hint.
+fn access_hinted(
+    sys: &SsmpCacheSystem,
+    cache: &mut ProcCache,
+    proc: usize,
+    line: u64,
+    home: usize,
+    write: bool,
+    hint: u32,
+) -> (MissClass, u32) {
+    let served = sys
+        .access_hinted(cache, proc, line, home, write, hint, None)
+        .expect("an access with no frame word is never refused");
+    (served.class, served.hint)
+}
+
 const PROCS: usize = 6;
 const HW_POINTERS: usize = 5;
 
@@ -262,7 +279,8 @@ impl Case {
         let write = self.below(4) == 0;
         let got = if self.below(3) != 0 {
             let hint = self.frames[page].hint;
-            let (class, found) = self.block.access_hinted(
+            let (class, found) = access_hinted(
+                &self.block,
                 &mut self.block_caches[proc],
                 proc,
                 line,
@@ -458,9 +476,7 @@ impl Pair {
     /// One access by processor 0 on both sides, the block side given
     /// `hint`; the classes and the line's entry must agree.
     fn access(&mut self, line: u64, write: bool, hint: u32) {
-        let (got, _) = self
-            .block
-            .access_hinted(&mut self.block_cache, 0, line, 0, write, hint);
+        let (got, _) = access_hinted(&self.block, &mut self.block_cache, 0, line, 0, write, hint);
         let want = self
             .hashed
             .access(&mut self.hashed_cache, 0, line, 0, write);
@@ -480,11 +496,11 @@ impl Pair {
 fn a_hint_to_a_recycled_block_reads_nothing_of_its_new_chunk() {
     let sys = SsmpCacheSystem::new(HW_POINTERS);
     let mut caches = vec![ProcCache::new(CacheConfig::alewife()); 2];
-    let (_, stale) = sys.access_hinted(&mut caches[0], 0, 64, 0, true, Directory::NO_HINT);
+    let (_, stale) = access_hinted(&sys, &mut caches[0], 0, 64, 0, true, Directory::NO_HINT);
     sys.directory().clean_page_hinted(64..128, stale);
     // Chunk 100 takes the freed slot; proc 1 dirties all of it.
     sys.directory().mark_dirty_lines(6400..6464, 1);
-    let (_, reused) = sys.access_hinted(&mut caches[1], 1, 6400, 0, true, Directory::NO_HINT);
+    let (_, reused) = access_hinted(&sys, &mut caches[1], 1, 6400, 0, true, Directory::NO_HINT);
     assert_eq!(reused, stale, "the freed slot was handed out again");
 
     // Through the stale hint, chunk 1 still reads as never cached.
@@ -492,8 +508,7 @@ fn a_hint_to_a_recycled_block_reads_nothing_of_its_new_chunk() {
     let mut fresh_cache = ProcCache::new(CacheConfig::alewife());
     for (line, write) in [(65, false), (64, false), (127, true)] {
         assert_eq!(
-            sys.access_hinted(&mut caches[0], 0, line, 0, write, stale)
-                .0,
+            access_hinted(&sys, &mut caches[0], 0, line, 0, write, stale).0,
             fresh.access(&mut fresh_cache, 0, line, 0, write),
             "line {line}"
         );
@@ -554,7 +569,7 @@ fn a_tag_array_filled_against_another_system_is_only_wrong_guesses() {
 fn a_victim_whose_block_no_longer_exists_is_skipped() {
     let sys = SsmpCacheSystem::new(HW_POINTERS);
     let mut cache = ProcCache::new(CacheConfig::tiny()); // 8 sets × 2 ways
-    let (_, hint) = sys.access_hinted(&mut cache, 0, 640, 0, true, Directory::NO_HINT);
+    let (_, hint) = access_hinted(&sys, &mut cache, 0, 640, 0, true, Directory::NO_HINT);
     sys.access(&mut cache, 0, 1280, 0, false);
     // Page 10 is cleaned: line 640's tag stays, its block is recycled.
     sys.directory().clean_page_hinted(640..704, hint);
@@ -568,13 +583,14 @@ fn a_victim_whose_block_no_longer_exists_is_skipped() {
     assert_eq!(sys.directory().tracked_lines(), 2);
 }
 
-/// Debug builds count locks per thread: a tag hit whose hint is right
-/// takes one stripe lock and never asks the index; without a hint the
-/// memo beside the tag serves; a wrong hint costs the wasted stripe
-/// lock and one index lookup, nothing else.
+/// Debug builds count locks per thread: a read hit whose hint is right
+/// takes no lock at all, and any other access whose hint is right takes
+/// one stripe lock and never asks the index; without a hint the memo
+/// beside the tag serves; a wrong hint costs the wasted stripe lock and
+/// one index lookup, nothing else.
 #[cfg(debug_assertions)]
 #[test]
-fn a_right_hint_costs_one_stripe_lock_and_no_index_lookup() {
+fn a_right_hint_costs_one_stripe_lock_or_none_and_no_index_lookup() {
     let sys = SsmpCacheSystem::new(HW_POINTERS);
     let mut cache = ProcCache::new(CacheConfig::alewife());
     let locks = |f: &mut dyn FnMut()| {
@@ -585,7 +601,7 @@ fn a_right_hint_costs_one_stripe_lock_and_no_index_lookup() {
     };
     let mut hint = Directory::NO_HINT;
     sys.access(&mut cache, 0, 4096, 0, false); // another block takes slot 0
-    let first = locks(&mut || hint = sys.access_hinted(&mut cache, 0, 70, 0, false, hint).1);
+    let first = locks(&mut || hint = access_hinted(&sys, &mut cache, 0, 70, 0, false, hint).1);
     assert_eq!(
         first,
         (8 + 1, 2),
@@ -594,16 +610,30 @@ fn a_right_hint_costs_one_stripe_lock_and_no_index_lookup() {
     for line in [70, 71, 127] {
         let tag_miss = line != 70;
         let n = locks(&mut || {
-            sys.access_hinted(&mut cache, 0, line, 0, tag_miss, hint);
+            access_hinted(&sys, &mut cache, 0, line, 0, tag_miss, hint);
         });
-        assert_eq!(n, (1, 0), "line {line}, right hint");
+        assert_eq!(
+            n,
+            (u64::from(tag_miss), 0),
+            "line {line}, right hint: a read hit, or a write miss"
+        );
         let n = locks(&mut || {
             sys.access(&mut cache, 0, line, 0, false);
         });
-        assert_eq!(n, (1, 0), "line {line}, memo");
+        assert_eq!(n, (0, 0), "line {line}, memo: a read hit");
+    }
+    for (line, write, what) in [
+        (72, false, "read miss"),
+        (70, true, "write upgrade"),
+        (70, true, "write hit"),
+    ] {
+        let n = locks(&mut || {
+            access_hinted(&sys, &mut cache, 0, line, 0, write, hint);
+        });
+        assert_eq!(n, (1, 0), "line {line}, right hint: {what}");
     }
     let n = locks(&mut || {
-        sys.access_hinted(&mut cache, 0, 70, 0, false, hint - 1);
+        access_hinted(&sys, &mut cache, 0, 70, 0, false, hint - 1);
     });
     assert_eq!(
         n,
@@ -618,7 +648,8 @@ fn a_right_hint_costs_one_stripe_lock_and_no_index_lookup() {
 
 /// Frames never reuse a base, so anything keyed by physical address
 /// must give memory back: 10,000 fresh pages, each touched by two
-/// processors and cleaned, leave the slab where the first left it.
+/// processors, cleaned and then held (as a frame is quiesced after its
+/// block was recycled), leave the slab where the first left it.
 #[test]
 fn ten_thousand_fresh_pages_reuse_one_block() {
     let sys = SsmpCacheSystem::new(HW_POINTERS);
@@ -628,14 +659,13 @@ fn ten_thousand_fresh_pages_reuse_one_block() {
         let mut hint = Directory::NO_HINT;
         for line in lines.clone() {
             for (proc, cache) in caches.iter_mut().enumerate() {
-                hint = sys
-                    .access_hinted(cache, proc, line, 0, line % 2 == 0, hint)
-                    .1;
+                hint = access_hinted(&sys, cache, proc, line, 0, line % 2 == 0, hint).1;
             }
         }
         assert_eq!(sys.directory().tracked_lines(), 64);
-        let out = sys.directory().clean_page_hinted(lines, hint);
+        let out = sys.directory().clean_page_hinted(lines.clone(), hint);
         assert_eq!((out.dirty_lines, out.shared_lines), (32, 32), "page {page}");
+        drop(sys.directory().hold(lines, hint));
     }
     assert_eq!(sys.directory().tracked_lines(), 0);
     assert_eq!(sys.directory().blocks_allocated(), 1);
@@ -646,7 +676,8 @@ fn ten_thousand_fresh_pages_reuse_one_block() {
 // ---------------------------------------------------------------------
 
 /// Four threads on one shared page, one of them also cleaning it (so
-/// the block is recycled and re-created under the others): afterwards
+/// the block is recycled and re-created under the others) and holding
+/// it (so the others' reads fail validation and wait): afterwards
 /// every entry is either empty, shared with no owner, or owned by its
 /// only sharer, and the tracked count is the number of nonempty ones.
 #[test]
@@ -665,11 +696,13 @@ fn four_threads_on_one_page_keep_the_entry_invariant() {
                 for round in 0..20_000 {
                     let r = rng.next_u64();
                     let line = 64 + r % 64;
-                    hint = sys
-                        .access_hinted(&mut cache, proc, line, 0, r >> 62 == 0, hint)
-                        .1;
+                    hint = access_hinted(sys, &mut cache, proc, line, 0, r >> 62 == 0, hint).1;
                     if proc == 0 && round % 64 == 63 {
                         sys.directory().clean_page_hinted(64..128, hint);
+                    }
+                    if proc == 0 && round % 64 == 31 {
+                        let held = sys.directory().hold(64..128, hint);
+                        std::hint::black_box(&held);
                     }
                 }
             });

@@ -19,10 +19,13 @@ use std::sync::Arc;
 /// processor.
 const RNG_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Slots in the Env-local translation cache (direct-mapped by page
-/// number). 64 entries cover the working set of every application's
-/// inner loop while costing ~2 KB per processor.
-const XLATE_SLOTS: usize = 64;
+/// Sets of the Env-local translation cache (by page number modulo the
+/// set count) and ways per set: 64 entries cover the working set of
+/// every application's inner loop while costing ~2 KB per processor,
+/// and four ways keep pages a power-of-two stride apart (Jacobi's two
+/// grids) from evicting each other.
+const XLATE_SETS: usize = 16;
+const XLATE_WAYS: usize = 4;
 
 /// Maps a hardware [`MissClass`](mgs_cache::MissClass) (by `index()`)
 /// to its observability counter.
@@ -186,16 +189,17 @@ pub struct Env {
     cluster_size: usize,
     /// The cost table (cloned out of the config).
     cost: CostModel,
-    /// Env-local translation cache: a direct-mapped array of recent
-    /// `(page, TlbEntry)` pairs private to this processor. A hit
-    /// skips the shared TLB's mutex and map lookup entirely; validity
-    /// is still guaranteed by the frame-generation check of the
+    /// Env-local translation cache: recent `(page, TlbEntry)` pairs
+    /// private to this processor, `XLATE_SETS` sets of `XLATE_WAYS`
+    /// ways, set-major, each set most recently used first. A hit skips
+    /// the shared TLB's mutex and map lookup entirely; validity is
+    /// still guaranteed by the frame-generation check of the
     /// translation critical section (§4.2.1) — every path that revokes
-    /// a mapping bumps the frame generation under the exclusive guard,
-    /// so a stale cached entry simply fails the check and re-faults.
-    /// Purely a host-side optimization: simulated cycle charges are
-    /// identical, though the shared TLB's host-side hit counters no
-    /// longer see the cached lookups.
+    /// a mapping bumps the frame generation while the frame is
+    /// quiesced, so a stale cached entry simply fails the check and
+    /// re-faults. Purely a host-side optimization: simulated cycle
+    /// charges are identical, though the shared TLB's host-side hit
+    /// counters no longer see the cached lookups.
     xlate_cache: Vec<Option<(u64, TlbEntry)>>,
     /// Whether the protocol posts write notices (an LRC-flavored
     /// strategy), hoisted because it is constant for the machine's
@@ -247,7 +251,7 @@ impl Env {
             geometry,
             cluster_size,
             cost,
-            xlate_cache: (0..XLATE_SLOTS).map(|_| None).collect(),
+            xlate_cache: (0..XLATE_SETS * XLATE_WAYS).map(|_| None).collect(),
             uses_notices,
             obs,
             churn,
@@ -336,85 +340,98 @@ impl Env {
         self.clock.charge(CostCategory::User, xlate);
 
         let page = self.geometry.page_of(va);
-        // Env-local translation fast path: a direct-mapped slot holding
-        // a recently-used entry for this page. Staleness is caught by
-        // the generation check below, so the only requirements here are
-        // page match and sufficient privilege.
-        let slot = (page as usize) & (XLATE_SLOTS - 1);
-        let cached = matches!(
-            &self.xlate_cache[slot],
-            Some((p, e)) if *p == page && (e.writable || !write)
-        );
-        if !cached {
-            self.translate_slow(page, write);
+        // Env-local translation fast path: a recently used entry for
+        // this page in its set, moved to the set's front. Staleness is
+        // caught by the generation check below, so the only
+        // requirements here are page match and sufficient privilege.
+        let set = Self::xlate_set(page);
+        let ways = &mut self.xlate_cache[set..set + XLATE_WAYS];
+        match ways
+            .iter()
+            .position(|w| matches!(w, Some((p, e)) if *p == page && (e.writable || !write)))
+        {
+            Some(0) => {}
+            Some(way) => ways[..=way].rotate_right(1),
+            None => self.translate_slow(page, write),
         }
-        // Perform the access under the frame's guard, re-validating the
-        // mapping generation: a mapping read just before a shootdown
-        // must re-fault rather than touch a retired copy (the
-        // translation critical section of §4.2.1). An invalidation
-        // bumps the generation under the exclusive guard, so a store
-        // that lands here is always covered by the subsequent diff.
+        // One call does the rest under the line's directory stripe —
+        // or, for a read hit, inside an optimistic read of it: the
+        // mapping generation is re-validated, so a mapping read just
+        // before a shootdown re-faults rather than touching a retired
+        // copy (the translation critical section of §4.2.1), and
+        // hardware coherence classifies the access (its stall counts
+        // as user time, §5.2.1) and performs the load or store. A
+        // quiesce holds every stripe of the frame's lines, so a store
+        // that lands is always covered by the diff that follows it.
         //
-        // The entry is borrowed from the slot, not cloned: the frame's
-        // `Arc` count is a line every processor mapping the page would
-        // otherwise write on every access. Nothing below touches
-        // `xlate_cache`, so the borrow lives across the access.
+        // The entry is borrowed from the set's front, not cloned: the
+        // frame's `Arc` count is a line every processor mapping the
+        // page would otherwise write on every access. Nothing below
+        // touches `xlate_cache`, so the borrow lives across the access.
         let word = self.geometry.word_offset(va);
+        let my_local = self.proc % self.cluster_size;
         loop {
-            let (_, entry) = self.xlate_cache[slot]
+            let (_, entry) = self.xlate_cache[set]
                 .as_ref()
-                .expect("translate_slow fills the page's slot");
+                .expect("translate_slow fills the front of the page's set");
             let frame = &*entry.frame;
-            let guard = frame.begin_access();
-            if frame.generation() == entry.gen {
-                // Intra-SSMP hardware coherence: classify and charge the
-                // stall (hardware shared-memory time counts as user
-                // time, §5.2.1).
-                let line = frame.line_of_word(word);
-                let home_local = frame.home_node() % self.cluster_size;
-                let my_local = self.proc % self.cluster_size;
-                let hint = frame.dir_hint();
-                let (class, found) = self.proto.cache_system(self.ssmp).access_hinted(
-                    &mut self.pcache,
-                    my_local,
-                    line,
-                    home_local,
-                    write,
-                    hint,
-                );
-                if found != hint {
-                    frame.set_dir_hint(found);
-                }
-                self.clock
-                    .charge(CostCategory::User, class.cost(&self.cost));
-                if let Some(obs) = &self.obs {
-                    let m = if write { Metric::Stores } else { Metric::Loads };
-                    obs.registry.count(self.proc, m, 1);
-                    obs.registry.count(self.proc, HW_METRIC[class.index()], 1);
-                }
-                let result = if write {
-                    frame.store(word, value);
-                    value
-                } else {
-                    frame.load(word)
-                };
-                drop(guard);
-                return result;
+            debug_assert_eq!(
+                frame.home_node() / self.cluster_size,
+                self.ssmp,
+                "a processor accesses only frames of its own SSMP, whose directory guards them"
+            );
+            let hint = frame.dir_hint();
+            let served = self.proto.cache_system(self.ssmp).access_hinted(
+                &mut self.pcache,
+                my_local,
+                frame.line_of_word(word),
+                frame.home_node() % self.cluster_size,
+                write,
+                hint,
+                Some(frame.word(word, entry.gen, value)),
+            );
+            let Some(served) = served else {
+                self.translate_slow(page, write);
+                continue;
+            };
+            if served.hint != hint {
+                frame.set_dir_hint(served.hint);
             }
-            drop(guard);
-            self.translate_slow(page, write);
+            let class = served.class;
+            self.clock
+                .charge(CostCategory::User, class.cost(&self.cost));
+            if let Some(obs) = &self.obs {
+                let m = if write { Metric::Stores } else { Metric::Loads };
+                obs.registry.count(self.proc, m, 1);
+                obs.registry.count(self.proc, HW_METRIC[class.index()], 1);
+            }
+            return served.value;
         }
+    }
+
+    /// Where `page`'s set starts in the translation cache.
+    fn xlate_set(page: u64) -> usize {
+        (page as usize) % XLATE_SETS * XLATE_WAYS
     }
 
     /// Translation slow path: consult the shared TLB (mutex-protected)
     /// and fault if it has no sufficient mapping; either way the result
-    /// lands in this page's slot of the Env-local cache.
+    /// goes to the front of the page's set in the Env-local cache,
+    /// replacing the page's old entry or, failing one, the set's least
+    /// recently used.
     fn translate_slow(&mut self, page: u64, write: bool) {
         let entry = match self.proto.tlb(self.proc).lookup(page, write) {
             Some(e) => e,
             None => self.fault(page, write),
         };
-        self.xlate_cache[(page as usize) & (XLATE_SLOTS - 1)] = Some((page, entry));
+        let set = Self::xlate_set(page);
+        let ways = &mut self.xlate_cache[set..set + XLATE_WAYS];
+        let way = ways
+            .iter()
+            .position(|w| matches!(w, Some((p, _)) if *p == page))
+            .unwrap_or(XLATE_WAYS - 1);
+        ways[..=way].rotate_right(1);
+        ways[0] = Some((page, entry));
     }
 
     fn fault(&mut self, page: u64, write: bool) -> TlbEntry {

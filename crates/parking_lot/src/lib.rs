@@ -17,7 +17,8 @@
 //! poisoning at the call site.
 //!
 //! One thing the real crate does not have: [`held_locks`], a debug-build
-//! count of the [`Mutex`] guards the calling thread holds. The
+//! count of the [`Mutex`] guards the calling thread holds, and of the
+//! [`HeldLock`] markers that lock guards built elsewhere carry. The
 //! simulator's tasks are coroutines that may resume on another host
 //! thread, so a guard must never live across a suspension point; the
 //! scheduler asserts the count is zero wherever a task gives up its
@@ -26,6 +27,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::TryLockError;
 
@@ -38,8 +40,8 @@ thread_local! {
     static HELD: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Number of [`MutexGuard`]s the calling thread holds; always 0 in
-/// release builds, which compile the count out.
+/// Number of [`MutexGuard`]s and [`HeldLock`]s the calling thread
+/// holds; always 0 in release builds, which compile the count out.
 ///
 /// Never inlined (nor is the bump in `lock` / `drop`): a caller that
 /// can be suspended on one thread and resumed on another must not have
@@ -64,6 +66,33 @@ fn note_held(acquired: bool) {
             h.get().saturating_sub(1)
         })
     });
+}
+
+/// Counts in [`held_locks`] for as long as it lives, like a
+/// [`MutexGuard`]: the marker a guard of a lock built outside this
+/// crate embeds, so that holding it across a suspension point is
+/// caught too. Zero-sized, and a no-op in release builds. Not `Send`:
+/// the count is the creating thread's.
+#[derive(Debug)]
+pub struct HeldLock(PhantomData<*const ()>);
+
+impl HeldLock {
+    /// Starts counting one more lock held by the calling thread.
+    #[inline]
+    #[allow(clippy::new_without_default)] // taking a lock is not a default
+    pub fn new() -> HeldLock {
+        #[cfg(debug_assertions)]
+        note_held(true);
+        HeldLock(PhantomData)
+    }
+}
+
+impl Drop for HeldLock {
+    #[inline]
+    fn drop(&mut self) {
+        #[cfg(debug_assertions)]
+        note_held(false);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -230,13 +259,15 @@ mod tests {
         assert_eq!(held_locks(), 0);
         let ga = a.lock();
         let gb = b.try_lock().expect("uncontended");
-        assert_eq!(held_locks(), if cfg!(debug_assertions) { 2 } else { 0 });
+        let marker = HeldLock::new();
+        assert_eq!(held_locks(), if cfg!(debug_assertions) { 3 } else { 0 });
         // Another thread's guards are its own.
         std::thread::scope(|s| {
             s.spawn(|| assert_eq!(held_locks(), 0));
         });
         drop(ga);
         drop(gb);
+        drop(marker);
         assert_eq!(held_locks(), 0);
     }
 

@@ -36,13 +36,14 @@ struct Span {
 /// property tests assert it), but:
 ///
 /// * **compute** walks the page 8 words at a time and skips clean
-///   chunks with one branch, reading the live frame word-atomically —
-///   no intermediate snapshot is allocated;
+///   chunks with one branch, reading a quiesced frame as a plain slice
+///   ([`PageFrame::with_quiesced`]) — no intermediate snapshot is
+///   allocated;
 /// * **apply** stores whole runs (one bounds check per run instead of
 ///   per word);
-/// * **reuse**: [`compute_from_frame_into`](SpanDiff::compute_from_frame_into)
-///   clears and refills an existing `SpanDiff`, keeping its buffers,
-///   so a recycled instance computes diffs without heap allocation.
+/// * **reuse**: [`compute_into`](SpanDiff::compute_into) clears and
+///   refills an existing `SpanDiff`, keeping its buffers, so a recycled
+///   instance computes diffs without heap allocation.
 ///
 /// # Example
 ///
@@ -71,8 +72,7 @@ const CHUNK_WORDS: usize = 8;
 
 impl SpanDiff {
     /// Creates an empty diff (no spans, no capacity). Typically used as
-    /// a recyclable scratch for
-    /// [`compute_from_frame_into`](SpanDiff::compute_from_frame_into).
+    /// a recyclable scratch for [`compute_into`](SpanDiff::compute_into).
     pub fn new() -> SpanDiff {
         SpanDiff::default()
     }
@@ -85,14 +85,6 @@ impl SpanDiff {
     pub fn compute(current: &[u64], twin: &[u64]) -> SpanDiff {
         let mut d = SpanDiff::new();
         d.compute_into(current, twin);
-        d
-    }
-
-    /// Computes the diff of a live frame against its twin without
-    /// allocating (the frame is read word-atomically, chunk by chunk).
-    pub fn compute_from_frame(frame: &PageFrame, twin: &[u64]) -> SpanDiff {
-        let mut d = SpanDiff::new();
-        d.compute_from_frame_into(frame, twin);
         d
     }
 
@@ -130,19 +122,6 @@ impl SpanDiff {
             base += CHUNK_WORDS;
         }
         self.diff_chunk(base, cur_chunks.remainder(), twin_chunks.remainder());
-    }
-
-    /// Recomputes this diff directly against a live frame, reusing the
-    /// existing span/value buffers. The frame is viewed as a plain
-    /// slice under its exclusive access guard
-    /// ([`PageFrame::with_quiesced`]), so the chunked comparison
-    /// vectorizes; no page-sized snapshot is materialized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `twin` is not exactly the frame's length.
-    pub fn compute_from_frame_into(&mut self, frame: &PageFrame, twin: &[u64]) {
-        frame.with_quiesced(|words| self.compute_into(words, twin));
     }
 
     /// Compares one (possibly short, e.g. the tail of a page whose
@@ -335,7 +314,7 @@ mod tests {
         for w in [0u64, 1, 4, 5, 6, 7, 120] {
             frame.store(w, 1);
         }
-        let d = SpanDiff::compute_from_frame(&frame, &twin);
+        let d = SpanDiff::compute(&frame.snapshot(), &twin);
         let lines: Vec<u64> = d.touched_lines(&frame).collect();
         let first = frame.base() / PageGeometry::LINE_BYTES;
         assert_eq!(lines, vec![first, first + 2, first + 3, first + 60]);

@@ -19,7 +19,7 @@ use crate::step::{ClientState, Ctx, Effects, Frame, PageState, ServerDirs};
 use crate::strategy::{AdaptiveController, PagePolicy, PolicyDecision, ProtocolKind};
 use crate::transport::{ProtocolError, SendOutcome, SeqFilter, Transaction};
 use crate::{Duq, ProtoConfig, ProtoStats, ProtoTiming, SpanDiff};
-use mgs_cache::SsmpCacheSystem;
+use mgs_cache::{Directory, SsmpCacheSystem};
 use mgs_net::MsgKind;
 use mgs_obs::{ObsEvent, SharingProfiler, XactKind, XactOutcome};
 use mgs_sim::Cycles;
@@ -314,6 +314,12 @@ impl MgsProtocol {
     /// The cache system of SSMP `ssmp`.
     pub fn cache_system(&self, ssmp: usize) -> &Arc<SsmpCacheSystem> {
         &self.caches[ssmp]
+    }
+
+    /// The line directory whose stripes guard `frame`: that of its home
+    /// node's SSMP, the only processors that access it.
+    pub fn directory_of(&self, frame: &PageFrame) -> &Directory {
+        self.caches[self.cfg.ssmp_of(frame.home_node())].directory()
     }
 
     fn shard(&self, page: u64) -> MutexGuard<'_, Shard> {
@@ -1025,8 +1031,7 @@ impl Effects for Interp<'_> {
         // an access that cloned a TLB entry before the shootdown sees
         // the bump and re-faults (the translation-critical-section
         // rollback, §4.2.1).
-        let _drain = frame.quiesce();
-        frame.bump_generation();
+        frame.quiesce(proto.directory_of(&frame)).bump_generation();
     }
 
     fn clean(&mut self, f: Frame, charged: bool) {
@@ -1047,7 +1052,9 @@ impl Effects for Interp<'_> {
     fn twin(&mut self, ssmp: usize) {
         let frame = self.frame(Frame::Copy(ssmp));
         let mut twin = self.proto.twin_pools[ssmp].acquire();
-        frame.with_quiesced(|words| twin.copy_from_slice(words));
+        frame.with_quiesced(self.proto.directory_of(&frame), |words| {
+            twin.copy_from_slice(words)
+        });
         self.client(ssmp).twin = Some(twin);
     }
 
@@ -1066,12 +1073,12 @@ impl Effects for Interp<'_> {
         });
         let client = slot(&mut self.clients, self.entry, ssmp);
         if keep_twin {
-            // Diff and twin refresh under ONE exclusive drain: the kept
+            // Diff and twin refresh under ONE quiesce: the kept
             // twin must equal exactly the image that was diffed, or the
             // next release's diff would re-ship (or miss) words written
             // in between.
             let twin = client.twin.as_mut().expect("a releasing writer has a twin");
-            frame.with_quiesced(|w| {
+            frame.with_quiesced(proto.directory_of(&frame), |w| {
                 diff.compute_into(w, twin);
                 twin.copy_from_slice(w);
             });
@@ -1079,7 +1086,7 @@ impl Effects for Interp<'_> {
             // Diffed in place against the retired frame; the twin goes
             // back to the pool before the transfer.
             let twin = client.twin.take().expect("a writer SSMP has a twin");
-            diff.compute_from_frame_into(&frame, &twin);
+            frame.with_quiesced(proto.directory_of(&frame), |w| diff.compute_into(w, &twin));
         }
         diff.changed_words()
     }
@@ -1161,7 +1168,9 @@ impl Effects for Interp<'_> {
         let mut data = proto.twin_pools[copy.unwrap_or(src_ssmp)].acquire();
         match from {
             Frame::Home => src.snapshot_into(&mut data),
-            Frame::Copy(_) => src.with_quiesced(|words| data.copy_from_slice(words)),
+            Frame::Copy(_) => src.with_quiesced(proto.directory_of(&src), |words| {
+                data.copy_from_slice(words)
+            }),
         }
         self.t.node_work(src.home_node(), dma);
         self.send(src_ssmp, dst_ssmp, kind, cfg.geometry.page_bytes())?;

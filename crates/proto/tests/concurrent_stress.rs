@@ -2,11 +2,17 @@
 //! engines concurrently with a data-race-free phased workload; the home
 //! copies must end up exactly right. Exercises the lock ordering, the
 //! BUSY/pending path, TLB shootdown, generation retirement, and DUQ
-//! pruning under real concurrency.
+//! pruning under real concurrency. Then the quiesce contract on its
+//! own: stores racing a loop of quiesce, diff and generation bump.
 
-use mgs_proto::{MgsProtocol, ProtoConfig, RecordingTiming};
+use mgs_cache::{CacheConfig, ProcCache, SsmpCacheSystem};
+use mgs_proto::{MgsProtocol, ProtoConfig, RecordingTiming, SpanDiff};
 use mgs_sim::{CostModel, Cycles, XorShift64};
+use mgs_vm::{FrameAllocator, PageGeometry};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 const N_SSMPS: usize = 4;
 const C: usize = 2;
@@ -16,6 +22,49 @@ const PHASES: usize = 5;
 
 fn timing() -> RecordingTiming {
     RecordingTiming::new(CostModel::alewife(), Cycles::ZERO)
+}
+
+/// The runtime's access loop (`Env::access`): translate through the TLB
+/// (or fault), then one access through the SSMP's cache system, which
+/// re-validates the mapping generation under the line's directory
+/// stripe; an access refused because a concurrent invalidation retired
+/// the mapping re-faults and retries. Stores `store` if given; returns
+/// the word.
+fn access(
+    proto: &MgsProtocol,
+    cache: &mut ProcCache,
+    proc: usize,
+    page: u64,
+    word: u64,
+    store: Option<u64>,
+    t: &mut RecordingTiming,
+) -> u64 {
+    let write = store.is_some();
+    let sys = proto.cache_system(proc / C);
+    let mut e = match proto.tlb(proc).lookup(page, write) {
+        Some(e) => e,
+        None => proto.fault(proc, page, write, t),
+    };
+    loop {
+        let frame = &e.frame;
+        let hint = frame.dir_hint();
+        let served = sys.access_hinted(
+            cache,
+            proc % C,
+            frame.line_of_word(word),
+            frame.home_node() % C,
+            write,
+            hint,
+            Some(frame.word(word, e.gen, store.unwrap_or(0))),
+        );
+        if let Some(served) = served {
+            if served.hint != hint {
+                frame.set_dir_hint(served.hint);
+            }
+            return served.value;
+        }
+        e = proto.fault(proc, page, write, t);
+    }
 }
 
 /// Runs a phased DRF workload: in each phase every processor writes a
@@ -50,34 +99,14 @@ fn stress(proto: &Arc<MgsProtocol>) -> Vec<Vec<u64>> {
             let plans = Arc::clone(&plans);
             scope.spawn(move || {
                 let mut t = timing();
+                let mut cache = ProcCache::new(CacheConfig::alewife());
                 for plan in plans.iter() {
                     for &(_p, page, word, value) in plan.iter().filter(|&&(p, ..)| p == proc) {
-                        // The runtime's access loop: look up (or fault),
-                        // then re-validate the mapping generation under
-                        // the frame guard; a concurrent invalidation
-                        // retires the mapping and forces a re-fault.
-                        let mut e = match proto.tlb(proc).lookup(page, true) {
-                            Some(e) => e,
-                            None => proto.fault(proc, page, true, &mut t),
-                        };
-                        loop {
-                            let frame = e.frame.clone();
-                            let guard = frame.begin_access();
-                            if frame.generation() == e.gen {
-                                frame.store(word, value);
-                                drop(guard);
-                                break;
-                            }
-                            drop(guard);
-                            e = proto.fault(proc, page, true, &mut t);
-                        }
+                        access(&proto, &mut cache, proc, page, word, Some(value), &mut t);
                         // Random extra reads create read sharing.
                         if word % 7 == 0 {
-                            let r = match proto.tlb(proc).lookup((page + 1) % N_PAGES, false) {
-                                Some(e) => e,
-                                None => proto.fault(proc, (page + 1) % N_PAGES, false, &mut t),
-                            };
-                            let _ = r.frame.load(word);
+                            let page = (page + 1) % N_PAGES;
+                            access(&proto, &mut cache, proc, page, word, None, &mut t);
                         }
                     }
                     // Release point + rendezvous (a barrier).
@@ -122,4 +151,122 @@ fn repeated_stress_is_stable() {
         let expected = stress(&proto);
         check(&proto, &expected);
     }
+}
+
+/// Runs `body` on its own thread, failing by name if it has not ended
+/// within a minute.
+fn within_deadline<T: Send + 'static>(what: &str, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)));
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(outcome) => outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+        Err(_) => panic!("{what}: still running after 60 s"),
+    }
+}
+
+/// The quiesce contract under real concurrency, on one frame: all but
+/// one of `threads` store through the access path, each to words of its
+/// own, and read each store back, while the last thread loops quiesce →
+/// diff against the twin → bump the generation (a release's diff and a
+/// shootdown at once). A store whose translation was retired is
+/// refused and retried under the new generation, as a re-fault would,
+/// so every store lands in the generation it was served under: the
+/// diff that closes a generation holds exactly the last value each
+/// word was given in it.
+fn stores_race_quiesce_diff_bump(threads: usize) {
+    const STORES: u64 = 20_000;
+    let writers = threads - 1;
+    let frame = FrameAllocator::new(PageGeometry::default()).alloc(0);
+    let sys = SsmpCacheSystem::new(5);
+    let finished = AtomicUsize::new(0);
+    let twin = frame.snapshot();
+    let (logs, diffs) = std::thread::scope(|scope| {
+        let logs: Vec<_> = (0..writers)
+            .map(|w| {
+                let (frame, sys, finished) = (&frame, &sys, &finished);
+                scope.spawn(move || {
+                    let mut cache = ProcCache::new(CacheConfig::alewife());
+                    let mut gen = frame.generation();
+                    let mut log = Vec::new(); // (generation, word, value)
+                    let mut access = |word, write, value, gen: &mut u64| loop {
+                        let line = frame.line_of_word(word);
+                        let hint = frame.dir_hint();
+                        let got = frame.word(word, *gen, value);
+                        match sys.access_hinted(&mut cache, w, line, 0, write, hint, Some(got)) {
+                            Some(served) => {
+                                frame.set_dir_hint(served.hint);
+                                return served.value;
+                            }
+                            None => *gen = frame.generation(), // re-fault
+                        }
+                    };
+                    for i in 0..STORES {
+                        let word = (w + writers * (i as usize % (128 / writers))) as u64;
+                        let value = (w as u64) << 32 | (i + 1);
+                        access(word, true, value, &mut gen);
+                        log.push((gen, word, value));
+                        assert_eq!(access(word, false, 0, &mut gen), value, "read back");
+                    }
+                    finished.fetch_add(1, Ordering::SeqCst);
+                    log
+                })
+            })
+            .collect();
+        let quiescer = scope.spawn(|| {
+            let mut twin = twin;
+            let mut diff = SpanDiff::new();
+            let mut diffs = Vec::new(); // diffs[g] closes generation g
+            loop {
+                let last = finished.load(Ordering::SeqCst) == writers;
+                let q = frame.quiesce(sys.directory());
+                diff.compute_into(q.words(), &twin);
+                twin.copy_from_slice(q.words());
+                q.bump_generation();
+                drop(q);
+                diffs.push(diff.entries().collect::<Vec<_>>());
+                if last {
+                    return diffs;
+                }
+                std::thread::yield_now();
+            }
+        });
+        let logs: Vec<_> = logs.into_iter().map(|h| h.join().unwrap()).collect();
+        (logs, quiescer.join().unwrap())
+    });
+    // The last value of each (generation, word), and how many stores
+    // each generation saw.
+    let mut last = std::collections::BTreeMap::new();
+    for log in &logs {
+        assert_eq!(log.len() as u64, STORES, "every store was served");
+        for &(gen, word, value) in log {
+            last.insert((gen, word as u32), value);
+        }
+    }
+    let mut in_diffs = std::collections::BTreeMap::new();
+    for (gen, diff) in diffs.iter().enumerate() {
+        for &(word, value) in diff {
+            in_diffs.insert((gen as u64, word), value);
+        }
+    }
+    assert_eq!(
+        in_diffs, last,
+        "each generation's diff holds exactly the last store of each word served under it"
+    );
+    assert!(diffs.len() > 1, "the quiescer ran");
+}
+
+#[test]
+fn stores_race_quiesce_diff_bump_at_2_threads() {
+    within_deadline("1 writer beside the quiescer", || {
+        stores_race_quiesce_diff_bump(2)
+    });
+}
+
+#[test]
+fn stores_race_quiesce_diff_bump_at_4_threads() {
+    within_deadline("3 writers beside the quiescer", || {
+        stores_race_quiesce_diff_bump(4)
+    });
 }

@@ -5,8 +5,9 @@
 //! binary. After one warm-up cycle (which populates the twin pool and
 //! grows the diff scratch to its working capacity), a full
 //! twin + diff + merge cycle — pooled snapshot, span diff against the
-//! live frame, per-run apply, dirty-line walk — must perform **zero**
-//! heap allocations.
+//! quiesced frame (its block's eight directory stripes and the index
+//! read lock held), per-run apply, dirty-line walk — must perform
+//! **zero** heap allocations.
 //!
 //! Kept to a single `#[test]` so no concurrent test case can allocate
 //! while the measured window is open — and counting is scoped to the
@@ -16,6 +17,7 @@
 //! standard library initializes that thread's channel context on the
 //! heap, and whether that lands inside the window is a timing race.
 
+use mgs_cache::Directory;
 use mgs_proto::SpanDiff;
 use mgs_sim::XorShift64;
 use mgs_vm::{FrameAllocator, PageGeometry, TwinPool};
@@ -69,6 +71,8 @@ fn steady_state_twin_diff_merge_allocates_nothing() {
     let frames = FrameAllocator::new(PageGeometry::default());
     let frame = frames.alloc(0);
     let home = frames.alloc(0);
+    let directory = Directory::new();
+    directory.mark_dirty_lines(frame.lines(), 0); // the frame's block exists
     let pool = TwinPool::new(WORDS as usize);
     let mut diff = SpanDiff::new();
     let mut rng = XorShift64::new(0x2E50_A110_C0DE);
@@ -82,7 +86,7 @@ fn steady_state_twin_diff_merge_allocates_nothing() {
             let w = rng.next_below(WORDS);
             frame.store(w, rng.next_u64()); // application writes
         }
-        diff.compute_from_frame_into(&frame, &twin); // make diff
+        frame.with_quiesced(&directory, |w| diff.compute_into(w, &twin)); // make diff
         diff.apply_to_frame(&home); // merge at the home
         let lines = diff.touched_lines(&home).count(); // dirty marking
         std::hint::black_box(lines);

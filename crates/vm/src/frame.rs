@@ -1,8 +1,9 @@
 //! Physical page frames: the actual backing store.
 
 use crate::PageGeometry;
+use mgs_cache::{Directory, FrameWord, HeldLines};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::Arc;
 
 /// A physical page frame.
 ///
@@ -17,22 +18,26 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 ///   line addresses),
 /// * a **home node** (the global processor id whose memory holds it —
 ///   first-touch placement within the SSMP, §3.1.2 of the paper),
-/// * an **access guard**: memory accesses hold it shared; a page
-///   invalidation takes it exclusively *after* the TLB shootdown, which
-///   drains in-flight accesses. This is the simulator's analogue of the
-///   paper's "translation critical section" roll-back mechanism
-///   (§4.2.1),
+/// * a **mapping generation**, which an access checks and a page
+///   invalidation bumps — the simulator's analogue of the paper's
+///   "translation critical section" roll-back mechanism (§4.2.1),
 /// * a **directory-slot cell**: one relaxed `u32`, zero in a fresh
 ///   frame, that `mgs-vm` stores and returns and gives no meaning. The
 ///   cache model keeps its guess at where the frame's lines sit in the
 ///   SSMP's line directory here, so that the guess travels with the
 ///   frame every accessor already has in hand.
+///
+/// The frame holds no lock. Its guard is the line directory of the SSMP
+/// whose processors access it: a simulated access checks the
+/// generation and touches its word under its line's directory stripe
+/// ([`word`](PageFrame::word) hands both to
+/// `SsmpCacheSystem::access_hinted`), so holding every stripe of the
+/// frame's lines ([`quiesce`](PageFrame::quiesce)) drains the frame.
 #[derive(Debug)]
 pub struct PageFrame {
     base: u64,
     home_node: usize,
     words: Box<[AtomicU64]>,
-    guard: RwLock<()>,
     generation: AtomicU64,
     dir_hint: AtomicU32,
 }
@@ -117,29 +122,6 @@ impl PageFrame {
         }
     }
 
-    /// Runs `f` over the frame's words as one plain shared slice,
-    /// holding the access guard exclusively for the duration (draining
-    /// in-flight accesses first, exactly like
-    /// [`quiesce`](PageFrame::quiesce)).
-    ///
-    /// The exclusive plain view lets page-grain kernels compile to
-    /// vectorized slice code instead of a per-word atomic-load loop.
-    /// Use it only where the frame is already logically private (e.g.
-    /// the release path's diff, which runs after the TLB shootdown) —
-    /// on a live frame the exclusive guard would serialize concurrent
-    /// accessors, changing host-side interleavings.
-    pub fn with_quiesced<R>(&self, f: impl FnOnce(&[u64]) -> R) -> R {
-        let _drain = self.quiesce();
-        // SAFETY: `AtomicU64` has the same size and bit validity as
-        // `u64`, and the exclusive guard drains every in-flight
-        // accessor, so no atomic access can race with these plain
-        // reads; the guard's release edge orders them before any
-        // later atomic access.
-        let words: &[u64] =
-            unsafe { std::slice::from_raw_parts(self.words.as_ptr().cast(), self.words.len()) };
-        f(words)
-    }
-
     /// Overwrites the frame with `data` word-atomically. Safe on a
     /// live frame: concurrent accessors are not blocked.
     ///
@@ -153,39 +135,60 @@ impl PageFrame {
         }
     }
 
-    /// Takes the access guard shared; memory operations hold this across
-    /// the word access. (The guard protects no data, so a poisoned lock
-    /// is simply taken.)
-    pub fn begin_access(&self) -> RwLockReadGuard<'_, ()> {
-        self.guard.read().unwrap_or_else(PoisonError::into_inner)
+    /// The frame side of an access to word `idx` by a translation made
+    /// against generation `expect`, storing `value` if it writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    #[inline]
+    pub fn word(&self, idx: u64, expect: u64, value: u64) -> FrameWord<'_> {
+        FrameWord {
+            generation: &self.generation,
+            expect,
+            cell: &self.words[idx as usize],
+            value,
+        }
     }
 
-    /// Takes the access guard exclusively, draining in-flight accesses.
-    /// The protocol holds this while computing diffs and pruning DUQs so
-    /// that no store can land unrecorded.
-    pub fn quiesce(&self) -> RwLockWriteGuard<'_, ()> {
-        self.guard.write().unwrap_or_else(PoisonError::into_inner)
+    /// Drains the frame: holds every stripe of `directory` that its
+    /// lines fall in, so no access to it is in flight or can start
+    /// until the guard drops, and a chunk of its lines without a block
+    /// does not get one meanwhile. `directory` must be the one its
+    /// accesses go through: that of the SSMP of its home node.
+    ///
+    /// The protocol holds this to bump the generation
+    /// ([`Quiesced::bump_generation`]) and to read the frame as a
+    /// plain slice ([`Quiesced::words`]).
+    pub fn quiesce<'a>(&'a self, directory: &'a Directory) -> Quiesced<'a> {
+        Quiesced {
+            _held: directory.hold(self.lines(), self.dir_hint()),
+            frame: self,
+        }
+    }
+
+    /// Runs `f` over the frame's words as one plain shared slice,
+    /// [`quiesce`](PageFrame::quiesce)d through `directory` for the
+    /// duration.
+    ///
+    /// The plain view lets page-grain kernels compile to vectorized
+    /// slice code instead of a per-word atomic-load loop. Use it only
+    /// where the frame is already logically private (e.g. the release
+    /// path's diff, which runs after the TLB shootdown): on a live
+    /// frame the drain would serialize concurrent accessors, changing
+    /// host-side interleavings.
+    pub fn with_quiesced<R>(&self, directory: &Directory, f: impl FnOnce(&[u64]) -> R) -> R {
+        f(self.quiesce(directory).words())
     }
 
     /// The frame's mapping generation. A TLB entry is only valid while
-    /// its recorded generation matches; invalidations bump it (under
-    /// the quiesce guard), which forces accesses that cloned the entry
-    /// before the shootdown to re-fault instead of touching a retired
-    /// or re-armed copy. This is the simulator's equivalent of the
+    /// its recorded generation matches; invalidations bump it (while
+    /// quiesced), which forces accesses that cloned the entry before
+    /// the shootdown to re-fault instead of touching a retired or
+    /// re-armed copy. This is the simulator's equivalent of the
     /// paper's translation-critical-section rollback (§4.2.1).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
-    }
-
-    /// Bumps the mapping generation. Call only while holding the
-    /// [`quiesce`](PageFrame::quiesce) guard — which is also why the
-    /// increment is a plain load + store rather than an atomic RMW:
-    /// bumps are serialized by the exclusive guard, only the
-    /// generation word's store itself needs to be atomic for the
-    /// concurrent [`generation`](PageFrame::generation) readers.
-    pub fn bump_generation(&self) {
-        let g = self.generation.load(Ordering::Relaxed);
-        self.generation.store(g + 1, Ordering::Release);
     }
 
     /// The directory-slot cell's value (0 until someone sets it). A
@@ -202,7 +205,7 @@ impl PageFrame {
     }
 
     /// Line addresses (for the cache model) covering this frame.
-    pub fn lines(&self) -> impl Iterator<Item = u64> {
+    pub fn lines(&self) -> std::ops::Range<u64> {
         let first = self.base / PageGeometry::LINE_BYTES;
         let count = self.len_words() * PageGeometry::WORD_BYTES / PageGeometry::LINE_BYTES;
         first..first + count
@@ -212,6 +215,41 @@ impl PageFrame {
     #[inline]
     pub fn line_of_word(&self, idx: u64) -> u64 {
         (self.base + idx * PageGeometry::WORD_BYTES) / PageGeometry::LINE_BYTES
+    }
+}
+
+/// A drained frame ([`PageFrame::quiesce`]): every directory stripe of
+/// its lines is held, so no simulated access reads or writes it until
+/// the guard drops.
+#[derive(Debug)]
+pub struct Quiesced<'a> {
+    _held: HeldLines<'a>,
+    frame: &'a PageFrame,
+}
+
+impl Quiesced<'_> {
+    /// The frame's words as one plain slice.
+    pub fn words(&self) -> &[u64] {
+        let words = &self.frame.words;
+        // SAFETY: `AtomicU64` has the same size and bit validity as
+        // `u64`. Every store to a live frame's words is an access under
+        // its line's stripe, all of which this guard holds, so no store
+        // races with these plain reads for the borrow's length, which
+        // the guard outlives; the stripes' release and acquire order
+        // them before and after any store. (The protocol's own stores —
+        // fills, diff merges and pushes — run under the page's server
+        // lock, as the quiesced sites do.)
+        unsafe { std::slice::from_raw_parts(words.as_ptr().cast(), words.len()) }
+    }
+
+    /// Bumps the frame's mapping generation, retiring every translation
+    /// made before: an access holding one finds out under its line's
+    /// stripe and re-faults. Bumps are serialized by the guard, so the
+    /// increment is a plain load and store, not a read-modify-write.
+    pub fn bump_generation(&self) {
+        let generation = &self.frame.generation;
+        let g = generation.load(Ordering::Relaxed);
+        generation.store(g + 1, Ordering::Release);
     }
 }
 
@@ -261,7 +299,6 @@ impl FrameAllocator {
             base,
             home_node,
             words,
-            guard: RwLock::new(()),
             generation: AtomicU64::new(0),
             dir_hint: AtomicU32::new(0),
         })
@@ -337,13 +374,35 @@ mod tests {
         assert_eq!(f.dir_hint(), 41);
     }
 
+    /// A quiesced frame shows its words plainly; once a bump has retired
+    /// the generation, an access under the old one is refused and one
+    /// under the new one goes through.
     #[test]
-    fn guard_excludes_quiesce_during_access() {
+    fn quiesce_drains_accesses_and_bump_retires_translations() {
+        use mgs_cache::{CacheConfig, ProcCache, SsmpCacheSystem};
         let f = alloc().alloc(0);
-        let read = f.begin_access();
-        assert!(f.guard.try_write().is_err());
-        drop(read);
-        assert!(f.guard.try_write().is_ok());
+        let sys = SsmpCacheSystem::new(5);
+        let mut cache = ProcCache::new(CacheConfig::alewife());
+        let line = f.line_of_word(3);
+        let mut write = |gen, value| {
+            sys.access_hinted(&mut cache, 0, line, 0, true, 0, Some(f.word(3, gen, value)))
+                .map(|s| s.value)
+        };
+        assert_eq!(write(0, 5), Some(5));
+        let blocks = sys.directory().blocks_allocated();
+        {
+            let q = f.quiesce(sys.directory());
+            assert_eq!(q.words()[3], 5);
+            q.bump_generation();
+        }
+        assert_eq!(f.generation(), 1);
+        assert_eq!(write(0, 6), None, "a retired translation re-faults");
+        assert_eq!(f.load(3), 5);
+        assert_eq!(write(1, 6), Some(6));
+        // A frame whose block was recycled: quiescing creates nothing.
+        sys.directory().clean_page(f.lines());
+        f.with_quiesced(sys.directory(), |w| assert_eq!(w[3], 6));
+        assert_eq!(sys.directory().blocks_allocated(), blocks);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * [`PageFrame`] — a physical page: the actual backing store (atomic
 //!   64-bit words, so simulated applications compute real results), a
 //!   physical base address for the cache model, a home node for
-//!   first-touch placement, and an access guard that lets the protocol
-//!   drain in-flight accesses before invalidating.
+//!   first-touch placement, and a mapping generation; the protocol
+//!   drains in-flight accesses ([`PageFrame::quiesce`]) through the
+//!   SSMP's line directory before invalidating.
 //! * [`FrameAllocator`] — allocates frames with unique physical
 //!   addresses.
 //! * [`TwinPool`] — recycled page-sized buffers for twins, snapshots
@@ -39,7 +40,7 @@ mod pool;
 mod tlb;
 
 pub use addr::{PageGeometry, VIRT_BASE};
-pub use frame::{FrameAllocator, PageFrame};
+pub use frame::{FrameAllocator, PageFrame, Quiesced};
 pub use heap::{AccessKind, SharedHeap, VRange};
 pub use pool::{PageBuf, PoolStats, TwinPool};
 pub use tlb::{Tlb, TlbEntry, TlbStats};

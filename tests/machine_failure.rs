@@ -118,6 +118,34 @@ fn a_second_run_on_one_machine_panics_instead_of_hanging() {
     assert!(msg.contains("a machine runs once"), "{msg}");
 }
 
+/// A directory stripe is a host lock like any other: a task that
+/// suspends holding one (here a quiesce's guard, held across a barrier
+/// it arrives at first) is caught where it gives up its worker, and
+/// the run fails naming the contract.
+#[test]
+#[cfg(debug_assertions)]
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn suspending_while_holding_a_directory_stripe_is_caught() {
+    let outcome = outcome_within_deadline("a processor suspends holding a stripe", || {
+        let machine = Machine::new(DssmpConfig::new(2, 2).with_virtual_engine(Some(1)));
+        let arr = machine.alloc_array::<u64>(8, AccessKind::DistArray);
+        machine.run(|env| {
+            arr.write(env, env.pid() as u64, 1);
+            if env.pid() == 0 {
+                let machine = Arc::clone(env.machine());
+                let directory = machine.protocol().cache_system(env.cluster()).directory();
+                let _held = directory.hold(0..64, 0);
+                env.barrier();
+            } else {
+                env.compute(1_000_000); // arrives last
+                env.barrier();
+            }
+        });
+    });
+    let msg = message(outcome.expect_err("the contract check fires"));
+    assert!(msg.contains("holding a host lock"), "{msg}");
+}
+
 #[test]
 fn sixteen_processors_faulting_the_same_cold_pages_wait_for_the_fill_in_place() {
     // The BUSY wait: while one processor of an SSMP fetches a page, its
