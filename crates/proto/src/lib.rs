@@ -14,7 +14,7 @@
 //! exactly (arc numbers are cited in the implementation).
 //!
 //! Transactions execute synchronously in the calling (simulated)
-//! processor's thread: the per-page server mutex plays the role of the
+//! processor's thread: the per-page lock plays the role of the
 //! paper's request queuing at the server, and all *timing* — message
 //! crossings, handler occupancy on remote nodes, data-movement costs —
 //! is reported through the [`ProtoTiming`] trait so the runtime can

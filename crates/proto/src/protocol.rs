@@ -4,16 +4,13 @@
 //! [`ProtoTiming`] sink. Every transaction's arcs of Table 1 /
 //! Figure 4 of the paper are cited on its step.
 //!
-//! # Lock ordering
-//!
-//! For any page: the **server mutex is acquired before any client
-//! mutex**, and client mutexes are never held while acquiring the server
-//! mutex (the fault path releases its optimistic client lock before
-//! requesting service). A step locks each client record it touches on
-//! first use and holds it to the step's end. This is the simulator's
-//! analogue of the paper's server-side request queuing (`REL_IN_PROG`
-//! queues replication requests): the per-page server mutex serializes
-//! whole transactions.
+//! A page is one record under one host lock, and every transaction —
+//! a fault, a TLB fill from a local copy included, a release, a drain —
+//! is one step run under it. This is the simulator's analogue of the
+//! paper's server-side request queuing (`REL_IN_PROG` queues
+//! replication requests): the page lock serializes whole transactions,
+//! so a processor that faults while a sibling fills the page waits on
+//! the lock and then finds the copy mapped.
 
 use crate::step::{ClientState, Ctx, Effects, Frame, PageState, ServerDirs};
 use crate::strategy::{AdaptiveController, PagePolicy, PolicyDecision, ProtocolKind};
@@ -35,11 +32,10 @@ type Res<T = ()> = Result<T, ProtocolError>;
 
 const PAGE_SHARDS: usize = 32;
 
-/// One SSMP's record for one page. `state` mirrors the page state's
-/// masks for the fault path, which reads it under this lock alone.
+/// One SSMP's host resources for one page; its protocol state is the
+/// page's [`PageState`].
 #[derive(Debug, Default)]
 struct ClientPage {
-    state: ClientState,
     /// The SSMP's physical copy (the home frame itself at the home SSMP).
     frame: Option<Arc<PageFrame>>,
     /// Twin snapshot for diffing (never present at the home SSMP).
@@ -47,36 +43,23 @@ struct ClientPage {
     twin: Option<PageBuf>,
     /// Bitmask of local processors with TLB mappings (`tlb_dir`).
     tlb_dir: u64,
-    /// A fill transaction is in flight from this SSMP (`BUSY`).
-    pending: bool,
-    /// Simulated time the last fill completed (waiters resume here).
-    installed_at: Cycles,
 }
 
-/// Server-side record for one page.
+/// All protocol state for one virtual page, under the page's one lock.
 #[derive(Debug)]
-struct ServerPage {
+struct Page {
     st: PageState,
     /// The physical home copy, at node `st.home`: fixed for all time
     /// (§3.1) unless a churn departure re-homes the page.
     home_frame: Arc<PageFrame>,
-}
-
-/// All protocol state for one virtual page.
-#[derive(Debug)]
-struct PageEntry {
-    server: Mutex<ServerPage>,
-    /// Per-SSMP client records, each with a condvar for `BUSY` waiters.
-    ///
-    /// Lock ordering: `server` before any client; client locks are never
-    /// held while acquiring `server`.
-    clients: Vec<(Mutex<ClientPage>, Condvar)>,
+    /// Per-SSMP host resources.
+    clients: Box<[ClientPage]>,
 }
 
 /// One shard of the page table.
 #[derive(Debug, Default)]
 struct Shard {
-    pages: HashMap<u64, Arc<PageEntry>>,
+    pages: HashMap<u64, Arc<Mutex<Page>>>,
     /// Home overrides of pages not yet instantiated; each is consumed
     /// when its page is created, after which the page's state holds it.
     homes: HashMap<u64, usize>,
@@ -85,7 +68,7 @@ struct Shard {
 /// One SSMP's home-LRC write notices.
 ///
 /// Lock discipline: the mutex guarding them is only ever held briefly
-/// (push, take, counter updates) — never across client locks or page
+/// (push, take, counter updates) — never across a page lock or page
 /// quiesce — so releases posting notices can never participate in a
 /// lock cycle with a drain in progress.
 #[derive(Debug, Default)]
@@ -96,9 +79,9 @@ struct Notices {
 
 /// The MGS multigrain shared memory protocol.
 ///
-/// One instance manages every virtual page of a DSSMP: the per-SSMP
-/// client records, the per-page server state, the physical home
-/// copies, per-processor TLBs and delayed update queues, and the
+/// One instance manages every virtual page of a DSSMP: each page's
+/// record (its protocol state, its physical home copy and every SSMP's
+/// copy), per-processor TLBs and delayed update queues, and the
 /// per-SSMP cache directories (for page cleaning).
 ///
 /// Transactions ([`fault`](MgsProtocol::fault),
@@ -237,9 +220,9 @@ impl MgsProtocol {
     ///   the same page — it may change over time (the adaptive
     ///   controller does), but only through the controller's serialized
     ///   apply step, never mid-transaction (each step reads it once, in
-    ///   its [`Ctx`], under the page's server lock);
+    ///   its [`Ctx`], under the page lock);
     /// * the lookup charges **no simulated cycles** and takes no page
-    ///   locks: it is called with the page's server mutex held.
+    ///   locks: it is called with the page lock held.
     #[inline]
     pub fn policy(&self, page: u64) -> PagePolicy {
         match (self.cfg.protocol, &self.controller) {
@@ -359,41 +342,39 @@ impl MgsProtocol {
             return home.unwrap_or_else(|| self.cfg.home_node(page));
         };
         drop(shard);
-        let home = entry.server.lock().st.home;
+        let home = entry.lock().st.home;
         home
     }
 
     /// The physical home copy of `page` (created on first use).
     pub fn home_frame(&self, page: u64) -> Arc<PageFrame> {
         let entry = self.page_entry(page);
-        let frame = entry.server.lock().home_frame.clone();
+        let frame = entry.lock().home_frame.clone();
         frame
     }
 
     /// Client-side state of `page` at SSMP `ssmp`.
     pub fn client_state(&self, ssmp: usize, page: u64) -> ClientState {
-        self.page_entry(page).clients[ssmp].0.lock().state
+        self.page_entry(page).lock().st.client(ssmp)
     }
 
     /// Server directories of `page`.
     pub fn server_dirs(&self, page: u64) -> ServerDirs {
-        self.page_entry(page).server.lock().st.dirs
+        self.page_entry(page).lock().st.dirs
     }
 
-    fn page_entry(&self, page: u64) -> Arc<PageEntry> {
+    fn page_entry(&self, page: u64) -> Arc<Mutex<Page>> {
         let mut shard = self.shard(page);
         let Shard { pages, homes } = &mut *shard;
         Arc::clone(pages.entry(page).or_insert_with(|| {
             let home = homes
                 .remove(&page)
                 .unwrap_or_else(|| self.cfg.home_node(page));
-            Arc::new(PageEntry {
-                server: Mutex::new(ServerPage {
-                    st: PageState::new(home),
-                    home_frame: self.frames.alloc(home),
-                }),
+            Arc::new(Mutex::new(Page {
+                st: PageState::new(home),
+                home_frame: self.frames.alloc(home),
                 clients: (0..self.cfg.n_ssmps).map(|_| Default::default()).collect(),
-            })
+            }))
         }))
     }
 
@@ -403,13 +384,11 @@ impl MgsProtocol {
         t.observe(event);
     }
 
-    /// Runs one step on `entry`'s page under its held server lock: the
-    /// state is copied out, stepped, and stored back — on failure too,
-    /// where it is the state the step reached.
+    /// Runs one step on page `page`, whose record the caller holds
+    /// locked; on failure the record keeps the state the step reached.
     fn step<R>(
         &self,
-        entry: &PageEntry,
-        server: &mut ServerPage,
+        rec: &mut Page,
         page: u64,
         t: &mut dyn ProtoTiming,
         f: impl FnOnce(&mut PageState, &Ctx<'_>, &mut Interp<'_>) -> R,
@@ -419,20 +398,20 @@ impl MgsProtocol {
             page,
             policy: self.policy(page),
         };
-        let mut st = server.st;
+        let Page {
+            st,
+            home_frame,
+            clients,
+        } = rec;
         let mut fx = Interp {
             proto: self,
-            entry,
-            home: &mut server.home_frame,
+            home: home_frame,
+            clients,
             page,
             t,
-            clients: [const { None }; 64],
             diff: None,
         };
-        let r = f(&mut st, &cx, &mut fx);
-        drop(fx);
-        server.st = st;
-        r
+        f(st, &cx, &mut fx)
     }
 
     /// Handles a TLB fault by global processor `proc` on `page`
@@ -510,90 +489,20 @@ impl MgsProtocol {
         want_write: bool,
         t: &mut dyn ProtoTiming,
     ) -> Res<(TlbEntry, XactOutcome)> {
-        let ssmp = self.cfg.ssmp_of(proc);
         let entry = self.page_entry(page);
         t.local(self.cfg.cost.fault_entry);
-        loop {
-            // Mutual exclusion on page-table state is a per-mapping
-            // shared-memory lock (§3.1.2).
-            t.local(self.cfg.cost.pt_lock);
-            let (lock, cond) = &entry.clients[ssmp];
-            let mut client = lock.lock();
-
-            if client.pending {
-                // Another local processor is already filling this page
-                // (`BUSY`); wait for it rather than issuing a duplicate
-                // request. A host wait, and safe as one: the filler is
-                // inside this transaction, which contains no scheduler
-                // tick or suspension, so it holds a host thread of its
-                // own and finishes without needing ours.
-                while client.pending {
-                    cond.wait(&mut client);
-                }
-                let resume = client.installed_at;
-                drop(client);
-                t.wait_until(resume);
-                continue;
-            }
-
-            match (client.state, want_write) {
-                // Arc 1 (read) / arcs 3,4 (write on WRITE page): a local
-                // mapping exists; fill the TLB.
-                (ClientState::Write, _) | (ClientState::Read, false) => {
-                    let e = self.map_local(proc, page, want_write, &mut client, t);
-                    return Ok((e, XactOutcome::TlbFill));
-                }
-                // Arc 2 (write fault on a READ copy: upgrade) or arc 5 (no
-                // copy: request one from the home).
-                (ClientState::Read, true) | (ClientState::Inv, _) => {
-                    let fill = client.state == ClientState::Inv;
-                    client.pending = fill;
-                    drop(client);
-                    let mut server = entry.server.lock();
-                    let res = self.step(&entry, &mut server, page, t, |st, cx, fx| {
-                        if !fill && fx.client(ssmp).pending {
-                            return Ok(None); // a sibling's fill is in flight
-                        }
-                        let res = st.fault(cx, proc, want_write, fx);
-                        if !matches!(res, Ok(XactOutcome::Upgrade | XactOutcome::TlbFill)) {
-                            fx.unbusy(ssmp);
-                        }
-                        res.map(|o| Some((o, fx.frame(Frame::Copy(ssmp)))))
-                    })?;
-                    let Some((outcome, frame)) = res else {
-                        continue;
-                    };
-                    let e = if outcome == XactOutcome::TlbFill {
-                        let mut client = entry.clients[ssmp].0.lock();
-                        self.map_local(proc, page, true, &mut client, t)
-                    } else {
-                        self.install_tlb(proc, page, frame, want_write, t)
-                    };
-                    return Ok((e, outcome));
-                }
-            }
-        }
-    }
-
-    /// Arc 1/3: install a TLB entry from an existing local mapping.
-    /// Read faults always install read-only mappings so that each
-    /// processor's first write still faults (and enters the DUQ).
-    fn map_local(
-        &self,
-        proc: usize,
-        page: u64,
-        want_write: bool,
-        client: &mut ClientPage,
-        t: &mut dyn ProtoTiming,
-    ) -> TlbEntry {
-        let frame = client.frame.clone().expect("mapped page has a frame");
-        t.local(self.cfg.cost.pt_walk);
-        client.tlb_dir |= 1 << self.cfg.local_index(proc);
-        if want_write && self.duqs[proc].push(page) {
-            // Arc 3: DUQ = DUQ ∪ {addr}.
-            t.local(self.cfg.cost.duq_insert);
-        }
-        self.install_tlb(proc, page, frame, want_write, t)
+        // Mutual exclusion on page-table state is a per-mapping
+        // shared-memory lock (§3.1.2).
+        t.local(self.cfg.cost.pt_lock);
+        let mut rec = entry.lock();
+        let outcome = self.step(&mut rec, page, t, |st, cx, fx| {
+            st.fault(cx, proc, want_write, fx)
+        })?;
+        // Inserted before the page lock goes, so no shoot-down can miss
+        // the entry.
+        let frame = rec.clients[self.cfg.ssmp_of(proc)].frame.clone();
+        let frame = frame.expect("a faulted page has a frame");
+        Ok((self.install_tlb(proc, page, frame, want_write, t), outcome))
     }
 
     /// The tail of every fault: charge the TLB insert and the fault
@@ -643,15 +552,15 @@ impl MgsProtocol {
         let pages = self.duqs[proc].drain();
         // A page another transaction pruned from this queue (arc 12)
         // carries this processor's writes home inside *that*
-        // transaction, which holds the page's server lock until every
-        // copy is invalidated. Until then some SSMP can still hold a
-        // stale writable copy, so this release must not complete — and
-        // hand a lock over to that SSMP — before it does: the next
-        // holder would update the stale word and its diff would
-        // overwrite the merged one. Host-side wait only; no simulated
-        // time is charged.
+        // transaction, which holds the page lock until every copy is
+        // invalidated. Until then some SSMP can still hold a stale
+        // writable copy, so this release must not complete — and hand
+        // a lock over to that SSMP — before it does: the next holder
+        // would update the stale word and its diff would overwrite the
+        // merged one. Host-side wait only; no simulated time is
+        // charged.
         for page in self.duqs[proc].take_pruned() {
-            drop(self.page_entry(page).server.lock());
+            drop(self.page_entry(page).lock());
         }
         if pages.is_empty() {
             return Ok(());
@@ -682,7 +591,7 @@ impl MgsProtocol {
     fn try_release_page(&self, proc: usize, page: u64, t: &mut dyn ProtoTiming) -> Res {
         let entry = self.page_entry(page);
         self.xact(t, XactKind::Release, page, |t| {
-            self.step(&entry, &mut entry.server.lock(), page, t, |st, cx, fx| {
+            self.step(&mut entry.lock(), page, t, |st, cx, fx| {
                 st.release(cx, proc, fx)
             })
             .map(|()| ((), XactOutcome::Released))
@@ -726,8 +635,8 @@ impl MgsProtocol {
         };
         let res = pending.into_iter().try_for_each(|page| {
             let entry = self.page_entry(page);
-            let mut server = entry.server.lock();
-            self.step(&entry, &mut server, page, t, |st, cx, fx| {
+            let mut rec = entry.lock();
+            self.step(&mut rec, page, t, |st, cx, fx| {
                 st.drain_notice(cx, ssmp, fx)
             })
         });
@@ -748,13 +657,13 @@ impl MgsProtocol {
         t: &mut dyn ProtoTiming,
         mut f: impl FnMut(&mut PageState, &Ctx<'_>, &mut Interp<'_>) -> Res,
     ) -> Res {
-        let mut pages: Vec<(u64, Arc<PageEntry>)> = Vec::new();
+        let mut pages: Vec<(u64, Arc<Mutex<Page>>)> = Vec::new();
         for shard in &self.shards {
             pages.extend(shard.lock().pages.iter().map(|(p, e)| (*p, Arc::clone(e))));
         }
         pages.sort_unstable_by_key(|(p, _)| *p);
         for (page, entry) in pages {
-            self.step(&entry, &mut entry.server.lock(), page, t, &mut f)?;
+            self.step(&mut entry.lock(), page, t, &mut f)?;
         }
         Ok(())
     }
@@ -862,8 +771,8 @@ impl MgsProtocol {
     /// Panics if the SSMP holds no copy of the page.
     pub fn dirty_client_lines(&self, ssmp: usize, page: u64) {
         let entry = self.page_entry(page);
-        let client = entry.clients[ssmp].0.lock();
-        let frame = client.frame.clone().expect("SSMP holds a copy");
+        let frame = entry.lock().clients[ssmp].frame.clone();
+        let frame = frame.expect("SSMP holds a copy");
         self.caches[ssmp]
             .directory()
             .mark_dirty_lines(frame.lines(), self.cfg.local_index(frame.home_node()));
@@ -871,15 +780,13 @@ impl MgsProtocol {
 }
 
 /// The interpreter's side of one step: the [`Effects`] carried out on
-/// one page while its server lock is held.
+/// one page while its lock is held.
 struct Interp<'a> {
     proto: &'a MgsProtocol,
-    entry: &'a PageEntry,
     home: &'a mut Arc<PageFrame>,
+    clients: &'a mut [ClientPage],
     page: u64,
     t: &'a mut dyn ProtoTiming,
-    /// Client records locked so far, held to the end of the step.
-    clients: [Option<MutexGuard<'a, ClientPage>>; 64],
     /// The step's diff scratch and the SSMP whose pool it came from.
     diff: Option<(usize, SpanDiff)>,
 }
@@ -892,35 +799,12 @@ impl Drop for Interp<'_> {
     }
 }
 
-/// SSMP `s`'s client record among a step's `clients`, locked on first
-/// use.
-fn slot<'b, 'a>(
-    clients: &'b mut [Option<MutexGuard<'a, ClientPage>>; 64],
-    entry: &'a PageEntry,
-    s: usize,
-) -> &'b mut ClientPage {
-    clients[s].get_or_insert_with(|| entry.clients[s].0.lock())
-}
-
 impl Interp<'_> {
-    fn client(&mut self, s: usize) -> &mut ClientPage {
-        slot(&mut self.clients, self.entry, s)
-    }
-
-    fn frame(&mut self, f: Frame) -> Arc<PageFrame> {
+    fn frame(&self, f: Frame) -> Arc<PageFrame> {
         match f {
             Frame::Home => self.home.clone(),
-            Frame::Copy(s) => self.client(s).frame.clone().expect("the SSMP holds a copy"),
+            Frame::Copy(s) => self.clients[s].frame.clone().expect("the SSMP holds a copy"),
         }
-    }
-
-    /// Ends SSMP `s`'s fill: waiters resume at the current time.
-    fn unbusy(&mut self, s: usize) {
-        let now = self.t.now();
-        let client = self.client(s);
-        client.installed_at = now;
-        client.pending = false;
-        self.entry.clients[s].1.notify_all();
     }
 }
 
@@ -1002,7 +886,7 @@ impl Effects for Interp<'_> {
     }
 
     fn set_state(&mut self, ssmp: usize, state: ClientState) {
-        let client = slot(&mut self.clients, self.entry, ssmp);
+        let client = &mut self.clients[ssmp];
         if state != ClientState::Write {
             client.twin = None;
         }
@@ -1011,14 +895,13 @@ impl Effects for Interp<'_> {
         } else if client.frame.is_none() {
             client.frame = Some(self.home.clone());
         }
-        client.state = state;
     }
 
     fn shoot_down(&mut self, ssmp: usize) {
         let (proto, page) = (self.proto, self.page);
         let frame = self.frame(Frame::Copy(ssmp));
         let rc = frame.home_node();
-        let tlb_dir = std::mem::take(&mut self.client(ssmp).tlb_dir);
+        let tlb_dir = std::mem::take(&mut self.clients[ssmp].tlb_dir);
         for lidx in crate::step::bits(tlb_dir) {
             let proc = ssmp * proto.cfg.procs_per_ssmp + lidx;
             proto.tlbs[proc].shootdown(page);
@@ -1055,7 +938,7 @@ impl Effects for Interp<'_> {
         frame.with_quiesced(self.proto.directory_of(&frame), |words| {
             twin.copy_from_slice(words)
         });
-        self.client(ssmp).twin = Some(twin);
+        self.clients[ssmp].twin = Some(twin);
     }
 
     fn diff(&mut self, ssmp: usize, keep_twin: bool) -> u64 {
@@ -1071,7 +954,7 @@ impl Effects for Interp<'_> {
                 }),
             )
         });
-        let client = slot(&mut self.clients, self.entry, ssmp);
+        let client = &mut self.clients[ssmp];
         if keep_twin {
             // Diff and twin refresh under ONE quiesce: the kept
             // twin must equal exactly the image that was diffed, or the
@@ -1133,7 +1016,7 @@ impl Effects for Interp<'_> {
     /// a different word loses nothing.
     fn push(&mut self, ssmp: usize) {
         let frame = self.frame(Frame::Copy(ssmp));
-        let client = slot(&mut self.clients, self.entry, ssmp);
+        let client = &mut self.clients[ssmp];
         let (_, diff) = self.diff.as_ref().expect("a diff to push");
         diff.apply_to_frame(&frame);
         if let Some(twin) = client.twin.as_mut() {
@@ -1179,7 +1062,7 @@ impl Effects for Interp<'_> {
                 let frame = proto.frames.alloc(node);
                 frame.fill(&data);
                 self.t.local(cfg.cost.page_install);
-                self.client(s).frame = Some(frame);
+                self.clients[s].frame = Some(frame);
             }
             Frame::Home => {
                 if node == self.home.home_node() {
@@ -1193,7 +1076,7 @@ impl Effects for Interp<'_> {
             }
         }
         if let (true, Some(s)) = (twin, copy) {
-            self.client(s).twin = Some(data);
+            self.clients[s].twin = Some(data);
         }
         Ok(())
     }
@@ -1208,7 +1091,7 @@ impl Effects for Interp<'_> {
 
     fn map(&mut self, proc: usize, write: bool) -> bool {
         let proto = self.proto;
-        self.client(proto.cfg.ssmp_of(proc)).tlb_dir |= 1 << proto.cfg.local_index(proc);
+        self.clients[proto.cfg.ssmp_of(proc)].tlb_dir |= 1 << proto.cfg.local_index(proc);
         write && proto.duqs[proc].push(self.page)
     }
 }
@@ -1220,9 +1103,8 @@ mod tests {
     #[test]
     fn fresh_client_page_is_inv() {
         let c = ClientPage::default();
-        assert_eq!(c.state, ClientState::Inv);
         assert!(c.frame.is_none() && c.twin.is_none());
         assert_eq!(c.tlb_dir, 0);
-        assert!(!c.pending);
+        assert_eq!(PageState::new(0).client(0), ClientState::Inv);
     }
 }

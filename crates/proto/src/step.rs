@@ -21,8 +21,9 @@ type Res<T = ()> = Result<T, ProtocolError>;
 
 /// Client-side page state of one SSMP (Figure 4's Local/Remote Client
 /// `pagestate`). The paper's `BUSY` — a fill in flight, local faulters
-/// wait — is the client record's `pending` flag: the fault path sets it
-/// before it queues for the server lock, so it is not step state.
+/// wait — is the page lock: a whole fault is one step under it, so a
+/// sibling that faults during a fill waits for the step and then finds
+/// the copy mapped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ClientState {
     /// No local copy (`INV`).
@@ -95,7 +96,7 @@ pub struct Ctx<'a> {
     /// The virtual page (for observed events).
     pub page: u64,
     /// The page's policy, read once per transaction under the page's
-    /// server lock, so one step sees one policy even if the adaptive
+    /// lock, so one step sees one policy even if the adaptive
     /// controller reclassifies the page concurrently.
     pub policy: PagePolicy,
 }
@@ -253,13 +254,13 @@ impl PageState {
         Ok(())
     }
 
-    /// A fault the server serves: a fill when `proc`'s SSMP holds no
-    /// copy, else an upgrade.
+    /// `RTLBFault` / `WTLBFault` by `proc`: a TLB fill from the SSMP's
+    /// copy (arc 1, and arc 3 for a write on a WRITE copy), an upgrade
+    /// of a READ copy, or a fill when the SSMP holds no copy.
     ///
-    /// A read fault must find the copy INV: one on a mapped copy is a
-    /// TLB fill the caller serves without the server (arc 1), and the
-    /// caller's `BUSY` flag keeps a sibling's fill from landing while
-    /// this one queues.
+    /// The caller maps the page writable only for a write fault, so a
+    /// processor that read-faults on a WRITE copy still faults on its
+    /// first write, which queues the page on its DUQ.
     pub fn fault(
         &mut self,
         cx: &Ctx,
@@ -267,11 +268,20 @@ impl PageState {
         write: bool,
         fx: &mut impl Effects,
     ) -> Res<XactOutcome> {
-        if self.client(cx.cfg.ssmp_of(proc)) != ClientState::Inv {
-            debug_assert!(write, "a read fault reaches the server only from INV");
-            return self.upgrade(cx, proc, fx);
+        let c = &cx.cfg.cost;
+        match (self.client(cx.cfg.ssmp_of(proc)), write) {
+            (ClientState::Write, _) | (ClientState::Read, false) => {
+                fx.local(c.pt_walk);
+                // Arc 3: DUQ = DUQ ∪ {addr}.
+                if fx.map(proc, write) {
+                    fx.local(c.duq_insert);
+                }
+                return Ok(XactOutcome::TlbFill);
+            }
+            (ClientState::Read, true) => return self.upgrade(cx, proc, fx),
+            (ClientState::Inv, _) => {}
         }
-        fx.local(cx.cfg.cost.lc_miss_setup);
+        fx.local(c.lc_miss_setup);
         self.fill(cx, proc, write, fx)?;
         Ok(match write {
             true => XactOutcome::WriteMiss,
@@ -280,10 +290,9 @@ impl PageState {
     }
 
     /// Arcs 2, 13 and the server's WNOTIFY (arc 18): a write fault on a
-    /// READ copy. Resolves as `Upgrade`, as `WriteMiss` when the copy
-    /// had to go first (it was invalidated in the window, noticed stale,
-    /// or a pinned writer's eviction made it stale), or as `TlbFill`
-    /// when another local processor upgraded first.
+    /// READ copy. Resolves as `Upgrade`, or as `WriteMiss` when the copy
+    /// had to go first (noticed stale, or a pinned writer's eviction
+    /// made it stale).
     fn upgrade(&mut self, cx: &Ctx, proc: usize, fx: &mut impl Effects) -> Res<XactOutcome> {
         let (c, s) = (&cx.cfg.cost, cx.cfg.ssmp_of(proc));
         let hs = cx.cfg.ssmp_of(self.home);
@@ -306,10 +315,8 @@ impl PageState {
             self.pin_evict(cx, s, fx)?;
             self.drop_stale(cx, s, false, fx);
         }
-        match self.client(s) {
-            ClientState::Write => return Ok(XactOutcome::TlbFill),
-            ClientState::Inv => return self.fault(cx, proc, true, fx),
-            ClientState::Read => {}
+        if self.client(s) == ClientState::Inv {
+            return self.fault(cx, proc, true, fx);
         }
         fx.local(c.pt_walk);
         // Arc 2: UPGRADE ⇒ l_home, the Remote Client owning the copy.
