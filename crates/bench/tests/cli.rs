@@ -76,6 +76,21 @@ fn declared_flags_and_app_names_are_accepted() {
     }
 }
 
+/// A sweep whose `C = 1` point has more SSMPs than the protocol tracks
+/// fails on the main thread before any point runs, naming the limit.
+#[test]
+fn a_sweep_past_64_ssmps_fails_before_it_starts() {
+    let out = mgs_bench(&["fig12", "--p", "128", "--quick"])
+        .output()
+        .expect("run mgs-bench");
+    assert_eq!(out.status.code(), Some(101), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("at most 64 SSMPs"), "{stderr}");
+    assert!(stderr.contains("'main'"), "{stderr}");
+    assert!(!stderr.contains("scoped thread"), "{stderr}");
+}
+
 /// With no environment variable set a sweep command prints the same
 /// bytes on every run, and the same bytes however many points run at
 /// once.

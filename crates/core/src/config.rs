@@ -190,8 +190,18 @@ impl DssmpConfig {
 
     /// The cluster sizes of the paper's method (§2.4): every power of
     /// two from 1 up to `P`, in increasing order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `P > 64`: the `C = 1` point has `P` SSMPs, and the
+    /// protocol tracks at most 64 SSMPs. Every sweep gets its sizes
+    /// here, so a sweep that cannot be built fails before it starts.
     pub fn cluster_sizes(&self) -> impl Iterator<Item = usize> {
         let p = self.n_procs;
+        assert!(
+            p <= 64,
+            "a sweep's C = 1 point needs P = {p} SSMPs; the protocol tracks at most 64 SSMPs"
+        );
         std::iter::successors(Some(1usize), |c| c.checked_mul(2)).take_while(move |&c| c <= p)
     }
 

@@ -6,7 +6,7 @@ use crate::report::{ProcResult, RunReport};
 use crate::DssmpConfig;
 use mgs_net::LanModel;
 use mgs_obs::{ObsEvent, ObsSink, TraceEvent};
-use mgs_proto::{MgsProtocol, ProtoConfig, ProtoStats, ProtoTiming, RecordingTiming};
+use mgs_proto::{MgsProtocol, ProtoConfig, ProtoStats, RecordingTiming};
 use mgs_sim::{Cycles, GovWaitSnapshot, Occupancy, VirtualScheduler};
 use mgs_sync::{HwLock, MgsBarrier, MgsLock};
 use mgs_vm::{AccessKind, SharedHeap};

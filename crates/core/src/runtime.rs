@@ -105,10 +105,6 @@ impl ProtoTiming for RuntimeTiming<'_> {
         self.clock.advance_to(CostCategory::Mgs, end);
     }
 
-    fn wait_until(&mut self, instant: Cycles) {
-        self.clock.advance_to(CostCategory::Mgs, instant);
-    }
-
     fn try_message(
         &mut self,
         from: usize,

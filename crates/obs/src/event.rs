@@ -122,8 +122,8 @@ pub enum ObsEvent {
         /// Cycles charged.
         cycles: Cycles,
     },
-    /// The requester waited (e.g. for another local processor's fill)
-    /// until `instant`.
+    /// The requester waited until `instant` (the post-run drain's
+    /// recorder starts this way at the run's end).
     WaitUntil {
         /// The instant waited for.
         instant: Cycles,

@@ -398,20 +398,15 @@ impl MgsProtocol {
             page,
             policy: self.policy(page),
         };
-        let Page {
-            st,
-            home_frame,
-            clients,
-        } = rec;
         let mut fx = Interp {
             proto: self,
-            home: home_frame,
-            clients,
+            home: &mut rec.home_frame,
+            clients: &mut rec.clients,
             page,
             t,
             diff: None,
         };
-        f(st, &cx, &mut fx)
+        f(&mut rec.st, &cx, &mut fx)
     }
 
     /// Handles a TLB fault by global processor `proc` on `page`
@@ -803,7 +798,10 @@ impl Interp<'_> {
     fn frame(&self, f: Frame) -> Arc<PageFrame> {
         match f {
             Frame::Home => self.home.clone(),
-            Frame::Copy(s) => self.clients[s].frame.clone().expect("the SSMP holds a copy"),
+            Frame::Copy(s) => self.clients[s]
+                .frame
+                .clone()
+                .expect("the SSMP holds a copy"),
         }
     }
 }

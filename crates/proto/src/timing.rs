@@ -30,10 +30,6 @@ pub trait ProtoTiming {
     /// `node`, serialized with other protocol work at that node.
     fn node_work(&mut self, node: usize, cycles: Cycles);
 
-    /// The transaction had to wait (e.g. for a fill by another local
-    /// processor) until `instant`.
-    fn wait_until(&mut self, instant: Cycles);
-
     /// Attempts one transmission of a protocol message over a possibly
     /// unreliable fabric and reports whether it arrived.
     ///
@@ -182,6 +178,13 @@ impl RecordingTiming {
         self.seq.clear();
     }
 
+    /// Waits until `instant`: the clock moves there unless it is
+    /// already past it.
+    pub fn wait_until(&mut self, instant: Cycles) {
+        self.clock = self.clock.max(instant);
+        self.events.push(ObsEvent::WaitUntil { instant });
+    }
+
     /// Number of inter-SSMP crossings recorded.
     pub fn crossings(&self) -> usize {
         self.events
@@ -223,11 +226,6 @@ impl ProtoTiming for RecordingTiming {
             start,
             cycles,
         });
-    }
-
-    fn wait_until(&mut self, instant: Cycles) {
-        self.clock = self.clock.max(instant);
-        self.events.push(ObsEvent::WaitUntil { instant });
     }
 
     fn try_message(

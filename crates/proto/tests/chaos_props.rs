@@ -266,8 +266,8 @@ fn exhausted_retries_surface_errors_without_wedging() {
     );
     assert!(p.stats().xact_failures.get() > 0, "failure not counted");
 
-    // The aborted fill released the page's pending flag: on a healed
-    // fabric the very same access completes and installs a mapping.
+    // The aborted fill released the page's lock: on a healed fabric
+    // the very same access completes and installs a mapping.
     let mut healed = perfect();
     let e = p.fault(proc, page, true, &mut healed);
     assert!(e.writable, "healed fault grants write privilege");

@@ -1,14 +1,16 @@
 //! Multi-threaded protocol stress: many OS threads hammer the protocol
 //! engines concurrently with a data-race-free phased workload; the home
-//! copies must end up exactly right. Exercises the lock ordering, the
-//! BUSY/pending path, TLB shootdown, generation retirement, and DUQ
-//! pruning under real concurrency. Then the quiesce contract on its
-//! own: stores racing a loop of quiesce, diff and generation bump.
+//! copies must end up exactly right. Exercises the page lock that
+//! serializes each page's transactions, TLB shootdown, generation
+//! retirement, and DUQ pruning under real concurrency. Then two
+//! contracts on their own: siblings faulting one cold page at once fill
+//! it once, and stores race a loop of quiesce, diff and generation
+//! bump.
 
 use mgs_cache::{CacheConfig, ProcCache, SsmpCacheSystem};
 use mgs_proto::{MgsProtocol, ProtoConfig, RecordingTiming, SpanDiff};
 use mgs_sim::{CostModel, Cycles, XorShift64};
-use mgs_vm::{FrameAllocator, PageGeometry};
+use mgs_vm::{FrameAllocator, PageFrame, PageGeometry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
@@ -164,6 +166,57 @@ fn within_deadline<T: Send + 'static>(what: &str, body: impl FnOnce() -> T + Sen
         Ok(outcome) => outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
         Err(_) => panic!("{what}: still running after 60 s"),
     }
+}
+
+/// One fill per page: `threads` processors of SSMP 0 read-fault each of
+/// 200 cold pages homed at SSMP 1 at once. The page lock serializes
+/// them, so the first fills the SSMP's copy and the rest are TLB fills
+/// of it, every one mapping the same frame.
+fn siblings_fill_a_cold_page_once(threads: usize) {
+    const PAGES: u64 = 200;
+    let proto = MgsProtocol::new(ProtoConfig::new(2, threads));
+    for page in 0..PAGES {
+        proto.set_home(page, threads);
+    }
+    let start = Barrier::new(threads);
+    let frames: Vec<Vec<Arc<PageFrame>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|proc| {
+                let (proto, start) = (&proto, &start);
+                scope.spawn(move || {
+                    let mut t = timing();
+                    (0..PAGES)
+                        .map(|page| {
+                            start.wait();
+                            proto.fault(proc, page, false, &mut t).frame
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let stats = proto.stats();
+    assert_eq!(stats.read_misses.get(), PAGES, "one fill per page");
+    assert_eq!(stats.tlb_fills.get(), PAGES * (threads as u64 - 1));
+    for page in 0..PAGES as usize {
+        for sibling in &frames[1..] {
+            assert!(
+                Arc::ptr_eq(&sibling[page], &frames[0][page]),
+                "page {page}: every sibling maps the one copy"
+            );
+        }
+    }
+}
+
+#[test]
+fn siblings_fill_a_cold_page_once_at_2_threads() {
+    within_deadline("2 siblings faulting", || siblings_fill_a_cold_page_once(2));
+}
+
+#[test]
+fn siblings_fill_a_cold_page_once_at_4_threads() {
+    within_deadline("4 siblings faulting", || siblings_fill_a_cold_page_once(4));
 }
 
 /// The quiesce contract under real concurrency, on one frame: all but

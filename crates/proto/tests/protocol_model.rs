@@ -9,14 +9,16 @@
 //! visited-state dedup runs every interleaving of a few processors'
 //! read and write faults, locked stores and loads, lock hand-overs and
 //! releases, the adaptive controller's policy switch, and a churn
-//! departure and rejoin. Between the effects of a transaction that
-//! holds a page's server lock, everything that does not need that lock
-//! may run: a store through a live mapping, a TLB fill from a local
-//! copy, a release whose DUQ entry was pruned, a lock hand-over. A
-//! paused transaction resumes by replaying its step from the state it
-//! started in, skipping the effects already carried out. Every
-//! inter-SSMP message is delivered twice through a real [`SeqFilter`],
-//! and the copy must be rejected.
+//! departure and rejoin. Every fault runs the real fault step, a TLB
+//! fill from a local copy (arcs 1 and 3) included. Between the effects
+//! of a transaction that holds a page's lock, everything that does not
+//! need that lock may run: a store through a live mapping, a TLB fill
+//! of another page (run whole, as one action), a release whose DUQ
+//! entry was pruned, a lock hand-over. A fault on the page itself waits
+//! for the lock. A paused transaction resumes by replaying its step
+//! from the state it started in, skipping the effects already carried
+//! out. Every inter-SSMP message is delivered twice through a real
+//! [`SeqFilter`], and the copy must be rejected.
 //!
 //! The checked invariants:
 //! - at most one untwinned writer, and only at the home SSMP;
@@ -25,10 +27,10 @@
 //!   and no locked access reads a value other than the last write;
 //! - no release returns before the flush that pruned its DUQ entry.
 //!
-//! Model bounds: one processor per SSMP (the `BUSY` wait and a local
-//! sibling's TLB fill stay host-side), at most one transaction in
-//! flight, one lock held per processor, one churn departure, and a
-//! budget of stores per run.
+//! Model bounds: one processor per SSMP, or two on one SSMP in one
+//! scenario; at most one transaction in flight besides whole TLB fills;
+//! one lock held per processor, one churn departure, and a budget of
+//! stores per run.
 //!
 //! The negative cases break the real step from the outside (a wrapper
 //! here, no switch in the crate) and the search, told only the
@@ -82,8 +84,9 @@ struct Client {
     state: ClientState,
     frame: Fr,
     twin: Option<Mem>,
-    /// The SSMP's one processor maps the page (`tlb_dir`).
-    mapped: bool,
+    /// The SSMP's processors that map the page, by local index
+    /// (`tlb_dir`).
+    mapped: u8,
     /// The SSMP's cache holds dirty lines of this copy.
     dirty: bool,
 }
@@ -156,10 +159,25 @@ struct Inflight {
     next: i32,
     /// `noticed()` answers so far, one bit per call.
     noticed: u32,
-    /// Client records the step has locked.
-    locked: u8,
     diff: Option<(u8, Mem)>,
     cleaned_home: bool,
+}
+
+impl Inflight {
+    /// `who`'s `kind` step on `page`, about to start.
+    fn new(who: usize, kind: Kind, page: usize, pg: &Page) -> Inflight {
+        Inflight {
+            who,
+            kind,
+            page,
+            start: pg.st,
+            policy: pg.policy,
+            next: -1,
+            noticed: 0,
+            diff: None,
+            cleaned_home: false,
+        }
+    }
 }
 
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -193,8 +211,9 @@ enum Bug {
 
 #[derive(Clone, Debug)]
 struct Scenario {
-    /// Processors, one per SSMP, at SSMPs `0..procs`.
+    /// Processors, `per_ssmp` to an SSMP from SSMP 0 on.
     procs: usize,
+    per_ssmp: usize,
     /// The pages' home SSMP; `procs` puts it at an SSMP with no
     /// processor.
     home: usize,
@@ -221,6 +240,7 @@ impl Scenario {
     fn new(procs: usize, policy: PagePolicy) -> Scenario {
         Scenario {
             procs,
+            per_ssmp: 1,
             home: procs,
             pages: 1,
             words: vec![(0, 0, 0)],
@@ -235,8 +255,13 @@ impl Scenario {
         }
     }
 
+    /// SSMPs with processors.
+    fn proc_ssmps(&self) -> usize {
+        self.procs.div_ceil(self.per_ssmp)
+    }
+
     fn ssmps(&self) -> usize {
-        (self.home + 1).max(self.procs)
+        (self.home + 1).max(self.proc_ssmps())
     }
 
     fn locks(&self) -> usize {
@@ -290,6 +315,10 @@ struct Reached {
     /// A diff merged over a dirty home that no clean in the same
     /// transaction flushed, by transaction.
     merged_over_dirty_home: RefCell<Vec<Kind>>,
+    /// A TLB fill while a sibling maps the page.
+    sibling_fill: Cell<bool>,
+    /// A shoot-down that unmapped two siblings and pruned both DUQs.
+    siblings_pruned: Cell<bool>,
 }
 
 impl Reached {
@@ -318,6 +347,17 @@ struct Report {
 }
 
 type Check = Result<(), String>;
+
+/// How far one run of a step goes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Run {
+    /// No effect: only the outcome.
+    Probe,
+    /// The next pause point.
+    Next,
+    /// Every effect.
+    Whole,
+}
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
@@ -385,7 +425,6 @@ impl Fx<'_> {
     }
 
     fn client(&mut self, s: usize) -> &mut Client {
-        self.inf.locked |= bit(s);
         &mut self.w.pages[self.inf.page].clients[s]
     }
 
@@ -424,10 +463,7 @@ impl Effects for Fx<'_> {
     fn work(&mut self, _: usize, _: Cycles) {}
 
     fn owner(&mut self, ssmp: usize) -> usize {
-        if self.mode(false) == Mode::Real {
-            self.client(ssmp);
-        }
-        ssmp
+        ssmp * self.ck.sc.per_ssmp
     }
 
     fn observe(&mut self, event: ObsEvent) {
@@ -487,15 +523,19 @@ impl Effects for Fx<'_> {
         if c.frame == Fr::None {
             return self.fail(format!("shoot-down of SSMP {ssmp}, which has no frame"));
         }
-        if std::mem::take(&mut c.mapped) {
-            // One processor per SSMP: processor `ssmp`.
-            let p = &mut self.w.procs[ssmp];
+        let (mapped, mut pruned) = (std::mem::take(&mut c.mapped), 0);
+        for l in (0..8).filter(|&l| mapped & bit(l) != 0) {
+            let p = &mut self.w.procs[ssmp * self.ck.sc.per_ssmp + l];
             p.tlb[page] = Perm::None;
             if let Some(i) = p.duq.iter().position(|&q| q as usize == page) {
                 p.duq.remove(i);
                 p.pruned |= bit(page);
                 p.pruned_live |= bit(page);
+                pruned += 1;
             }
+        }
+        if pruned > 1 {
+            self.ck.reached.siblings_pruned.set(true);
         }
     }
 
@@ -632,7 +672,9 @@ impl Effects for Fx<'_> {
         }) {
             return false;
         }
-        self.client(proc).mapped = true;
+        let cfg = &self.ck.cfg;
+        let (s, l) = (cfg.ssmp_of(proc), cfg.local_index(proc));
+        self.client(s).mapped |= bit(l);
         let page = self.inf.page as u8;
         let duq = &mut self.w.procs[proc].duq;
         let new = write && !duq.contains(&page);
@@ -683,7 +725,7 @@ impl Checker {
     fn new(sc: Scenario) -> Checker {
         let n = sc.ssmps();
         Checker {
-            cfg: ProtoConfig::new(n, 1),
+            cfg: ProtoConfig::new(n, sc.per_ssmp),
             filters: (0..n).map(|_| SeqFilter::new(n)).collect(),
             seq: (0..n).map(|_| Cell::new(0)).collect(),
             reached: Reached::default(),
@@ -694,11 +736,12 @@ impl Checker {
 
     fn root(&self) -> World {
         let sc = &self.sc;
+        let home_node = sc.home * sc.per_ssmp;
         let page = Page {
-            st: PageState::new(sc.home),
+            st: PageState::new(home_node),
             policy: sc.policy,
             home: [0; 2],
-            home_node: sc.home,
+            home_node,
             home_dirty: false,
             clients: Default::default(),
         };
@@ -730,7 +773,6 @@ impl Checker {
     fn actions(&self, w: &World) -> Vec<Act> {
         let sc = &self.sc;
         let mut acts = Vec::new();
-        let locked = w.inflight.as_ref().map_or(0, |i| i.locked);
         for who in 0..=sc.procs {
             let pr = &w.procs[who];
             if w.inflight.as_ref().is_some_and(|i| i.who == who) {
@@ -741,7 +783,7 @@ impl Checker {
                 let ready = match op {
                     Op::Xact(..) => w.inflight.is_none(),
                     Op::WaitServer(pg) => w.inflight.as_ref().is_none_or(|i| i.page != pg),
-                    Op::WaitDrains => w.drains[who] == 0,
+                    Op::WaitDrains => w.drains[self.cfg.ssmp_of(who)] == 0,
                     _ => true,
                 };
                 if ready {
@@ -751,7 +793,7 @@ impl Checker {
             }
             if who == self.agent() {
                 // The processors' SSMPs are alike: only the last departs.
-                for ssmp in sc.procs - 1..sc.ssmps() {
+                for ssmp in sc.proc_ssmps() - 1..sc.ssmps() {
                     if w.departed & bit(ssmp) != 0 {
                         acts.push(Act::Rejoin { ssmp });
                     } else if sc.churn && w.churns == 0 {
@@ -761,12 +803,13 @@ impl Checker {
                 continue;
             }
             let proc = who;
-            for page in 0..sc.pages {
+            // A fault on a page whose lock a transaction holds waits for
+            // it; faulting once the lock is free reaches the same states.
+            let held = w.inflight.as_ref().map(|i| i.page);
+            for page in (0..sc.pages).filter(|&pg| held != Some(pg)) {
                 for write in [false, true] {
                     let have = pr.tlb[page];
-                    if (have == Perm::None || have == Perm::Read && write)
-                        && locked & bit(proc) == 0
-                    {
+                    if have == Perm::None || have == Perm::Read && write {
                         acts.push(Act::Fault { proc, page, write });
                     }
                 }
@@ -822,9 +865,9 @@ impl Checker {
         ops
     }
 
-    fn word_value(w: &World, proc: usize, page: usize, off: usize) -> Val {
+    fn word_value(w: &World, ssmp: usize, page: usize, off: usize) -> Val {
         let pg = &w.pages[page];
-        match pg.clients[proc].frame {
+        match pg.clients[ssmp].frame {
             Fr::Own(m) => m[off],
             Fr::Home => pg.home[off],
             Fr::None => unreachable!("a live mapping has a frame"),
@@ -835,15 +878,12 @@ impl Checker {
         self.note(|| format!("{act:?}"));
         match act {
             Act::Fault { proc, page, write } => {
-                let state = w.pages[page].clients[proc].state;
-                match (state, write) {
-                    (ClientState::Write, _) | (ClientState::Read, false) => {
-                        Self::map_local(w, proc, page, write);
-                    }
-                    _ => w.procs[proc]
-                        .ops
-                        .push_back(Op::Xact(Kind::Fault { proc, write }, page)),
-                }
+                w.procs[proc]
+                    .ops
+                    .push_back(Op::Xact(Kind::Fault { proc, write }, page));
+                // A TLB fill is one action (`actions` knows the page's
+                // lock is free).
+                self.local_fill(w, proc)?;
             }
             Act::Store { proc, word } => {
                 // A read-modify-write; `check_state` saw it read the truth.
@@ -852,7 +892,7 @@ impl Checker {
                 w.writes += 1;
                 (w.truth[word], w.last[word]) = (new, proc);
                 let pg = &mut w.pages[page];
-                let c = &mut pg.clients[proc];
+                let c = &mut pg.clients[self.cfg.ssmp_of(proc)];
                 match &mut c.frame {
                     Fr::Own(m) => (m[off], c.dirty) = (new, true),
                     _ => (pg.home[off], pg.home_dirty) = (new, true),
@@ -862,14 +902,15 @@ impl Checker {
                 w.locks[lock] = Some(proc);
                 w.procs[proc].holds = Some(lock);
                 if self.sc.notices {
-                    let pages = std::mem::take(&mut w.notices[proc]);
+                    let ssmp = self.cfg.ssmp_of(proc);
+                    let pages = std::mem::take(&mut w.notices[ssmp]);
                     let ops = &mut w.procs[proc].ops;
                     if pages == 0 {
                         ops.push_back(Op::WaitDrains);
                     } else {
-                        w.drains[proc] += 1;
+                        w.drains[ssmp] += 1;
                         for pg in (0..self.sc.pages).filter(|&pg| pages & bit(pg) != 0) {
-                            ops.push_back(Op::Xact(Kind::Drain { ssmp: proc }, pg));
+                            ops.push_back(Op::Xact(Kind::Drain { ssmp }, pg));
                         }
                         ops.push_back(Op::DrainEnd);
                     }
@@ -896,7 +937,7 @@ impl Checker {
                 for pg in 0..self.sc.pages {
                     let kind = Kind::Depart {
                         ssmp,
-                        new_home: survivor,
+                        new_home: survivor * self.sc.per_ssmp,
                     };
                     w.procs[agent].ops.push_back(Op::Xact(kind, pg));
                 }
@@ -915,39 +956,40 @@ impl Checker {
         Ok(())
     }
 
-    fn map_local(w: &mut World, proc: usize, page: usize, write: bool) {
-        w.pages[page].clients[proc].mapped = true;
-        let p = &mut w.procs[proc];
-        if write && !p.duq.contains(&(page as u8)) {
-            p.duq.push(page as u8);
+    /// Runs `who`'s queued fault whole if its step is a TLB fill from a
+    /// local copy; the caller knows no transaction holds the page.
+    /// Returns whether it ran.
+    fn local_fill(&self, w: &mut World, who: usize) -> Result<bool, String> {
+        let Some(&Op::Xact(kind @ Kind::Fault { .. }, page)) = w.procs[who].ops.front() else {
+            return Ok(false);
+        };
+        let mut inf = Inflight::new(who, kind, page, &w.pages[page]);
+        let probe = self.run(w, &mut inf.clone(), Run::Probe)?;
+        if probe.map(|(_, outcome)| outcome) != Some(Some(XactOutcome::TlbFill)) {
+            return Ok(false);
         }
-        p.tlb[page] = if write { Perm::Write } else { Perm::Read };
+        let (st, outcome) = self.run(w, &mut inf, Run::Whole)?.expect("a whole step");
+        self.commit(w, &inf, st, outcome)?;
+        Ok(true)
     }
 
     fn op(&self, w: &mut World, who: usize) -> Check {
         if w.inflight.as_ref().is_some_and(|i| i.who == who) {
             return self.advance(w);
         }
-        let op = w.procs[who].ops.pop_front().expect("an op");
-        match op {
-            Op::Xact(kind, page) => {
-                w.procs[who].ops.push_front(op);
-                w.inflight = Some(Inflight {
-                    who,
-                    kind,
-                    page,
-                    start: w.pages[page].st,
-                    policy: w.pages[page].policy,
-                    next: -1,
-                    noticed: 0,
-                    locked: 0,
-                    diff: None,
-                    cleaned_home: false,
-                });
-                return self.advance(w);
+        let op = *w.procs[who].ops.front().expect("an op");
+        if let Op::Xact(kind, page) = op {
+            if self.local_fill(w, who)? {
+                return Ok(());
             }
+            w.inflight = Some(Inflight::new(who, kind, page, &w.pages[page]));
+            return self.advance(w);
+        }
+        w.procs[who].ops.pop_front();
+        match op {
+            Op::Xact(..) => unreachable!("handled above"),
             Op::WaitServer(_) | Op::WaitDrains => {}
-            Op::DrainEnd => w.drains[who] -= 1,
+            Op::DrainEnd => w.drains[self.cfg.ssmp_of(who)] -= 1,
             Op::Unlock(lock) => {
                 w.locks[lock] = None;
                 w.procs[who].holds = None;
@@ -964,93 +1006,80 @@ impl Checker {
         Ok(())
     }
 
-    /// Carries out one more pause point of the transaction in flight,
-    /// committing it when its step returns.
-    fn advance(&self, w: &mut World) -> Check {
-        let mut inf = w.inflight.take().expect("a transaction in flight");
+    /// Runs `inf`'s step from the state it started in. Returns the state
+    /// it reached and its outcome, or `None` if it paused.
+    fn run(
+        &self,
+        w: &mut World,
+        inf: &mut Inflight,
+        how: Run,
+    ) -> Result<Option<(PageState, Option<XactOutcome>)>, String> {
         let mut st = inf.start;
         let cx = Ctx {
             cfg: &self.cfg,
             page: inf.page as u64,
             policy: inf.policy,
         };
-        let (kind, page) = (inf.kind, inf.page);
+        let kind = inf.kind;
         let mut fx = Fx {
             ck: self,
             w,
-            inf: &mut inf,
-            all: false,
+            inf,
+            all: how == Run::Whole,
             seen: 0,
-            off: false,
+            off: how == Run::Probe,
             queries: 0,
             single_writer_flush: false,
             bad: None,
         };
         let outcome = run_step(kind, &mut st, &cx, &mut fx, self.sc.bug);
-        let (off, bad) = (fx.off, fx.bad.take());
-        if let Some(bad) = bad {
+        if let Some(bad) = fx.bad.take() {
             return Err(bad);
         }
-        if off {
-            inf.next += 1;
-            w.inflight = Some(inf);
-            return Ok(());
+        let paused = fx.off && how == Run::Next;
+        Ok((!paused).then_some((st, outcome)))
+    }
+
+    /// Carries out one more pause point of the transaction in flight,
+    /// committing it when its step returns.
+    fn advance(&self, w: &mut World) -> Check {
+        let mut inf = w.inflight.take().expect("a transaction in flight");
+        match self.run(w, &mut inf, Run::Next)? {
+            Some((st, outcome)) => self.commit(w, &inf, st, outcome),
+            None => {
+                inf.next += 1;
+                w.inflight = Some(inf);
+                Ok(())
+            }
         }
+    }
+
+    /// Stores the state a finished step reached and retires its op.
+    fn commit(
+        &self,
+        w: &mut World,
+        inf: &Inflight,
+        st: PageState,
+        outcome: Option<XactOutcome>,
+    ) -> Check {
+        let page = inf.page;
         w.pages[page].st = st;
         for p in &mut w.procs {
             p.pruned_live &= !bit(page);
         }
-        let who = inf.who;
-        w.procs[who].ops.pop_front();
-        match (kind, outcome) {
-            (Kind::Fault { proc, .. }, Some(XactOutcome::TlbFill)) => {
-                Self::map_local(w, proc, page, true)
-            }
-            (Kind::Fault { proc, write }, Some(_)) => {
+        w.procs[inf.who].ops.pop_front();
+        match (inf.kind, outcome) {
+            (Kind::Fault { proc, write }, Some(outcome)) => {
+                let l = self.cfg.local_index(proc);
+                let mapped = w.pages[page].clients[self.cfg.ssmp_of(proc)].mapped;
+                if outcome == XactOutcome::TlbFill && mapped & !bit(l) != 0 {
+                    self.reached.sibling_fill.set(true);
+                }
                 w.procs[proc].tlb[page] = if write { Perm::Write } else { Perm::Read };
             }
             (Kind::Release { proc }, _) => self.check_released(w, proc, page)?,
             _ => {}
         }
-        Ok(())
-    }
-
-    /// Runs a whole step at once (the barrier's unpin).
-    fn run_whole(&self, w: &mut World, kind: Kind, page: usize) -> Check {
-        let mut inf = Inflight {
-            who: self.agent(),
-            kind,
-            page,
-            start: w.pages[page].st,
-            policy: w.pages[page].policy,
-            next: 0,
-            noticed: 0,
-            locked: 0,
-            diff: None,
-            cleaned_home: false,
-        };
-        let mut st = inf.start;
-        let cx = Ctx {
-            cfg: &self.cfg,
-            page: page as u64,
-            policy: inf.policy,
-        };
-        let mut fx = Fx {
-            ck: self,
-            w,
-            inf: &mut inf,
-            all: true,
-            seen: 0,
-            off: false,
-            queries: 0,
-            single_writer_flush: false,
-            bad: None,
-        };
-        run_step(kind, &mut st, &cx, &mut fx, self.sc.bug);
-        if let Some(bad) = fx.bad.take() {
-            return Err(bad);
-        }
-        w.pages[page].st = st;
         Ok(())
     }
 
@@ -1062,7 +1091,8 @@ impl Checker {
             if pg != page || w.last[word] != proc || w.truth[word] == 0 {
                 continue;
             }
-            for t in (0..self.sc.ssmps()).filter(|&t| t != proc) {
+            let s = self.cfg.ssmp_of(proc);
+            for t in (0..self.sc.ssmps()).filter(|&t| t != s) {
                 let c = w.pages[page].clients[t];
                 let noticed = self.sc.notices && (w.notices[t] & bit(page) != 0 || w.drains[t] > 0);
                 if c.state == ClientState::Inv || noticed {
@@ -1102,7 +1132,7 @@ impl Checker {
                 return Err(format!("page {page} has {untwinned} untwinned writers"));
             }
             for (proc, p) in w.procs[..self.sc.procs].iter().enumerate() {
-                let state = pg.clients[proc].state;
+                let state = pg.clients[self.cfg.ssmp_of(proc)].state;
                 let ok = match p.tlb[page] {
                     Perm::None => true,
                     Perm::Read => state != ClientState::Inv,
@@ -1123,7 +1153,7 @@ impl Checker {
                 if p.holds != Some(lock) || !p.ops.is_empty() || p.tlb[page] == Perm::None {
                     continue;
                 }
-                let v = Self::word_value(w, proc, page, off);
+                let v = Self::word_value(w, self.cfg.ssmp_of(proc), page, off);
                 if v != w.truth[word] {
                     return Err(format!(
                         "processor {proc} reads word {word} as {v:#b} under its lock; the last write left {:#b}",
@@ -1147,7 +1177,11 @@ impl Checker {
         let mut w = w.clone();
         let trace = self.trace.borrow_mut().take();
         for page in 0..self.sc.pages {
-            self.run_whole(&mut w, Kind::Unpin, page)?;
+            let mut inf = Inflight::new(self.agent(), Kind::Unpin, page, &w.pages[page]);
+            let (st, _) = self
+                .run(&mut w, &mut inf, Run::Whole)?
+                .expect("a whole step");
+            w.pages[page].st = st;
         }
         *self.trace.borrow_mut() = trace;
         for (word, &(page, off, _)) in self.sc.words.iter().enumerate() {
@@ -1328,6 +1362,30 @@ fn the_real_step_keeps_every_invariant() {
     assert!(
         merged.iter().any(|k| matches!(k, Kind::Release { .. })),
         "{merged:?}"
+    );
+}
+
+/// Two processors on one SSMP, the home at another: a sibling's TLB
+/// fill runs through the real fault step, under the page lock, and a
+/// shoot-down unmaps both siblings and prunes both DUQs (arc 12).
+#[test]
+fn two_processors_on_one_ssmp_keep_every_invariant() {
+    let mut sc = Scenario::new(2, PagePolicy::Eager);
+    (sc.per_ssmp, sc.home, sc.writes, sc.depth) = (2, 1, 1, Some(36));
+    // A churn eviction is the third party whose shoot-down finds both
+    // siblings' DUQs holding the page.
+    sc.churn = true;
+    let name = format!("{sc:?}");
+    let ck = Checker::new(sc);
+    let r = ck.explore().unwrap_or_else(|e| panic!("{name}: {e}"));
+    println!(
+        "{} states, {} transitions, {:.2} s: {name}",
+        r.states, r.transitions, r.secs
+    );
+    assert!(ck.reached.sibling_fill.get(), "no sibling TLB fill reached");
+    assert!(
+        ck.reached.siblings_pruned.get(),
+        "no shoot-down of both siblings reached"
     );
 }
 

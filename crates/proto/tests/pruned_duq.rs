@@ -65,9 +65,6 @@ impl ProtoTiming for PauseBeforeInvalidate {
     fn node_work(&mut self, node: usize, cycles: Cycles) {
         self.inner.node_work(node, cycles);
     }
-    fn wait_until(&mut self, instant: Cycles) {
-        self.inner.wait_until(instant);
-    }
     fn observe(&mut self, event: ObsEvent) {
         if matches!(event, ObsEvent::Invalidate { ssmp, .. } if ssmp == self.at_ssmp) {
             self.reached.send(()).expect("test is listening");

@@ -148,10 +148,11 @@ fn suspending_while_holding_a_directory_stripe_is_caught() {
 
 #[test]
 fn sixteen_processors_faulting_the_same_cold_pages_wait_for_the_fill_in_place() {
-    // The BUSY wait: while one processor of an SSMP fetches a page, its
-    // siblings faulting on the same page wait on a host condvar for
-    // that fill, holding their scheduler slots. With two workers the
-    // filler always holds the other one, so nothing stalls. Every
+    // While one processor of an SSMP fetches a page, its siblings
+    // faulting on the same page wait on the page's lock for that fill,
+    // holding their scheduler slots, and then fill their TLBs from the
+    // copy. With two workers the filler always holds the other one, so
+    // nothing stalls. Every
     // round all sixteen walk the same eight cold pages in the same
     // order, so whichever two are running keep meeting in a fill;
     // fresh pages every round keep the race open 200 times.
