@@ -23,8 +23,8 @@ use mgs_sim::Cycles;
 use mgs_vm::{
     FrameAllocator, PageBuf, PageFrame, PageGeometry, PoolStats, Tlb, TlbEntry, TwinPool,
 };
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::HashMap;
+use parking_lot::{Mutex, MutexGuard};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -65,18 +65,6 @@ struct Shard {
     homes: HashMap<u64, usize>,
 }
 
-/// One SSMP's home-LRC write notices.
-///
-/// Lock discipline: the mutex guarding them is only ever held briefly
-/// (push, take, counter updates) — never across a page lock or page
-/// quiesce — so releases posting notices can never participate in a
-/// lock cycle with a drain in progress.
-#[derive(Debug, Default)]
-struct Notices {
-    queue: Vec<u64>,
-    drains_in_flight: usize,
-}
-
 /// The MGS multigrain shared memory protocol.
 ///
 /// One instance manages every virtual page of a DSSMP: each page's
@@ -114,12 +102,11 @@ pub struct MgsProtocol {
     duqs: Vec<Arc<Duq>>,
     caches: Vec<Arc<SsmpCacheSystem>>,
     shards: Vec<Mutex<Shard>>,
-    /// Per-SSMP write notices (home-LRC lazy invalidation): pages whose
-    /// local read copy is stale and must be dropped at the next acquire
-    /// point, plus a count of drains in flight (an acquiring processor
-    /// may not proceed past its acquire point until pending
-    /// invalidations have been performed, not merely claimed).
-    notices: Vec<(Mutex<Notices>, Condvar)>,
+    /// Per-SSMP write-notice queues (home-LRC lazy invalidation): pages
+    /// whose [`PageState::noticed`] bit the SSMP holds, to drain at its
+    /// next acquire point. A page leaves only once drained; the mutex is
+    /// a leaf, held for one push, peek or pop.
+    notices: Vec<Mutex<VecDeque<u64>>>,
     /// Per-SSMP sequence-number allocators for outbound inter-SSMP
     /// messages (the send half of the exactly-once transport).
     send_seq: Vec<AtomicU64>,
@@ -593,57 +580,36 @@ impl MgsProtocol {
         })
     }
 
-    /// Is a lazy write notice pending (or possibly being drained right
-    /// now) for `page` at `ssmp`? Conservative: while any drain is in
-    /// flight the page is treated as potentially stale, which only
-    /// costs an occasional refetch.
-    fn notice_pending(&self, ssmp: usize, page: u64) -> bool {
-        let st = self.notices[ssmp].0.lock();
-        st.drains_in_flight > 0 || st.queue.contains(&page)
-    }
-
     /// Acquire-side coherence for home-LRC lazy invalidation: drops
     /// every noticed stale copy of the calling processor's SSMP. Called
     /// by the runtime after lock acquisition and after barrier release
     /// (the acquire half of release consistency). A no-op under eager
     /// or when no notices are pending.
+    ///
+    /// Drains the SSMP's queue, front first, until it is empty. A page
+    /// leaves the queue only under its lock, once drained, so an empty
+    /// queue means every earlier notice was *performed*; a sibling that
+    /// finds the front page mid-drain waits on that page's lock. The
+    /// loop ends: only other SSMPs' releases grow the queue.
     pub fn acquire_sync(&self, proc: usize, t: &mut dyn ProtoTiming) {
-        if !self.uses_notices() {
-            return;
-        }
         let ssmp = self.cfg.ssmp_of(proc);
-        // Claim the pending notices (brief lock) and mark a drain in
-        // flight. Sibling processors passing their own acquire points
-        // with nothing to drain must still wait for in-flight drains to
-        // finish: an acquire may not complete until the pending
-        // invalidations have been *performed*, not merely claimed.
-        let pending = {
-            let mut st = self.notices[ssmp].0.lock();
-            if st.queue.is_empty() {
-                while st.drains_in_flight > 0 {
-                    self.notices[ssmp].1.wait(&mut st);
-                }
+        let queue = &self.notices[ssmp];
+        loop {
+            // Peek with a brief lock: the step runs without the queue's.
+            let Some(page) = queue.lock().front().copied() else {
                 return;
-            }
-            st.drains_in_flight += 1;
-            std::mem::take(&mut st.queue)
-        };
-        let res = pending.into_iter().try_for_each(|page| {
+            };
             let entry = self.page_entry(page);
             let mut rec = entry.lock();
             self.step(&mut rec, page, t, |st, cx, fx| {
                 st.drain_notice(cx, ssmp, fx)
             })
-        });
-        // Keep the drain accounting consistent before surfacing a
-        // failure under the same panic contract as `fault`.
-        let mut st = self.notices[ssmp].0.lock();
-        st.drains_in_flight -= 1;
-        if st.drains_in_flight == 0 {
-            self.notices[ssmp].1.notify_all();
+            .unwrap_or_else(|e| panic!("unrecoverable MGS protocol failure: {e}"));
+            let mut queue = queue.lock();
+            if queue.front() == Some(&page) {
+                queue.pop_front();
+            }
         }
-        drop(st);
-        res.unwrap_or_else(|e| panic!("unrecoverable MGS protocol failure: {e}"));
     }
 
     /// Runs `f` as one step on every instantiated page, in page order.
@@ -879,10 +845,6 @@ impl Effects for Interp<'_> {
         self.proto.emit(self.t, event);
     }
 
-    fn noticed(&mut self, ssmp: usize) -> bool {
-        self.proto.uses_notices() && self.proto.notice_pending(ssmp, self.page)
-    }
-
     fn set_state(&mut self, ssmp: usize, state: ClientState) {
         let client = &mut self.clients[ssmp];
         if state != ClientState::Write {
@@ -1084,7 +1046,7 @@ impl Effects for Interp<'_> {
     /// step — a silently lost notice would leave the stale copy live
     /// forever.
     fn notice(&mut self, ssmp: usize) {
-        self.proto.notices[ssmp].0.lock().queue.push(self.page);
+        self.proto.notices[ssmp].lock().push_back(self.page);
     }
 
     fn map(&mut self, proc: usize, write: bool) -> bool {

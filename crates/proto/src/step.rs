@@ -6,10 +6,10 @@
 //! page's policy and the machine's shape ([`Ctx`]), and does everything
 //! else — messages, charges, data motion, observed events — through one
 //! [`Effects`] trait. [`MgsProtocol`](crate::MgsProtocol) takes the
-//! page's locks, copies the state out, runs the step with each effect
-//! carried out as it is issued (nothing is collected), and stores the
-//! state back; the checker in `crates/proto/tests/protocol_model.rs`
-//! runs the same steps over an abstract memory.
+//! page's lock and runs the step on its state with each effect carried
+//! out as it is issued (nothing is collected); the checker in
+//! `crates/proto/tests/protocol_model.rs` runs the same steps over an
+//! abstract memory.
 
 use crate::transport::ProtocolError;
 use crate::{PagePolicy, ProtoConfig};
@@ -83,6 +83,9 @@ pub struct PageState {
     /// SSMPs holding a twin (never the home SSMP, which maps the home
     /// copy itself).
     pub twinned: u64,
+    /// Home-LRC: SSMPs holding a write notice for the page, until
+    /// their next acquire drain.
+    pub noticed: u64,
     /// The home node (global processor): the server runs there and the
     /// home copy lives there. Fixed unless its SSMP departs.
     pub home: usize,
@@ -124,8 +127,6 @@ pub trait Effects {
     fn owner(&mut self, ssmp: usize) -> usize;
     /// An observed event; charges nothing.
     fn observe(&mut self, event: ObsEvent);
-    /// Home-LRC: may `ssmp`'s copy be stale under a write notice?
-    fn noticed(&mut self, ssmp: usize) -> bool;
     /// `ssmp`'s client record takes `state`. Leaving INV with no frame
     /// (the home SSMP, which no fill ships to) maps the home copy; a
     /// READ or INV copy keeps no twin; INV retires the copy.
@@ -152,7 +153,8 @@ pub trait Effects {
     /// else in a new home copy at `node`. With `twin`, the image shipped
     /// also becomes the twin of the copy at the [`Frame::Copy`] end.
     fn ship(&mut self, from: Frame, to: Frame, node: usize, kind: MsgKind, twin: bool) -> Res;
-    /// Queues a home-LRC write notice at `ssmp`.
+    /// Queues the page on `ssmp`'s home-LRC write-notice queue; called
+    /// once per clear→set of the page's [`PageState::noticed`] bit.
     fn notice(&mut self, ssmp: usize);
     /// Maps the page for `proc` (its `tlb_dir` bit) and, for a write,
     /// queues it on the DUQ (arcs 3, 7). Returns whether it was newly
@@ -298,10 +300,10 @@ impl PageState {
         let hs = cx.cfg.ssmp_of(self.home);
         // Under home-LRC a noticed copy is stale: twinning it would diff
         // against stale data, and a later single-writer flush would ship
-        // the stale page whole. Drop it and fill instead. (The
-        // interpreter's conservative drains-in-flight answer can drop a
-        // fresh, still-tracked copy; no page clean is charged.)
-        if self.read & bit(s) != 0 && fx.noticed(s) {
+        // the stale page whole. Drop it and fill instead; no page clean
+        // is charged. The notice stays, so the next drain evicts the
+        // refilled copy too.
+        if self.read & bit(s) & self.noticed != 0 {
             self.drop_stale(cx, s, false, fx);
         }
         if self.read & bit(s) != 0
@@ -449,7 +451,10 @@ impl PageState {
         }
         for t in bits(dirs.all() & !(bit(s) | bit(hs))) {
             fx.send(hs, t, MsgKind::Inv, 0)?;
-            fx.notice(t);
+            if self.noticed & bit(t) == 0 {
+                self.noticed |= bit(t);
+                fx.notice(t);
+            }
             fx.observe(ObsEvent::LazyNotice { page, ssmp: t });
         }
         Ok(())
@@ -633,15 +638,18 @@ impl PageState {
         Ok(())
     }
 
-    /// Home-LRC acquire at SSMP `s` for one noticed page: a READ copy is
-    /// dropped and cleaned; a WRITE copy misses other releasers' merged
-    /// words, so it is evicted (its own diff merges home).
+    /// Home-LRC acquire at SSMP `s` for the page's write notice, if it
+    /// holds one: a READ copy is dropped and cleaned; a WRITE copy
+    /// misses other releasers' merged words, so it is evicted (its own
+    /// diff merges home). Then the notice is gone.
     pub fn drain_notice(&mut self, cx: &Ctx, s: usize, fx: &mut impl Effects) -> Res {
         match self.client(s) {
+            _ if self.noticed & bit(s) == 0 => {}
             ClientState::Read => self.drop_stale(cx, s, true, fx),
             ClientState::Write if cx.policy == PagePolicy::HomeLrc => self.evict(cx, s, fx)?,
             _ => {}
         }
+        self.noticed &= !bit(s);
         Ok(())
     }
 

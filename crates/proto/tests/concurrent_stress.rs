@@ -2,13 +2,14 @@
 //! engines concurrently with a data-race-free phased workload; the home
 //! copies must end up exactly right. Exercises the page lock that
 //! serializes each page's transactions, TLB shootdown, generation
-//! retirement, and DUQ pruning under real concurrency. Then two
+//! retirement, and DUQ pruning under real concurrency. Then three
 //! contracts on their own: siblings faulting one cold page at once fill
-//! it once, and stores race a loop of quiesce, diff and generation
-//! bump.
+//! it once, siblings acquiring at once under home-LRC each return only
+//! once every noticed copy is dropped, and stores race a loop of
+//! quiesce, diff and generation bump.
 
 use mgs_cache::{CacheConfig, ProcCache, SsmpCacheSystem};
-use mgs_proto::{MgsProtocol, ProtoConfig, RecordingTiming, SpanDiff};
+use mgs_proto::{ClientState, MgsProtocol, ProtoConfig, ProtocolKind, RecordingTiming, SpanDiff};
 use mgs_sim::{CostModel, Cycles, XorShift64};
 use mgs_vm::{FrameAllocator, PageFrame, PageGeometry};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -217,6 +218,75 @@ fn siblings_fill_a_cold_page_once_at_2_threads() {
 #[test]
 fn siblings_fill_a_cold_page_once_at_4_threads() {
     within_deadline("4 siblings faulting", || siblings_fill_a_cold_page_once(4));
+}
+
+/// Acquire-side drains are performed, not merely claimed: under
+/// home-LRC, `threads` processors of SSMP 0 read 64 pages homed at
+/// SSMP 2, SSMP 1 writes and releases them (a write notice each), and
+/// every processor of SSMP 0 acquires at once. Each finds every copy
+/// dropped when its own acquire returns, and each page is dropped
+/// once, however many siblings drained.
+fn siblings_acquiring_at_once_drop_every_noticed_copy(threads: usize) {
+    const PAGES: u64 = 64;
+    let mut cfg = ProtoConfig::new(3, threads);
+    cfg.protocol = ProtocolKind::HomeLrc;
+    let proto = MgsProtocol::new(cfg);
+    for page in 0..PAGES {
+        proto.set_home(page, 2 * threads);
+    }
+    let writer = threads;
+    let mut t = timing();
+    for round in 0..100 {
+        for proc in 0..threads {
+            for page in 0..PAGES {
+                proto.fault(proc, page, false, &mut t);
+            }
+        }
+        for page in 0..PAGES {
+            proto
+                .fault(writer, page, true, &mut t)
+                .frame
+                .store(0, round);
+        }
+        proto.release_all(writer, &mut t);
+        let before = proto.stats().invalidations.get();
+        let start = Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for proc in 0..threads {
+                let (proto, start) = (&proto, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    proto.acquire_sync(proc, &mut timing());
+                    for page in 0..PAGES {
+                        assert_eq!(
+                            proto.client_state(0, page),
+                            ClientState::Inv,
+                            "round {round}: page {page} live past processor {proc}'s acquire"
+                        );
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            proto.stats().invalidations.get() - before,
+            PAGES,
+            "round {round}: each noticed copy is dropped once"
+        );
+    }
+}
+
+#[test]
+fn siblings_acquiring_at_once_drop_every_noticed_copy_at_2_threads() {
+    within_deadline("2 siblings acquiring", || {
+        siblings_acquiring_at_once_drop_every_noticed_copy(2)
+    });
+}
+
+#[test]
+fn siblings_acquiring_at_once_drop_every_noticed_copy_at_4_threads() {
+    within_deadline("4 siblings acquiring", || {
+        siblings_acquiring_at_once_drop_every_noticed_copy(4)
+    });
 }
 
 /// The quiesce contract under real concurrency, on one frame: all but

@@ -59,12 +59,12 @@
 //! worker budget, and with pacing off ([`VirtualScheduler::unpaced`]);
 //! `tests/pacing.rs` at the workspace root enforces this.
 //!
-//! A task that waits on a *host* lock or condvar inside the protocol (a
-//! page's lock, or the write-notice drain) keeps its slot: what it
-//! waits for is a task inside a protocol transaction, no transaction
-//! contains a tick or a suspension, so that task holds a slot of its
-//! own and finishes without the scheduler's help. With one worker no
-//! such wait is ever reached.
+//! A task that waits on a *host* lock inside the protocol (a page's
+//! lock, the protocol's only wait) keeps its slot: what it waits for
+//! is a task inside a protocol transaction, no transaction contains a
+//! tick or a suspension, so that task holds a slot of its own and
+//! finishes without the scheduler's help. With one worker no such wait
+//! is ever reached.
 //!
 //! # Determinism
 //!
