@@ -51,7 +51,6 @@
 
 mod config;
 mod diff;
-mod duq;
 mod protocol;
 mod stats;
 pub mod step;
@@ -61,7 +60,6 @@ mod transport;
 
 pub use config::ProtoConfig;
 pub use diff::SpanDiff;
-pub use duq::Duq;
 pub use protocol::MgsProtocol;
 pub use stats::ProtoStats;
 pub use step::{ClientState, ServerDirs};

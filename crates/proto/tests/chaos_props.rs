@@ -112,7 +112,7 @@ fn fingerprint(p: &MgsProtocol) -> Vec<u64> {
         }
         for proc in 0..N_PROCS {
             v.push(u64::from(p.tlb(proc).lookup(page, false).is_some()));
-            v.push(u64::from(p.duq(proc).contains(page)));
+            v.push(u64::from(p.queued(proc, page)));
         }
         let frame = p.home_frame(page);
         for w in 0..p.words_per_page() {

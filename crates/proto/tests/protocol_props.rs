@@ -118,7 +118,7 @@ fn check_invariants(p: &MgsProtocol) {
                 assert_ne!(state, ClientState::Inv, "mapping implies a copy");
             }
             // A DUQ entry implies write privilege at the SSMP.
-            if p.duq(proc).contains(page) {
+            if p.queued(proc, page) {
                 assert_eq!(
                     p.client_state(proc / C, page),
                     ClientState::Write,

@@ -108,7 +108,7 @@ fn release_waits_for_the_flush_that_pruned_its_page() {
         // q's flush has merged p's word home and pruned p's DUQ; r's
         // copy is still live.
         reached.recv().expect("q's flush reaches r");
-        assert!(proto.duq(P).is_empty(), "arc 12 pruned p's DUQ");
+        assert!(!proto.queued(P, PAGE), "arc 12 pruned p's DUQ");
         assert_eq!(er.frame.generation(), er.gen, "r's mapping is live");
 
         // p releases the lock. The hand-over to r happens when that
@@ -156,7 +156,7 @@ fn evicting_a_pinned_writer_takes_the_stale_readers_with_it() {
     ep.frame.store(WORD, 7);
     // q's read fill evicts p: the word is merged home, p's DUQ pruned.
     proto.fault(Q, PAGE, false, &mut timing());
-    assert!(proto.duq(P).is_empty(), "arc 12 pruned p's DUQ");
+    assert!(!proto.queued(P, PAGE), "arc 12 pruned p's DUQ");
     // p publishes the word (a lock release) — with nothing to flush.
     proto.release_all(P, &mut timing());
 
