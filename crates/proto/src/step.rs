@@ -80,12 +80,13 @@ pub struct PageState {
     pub read: u64,
     /// SSMPs whose copy is WRITE.
     pub write: u64,
-    /// SSMPs holding a twin (never the home SSMP, which maps the home
-    /// copy itself).
-    pub twinned: u64,
     /// Home-LRC: SSMPs holding a write notice for the page, until
     /// their next acquire drain.
     pub noticed: u64,
+    /// SSMPs where a write mapping queued the page on a DUQ and no
+    /// shoot-down has pruned it since: writes no release has carried
+    /// home yet.
+    pub unreleased: u64,
     /// The home node (global processor): the server runs there and the
     /// home copy lives there. Fixed unless its SSMP departs.
     pub home: usize,
@@ -131,8 +132,9 @@ pub trait Effects {
     /// (the home SSMP, which no fill ships to) maps the home copy; a
     /// READ or INV copy keeps no twin; INV retires the copy.
     fn set_state(&mut self, ssmp: usize, state: ClientState);
-    /// PINV fan-out to `ssmp`'s mapping processors, pruning their DUQs
-    /// (arcs 11, 12, 15), then retiring the copy's mapping generation.
+    /// PINV fan-out to `ssmp`'s mapping processors (arcs 11, 15), then
+    /// retiring the copy's mapping generation, which leaves their DUQ
+    /// entries for the page stale: arc 12's prune.
     fn shoot_down(&mut self, ssmp: usize);
     /// Page cleaning (§4.2.4): flush the frame's cached lines in its
     /// SSMP, charged to the frame's node when `charged`.
@@ -157,8 +159,9 @@ pub trait Effects {
     /// once per clear→set of the page's [`PageState::noticed`] bit.
     fn notice(&mut self, ssmp: usize);
     /// Maps the page for `proc` (its `tlb_dir` bit) and, for a write,
-    /// queues it on the DUQ (arcs 3, 7). Returns whether it was newly
-    /// queued.
+    /// queues it on `proc`'s DUQ (arcs 3, 7) unless a live entry holds
+    /// it; a stale entry is replaced by one at the back. Returns whether
+    /// it was newly queued.
     fn map(&mut self, proc: usize, write: bool) -> bool;
 }
 
@@ -189,15 +192,24 @@ impl PageState {
         let to = |want| if state == want { bit(s) } else { 0 };
         self.read = self.read & !bit(s) | to(ClientState::Read);
         self.write = self.write & !bit(s) | to(ClientState::Write);
-        self.twinned &= !bit(s) | to(ClientState::Write);
         fx.set_state(s, state);
     }
 
-    /// Records `s`'s new twin, made by [`Effects::twin`] or by a ship.
-    fn twinned(&mut self, cx: &Ctx, s: usize, fx: &mut impl Effects) {
-        let (page, ssmp) = (cx.page, s);
-        self.twinned |= bit(s);
-        fx.observe(ObsEvent::TwinCreate { page, ssmp });
+    /// Maps the page for `proc`; a write queues it on the DUQ (arcs 3,
+    /// 7), charged when newly queued.
+    fn map(&mut self, cx: &Ctx, proc: usize, write: bool, fx: &mut impl Effects) {
+        if fx.map(proc, write) {
+            fx.local(cx.cfg.cost.duq_insert);
+        }
+        if write {
+            self.unreleased |= bit(cx.cfg.ssmp_of(proc));
+        }
+    }
+
+    /// Unmaps the page at `s`, pruning its processors' DUQ entries.
+    fn shoot_down(&mut self, s: usize, fx: &mut impl Effects) {
+        fx.shoot_down(s);
+        self.unreleased &= !bit(s);
     }
 
     /// `write_dir ∪= {s}`, noting when a second SSMP breaks the page out
@@ -243,15 +255,16 @@ impl PageState {
             self.set(s, ClientState::Write, fx);
             if s != hs {
                 fx.local(c.twin_cost(cx.cfg.geometry.words_per_page()));
-                self.twinned(cx, s, fx);
+                fx.observe(ObsEvent::TwinCreate {
+                    page: cx.page,
+                    ssmp: s,
+                });
             }
         } else {
             self.dirs.read_dir |= bit(s);
             self.set(s, ClientState::Read, fx);
         }
-        if fx.map(proc, write) {
-            fx.local(c.duq_insert);
-        }
+        self.map(cx, proc, write, fx);
         fx.local(c.lc_finish);
         Ok(())
     }
@@ -275,9 +288,7 @@ impl PageState {
             (ClientState::Write, _) | (ClientState::Read, false) => {
                 fx.local(c.pt_walk);
                 // Arc 3: DUQ = DUQ ∪ {addr}.
-                if fx.map(proc, write) {
-                    fx.local(c.duq_insert);
-                }
+                self.map(cx, proc, write, fx);
                 return Ok(XactOutcome::TlbFill);
             }
             (ClientState::Read, true) => return self.upgrade(cx, proc, fx),
@@ -329,7 +340,10 @@ impl PageState {
             // Arc 13: make twin (the home SSMP never diffs).
             fx.work(rc, c.twin_cost(cx.cfg.geometry.words_per_page()));
             fx.twin(s);
-            self.twinned(cx, s, fx);
+            fx.observe(ObsEvent::TwinCreate {
+                page: cx.page,
+                ssmp: s,
+            });
         }
         self.set(s, ClientState::Write, fx);
         // Arc 13: UP_ACK ⇒ src, WNOTIFY ⇒ g_home.
@@ -345,9 +359,7 @@ impl PageState {
         self.dirs.read_dir &= !bit(s);
         self.add_writer(cx, s, fx);
         // UP_ACK at the client: DUQ ∪ {addr} (arc 7), then the TLB.
-        if fx.map(proc, true) {
-            fx.local(c.duq_insert);
-        }
+        self.map(cx, proc, true, fx);
         Ok(XactOutcome::Upgrade)
     }
 
@@ -438,7 +450,6 @@ impl PageState {
     ///
     /// [`drain_notice`]: PageState::drain_notice
     fn lrc_flush(&mut self, cx: &Ctx, s: usize, fx: &mut impl Effects) -> Res {
-        let page = cx.page;
         let (dirs, hs) = (self.dirs, cx.cfg.ssmp_of(self.home));
         if dirs.write_dir & bit(s) != 0 && s != hs {
             self.flush_own_diff(cx, s, fx)?;
@@ -447,9 +458,16 @@ impl PageState {
             // travels — but its DUQ is re-armed so the next batch of
             // local writes re-faults and triggers a future release
             // (which is what notifies the other sharers).
-            fx.shoot_down(s);
+            self.shoot_down(s, fx);
         }
-        for t in bits(dirs.all() & !(bit(s) | bit(hs))) {
+        self.notify(cx, dirs.all() & !bit(s), fx)
+    }
+
+    /// Home-LRC write notices from the home to every SSMP of `to` but
+    /// the home's own: an INV each, queued for its next acquire drain.
+    fn notify(&mut self, cx: &Ctx, to: u64, fx: &mut impl Effects) -> Res {
+        let (page, hs) = (cx.page, cx.cfg.ssmp_of(self.home));
+        for t in bits(to & !bit(hs)) {
             fx.send(hs, t, MsgKind::Inv, 0)?;
             if self.noticed & bit(t) == 0 {
                 self.noticed |= bit(t);
@@ -503,7 +521,7 @@ impl PageState {
         let c = &cx.cfg.cost;
         let rc = fx.owner(s);
         fx.work(rc, c.rc_entry);
-        fx.shoot_down(s);
+        self.shoot_down(s, fx);
         fx.clean(Frame::Copy(s), true);
         let words = fx.diff(s, true);
         fx.work(rc, c.diff_compute_cost(cx.cfg.geometry.words_per_page()));
@@ -548,7 +566,7 @@ impl PageState {
         fx.send(hs, s, MsgKind::Inv, 0)?;
         let rc = fx.owner(s);
         fx.work(rc, c.rc_entry);
-        fx.shoot_down(s);
+        self.shoot_down(s, fx);
         if s != hs {
             // The home SSMP's cached lines are the valid data: it is
             // never cleaned. With the read-only optimization a READ
@@ -578,7 +596,7 @@ impl PageState {
         fx.send(hs, s, MsgKind::OneWInv, 0)?;
         let rc = fx.owner(s);
         fx.work(rc, cx.cfg.cost.rc_entry);
-        fx.shoot_down(s);
+        self.shoot_down(s, fx);
         if s == hs {
             // The home SSMP's stores are in the home copy already.
             return fx.send(s, hs, MsgKind::Ack, 0);
@@ -598,7 +616,7 @@ impl PageState {
     /// drain owes the retired copy a page clean.
     fn drop_stale(&mut self, cx: &Ctx, s: usize, clean: bool, fx: &mut impl Effects) {
         let page = cx.page;
-        fx.shoot_down(s);
+        self.shoot_down(s, fx);
         if clean {
             fx.clean(Frame::Copy(s), true);
         }
@@ -641,12 +659,21 @@ impl PageState {
     /// Home-LRC acquire at SSMP `s` for the page's write notice, if it
     /// holds one: a READ copy is dropped and cleaned; a WRITE copy
     /// misses other releasers' merged words, so it is evicted (its own
-    /// diff merges home). Then the notice is gone.
+    /// diff merges home). The eviction prunes its writers' DUQ entries,
+    /// so their releases will notice nobody: writes it carries home
+    /// unreleased are noticed to the other sharers now. Then the notice
+    /// is gone.
     pub fn drain_notice(&mut self, cx: &Ctx, s: usize, fx: &mut impl Effects) -> Res {
         match self.client(s) {
             _ if self.noticed & bit(s) == 0 => {}
             ClientState::Read => self.drop_stale(cx, s, true, fx),
-            ClientState::Write if cx.policy == PagePolicy::HomeLrc => self.evict(cx, s, fx)?,
+            ClientState::Write if cx.policy == PagePolicy::HomeLrc => {
+                let unreleased = self.unreleased & bit(s) != 0;
+                self.evict(cx, s, fx)?;
+                if unreleased {
+                    self.notify(cx, self.dirs.all(), fx)?;
+                }
+            }
             _ => {}
         }
         self.noticed &= !bit(s);

@@ -162,10 +162,14 @@ fn lrc_acquire_drains_a_write_copy() {
     share(&p, 4, true);
     share(&p, 2, true);
     p.release_all(2, &mut recorder());
-    pin((9_309, 2, 0x6f32936c2728a4a5, 0xa1ed15f56c0a2188), |t| {
+    // Re-pinned when the drain began noticing the writes it evicts
+    // unreleased: processor 4 never released word 4, so the eviction
+    // sends SSMP 1 an INV and a notice (one crossing, 1,430 cycles).
+    pin((10_739, 3, 0xfe65f23a8424451a, 0x8525ba383338ffdf), |t| {
         p.acquire_sync(4, t)
     });
     assert_eq!(p.home_frame(PAGE).load(4), 5, "the evicted writer merged");
+    assert_eq!(p.stats().lazy_notices.get(), 2, "SSMP 1 is noticed");
 }
 
 #[test]

@@ -125,3 +125,34 @@ fn duplicate_notices_drain_once() {
     let r = p.fault(2, 0, false, &mut t);
     assert_eq!(r.frame.load(0), 2);
 }
+
+#[test]
+fn a_drain_that_evicts_unreleased_writes_notices_the_other_sharers() {
+    let p = lrc_proto();
+    let mut t = timing();
+    // Processor 4 (SSMP 2) writes word 1 and has not released it yet.
+    let w = p.fault(4, 0, true, &mut t);
+    w.frame.store(1, 7);
+    // Processor 6 (SSMP 3) writes another word and releases: SSMP 2
+    // gets a notice.
+    let other = p.fault(6, 0, true, &mut t);
+    other.frame.store(2, 8);
+    p.release_all(6, &mut t);
+    // Processor 2 (SSMP 1) reads before processor 4's writes travel.
+    let mut r = p.fault(2, 0, false, &mut t);
+    assert_eq!(r.frame.load(1), 0);
+    // Processor 4's acquire evicts its own WRITE copy, carrying word 1
+    // home and pruning its DUQ; its release then has nothing to flush.
+    p.acquire_sync(4, &mut t);
+    p.release_all(4, &mut t);
+    // Processor 2 acquires after that release and must see word 1.
+    p.acquire_sync(2, &mut t);
+    if r.frame.generation() != r.gen {
+        r = p.fault(2, 0, false, &mut t);
+    }
+    assert_eq!(
+        r.frame.load(1),
+        7,
+        "SSMP 1's stale copy survived the acquire"
+    );
+}

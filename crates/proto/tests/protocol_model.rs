@@ -13,19 +13,21 @@
 //! fill from a local copy (arcs 1 and 3) included. Between the effects
 //! of a transaction that holds a page's lock, everything that does not
 //! need that lock may run: a store through a live mapping, a TLB fill
-//! of another page (run whole, as one action), a release whose DUQ
-//! entry was pruned, a lock hand-over. A fault on the page itself waits
-//! for the lock. A paused transaction resumes by replaying its step
-//! from the state it started in, skipping the effects already carried
-//! out. Every inter-SSMP message is delivered twice through a real
-//! [`SeqFilter`], and the copy must be rejected.
+//! of another page (run whole, as one action), a lock hand-over. A
+//! fault on the page itself, and a release that reaches the page's DUQ
+//! entry, live or pruned, wait for the lock. A paused transaction
+//! resumes by replaying its step from the state it started in, skipping
+//! the effects already carried out. Every inter-SSMP message is
+//! delivered twice through a real [`SeqFilter`], and the copy must be
+//! rejected.
 //!
 //! The checked invariants:
 //! - at most one untwinned writer, and only at the home SSMP;
 //! - no released write is missing from the home copy at a barrier;
 //! - no stale sharer remains once a release's invalidations complete,
 //!   and no locked access reads a value other than the last write;
-//! - no release returns before the flush that pruned its DUQ entry.
+//! - no release gets past a pruned DUQ entry before the flush that
+//!   pruned it has returned.
 //!
 //! Model bounds: one processor per SSMP, or two on one SSMP in two
 //! scenarios; at most one transaction in flight besides whole TLB fills;
@@ -35,9 +37,10 @@
 //! The negative cases break the real step from the outside (a wrapper
 //! here, no switch in the crate) and the search, told only the
 //! invariants, must name a violating interleaving:
-//! - a release that returns at once when its DUQ entry was pruned —
-//!   the lost update `release_waits_for_the_flush_that_pruned_its_page`
-//!   in `pruned_duq.rs` builds by hand;
+//! - a release that pops a pruned DUQ entry without taking its page's
+//!   lock — the lost update
+//!   `release_waits_for_the_flush_that_pruned_its_page` in
+//!   `pruned_duq.rs` builds by hand;
 //! - a pinned-writer eviction that leaves the readers — the stale read
 //!   of `evicting_a_pinned_writer_takes_the_stale_readers_with_it`;
 //! - Table 1's arc 23 read literally (`write_dir = φ` after a
@@ -129,22 +132,23 @@ enum Kind {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Op {
     Xact(Kind, usize),
-    /// Wait for a page's server lock (a pruned DUQ entry).
-    WaitServer(usize),
+    /// A release drains its DUQ, front first, until it is empty: a live
+    /// entry's page is released, a pruned one popped, each under the
+    /// page's lock.
+    Flush,
     /// An acquire drains its SSMP's write-notice queue, lowest page
     /// first, until it is empty.
     Drain(usize),
     Unlock(usize),
-    /// A release returns; the mask holds the pages pruned from its DUQ.
-    Return(u8),
     Rejoined(usize),
 }
 
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 struct Proc {
     tlb: [Perm; 2],
-    duq: Vec<u8>,
-    pruned: u8,
+    /// The DUQ in queueing order: each page, and whether its entry is
+    /// live (a shoot-down of the mapping leaves it pruned, in place).
+    duq: Vec<(u8, bool)>,
     /// Pages pruned from this DUQ by the transaction still in flight.
     pruned_live: u8,
     holds: Option<usize>,
@@ -202,8 +206,8 @@ struct World {
 /// A deliberately broken protocol, made by wrapping the real step.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Bug {
-    /// A release whose DUQ entry was pruned returns at once.
-    PrunedReleaseReturns,
+    /// A release pops a pruned DUQ entry without its page's lock.
+    StaleEntryUnlocked,
     /// A pinned-writer eviction evicts only the writers.
     PinEvictsWritersOnly,
     /// `write_dir = φ` after a single-writer flush.
@@ -515,9 +519,8 @@ impl Effects for Fx<'_> {
         for l in (0..8).filter(|&l| mapped & bit(l) != 0) {
             let p = &mut self.w.procs[ssmp * self.ck.sc.per_ssmp + l];
             p.tlb[page] = Perm::None;
-            if let Some(i) = p.duq.iter().position(|&q| q as usize == page) {
-                p.duq.remove(i);
-                p.pruned |= bit(page);
+            for (_, live) in p.duq.iter_mut().filter(|e| **e == (page as u8, true)) {
+                *live = false;
                 p.pruned_live |= bit(page);
                 pruned += 1;
             }
@@ -665,11 +668,12 @@ impl Effects for Fx<'_> {
         self.client(s).mapped |= bit(l);
         let page = self.inf.page as u8;
         let duq = &mut self.w.procs[proc].duq;
-        let new = write && !duq.contains(&page);
-        if new {
-            duq.push(page);
+        if !write || duq.contains(&(page, true)) {
+            return false;
         }
-        new
+        duq.retain(|&(q, _)| q != page);
+        duq.push((page, true));
+        true
     }
 }
 
@@ -767,10 +771,13 @@ impl Checker {
                 continue;
             }
             if let Some(&op) = pr.ops.front() {
-                let ready = match op {
-                    Op::Xact(..) => w.inflight.is_none(),
-                    Op::WaitServer(pg) => w.inflight.as_ref().is_none_or(|i| i.page != pg),
-                    Op::Drain(ssmp) if w.notices[ssmp] != 0 => {
+                let ready = match (op, pr.duq.first()) {
+                    (Op::Xact(..), _) | (Op::Flush, Some((_, true))) => w.inflight.is_none(),
+                    (Op::Flush, Some(&(pg, false))) => {
+                        sc.bug == Some(Bug::StaleEntryUnlocked)
+                            || w.inflight.as_ref().is_none_or(|i| i.page != pg as usize)
+                    }
+                    (Op::Drain(ssmp), _) if w.notices[ssmp] != 0 => {
                         let front = w.notices[ssmp].trailing_zeros() as usize;
                         let busy = w.inflight.as_ref().map(|i| (i.kind, i.page));
                         if busy == Some((Kind::Drain { ssmp }, front)) {
@@ -823,7 +830,7 @@ impl Checker {
                     }
                 }
             }
-            if !pr.duq.is_empty() || pr.pruned != 0 {
+            if !pr.duq.is_empty() {
                 acts.push(Act::Release { proc });
             }
         }
@@ -835,28 +842,6 @@ impl Checker {
             }
         }
         acts
-    }
-
-    /// The ops of a release: wait out the pruning flushes, release every
-    /// queued page, return.
-    fn release_ops(&self, w: &mut World, proc: usize) -> Vec<Op> {
-        let p = &mut w.procs[proc];
-        let (pages, pruned) = (std::mem::take(&mut p.duq), std::mem::take(&mut p.pruned));
-        let mut ops = Vec::new();
-        if self.sc.bug != Some(Bug::PrunedReleaseReturns) {
-            ops.extend(
-                (0..self.sc.pages)
-                    .filter(|&pg| pruned & bit(pg) != 0)
-                    .map(Op::WaitServer),
-            );
-        }
-        ops.extend(
-            pages
-                .iter()
-                .map(|&pg| Op::Xact(Kind::Release { proc }, pg as usize)),
-        );
-        ops.push(Op::Return(pruned));
-        ops
     }
 
     fn word_value(w: &World, ssmp: usize, page: usize, off: usize) -> Val {
@@ -902,14 +887,9 @@ impl Checker {
             }
             Act::Unlock { proc } => {
                 let lock = w.procs[proc].holds.expect("holds a lock");
-                let ops = self.release_ops(w, proc);
-                w.procs[proc].ops.extend(ops);
-                w.procs[proc].ops.push_back(Op::Unlock(lock));
+                w.procs[proc].ops.extend([Op::Flush, Op::Unlock(lock)]);
             }
-            Act::Release { proc } => {
-                let ops = self.release_ops(w, proc);
-                w.procs[proc].ops.extend(ops);
-            }
+            Act::Release { proc } => w.procs[proc].ops.push_back(Op::Flush),
             Act::Switch { page } => w.pages[page].policy = self.sc.switch.expect("a switch"),
             Act::Depart { ssmp } => {
                 let survivor = (0..self.sc.ssmps())
@@ -969,6 +949,21 @@ impl Checker {
             w.inflight = Some(Inflight::new(who, kind, page, &w.pages[page]));
             return self.advance(w);
         }
+        if let (Op::Flush, Some(&(page, live))) = (op, w.procs[who].duq.first()) {
+            let page = page as usize;
+            if live {
+                let kind = Kind::Release { proc: who };
+                w.inflight = Some(Inflight::new(who, kind, page, &w.pages[page]));
+                return self.advance(w);
+            }
+            if self.sc.release_check && w.procs[who].pruned_live & bit(page) != 0 {
+                return Err(format!(
+                    "processor {who}'s release returned before the flush that pruned its DUQ"
+                ));
+            }
+            w.procs[who].duq.remove(0);
+            return Ok(());
+        }
         if let Op::Drain(ssmp) = op {
             if w.notices[ssmp] != 0 {
                 let page = w.notices[ssmp].trailing_zeros() as usize;
@@ -983,17 +978,10 @@ impl Checker {
         w.procs[who].ops.pop_front();
         match op {
             Op::Xact(..) => unreachable!("handled above"),
-            Op::WaitServer(_) | Op::Drain(_) => {}
+            Op::Flush | Op::Drain(_) => {}
             Op::Unlock(lock) => {
                 w.locks[lock] = None;
                 w.procs[who].holds = None;
-            }
-            Op::Return(pruned) => {
-                if self.sc.release_check && w.procs[who].pruned_live & pruned != 0 {
-                    return Err(format!(
-                        "processor {who}'s release returned before the flush that pruned its DUQ"
-                    ));
-                }
             }
             Op::Rejoined(ssmp) => w.departed &= !bit(ssmp),
         }
@@ -1064,6 +1052,9 @@ impl Checker {
             // The page leaves the queue under its lock; the op stays
             // until the queue is empty.
             Kind::Drain { ssmp } => w.notices[ssmp] &= !bit(page),
+            Kind::Release { proc } => {
+                w.procs[proc].duq.remove(0);
+            }
             _ => {
                 w.procs[inf.who].ops.pop_front();
             }
@@ -1416,10 +1407,7 @@ fn two_siblings_acquiring_under_home_lrc_keep_every_invariant() {
 fn the_real_step_keeps_every_invariant_at_a_deeper_bound() {
     let mut all = scenarios(2, 2, None);
     all.extend(scenarios(3, 1, Some(40)));
-    // Not deeper: at 34 the search finds a known lost update, a drain
-    // that evicts unreleased writes whose releases then notice no
-    // sharer (ROADMAP.md item 0).
-    all.push(siblings_under_home_lrc(30));
+    all.push(siblings_under_home_lrc(34));
     let reached = check(all);
     assert_eq!(*reached.retired_dirty.borrow(), []);
 }
@@ -1430,7 +1418,7 @@ fn a_release_returning_before_the_pruning_flush_is_found() {
     // invariants alone: the lock reaches an SSMP the flush has not yet
     // invalidated.
     let mut sc = Scenario::new(3, PagePolicy::Eager);
-    sc.bug = Some(Bug::PrunedReleaseReturns);
+    sc.bug = Some(Bug::StaleEntryUnlocked);
     sc.release_check = false;
     let v = violation(sc.clone());
     assert!(v.contains("under its lock"), "{v}");
