@@ -10,10 +10,9 @@
 //!     [`FaultPlan::none`] — the inactive plan is discarded and the
 //!     pre-fault delivery path runs;
 //!   - a duplicate-storm plan (every inter-SSMP message delivered
-//!     twice, nothing dropped) must *also* be cycle-identical: the
-//!     protocol's sequence filters discard redundant copies without
-//!     charging a single simulated cycle, so at-most-once handling is
-//!     timing-invisible.
+//!     twice, nothing dropped) must *also* be cycle-identical: a
+//!     redundant copy is counted by the fabric and reaches no handler,
+//!     so it charges not a single simulated cycle.
 //! * **sweep** — drop rate × cluster size over the six applications
 //!   (the five-app suite plus the Water kernel). Every run's numerical
 //!   result is verified by the application itself against a plain-Rust

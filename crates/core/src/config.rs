@@ -1,7 +1,7 @@
 //! DSSMP machine configuration.
 
 use mgs_net::{FaultPlan, Scenario};
-use mgs_proto::{AdaptiveParams, ProtocolKind, RetryPolicy};
+use mgs_proto::{AdaptiveParams, ProtocolKind};
 use mgs_sim::{CostModel, Cycles};
 use mgs_vm::PageGeometry;
 use std::sync::Arc;
@@ -102,9 +102,6 @@ pub struct DssmpConfig {
     /// [`FaultPlan::none`]: the paper's perfect fabric, with message
     /// behaviour bit-identical to builds without fault support).
     pub fault_plan: FaultPlan,
-    /// Timeout/retransmission policy the protocol uses to recover from
-    /// injected message loss. Never consulted on a perfect fabric.
-    pub retry: RetryPolicy,
     /// The external-fabric scenario (see [`Scenario`]): latency tiers,
     /// interface contention and SSMP churn. `None` (the default) keeps
     /// the paper's fixed-latency LAN, bit-identical to builds without
@@ -143,7 +140,6 @@ impl DssmpConfig {
             trace: false,
             observe: false,
             fault_plan: FaultPlan::none(),
-            retry: RetryPolicy::lan_default(),
             scenario: None,
         }
     }

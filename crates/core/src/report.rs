@@ -47,8 +47,8 @@ pub struct RunReport {
     /// Transmissions lost by the fault-injecting fabric (0 on a perfect
     /// fabric).
     pub lan_drops: u64,
-    /// Duplicate copies injected by the fabric (all discarded by the
-    /// protocol's sequence filters).
+    /// Duplicate copies injected by the fabric (counted only: no
+    /// protocol handler sees one).
     pub lan_duplicates: u64,
     /// Protocol retransmissions performed to recover from the drops.
     pub retries: u64,
@@ -181,9 +181,8 @@ impl RunReport {
     /// departs, rejoins, re-homed pages.
     ///
     /// Three fields are left out on purpose. `lan_duplicates`: a
-    /// duplicate copy is discarded by the sequence filters without
-    /// charging a cycle, so a duplicate storm is *defined* identical to
-    /// the perfect fabric. `metrics`: present only when the
+    /// duplicate copy reaches no handler and charges no cycle, so a
+    /// duplicate storm is *defined* identical to the perfect fabric. `metrics`: present only when the
     /// observability sink is attached, and attaching it must not move
     /// a counter above. `policy_decisions`: a trace, not a counter —
     /// `tests/strategy_equivalence.rs` compares it with `==`.

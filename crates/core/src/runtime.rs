@@ -8,9 +8,8 @@
 //! observability sink, and the trace when tracing). What stays here is
 //! what needs this processor's clock: the open transaction spans and
 //! the latency samples. Everything on that path is a host-side side
-//! channel: no simulated clock is touched, and the open spans live in a
-//! fixed-size stack so observing a steady-state access allocates
-//! nothing.
+//! channel: no simulated clock is touched, and the open span lives
+//! inline so observing a steady-state access allocates nothing.
 
 use crate::Machine;
 use mgs_net::{Delivery, MsgKind};
@@ -18,18 +17,13 @@ use mgs_obs::{LatencyClass, ObsEvent, XactKind};
 use mgs_proto::{ProtoTiming, SendOutcome};
 use mgs_sim::{CostCategory, Cycles, ProcClock};
 
-/// Open-span stack depth. Protocol transactions never nest more than a
-/// release inside a DUQ drain; 8 leaves generous headroom and keeps the
-/// stack inline (no allocation).
-const XACT_DEPTH: usize = 8;
-
 pub(crate) struct RuntimeTiming<'a> {
     pub clock: &'a mut ProcClock,
     pub machine: &'a Machine,
     pub proc: usize,
-    /// Open transaction spans: `(kind, page, begin)`.
-    xacts: [(XactKind, u64, Cycles); XACT_DEPTH],
-    depth: usize,
+    /// The open transaction span, `(kind, page, begin)`: every
+    /// transaction is one protocol step, so spans never nest.
+    xact: Option<(XactKind, u64, Cycles)>,
 }
 
 impl<'a> RuntimeTiming<'a> {
@@ -38,24 +32,8 @@ impl<'a> RuntimeTiming<'a> {
             clock,
             machine,
             proc,
-            xacts: [(XactKind::ReadFault, 0, Cycles::ZERO); XACT_DEPTH],
-            depth: 0,
+            xact: None,
         }
-    }
-
-    /// Pops the innermost open span matching `(xact, page)` and returns
-    /// its begin time (tolerates unbalanced ends by searching downward).
-    fn close_span(&mut self, xact: XactKind, page: u64) -> Option<Cycles> {
-        for i in (0..self.depth).rev() {
-            if self.xacts[i].0 == xact && self.xacts[i].1 == page {
-                let begin = self.xacts[i].2;
-                // Drop this frame and anything opened above it (aborted
-                // spans never see their end).
-                self.depth = i;
-                return Some(begin);
-            }
-        }
-        None
     }
 
     /// Records `event` for this processor at its current instant.
@@ -78,13 +56,6 @@ impl ProtoTiming for RuntimeTiming<'_> {
 
     fn local(&mut self, cycles: Cycles) {
         self.clock.charge(CostCategory::Mgs, cycles);
-    }
-
-    fn message(&mut self, from: usize, to: usize, kind: MsgKind, payload_bytes: u64) {
-        // Only intra-SSMP sends are unconditional: what crosses the LAN
-        // goes through the reliable transport, which handles a drop.
-        debug_assert_eq!(from, to, "an inter-SSMP send can be dropped");
-        self.try_message(from, to, kind, payload_bytes);
     }
 
     fn node_work(&mut self, node: usize, cycles: Cycles) {
@@ -195,16 +166,20 @@ impl ProtoTiming for RuntimeTiming<'_> {
         // Span bookkeeping happens even when only tracing is on, so the
         // structured trace always carries balanced begin/end pairs.
         match event {
-            ObsEvent::XactBegin { xact, page } if self.depth < XACT_DEPTH => {
-                self.xacts[self.depth] = (xact, page, self.clock.now());
-                self.depth += 1;
+            ObsEvent::XactBegin { xact, page } => {
+                self.xact = Some((xact, page, self.clock.now()));
             }
             ObsEvent::XactEnd {
                 xact,
                 page,
                 outcome,
             } => {
-                let begin = self.close_span(xact, page);
+                // An aborted span never sees its end; the next begin
+                // replaces it.
+                let begin = self
+                    .xact
+                    .take_if(|&mut (k, p, _)| (k, p) == (xact, page))
+                    .map(|(_, _, begin)| begin);
                 if let (Some(class), Some(begin)) = (LatencyClass::for_outcome(outcome), begin) {
                     self.sample(class, self.clock.now().saturating_sub(begin));
                 }

@@ -5,8 +5,8 @@
 //! commodity LANs drop, duplicate and delay messages, and a software
 //! DSM layer that has never seen those behaviours cannot be trusted at
 //! scale. A [`FaultPlan`] describes a *seeded, reproducible* unreliable
-//! fabric: per-(source, destination, kind) drop probability,
-//! duplication probability and delay jitter, each decided by a
+//! fabric: per-kind drop probability, duplication probability and
+//! delay jitter, each decided by a
 //! [`XorShift64`](mgs_sim::XorShift64) stream derived purely from
 //! `(seed, src, dst, kind, transmission index)`. Two runs with the same
 //! plan and the same per-channel transmission order therefore inject
@@ -94,9 +94,9 @@ pub enum Fate {
 
 /// A seeded description of an unreliable LAN fabric.
 ///
-/// Specs are resolved most-specific-first for each transmission:
-/// a per-`(src, dst, kind)` override, then a per-kind override, then a
-/// per-link override, then the plan default.
+/// A transmission of a kind with a per-kind override
+/// ([`with_kind`](FaultPlan::with_kind)) gets that spec; every other
+/// one gets the plan default.
 ///
 /// # Example
 ///
@@ -125,9 +125,7 @@ pub enum Fate {
 pub struct FaultPlan {
     seed: u64,
     default: FaultSpec,
-    links: Vec<((usize, usize), FaultSpec)>,
     kinds: Vec<(MsgKind, FaultSpec)>,
-    link_kinds: Vec<((usize, usize, MsgKind), FaultSpec)>,
 }
 
 impl FaultPlan {
@@ -173,19 +171,6 @@ impl FaultPlan {
         self
     }
 
-    /// Overrides the spec for every message on the `src → dst` link
-    /// (directed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's probabilities are out of range.
-    pub fn with_link(mut self, src: usize, dst: usize, spec: FaultSpec) -> FaultPlan {
-        spec.validate();
-        self.links.retain(|(k, _)| *k != (src, dst));
-        self.links.push(((src, dst), spec));
-        self
-    }
-
     /// Overrides the spec for every message of one kind, on any link.
     ///
     /// # Panics
@@ -198,25 +183,6 @@ impl FaultPlan {
         self
     }
 
-    /// Overrides the spec for one kind on one directed link (the most
-    /// specific override).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's probabilities are out of range.
-    pub fn with_link_kind(
-        mut self,
-        src: usize,
-        dst: usize,
-        kind: MsgKind,
-        spec: FaultSpec,
-    ) -> FaultPlan {
-        spec.validate();
-        self.link_kinds.retain(|(k, _)| *k != (src, dst, kind));
-        self.link_kinds.push(((src, dst, kind), spec));
-        self
-    }
-
     /// The seed the decision streams derive from.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -226,25 +192,16 @@ impl FaultPlan {
     /// plan is skipped entirely by [`LanModel`](crate::LanModel): no
     /// counters, no RNG draws.
     pub fn is_active(&self) -> bool {
-        !self.default.is_none()
-            || self.links.iter().any(|(_, s)| !s.is_none())
-            || self.kinds.iter().any(|(_, s)| !s.is_none())
-            || self.link_kinds.iter().any(|(_, s)| !s.is_none())
+        !self.default.is_none() || self.kinds.iter().any(|(_, s)| !s.is_none())
     }
 
-    /// The spec governing `kind` messages from `src` to `dst`
-    /// (most-specific override wins).
-    pub fn spec_for(&self, src: usize, dst: usize, kind: MsgKind) -> FaultSpec {
-        if let Some((_, s)) = self.link_kinds.iter().find(|(k, _)| *k == (src, dst, kind)) {
-            return *s;
-        }
-        if let Some((_, s)) = self.kinds.iter().find(|(k, _)| *k == kind) {
-            return *s;
-        }
-        if let Some((_, s)) = self.links.iter().find(|(k, _)| *k == (src, dst)) {
-            return *s;
-        }
-        self.default
+    /// The spec governing `kind` messages: its override, else the
+    /// default.
+    fn spec_for(&self, kind: MsgKind) -> FaultSpec {
+        self.kinds
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map_or(self.default, |(_, s)| *s)
     }
 
     /// Decides the fate of the `n`-th transmission of `kind` from `src`
@@ -252,7 +209,7 @@ impl FaultPlan {
     /// arguments, so a caller that numbers transmissions per channel
     /// replays identical fault schedules for a given seed.
     pub fn fate(&self, src: usize, dst: usize, kind: MsgKind, n: u64) -> Fate {
-        let spec = self.spec_for(src, dst, kind);
+        let spec = self.spec_for(kind);
         if spec.is_none() {
             return Fate::Deliver {
                 jitter: Cycles::ZERO,
@@ -363,13 +320,11 @@ mod tests {
             jitter: Cycles::ZERO,
         };
         let plan = FaultPlan::seeded(1)
-            .with_link(0, 1, quiet)
-            .with_kind(MsgKind::Inv, quiet)
-            .with_link_kind(0, 1, MsgKind::Inv, loud);
-        assert_eq!(plan.spec_for(0, 1, MsgKind::Inv), loud);
-        assert_eq!(plan.spec_for(0, 1, MsgKind::Ack), quiet); // link
-        assert_eq!(plan.spec_for(2, 3, MsgKind::Inv), quiet); // kind
-        assert_eq!(plan.spec_for(2, 3, MsgKind::Ack), FaultSpec::NONE);
+            .with_default(quiet)
+            .with_kind(MsgKind::Inv, loud);
+        assert_eq!(plan.spec_for(MsgKind::Inv), loud); // kind
+        assert_eq!(plan.spec_for(MsgKind::Ack), quiet); // default
+        assert_eq!(FaultPlan::seeded(1).spec_for(MsgKind::Ack), FaultSpec::NONE);
     }
 
     #[test]

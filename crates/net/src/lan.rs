@@ -10,8 +10,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Delivery {
     /// The message arrived at `arrival`, along with `duplicates`
-    /// redundant extra copies (injected by the fault plan; a receiver
-    /// with sequence-number dedup must discard them).
+    /// redundant extra copies (injected by the fault plan and only
+    /// counted: the protocol hands a message to its handler once).
     Delivered {
         /// Simulated arrival time at the destination SSMP.
         arrival: Cycles,
@@ -117,14 +117,6 @@ impl LanModel {
             self.iface_service = service;
         }
         self.scenario = scenario;
-        self
-    }
-
-    /// Enables per-SSMP interface occupancy: each outgoing message holds
-    /// the sender's interface for `service` cycles, so bursts queue.
-    pub fn with_interface_contention(mut self, service: Cycles) -> LanModel {
-        self.interfaces = Some((0..self.n_ssmps).map(|_| Occupancy::new()).collect());
-        self.iface_service = service;
         self
     }
 
@@ -342,7 +334,11 @@ mod tests {
 
     #[test]
     fn interface_contention_queues_bursts() {
-        let lan = LanModel::new(2, Cycles(1000)).with_interface_contention(Cycles(50));
+        use crate::TieredScenario;
+        let lan = LanModel::new(2, Cycles(1000)).with_scenario(Arc::new(
+            TieredScenario::uniform(LinkTier::Lan, Cycles(1000))
+                .with_interface_contention(Cycles(50)),
+        ));
         let a = lan.send(0, 1, MsgKind::Inv, 0, Cycles(0));
         let b = lan.send(0, 1, MsgKind::Inv, 0, Cycles(0));
         assert_eq!(a, Cycles(1050));
@@ -459,19 +455,6 @@ mod tests {
         assert_eq!(lan.tier(0, 1), LinkTier::Rack);
         assert_eq!(lan.tier(0, 2), LinkTier::Wan);
         assert_eq!(lan.tier(1, 1), LinkTier::Lan);
-    }
-
-    #[test]
-    fn scenario_contention_allocates_interfaces() {
-        use crate::TieredScenario;
-        let lan = LanModel::new(2, Cycles(1000)).with_scenario(Arc::new(
-            TieredScenario::uniform(LinkTier::Lan, Cycles(1000))
-                .with_interface_contention(Cycles(50)),
-        ));
-        let a = lan.send(0, 1, MsgKind::Inv, 0, Cycles(0));
-        let b = lan.send(0, 1, MsgKind::Inv, 0, Cycles(0));
-        assert_eq!(a, Cycles(1050));
-        assert_eq!(b, Cycles(1100));
     }
 
     #[test]

@@ -16,14 +16,15 @@
 //! message type.
 //!
 //! Beyond the paper's perfect fabric, the crate provides **seeded
-//! fault injection** ([`FaultPlan`]): per-(source, destination, kind)
-//! message drop, duplication and delay-jitter, decided by
-//! deterministic [`XorShift64`](mgs_sim::XorShift64) streams so that a
+//! fault injection** ([`FaultPlan`]): per-kind message drop,
+//! duplication and delay-jitter, decided per (source, destination,
+//! kind) channel by deterministic
+//! [`XorShift64`](mgs_sim::XorShift64) streams so that a
 //! faulty run replays bit-identically for a given seed. The
 //! [`LanModel::transmit`] entry point filters every transmission
 //! through the attached plan and reports the [`Delivery`] outcome; the
 //! MGS protocol layer (`mgs-proto`) recovers from losses with
-//! timeout/retry and from duplicates with sequence-number dedup.
+//! timeout/retry; a duplicate is only counted and reaches no handler.
 //!
 //! The external fabric itself is pluggable: a [`Scenario`] behind the
 //! `LanModel` describes per-link latency tiers ([`TieredScenario`]:

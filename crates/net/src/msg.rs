@@ -110,14 +110,6 @@ impl MsgKind {
         }
     }
 
-    /// `true` for messages that carry page-sized or diff payloads.
-    pub fn carries_data(self) -> bool {
-        matches!(
-            self,
-            MsgKind::RDat | MsgKind::WDat | MsgKind::Diff | MsgKind::OneWData | MsgKind::Update
-        )
-    }
-
     /// Number of message kinds (the length of [`MsgKind::ALL`]).
     pub const COUNT: usize = Self::ALL.len();
 
@@ -273,14 +265,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), MsgKind::ALL.len());
-    }
-
-    #[test]
-    fn data_carriers_flagged() {
-        assert!(MsgKind::RDat.carries_data());
-        assert!(MsgKind::OneWData.carries_data());
-        assert!(!MsgKind::RReq.carries_data());
-        assert!(!MsgKind::PInv.carries_data());
     }
 
     #[test]

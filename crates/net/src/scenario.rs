@@ -262,17 +262,6 @@ impl TieredScenario {
         s
     }
 
-    /// Overrides the cost of one tier.
-    pub fn with_tier(
-        mut self,
-        tier: LinkTier,
-        latency: Cycles,
-        per_byte: Cycles,
-    ) -> TieredScenario {
-        self.costs[tier.index()] = (latency, per_byte);
-        self
-    }
-
     /// Overrides one *directed* link (asymmetric routes: override
     /// `(a, b)` without touching `(b, a)`).
     pub fn with_link(mut self, src: usize, dst: usize, link: Link) -> TieredScenario {

@@ -163,7 +163,7 @@ pub enum ObsEvent {
         kind: MsgKind,
     },
     /// Fabric-injected duplicate copies delivered alongside a message
-    /// (discarded by the receiver's sequence filter).
+    /// (counted here; no handler sees them).
     Duplicate {
         /// Sending SSMP.
         from: usize,

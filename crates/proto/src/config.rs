@@ -1,7 +1,6 @@
 //! Protocol configuration.
 
 use crate::strategy::{AdaptiveParams, ProtocolKind};
-use crate::transport::RetryPolicy;
 use mgs_sim::CostModel;
 use mgs_vm::PageGeometry;
 
@@ -45,10 +44,6 @@ pub struct ProtoConfig {
     /// Thresholds and pacing of the adaptive-grain controller (only
     /// consulted when `protocol` is [`ProtocolKind::Adaptive`]).
     pub adaptive: AdaptiveParams,
-    /// Timeout/retransmission policy used when the fabric is allowed to
-    /// drop messages (see [`RetryPolicy`]). Irrelevant — never consulted
-    /// — on a perfect fabric, where every transmission is delivered.
-    pub retry: RetryPolicy,
 }
 
 impl ProtoConfig {
@@ -72,7 +67,6 @@ impl ProtoConfig {
             readonly_clean_opt: false,
             protocol: ProtocolKind::Eager,
             adaptive: AdaptiveParams::default(),
-            retry: RetryPolicy::lan_default(),
         }
     }
 

@@ -25,12 +25,12 @@
 //!
 //! The paper assumes the LAN delivers every message exactly once. When
 //! the runtime attaches a fault plan (`mgs_net::FaultPlan`), the
-//! protocol recovers through the [`transport`-module ARQ
-//! scheme](crate::RetryPolicy): timed-out messages are retransmitted
-//! with exponential backoff, sequence numbers make every remote handler
-//! idempotent under duplicates ([`SeqFilter`]), and a transaction whose
-//! retry budget is exhausted surfaces a typed [`ProtocolError`] through
-//! the `try_*` entry points instead of wedging the machine.
+//! protocol retransmits a timed-out message after a timeout that
+//! doubles up to a cap, and a transaction that spends its 16
+//! retransmissions surfaces a typed [`ProtocolError`] through the
+//! `try_*` entry points instead of wedging the machine. A delivered
+//! message is one call of its handler: a fabric duplicate is counted by
+//! the fabric and reaches no handler.
 //!
 //! ## Table 1 erratum
 //!
@@ -65,4 +65,4 @@ pub use stats::ProtoStats;
 pub use step::{ClientState, ServerDirs};
 pub use strategy::{AdaptiveController, AdaptiveParams, PagePolicy, PolicyDecision, ProtocolKind};
 pub use timing::{ProtoTiming, RecordingTiming};
-pub use transport::{ProtocolError, RetryPolicy, SendOutcome, SeqFilter, Transaction};
+pub use transport::{ProtocolError, SendOutcome, Transaction};

@@ -14,7 +14,7 @@
 
 use crate::step::{ClientState, Ctx, Effects, Frame, PageState, ServerDirs};
 use crate::strategy::{AdaptiveController, PagePolicy, PolicyDecision, ProtocolKind};
-use crate::transport::{ProtocolError, SendOutcome, SeqFilter, Transaction};
+use crate::transport::{timeout_for, ProtocolError, SendOutcome, Transaction, MAX_RETRIES};
 use crate::{ProtoConfig, ProtoStats, ProtoTiming, SpanDiff};
 use mgs_cache::{Directory, SsmpCacheSystem};
 use mgs_net::MsgKind;
@@ -126,12 +126,6 @@ pub struct MgsProtocol {
     /// next acquire point. A page leaves only once drained; the mutex is
     /// a leaf, held for one push, peek or pop.
     notices: Vec<Mutex<VecDeque<u64>>>,
-    /// Per-SSMP sequence-number allocators for outbound inter-SSMP
-    /// messages (the send half of the exactly-once transport).
-    send_seq: Vec<AtomicU64>,
-    /// Per-SSMP receive filters discarding duplicate deliveries (the
-    /// receive half; see [`SeqFilter`]).
-    seq_filters: Vec<SeqFilter>,
     /// Per-SSMP recycled page-sized buffers for twins and shipped
     /// pages: the page-grain data kernels run allocation-free in steady
     /// state. Sharded per SSMP so concurrent releases on different
@@ -176,8 +170,6 @@ impl MgsProtocol {
             cfg,
             shards: (0..PAGE_SHARDS).map(|_| Mutex::default()).collect(),
             notices: (0..n_ssmps).map(|_| Default::default()).collect(),
-            send_seq: (0..n_ssmps).map(|_| AtomicU64::new(0)).collect(),
-            seq_filters: (0..n_ssmps).map(|_| SeqFilter::new(n_ssmps)).collect(),
             diff_scratch: (0..n_ssmps).map(|_| Mutex::new(Vec::new())).collect(),
             diff_scratch_created: AtomicU64::new(0),
             stats: ProtoStats::new(),
@@ -428,8 +420,8 @@ impl MgsProtocol {
     /// Panics if the fabric stays unusable past the retry budget (see
     /// [`try_fault`](MgsProtocol::try_fault) for the non-panicking
     /// variant). Unreachable on a perfect fabric; at a 1% drop rate the
-    /// default [`RetryPolicy`](crate::RetryPolicy) makes the
-    /// probability per message ≈ 10⁻³⁴.
+    /// retry budget of 16 retransmissions makes the probability per
+    /// message ≈ 10⁻³⁴.
     pub fn fault(
         &self,
         proc: usize,
@@ -794,60 +786,29 @@ impl Interp<'_> {
 }
 
 impl Effects for Interp<'_> {
-    /// Retried with backoff while the fabric drops it, duplicates
-    /// discarded by the receiver's [`SeqFilter`]; intra-SSMP messages
-    /// are delivered directly.
+    /// Retried with backoff while the fabric drops it; an intra-SSMP
+    /// message always arrives.
     fn send(&mut self, from: usize, to: usize, kind: MsgKind, bytes: u64) -> Res {
-        let proto = self.proto;
-        if from == to {
-            self.t.message(from, to, kind, bytes);
-            return Ok(());
-        }
-        // Sequence numbers start at 1 (the filter reserves 0 for
-        // "nothing seen yet").
-        let seq = proto.send_seq[from].fetch_add(1, Ordering::Relaxed) + 1;
-        let policy = &proto.cfg.retry;
         let mut attempt = 0u32;
-        loop {
-            match self.t.try_message(from, to, kind, bytes) {
-                SendOutcome::Delivered { duplicates } => {
-                    // The first delivery of a fresh sequence number is
-                    // accepted (ignoring the result also tolerates the
-                    // filter's conservative out-of-window rejection).
-                    let _ = proto.seq_filters[to].accept(from, seq);
-                    // Fabric duplicates replay the same sequence number
-                    // and are discarded by the filter: the handler's
-                    // state mutation happens exactly once. Discarding
-                    // costs the receiver a handler dispatch that is
-                    // negligible next to any crossing, so no simulated
-                    // time is charged.
-                    for _ in 0..duplicates {
-                        if !proto.seq_filters[to].accept(from, seq) {
-                            proto.stats.dup_rejects.incr();
-                        }
-                    }
-                    return Ok(());
-                }
-                SendOutcome::Dropped => {
-                    if attempt >= policy.max_retries {
-                        proto.stats.xact_failures.incr();
-                        return Err(ProtocolError::RetriesExhausted {
-                            txn: Transaction {
-                                page: self.page,
-                                kind,
-                                from,
-                                to,
-                            },
-                            attempts: attempt + 1,
-                        });
-                    }
-                    self.t
-                        .retry_wait(from, to, kind, attempt, policy.timeout_for(attempt));
-                    proto.stats.retries.incr();
-                    attempt += 1;
-                }
+        while self.t.try_message(from, to, kind, bytes) == SendOutcome::Dropped {
+            if attempt >= MAX_RETRIES {
+                self.proto.stats.xact_failures.incr();
+                return Err(ProtocolError::RetriesExhausted {
+                    txn: Transaction {
+                        page: self.page,
+                        kind,
+                        from,
+                        to,
+                    },
+                    attempts: attempt + 1,
+                });
             }
+            self.t
+                .retry_wait(from, to, kind, attempt, timeout_for(attempt));
+            self.proto.stats.retries.incr();
+            attempt += 1;
         }
+        Ok(())
     }
 
     fn local(&mut self, cycles: Cycles) {

@@ -42,8 +42,6 @@ pub struct ProtoStats {
     pub policy_switches: Counter,
     /// Retransmissions after a fabric-dropped message timed out.
     pub retries: Counter,
-    /// Duplicate message copies discarded by the sequence filter.
-    pub dup_rejects: Counter,
     /// Transactions aborted after exhausting their retry budget.
     pub xact_failures: Counter,
 }
@@ -102,7 +100,6 @@ impl ProtoStats {
         self.update_push_words.reset();
         self.policy_switches.reset();
         self.retries.reset();
-        self.dup_rejects.reset();
         self.xact_failures.reset();
     }
 }
@@ -125,16 +122,9 @@ impl fmt::Display for ProtoStats {
             self.invalidations,
             self.pinvs
         )?;
-        let (retries, dups, fails) = (
-            self.retries.get(),
-            self.dup_rejects.get(),
-            self.xact_failures.get(),
-        );
-        if retries + dups + fails > 0 {
-            write!(
-                f,
-                "\nrecovery: retries={retries} dup_rejects={dups} xact_failures={fails}"
-            )?;
+        let (retries, fails) = (self.retries.get(), self.xact_failures.get());
+        if retries + fails > 0 {
+            write!(f, "\nrecovery: retries={retries} xact_failures={fails}")?;
         }
         Ok(())
     }

@@ -22,40 +22,27 @@ pub trait ProtoTiming {
     /// Work executed on the requesting processor itself.
     fn local(&mut self, cycles: Cycles);
 
-    /// A protocol message from SSMP `from` to SSMP `to` carrying
-    /// `payload_bytes` of data. `from == to` is an intra-SSMP message.
-    fn message(&mut self, from: usize, to: usize, kind: MsgKind, payload_bytes: u64);
-
     /// Handler or data-movement work executed at global processor
     /// `node`, serialized with other protocol work at that node.
     fn node_work(&mut self, node: usize, cycles: Cycles);
 
-    /// Attempts one transmission of a protocol message over a possibly
-    /// unreliable fabric and reports whether it arrived.
-    ///
-    /// The default implementation models the paper's perfect LAN: it
-    /// forwards to [`message`](ProtoTiming::message) and always reports
-    /// [`SendOutcome::Delivered`] with no duplicates. Runtimes that
-    /// attach a [`FaultPlan`](mgs_net::FaultPlan) override this to
-    /// consult the fabric's fate for the transmission.
+    /// One transmission of a protocol message from SSMP `from` to SSMP
+    /// `to` carrying `payload_bytes` of data, and whether it arrived.
+    /// `from == to` is an intra-SSMP message, which never touches the
+    /// LAN and always arrives; an inter-SSMP one meets the fabric's
+    /// fate under an attached [`FaultPlan`](mgs_net::FaultPlan).
     fn try_message(
         &mut self,
         from: usize,
         to: usize,
         kind: MsgKind,
         payload_bytes: u64,
-    ) -> SendOutcome {
-        self.message(from, to, kind, payload_bytes);
-        SendOutcome::Delivered { duplicates: 0 }
-    }
+    ) -> SendOutcome;
 
     /// The requester timed out waiting for the `attempt`-th (0-based)
     /// transmission of a message and waited `wait` cycles before
-    /// retransmitting. The default charges the wait as local time.
-    fn retry_wait(&mut self, from: usize, to: usize, kind: MsgKind, attempt: u32, wait: Cycles) {
-        let _ = (from, to, kind, attempt);
-        self.local(wait);
-    }
+    /// retransmitting.
+    fn retry_wait(&mut self, from: usize, to: usize, kind: MsgKind, attempt: u32, wait: Cycles);
 
     /// A structured observability event. Purely a host-side side
     /// channel: implementations must never advance any simulated clock
@@ -77,9 +64,9 @@ pub trait ProtoTiming {
 /// A deterministic [`ProtoTiming`] for tests and micro-measurements.
 ///
 /// Accumulates every cost into a single serial clock (no occupancy, no
-/// concurrency): `local` and `node_work` add their cycles; `message`
-/// adds an intra-SSMP handler cost when `from == to`, otherwise a full
-/// crossing (`msg_send + ext_latency + msg_recv`). With this
+/// concurrency): `local` and `node_work` add their cycles; a delivered
+/// message adds an intra-SSMP handler cost when `from == to`, otherwise
+/// a full crossing (`msg_send + ext_latency + msg_recv`). With this
 /// implementation a protocol transaction's elapsed time equals the
 /// composite reference costs of
 /// [`CostModel`](mgs_sim::CostModel) exactly.
@@ -192,19 +179,9 @@ impl RecordingTiming {
             .filter(|e| matches!(e, ObsEvent::Message { from, to, .. } if from != to))
             .count()
     }
-}
 
-impl ProtoTiming for RecordingTiming {
-    fn now(&self) -> Cycles {
-        self.clock
-    }
-
-    fn local(&mut self, cycles: Cycles) {
-        self.clock += cycles;
-        self.events.push(ObsEvent::Local { cycles });
-    }
-
-    fn message(&mut self, from: usize, to: usize, kind: MsgKind, payload_bytes: u64) {
+    /// Charges and records one delivered message.
+    fn deliver(&mut self, from: usize, to: usize, kind: MsgKind, payload_bytes: u64) {
         self.clock += if from == to {
             self.cost.intra_msg
         } else {
@@ -216,6 +193,17 @@ impl ProtoTiming for RecordingTiming {
             kind,
             bytes: payload_bytes,
         });
+    }
+}
+
+impl ProtoTiming for RecordingTiming {
+    fn now(&self) -> Cycles {
+        self.clock
+    }
+
+    fn local(&mut self, cycles: Cycles) {
+        self.clock += cycles;
+        self.events.push(ObsEvent::Local { cycles });
     }
 
     fn node_work(&mut self, node: usize, cycles: Cycles) {
@@ -235,15 +223,11 @@ impl ProtoTiming for RecordingTiming {
         kind: MsgKind,
         payload_bytes: u64,
     ) -> SendOutcome {
-        let Some(plan) = &self.plan else {
-            self.message(from, to, kind, payload_bytes);
+        // Intra-SSMP messages never touch the LAN fabric.
+        let Some(plan) = self.plan.as_ref().filter(|_| from != to) else {
+            self.deliver(from, to, kind, payload_bytes);
             return SendOutcome::Delivered { duplicates: 0 };
         };
-        if from == to {
-            // Intra-SSMP messages never touch the LAN fabric.
-            self.message(from, to, kind, payload_bytes);
-            return SendOutcome::Delivered { duplicates: 0 };
-        }
         let n = self.seq.entry((from, to, kind)).or_insert(0);
         let fate = plan.fate(from, to, kind, *n);
         *n += 1;
@@ -256,7 +240,7 @@ impl ProtoTiming for RecordingTiming {
                 SendOutcome::Dropped
             }
             Fate::Deliver { jitter, duplicates } => {
-                self.message(from, to, kind, payload_bytes);
+                self.deliver(from, to, kind, payload_bytes);
                 self.clock += jitter;
                 if duplicates > 0 {
                     self.events.push(ObsEvent::Duplicate {
@@ -308,7 +292,7 @@ mod tests {
     fn intra_message_is_cheap() {
         let cm = CostModel::alewife();
         let mut t = RecordingTiming::new(cm.clone(), Cycles(1000));
-        t.message(1, 1, MsgKind::Upgrade, 0);
+        t.try_message(1, 1, MsgKind::Upgrade, 0);
         assert_eq!(t.elapsed(), cm.intra_msg);
     }
 
@@ -316,7 +300,8 @@ mod tests {
     fn crossing_includes_ext_latency() {
         let cm = CostModel::alewife();
         let mut t = RecordingTiming::new(cm.clone(), Cycles(1000));
-        t.message(0, 1, MsgKind::RReq, 0);
+        let out = t.try_message(0, 1, MsgKind::RReq, 0);
+        assert_eq!(out, SendOutcome::Delivered { duplicates: 0 });
         assert_eq!(t.elapsed(), cm.crossing(Cycles(1000)));
         assert_eq!(t.crossings(), 1);
     }
@@ -338,15 +323,6 @@ mod tests {
         t.reset();
         assert_eq!(t.elapsed(), Cycles::ZERO);
         assert!(t.events().is_empty());
-    }
-
-    #[test]
-    fn default_try_message_is_a_perfect_fabric() {
-        let cm = CostModel::alewife();
-        let mut t = RecordingTiming::new(cm.clone(), Cycles(1000));
-        let out = t.try_message(0, 1, MsgKind::RReq, 0);
-        assert_eq!(out, SendOutcome::Delivered { duplicates: 0 });
-        assert_eq!(t.elapsed(), cm.crossing(Cycles(1000)));
     }
 
     #[test]

@@ -6,86 +6,38 @@
 //! recovers with a classic ARQ scheme:
 //!
 //! * **at-least-once sending** — every inter-SSMP protocol message is
-//!   retransmitted on timeout, with exponential backoff governed by a
-//!   [`RetryPolicy`], until it is delivered or the retry cap is
-//!   exhausted;
-//! * **at-most-once handling** — every message carries a per-sender
-//!   sequence number, and each receiving SSMP discards copies it has
-//!   already handled through a [`SeqFilter`] (an anti-replay window),
-//!   so fabric duplicates and crossed retransmissions are no-ops on
-//!   page and directory state;
+//!   retransmitted on timeout, waiting [`timeout_for`] cycles after
+//!   each loss, until it is delivered or [`MAX_RETRIES`]
+//!   retransmissions are spent;
+//! * **exactly-once handling** — a delivered message is one call of its
+//!   handler, so a fabric duplicate is counted by the fabric and
+//!   reaches no handler;
 //! * **typed failure** — a transmission that exhausts its retry budget
 //!   aborts the enclosing transaction with
 //!   [`ProtocolError::RetriesExhausted`], naming the offending
 //!   [`Transaction`], instead of wedging the machine.
+//!
+//! The retry constants are sized for the paper's 1000-cycle LAN: the
+//! first timeout is 4× the one-way latency, doubling up to 64 k cycles,
+//! and 16 retransmissions. At a 1% drop rate the probability of
+//! exhausting this budget on one message is 10⁻³⁴ — fault-free
+//! completion in practice, while a partitioned link still fails in
+//! bounded time.
 
 use mgs_net::MsgKind;
 use mgs_sim::Cycles;
-use parking_lot::Mutex;
 use std::fmt;
 
-/// Timeout and retransmission policy for inter-SSMP protocol messages.
-///
-/// Attempt `k` (0-based) that times out waits
-/// `min(base_timeout × backoff^k, max_timeout)` cycles before the next
-/// transmission; after `max_retries` retransmissions the transaction
-/// aborts with [`ProtocolError::RetriesExhausted`].
-///
-/// # Example
-///
-/// ```
-/// use mgs_proto::RetryPolicy;
-/// use mgs_sim::Cycles;
-///
-/// let p = RetryPolicy::lan_default();
-/// assert_eq!(p.timeout_for(0), Cycles(4000));
-/// assert_eq!(p.timeout_for(1), Cycles(8000));
-/// assert_eq!(p.timeout_for(30), p.max_timeout); // capped
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Wait after the first lost transmission.
-    pub base_timeout: Cycles,
-    /// Timeout multiplier per further retry (≥ 1).
-    pub backoff: u32,
-    /// Upper bound on any single timeout wait.
-    pub max_timeout: Cycles,
-    /// Retransmissions allowed before the transaction aborts.
-    pub max_retries: u32,
-}
+/// Retransmissions allowed before a transaction aborts with
+/// [`ProtocolError::RetriesExhausted`].
+pub(crate) const MAX_RETRIES: u32 = 16;
 
-impl RetryPolicy {
-    /// Defaults sized for the paper's 1000-cycle LAN: first timeout at
-    /// 4× the one-way latency, doubling up to 64 k cycles, 16
-    /// retransmissions. At a 1% drop rate the probability of exhausting
-    /// this budget on one message is 10⁻³⁴ — fault-free completion in
-    /// practice, while a partitioned link still fails in bounded time.
-    pub fn lan_default() -> RetryPolicy {
-        RetryPolicy {
-            base_timeout: Cycles(4_000),
-            backoff: 2,
-            max_timeout: Cycles(64_000),
-            max_retries: 16,
-        }
-    }
-
-    /// The timeout wait after losing the `attempt`-th (0-based)
-    /// transmission: `min(base_timeout × backoff^attempt, max_timeout)`.
-    pub fn timeout_for(&self, attempt: u32) -> Cycles {
-        let factor = (self.backoff.max(1) as u64).saturating_pow(attempt);
-        Cycles(
-            self.base_timeout
-                .raw()
-                .saturating_mul(factor)
-                .min(self.max_timeout.raw()),
-        )
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy::lan_default()
-    }
+/// The timeout wait after losing the `attempt`-th (0-based)
+/// transmission: 4,000 cycles, doubling per attempt, capped at 64,000.
+pub(crate) fn timeout_for(attempt: u32) -> Cycles {
+    const BASE: u64 = 4_000;
+    const MAX: u64 = 64_000;
+    Cycles(BASE.saturating_mul(2u64.saturating_pow(attempt)).min(MAX))
 }
 
 /// Outcome of a single transmission attempt reported by
@@ -93,7 +45,7 @@ impl Default for RetryPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendOutcome {
     /// The message arrived, along with `duplicates` redundant copies
-    /// that the receiver's [`SeqFilter`] must discard.
+    /// that the fabric counted and no handler sees.
     Delivered {
         /// Fabric-injected duplicate copies delivered with the message.
         duplicates: u32,
@@ -134,7 +86,7 @@ impl fmt::Display for Transaction {
 /// propagates, so the rest of the machine keeps running.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolError {
-    /// A message exceeded [`RetryPolicy::max_retries`] retransmissions.
+    /// A message exceeded `MAX_RETRIES` (16) retransmissions.
     RetriesExhausted {
         /// The transaction whose message could not be delivered.
         txn: Transaction,
@@ -156,146 +108,17 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-/// Receive-side duplicate suppression: one anti-replay window per
-/// source SSMP (the receive half of the sequence-number scheme).
-///
-/// Each window tracks the highest sequence number accepted from a
-/// source plus a 128-entry seen-bitmap below it, so in-flight
-/// transactions that complete out of order are still each accepted
-/// exactly once, while any replayed sequence number — a fabric
-/// duplicate or a crossed retransmission — is rejected.
-///
-/// # Example
-///
-/// ```
-/// use mgs_proto::SeqFilter;
-///
-/// let f = SeqFilter::new(2);
-/// assert!(f.accept(0, 1));
-/// assert!(!f.accept(0, 1)); // duplicate discarded
-/// assert!(f.accept(0, 3)); // later seq
-/// assert!(f.accept(0, 2)); // out-of-order but fresh: accepted
-/// assert!(!f.accept(0, 2));
-/// assert!(f.accept(1, 1)); // independent per source
-/// ```
-#[derive(Debug)]
-pub struct SeqFilter {
-    windows: Vec<Mutex<SeqWindow>>,
-}
-
-#[derive(Debug, Default)]
-struct SeqWindow {
-    /// Highest sequence number accepted so far (0 = none).
-    last: u64,
-    /// Bit `d` set ⇔ sequence number `last - d` was accepted.
-    mask: u128,
-}
-
-/// Anti-replay window width: sequence numbers more than this far below
-/// the newest accepted one are conservatively treated as replays.
-const WINDOW: u64 = 128;
-
-impl SeqFilter {
-    /// Creates a filter with one window per source (sequence numbers
-    /// start at 1; see [`accept`](SeqFilter::accept)).
-    pub fn new(n_sources: usize) -> SeqFilter {
-        SeqFilter {
-            windows: (0..n_sources)
-                .map(|_| Mutex::new(SeqWindow::default()))
-                .collect(),
-        }
-    }
-
-    /// Accepts sequence number `seq` (≥ 1) from `src` if it has not
-    /// been seen before; returns `false` for duplicates (and, very
-    /// conservatively, for live numbers that have fallen more than the
-    /// window width behind — impossible for the protocol's bounded
-    /// in-flight population).
-    pub fn accept(&self, src: usize, seq: u64) -> bool {
-        debug_assert!(seq >= 1, "sequence numbers start at 1");
-        let mut w = self.windows[src].lock();
-        if seq > w.last {
-            let shift = seq - w.last;
-            w.mask = if shift >= WINDOW { 0 } else { w.mask << shift };
-            w.mask |= 1;
-            w.last = seq;
-            return true;
-        }
-        let d = w.last - seq;
-        if d >= WINDOW {
-            return false;
-        }
-        let bit = 1u128 << d;
-        if w.mask & bit != 0 {
-            false
-        } else {
-            w.mask |= bit;
-            true
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = RetryPolicy::lan_default();
-        assert_eq!(p.timeout_for(0), Cycles(4_000));
-        assert_eq!(p.timeout_for(2), Cycles(16_000));
-        assert_eq!(p.timeout_for(4), Cycles(64_000));
-        assert_eq!(p.timeout_for(5), Cycles(64_000));
-        assert_eq!(p.timeout_for(63), Cycles(64_000)); // no overflow
-    }
-
-    #[test]
-    fn unit_backoff_is_constant() {
-        let p = RetryPolicy {
-            base_timeout: Cycles(100),
-            backoff: 1,
-            max_timeout: Cycles(1_000),
-            max_retries: 3,
-        };
-        assert_eq!(p.timeout_for(0), Cycles(100));
-        assert_eq!(p.timeout_for(10), Cycles(100));
-    }
-
-    #[test]
-    fn filter_accepts_each_seq_once() {
-        let f = SeqFilter::new(1);
-        for seq in 1..=200u64 {
-            assert!(f.accept(0, seq), "first delivery of {seq}");
-            assert!(!f.accept(0, seq), "duplicate of {seq}");
-        }
-    }
-
-    #[test]
-    fn filter_tolerates_out_of_order_within_window() {
-        let f = SeqFilter::new(1);
-        assert!(f.accept(0, 100));
-        for seq in (1..100).rev() {
-            assert!(f.accept(0, seq), "late but fresh {seq}");
-        }
-        for seq in 1..=100 {
-            assert!(!f.accept(0, seq), "replay of {seq}");
-        }
-    }
-
-    #[test]
-    fn filter_rejects_beyond_window_conservatively() {
-        let f = SeqFilter::new(1);
-        assert!(f.accept(0, 500));
-        assert!(!f.accept(0, 500 - WINDOW));
-        assert!(f.accept(0, 500 - WINDOW + 1));
-    }
-
-    #[test]
-    fn filter_sources_are_independent() {
-        let f = SeqFilter::new(3);
-        assert!(f.accept(2, 7));
-        assert!(f.accept(1, 7));
-        assert!(!f.accept(2, 7));
+        assert_eq!(timeout_for(0), Cycles(4_000));
+        assert_eq!(timeout_for(2), Cycles(16_000));
+        assert_eq!(timeout_for(4), Cycles(64_000));
+        assert_eq!(timeout_for(5), Cycles(64_000));
+        assert_eq!(timeout_for(63), Cycles(64_000)); // no overflow
     }
 
     #[test]

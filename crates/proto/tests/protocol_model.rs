@@ -17,9 +17,7 @@
 //! fault on the page itself, and a release that reaches the page's DUQ
 //! entry, live or pruned, wait for the lock. A paused transaction
 //! resumes by replaying its step from the state it started in, skipping
-//! the effects already carried out. Every inter-SSMP message is
-//! delivered twice through a real [`SeqFilter`], and the copy must be
-//! rejected.
+//! the effects already carried out.
 //!
 //! The checked invariants:
 //! - at most one untwinned writer, and only at the home SSMP;
@@ -55,7 +53,7 @@
 use mgs_net::MsgKind;
 use mgs_obs::{ObsEvent, XactOutcome};
 use mgs_proto::step::{ClientState, Ctx, Effects, Frame, PageState};
-use mgs_proto::{PagePolicy, ProtoConfig, ProtocolError, SeqFilter};
+use mgs_proto::{PagePolicy, ProtoConfig, ProtocolError};
 use mgs_sim::Cycles;
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::DefaultHasher;
@@ -342,8 +340,6 @@ impl Reached {
 struct Checker {
     sc: Scenario,
     cfg: ProtoConfig,
-    filters: Vec<SeqFilter>,
-    seq: Vec<Cell<u64>>,
     reached: Reached,
     trace: RefCell<Option<Vec<String>>>,
 }
@@ -455,14 +451,7 @@ impl Fx<'_> {
 
 impl Effects for Fx<'_> {
     fn send(&mut self, from: usize, to: usize, kind: MsgKind, _: u64) -> Result<(), ProtocolError> {
-        if self.real(false, || format!("{kind:?} {from} -> {to}")) && from != to {
-            let seq = self.ck.seq[from].get() + 1;
-            self.ck.seq[from].set(seq);
-            let first = self.ck.filters[to].accept(from, seq);
-            if !first || self.ck.filters[to].accept(from, seq) {
-                self.fail(format!("{kind:?} {from} -> {to} handled twice"));
-            }
-        }
+        self.real(false, || format!("{kind:?} {from} -> {to}"));
         Ok(())
     }
 
@@ -718,8 +707,6 @@ impl Checker {
         let n = sc.ssmps();
         Checker {
             cfg: ProtoConfig::new(n, sc.per_ssmp),
-            filters: (0..n).map(|_| SeqFilter::new(n)).collect(),
-            seq: (0..n).map(|_| Cell::new(0)).collect(),
             reached: Reached::default(),
             trace: RefCell::new(None),
             sc,

@@ -2,7 +2,7 @@
 //! arc 12), that processor's next release no longer covers the page.
 //! Whoever pruned it owes the page what the release would have done:
 //! no copy may stay valid and stale past that release. Two ways this
-//! went wrong (ROADMAP item 1), each pinned here.
+//! went wrong, each pinned here.
 //!
 //! **Eager flush in flight** (the Water lost update). Three SSMPs hold
 //! write copies of one page. `q` releases: its flush invalidates the
@@ -25,7 +25,7 @@ use mgs_net::MsgKind;
 use mgs_obs::ObsEvent;
 use mgs_proto::{
     MgsProtocol, PagePolicy, PolicyDecision, ProtoConfig, ProtoTiming, ProtocolKind,
-    RecordingTiming,
+    RecordingTiming, SendOutcome,
 };
 use mgs_sim::{CostModel, Cycles};
 use mgs_vm::TlbEntry;
@@ -59,11 +59,20 @@ impl ProtoTiming for PauseBeforeInvalidate {
     fn local(&mut self, cycles: Cycles) {
         self.inner.local(cycles);
     }
-    fn message(&mut self, from: usize, to: usize, kind: MsgKind, payload_bytes: u64) {
-        self.inner.message(from, to, kind, payload_bytes);
-    }
     fn node_work(&mut self, node: usize, cycles: Cycles) {
         self.inner.node_work(node, cycles);
+    }
+    fn try_message(
+        &mut self,
+        from: usize,
+        to: usize,
+        kind: MsgKind,
+        payload_bytes: u64,
+    ) -> SendOutcome {
+        self.inner.try_message(from, to, kind, payload_bytes)
+    }
+    fn retry_wait(&mut self, from: usize, to: usize, kind: MsgKind, attempt: u32, wait: Cycles) {
+        self.inner.retry_wait(from, to, kind, attempt, wait);
     }
     fn observe(&mut self, event: ObsEvent) {
         if matches!(event, ObsEvent::Invalidate { ssmp, .. } if ssmp == self.at_ssmp) {

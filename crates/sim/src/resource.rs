@@ -38,8 +38,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub struct Occupancy {
     busy_until: AtomicU64,
-    total_busy: AtomicU64,
-    requests: AtomicU64,
 }
 
 impl Occupancy {
@@ -61,11 +59,7 @@ impl Occupancy {
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => {
-                    self.total_busy.fetch_add(service.raw(), Ordering::Relaxed);
-                    self.requests.fetch_add(1, Ordering::Relaxed);
-                    return (Cycles(start), Cycles(end));
-                }
+                Ok(_) => return (Cycles(start), Cycles(end)),
                 Err(actual) => cur = actual,
             }
         }
@@ -75,23 +69,6 @@ impl Occupancy {
     /// far.
     pub fn busy_until(&self) -> Cycles {
         Cycles(self.busy_until.load(Ordering::Relaxed))
-    }
-
-    /// Total service cycles granted (for utilization statistics).
-    pub fn total_busy(&self) -> Cycles {
-        Cycles(self.total_busy.load(Ordering::Relaxed))
-    }
-
-    /// Number of requests served.
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Resets the resource to idle and clears statistics.
-    pub fn reset(&self) {
-        self.busy_until.store(0, Ordering::Relaxed);
-        self.total_busy.store(0, Ordering::Relaxed);
-        self.requests.store(0, Ordering::Relaxed);
     }
 }
 
@@ -125,25 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn statistics_accumulate() {
-        let r = Occupancy::new();
-        r.occupy(Cycles(0), Cycles(10));
-        r.occupy(Cycles(0), Cycles(20));
-        assert_eq!(r.total_busy(), Cycles(30));
-        assert_eq!(r.requests(), 2);
-        assert_eq!(r.busy_until(), Cycles(30));
-    }
-
-    #[test]
-    fn reset_returns_to_idle() {
-        let r = Occupancy::new();
-        r.occupy(Cycles(0), Cycles(10));
-        r.reset();
-        assert_eq!(r.busy_until(), Cycles::ZERO);
-        assert_eq!(r.requests(), 0);
-    }
-
-    #[test]
     fn concurrent_occupancy_is_consistent() {
         use std::sync::Arc;
         let r = Arc::new(Occupancy::new());
@@ -159,9 +117,8 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // Every granted interval is disjoint, so total busy time equals
-        // the final busy_until when all arrivals are at time zero.
+        // Every granted interval is disjoint, so with all arrivals at
+        // time zero the final busy_until is the total service.
         assert_eq!(r.busy_until(), Cycles(8000));
-        assert_eq!(r.total_busy(), Cycles(8000));
     }
 }

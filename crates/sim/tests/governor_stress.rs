@@ -21,8 +21,8 @@
 //!
 //! A stress thread that panics never calls `finished`, so its peers
 //! park at the gate forever and libtest sits on the captured panic
-//! text (ROADMAP item 1). Each random mix therefore runs under a
-//! deadline and fails by name instead.
+//! text. Each random mix therefore runs under a deadline and fails by
+//! name instead.
 
 use mgs_sim::{Cycles, EpochGate, SpinPolicy, XorShift64};
 use std::sync::atomic::{AtomicU64, Ordering};

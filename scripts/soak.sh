@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Soak runner (ROADMAP item 1): runs one test binary N times, each run
+# Soak runner for rare failures: runs one test binary N times, each run
 # under a timeout and optionally beside K busy loops, then prints
 # `failed/N` and the de-duplicated failing assertions.
 #
