@@ -1,13 +1,13 @@
 //! Per-SSMP cache-line directory: a slab of dense 64-line blocks.
 
 use crate::MissClass;
-use parking_lot::HeldLock;
+use parking_lot::{HeldLock, Mutex};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicU8};
-use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 /// Lines per block.
 const BLOCK_LINES: u64 = 64;
@@ -17,7 +17,8 @@ const STRIPES: usize = 8;
 /// `1 << (FIRST_SEGMENT_BITS + k)`.
 const FIRST_SEGMENT_BITS: u32 = 4;
 /// Segments the slab can grow to: 16 × (2²⁰ − 1) blocks, 16 GB of
-/// simulated memory cached in one SSMP at once.
+/// simulated memory in the frames one SSMP has touched. Every slot fits
+/// the memo a tag array keeps beside a line.
 const SEGMENTS: usize = 20;
 /// Attempts a writer spins on a held stripe before it yields its host
 /// thread between attempts.
@@ -27,7 +28,8 @@ const SPINS: u32 = 64;
 thread_local! {
     /// `(stripe, index)` lock acquisitions by this thread (debug builds
     /// only): the access path asserts that a right hint costs one
-    /// stripe lock and no index lookup.
+    /// stripe lock and no index lookup, and tests that a frame's paths
+    /// never ask the index.
     static LOCKS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
@@ -277,119 +279,66 @@ fn place(line: u64) -> (u64, usize, usize) {
     (line / BLOCK_LINES, within % STRIPES, within / STRIPES)
 }
 
-/// Which blocks exist: the `chunk → hint` map consulted when a hint
-/// misses, and the slots not in it.
+/// Splits `lines` into runs that each fall in one chunk without
+/// repeating a line, and calls `visit(chunk, mask)` for each, with one
+/// bit of `mask` per line of the chunk.
+fn chunk_runs(lines: impl IntoIterator<Item = u64>, mut visit: impl FnMut(u64, u64)) {
+    let (mut chunk, mut mask) = (0, 0u64);
+    for line in lines {
+        let bit = 1 << (line % BLOCK_LINES);
+        if line / BLOCK_LINES != chunk || mask & bit != 0 {
+            if mask != 0 {
+                visit(chunk, mask);
+            }
+            (chunk, mask) = (line / BLOCK_LINES, 0);
+        }
+        mask |= bit;
+    }
+    if mask != 0 {
+        visit(chunk, mask);
+    }
+}
+
+/// The stripes a chunk mask touches, each with its lines in it as
+/// [`entries_of`] reads them.
+fn stripes_of(mask: u64) -> impl Iterator<Item = (usize, u64)> {
+    (0..STRIPES)
+        .map(move |stripe| (stripe, mask >> stripe & 0x0101_0101_0101_0101))
+        .filter(|&(_, lanes)| lanes != 0)
+}
+
+/// The entries of a stripe that `lanes` selects: entry `e` iff bit
+/// `8 * e` is set.
+fn entries_of(lanes: u64) -> impl Iterator<Item = usize> {
+    (0..STRIPES).filter(move |e| lanes >> (e * STRIPES) & 1 != 0)
+}
+
+/// The blocks of one directory and the record of which are free. The
+/// directory and every frame holding a claim on some of them share it,
+/// so a frame that outlives its directory still frees into a live slab.
+#[derive(Debug)]
+struct Slab {
+    segments: [OnceLock<Box<[Block]>>; SEGMENTS],
+    /// A leaf lock, held for one take or give-back.
+    free: Mutex<Free>,
+}
+
+/// Which slots may be handed out.
 #[derive(Debug, Default)]
-struct Index {
-    hints: HashMap<u64, u32>,
-    /// Recycled slots, reused last-in first-out.
-    free: Vec<u32>,
-    /// Slots ever handed out.
+struct Free {
+    /// `runs[k]`: the first slots of freed runs of `1 << k` blocks,
+    /// reused last-in first-out.
+    runs: Vec<Vec<u32>>,
+    /// Slots ever handed out, skipped ones included.
     next: u32,
 }
 
-/// The SSMP's line directory: the source of truth for intra-SSMP
-/// hardware coherence state. Processor indices are *local* to the SSMP
-/// (0..C, C ≤ 64).
-///
-/// # Layout
-///
-/// On Alewife a line's directory entry sits at the line's home memory,
-/// beside the data. The model keeps that shape: the directory is a slab
-/// of dense **blocks**, one per 64 consecutive physical lines (1 KB —
-/// one default page), and a line's entry is found by indexing, never by
-/// hashing the line.
-///
-/// * A block is eight **stripes**, each behind its own sequence lock;
-///   stripe `line & 7` holds the eight entries of the block's lines
-///   congruent to it, entry `(line & 63) >> 3`. Two processors collide
-///   only on the same eighth of the same block at the same instant.
-/// * A stripe records which 64-line **chunk** (`line >> 6`) its block
-///   currently holds, or that the block is free. That record is checked
-///   *under the stripe's lock* (or inside a validated optimistic read)
-///   before an entry is used.
-/// * A block is reached through a **hint** (`slot + 1`, or
-///   [`Directory::NO_HINT`]) the caller remembered from an earlier
-///   answer: `PageFrame`'s directory-slot cell, [`ProcCache`]'s memo
-///   beside each tag. A hint is only ever a guess — out of range,
-///   recycled, or taken from another directory, it fails the chunk
-///   check and the lookup falls back to the `chunk → slot` index, which
-///   is also where blocks are created on first touch.
-/// * Blocks live in segments that double in size, each allocated on
-///   first use; a block that [`clean_page`](Self::clean_page)
-///   leaves empty goes back on a free list, so the slab is as large as
-///   what is cached now, not as what ever was.
-///
-/// # Locks
-///
-/// A stripe is a sequence lock: a writer takes it by moving its
-/// sequence number from even to the next, odd one in one atomic
-/// read-modify-write, and gives it back with a plain store of the next
-/// even one. Nobody sleeps: a writer finding it held spins briefly,
-/// then yields its host thread between attempts. A read
-/// of an entry that changes nothing (a cache read hit) takes no lock at
-/// all: it reads the sequence number, the entry and whatever else it
-/// needs, and keeps the answer only if the sequence number is still the
-/// even value it started from.
-///
-/// Two stripes are never held at once outside a recycle or a
-/// [`hold`](Self::hold), and nothing takes the index lock while holding
-/// a stripe. The index *write* lock is the only lock under which a
-/// single stripe is taken: creating a block claims its eight stripes
-/// one at a time, recycling one holds all eight (in order) while it
-/// checks they are empty and marks them free. A transaction that raced
-/// with the recycle either finished before it or fails the chunk check
-/// afterwards and re-creates the block. [`hold`](Self::hold) takes
-/// whole blocks' stripes, in chunk order, found through a hint or under
-/// the index *read* lock.
-///
-/// Every held stripe carries a [`parking_lot::HeldLock`], so the
-/// debug-build check that no task suspends holding a host lock sees it.
-///
-/// [`ProcCache`]: crate::ProcCache
-///
-/// # Example
-///
-/// ```
-/// use mgs_cache::Directory;
-///
-/// let dir = Directory::new();
-/// dir.add_sharer(0x100, 2);
-/// assert!(dir.is_sharer(0x100, 2));
-/// assert!(!dir.is_sharer(0x100, 3));
-/// ```
-#[derive(Debug)]
-pub struct Directory {
-    segments: [OnceLock<Box<[Block]>>; SEGMENTS],
-    index: RwLock<Index>,
-}
-
-impl Default for Directory {
-    fn default() -> Directory {
-        Directory::new()
-    }
-}
-
-impl Directory {
-    /// The hint that names no block: every lookup given it goes through
-    /// the index.
-    pub const NO_HINT: u32 = 0;
-
-    /// Creates an empty directory. Allocates nothing: the first segment
-    /// appears with the first line tracked.
-    pub fn new() -> Directory {
-        Directory {
+impl Slab {
+    fn new() -> Slab {
+        Slab {
             segments: [const { OnceLock::new() }; SEGMENTS],
-            index: RwLock::new(Index::default()),
+            free: Mutex::default(),
         }
-    }
-
-    /// `(stripe, index)` lock acquisitions made by the calling thread
-    /// so far (debug builds only; used by the access path's
-    /// one-stripe-lock assertion and tests).
-    #[cfg(debug_assertions)]
-    pub fn thread_locks() -> (u64, u64) {
-        LOCKS.with(|c| c.get())
     }
 
     /// `(segment, offset)` of a slot.
@@ -403,21 +352,427 @@ impl Directory {
         )
     }
 
-    /// The block a hint names, if this directory has one there.
+    /// The block a hint names, if the slab has one there.
     #[inline]
     fn block(&self, hint: u32) -> Option<&Block> {
         let (segment, offset) = Self::locate(hint.checked_sub(1)?);
         self.segments.get(segment)?.get()?.get(offset)
     }
 
-    fn read_index(&self) -> RwLockReadGuard<'_, Index> {
-        #[cfg(debug_assertions)]
-        note_lock(false);
-        self.index.read().unwrap_or_else(PoisonError::into_inner)
+    /// The run of `blocks` blocks from `slot` on, as one slice: a run
+    /// never straddles two segments.
+    fn run(&self, slot: u32, blocks: u32) -> &[Block] {
+        let (segment, offset) = Self::locate(slot);
+        let segment = self.segments[segment]
+            .get()
+            .expect("a run's segment exists");
+        &segment[offset..offset + blocks as usize]
     }
 
+    /// Hands out a run of `blocks` zeroed blocks, `blocks` a power of
+    /// two, and returns its first slot: a freed run of that length if
+    /// there is one, else the next that fits in one segment at an
+    /// offset that is a multiple of its length (the slots it skips are
+    /// never used).
+    fn take(&self, blocks: u32) -> u32 {
+        debug_assert!(blocks.is_power_of_two());
+        let mut free = self.free.lock();
+        let k = blocks.trailing_zeros() as usize;
+        if let Some(slot) = free.runs.get_mut(k).and_then(Vec::pop) {
+            return slot;
+        }
+        loop {
+            let (segment, offset) = Self::locate(free.next);
+            assert!(segment < SEGMENTS, "directory slab exhausted");
+            let len = 1usize << (FIRST_SEGMENT_BITS as usize + segment);
+            let start = offset.next_multiple_of(blocks as usize);
+            if start + blocks as usize > len {
+                free.next += (len - offset) as u32;
+                continue;
+            }
+            self.segments[segment].get_or_init(|| zeroed_blocks(len));
+            let slot = free.next + (start - offset) as u32;
+            free.next = slot + blocks;
+            return slot;
+        }
+    }
+
+    /// Zeroes every entry of the run from `slot` and marks its blocks
+    /// free, under each stripe's lock (a victim's removal may be on
+    /// one), then puts the run on the free list.
+    fn free(&self, slot: u32, blocks: u32) {
+        for block in self.run(slot, blocks) {
+            for stripe in &block.stripes {
+                let mut stripe = stripe.lock();
+                for e in 0..STRIPES {
+                    stripe.set(e, 0, None);
+                }
+                stripe.set_holds(0);
+            }
+        }
+        let k = blocks.trailing_zeros() as usize;
+        let mut free = self.free.lock();
+        if free.runs.len() <= k {
+            free.runs.resize_with(k + 1, Vec::new);
+        }
+        free.runs[k].push(slot);
+    }
+}
+
+/// `len` free blocks in memory the allocator hands out zeroed, so the
+/// pages of a segment cost no resident memory until a block on them is
+/// claimed.
+fn zeroed_blocks(len: usize) -> Box<[Block]> {
+    let layout = std::alloc::Layout::array::<Block>(len).expect("a segment fits in memory");
+    // SAFETY: `layout` is not empty (`len` ≥ 16). A block is atomic
+    // integers and nothing else, and an atomic integer is valid with
+    // any bits, all zeros being its zero value: `len` zeroed blocks are
+    // `len` blocks equal to `Block::default()`. The memory comes from
+    // the global allocator with the layout `Box` frees it with.
+    unsafe {
+        let blocks = std::alloc::alloc_zeroed(layout).cast::<Block>();
+        if blocks.is_null() {
+            std::alloc::handle_alloc_error(layout);
+        }
+        Box::from_raw(std::ptr::slice_from_raw_parts_mut(blocks, len))
+    }
+}
+
+/// A page frame's directory-slot cell: its claim on the run of blocks
+/// that holds its lines' entries, in the directory of the SSMP whose
+/// processors access it. Empty in a fresh frame; the frame's first
+/// access, quiesce or dirty-marking claims the run
+/// ([`Directory::hint`]), which is then the frame's alone and never
+/// moves; dropping the cell — the frame dies — zeroes the run and frees
+/// it.
+///
+/// A frame is aligned to its size, so its lines are half a block (a
+/// 512 B page, whose block's other half stays zero), one block, or a
+/// power of two of them.
+#[derive(Debug, Default)]
+pub struct BlockCell {
+    claim: OnceLock<Claim>,
+}
+
+#[derive(Debug)]
+struct Claim {
+    slab: Arc<Slab>,
+    /// The run's first slot.
+    slot: u32,
+    blocks: u32,
+    /// The chunk the run's first block holds.
+    chunk: u64,
+}
+
+impl Drop for BlockCell {
+    fn drop(&mut self) {
+        if let Some(claim) = self.claim.take() {
+            claim.slab.free(claim.slot, claim.blocks);
+        }
+    }
+}
+
+/// The SSMP's line directory: the source of truth for intra-SSMP
+/// hardware coherence state. Processor indices are *local* to the SSMP
+/// (0..C, C ≤ 64).
+///
+/// # Layout
+///
+/// On Alewife a line's directory entry sits at the line's home memory,
+/// beside the data. The model keeps that shape: the directory is a slab
+/// of dense **blocks**, each holding the entries of 64 consecutive
+/// physical lines (a **chunk**, `line >> 6`: 1 KB, one default page),
+/// and a line's entry is found by indexing, never by hashing the line.
+///
+/// * A block is eight **stripes**, each behind its own sequence lock;
+///   stripe `line & 7` holds the eight entries of the block's lines
+///   congruent to it, entry `(line & 63) >> 3`. Two processors collide
+///   only on the same eighth of the same block at the same instant.
+/// * A stripe records which chunk its block holds, or that the block is
+///   free. A hint is `slot + 1` ([`Directory::NO_HINT`] names none).
+/// * A page frame owns its blocks for life: its [`BlockCell`] claims a
+///   run of them on the frame's first access, quiesce or dirty-marking,
+///   with no index entry and no stripe lock, and the frame's hint never
+///   changes. Every path the protocol and the runtime take — an access
+///   with a frame word, a quiesce ([`hold`](Self::hold)), a page clean
+///   ([`clean_frame`](Self::clean_frame)), a dirty-marking
+///   ([`mark_dirty_frame`](Self::mark_dirty_frame)) — reaches the
+///   frame's blocks through its hint alone.
+/// * A frame's lines are never reused (frames never reuse a base), so
+///   when the frame dies its run is zeroed and freed, and a block that
+///   no longer holds a line's chunk means the line's frame is dead. A
+///   tag array's memo beside a line ([`ProcCache`]) is the hint of the
+///   line's block; a victim whose memo names a block holding another
+///   chunk has no entry left to remove.
+/// * The hint-less API ([`SsmpCacheSystem::access`], [`clean_page`],
+///   [`add_sharer`], …, which unit tests, the oracles and host
+///   micro-benchmarks use) keeps lines of its own in blocks found
+///   through a `chunk → hint` index, created on first touch and never
+///   freed. There a hint is only a guess, checked against the chunk and
+///   corrected through the index.
+/// * Blocks live in segments that double in size, each allocated on
+///   first use. The slab is as large as the frames that were touched
+///   and are still alive.
+///
+/// # Locks
+///
+/// A stripe is a sequence lock: a writer takes it by moving its
+/// sequence number from even to the next, odd one in one atomic
+/// read-modify-write, and gives it back with a plain store of the next
+/// even one. Nobody sleeps: a writer finding it held spins briefly,
+/// then yields its host thread between attempts. A read
+/// of an entry that changes nothing (a cache read hit) takes no lock at
+/// all: it reads the sequence number, the entry and whatever else it
+/// needs, and keeps the answer only if the sequence number is still the
+/// even value it started from.
+///
+/// Two stripes are never held at once outside a [`hold`](Self::hold),
+/// which takes every stripe of a frame's run in order; freeing a run
+/// and cleaning a frame take its stripes one at a time. The free list
+/// is a leaf lock. The index write lock is the only lock under which a
+/// stripe is taken (creating a block claims its eight stripes one at a
+/// time), and nothing takes the index lock while holding a stripe.
+///
+/// Every held stripe carries a [`parking_lot::HeldLock`], so the
+/// debug-build check that no task suspends holding a host lock sees it.
+///
+/// [`ProcCache`]: crate::ProcCache
+/// [`SsmpCacheSystem::access`]: crate::SsmpCacheSystem::access
+/// [`clean_page`]: Self::clean_page
+/// [`add_sharer`]: Self::add_sharer
+///
+/// # Example
+///
+/// ```
+/// use mgs_cache::Directory;
+///
+/// let dir = Directory::new();
+/// dir.add_sharer(0x100, 2);
+/// assert!(dir.is_sharer(0x100, 2));
+/// assert!(!dir.is_sharer(0x100, 3));
+/// ```
+#[derive(Debug)]
+pub struct Directory {
+    slab: Arc<Slab>,
+    /// `chunk → hint` of the hint-less API's blocks.
+    index: RwLock<HashMap<u64, u32>>,
+}
+
+impl Default for Directory {
+    fn default() -> Directory {
+        Directory::new()
+    }
+}
+
+impl Directory {
+    /// The hint that names no block: every lookup given it goes through
+    /// the index.
+    pub const NO_HINT: u32 = 0;
+
+    /// Creates an empty directory. Allocates no block: the first
+    /// segment appears with the first line tracked.
+    pub fn new() -> Directory {
+        Directory {
+            slab: Arc::new(Slab::new()),
+            index: RwLock::new(HashMap::new()),
+        }
+    }
+
+    /// `(stripe, index)` lock acquisitions made by the calling thread
+    /// so far (debug builds only; used by the access path's
+    /// one-stripe-lock assertion and tests).
+    #[cfg(debug_assertions)]
+    pub fn thread_locks() -> (u64, u64) {
+        LOCKS.with(|c| c.get())
+    }
+
+    /// The block a hint names, if this directory has one there.
+    #[inline]
+    fn block(&self, hint: u32) -> Option<&Block> {
+        self.slab.block(hint)
+    }
+
+    // -----------------------------------------------------------------
+    // A frame's blocks
+    // -----------------------------------------------------------------
+
+    /// `cell`'s claim on the blocks of `lines`, a frame's, taken from
+    /// this directory on first use. Takes no index entry and no stripe
+    /// lock: a run off the free list is zero and reachable by nobody
+    /// else, so its chunks are written plainly and published with the
+    /// claim.
+    fn claim<'c>(&self, cell: &'c BlockCell, lines: &Range<u64>) -> &'c Claim {
+        let claim = cell.claim.get_or_init(|| {
+            let chunk = lines.start / BLOCK_LINES;
+            let blocks = (lines.end.div_ceil(BLOCK_LINES) - chunk) as u32;
+            let slot = self.slab.take(blocks);
+            for (chunk, block) in (chunk..).zip(self.slab.run(slot, blocks)) {
+                for stripe in &block.stripes {
+                    debug_assert!(
+                        stripe.holds() == 0 && stripe.is_empty(),
+                        "a free block is zero"
+                    );
+                    stripe.holds.store(chunk + 1, Relaxed);
+                }
+            }
+            Claim {
+                slab: Arc::clone(&self.slab),
+                slot,
+                blocks,
+                chunk,
+            }
+        });
+        debug_assert!(
+            Arc::ptr_eq(&claim.slab, &self.slab),
+            "a frame's lines go through one directory"
+        );
+        claim
+    }
+
+    /// The hint of `line`'s block among those `cell` claims for the
+    /// frame lines `lines`, claiming them on first use: right by
+    /// construction for as long as the frame lives.
+    #[inline]
+    pub fn hint(&self, cell: &BlockCell, lines: Range<u64>, line: u64) -> u32 {
+        let claim = self.claim(cell, &lines);
+        claim.slot + 1 + (line / BLOCK_LINES - claim.chunk) as u32
+    }
+
+    /// Holds every stripe of the blocks `cell` claims for `lines`
+    /// (claiming them on first use), in order, until the guard drops:
+    /// no access to those lines can complete meanwhile — a locked one
+    /// waits for its stripe, an optimistic read fails its validation.
+    ///
+    /// This is how a page frame is quiesced (`PageFrame::quiesce`): the
+    /// data and mapping generation of a frame are only ever touched by
+    /// accesses under its lines' stripes.
+    pub fn hold(&self, cell: &BlockCell, lines: Range<u64>) -> HeldLines<'_> {
+        let claim = self.claim(cell, &lines);
+        let blocks = self.slab.run(claim.slot, claim.blocks);
+        for stripe in blocks.iter().flat_map(|block| &block.stripes) {
+            stripe.acquire();
+        }
+        HeldLines {
+            blocks,
+            _held: HeldLock::new(),
+        }
+    }
+
+    /// Removes a frame's lines from the directory (page cleaning,
+    /// §4.2.4): `cell` is the frame's, `lines` all of its lines.
+    /// Returns the per-tier line counts so the caller can cost the
+    /// operation.
+    ///
+    /// One pass: each stripe of the frame's blocks is locked once and
+    /// its entries read in a straight loop (only the frame's lines have
+    /// any). A frame never accessed has no blocks: every line is
+    /// uncached, and no lock is taken.
+    pub fn clean_frame(&self, cell: &BlockCell, lines: Range<u64>) -> CleanOutcome {
+        let mut out = CleanOutcome {
+            uncached_lines: lines.end - lines.start,
+            ..CleanOutcome::default()
+        };
+        let Some(claim) = cell.claim.get() else {
+            return out;
+        };
+        debug_assert!(Arc::ptr_eq(&claim.slab, &self.slab));
+        for block in self.slab.run(claim.slot, claim.blocks) {
+            for stripe in &block.stripes {
+                let mut entries = stripe.lock();
+                for e in 0..STRIPES {
+                    if entries.sharers(e) == 0 {
+                        continue;
+                    }
+                    if entries.owner(e).is_some() {
+                        out.dirty_lines += 1;
+                    } else {
+                        out.shared_lines += 1;
+                    }
+                    entries.set(e, 0, None);
+                }
+            }
+        }
+        out.uncached_lines -= out.shared_lines + out.dirty_lines;
+        out
+    }
+
+    /// Marks `dirty`, some of a frame's lines, dirty-owned by `proc`
+    /// (used when the protocol engine writes a diff or a push through
+    /// its cache); `cell` and `lines` are the frame's, as for
+    /// [`hold`](Self::hold). Each run of lines in one block locks each
+    /// stripe it touches once.
+    pub fn mark_dirty_frame(
+        &self,
+        cell: &BlockCell,
+        lines: Range<u64>,
+        dirty: impl IntoIterator<Item = u64>,
+        proc: usize,
+    ) {
+        let claim = self.claim(cell, &lines);
+        let blocks = self.slab.run(claim.slot, claim.blocks);
+        chunk_runs(dirty, |chunk, mask| {
+            let block = &blocks[(chunk - claim.chunk) as usize];
+            for (stripe, lanes) in stripes_of(mask) {
+                let mut entries = block.stripes[stripe].lock();
+                for e in entries_of(lanes) {
+                    entries.take_exclusive(e, proc);
+                }
+            }
+        });
+    }
+
+    /// Locks the stripe holding `line`'s entry in the block `hint`
+    /// names, the claimed block of a live frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that block does not hold the line: the hint is not
+    /// the frame's, or not of this directory.
+    #[inline]
+    pub(crate) fn lock_claimed(&self, line: u64, hint: u32) -> LineGuard<'_> {
+        let (chunk, stripe, entry) = place(line);
+        let held = self
+            .block(hint)
+            .expect("a frame's hint names a block of its directory")
+            .stripes[stripe]
+            .lock();
+        assert_eq!(
+            held.holds(),
+            chunk + 1,
+            "a live frame's block holds its lines"
+        );
+        LineGuard {
+            directory: self,
+            held,
+            place: (chunk, stripe),
+            entry,
+            hint,
+            claimed: true,
+        }
+    }
+
+    /// Removes `proc`'s copy of `line`, a frame's, from the block its
+    /// memo `hint` names; a block that no longer holds the line's chunk
+    /// belonged to a frame that has died, and its entries with it.
+    fn remove_claimed(&self, line: u64, proc: usize, hint: u32) {
+        let (chunk, stripe, e) = place(line);
+        if let Some(block) = self.block(hint) {
+            let mut entries = block.stripes[stripe].lock();
+            if entries.holds() == chunk + 1 {
+                entries.remove(e, proc);
+            }
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // The hint-less API's blocks
+    // -----------------------------------------------------------------
+
     fn index_lookup(&self, chunk: u64) -> Option<u32> {
-        self.read_index().hints.get(&chunk).copied()
+        #[cfg(debug_assertions)]
+        note_lock(false);
+        let index = self.index.read().unwrap_or_else(PoisonError::into_inner);
+        index.get(&chunk).copied()
     }
 
     /// Gives `chunk` a block (unless a racing caller just did) and
@@ -427,53 +782,22 @@ impl Directory {
         #[cfg(debug_assertions)]
         note_lock(false);
         let mut index = self.index.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(&hint) = index.hints.get(&chunk) {
+        if let Some(&hint) = index.get(&chunk) {
             return hint;
         }
-        let slot = index.free.pop().unwrap_or_else(|| {
-            index.next += 1;
-            index.next - 1
-        });
-        let (segment, offset) = Self::locate(slot);
-        assert!(segment < SEGMENTS, "directory slab exhausted");
-        let blocks = self.segments[segment].get_or_init(|| {
-            (0..1usize << (FIRST_SEGMENT_BITS as usize + segment))
-                .map(|_| Block::default())
-                .collect()
-        });
-        for stripe in &blocks[offset].stripes {
+        let slot = self.slab.take(1);
+        for stripe in &self.slab.run(slot, 1)[0].stripes {
             let mut stripe = stripe.lock();
             debug_assert!(stripe.holds() == 0 && stripe.is_empty());
             stripe.set_holds(chunk + 1);
         }
-        index.hints.insert(chunk, slot + 1);
+        index.insert(chunk, slot + 1);
         slot + 1
-    }
-
-    /// Frees `chunk`'s block if every entry in it is zero.
-    #[cold]
-    fn recycle(&self, chunk: u64) {
-        #[cfg(debug_assertions)]
-        note_lock(false);
-        let mut index = self.index.write().unwrap_or_else(PoisonError::into_inner);
-        let Some(&hint) = index.hints.get(&chunk) else {
-            return;
-        };
-        let block = self.block(hint).expect("an indexed block exists");
-        let mut stripes = block.stripes.each_ref().map(Stripe::lock);
-        if !stripes.iter().all(|s| s.is_empty()) {
-            return; // a racing access repopulated it
-        }
-        for stripe in &mut stripes {
-            stripe.set_holds(0);
-        }
-        index.hints.remove(&chunk);
-        index.free.push(hint - 1);
     }
 
     /// Locks stripe `stripe` of the block holding `chunk`, trying
     /// `hint` first, and returns the guard with the block's true hint.
-    /// A chunk with no block is given one if `create()` says so, and
+    /// A chunk with no block is given one if `create` says so, and
     /// answers `None` otherwise.
     #[inline]
     fn stripe_of(
@@ -481,7 +805,7 @@ impl Directory {
         chunk: u64,
         stripe: usize,
         mut hint: u32,
-        create: impl Fn() -> bool,
+        create: bool,
     ) -> Option<(Held<'_>, u32)> {
         loop {
             if let Some(block) = self.block(hint) {
@@ -490,11 +814,10 @@ impl Directory {
                     return Some((guard, hint));
                 }
             }
-            // The guess was wrong (or the block was recycled between
-            // the index's answer and the lock): ask the index.
+            // The guess was wrong: ask the index.
             hint = match self.index_lookup(chunk) {
                 Some(hint) => hint,
-                None if create() => self.create(chunk),
+                None if create => self.create(chunk),
                 None => return None,
             };
         }
@@ -523,33 +846,30 @@ impl Directory {
         stripe.read_valid(seq).then_some(value)
     }
 
-    /// Locks the stripe holding `line`'s entry, trying `hint` first. A
-    /// chunk with no block is given one if `create()` says so, and
-    /// answers `None` otherwise — so a caller can refuse before a block
-    /// exists that it would leave empty.
+    /// Locks the stripe holding `line`'s entry in the hint-less API's
+    /// blocks, trying `hint` first and giving the line's chunk a block
+    /// if it has none.
     #[inline]
-    pub(crate) fn lock_line(
-        &self,
-        line: u64,
-        hint: u32,
-        create: impl Fn() -> bool,
-    ) -> Option<LineGuard<'_>> {
+    pub(crate) fn lock_line(&self, line: u64, hint: u32) -> LineGuard<'_> {
         let (chunk, stripe, entry) = place(line);
-        let (held, hint) = self.stripe_of(chunk, stripe, hint, create)?;
-        Some(LineGuard {
+        let (held, hint) = self
+            .stripe_of(chunk, stripe, hint, true)
+            .expect("a creating lookup finds a block");
+        LineGuard {
             directory: self,
             held,
             place: (chunk, stripe),
             entry,
             hint,
-        })
+            claimed: false,
+        }
     }
 
     /// Removes `proc`'s copy of `line`, trying `hint` first; a line
     /// whose chunk has no block has no copies.
     fn remove_hinted(&self, line: u64, proc: usize, hint: u32) {
         let (chunk, stripe, e) = place(line);
-        if let Some((mut entries, _)) = self.stripe_of(chunk, stripe, hint, || false) {
+        if let Some((mut entries, _)) = self.stripe_of(chunk, stripe, hint, false) {
             entries.remove(e, proc);
         }
     }
@@ -559,7 +879,7 @@ impl Directory {
     /// `create` is false.
     fn entry_of(&self, line: u64, create: bool) -> Option<(Held<'_>, usize)> {
         let (chunk, stripe, e) = place(line);
-        let (entries, _) = self.stripe_of(chunk, stripe, Self::NO_HINT, || create)?;
+        let (entries, _) = self.stripe_of(chunk, stripe, Self::NO_HINT, create)?;
         Some((entries, e))
     }
 
@@ -614,88 +934,43 @@ impl Directory {
         }
     }
 
-    /// The entries of a stripe that `lanes` selects: entry `e` iff bit
-    /// `8 * e` is set.
-    fn entries_of(lanes: u64) -> impl Iterator<Item = usize> {
-        (0..STRIPES).filter(move |e| lanes >> (e * STRIPES) & 1 != 0)
-    }
-
     /// Walks `lines` a block at a time: each run of lines that falls in
     /// one chunk (without repeating a line) locks each stripe it
     /// touches once and calls `visit(stripe, lanes)` with the stripe —
     /// `None` if the chunk has no block and `create` is false — and the
-    /// run's lines in it, as [`entries_of`](Self::entries_of) reads
-    /// them. `hint` is the caller's guess at the blocks. A block the
-    /// walk leaves with all eight stripes empty is recycled.
+    /// run's lines in it, as [`entries_of`] reads them.
     fn walk(
         &self,
         lines: impl IntoIterator<Item = u64>,
-        hint: u32,
         create: bool,
         mut visit: impl FnMut(Option<&mut Held<'_>>, u64),
     ) {
-        let mut block = |chunk: u64, mask: u64| {
-            let mut hint = hint;
-            let mut emptied = 0;
-            for stripe in 0..STRIPES {
-                let lanes = mask >> stripe & 0x0101_0101_0101_0101;
-                if lanes == 0 {
-                    continue;
-                }
-                match self.stripe_of(chunk, stripe, hint, || create) {
+        chunk_runs(lines, |chunk, mask| {
+            let mut hint = Self::NO_HINT;
+            for (stripe, lanes) in stripes_of(mask) {
+                match self.stripe_of(chunk, stripe, hint, create) {
                     Some((mut entries, found)) => {
                         hint = found;
                         visit(Some(&mut entries), lanes);
-                        emptied += usize::from(entries.is_empty());
                     }
                     None => visit(None, lanes),
                 }
             }
-            if emptied == STRIPES {
-                self.recycle(chunk);
-            }
-        };
-        // The run so far: its chunk, and one bit per line of the block.
-        let (mut chunk, mut mask) = (0, 0u64);
-        for line in lines {
-            let bit = 1 << (line % BLOCK_LINES);
-            if line / BLOCK_LINES != chunk || mask & bit != 0 {
-                if mask != 0 {
-                    block(chunk, mask);
-                }
-                (chunk, mask) = (line / BLOCK_LINES, 0);
-            }
-            mask |= bit;
-        }
-        if mask != 0 {
-            block(chunk, mask);
-        }
+        });
     }
 
-    /// [`clean_page_hinted`](Self::clean_page_hinted) with no hint.
+    /// Removes lines of the hint-less API from the directory (page
+    /// cleaning, §4.2.4) and returns the per-tier line counts. A line
+    /// named twice is cleaned twice: cached the first time, uncached
+    /// the second.
     pub fn clean_page<I: IntoIterator<Item = u64>>(&self, lines: I) -> CleanOutcome {
-        self.clean_page_hinted(lines, Self::NO_HINT)
-    }
-
-    /// Removes a whole page's lines from the directory (page cleaning,
-    /// §4.2.4). `lines` iterates the page's line addresses; `hint` is
-    /// the caller's guess at their block. Returns the per-tier line
-    /// counts so the caller can cost the operation.
-    ///
-    /// A linear walk: each stripe of a block is locked once for all of
-    /// its lines, and a block the walk leaves empty is recycled.
-    pub fn clean_page_hinted<I: IntoIterator<Item = u64>>(
-        &self,
-        lines: I,
-        hint: u32,
-    ) -> CleanOutcome {
         let mut out = CleanOutcome::default();
-        self.walk(lines, hint, false, |stripe, lanes| {
+        self.walk(lines, false, |stripe, lanes| {
             let Some(entries) = stripe else {
                 out.uncached_lines += u64::from(lanes.count_ones());
                 return;
             };
-            for e in Self::entries_of(lanes) {
+            for e in entries_of(lanes) {
                 // An entry that does not exist is all zero already.
                 if entries.sharers(e) == 0 {
                     out.uncached_lines += 1;
@@ -712,92 +987,14 @@ impl Directory {
         out
     }
 
-    /// [`mark_dirty_lines_hinted`](Self::mark_dirty_lines_hinted) with
-    /// no hint.
+    /// Marks lines of the hint-less API dirty-owned by `proc`.
     pub fn mark_dirty_lines<I: IntoIterator<Item = u64>>(&self, lines: I, proc: usize) {
-        self.mark_dirty_lines_hinted(lines, proc, Self::NO_HINT);
-    }
-
-    /// Marks a range of lines dirty-owned by `proc` (used when the
-    /// protocol engine at the home merges diff data through its cache);
-    /// `hint` is the caller's guess at their block.
-    pub fn mark_dirty_lines_hinted<I: IntoIterator<Item = u64>>(
-        &self,
-        lines: I,
-        proc: usize,
-        hint: u32,
-    ) {
-        self.walk(lines, hint, true, |stripe, lanes| {
+        self.walk(lines, true, |stripe, lanes| {
             let entries = stripe.expect("a creating walk finds a block");
-            for e in Self::entries_of(lanes) {
+            for e in entries_of(lanes) {
                 entries.take_exclusive(e, proc);
             }
         });
-    }
-
-    /// Holds every stripe of the blocks that cover `lines`, in chunk
-    /// order, until the guard drops: no access to those lines can
-    /// complete meanwhile — a locked one waits for its stripe, an
-    /// optimistic read fails its validation. `hint` is the caller's
-    /// guess at the block (of a page no larger than one). Creates
-    /// nothing: a chunk with no block is kept from getting one by the
-    /// index read lock, which the guard then holds too (creating a
-    /// block takes the write lock).
-    ///
-    /// This is how a page frame is quiesced (`PageFrame::quiesce`): the
-    /// data and mapping generation of a frame are only ever touched by
-    /// accesses under its lines' stripes.
-    pub fn hold(&self, lines: Range<u64>, hint: u32) -> HeldLines<'_> {
-        let chunks = lines.start / BLOCK_LINES..lines.end.div_ceil(BLOCK_LINES);
-        // First through the hint alone; failing that, through the index
-        // under its read lock, where nothing is midway through a create
-        // or a recycle.
-        let mut index: Option<RwLockReadGuard<'_, Index>> = None;
-        loop {
-            let mut held = HeldLines {
-                blocks: [None; HELD_INLINE],
-                more: Vec::new(),
-                index: None,
-                _held: HeldLock::new(),
-            };
-            let mut valid = true;
-            for (i, chunk) in chunks.clone().enumerate() {
-                let block = match &index {
-                    None => match self.block(hint) {
-                        Some(block) if block.stripes[0].holds() == chunk + 1 => block,
-                        _ => {
-                            valid = false;
-                            break;
-                        }
-                    },
-                    Some(index) => match index.hints.get(&chunk).and_then(|&h| self.block(h)) {
-                        Some(block) => block,
-                        None => continue,
-                    },
-                };
-                // Without the index lock the block may have been recycled
-                // or be mid-create by now: its stripes say so.
-                for stripe in &block.stripes {
-                    stripe.acquire();
-                    valid &= stripe.holds() == chunk + 1;
-                }
-                match held.blocks.get_mut(i) {
-                    Some(slot) => *slot = Some(block),
-                    None => held.more.push(block),
-                }
-            }
-            if valid {
-                // With every block held the index matters no more: none
-                // can be recycled, and no chunk is left to create one.
-                if held.blocks().count() < chunks.clone().count() {
-                    held.index = index;
-                }
-                return held;
-            }
-            debug_assert!(index.is_none(), "nothing changes under the index lock");
-            drop(held);
-            index = Some(self.read_index());
-        }
     }
 
     /// Total number of tracked lines (for tests/statistics).
@@ -809,17 +1006,15 @@ impl Directory {
             .sum()
     }
 
-    /// Blocks the slab has ever handed out, in use or on the free list
-    /// (for the bounded-memory test).
+    /// Slots the slab has ever handed out, in use, free or skipped
+    /// (for the bounded-memory tests).
     pub fn blocks_allocated(&self) -> u32 {
-        self.index
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .next
+        self.slab.free.lock().next
     }
 }
 
-/// `line`'s stripe, held for one access ([`Directory::lock_line`]).
+/// `line`'s stripe, held for one access ([`Directory::lock_claimed`],
+/// [`Directory::lock_line`]).
 pub(crate) struct LineGuard<'a> {
     directory: &'a Directory,
     held: Held<'a>,
@@ -827,6 +1022,8 @@ pub(crate) struct LineGuard<'a> {
     place: (u64, usize),
     entry: usize,
     hint: u32,
+    /// Whether the block is a frame's claimed one, not the index's.
+    claimed: bool,
 }
 
 impl LineGuard<'_> {
@@ -855,55 +1052,43 @@ impl LineGuard<'_> {
 
     /// Releases the line's stripe, removing `proc`'s copy of the victim
     /// its tag array displaced (with the hint remembered beside the
-    /// victim's tag): under the line's stripe if the victim shares it,
-    /// as in an 8-set cache, and under the victim's own after the
-    /// line's is released otherwise.
+    /// victim's tag): under the line's stripe if the victim's entry is
+    /// in it, as in an 8-set cache, and under the victim's own after
+    /// the line's is released otherwise. A frame's line has its block
+    /// only through its memo (two 512 B frames share a chunk, not a
+    /// block), and a victim whose block holds another chunk now is
+    /// skipped; a line of the hint-less API has one block per chunk,
+    /// found through the index when the memo is stale.
     pub(crate) fn evict(mut self, victim: Option<(u64, u32)>, proc: usize) {
         let Some((victim, hint)) = victim else {
             return;
         };
         let (chunk, stripe, e) = place(victim);
-        if (chunk, stripe) == self.place {
+        if (chunk, stripe) == self.place && (!self.claimed || hint == self.hint) {
             self.held.remove(e, proc);
+            return;
+        }
+        let (directory, claimed) = (self.directory, self.claimed);
+        drop(self);
+        if claimed {
+            directory.remove_claimed(victim, proc, hint);
         } else {
-            let directory = self.directory;
-            drop(self);
             directory.remove_hinted(victim, proc, hint);
         }
     }
 }
 
-/// Blocks a [`HeldLines`] keeps without allocating: one 4 KB page's.
-const HELD_INLINE: usize = 4;
-
-/// Every stripe of the blocks covering some lines, held
-/// ([`Directory::hold`]); released on drop.
+/// Every stripe of a frame's blocks, held ([`Directory::hold`]);
+/// released on drop.
 pub struct HeldLines<'a> {
-    /// The blocks held, in chunk order, as far as they fit inline.
-    blocks: [Option<&'a Block>; HELD_INLINE],
-    /// The rest, for pages larger than 4 KB.
-    more: Vec<&'a Block>,
-    /// Held if a chunk has no block.
-    index: Option<RwLockReadGuard<'a, Index>>,
+    blocks: &'a [Block],
     _held: HeldLock,
-}
-
-impl HeldLines<'_> {
-    fn blocks(&self) -> impl Iterator<Item = &Block> {
-        self.blocks
-            .iter()
-            .flatten()
-            .chain(self.more.iter())
-            .copied()
-    }
 }
 
 impl Drop for HeldLines<'_> {
     fn drop(&mut self) {
-        for block in self.blocks() {
-            for stripe in &block.stripes {
-                stripe.release();
-            }
+        for stripe in self.blocks.iter().flat_map(|block| &block.stripes) {
+            stripe.release();
         }
     }
 }
@@ -911,8 +1096,7 @@ impl Drop for HeldLines<'_> {
 impl fmt::Debug for HeldLines<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HeldLines")
-            .field("blocks", &self.blocks().count())
-            .field("index", &self.index.is_some())
+            .field("blocks", &self.blocks.len())
             .finish_non_exhaustive()
     }
 }
@@ -1017,65 +1201,133 @@ mod tests {
         assert_eq!(d.blocks_allocated(), 0, "a lookup creates nothing");
     }
 
-    /// A resident default-size page is cleaned under eight stripe
-    /// locks, found through the hint with no index lookup; emptying the
-    /// block adds one recycle (the index lock, then the eight stripes).
+    /// A frame's lines, `first_chunk`'s onward, at `lines` lines to a
+    /// frame.
+    fn frame(first_chunk: u64, lines: u64) -> Range<u64> {
+        first_chunk * BLOCK_LINES..first_chunk * BLOCK_LINES + lines
+    }
+
+    /// A frame's blocks are claimed with no lock at all and cleaned in
+    /// one pass under their eight stripes, never through the index;
+    /// dropping the frame frees the block, zeroed, for the next frame.
     #[test]
-    fn clean_page_walks_one_block_and_recycles_it() {
+    fn a_frame_claims_cleans_and_frees_its_block_without_the_index() {
         let d = Directory::new();
-        d.add_sharer(1000, 0);
-        d.take_exclusive(64, 1);
-        let hint = hint_of(&d, 64);
+        let cell = BlockCell::default();
+        let lines = frame(1, 64);
         #[cfg(debug_assertions)]
         let before = Directory::thread_locks();
-        let out = d.clean_page_hinted(64..128, hint);
+        let hint = d.hint(&cell, lines.clone(), 70);
+        #[cfg(debug_assertions)]
+        assert_eq!(Directory::thread_locks(), before, "a claim takes no lock");
+        assert_eq!(d.hint(&cell, lines.clone(), 127), hint, "one block");
+        d.mark_dirty_frame(&cell, lines.clone(), [64, 65, 100], 1);
+        #[cfg(debug_assertions)]
+        let before = Directory::thread_locks();
+        let out = d.clean_frame(&cell, lines.clone());
         #[cfg(debug_assertions)]
         assert_eq!(
             Directory::thread_locks(),
-            (before.0 + 8 + 8, before.1 + 1),
-            "eight stripes for the walk, one index lock and eight stripes for the recycle"
+            (before.0 + 8, before.1),
+            "eight stripes, no index"
         );
-        assert_eq!((out.dirty_lines, out.uncached_lines), (1, 63));
-        // The freed slot is the next one handed out, and the stale
-        // hint now names another chunk's block: the old chunk reads
-        // empty through it, the new one is found.
-        d.add_sharer(6400, 2);
-        assert_eq!(hint_of(&d, 6400), hint);
-        assert_eq!(d.clean_page_hinted(64..128, hint).uncached_lines, 64);
-        assert!(d.is_sharer(6400, 2));
-        assert_eq!(d.blocks_allocated(), 2);
+        assert_eq!(
+            (out.dirty_lines, out.shared_lines, out.uncached_lines),
+            (3, 0, 61)
+        );
+        assert_eq!(d.clean_frame(&cell, lines.clone()).uncached_lines, 64);
+        // Dropped with live entries, the block comes back zero.
+        d.mark_dirty_frame(&cell, lines, [66], 2);
+        assert_eq!(d.tracked_lines(), 1);
+        drop(cell);
+        assert_eq!(d.tracked_lines(), 0);
+        assert_eq!(d.block(hint).unwrap().stripes[0].holds(), 0, "free");
+        let next = BlockCell::default();
+        assert_eq!(d.hint(&next, frame(9, 64), 9 * 64), hint, "reused");
+        assert_eq!(d.blocks_allocated(), 1);
+        assert_eq!(d.index_lookup(1), None, "the index never heard of them");
     }
 
-    /// A page smaller than a block keeps the block while its other
-    /// half is cached.
+    /// A frame never accessed has no block: its clean reads every line
+    /// uncached, takes no lock and claims nothing.
     #[test]
-    fn half_a_block_is_not_recycled_while_the_other_half_is_live() {
+    fn a_frame_never_accessed_cleans_without_a_block() {
         let d = Directory::new();
-        d.mark_dirty_lines(0..64, 0);
-        assert_eq!(d.clean_page(0..32).dirty_lines, 32);
-        assert_eq!(d.tracked_lines(), 32);
-        assert!(d.is_sharer(40, 0));
-        assert_eq!(d.clean_page(32..64).dirty_lines, 32);
-        assert_eq!(d.tracked_lines(), 0);
-        d.add_sharer(7, 1);
-        assert_eq!(d.blocks_allocated(), 1, "the emptied block was reused");
+        let cell = BlockCell::default();
+        #[cfg(debug_assertions)]
+        let before = Directory::thread_locks();
+        let out = d.clean_frame(&cell, frame(3, 32));
+        #[cfg(debug_assertions)]
+        assert_eq!(Directory::thread_locks(), before);
+        assert_eq!(out.uncached_lines, 32);
+        assert_eq!(d.blocks_allocated(), 0);
+    }
+
+    /// A 512 B frame is half a block, and the other half of its chunk
+    /// is another frame with a block of its own; a 4 KB frame is a run
+    /// of four blocks in one segment, one per chunk.
+    #[test]
+    fn frames_of_half_a_block_and_of_four_blocks() {
+        let d = Directory::new();
+        let (lo, hi) = (BlockCell::default(), BlockCell::default());
+        let (lo_lines, hi_lines) = (64..96, 96..128);
+        d.mark_dirty_frame(&lo, lo_lines.clone(), lo_lines.clone(), 0);
+        d.mark_dirty_frame(&hi, hi_lines.clone(), [100], 1);
+        assert_ne!(
+            d.hint(&lo, lo_lines.clone(), 64),
+            d.hint(&hi, hi_lines.clone(), 96)
+        );
+        let out = d.clean_frame(&hi, hi_lines);
+        assert_eq!((out.dirty_lines, out.uncached_lines), (1, 31));
+        assert_eq!(d.tracked_lines(), 32, "the other half is untouched");
+        assert_eq!(d.clean_frame(&lo, lo_lines).dirty_lines, 32);
+
+        let big = BlockCell::default();
+        let lines = frame(4, 256);
+        let first = d.hint(&big, lines.clone(), lines.start);
+        for (i, line) in lines.clone().step_by(64).enumerate() {
+            assert_eq!(d.hint(&big, lines.clone(), line + 63), first + i as u32);
+        }
+        assert_eq!((first - 1) % 4, 0, "aligned to its length");
+        d.mark_dirty_frame(&big, lines.clone(), [256, 300, 511], 3);
+        let out = d.clean_frame(&big, lines);
+        assert_eq!((out.dirty_lines, out.uncached_lines), (3, 253));
+    }
+
+    /// Runs are handed out whole inside one segment, and a freed run is
+    /// reused only for one of its own length.
+    #[test]
+    fn runs_never_straddle_a_segment() {
+        let slab = Slab::new();
+        let mut taken = Vec::new();
+        for blocks in [1, 4, 8, 1, 16, 2, 32, 4] {
+            let slot = slab.take(blocks);
+            let (segment, offset) = Slab::locate(slot);
+            assert_eq!(offset % blocks as usize, 0, "{blocks} at {slot}");
+            assert!(
+                offset + blocks as usize <= 16 << segment,
+                "{blocks} at {slot}"
+            );
+            assert_eq!(slab.run(slot, blocks).len(), blocks as usize);
+            taken.push((slot, blocks));
+        }
+        let (slot, blocks) = taken[1];
+        slab.free(slot, blocks);
+        assert_ne!(slab.take(1), slot, "a run of four is not a run of one");
+        assert_eq!(slab.take(4), slot);
     }
 
     #[test]
     fn slots_map_onto_doubling_segments_without_gaps() {
         let mut expect = (0, 0);
         for slot in 0..5000 {
-            assert_eq!(Directory::locate(slot), expect, "slot {slot}");
+            assert_eq!(Slab::locate(slot), expect, "slot {slot}");
             expect.1 += 1;
             if expect.1 == 16 << expect.0 {
                 expect = (expect.0 + 1, 0);
             }
         }
-        assert_eq!(
-            Directory::locate(u32::MAX - 1).0,
-            28,
-            "past the slab: no block"
-        );
+        assert_eq!(Slab::locate(u32::MAX - 1).0, 28, "past the slab: no block");
         assert!(Directory::new().block(u32::MAX).is_none());
     }
 
@@ -1109,11 +1361,13 @@ mod tests {
     #[test]
     fn an_optimistic_read_fails_while_the_stripe_is_held() {
         let d = Directory::new();
-        d.add_sharer(70, 3);
-        let hint = hint_of(&d, 70);
+        let cell = BlockCell::default();
+        let lines = frame(1, 64);
+        d.mark_dirty_frame(&cell, lines.clone(), [70], 3);
+        let hint = d.hint(&cell, lines.clone(), 70);
         let read = || d.read_shared(70, 3, hint, || Some(7));
         assert_eq!(read(), Some(7));
-        let held = d.hold(64..128, hint);
+        let held = d.hold(&cell, lines);
         assert_eq!(read(), None, "stripe held by a quiesce");
         drop(held);
         let (_, stripe, _) = place(70);
@@ -1152,14 +1406,15 @@ mod tests {
         assert!(stripe.read_valid(seq), "no writer: valid");
     }
 
-    /// `hold` takes every stripe of each covering block and creates
-    /// nothing; its guard counts as a held host lock.
+    /// `hold` takes every stripe of a frame's blocks — claiming them
+    /// first if the frame has none yet — and never the index; its
+    /// guard counts as one held host lock.
     #[test]
-    fn hold_locks_whole_blocks_and_creates_none() {
+    fn hold_locks_a_frames_whole_blocks() {
         let d = Directory::new();
-        d.add_sharer(64 * 3 + 5, 0); // chunk 3 only
-        let allocated = d.blocks_allocated();
-        let hint = hint_of(&d, 64 * 3);
+        let cell = BlockCell::default();
+        let lines = frame(4, 256); // a 4 KB page: chunks 4 to 7
+        let hint = d.hint(&cell, lines.clone(), 64 * 6);
         let seqs = || {
             d.block(hint)
                 .unwrap()
@@ -1170,28 +1425,91 @@ mod tests {
         let before_seqs = seqs();
         #[cfg(debug_assertions)]
         let before = Directory::thread_locks();
-        let held = d.hold(64..64 * 5, hint); // a 4 KB page: chunks 1 to 4
+        let held = d.hold(&cell, lines);
         #[cfg(debug_assertions)]
         assert_eq!(
             Directory::thread_locks(),
-            (before.0 + 8, before.1 + 1),
-            "the hint names chunk 3's block, not chunk 1's: the index read \
-             lock, and the one existing block's eight stripes"
+            (before.0 + 4 * 8, before.1),
+            "four blocks' stripes, no index"
         );
         assert_eq!(
             parking_lot::held_locks(),
             usize::from(cfg!(debug_assertions))
         );
-        assert_eq!(d.blocks_allocated(), allocated);
         assert_eq!(seqs(), before_seqs.map(|s| s + 1), "every stripe held");
         drop(held);
         assert_eq!(parking_lot::held_locks(), 0);
         assert_eq!(seqs(), before_seqs.map(|s| s + 2), "and given back");
-        // Half a block (512 B pages) holds the whole block.
-        let held = d.hold(64 * 3 + 32..64 * 4, Directory::NO_HINT);
-        assert!(d.read_shared(64 * 3 + 5, 0, hint, || Some(())).is_none());
+        // Half a block (512 B pages), never touched: the hold claims it.
+        let half = BlockCell::default();
+        let held = d.hold(&half, 64 * 3 + 32..64 * 4);
+        let hint = d.hint(&half, 64 * 3 + 32..64 * 4, 64 * 3 + 40);
+        assert!(d.block(hint).unwrap().stripes[0].read_begin().is_none());
         drop(held);
-        assert!(d.read_shared(64 * 3 + 5, 0, hint, || Some(())).is_some());
+        assert_eq!(d.blocks_allocated(), 5);
+    }
+
+    /// Four threads on one frame, one of them also cleaning it and
+    /// holding it (so the others' reads fail validation and wait):
+    /// afterwards every entry is either empty, shared with no owner, or
+    /// owned by its only sharer, and the tracked count is the number of
+    /// nonempty ones.
+    #[test]
+    fn four_threads_on_one_frame_keep_the_entry_invariant() {
+        use crate::{CacheConfig, FrameWord, ProcCache, SsmpCacheSystem};
+        const THREADS: usize = 4;
+        let sys = SsmpCacheSystem::new(5);
+        let (cell, lines) = (BlockCell::default(), frame(1, 64));
+        let generation = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for proc in 0..THREADS {
+                let (sys, cell, lines) = (&sys, &cell, lines.clone());
+                let (generation, start) = (&generation, &start);
+                scope.spawn(move || {
+                    let mut cache = ProcCache::new(CacheConfig::tiny());
+                    let mut rng = mgs_sim::XorShift64::new(0x7EAD_0000 + proc as u64);
+                    let word = AtomicU64::new(0);
+                    start.wait();
+                    for round in 0..20_000 {
+                        let r = rng.next_u64();
+                        let line = 64 + r % 64;
+                        let hint = sys.directory().hint(cell, lines.clone(), line);
+                        let word = FrameWord {
+                            generation,
+                            expect: 0,
+                            cell: &word,
+                            value: r,
+                        };
+                        let write = r >> 62 == 0;
+                        sys.access_hinted(&mut cache, proc, line, 0, write, hint, Some(word))
+                            .expect("never refused");
+                        if proc == 0 && round % 64 == 63 {
+                            sys.directory().clean_frame(cell, lines.clone());
+                        }
+                        if proc == 0 && round % 64 == 31 {
+                            let held = sys.directory().hold(cell, lines.clone());
+                            std::hint::black_box(&held);
+                        }
+                    }
+                });
+            }
+        });
+        let d = sys.directory();
+        let block = d.block(d.hint(&cell, lines.clone(), 64)).unwrap();
+        let mut nonempty = 0;
+        for stripe in &block.stripes {
+            for e in 0..STRIPES {
+                let (sharers, owner) = (stripe.sharers(e), stripe.owner(e));
+                nonempty += usize::from(sharers != 0);
+                if let Some(owner) = owner {
+                    assert_eq!(sharers, 1 << owner, "an owned entry has one sharer");
+                }
+            }
+        }
+        assert_eq!(d.tracked_lines(), nonempty);
+        assert_eq!(sys.stats().total(), THREADS as u64 * 20_000);
+        assert_eq!(d.blocks_allocated(), 1);
     }
 
     /// Writers on one stripe from four threads, and readers validating

@@ -14,9 +14,9 @@
 //!   capacity and conflict behaviour. It is owned by the simulated
 //!   processor's thread; no other thread touches it.
 //! * [`Directory`] — the per-SSMP line directory: dense 64-line blocks
-//!   beside the pages they describe, eight sequence-locked stripes to a
-//!   block, reached through a hint the caller carries and never by
-//!   hashing a line. It is the single source of truth for which
+//!   that the page frames they describe own for life ([`BlockCell`]),
+//!   eight sequence-locked stripes to a block, reached through the
+//!   frame's hint and never by hashing a line. It is the single source of truth for which
 //!   processors hold a line and who owns it dirty; a processor-side tag
 //!   is only *valid* if the directory still lists that processor as a
 //!   sharer, which is how remote invalidations take effect without
@@ -36,6 +36,6 @@ mod proc_cache;
 mod system;
 
 pub use config::CacheConfig;
-pub use directory::{CleanOutcome, Directory, HeldLines};
+pub use directory::{BlockCell, CleanOutcome, Directory, HeldLines};
 pub use proc_cache::ProcCache;
 pub use system::{lines_of, CacheStats, FrameWord, MissClass, Served, SsmpCacheSystem};

@@ -18,9 +18,10 @@ use crate::CacheConfig;
 /// single zeroed allocation the host only backs with memory where sets
 /// are touched; its high 24 bits remember the [`Directory`] hint the
 /// line's last transaction returned (0: none), so that when the line is
-/// evicted its directory block is reached without a lookup. The memo
-/// is only ever a guess — see the directory's docs — and costs no
-/// memory of its own.
+/// evicted its directory block is reached without a lookup: a frame's
+/// own block, which still holds the line unless the frame has died,
+/// or, for the hint-less API's lines, a guess — see the directory's
+/// docs. The memo costs no memory of its own.
 /// Each set is kept in most-recently-used-first order with its empty
 /// ways last: a use moves the tag to way 0, so the last occupied way is
 /// always the least recently used one and exact LRU needs no

@@ -110,8 +110,8 @@ impl FrameWord<'_> {
 pub struct Served {
     /// Its latency class.
     pub class: MissClass,
-    /// The true hint of the line's directory block, for the caller to
-    /// remember.
+    /// The hint of the line's directory block (a guess corrected, or a
+    /// frame's own).
     pub hint: u32,
     /// The word a read loaded or a write stored (0 with no frame word).
     pub value: u64,
@@ -266,13 +266,20 @@ impl SsmpCacheSystem {
             .class
     }
 
-    /// One whole access: [`access`](Self::access) given the caller's
-    /// guess at `line`'s directory block — the hint an earlier access
-    /// to the same page returned, or [`Directory::NO_HINT`] — and the
-    /// frame word it loads or stores. Returns what it did, or `None`,
-    /// having changed nothing, when the frame's mapping generation has
-    /// moved past the one `word` expects: the caller's translation is
-    /// stale and must be redone.
+    /// One whole access: [`access`](Self::access) given the hint of
+    /// `line`'s directory block and the frame word it loads or stores.
+    /// Returns what it did, or `None`, having changed nothing, when the
+    /// frame's mapping generation has moved past the one `word`
+    /// expects: the caller's translation is stale and must be redone.
+    ///
+    /// With a frame word, `hint` is the frame's own
+    /// ([`Directory::hint`]), right by construction, and nothing asks
+    /// the directory's index: the line's entry is in the block the hint
+    /// names, and a victim whose memo names a block that holds another
+    /// chunk now belonged to a frame that has died. Without one, the
+    /// access is the hint-less API's and `hint` is a guess — an earlier
+    /// answer, or [`Directory::NO_HINT`] — checked and corrected
+    /// through the index.
     ///
     /// This is the simulator's hottest function, and it synchronizes on
     /// one word, the sequence number of the line's directory stripe. A
@@ -288,10 +295,9 @@ impl SsmpCacheSystem {
     /// victim's stripe. The tag array is private to the calling
     /// processor, so it is only peeked at until the access is sure to
     /// happen. With no hint from the caller a tag hit uses the one
-    /// remembered beside the tag. A stale access is refused before it
-    /// could create a block for the line. Debug builds assert that a
-    /// locked access whose hint was right (it never consulted the
-    /// index) took exactly one stripe lock for its line.
+    /// remembered beside the tag. Debug builds assert that a locked
+    /// access whose hint was right (it never consulted the index) took
+    /// exactly one stripe lock for its line.
     #[allow(clippy::too_many_arguments)] // the fused hot path: one call
     pub fn access_hinted(
         &self,
@@ -333,7 +339,10 @@ impl SsmpCacheSystem {
         }
         #[cfg(debug_assertions)]
         let locks_before = Directory::thread_locks();
-        let mut entry = self.directory.lock_line(line, guess, || !stale())?;
+        let mut entry = match word {
+            Some(_) => self.directory.lock_claimed(line, guess),
+            None => self.directory.lock_line(line, guess),
+        };
         if stale() {
             return None;
         }
@@ -370,9 +379,9 @@ impl SsmpCacheSystem {
         served(cache, class, found, value)
     }
 
-    /// Cleans a page's lines (§4.2.4): removes them from the directory
-    /// and returns the cycle cost under `cost`, tiered per line by
-    /// whether the line was dirty.
+    /// Cleans lines of the hint-less API (§4.2.4): removes them from
+    /// the directory and returns the cycle cost under `cost`, tiered per
+    /// line by whether the line was dirty.
     pub fn clean_page<I: IntoIterator<Item = u64>>(&self, lines: I, cost: &CostModel) -> Cycles {
         let out = self.directory.clean_page(lines);
         Self::clean_cost(out, cost)
@@ -395,7 +404,7 @@ pub fn lines_of(base: u64, bytes: u64, line_bytes: u64) -> impl Iterator<Item = 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheConfig;
+    use crate::{BlockCell, CacheConfig};
 
     #[allow(clippy::needless_range_loop)]
     fn setup() -> (SsmpCacheSystem, Vec<ProcCache>) {
@@ -610,8 +619,8 @@ mod tests {
     }
 
     /// An access whose translation went stale is refused with nothing
-    /// changed — tags, entries, counts, blocks — even where it would
-    /// have created the line's block; given the new generation it goes
+    /// changed — tags, entries, counts, blocks — even on a line its
+    /// frame's block has never seen; given the new generation it goes
     /// through.
     #[test]
     fn a_stale_access_changes_nothing() {
@@ -626,19 +635,16 @@ mod tests {
                 value,
             })
         };
+        // Two frames: lines 0..64 and 64..128.
+        let frames = [BlockCell::default(), BlockCell::default()];
         for (line, write) in [(64, false), (3, true), (3, false)] {
+            let frame = (line / 64) as usize;
+            let lines = line / 64 * 64..line / 64 * 64 + 64;
+            let hint = sys.directory().hint(&frames[frame], lines, line);
             let tags = cache.clone();
             let before = (sys.directory().tracked_lines(), sys.stats().total());
             let blocks = sys.directory().blocks_allocated();
-            let got = sys.access_hinted(
-                &mut cache,
-                0,
-                line,
-                0,
-                write,
-                Directory::NO_HINT,
-                word(0, 9),
-            );
+            let got = sys.access_hinted(&mut cache, 0, line, 0, write, hint, word(0, 9));
             assert_eq!(got, None, "line {line}");
             assert_eq!(cache.peek(line), tags.peek(line));
             assert_eq!(cache.resident(), tags.resident());
@@ -647,18 +653,10 @@ mod tests {
                 before
             );
             assert_eq!(sys.directory().blocks_allocated(), blocks);
-            let served = sys.access_hinted(
-                &mut cache,
-                0,
-                line,
-                0,
-                write,
-                Directory::NO_HINT,
-                word(1, 9),
-            );
+            let served = sys.access_hinted(&mut cache, 0, line, 0, write, hint, word(1, 9));
             assert_eq!(
-                served.map(|s| s.value),
-                Some(if write { 9 } else { cell.load(Relaxed) })
+                served.map(|s| (s.value, s.hint)),
+                Some((if write { 9 } else { cell.load(Relaxed) }, hint))
             );
         }
         assert_eq!(cell.load(Relaxed), 9);

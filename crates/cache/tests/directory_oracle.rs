@@ -3,18 +3,26 @@
 //! structure lives on here as the reference — one map entry per tracked
 //! line, removed when its last sharer leaves, with the transaction body
 //! it had in production — and both are driven with the same seeded
-//! stream of accesses (with and without hints), page cleans, dirty
-//! markings and page retirements; every return value is compared, and
-//! every tracked line's state at checkpoints.
+//! stream of accesses, page cleans, dirty markings and page
+//! retirements; every return value is compared, and at checkpoints the
+//! tracked-line count, the per-class totals and (where the API can read
+//! them) every tracked line's state.
 //!
-//! The traces are built to reach what the block layout added: hints
-//! that are stale, recycled, foreign or out of range; victims in other
-//! blocks and in blocks that no longer exist; pages of half a block and
-//! of four. Then the bound the free list is for, and a threaded smoke.
+//! Each trace runs twice: once through frames' own blocks, as the
+//! protocol and the runtime use the directory (claimed hints, frames
+//! that die with live entries, victims of dead frames), and once through
+//! the hint-less API with remembered guesses (hints that are stale,
+//! foreign or out of range; victims in other blocks). Both reach pages
+//! of half a block and of four. Then the bound that freeing dead frames
+//! keeps.
 
-use mgs_cache::{CacheConfig, CleanOutcome, Directory, MissClass, ProcCache, SsmpCacheSystem};
+use mgs_cache::{
+    BlockCell, CacheConfig, CleanOutcome, Directory, FrameWord, MissClass, ProcCache,
+    SsmpCacheSystem,
+};
 use mgs_sim::XorShift64;
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
 
 /// `SsmpCacheSystem::access_hinted` with no frame word: the class and
 /// the block's true hint.
@@ -31,6 +39,34 @@ fn access_hinted(
         .access_hinted(cache, proc, line, home, write, hint, None)
         .expect("an access with no frame word is never refused");
     (served.class, served.hint)
+}
+
+/// A frame's access: `SsmpCacheSystem::access_hinted` with the hint of
+/// the frame's block and a frame word whose generation never moves.
+#[allow(clippy::too_many_arguments)]
+fn frame_access(
+    sys: &SsmpCacheSystem,
+    cache: &mut ProcCache,
+    proc: usize,
+    cell: &BlockCell,
+    lines: std::ops::Range<u64>,
+    line: u64,
+    home: usize,
+    write: bool,
+) -> MissClass {
+    let (generation, word) = (AtomicU64::new(0), AtomicU64::new(0));
+    let hint = sys.directory().hint(cell, lines, line);
+    let frame_word = FrameWord {
+        generation: &generation,
+        expect: 0,
+        cell: &word,
+        value: 1,
+    };
+    let served = sys
+        .access_hinted(cache, proc, line, home, write, hint, Some(frame_word))
+        .expect("a current translation is never refused");
+    assert_eq!(served.hint, hint, "a frame's hint is its block's");
+    served.class
 }
 
 const PROCS: usize = 6;
@@ -200,10 +236,13 @@ impl HashedSystem {
 // ---------------------------------------------------------------------
 
 /// A physical page as the layers above the cache see it: its lines and
-/// the one hint cell `PageFrame` carries.
-#[derive(Debug, Clone, Copy)]
+/// the directory-slot cell `PageFrame` carries; the hint-less mode
+/// remembers a guess beside it instead.
+#[derive(Debug)]
 struct Frame {
     first_line: u64,
+    cell: BlockCell,
+    /// The last hint an access returned (the hint-less mode's guess).
     hint: u32,
 }
 
@@ -211,6 +250,9 @@ struct Frame {
 /// per processor and side, the live frames and every line ever used.
 struct Case {
     seed: u64,
+    /// Whether the frames' own blocks serve every operation (the
+    /// production paths), or the hint-less API does.
+    owned: bool,
     rng: XorShift64,
     block: SsmpCacheSystem,
     hashed: HashedSystem,
@@ -228,6 +270,7 @@ impl Case {
     fn new(seed: u64, cfg: CacheConfig, pages: usize, lines_per_page: u64, stride: u64) -> Case {
         let mut case = Case {
             seed,
+            owned: false,
             rng: XorShift64::new(seed),
             block: SsmpCacheSystem::new(HW_POINTERS),
             hashed: HashedSystem::default(),
@@ -246,12 +289,30 @@ impl Case {
         case
     }
 
+    /// Runs the trace of `seed` twice: through frames' own blocks and
+    /// through the hint-less API.
+    fn both(
+        seed: u64,
+        cfg: CacheConfig,
+        pages: usize,
+        lines_per_page: u64,
+        stride: u64,
+        steps: usize,
+    ) {
+        for owned in [true, false] {
+            let mut case = Case::new(seed, cfg, pages, lines_per_page, stride);
+            case.owned = owned;
+            case.run(steps);
+        }
+    }
+
     /// Frames are bump-allocated and never reuse a base, as in
     /// `FrameAllocator`.
     fn alloc(&mut self) -> Frame {
         self.allocated += 1;
         Frame {
             first_line: self.allocated * self.stride,
+            cell: BlockCell::default(),
             hint: Directory::NO_HINT,
         }
     }
@@ -266,34 +327,37 @@ impl Case {
     }
 
     fn at(&self) -> String {
-        format!("step {} (seed {:#x})", self.step, self.seed)
+        format!(
+            "step {} (seed {:#x}, {})",
+            self.step,
+            self.seed,
+            if self.owned { "frames" } else { "hint-less" }
+        )
     }
 
-    /// One access, through the hinted entry point (refreshing the
-    /// frame's cell the way `Env::access` does) or the line-keyed one.
+    /// One access: through the frame's block; or, hint-less, through
+    /// the hinted entry point given the frame's remembered guess or the
+    /// line-keyed one.
     fn access(&mut self) {
         let page = self.below(self.frames.len() as u64) as usize;
         let line = self.frames[page].first_line + self.below(self.lines_per_page);
         let proc = self.below(PROCS as u64) as usize;
         let home = self.below(PROCS as u64) as usize;
         let write = self.below(4) == 0;
-        let got = if self.below(3) != 0 {
+        let hinted = self.below(3) != 0;
+        let lines = self.lines(page);
+        let cache = &mut self.block_caches[proc];
+        let got = if self.owned {
+            let cell = &self.frames[page].cell;
+            frame_access(&self.block, cache, proc, cell, lines, line, home, write)
+        } else if hinted {
             let hint = self.frames[page].hint;
-            let (class, found) = access_hinted(
-                &self.block,
-                &mut self.block_caches[proc],
-                proc,
-                line,
-                home,
-                write,
-                hint,
-            );
+            let (class, found) = access_hinted(&self.block, cache, proc, line, home, write, hint);
             assert_ne!(found, Directory::NO_HINT, "{}", self.at());
             self.frames[page].hint = found;
             class
         } else {
-            self.block
-                .access(&mut self.block_caches[proc], proc, line, home, write)
+            self.block.access(cache, proc, line, home, write)
         };
         let want = self
             .hashed
@@ -301,18 +365,22 @@ impl Case {
         assert_eq!(got, want, "class of line {line} diverged at {}", self.at());
     }
 
-    fn clean(&mut self) {
-        let page = self.below(self.frames.len() as u64) as usize;
+    /// Cleans a page's lines on both sides and compares the outcomes.
+    fn clean_at(&mut self, page: usize) {
         let lines = self.lines(page);
-        let hinted = self.below(2) == 0;
         let directory = self.block.directory();
-        let got = if hinted {
-            directory.clean_page_hinted(lines.clone(), self.frames[page].hint)
+        let got = if self.owned {
+            directory.clean_frame(&self.frames[page].cell, lines.clone())
         } else {
             directory.clean_page(lines.clone())
         };
         let want = self.hashed.directory.clean_page(lines);
         assert_eq!(got, want, "clean outcome diverged at {}", self.at());
+    }
+
+    fn clean(&mut self) {
+        let page = self.below(self.frames.len() as u64) as usize;
+        self.clean_at(page);
     }
 
     /// Dirty-marks a random ascending subset of a page's lines, as a
@@ -326,29 +394,31 @@ impl Case {
             .lines(page)
             .filter(|_| picks.next_below(keep) == 0)
             .collect();
-        let hinted = self.below(2) == 0;
         let directory = self.block.directory();
-        if hinted {
-            directory.mark_dirty_lines_hinted(lines.iter().copied(), proc, self.frames[page].hint);
+        if self.owned {
+            let frame = &self.frames[page];
+            directory.mark_dirty_frame(&frame.cell, self.lines(page), lines.iter().copied(), proc);
         } else {
             directory.mark_dirty_lines(lines.iter().copied(), proc);
         }
         self.hashed.directory.mark_dirty_lines(lines, proc);
     }
 
-    /// Retires a page — cleaned, as the protocol does before it drops a
-    /// copy — and puts a fresh frame in its place. The new frame keeps
-    /// the old one's hint half of the time: a guess at a block that was
-    /// just recycled and may already hold another chunk.
+    /// Retires a page and puts a fresh frame in its place. A frame's
+    /// block dies with it, live entries and all — half the time it is
+    /// cleaned first, as the protocol cleans a copy it gives up, and
+    /// half the time not, as when it drops a stale one — and the next
+    /// frame to claim may take the freed block while tags still name
+    /// it. Hint-less, the page is cleaned and the new frame keeps the
+    /// old one's guess half the time.
     fn retire(&mut self) {
         let page = self.below(self.frames.len() as u64) as usize;
         let lines = self.lines(page);
-        let got = self
-            .block
-            .directory()
-            .clean_page_hinted(lines.clone(), self.frames[page].hint);
-        let want = self.hashed.directory.clean_page(lines);
-        assert_eq!(got, want, "retiring clean diverged at {}", self.at());
+        if !self.owned || self.below(2) == 0 {
+            self.clean_at(page);
+        } else {
+            self.hashed.directory.clean_page(lines);
+        }
         let stale = self.frames[page].hint;
         self.frames[page] = self.alloc();
         if self.below(2) == 0 {
@@ -356,8 +426,9 @@ impl Case {
         }
     }
 
-    /// Compares every line any frame ever covered, the tracked-line
-    /// count and the per-class totals.
+    /// Compares the tracked-line count, the per-class totals and, where
+    /// the hint-less API can read them, every line any frame ever
+    /// covered.
     fn checkpoint(&self) {
         let (block, hashed) = (self.block.directory(), &self.hashed.directory);
         assert_eq!(
@@ -366,7 +437,7 @@ impl Case {
             "tracked lines diverged at {}",
             self.at()
         );
-        for frame in 1..=self.allocated {
+        for frame in (1..=self.allocated).filter(|_| !self.owned) {
             let first = frame * self.stride;
             for line in first..first + self.lines_per_page {
                 assert_eq!(
@@ -424,29 +495,29 @@ impl Case {
 fn block_directory_matches_hashed_with_tiny_caches() {
     for case in 0..24u64 {
         let seed = 0xD1B0_0000 | case;
-        Case::new(seed, CacheConfig::tiny(), 4, 64, 64).run(2500);
+        Case::both(seed, CacheConfig::tiny(), 4, 64, 64, 2500);
     }
 }
 
 /// Alewife-sized caches with every frame 2,048 lines from the last, so
 /// all frames fight over the same sets and every victim sits in
-/// another block — often one a retirement has recycled since.
+/// another block — often one a retirement has freed since.
 #[test]
 fn block_directory_matches_hashed_with_alewife_caches() {
     for case in 0..12u64 {
         let seed = 0xA1EB_0000 | case;
-        Case::new(seed, CacheConfig::alewife(), 5, 64, 2048).run(4000);
+        Case::both(seed, CacheConfig::alewife(), 5, 64, 2048, 4000);
     }
 }
 
-/// A 512 B page is half a block (two frames share one, and one frame's
-/// hint serves both); a 4 KB page is four blocks behind one hint cell.
+/// A 512 B page is half a block (two frames share a chunk: hint-less
+/// one block, a frame's own one each); a 4 KB page is four blocks.
 #[test]
 fn block_directory_matches_hashed_at_other_page_sizes() {
     for case in 0..8u64 {
         let seed = 0x5123_0000 | case;
-        Case::new(seed, CacheConfig::tiny(), 6, 32, 32).run(2500);
-        Case::new(seed, CacheConfig::alewife(), 3, 256, 2048).run(2500);
+        Case::both(seed, CacheConfig::tiny(), 6, 32, 32, 2500);
+        Case::both(seed, CacheConfig::alewife(), 3, 256, 2048, 2500);
     }
 }
 
@@ -489,40 +560,6 @@ impl Pair {
     }
 }
 
-/// A frame's hint after its block was cleaned, recycled and handed to
-/// another chunk names a block full of someone else's entries; the
-/// chunk check sends the access to the index instead.
-#[test]
-fn a_hint_to_a_recycled_block_reads_nothing_of_its_new_chunk() {
-    let sys = SsmpCacheSystem::new(HW_POINTERS);
-    let mut caches = vec![ProcCache::new(CacheConfig::alewife()); 2];
-    let (_, stale) = access_hinted(&sys, &mut caches[0], 0, 64, 0, true, Directory::NO_HINT);
-    sys.directory().clean_page_hinted(64..128, stale);
-    // Chunk 100 takes the freed slot; proc 1 dirties all of it.
-    sys.directory().mark_dirty_lines(6400..6464, 1);
-    let (_, reused) = access_hinted(&sys, &mut caches[1], 1, 6400, 0, true, Directory::NO_HINT);
-    assert_eq!(reused, stale, "the freed slot was handed out again");
-
-    // Through the stale hint, chunk 1 still reads as never cached.
-    let fresh = SsmpCacheSystem::new(HW_POINTERS);
-    let mut fresh_cache = ProcCache::new(CacheConfig::alewife());
-    for (line, write) in [(65, false), (64, false), (127, true)] {
-        assert_eq!(
-            access_hinted(&sys, &mut caches[0], 0, line, 0, write, stale).0,
-            fresh.access(&mut fresh_cache, 0, line, 0, write),
-            "line {line}"
-        );
-    }
-    assert_eq!(
-        sys.directory().probe(6401),
-        (1, Some(1)),
-        "chunk 100 untouched"
-    );
-    let out = sys.directory().clean_page_hinted(64..128, stale);
-    assert_eq!((out.dirty_lines, out.shared_lines), (1, 2));
-    assert_eq!(sys.directory().tracked_lines(), 64);
-}
-
 /// A tag array filled against one system remembers slots that mean
 /// nothing — or are out of range — in another.
 #[test]
@@ -563,24 +600,49 @@ fn a_tag_array_filled_against_another_system_is_only_wrong_guesses() {
     }
 }
 
-/// An evicted line whose page was cleaned since: its block is gone (or
-/// holds another chunk), so there is no sharer bit to clear.
+/// A victim whose frame has died: its memo names a block that is free,
+/// or that a later frame claimed for another chunk. Either way no entry
+/// of its is left, and the later frame's entries — the victim's own
+/// stripe and entry of the same block — are untouched.
 #[test]
-fn a_victim_whose_block_no_longer_exists_is_skipped() {
+fn a_victim_of_a_dead_frame_is_skipped() {
     let sys = SsmpCacheSystem::new(HW_POINTERS);
     let mut cache = ProcCache::new(CacheConfig::tiny()); // 8 sets × 2 ways
-    let (_, hint) = access_hinted(&sys, &mut cache, 0, 640, 0, true, Directory::NO_HINT);
-    sys.access(&mut cache, 0, 1280, 0, false);
-    // Page 10 is cleaned: line 640's tag stays, its block is recycled.
-    sys.directory().clean_page_hinted(640..704, hint);
-    assert_eq!(sys.directory().tracked_lines(), 1);
-    // Line 0 shares set 0: evicts 640 (LRU), whose memo names a free
-    // block. Then the slot is reused and 1280 is evicted normally.
-    assert_eq!(sys.access(&mut cache, 0, 0, 0, false), MissClass::LocalMiss);
+    let mut access = |cell: &BlockCell, lines: std::ops::Range<u64>, line: u64, write: bool| {
+        frame_access(&sys, &mut cache, 0, cell, lines, line, 0, write)
+    };
+    let (a, a_lines) = (BlockCell::default(), 64..128);
+    let (z, z_lines) = (BlockCell::default(), 128..192);
+    sys.directory().hint(&z, z_lines.clone(), 128); // claimed first
+    access(&a, a_lines.clone(), 64, true); // set 0
+    access(&a, a_lines.clone(), 65, true); // set 1
+    let hint = sys.directory().hint(&a, a_lines, 64);
+    drop(a);
+    // 136 evicts 64, whose memo names a free block.
+    access(&z, z_lines.clone(), 128, false);
+    access(&z, z_lines.clone(), 136, false);
     assert_eq!(sys.directory().tracked_lines(), 2);
-    assert_eq!(sys.access(&mut cache, 0, 8, 0, false), MissClass::LocalMiss);
-    assert!(!sys.directory().is_sharer(1280, 0));
-    assert_eq!(sys.directory().tracked_lines(), 2);
+    // A later frame takes the dead frame's block, all of it owned by
+    // processor 1; 6409 evicts 65, whose stripe and entry there are
+    // 6401's.
+    let (b, b_lines) = (BlockCell::default(), 6400..6464);
+    assert_eq!(
+        sys.directory().hint(&b, b_lines.clone(), 6401),
+        hint,
+        "reused"
+    );
+    sys.directory()
+        .mark_dirty_frame(&b, b_lines.clone(), b_lines.clone(), 1);
+    access(&b, b_lines.clone(), 6401, false);
+    access(&b, b_lines.clone(), 6409, false);
+    assert_eq!(
+        access(&b, b_lines.clone(), 6401, false),
+        MissClass::Hit,
+        "processor 0 still shares 6401"
+    );
+    assert_eq!(sys.directory().tracked_lines(), 66);
+    let out = sys.directory().clean_frame(&b, b_lines);
+    assert_eq!((out.shared_lines, out.dirty_lines), (2, 62));
 }
 
 /// Debug builds count locks per thread: a read hit whose hint is right
@@ -646,79 +708,38 @@ fn a_right_hint_costs_one_stripe_lock_or_none_and_no_index_lookup() {
 // Bounded memory
 // ---------------------------------------------------------------------
 
-/// Frames never reuse a base, so anything keyed by physical address
-/// must give memory back: 10,000 fresh pages, each touched by two
-/// processors, cleaned and then held (as a frame is quiesced after its
-/// block was recycled), leave the slab where the first left it.
+/// Frames never reuse a base, so blocks must be given back: 10,000
+/// fresh frames, each touched by two processors, cleaned, held and
+/// dropped, leave the slab where the first left it — and so do 10,000
+/// dropped uncleaned.
 #[test]
-fn ten_thousand_fresh_pages_reuse_one_block() {
+fn ten_thousand_fresh_frames_reuse_one_block() {
     let sys = SsmpCacheSystem::new(HW_POINTERS);
     let mut caches = vec![ProcCache::new(CacheConfig::alewife()); 2];
-    for page in 1..=10_000u64 {
-        let lines = page * 64..(page + 1) * 64;
-        let mut hint = Directory::NO_HINT;
+    for page in 1..=20_000u64 {
+        let (cell, lines) = (BlockCell::default(), page * 64..(page + 1) * 64);
         for line in lines.clone() {
             for (proc, cache) in caches.iter_mut().enumerate() {
-                hint = access_hinted(&sys, cache, proc, line, 0, line % 2 == 0, hint).1;
+                frame_access(
+                    &sys,
+                    cache,
+                    proc,
+                    &cell,
+                    lines.clone(),
+                    line,
+                    0,
+                    line % 2 == 0,
+                );
             }
         }
         assert_eq!(sys.directory().tracked_lines(), 64);
-        let out = sys.directory().clean_page_hinted(lines.clone(), hint);
-        assert_eq!((out.dirty_lines, out.shared_lines), (32, 32), "page {page}");
-        drop(sys.directory().hold(lines, hint));
+        if page <= 10_000 {
+            let out = sys.directory().clean_frame(&cell, lines.clone());
+            assert_eq!((out.dirty_lines, out.shared_lines), (32, 32), "page {page}");
+            drop(sys.directory().hold(&cell, lines));
+        }
+        drop(cell);
+        assert_eq!(sys.directory().tracked_lines(), 0);
     }
-    assert_eq!(sys.directory().tracked_lines(), 0);
     assert_eq!(sys.directory().blocks_allocated(), 1);
-}
-
-// ---------------------------------------------------------------------
-// Threads
-// ---------------------------------------------------------------------
-
-/// Four threads on one shared page, one of them also cleaning it (so
-/// the block is recycled and re-created under the others) and holding
-/// it (so the others' reads fail validation and wait): afterwards
-/// every entry is either empty, shared with no owner, or owned by its
-/// only sharer, and the tracked count is the number of nonempty ones.
-#[test]
-fn four_threads_on_one_page_keep_the_entry_invariant() {
-    const THREADS: usize = 4;
-    let sys = SsmpCacheSystem::new(HW_POINTERS);
-    let start = std::sync::Barrier::new(THREADS);
-    std::thread::scope(|scope| {
-        for proc in 0..THREADS {
-            let (sys, start) = (&sys, &start);
-            scope.spawn(move || {
-                let mut cache = ProcCache::new(CacheConfig::tiny());
-                let mut rng = XorShift64::new(0x7EAD_0000 + proc as u64);
-                let mut hint = Directory::NO_HINT;
-                start.wait();
-                for round in 0..20_000 {
-                    let r = rng.next_u64();
-                    let line = 64 + r % 64;
-                    hint = access_hinted(sys, &mut cache, proc, line, 0, r >> 62 == 0, hint).1;
-                    if proc == 0 && round % 64 == 63 {
-                        sys.directory().clean_page_hinted(64..128, hint);
-                    }
-                    if proc == 0 && round % 64 == 31 {
-                        let held = sys.directory().hold(64..128, hint);
-                        std::hint::black_box(&held);
-                    }
-                }
-            });
-        }
-    });
-    let directory = sys.directory();
-    let mut nonempty = 0;
-    for line in 64..128 {
-        let (sharers, owner) = directory.probe(line);
-        nonempty += usize::from(sharers != 0);
-        if let Some(owner) = owner {
-            assert_eq!(sharers, 1, "owned line {line} has other sharers");
-            assert!(directory.is_sharer(line, owner), "line {line}");
-        }
-    }
-    assert_eq!(directory.tracked_lines(), nonempty);
-    assert_eq!(sys.stats().total(), THREADS as u64 * 20_000);
-    assert!(directory.blocks_allocated() <= 2);
 }

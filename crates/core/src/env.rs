@@ -362,7 +362,9 @@ impl Env {
         // hardware coherence classifies the access (its stall counts
         // as user time, §5.2.1) and performs the load or store. A
         // quiesce holds every stripe of the frame's lines, so a store
-        // that lands is always covered by the diff that follows it.
+        // that lands is always covered by the diff that follows it. The
+        // line's stripe is found through the frame's own directory
+        // blocks, claimed by its first access and fixed thereafter.
         //
         // The entry is borrowed from the set's front, not cloned: the
         // frame's `Arc` count is a line every processor mapping the
@@ -380,23 +382,21 @@ impl Env {
                 self.ssmp,
                 "a processor accesses only frames of its own SSMP, whose directory guards them"
             );
-            let hint = frame.dir_hint();
-            let served = self.proto.cache_system(self.ssmp).access_hinted(
+            let sys = self.proto.cache_system(self.ssmp);
+            let line = frame.line_of_word(word);
+            let served = sys.access_hinted(
                 &mut self.pcache,
                 my_local,
-                frame.line_of_word(word),
+                line,
                 frame.home_node() % self.cluster_size,
                 write,
-                hint,
+                frame.dir_hint(sys.directory(), line),
                 Some(frame.word(word, entry.gen, value)),
             );
             let Some(served) = served else {
                 self.translate_slow(page, write);
                 continue;
             };
-            if served.hint != hint {
-                frame.set_dir_hint(served.hint);
-            }
             let class = served.class;
             self.clock
                 .charge(CostCategory::User, class.cost(&self.cost));

@@ -26,11 +26,16 @@ use mgs_vm::{
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 type Res<T = ()> = Result<T, ProtocolError>;
 
 const PAGE_SHARDS: usize = 32;
+/// Pages in the page table's first segment (as a power of two); segment
+/// `k` holds `1 << (FIRST_PAGES_BITS + k)`.
+const FIRST_PAGES_BITS: u32 = 6;
+/// Segments the page table can grow to: 64 × (2³² − 1) pages.
+const PAGE_SEGMENTS: usize = 32;
 
 /// One SSMP's host resources for one page; its protocol state is the
 /// page's [`PageState`].
@@ -73,13 +78,62 @@ struct Page {
     clients: Box<[ClientPage]>,
 }
 
-/// One shard of the page table.
-#[derive(Debug, Default)]
-struct Shard {
-    pages: HashMap<u64, Arc<Mutex<Page>>>,
-    /// Home overrides of pages not yet instantiated; each is consumed
-    /// when its page is created, after which the page's state holds it.
-    homes: HashMap<u64, usize>,
+/// Every page's record, indexed by page number: page numbers are dense
+/// from `VIRT_BASE`. A grow-only table of segments that double in size,
+/// each allocated on first use, so finding a page's lock takes no lock,
+/// no hash and no reference count; a record once created lives as long
+/// as the table.
+#[derive(Debug)]
+struct PageTable {
+    segments: [OnceLock<Box<[PageCell]>>; PAGE_SEGMENTS],
+}
+
+/// A page's place in the [`PageTable`]: empty until the page is created.
+type PageCell = OnceLock<Box<Mutex<Page>>>;
+
+impl PageTable {
+    fn new() -> PageTable {
+        PageTable {
+            segments: [const { OnceLock::new() }; PAGE_SEGMENTS],
+        }
+    }
+
+    /// `(segment, offset)` of a page.
+    fn locate(page: u64) -> (usize, usize) {
+        let n = page + (1 << FIRST_PAGES_BITS);
+        let top = n.ilog2();
+        ((top - FIRST_PAGES_BITS) as usize, (n - (1 << top)) as usize)
+    }
+
+    /// `page`'s cell, its segment allocated if it was not.
+    fn cell(&self, page: u64) -> &PageCell {
+        let (segment, offset) = Self::locate(page);
+        let len = 1usize << (FIRST_PAGES_BITS as usize + segment);
+        let segment = self
+            .segments
+            .get(segment)
+            .expect("page number within the page table")
+            .get_or_init(|| (0..len).map(|_| OnceLock::new()).collect());
+        &segment[offset]
+    }
+
+    /// `page`'s record, if it was created.
+    fn get(&self, page: u64) -> Option<&Mutex<Page>> {
+        let (segment, offset) = Self::locate(page);
+        Some(self.segments.get(segment)?.get()?[offset].get()?)
+    }
+
+    /// Every created record, in page order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &Mutex<Page>)> {
+        let segments = self.segments.iter().enumerate();
+        segments.flat_map(|(k, segment)| {
+            let first = (1u64 << (FIRST_PAGES_BITS as usize + k)) - (1 << FIRST_PAGES_BITS);
+            let cells = segment.get().map_or(&[][..], |cells| &cells[..]);
+            (first..)
+                .zip(cells)
+                .filter_map(|(page, cell)| Some((page, &**cell.get()?)))
+        })
+    }
 }
 
 /// The MGS multigrain shared memory protocol.
@@ -88,6 +142,15 @@ struct Shard {
 /// record (its protocol state, its physical home copy and every SSMP's
 /// copy), per-processor TLBs and delayed update queues, and the
 /// per-SSMP cache directories (for page cleaning).
+///
+/// The records sit in a dense table indexed by page number (page
+/// numbers count up from `VIRT_BASE`): a transaction finds its page's
+/// lock by indexing, with no lock, hash or reference count, and only
+/// a page's creation takes a lock — its shard of the home overrides
+/// [`set_home`](MgsProtocol::set_home) registers. Every frame the
+/// protocol holds keeps its line-directory blocks in the directory of
+/// its home node's SSMP ([`directory_of`](MgsProtocol::directory_of))
+/// until it drops.
 ///
 /// Transactions ([`fault`](MgsProtocol::fault),
 /// [`release_all`](MgsProtocol::release_all)) execute synchronously in
@@ -120,7 +183,11 @@ pub struct MgsProtocol {
     /// processor itself writes its queue.
     duqs: Vec<Mutex<Vec<Queued>>>,
     caches: Vec<Arc<SsmpCacheSystem>>,
-    shards: Vec<Mutex<Shard>>,
+    pages: PageTable,
+    /// Home overrides of pages not yet created, sharded by page number;
+    /// each is consumed when its page is created, under its shard's
+    /// lock, after which the page's state holds it.
+    homes: Vec<Mutex<HashMap<u64, usize>>>,
     /// Per-SSMP write-notice queues (home-LRC lazy invalidation): pages
     /// whose [`PageState::noticed`] bit the SSMP holds, to drain at its
     /// next acquire point. A page leaves only once drained; the mutex is
@@ -168,7 +235,8 @@ impl MgsProtocol {
                 .map(|_| Arc::new(SsmpCacheSystem::new(cfg.cost.dir_hw_pointers)))
                 .collect(),
             cfg,
-            shards: (0..PAGE_SHARDS).map(|_| Mutex::default()).collect(),
+            pages: PageTable::new(),
+            homes: (0..PAGE_SHARDS).map(|_| Mutex::default()).collect(),
             notices: (0..n_ssmps).map(|_| Default::default()).collect(),
             diff_scratch: (0..n_ssmps).map(|_| Mutex::new(Vec::new())).collect(),
             diff_scratch_created: AtomicU64::new(0),
@@ -307,8 +375,8 @@ impl MgsProtocol {
         self.caches[self.cfg.ssmp_of(frame.home_node())].directory()
     }
 
-    fn shard(&self, page: u64) -> MutexGuard<'_, Shard> {
-        self.shards[(page as usize) % PAGE_SHARDS].lock()
+    fn homes(&self, page: u64) -> MutexGuard<'_, HashMap<u64, usize>> {
+        self.homes[(page as usize) % PAGE_SHARDS].lock()
     }
 
     /// Overrides the home node of `page` (data distribution: the
@@ -325,12 +393,12 @@ impl MgsProtocol {
     /// out of range.
     pub fn set_home(&self, page: u64, node: usize) {
         assert!(node < self.cfg.n_procs(), "home node out of range");
-        let mut shard = self.shard(page);
+        let mut homes = self.homes(page);
         assert!(
-            !shard.pages.contains_key(&page),
+            self.pages.get(page).is_none(),
             "page {page} already instantiated"
         );
-        shard.homes.insert(page, node);
+        homes.insert(page, node);
     }
 
     /// The home node (global processor) of `page`: once the page
@@ -338,12 +406,12 @@ impl MgsProtocol {
     /// an explicit distribution override if one was registered, else
     /// round-robin by page number.
     pub fn home_node(&self, page: u64) -> usize {
-        let shard = self.shard(page);
-        let Some(entry) = shard.pages.get(&page).cloned() else {
-            let home = shard.homes.get(&page).copied();
+        let homes = self.homes(page);
+        let Some(entry) = self.pages.get(page) else {
+            let home = homes.get(&page).copied();
             return home.unwrap_or_else(|| self.cfg.home_node(page));
         };
-        drop(shard);
+        drop(homes);
         let home = entry.lock().st.home;
         home
     }
@@ -365,19 +433,26 @@ impl MgsProtocol {
         self.page_entry(page).lock().st.dirs
     }
 
-    fn page_entry(&self, page: u64) -> Arc<Mutex<Page>> {
-        let mut shard = self.shard(page);
-        let Shard { pages, homes } = &mut *shard;
-        Arc::clone(pages.entry(page).or_insert_with(|| {
+    /// `page`'s record, created on first use: an index into the page
+    /// table, taking a lock only to create the record.
+    fn page_entry(&self, page: u64) -> &Mutex<Page> {
+        let cell = self.pages.cell(page);
+        if let Some(entry) = cell.get() {
+            return entry;
+        }
+        // Created under the shard's lock, so `set_home` either sees
+        // the record or leaves its override for the creation.
+        let mut homes = self.homes(page);
+        cell.get_or_init(|| {
             let home = homes
                 .remove(&page)
                 .unwrap_or_else(|| self.cfg.home_node(page));
-            Arc::new(Mutex::new(Page {
+            Box::new(Mutex::new(Page {
                 st: PageState::new(home),
                 home_frame: self.frames.alloc(home),
                 clients: (0..self.cfg.n_ssmps).map(|_| Default::default()).collect(),
             }))
-        }))
+        })
     }
 
     /// Counts `event` in the protocol statistics and hands it to `t`.
@@ -631,12 +706,7 @@ impl MgsProtocol {
         t: &mut dyn ProtoTiming,
         mut f: impl FnMut(&mut PageState, &Ctx<'_>, &mut Interp<'_>) -> Res,
     ) -> Res {
-        let mut pages: Vec<(u64, Arc<Mutex<Page>>)> = Vec::new();
-        for shard in &self.shards {
-            pages.extend(shard.lock().pages.iter().map(|(p, e)| (*p, Arc::clone(e))));
-        }
-        pages.sort_unstable_by_key(|(p, _)| *p);
-        for (page, entry) in pages {
+        for (page, entry) in self.pages.iter() {
             self.step(&mut entry.lock(), page, t, &mut f)?;
         }
         Ok(())
@@ -731,10 +801,8 @@ impl MgsProtocol {
     /// directory (Table 3's write-shared micro-measurement setup).
     pub fn dirty_home_lines(&self, page: u64) {
         let frame = self.home_frame(page);
-        let home = frame.home_node();
-        self.caches[self.cfg.ssmp_of(home)]
-            .directory()
-            .mark_dirty_lines(frame.lines(), self.cfg.local_index(home));
+        let proc = self.cfg.local_index(frame.home_node());
+        frame.mark_dirty(self.directory_of(&frame), frame.lines(), proc);
     }
 
     /// Marks every line of `page`'s copy at `ssmp` dirty in that SSMP's
@@ -744,12 +812,10 @@ impl MgsProtocol {
     ///
     /// Panics if the SSMP holds no copy of the page.
     pub fn dirty_client_lines(&self, ssmp: usize, page: u64) {
-        let entry = self.page_entry(page);
-        let frame = entry.lock().clients[ssmp].frame.clone();
+        let frame = self.page_entry(page).lock().clients[ssmp].frame.clone();
         let frame = frame.expect("SSMP holds a copy");
-        self.caches[ssmp]
-            .directory()
-            .mark_dirty_lines(frame.lines(), self.cfg.local_index(frame.home_node()));
+        let proc = self.cfg.local_index(frame.home_node());
+        frame.mark_dirty(self.directory_of(&frame), frame.lines(), proc);
     }
 }
 
@@ -861,13 +927,7 @@ impl Effects for Interp<'_> {
 
     fn clean(&mut self, f: Frame, charged: bool) {
         let frame = self.frame(f);
-        let ssmp = match f {
-            Frame::Home => self.proto.cfg.ssmp_of(frame.home_node()),
-            Frame::Copy(s) => s,
-        };
-        let clean = self.proto.caches[ssmp]
-            .directory()
-            .clean_page_hinted(frame.lines(), frame.dir_hint());
+        let clean = frame.clean(self.proto.directory_of(&frame));
         if charged {
             let cycles = SsmpCacheSystem::clean_cost(clean, &self.proto.cfg.cost);
             self.t.node_work(frame.home_node(), cycles);
@@ -924,14 +984,8 @@ impl Effects for Interp<'_> {
         let (proto, page, home) = (self.proto, self.page, &**self.home);
         let (_, diff) = self.diff.as_ref().expect("a diff to merge");
         diff.apply_to_frame(home);
-        let node = home.home_node();
-        proto.caches[proto.cfg.ssmp_of(node)]
-            .directory()
-            .mark_dirty_lines_hinted(
-                diff.touched_lines(home),
-                proto.cfg.local_index(node),
-                home.dir_hint(),
-            );
+        let proc = proto.cfg.local_index(home.home_node());
+        home.mark_dirty(proto.directory_of(home), diff.touched_lines(home), proc);
         let (words, spans) = (diff.changed_words(), diff.span_count() as u64);
         proto.emit(
             self.t,
@@ -966,10 +1020,11 @@ impl Effects for Interp<'_> {
         }
         // The words entered through the sharer's protocol processor's
         // cache: a later page clean pays the dirty tier.
-        self.proto.caches[ssmp].directory().mark_dirty_lines_hinted(
+        let proc = self.proto.cfg.local_index(frame.home_node());
+        frame.mark_dirty(
+            self.proto.directory_of(&frame),
             diff.touched_lines(&frame),
-            self.proto.cfg.local_index(frame.home_node()),
-            frame.dir_hint(),
+            proc,
         );
     }
 

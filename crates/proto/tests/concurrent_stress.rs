@@ -50,20 +50,17 @@ fn access(
     };
     loop {
         let frame = &e.frame;
-        let hint = frame.dir_hint();
+        let line = frame.line_of_word(word);
         let served = sys.access_hinted(
             cache,
             proc % C,
-            frame.line_of_word(word),
+            line,
             frame.home_node() % C,
             write,
-            hint,
+            frame.dir_hint(sys.directory(), line),
             Some(frame.word(word, e.gen, store.unwrap_or(0))),
         );
         if let Some(served) = served {
-            if served.hint != hint {
-                frame.set_dir_hint(served.hint);
-            }
             return served.value;
         }
         e = proto.fault(proc, page, write, t);
@@ -297,7 +294,9 @@ fn siblings_acquiring_at_once_drop_every_noticed_copy_at_4_threads() {
 /// refused and retried under the new generation, as a re-fault would,
 /// so every store lands in the generation it was served under: the
 /// diff that closes a generation holds exactly the last value each
-/// word was given in it.
+/// word was given in it. The writers wait halfway for the first
+/// generation to close, so however fast they are, stores and quiesces
+/// overlap.
 fn stores_race_quiesce_diff_bump(threads: usize) {
     const STORES: u64 = 20_000;
     let writers = threads - 1;
@@ -315,17 +314,22 @@ fn stores_race_quiesce_diff_bump(threads: usize) {
                     let mut log = Vec::new(); // (generation, word, value)
                     let mut access = |word, write, value, gen: &mut u64| loop {
                         let line = frame.line_of_word(word);
-                        let hint = frame.dir_hint();
+                        let hint = frame.dir_hint(sys.directory(), line);
                         let got = frame.word(word, *gen, value);
                         match sys.access_hinted(&mut cache, w, line, 0, write, hint, Some(got)) {
-                            Some(served) => {
-                                frame.set_dir_hint(served.hint);
-                                return served.value;
-                            }
+                            Some(served) => return served.value,
                             None => *gen = frame.generation(), // re-fault
                         }
                     };
                     for i in 0..STORES {
+                        if i == STORES / 2 {
+                            // Halfway, until the quiescer has closed a
+                            // generation: it is then still looping when
+                            // the stores end, so the race always runs.
+                            while frame.generation() == 0 {
+                                std::thread::yield_now();
+                            }
+                        }
                         let word = (w + writers * (i as usize % (128 / writers))) as u64;
                         let value = (w as u64) << 32 | (i + 1);
                         access(word, true, value, &mut gen);

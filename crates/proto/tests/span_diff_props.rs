@@ -399,7 +399,7 @@ fn home_merge_marks_each_line_once_and_matches_reference() {
     // dirty-owned by the home node: a later clean pays the dirty tier
     // for 2 lines, not 3 word-marks.
     let home = p.home_frame(0);
-    let clean = p.cache_system(0).directory().clean_page(home.lines());
+    let clean = home.clean(p.directory_of(&home));
     assert_eq!(clean.dirty_lines, 2, "one mark per touched line");
     assert_eq!(home.load(10), 1);
     assert_eq!(home.load(11), 2);

@@ -72,7 +72,7 @@ fn steady_state_twin_diff_merge_allocates_nothing() {
     let frame = frames.alloc(0);
     let home = frames.alloc(0);
     let directory = Directory::new();
-    directory.mark_dirty_lines(frame.lines(), 0); // the frame's block exists
+    frame.mark_dirty(&directory, frame.lines(), 0); // the frame claims its block
     let pool = TwinPool::new(WORDS as usize);
     let mut diff = SpanDiff::new();
     let mut rng = XorShift64::new(0x2E50_A110_C0DE);

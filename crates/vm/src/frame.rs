@@ -1,8 +1,8 @@
 //! Physical page frames: the actual backing store.
 
 use crate::PageGeometry;
-use mgs_cache::{Directory, FrameWord, HeldLines};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use mgs_cache::{BlockCell, CleanOutcome, Directory, FrameWord, HeldLines};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A physical page frame.
@@ -21,11 +21,13 @@ use std::sync::Arc;
 /// * a **mapping generation**, which an access checks and a page
 ///   invalidation bumps — the simulator's analogue of the paper's
 ///   "translation critical section" roll-back mechanism (§4.2.1),
-/// * a **directory-slot cell**: one relaxed `u32`, zero in a fresh
-///   frame, that `mgs-vm` stores and returns and gives no meaning. The
-///   cache model keeps its guess at where the frame's lines sit in the
-///   SSMP's line directory here, so that the guess travels with the
-///   frame every accessor already has in hand.
+/// * a **directory-slot cell** ([`BlockCell`]): the run of blocks in
+///   the SSMP's line directory that holds its lines' entries. Empty in
+///   a fresh frame, it is claimed by the frame's first access
+///   ([`dir_hint`](PageFrame::dir_hint)), quiesce or dirty-marking,
+///   stays the frame's for life — every accessor reaches the entries
+///   through the frame it already has in hand, never through a lookup
+///   — and is zeroed and freed when the frame drops.
 ///
 /// The frame holds no lock. Its guard is the line directory of the SSMP
 /// whose processors access it: a simulated access checks the
@@ -39,7 +41,7 @@ pub struct PageFrame {
     home_node: usize,
     words: Box<[AtomicU64]>,
     generation: AtomicU64,
-    dir_hint: AtomicU32,
+    blocks: BlockCell,
 }
 
 impl PageFrame {
@@ -151,18 +153,18 @@ impl PageFrame {
         }
     }
 
-    /// Drains the frame: holds every stripe of `directory` that its
-    /// lines fall in, so no access to it is in flight or can start
-    /// until the guard drops, and a chunk of its lines without a block
-    /// does not get one meanwhile. `directory` must be the one its
-    /// accesses go through: that of the SSMP of its home node.
+    /// Drains the frame: holds every stripe of its blocks in
+    /// `directory` (claiming them if it has none yet), so no access to
+    /// it is in flight or can start until the guard drops. `directory`
+    /// must be the one its accesses go through: that of the SSMP of its
+    /// home node.
     ///
     /// The protocol holds this to bump the generation
     /// ([`Quiesced::bump_generation`]) and to read the frame as a
     /// plain slice ([`Quiesced::words`]).
     pub fn quiesce<'a>(&'a self, directory: &'a Directory) -> Quiesced<'a> {
         Quiesced {
-            _held: directory.hold(self.lines(), self.dir_hint()),
+            _held: directory.hold(&self.blocks, self.lines()),
             frame: self,
         }
     }
@@ -191,17 +193,33 @@ impl PageFrame {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// The directory-slot cell's value (0 until someone sets it). A
-    /// guess published to nobody in particular: relaxed.
+    /// The hint of the block holding `line`, one of the frame's, in
+    /// `directory` (claiming the frame's blocks there on first use):
+    /// fixed for the frame's life, and what
+    /// `SsmpCacheSystem::access_hinted` takes beside the frame's
+    /// [`word`](PageFrame::word).
     #[inline]
-    pub fn dir_hint(&self) -> u32 {
-        self.dir_hint.load(Ordering::Relaxed)
+    pub fn dir_hint(&self, directory: &Directory, line: u64) -> u32 {
+        directory.hint(&self.blocks, self.lines(), line)
     }
 
-    /// Sets the directory-slot cell.
-    #[inline]
-    pub fn set_dir_hint(&self, hint: u32) {
-        self.dir_hint.store(hint, Ordering::Relaxed);
+    /// Cleans the frame's lines out of `directory` (page cleaning,
+    /// §4.2.4) in one pass over its blocks; a frame never accessed
+    /// has none, and every line counts as uncached.
+    pub fn clean(&self, directory: &Directory) -> CleanOutcome {
+        directory.clean_frame(&self.blocks, self.lines())
+    }
+
+    /// Marks `lines`, some of the frame's, dirty-owned by local
+    /// processor `proc` in `directory`: the protocol engine wrote them
+    /// through its cache.
+    pub fn mark_dirty(
+        &self,
+        directory: &Directory,
+        lines: impl IntoIterator<Item = u64>,
+        proc: usize,
+    ) {
+        directory.mark_dirty_frame(&self.blocks, self.lines(), lines, proc);
     }
 
     /// Line addresses (for the cache model) covering this frame.
@@ -300,7 +318,7 @@ impl FrameAllocator {
             home_node,
             words,
             generation: AtomicU64::new(0),
-            dir_hint: AtomicU32::new(0),
+            blocks: BlockCell::default(),
         })
     }
 
@@ -366,12 +384,25 @@ mod tests {
         assert_eq!(f.line_of_word(127), lines[63]);
     }
 
+    /// A frame's blocks are claimed once, by whichever comes first, and
+    /// given back when the frame drops.
     #[test]
-    fn dir_hint_cell_starts_at_zero_and_holds_what_is_set() {
-        let f = alloc().alloc(0);
-        assert_eq!(f.dir_hint(), 0);
-        f.set_dir_hint(41);
-        assert_eq!(f.dir_hint(), 41);
+    fn a_frame_claims_its_block_once_and_frees_it_when_it_drops() {
+        let frames = alloc();
+        let directory = Directory::new();
+        let f = frames.alloc(0);
+        assert_eq!(f.clean(&directory).uncached_lines, 64, "no block yet");
+        assert_eq!(directory.blocks_allocated(), 0);
+        f.mark_dirty(&directory, [f.line_of_word(0)], 1);
+        let hint = f.dir_hint(&directory, f.line_of_word(127));
+        drop(f.quiesce(&directory));
+        assert_eq!(f.dir_hint(&directory, f.line_of_word(0)), hint);
+        assert_eq!(directory.tracked_lines(), 1);
+        drop(f);
+        assert_eq!(directory.tracked_lines(), 0);
+        let g = frames.alloc(0);
+        assert_eq!(g.dir_hint(&directory, g.line_of_word(0)), hint, "reused");
+        assert_eq!(directory.blocks_allocated(), 1);
     }
 
     /// A quiesced frame shows its words plainly; once a bump has retired
@@ -384,12 +415,20 @@ mod tests {
         let sys = SsmpCacheSystem::new(5);
         let mut cache = ProcCache::new(CacheConfig::alewife());
         let line = f.line_of_word(3);
+        let hint = f.dir_hint(sys.directory(), line);
         let mut write = |gen, value| {
-            sys.access_hinted(&mut cache, 0, line, 0, true, 0, Some(f.word(3, gen, value)))
-                .map(|s| s.value)
+            sys.access_hinted(
+                &mut cache,
+                0,
+                line,
+                0,
+                true,
+                hint,
+                Some(f.word(3, gen, value)),
+            )
+            .map(|s| s.value)
         };
         assert_eq!(write(0, 5), Some(5));
-        let blocks = sys.directory().blocks_allocated();
         {
             let q = f.quiesce(sys.directory());
             assert_eq!(q.words()[3], 5);
@@ -399,10 +438,10 @@ mod tests {
         assert_eq!(write(0, 6), None, "a retired translation re-faults");
         assert_eq!(f.load(3), 5);
         assert_eq!(write(1, 6), Some(6));
-        // A frame whose block was recycled: quiescing creates nothing.
-        sys.directory().clean_page(f.lines());
+        // A cleaned frame keeps its block.
+        assert_eq!(f.clean(sys.directory()).dirty_lines, 1);
         f.with_quiesced(sys.directory(), |w| assert_eq!(w[3], 6));
-        assert_eq!(sys.directory().blocks_allocated(), blocks);
+        assert_eq!(sys.directory().blocks_allocated(), 1);
     }
 
     #[test]

@@ -133,8 +133,9 @@ fn suspending_while_holding_a_directory_stripe_is_caught() {
             arr.write(env, env.pid() as u64, 1);
             if env.pid() == 0 {
                 let machine = Arc::clone(env.machine());
-                let directory = machine.protocol().cache_system(env.cluster()).directory();
-                let _held = directory.hold(0..64, 0);
+                let proto = machine.protocol();
+                let frame = proto.home_frame(0);
+                let _held = frame.quiesce(proto.directory_of(&frame));
                 env.barrier();
             } else {
                 env.compute(1_000_000); // arrives last
