@@ -227,28 +227,6 @@ fn add3(env: &mut Env, a: SharedArray<f64>, m: u64, off: u64, v: [f64; 3]) {
     }
 }
 
-impl Water {
-    /// Runs the simulation without result verification (used by the
-    /// Criterion throughput benches, where the workload executes dozens
-    /// of times back-to-back and the occasional benign timing
-    /// perturbation of one small force term — see `execute` — would
-    /// abort the measurement).
-    pub fn run_unverified(&self, machine: &std::sync::Arc<Machine>) -> RunReport {
-        let n = self.n;
-        let mol = machine.alloc_array_blocked::<f64>(n as u64 * MOL_WORDS, AccessKind::DistArray);
-        let stats = machine.alloc_array_homed::<f64>(2, AccessKind::Pointer, |_| 0);
-        for (i, m) in self.initial().iter().enumerate() {
-            for k in 0..3 {
-                machine.poke(&mol, i as u64 * MOL_WORDS + M_POS + k as u64, m[k]);
-                machine.poke(&mol, i as u64 * MOL_WORDS + M_VEL + k as u64, m[3 + k]);
-            }
-        }
-        let locks: Vec<_> = (0..n).map(|_| machine.new_lock()).collect();
-        let stats_lock = machine.new_lock();
-        machine.run(|env| self.body(env, mol, stats, &locks, &stats_lock))
-    }
-}
-
 impl MgsApp for Water {
     fn name(&self) -> &'static str {
         "water"

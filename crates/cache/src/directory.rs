@@ -7,7 +7,7 @@ use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicU8};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock};
 
 /// Lines per block.
 const BLOCK_LINES: u64 = 64;
@@ -26,10 +26,10 @@ const SPINS: u32 = 64;
 
 #[cfg(debug_assertions)]
 thread_local! {
-    /// `(stripe, index)` lock acquisitions by this thread (debug builds
-    /// only): the access path asserts that a right hint costs one
-    /// stripe lock and no index lookup, and tests that a frame's paths
-    /// never ask the index.
+    /// `(stripe, line map)` lock acquisitions by this thread (debug
+    /// builds only): the access path asserts that a locked access costs
+    /// one stripe lock and no line-map lookup, and tests that a frame's
+    /// paths never ask the line map.
     static LOCKS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
@@ -272,6 +272,39 @@ struct Block {
     stripes: [Stripe; STRIPES],
 }
 
+impl Block {
+    /// Empties the entries of the lines `mask` selects (one bit per line
+    /// of the chunk), counting each live one in `out` as dirty or
+    /// shared. Locks each stripe it touches once.
+    fn clean(&self, mask: u64, out: &mut CleanOutcome) {
+        for (stripe, lanes) in stripes_of(mask) {
+            let mut entries = self.stripes[stripe].lock();
+            for e in entries_of(lanes) {
+                if entries.sharers(e) == 0 {
+                    continue;
+                }
+                if entries.owner(e).is_some() {
+                    out.dirty_lines += 1;
+                } else {
+                    out.shared_lines += 1;
+                }
+                entries.set(e, 0, None);
+            }
+        }
+    }
+
+    /// Makes `proc` the dirty owner of the lines `mask` selects. Locks
+    /// each stripe it touches once.
+    fn mark_dirty(&self, mask: u64, proc: usize) {
+        for (stripe, lanes) in stripes_of(mask) {
+            let mut entries = self.stripes[stripe].lock();
+            for e in entries_of(lanes) {
+                entries.take_exclusive(e, proc);
+            }
+        }
+    }
+}
+
 /// Where a line's entry is: `(chunk, stripe, entry)`.
 #[inline]
 fn place(line: u64) -> (u64, usize, usize) {
@@ -438,17 +471,18 @@ fn zeroed_blocks(len: usize) -> Box<[Block]> {
     }
 }
 
-/// A page frame's directory-slot cell: its claim on the run of blocks
-/// that holds its lines' entries, in the directory of the SSMP whose
-/// processors access it. Empty in a fresh frame; the frame's first
-/// access, quiesce or dirty-marking claims the run
-/// ([`Directory::hint`]), which is then the frame's alone and never
+/// A directory-slot cell: a claim on the run of blocks that holds some
+/// lines' entries, in the directory of the SSMP whose processors access
+/// them. A page frame carries one for its lines; the directory keeps
+/// one per chunk of bare lines in its line map. Empty when made; the
+/// first access, quiesce or dirty-marking claims the run
+/// ([`Directory::hint`]), which is then the cell's alone and never
 /// moves; dropping the cell — the frame dies — zeroes the run and frees
 /// it.
 ///
 /// A frame is aligned to its size, so its lines are half a block (a
 /// 512 B page, whose block's other half stays zero), one block, or a
-/// power of two of them.
+/// power of two of them; a bare chunk's lines are one block.
 #[derive(Debug, Default)]
 pub struct BlockCell {
     claim: OnceLock<Claim>,
@@ -482,37 +516,41 @@ impl Drop for BlockCell {
 /// beside the data. The model keeps that shape: the directory is a slab
 /// of dense **blocks**, each holding the entries of 64 consecutive
 /// physical lines (a **chunk**, `line >> 6`: 1 KB, one default page),
-/// and a line's entry is found by indexing, never by hashing the line.
+/// and a line's entry is found by indexing its cell's block, never by
+/// hashing the line.
 ///
 /// * A block is eight **stripes**, each behind its own sequence lock;
 ///   stripe `line & 7` holds the eight entries of the block's lines
 ///   congruent to it, entry `(line & 63) >> 3`. Two processors collide
 ///   only on the same eighth of the same block at the same instant.
 /// * A stripe records which chunk its block holds, or that the block is
-///   free. A hint is `slot + 1` ([`Directory::NO_HINT`] names none).
-/// * A page frame owns its blocks for life: its [`BlockCell`] claims a
-///   run of them on the frame's first access, quiesce or dirty-marking,
-///   with no index entry and no stripe lock, and the frame's hint never
-///   changes. Every path the protocol and the runtime take — an access
-///   with a frame word, a quiesce ([`hold`](Self::hold)), a page clean
-///   ([`clean_frame`](Self::clean_frame)), a dirty-marking
-///   ([`mark_dirty_frame`](Self::mark_dirty_frame)) — reaches the
-///   frame's blocks through its hint alone.
-/// * A frame's lines are never reused (frames never reuse a base), so
+///   free. A hint is `slot + 1`, and 0 names no block.
+/// * Every block is claimed by a [`BlockCell`], which claims a run of
+///   blocks on first use, with no stripe lock, and keeps it, with the
+///   same hint, until it drops. Every path reaches a line's entry
+///   through its cell's hint alone, and the hint is right by
+///   construction.
+/// * A page frame carries its own cell: its first access, quiesce or
+///   dirty-marking claims the run. The protocol and the runtime — an
+///   access with a frame word, a quiesce ([`hold`](Self::hold)), a page
+///   clean ([`clean_frame`](Self::clean_frame)), a dirty-marking
+///   ([`mark_dirty_frame`](Self::mark_dirty_frame)) — go through it.
+///   A frame's lines are never reused (frames never reuse a base), so
 ///   when the frame dies its run is zeroed and freed, and a block that
 ///   no longer holds a line's chunk means the line's frame is dead. A
 ///   tag array's memo beside a line ([`ProcCache`]) is the hint of the
 ///   line's block; a victim whose memo names a block holding another
 ///   chunk has no entry left to remove.
-/// * The hint-less API ([`SsmpCacheSystem::access`], [`clean_page`],
-///   [`add_sharer`], …, which unit tests, the oracles and host
-///   micro-benchmarks use) keeps lines of its own in blocks found
-///   through a `chunk → hint` index, created on first touch and never
-///   freed. There a hint is only a guess, checked against the chunk and
-///   corrected through the index.
+/// * A line with no frame (a **bare line**: the line-keyed API,
+///   [`SsmpCacheSystem::access`], [`clean_page`], [`add_sharer`], …,
+///   which unit tests, the oracles and host micro-benchmarks use) has
+///   its chunk's cell in the directory's **line map**, `chunk → cell`,
+///   created on the chunk's first touch and kept for the directory's
+///   life. A line-keyed call takes the hint from that cell, then runs
+///   the frame path.
 /// * Blocks live in segments that double in size, each allocated on
 ///   first use. The slab is as large as the frames that were touched
-///   and are still alive.
+///   and are still alive, plus one block per chunk of bare lines.
 ///
 /// # Locks
 ///
@@ -529,9 +567,9 @@ impl Drop for BlockCell {
 /// Two stripes are never held at once outside a [`hold`](Self::hold),
 /// which takes every stripe of a frame's run in order; freeing a run
 /// and cleaning a frame take its stripes one at a time. The free list
-/// is a leaf lock. The index write lock is the only lock under which a
-/// stripe is taken (creating a block claims its eight stripes one at a
-/// time), and nothing takes the index lock while holding a stripe.
+/// is a leaf lock. So is the line map's lock, except for the free-list
+/// lock a claim takes under it: no stripe is taken under it, and
+/// nothing takes it while holding a stripe.
 ///
 /// Every held stripe carries a [`parking_lot::HeldLock`], so the
 /// debug-build check that no task suspends holding a host lock sees it.
@@ -554,8 +592,8 @@ impl Drop for BlockCell {
 #[derive(Debug)]
 pub struct Directory {
     slab: Arc<Slab>,
-    /// `chunk → hint` of the hint-less API's blocks.
-    index: RwLock<HashMap<u64, u32>>,
+    /// The line map: the cell of each chunk a bare line touched.
+    lines: Mutex<HashMap<u64, BlockCell>>,
 }
 
 impl Default for Directory {
@@ -565,21 +603,17 @@ impl Default for Directory {
 }
 
 impl Directory {
-    /// The hint that names no block: every lookup given it goes through
-    /// the index.
-    pub const NO_HINT: u32 = 0;
-
     /// Creates an empty directory. Allocates no block: the first
     /// segment appears with the first line tracked.
     pub fn new() -> Directory {
         Directory {
             slab: Arc::new(Slab::new()),
-            index: RwLock::new(HashMap::new()),
+            lines: Mutex::default(),
         }
     }
 
-    /// `(stripe, index)` lock acquisitions made by the calling thread
-    /// so far (debug builds only; used by the access path's
+    /// `(stripe, line map)` lock acquisitions made by the calling
+    /// thread so far (debug builds only; used by the access path's
     /// one-stripe-lock assertion and tests).
     #[cfg(debug_assertions)]
     pub fn thread_locks() -> (u64, u64) {
@@ -596,11 +630,10 @@ impl Directory {
     // A frame's blocks
     // -----------------------------------------------------------------
 
-    /// `cell`'s claim on the blocks of `lines`, a frame's, taken from
-    /// this directory on first use. Takes no index entry and no stripe
-    /// lock: a run off the free list is zero and reachable by nobody
-    /// else, so its chunks are written plainly and published with the
-    /// claim.
+    /// `cell`'s claim on the blocks of `lines`, taken from this
+    /// directory on first use. Takes no stripe lock: a run off the free
+    /// list is zero and reachable by nobody else, so its chunks are
+    /// written plainly and published with the claim.
     fn claim<'c>(&self, cell: &'c BlockCell, lines: &Range<u64>) -> &'c Claim {
         let claim = cell.claim.get_or_init(|| {
             let chunk = lines.start / BLOCK_LINES;
@@ -630,8 +663,8 @@ impl Directory {
     }
 
     /// The hint of `line`'s block among those `cell` claims for the
-    /// frame lines `lines`, claiming them on first use: right by
-    /// construction for as long as the frame lives.
+    /// lines `lines`, claiming them on first use: right by construction
+    /// for as long as the cell lives.
     #[inline]
     pub fn hint(&self, cell: &BlockCell, lines: Range<u64>, line: u64) -> u32 {
         let claim = self.claim(cell, &lines);
@@ -672,24 +705,10 @@ impl Directory {
             uncached_lines: lines.end - lines.start,
             ..CleanOutcome::default()
         };
-        let Some(claim) = cell.claim.get() else {
-            return out;
-        };
-        debug_assert!(Arc::ptr_eq(&claim.slab, &self.slab));
-        for block in self.slab.run(claim.slot, claim.blocks) {
-            for stripe in &block.stripes {
-                let mut entries = stripe.lock();
-                for e in 0..STRIPES {
-                    if entries.sharers(e) == 0 {
-                        continue;
-                    }
-                    if entries.owner(e).is_some() {
-                        out.dirty_lines += 1;
-                    } else {
-                        out.shared_lines += 1;
-                    }
-                    entries.set(e, 0, None);
-                }
+        if let Some(claim) = cell.claim.get() {
+            debug_assert!(Arc::ptr_eq(&claim.slab, &self.slab));
+            for block in self.slab.run(claim.slot, claim.blocks) {
+                block.clean(u64::MAX, &mut out);
             }
         }
         out.uncached_lines -= out.shared_lines + out.dirty_lines;
@@ -711,35 +730,25 @@ impl Directory {
         let claim = self.claim(cell, &lines);
         let blocks = self.slab.run(claim.slot, claim.blocks);
         chunk_runs(dirty, |chunk, mask| {
-            let block = &blocks[(chunk - claim.chunk) as usize];
-            for (stripe, lanes) in stripes_of(mask) {
-                let mut entries = block.stripes[stripe].lock();
-                for e in entries_of(lanes) {
-                    entries.take_exclusive(e, proc);
-                }
-            }
+            blocks[(chunk - claim.chunk) as usize].mark_dirty(mask, proc);
         });
     }
 
     /// Locks the stripe holding `line`'s entry in the block `hint`
-    /// names, the claimed block of a live frame.
+    /// names, a live cell's claimed block.
     ///
     /// # Panics
     ///
     /// Panics if that block does not hold the line: the hint is not
-    /// the frame's, or not of this directory.
+    /// the line's cell's, or not of this directory.
     #[inline]
     pub(crate) fn lock_claimed(&self, line: u64, hint: u32) -> LineGuard<'_> {
         let (chunk, stripe, entry) = place(line);
-        let held = self
-            .block(hint)
-            .expect("a frame's hint names a block of its directory")
-            .stripes[stripe]
-            .lock();
+        let held = self.claimed(hint).stripes[stripe].lock();
         assert_eq!(
             held.holds(),
             chunk + 1,
-            "a live frame's block holds its lines"
+            "a live cell's block holds its lines"
         );
         LineGuard {
             directory: self,
@@ -747,13 +756,18 @@ impl Directory {
             place: (chunk, stripe),
             entry,
             hint,
-            claimed: true,
         }
     }
 
-    /// Removes `proc`'s copy of `line`, a frame's, from the block its
-    /// memo `hint` names; a block that no longer holds the line's chunk
-    /// belonged to a frame that has died, and its entries with it.
+    /// The block `hint` names, a live cell's.
+    fn claimed(&self, hint: u32) -> &Block {
+        self.block(hint)
+            .expect("a cell's hint names a block of its directory")
+    }
+
+    /// Removes `proc`'s copy of `line` from the block its memo `hint`
+    /// names; a block that no longer holds the line's chunk belonged to
+    /// a frame that has died, and its entries with it.
     fn remove_claimed(&self, line: u64, proc: usize, hint: u32) {
         let (chunk, stripe, e) = place(line);
         if let Some(block) = self.block(hint) {
@@ -761,65 +775,6 @@ impl Directory {
             if entries.holds() == chunk + 1 {
                 entries.remove(e, proc);
             }
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // The hint-less API's blocks
-    // -----------------------------------------------------------------
-
-    fn index_lookup(&self, chunk: u64) -> Option<u32> {
-        #[cfg(debug_assertions)]
-        note_lock(false);
-        let index = self.index.read().unwrap_or_else(PoisonError::into_inner);
-        index.get(&chunk).copied()
-    }
-
-    /// Gives `chunk` a block (unless a racing caller just did) and
-    /// returns its hint.
-    #[cold]
-    fn create(&self, chunk: u64) -> u32 {
-        #[cfg(debug_assertions)]
-        note_lock(false);
-        let mut index = self.index.write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(&hint) = index.get(&chunk) {
-            return hint;
-        }
-        let slot = self.slab.take(1);
-        for stripe in &self.slab.run(slot, 1)[0].stripes {
-            let mut stripe = stripe.lock();
-            debug_assert!(stripe.holds() == 0 && stripe.is_empty());
-            stripe.set_holds(chunk + 1);
-        }
-        index.insert(chunk, slot + 1);
-        slot + 1
-    }
-
-    /// Locks stripe `stripe` of the block holding `chunk`, trying
-    /// `hint` first, and returns the guard with the block's true hint.
-    /// A chunk with no block is given one if `create` says so, and
-    /// answers `None` otherwise.
-    #[inline]
-    fn stripe_of(
-        &self,
-        chunk: u64,
-        stripe: usize,
-        mut hint: u32,
-        create: bool,
-    ) -> Option<(Held<'_>, u32)> {
-        loop {
-            if let Some(block) = self.block(hint) {
-                let guard = block.stripes[stripe].lock();
-                if guard.holds() == chunk + 1 {
-                    return Some((guard, hint));
-                }
-            }
-            // The guess was wrong: ask the index.
-            hint = match self.index_lookup(chunk) {
-                Some(hint) => hint,
-                None if create => self.create(chunk),
-                None => return None,
-            };
         }
     }
 
@@ -846,41 +801,33 @@ impl Directory {
         stripe.read_valid(seq).then_some(value)
     }
 
-    /// Locks the stripe holding `line`'s entry in the hint-less API's
-    /// blocks, trying `hint` first and giving the line's chunk a block
-    /// if it has none.
-    #[inline]
-    pub(crate) fn lock_line(&self, line: u64, hint: u32) -> LineGuard<'_> {
-        let (chunk, stripe, entry) = place(line);
-        let (held, hint) = self
-            .stripe_of(chunk, stripe, hint, true)
-            .expect("a creating lookup finds a block");
-        LineGuard {
-            directory: self,
-            held,
-            place: (chunk, stripe),
-            entry,
-            hint,
-            claimed: false,
-        }
+    // -----------------------------------------------------------------
+    // Bare lines: the line map
+    // -----------------------------------------------------------------
+
+    /// The hint of bare `line`'s block, from its chunk's cell in the
+    /// line map: created and claimed if the chunk has none and `create`
+    /// says so, `None` otherwise.
+    pub(crate) fn line_hint(&self, line: u64, create: bool) -> Option<u32> {
+        #[cfg(debug_assertions)]
+        note_lock(false);
+        let chunk = line / BLOCK_LINES;
+        let mut cells = self.lines.lock();
+        let cell = if create {
+            cells.entry(chunk).or_default()
+        } else {
+            cells.get(&chunk)?
+        };
+        let lines = chunk * BLOCK_LINES..(chunk + 1) * BLOCK_LINES;
+        Some(self.hint(cell, lines, line))
     }
 
-    /// Removes `proc`'s copy of `line`, trying `hint` first; a line
-    /// whose chunk has no block has no copies.
-    fn remove_hinted(&self, line: u64, proc: usize, hint: u32) {
-        let (chunk, stripe, e) = place(line);
-        if let Some((mut entries, _)) = self.stripe_of(chunk, stripe, hint, false) {
-            entries.remove(e, proc);
-        }
-    }
-
-    /// `line`'s stripe, locked, and its entry's index there, with no
-    /// hint to go by; `None` if the line's chunk has no block and
-    /// `create` is false.
+    /// Bare `line`'s stripe, locked, and its entry's index there;
+    /// `None` if the line's chunk has no block and `create` is false.
     fn entry_of(&self, line: u64, create: bool) -> Option<(Held<'_>, usize)> {
-        let (chunk, stripe, e) = place(line);
-        let (entries, _) = self.stripe_of(chunk, stripe, Self::NO_HINT, create)?;
-        Some((entries, e))
+        let hint = self.line_hint(line, create)?;
+        let (_, stripe, e) = place(line);
+        Some((self.claimed(hint).stripes[stripe].lock(), e))
     }
 
     /// Is `proc` currently a sharer of `line`?
@@ -901,7 +848,9 @@ impl Directory {
     /// Removes `proc` as a sharer (e.g. on eviction from its cache). If
     /// `proc` was the dirty owner, ownership is dropped (write-back).
     pub fn remove_sharer(&self, line: u64, proc: usize) {
-        self.remove_hinted(line, proc, Self::NO_HINT);
+        if let Some((mut entries, e)) = self.entry_of(line, false) {
+            entries.remove(e, proc);
+        }
     }
 
     /// Information needed to classify a miss: `(sharer_count,
@@ -934,66 +883,30 @@ impl Directory {
         }
     }
 
-    /// Walks `lines` a block at a time: each run of lines that falls in
-    /// one chunk (without repeating a line) locks each stripe it
-    /// touches once and calls `visit(stripe, lanes)` with the stripe —
-    /// `None` if the chunk has no block and `create` is false — and the
-    /// run's lines in it, as [`entries_of`] reads them.
-    fn walk(
-        &self,
-        lines: impl IntoIterator<Item = u64>,
-        create: bool,
-        mut visit: impl FnMut(Option<&mut Held<'_>>, u64),
-    ) {
-        chunk_runs(lines, |chunk, mask| {
-            let mut hint = Self::NO_HINT;
-            for (stripe, lanes) in stripes_of(mask) {
-                match self.stripe_of(chunk, stripe, hint, create) {
-                    Some((mut entries, found)) => {
-                        hint = found;
-                        visit(Some(&mut entries), lanes);
-                    }
-                    None => visit(None, lanes),
-                }
-            }
-        });
-    }
-
-    /// Removes lines of the hint-less API from the directory (page
-    /// cleaning, §4.2.4) and returns the per-tier line counts. A line
-    /// named twice is cleaned twice: cached the first time, uncached
-    /// the second.
+    /// Removes bare lines from the directory (page cleaning, §4.2.4)
+    /// and returns the per-tier line counts. A line named twice is
+    /// cleaned twice: cached the first time, uncached the second. A
+    /// chunk never touched has only uncached lines and takes no stripe
+    /// lock.
     pub fn clean_page<I: IntoIterator<Item = u64>>(&self, lines: I) -> CleanOutcome {
         let mut out = CleanOutcome::default();
-        self.walk(lines, false, |stripe, lanes| {
-            let Some(entries) = stripe else {
-                out.uncached_lines += u64::from(lanes.count_ones());
-                return;
-            };
-            for e in entries_of(lanes) {
-                // An entry that does not exist is all zero already.
-                if entries.sharers(e) == 0 {
-                    out.uncached_lines += 1;
-                    continue;
-                }
-                if entries.owner(e).is_some() {
-                    out.dirty_lines += 1;
-                } else {
-                    out.shared_lines += 1;
-                }
-                entries.set(e, 0, None);
+        chunk_runs(lines, |chunk, mask| {
+            out.uncached_lines += u64::from(mask.count_ones());
+            if let Some(hint) = self.line_hint(chunk * BLOCK_LINES, false) {
+                self.claimed(hint).clean(mask, &mut out);
             }
         });
+        out.uncached_lines -= out.shared_lines + out.dirty_lines;
         out
     }
 
-    /// Marks lines of the hint-less API dirty-owned by `proc`.
+    /// Marks bare lines dirty-owned by `proc`.
     pub fn mark_dirty_lines<I: IntoIterator<Item = u64>>(&self, lines: I, proc: usize) {
-        self.walk(lines, true, |stripe, lanes| {
-            let entries = stripe.expect("a creating walk finds a block");
-            for e in entries_of(lanes) {
-                entries.take_exclusive(e, proc);
-            }
+        chunk_runs(lines, |chunk, mask| {
+            let hint = self
+                .line_hint(chunk * BLOCK_LINES, true)
+                .expect("a creating lookup finds a block");
+            self.claimed(hint).mark_dirty(mask, proc);
         });
     }
 
@@ -1013,8 +926,7 @@ impl Directory {
     }
 }
 
-/// `line`'s stripe, held for one access ([`Directory::lock_claimed`],
-/// [`Directory::lock_line`]).
+/// `line`'s stripe, held for one access ([`Directory::lock_claimed`]).
 pub(crate) struct LineGuard<'a> {
     directory: &'a Directory,
     held: Held<'a>,
@@ -1022,16 +934,9 @@ pub(crate) struct LineGuard<'a> {
     place: (u64, usize),
     entry: usize,
     hint: u32,
-    /// Whether the block is a frame's claimed one, not the index's.
-    claimed: bool,
 }
 
 impl LineGuard<'_> {
-    /// The true hint of the line's block, for the caller to remember.
-    pub(crate) fn hint(&self) -> u32 {
-        self.hint
-    }
-
     /// The line's coherence transaction: classifies the access and
     /// applies the state change. `tag_hit` is whether the line was
     /// already in `proc`'s tag array. Observably identical to the
@@ -1054,27 +959,21 @@ impl LineGuard<'_> {
     /// its tag array displaced (with the hint remembered beside the
     /// victim's tag): under the line's stripe if the victim's entry is
     /// in it, as in an 8-set cache, and under the victim's own after
-    /// the line's is released otherwise. A frame's line has its block
-    /// only through its memo (two 512 B frames share a chunk, not a
-    /// block), and a victim whose block holds another chunk now is
-    /// skipped; a line of the hint-less API has one block per chunk,
-    /// found through the index when the memo is stale.
+    /// the line's is released otherwise. A line has its block only
+    /// through its memo (two 512 B frames share a chunk, not a block),
+    /// and a victim whose block holds another chunk now is skipped.
     pub(crate) fn evict(mut self, victim: Option<(u64, u32)>, proc: usize) {
         let Some((victim, hint)) = victim else {
             return;
         };
         let (chunk, stripe, e) = place(victim);
-        if (chunk, stripe) == self.place && (!self.claimed || hint == self.hint) {
+        if (chunk, stripe) == self.place && hint == self.hint {
             self.held.remove(e, proc);
             return;
         }
-        let (directory, claimed) = (self.directory, self.claimed);
+        let directory = self.directory;
         drop(self);
-        if claimed {
-            directory.remove_claimed(victim, proc, hint);
-        } else {
-            directory.remove_hinted(victim, proc, hint);
-        }
+        directory.remove_claimed(victim, proc, hint);
     }
 }
 
@@ -1105,10 +1004,9 @@ impl fmt::Debug for HeldLines<'_> {
 mod tests {
     use super::*;
 
-    /// The hint of the block holding `line`, if it has one.
+    /// The hint of the block holding bare `line`, which has one.
     fn hint_of(d: &Directory, line: u64) -> u32 {
-        d.index_lookup(line / BLOCK_LINES)
-            .unwrap_or(Directory::NO_HINT)
+        d.line_hint(line, false).expect("a touched chunk")
     }
 
     #[test]
@@ -1201,6 +1099,40 @@ mod tests {
         assert_eq!(d.blocks_allocated(), 0, "a lookup creates nothing");
     }
 
+    /// A bare line's chunk claims its block on first touch and keeps
+    /// it: cleaning empties the block but frees nothing, the next
+    /// access to the chunk finds the same block, and a chunk never
+    /// touched is cleaned with no lock and no claim.
+    #[test]
+    fn a_bare_chunks_block_is_claimed_once_and_kept() {
+        use crate::{CacheConfig, ProcCache, SsmpCacheSystem};
+        let sys = SsmpCacheSystem::new(5);
+        let d = sys.directory();
+        let mut cache = ProcCache::new(CacheConfig::alewife());
+        // Chunks 1, 2 and 15.
+        let lines = [64, 65, 130, 1000];
+        for line in lines {
+            sys.access(&mut cache, 0, line, 0, line % 2 == 0);
+        }
+        assert_eq!(d.blocks_allocated(), 3);
+        let hint = hint_of(d, 130);
+        let out = d.clean_page(lines);
+        assert_eq!((out.dirty_lines, out.shared_lines), (3, 1));
+        assert_eq!(d.tracked_lines(), 0);
+        assert_eq!(d.blocks_allocated(), 3, "cleaning frees nothing");
+        let mut other = ProcCache::new(CacheConfig::alewife());
+        sys.access(&mut other, 1, 131, 0, false);
+        assert_eq!(other.peek(131).map(|(_, memo)| memo), Some(hint));
+        assert_eq!(d.blocks_allocated(), 3, "the same block");
+        #[cfg(debug_assertions)]
+        let before = Directory::thread_locks();
+        let out = d.clean_page(640..704);
+        #[cfg(debug_assertions)]
+        assert_eq!(Directory::thread_locks().0, before.0, "no stripe lock");
+        assert_eq!(out.uncached_lines, 64);
+        assert_eq!(d.blocks_allocated(), 3, "and no claim");
+    }
+
     /// A frame's lines, `first_chunk`'s onward, at `lines` lines to a
     /// frame.
     fn frame(first_chunk: u64, lines: u64) -> Range<u64> {
@@ -1208,10 +1140,10 @@ mod tests {
     }
 
     /// A frame's blocks are claimed with no lock at all and cleaned in
-    /// one pass under their eight stripes, never through the index;
+    /// one pass under their eight stripes, never through the line map;
     /// dropping the frame frees the block, zeroed, for the next frame.
     #[test]
-    fn a_frame_claims_cleans_and_frees_its_block_without_the_index() {
+    fn a_frame_claims_cleans_and_frees_its_block_without_the_line_map() {
         let d = Directory::new();
         let cell = BlockCell::default();
         let lines = frame(1, 64);
@@ -1229,7 +1161,7 @@ mod tests {
         assert_eq!(
             Directory::thread_locks(),
             (before.0 + 8, before.1),
-            "eight stripes, no index"
+            "eight stripes, no line map"
         );
         assert_eq!(
             (out.dirty_lines, out.shared_lines, out.uncached_lines),
@@ -1245,7 +1177,11 @@ mod tests {
         let next = BlockCell::default();
         assert_eq!(d.hint(&next, frame(9, 64), 9 * 64), hint, "reused");
         assert_eq!(d.blocks_allocated(), 1);
-        assert_eq!(d.index_lookup(1), None, "the index never heard of them");
+        assert_eq!(
+            d.line_hint(64, false),
+            None,
+            "the line map never heard of them"
+        );
     }
 
     /// A frame never accessed has no block: its clean reads every line
@@ -1407,7 +1343,7 @@ mod tests {
     }
 
     /// `hold` takes every stripe of a frame's blocks — claiming them
-    /// first if the frame has none yet — and never the index; its
+    /// first if the frame has none yet — and never the line map; its
     /// guard counts as one held host lock.
     #[test]
     fn hold_locks_a_frames_whole_blocks() {
@@ -1430,7 +1366,7 @@ mod tests {
         assert_eq!(
             Directory::thread_locks(),
             (before.0 + 4 * 8, before.1),
-            "four blocks' stripes, no index"
+            "four blocks' stripes, no line map"
         );
         assert_eq!(
             parking_lot::held_locks(),
@@ -1482,7 +1418,7 @@ mod tests {
                             value: r,
                         };
                         let write = r >> 62 == 0;
-                        sys.access_hinted(&mut cache, proc, line, 0, write, hint, Some(word))
+                        sys.access_hinted(&mut cache, proc, line, 0, write, hint, word)
                             .expect("never refused");
                         if proc == 0 && round % 64 == 63 {
                             sys.directory().clean_frame(cell, lines.clone());

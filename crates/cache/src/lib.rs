@@ -13,10 +13,11 @@
 //! * [`ProcCache`] — a per-processor set-associative tag array tracking
 //!   capacity and conflict behaviour. It is owned by the simulated
 //!   processor's thread; no other thread touches it.
-//! * [`Directory`] — the per-SSMP line directory: dense 64-line blocks
-//!   that the page frames they describe own for life ([`BlockCell`]),
+//! * [`Directory`] — the per-SSMP line directory: dense 64-line blocks,
+//!   each claimed for life by a [`BlockCell`] (a page frame's, or, for
+//!   lines with no frame, their chunk's in the directory's line map),
 //!   eight sequence-locked stripes to a block, reached through the
-//!   frame's hint and never by hashing a line. It is the single source of truth for which
+//!   cell's hint and never by hashing a line. It is the single source of truth for which
 //!   processors hold a line and who owns it dirty; a processor-side tag
 //!   is only *valid* if the directory still lists that processor as a
 //!   sharer, which is how remote invalidations take effect without

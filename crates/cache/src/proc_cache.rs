@@ -17,11 +17,13 @@ use crate::CacheConfig;
 /// low 40 bits are `line + 1`, so 0 means "empty" and a fresh array is a
 /// single zeroed allocation the host only backs with memory where sets
 /// are touched; its high 24 bits remember the [`Directory`] hint the
-/// line's last transaction returned (0: none), so that when the line is
-/// evicted its directory block is reached without a lookup: a frame's
-/// own block, which still holds the line unless the frame has died,
-/// or, for the hint-less API's lines, a guess — see the directory's
-/// docs. The memo costs no memory of its own.
+/// line's last access used (0: none), so that when the line is evicted
+/// its directory block is reached without a lookup: the block of the
+/// line's cell — its frame's, which still holds the line unless the
+/// frame has died, or, for a bare line, its chunk's in the line map,
+/// which holds it for the directory's life (see the directory's docs).
+/// A bare line's tag hit takes its hint from the memo too. The memo
+/// costs no memory of its own.
 /// Each set is kept in most-recently-used-first order with its empty
 /// ways last: a use moves the tag to way 0, so the last occupied way is
 /// always the least recently used one and exact LRU needs no

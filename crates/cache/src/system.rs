@@ -110,10 +110,7 @@ impl FrameWord<'_> {
 pub struct Served {
     /// Its latency class.
     pub class: MissClass,
-    /// The hint of the line's directory block (a guess corrected, or a
-    /// frame's own).
-    pub hint: u32,
-    /// The word a read loaded or a write stored (0 with no frame word).
+    /// The word a read loaded or a write stored.
     pub value: u64,
 }
 
@@ -248,11 +245,23 @@ impl SsmpCacheSystem {
         &self.stats
     }
 
-    /// Simulates one access by local processor `proc` to `line` whose
-    /// backing memory is homed at local processor `home`. Updates the
-    /// directory and the processor's tag array, and returns the latency
-    /// class. This is [`access_hinted`](Self::access_hinted) given no
-    /// hint and no frame word.
+    /// Simulates one access by local processor `proc` to `line`, a
+    /// bare line (one with no page frame), whose backing memory is
+    /// homed at local processor `home`. Updates the directory and the
+    /// processor's tag array, and returns the latency class.
+    ///
+    /// This is [`access_hinted`](Self::access_hinted) given the hint of
+    /// the block of the line's chunk in the directory's line map and a
+    /// word of its own at a generation that never moves. A tag hit takes
+    /// the hint from the memo beside the tag, which stays right because
+    /// a bare chunk's block is kept for the directory's life; a tag miss
+    /// looks it up, claiming the chunk's block on its first touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` holds `line` with a memo that does not name
+    /// the line's block in this directory: a tag array filled by hand
+    /// ([`ProcCache::insert`]) or against another system.
     pub fn access(
         &self,
         cache: &mut ProcCache,
@@ -261,43 +270,50 @@ impl SsmpCacheSystem {
         home: usize,
         is_write: bool,
     ) -> MissClass {
-        self.access_hinted(cache, proc, line, home, is_write, Directory::NO_HINT, None)
-            .expect("an access with no frame word is never refused")
+        let hint = match cache.peek(line) {
+            Some((_, memo)) => memo,
+            None => self
+                .directory
+                .line_hint(line, true)
+                .expect("a creating lookup finds a block"),
+        };
+        let (generation, cell) = (AtomicU64::new(0), AtomicU64::new(0));
+        let word = FrameWord {
+            generation: &generation,
+            expect: 0,
+            cell: &cell,
+            value: 0,
+        };
+        self.access_hinted(cache, proc, line, home, is_write, hint, word)
+            .expect("a generation that never moves is never stale")
             .class
     }
 
-    /// One whole access: [`access`](Self::access) given the hint of
-    /// `line`'s directory block and the frame word it loads or stores.
-    /// Returns what it did, or `None`, having changed nothing, when the
-    /// frame's mapping generation has moved past the one `word`
-    /// expects: the caller's translation is stale and must be redone.
-    ///
-    /// With a frame word, `hint` is the frame's own
-    /// ([`Directory::hint`]), right by construction, and nothing asks
-    /// the directory's index: the line's entry is in the block the hint
-    /// names, and a victim whose memo names a block that holds another
-    /// chunk now belonged to a frame that has died. Without one, the
-    /// access is the hint-less API's and `hint` is a guess — an earlier
-    /// answer, or [`Directory::NO_HINT`] — checked and corrected
-    /// through the index.
+    /// One whole access to `line`, a frame's: [`access`](Self::access)
+    /// given the hint of the line's directory block, which is the
+    /// frame's own ([`Directory::hint`]) and right by construction, and
+    /// the frame word it loads or stores. Returns what it did, or
+    /// `None`, having changed nothing, when the frame's mapping
+    /// generation has moved past the one `word` expects: the caller's
+    /// translation is stale and must be redone. The line's entry is in
+    /// the block the hint names, and a victim whose memo names a block
+    /// that holds another chunk now belonged to a frame that has died.
     ///
     /// This is the simulator's hottest function, and it synchronizes on
     /// one word, the sequence number of the line's directory stripe. A
-    /// read whose tag hits, whose hint names the line's block and whose
-    /// sharer bit is set is served without a lock and without a store
-    /// to anything shared: the directory entry, the generation check
-    /// and the word load run inside an optimistic read of the stripe,
-    /// kept only if no writer took it meanwhile. Every other access
-    /// takes the stripe and, under it, checks the generation, then does
-    /// the tag-array work (LRU, fill and victim choice), the
-    /// transaction (classification, state change) and the word load or
-    /// store; the victim's sharer bit is removed after, under the
-    /// victim's stripe. The tag array is private to the calling
-    /// processor, so it is only peeked at until the access is sure to
-    /// happen. With no hint from the caller a tag hit uses the one
-    /// remembered beside the tag. Debug builds assert that a locked
-    /// access whose hint was right (it never consulted the index) took
-    /// exactly one stripe lock for its line.
+    /// read whose tag hits and whose sharer bit is set is served
+    /// without a lock and without a store to anything shared: the
+    /// directory entry, the generation check and the word load run
+    /// inside an optimistic read of the stripe, kept only if no writer
+    /// took it meanwhile. Every other access takes the stripe and,
+    /// under it, checks the generation, then does the tag-array work
+    /// (LRU, fill and victim choice), the transaction (classification,
+    /// state change) and the word load or store; the victim's sharer
+    /// bit is removed after, under the victim's stripe. The tag array
+    /// is private to the calling processor, so it is only peeked at
+    /// until the access is sure to happen. Debug builds assert that a
+    /// locked access takes exactly one stripe lock for its line and no
+    /// line-map lookup.
     #[allow(clippy::too_many_arguments)] // the fused hot path: one call
     pub fn access_hinted(
         &self,
@@ -307,56 +323,43 @@ impl SsmpCacheSystem {
         home: usize,
         is_write: bool,
         hint: u32,
-        word: Option<FrameWord<'_>>,
+        word: FrameWord<'_>,
     ) -> Option<Served> {
-        let stale = || word.is_some_and(|w| !w.current());
         // Not yet the check that counts, which is made under the
         // stripe; but a translation retired well before costs nothing
         // more than this.
-        if stale() {
+        if !word.current() {
             return None;
         }
         let tag = cache.peek(line);
-        let memo = tag.map(|(_, memo)| memo);
-        let guess = if hint == Directory::NO_HINT {
-            memo.unwrap_or(hint)
-        } else {
-            hint
-        };
-        let served = |cache: &mut ProcCache, class: MissClass, hint: u32, value: u64| {
-            if memo != Some(hint) {
+        let served = |cache: &mut ProcCache, class: MissClass, value: u64| {
+            if tag.map(|(_, memo)| memo) != Some(hint) {
                 cache.remember(line, hint);
             }
             self.stats.record_for(proc, class);
-            Some(Served { class, hint, value })
+            Some(Served { class, value })
         };
         if let (false, Some((way, _))) = (is_write, tag) {
-            let load = || word.map_or(Some(0), |w| w.current().then(|| w.cell.load(Acquire)));
-            if let Some(value) = self.directory.read_shared(line, proc, guess, load) {
+            let load = || word.current().then(|| word.cell.load(Acquire));
+            if let Some(value) = self.directory.read_shared(line, proc, hint, load) {
                 cache.promote(line, way);
-                return served(cache, MissClass::Hit, guess, value);
+                return served(cache, MissClass::Hit, value);
             }
         }
         #[cfg(debug_assertions)]
         let locks_before = Directory::thread_locks();
-        let mut entry = match word {
-            Some(_) => self.directory.lock_claimed(line, guess),
-            None => self.directory.lock_line(line, guess),
-        };
-        if stale() {
+        let mut entry = self.directory.lock_claimed(line, hint);
+        if !word.current() {
             return None;
         }
         #[cfg(debug_assertions)]
         {
-            let (stripes, index) = Directory::thread_locks();
-            // No index lookup means no guess was wrong.
-            if index == locks_before.1 {
-                debug_assert_eq!(
-                    stripes - locks_before.0,
-                    1,
-                    "a rightly hinted access takes exactly one stripe lock for its line"
-                );
-            }
+            let (stripes, lookups) = Directory::thread_locks();
+            debug_assert_eq!(
+                (stripes - locks_before.0, lookups - locks_before.1),
+                (1, 0),
+                "a locked access takes exactly one stripe lock and no line-map lookup"
+            );
         }
         let evicted = match tag {
             Some((way, _)) => {
@@ -366,22 +369,19 @@ impl SsmpCacheSystem {
             None => cache.fill(line),
         };
         let class = entry.transact(proc, home, is_write, self.hw_pointers, tag.is_some());
-        let value = word.map_or(0, |w| {
-            if is_write {
-                w.cell.store(w.value, Release);
-                w.value
-            } else {
-                w.cell.load(Acquire)
-            }
-        });
-        let found = entry.hint();
+        let value = if is_write {
+            word.cell.store(word.value, Release);
+            word.value
+        } else {
+            word.cell.load(Acquire)
+        };
         entry.evict(evicted, proc);
-        served(cache, class, found, value)
+        served(cache, class, value)
     }
 
-    /// Cleans lines of the hint-less API (§4.2.4): removes them from
-    /// the directory and returns the cycle cost under `cost`, tiered per
-    /// line by whether the line was dirty.
+    /// Cleans bare lines (§4.2.4): removes them from the directory and
+    /// returns the cycle cost under `cost`, tiered per line by whether
+    /// the line was dirty.
     pub fn clean_page<I: IntoIterator<Item = u64>>(&self, lines: I, cost: &CostModel) -> Cycles {
         let out = self.directory.clean_page(lines);
         Self::clean_cost(out, cost)
@@ -573,7 +573,7 @@ mod tests {
         assert_eq!(
             Directory::thread_locks(),
             (before.0 + 1, before.1 + 1),
-            "no hint to go by: one index lookup, then one stripe for the line and its victim"
+            "a tag miss: one line-map lookup, then one stripe for the line and its victim"
         );
         assert!(
             !sys.directory().is_sharer(0, 0),
@@ -627,13 +627,11 @@ mod tests {
         let sys = SsmpCacheSystem::new(5);
         let mut cache = ProcCache::new(CacheConfig::tiny());
         let (generation, cell) = (AtomicU64::new(1), AtomicU64::new(0));
-        let word = |expect, value| {
-            Some(FrameWord {
-                generation: &generation,
-                expect,
-                cell: &cell,
-                value,
-            })
+        let word = |expect, value| FrameWord {
+            generation: &generation,
+            expect,
+            cell: &cell,
+            value,
         };
         // Two frames: lines 0..64 and 64..128.
         let frames = [BlockCell::default(), BlockCell::default()];
@@ -655,8 +653,8 @@ mod tests {
             assert_eq!(sys.directory().blocks_allocated(), blocks);
             let served = sys.access_hinted(&mut cache, 0, line, 0, write, hint, word(1, 9));
             assert_eq!(
-                served.map(|s| (s.value, s.hint)),
-                Some((if write { 9 } else { cell.load(Relaxed) }, hint))
+                served.map(|s| s.value),
+                Some(if write { 9 } else { cell.load(Relaxed) })
             );
         }
         assert_eq!(cell.load(Relaxed), 9);

@@ -10,11 +10,12 @@
 //!
 //! Each trace runs twice: once through frames' own blocks, as the
 //! protocol and the runtime use the directory (claimed hints, frames
-//! that die with live entries, victims of dead frames), and once through
-//! the hint-less API with remembered guesses (hints that are stale,
-//! foreign or out of range; victims in other blocks). Both reach pages
-//! of half a block and of four. Then the bound that freeing dead frames
-//! keeps.
+//! that die with live entries, victims of dead frames), and once
+//! through bare lines, the line-keyed API whose chunks keep their
+//! blocks in the directory's line map (tag hits on remembered hints,
+//! victims in other blocks). Both reach pages of half a block and of
+//! four. Then the lock counts of an access, and the bound that freeing
+//! dead frames keeps.
 
 use mgs_cache::{
     BlockCell, CacheConfig, CleanOutcome, Directory, FrameWord, MissClass, ProcCache,
@@ -23,23 +24,6 @@ use mgs_cache::{
 use mgs_sim::XorShift64;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
-
-/// `SsmpCacheSystem::access_hinted` with no frame word: the class and
-/// the block's true hint.
-fn access_hinted(
-    sys: &SsmpCacheSystem,
-    cache: &mut ProcCache,
-    proc: usize,
-    line: u64,
-    home: usize,
-    write: bool,
-    hint: u32,
-) -> (MissClass, u32) {
-    let served = sys
-        .access_hinted(cache, proc, line, home, write, hint, None)
-        .expect("an access with no frame word is never refused");
-    (served.class, served.hint)
-}
 
 /// A frame's access: `SsmpCacheSystem::access_hinted` with the hint of
 /// the frame's block and a frame word whose generation never moves.
@@ -62,11 +46,9 @@ fn frame_access(
         cell: &word,
         value: 1,
     };
-    let served = sys
-        .access_hinted(cache, proc, line, home, write, hint, Some(frame_word))
-        .expect("a current translation is never refused");
-    assert_eq!(served.hint, hint, "a frame's hint is its block's");
-    served.class
+    sys.access_hinted(cache, proc, line, home, write, hint, frame_word)
+        .expect("a current translation is never refused")
+        .class
 }
 
 const PROCS: usize = 6;
@@ -236,14 +218,12 @@ impl HashedSystem {
 // ---------------------------------------------------------------------
 
 /// A physical page as the layers above the cache see it: its lines and
-/// the directory-slot cell `PageFrame` carries; the hint-less mode
-/// remembers a guess beside it instead.
+/// the directory-slot cell `PageFrame` carries (which the bare-line
+/// mode leaves unused).
 #[derive(Debug)]
 struct Frame {
     first_line: u64,
     cell: BlockCell,
-    /// The last hint an access returned (the hint-less mode's guess).
-    hint: u32,
 }
 
 /// Everything one differential case holds: both systems, a tag array
@@ -251,7 +231,7 @@ struct Frame {
 struct Case {
     seed: u64,
     /// Whether the frames' own blocks serve every operation (the
-    /// production paths), or the hint-less API does.
+    /// production paths), or the line-keyed API does.
     owned: bool,
     rng: XorShift64,
     block: SsmpCacheSystem,
@@ -290,7 +270,7 @@ impl Case {
     }
 
     /// Runs the trace of `seed` twice: through frames' own blocks and
-    /// through the hint-less API.
+    /// through bare lines.
     fn both(
         seed: u64,
         cfg: CacheConfig,
@@ -313,7 +293,6 @@ impl Case {
         Frame {
             first_line: self.allocated * self.stride,
             cell: BlockCell::default(),
-            hint: Directory::NO_HINT,
         }
     }
 
@@ -331,31 +310,22 @@ impl Case {
             "step {} (seed {:#x}, {})",
             self.step,
             self.seed,
-            if self.owned { "frames" } else { "hint-less" }
+            if self.owned { "frames" } else { "bare lines" }
         )
     }
 
-    /// One access: through the frame's block; or, hint-less, through
-    /// the hinted entry point given the frame's remembered guess or the
-    /// line-keyed one.
+    /// One access: through the frame's block, or as a bare line.
     fn access(&mut self) {
         let page = self.below(self.frames.len() as u64) as usize;
         let line = self.frames[page].first_line + self.below(self.lines_per_page);
         let proc = self.below(PROCS as u64) as usize;
         let home = self.below(PROCS as u64) as usize;
         let write = self.below(4) == 0;
-        let hinted = self.below(3) != 0;
         let lines = self.lines(page);
         let cache = &mut self.block_caches[proc];
         let got = if self.owned {
             let cell = &self.frames[page].cell;
             frame_access(&self.block, cache, proc, cell, lines, line, home, write)
-        } else if hinted {
-            let hint = self.frames[page].hint;
-            let (class, found) = access_hinted(&self.block, cache, proc, line, home, write, hint);
-            assert_ne!(found, Directory::NO_HINT, "{}", self.at());
-            self.frames[page].hint = found;
-            class
         } else {
             self.block.access(cache, proc, line, home, write)
         };
@@ -409,8 +379,8 @@ impl Case {
     /// cleaned first, as the protocol cleans a copy it gives up, and
     /// half the time not, as when it drops a stale one — and the next
     /// frame to claim may take the freed block while tags still name
-    /// it. Hint-less, the page is cleaned and the new frame keeps the
-    /// old one's guess half the time.
+    /// it. Bare lines have no frame to die: the page is cleaned, and
+    /// its chunks keep their blocks.
     fn retire(&mut self) {
         let page = self.below(self.frames.len() as u64) as usize;
         let lines = self.lines(page);
@@ -419,15 +389,11 @@ impl Case {
         } else {
             self.hashed.directory.clean_page(lines);
         }
-        let stale = self.frames[page].hint;
         self.frames[page] = self.alloc();
-        if self.below(2) == 0 {
-            self.frames[page].hint = stale;
-        }
     }
 
     /// Compares the tracked-line count, the per-class totals and, where
-    /// the hint-less API can read them, every line any frame ever
+    /// the line-keyed API can read them, every line any frame ever
     /// covered.
     fn checkpoint(&self) {
         let (block, hashed) = (self.block.directory(), &self.hashed.directory);
@@ -510,93 +476,14 @@ fn block_directory_matches_hashed_with_alewife_caches() {
     }
 }
 
-/// A 512 B page is half a block (two frames share a chunk: hint-less
-/// one block, a frame's own one each); a 4 KB page is four blocks.
+/// A 512 B page is half a block (two frames share a chunk: as bare
+/// lines one block, a frame's own one each); a 4 KB page is four blocks.
 #[test]
 fn block_directory_matches_hashed_at_other_page_sizes() {
     for case in 0..8u64 {
         let seed = 0x5123_0000 | case;
         Case::both(seed, CacheConfig::tiny(), 6, 32, 32, 2500);
         Case::both(seed, CacheConfig::alewife(), 3, 256, 2048, 2500);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Hints cannot hurt
-// ---------------------------------------------------------------------
-
-/// A block system and the hashed reference side by side, each with its
-/// own tag array for one processor.
-struct Pair {
-    block: SsmpCacheSystem,
-    hashed: HashedSystem,
-    block_cache: ProcCache,
-    hashed_cache: ProcCache,
-}
-
-impl Pair {
-    fn new(cfg: CacheConfig) -> Pair {
-        Pair {
-            block: SsmpCacheSystem::new(HW_POINTERS),
-            hashed: HashedSystem::default(),
-            block_cache: ProcCache::new(cfg),
-            hashed_cache: ProcCache::new(cfg),
-        }
-    }
-
-    /// One access by processor 0 on both sides, the block side given
-    /// `hint`; the classes and the line's entry must agree.
-    fn access(&mut self, line: u64, write: bool, hint: u32) {
-        let (got, _) = access_hinted(&self.block, &mut self.block_cache, 0, line, 0, write, hint);
-        let want = self
-            .hashed
-            .access(&mut self.hashed_cache, 0, line, 0, write);
-        assert_eq!(got, want, "class of ({line}, {write})");
-        assert_eq!(
-            self.block.directory().probe(line),
-            self.hashed.directory.probe(line),
-            "entry of line {line}"
-        );
-    }
-}
-
-/// A tag array filled against one system remembers slots that mean
-/// nothing — or are out of range — in another.
-#[test]
-fn a_tag_array_filled_against_another_system_is_only_wrong_guesses() {
-    // One line in each of forty chunks, five to a set of the 8-set
-    // cache: the sixteen tags left resident remember slots 24 to 39.
-    let line_of = |chunk: u64| chunk * 64 + chunk % 8;
-    let mut pair = Pair::new(CacheConfig::tiny());
-    for chunk in 0..40 {
-        pair.access(line_of(chunk), true, Directory::NO_HINT);
-    }
-    // A fresh system whose slab is one 16-block segment, its slot 0
-    // held by a chunk the tag array never saw.
-    pair.block = SsmpCacheSystem::new(HW_POINTERS);
-    pair.hashed = HashedSystem::default();
-    pair.block.directory().mark_dirty_lines([64_000], 1);
-    pair.hashed.directory.mark_dirty_lines([64_000], 1);
-    // Tag hits go in on the foreign memos, and every fill evicts a
-    // line whose memo is foreign too.
-    for chunk in (0..40).rev() {
-        pair.access(line_of(chunk), false, Directory::NO_HINT);
-        pair.access(line_of(chunk) + 8, true, Directory::NO_HINT);
-        pair.access(line_of(chunk), true, Directory::NO_HINT);
-    }
-    assert_eq!(pair.block.directory().probe(64_000), (1, Some(1)));
-    assert_eq!(
-        pair.block.directory().tracked_lines(),
-        pair.hashed.directory.tracked_lines()
-    );
-    // Hints no slab could hold.
-    let mut pair = Pair::new(CacheConfig::tiny());
-    for chunk in 0..40 {
-        pair.access(
-            line_of(chunk),
-            chunk % 2 == 0,
-            u32::MAX - (chunk % 3) as u32,
-        );
     }
 }
 
@@ -645,14 +532,15 @@ fn a_victim_of_a_dead_frame_is_skipped() {
     assert_eq!((out.shared_lines, out.dirty_lines), (2, 62));
 }
 
-/// Debug builds count locks per thread: a read hit whose hint is right
-/// takes no lock at all, and any other access whose hint is right takes
-/// one stripe lock and never asks the index; without a hint the memo
-/// beside the tag serves; a wrong hint costs the wasted stripe lock and
-/// one index lookup, nothing else.
+/// Debug builds count locks per thread. A frame's read hit takes no
+/// lock at all, and any other frame access takes one stripe lock and
+/// never asks the line map. A bare line's tag miss looks its chunk up
+/// in the line map (claiming the block on first touch, with no stripe
+/// lock) and takes one stripe lock; its tag hit takes the memo beside
+/// the tag and never asks the line map.
 #[cfg(debug_assertions)]
 #[test]
-fn a_right_hint_costs_one_stripe_lock_or_none_and_no_index_lookup() {
+fn an_access_takes_one_stripe_lock_or_none() {
     let sys = SsmpCacheSystem::new(HW_POINTERS);
     let mut cache = ProcCache::new(CacheConfig::alewife());
     let locks = |f: &mut dyn FnMut()| {
@@ -661,47 +549,39 @@ fn a_right_hint_costs_one_stripe_lock_or_none_and_no_index_lookup() {
         let after = Directory::thread_locks();
         (after.0 - before.0, after.1 - before.1)
     };
-    let mut hint = Directory::NO_HINT;
-    sys.access(&mut cache, 0, 4096, 0, false); // another block takes slot 0
-    let first = locks(&mut || hint = access_hinted(&sys, &mut cache, 0, 70, 0, false, hint).1);
-    assert_eq!(
-        first,
-        (8 + 1, 2),
-        "index miss, create (8 claims), the access"
-    );
-    for line in [70, 71, 127] {
-        let tag_miss = line != 70;
-        let n = locks(&mut || {
-            access_hinted(&sys, &mut cache, 0, line, 0, tag_miss, hint);
-        });
-        assert_eq!(
-            n,
-            (u64::from(tag_miss), 0),
-            "line {line}, right hint: a read hit, or a write miss"
-        );
-        let n = locks(&mut || {
-            sys.access(&mut cache, 0, line, 0, false);
-        });
-        assert_eq!(n, (0, 0), "line {line}, memo: a read hit");
-    }
-    for (line, write, what) in [
-        (72, false, "read miss"),
-        (70, true, "write upgrade"),
-        (70, true, "write hit"),
+    let (cell, lines) = (BlockCell::default(), 64..128);
+    let frame = |cache: &mut ProcCache, line, write| {
+        locks(&mut || {
+            frame_access(&sys, cache, 0, &cell, lines.clone(), line, 0, write);
+        })
+    };
+    for (line, write, want, what) in [
+        (70, false, (1, 0), "read miss"),
+        (70, false, (0, 0), "read hit"),
+        (71, true, (1, 0), "write miss"),
+        (70, true, (1, 0), "write upgrade"),
+        (70, true, (1, 0), "write hit"),
     ] {
-        let n = locks(&mut || {
-            access_hinted(&sys, &mut cache, 0, line, 0, write, hint);
-        });
-        assert_eq!(n, (1, 0), "line {line}, right hint: {what}");
+        assert_eq!(
+            frame(&mut cache, line, write),
+            want,
+            "frame line {line}: {what}"
+        );
     }
-    let n = locks(&mut || {
-        access_hinted(&sys, &mut cache, 0, 70, 0, false, hint - 1);
-    });
-    assert_eq!(
-        n,
-        (2, 1),
-        "wrong hint: its stripe, the index, the right stripe"
-    );
+    let mut bare = |line, write| {
+        locks(&mut || {
+            sys.access(&mut cache, 0, line, 0, write);
+        })
+    };
+    for (line, write, want, what) in [
+        (4096, false, (1, 1), "tag miss, the chunk's first touch"),
+        (4097, true, (1, 1), "tag miss"),
+        (4096, false, (0, 0), "read hit"),
+        (4096, true, (1, 0), "write upgrade, tag hit"),
+        (4097, true, (1, 0), "write hit"),
+    ] {
+        assert_eq!(bare(line, write), want, "bare line {line}: {what}");
+    }
 }
 
 // ---------------------------------------------------------------------

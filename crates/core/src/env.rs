@@ -391,7 +391,7 @@ impl Env {
                 frame.home_node() % self.cluster_size,
                 write,
                 frame.dir_hint(sys.directory(), line),
-                Some(frame.word(word, entry.gen, value)),
+                frame.word(word, entry.gen, value),
             );
             let Some(served) = served else {
                 self.translate_slow(page, write);

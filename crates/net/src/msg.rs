@@ -215,20 +215,6 @@ impl NetStats {
     pub fn jitter_cycles(&self) -> u64 {
         self.jitter.get()
     }
-
-    /// Resets all counters.
-    pub fn reset(&self) {
-        for c in self
-            .msgs
-            .iter()
-            .chain(self.bytes.iter())
-            .chain(self.dropped.iter())
-            .chain(self.duplicated.iter())
-        {
-            c.reset();
-        }
-        self.jitter.reset();
-    }
 }
 
 impl fmt::Display for NetStats {
@@ -278,21 +264,6 @@ mod tests {
         assert_eq!(s.bytes(MsgKind::RDat), 2048);
         assert_eq!(s.total_msgs(), 3);
         assert_eq!(s.total_bytes(), 2048);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let s = NetStats::new();
-        s.record(MsgKind::Inv, 8);
-        s.record_drop(MsgKind::Inv);
-        s.record_duplicate(MsgKind::Diff);
-        s.record_jitter(42);
-        s.reset();
-        assert_eq!(s.total_msgs(), 0);
-        assert_eq!(s.total_bytes(), 0);
-        assert_eq!(s.dropped_total(), 0);
-        assert_eq!(s.duplicated_total(), 0);
-        assert_eq!(s.jitter_cycles(), 0);
     }
 
     #[test]

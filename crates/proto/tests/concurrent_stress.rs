@@ -58,7 +58,7 @@ fn access(
             frame.home_node() % C,
             write,
             frame.dir_hint(sys.directory(), line),
-            Some(frame.word(word, e.gen, store.unwrap_or(0))),
+            frame.word(word, e.gen, store.unwrap_or(0)),
         );
         if let Some(served) = served {
             return served.value;
@@ -316,7 +316,7 @@ fn stores_race_quiesce_diff_bump(threads: usize) {
                         let line = frame.line_of_word(word);
                         let hint = frame.dir_hint(sys.directory(), line);
                         let got = frame.word(word, *gen, value);
-                        match sys.access_hinted(&mut cache, w, line, 0, write, hint, Some(got)) {
+                        match sys.access_hinted(&mut cache, w, line, 0, write, hint, got) {
                             Some(served) => return served.value,
                             None => *gen = frame.generation(), // re-fault
                         }

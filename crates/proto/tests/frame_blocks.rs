@@ -49,7 +49,7 @@ fn access(
             frame.home_node() % C,
             write,
             frame.dir_hint(sys.directory(), line),
-            Some(frame.word(word, e.gen, store.unwrap_or(0))),
+            frame.word(word, e.gen, store.unwrap_or(0)),
         );
         if let Some(served) = served {
             return served.value;
@@ -128,17 +128,9 @@ fn a_dead_frames_victim_leaves_the_next_frames_entries_alone() {
     let access = |cache: &mut ProcCache, proc, frame: &PageFrame, word, write| {
         let line = frame.line_of_word(word);
         let hint = frame.dir_hint(directory, line);
-        sys.access_hinted(
-            cache,
-            proc,
-            line,
-            0,
-            write,
-            hint,
-            Some(frame.word(word, 0, 1)),
-        )
-        .expect("a current translation")
-        .class
+        sys.access_hinted(cache, proc, line, 0, write, hint, frame.word(word, 0, 1))
+            .expect("a current translation")
+            .class
     };
     let dead = frames.alloc(0);
     access(&mut cache, 0, &dead, 0, true);

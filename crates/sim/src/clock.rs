@@ -71,11 +71,6 @@ impl ProcClock {
         }
         wait
     }
-
-    /// Resets the clock to time zero and clears the account.
-    pub fn reset(&mut self) {
-        *self = ProcClock::new();
-    }
 }
 
 #[cfg(test)]
@@ -113,15 +108,6 @@ mod tests {
     fn starting_at_offsets_time_only() {
         let c = ProcClock::starting_at(Cycles(1000));
         assert_eq!(c.now(), Cycles(1000));
-        assert_eq!(c.account().total(), Cycles::ZERO);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut c = ProcClock::new();
-        c.charge(CostCategory::User, Cycles(5));
-        c.reset();
-        assert_eq!(c.now(), Cycles::ZERO);
         assert_eq!(c.account().total(), Cycles::ZERO);
     }
 }

@@ -283,11 +283,6 @@ impl EpochGate {
         Cycles(self.window)
     }
 
-    /// Number of threads the gate paces.
-    pub fn n_threads(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Called by thread `id` between operations with its current local
     /// time. If the thread has run past the current window it waits
     /// until the window advances. Lock-free in the common case (one

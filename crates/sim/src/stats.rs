@@ -40,11 +40,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 impl fmt::Display for Counter {
@@ -65,8 +60,6 @@ mod tests {
         }
         c.add(5);
         assert_eq!(c.get(), 15);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

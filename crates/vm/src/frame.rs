@@ -417,16 +417,8 @@ mod tests {
         let line = f.line_of_word(3);
         let hint = f.dir_hint(sys.directory(), line);
         let mut write = |gen, value| {
-            sys.access_hinted(
-                &mut cache,
-                0,
-                line,
-                0,
-                true,
-                hint,
-                Some(f.word(3, gen, value)),
-            )
-            .map(|s| s.value)
+            sys.access_hinted(&mut cache, 0, line, 0, true, hint, f.word(3, gen, value))
+                .map(|s| s.value)
         };
         assert_eq!(write(0, 5), Some(5));
         {

@@ -52,10 +52,10 @@ impl VRange {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `idx` is out of range.
+    /// Panics if `idx` is out of range.
     #[inline]
     pub fn addr_of(self, idx: u64) -> u64 {
-        debug_assert!(idx < self.words, "index {idx} out of range");
+        assert!(idx < self.words, "index {idx} out of range");
         self.vbase + idx * PageGeometry::WORD_BYTES
     }
 }
@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn addr_of_out_of_range_panics_in_debug() {
+    fn addr_of_out_of_range_panics() {
         let h = heap();
         let a = h.alloc(2, AccessKind::Pointer);
         let _ = a.addr_of(2);
