@@ -20,7 +20,7 @@
 //! |---|---|
 //! | `scaling` | External-latency / page-size / machine-size sweeps |
 //! | `chaos` | Fault-injection sweep (drop × duplicate × jitter) with verified recovery → `BENCH_chaos.json` |
-//! | `scenario` | Scenario engine: fixed-model equivalence, link tiers, interface contention, SSMP churn → `BENCH_scenario.json` |
+//! | `scenario` | The fabric: uniform-LAN equivalence, link tiers, interface contention, SSMP churn → `BENCH_scenario.json` |
 //! | `adaptive` | Coherence strategy × app × link tier, reduced to the §2.4 framework metrics → `BENCH_adaptive.json` |
 //! | `profile` | Observability deep-dive for one app: metrics, hot pages, Perfetto timeline → `results/profile_*.json` |
 //!

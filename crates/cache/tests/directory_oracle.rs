@@ -18,8 +18,7 @@
 //! dead frames keeps.
 
 use mgs_cache::{
-    BlockCell, CacheConfig, CleanOutcome, Directory, FrameWord, MissClass, ProcCache,
-    SsmpCacheSystem,
+    BlockCell, CacheConfig, CleanOutcome, FrameWord, MissClass, ProcCache, SsmpCacheSystem,
 };
 use mgs_sim::XorShift64;
 use std::collections::HashMap;
@@ -541,6 +540,7 @@ fn a_victim_of_a_dead_frame_is_skipped() {
 #[cfg(debug_assertions)]
 #[test]
 fn an_access_takes_one_stripe_lock_or_none() {
+    use mgs_cache::Directory;
     let sys = SsmpCacheSystem::new(HW_POINTERS);
     let mut cache = ProcCache::new(CacheConfig::alewife());
     let locks = |f: &mut dyn FnMut()| {

@@ -1,6 +1,6 @@
 //! DSSMP machine configuration.
 
-use mgs_net::{FaultPlan, Scenario};
+use mgs_net::{FaultPlan, TieredScenario};
 use mgs_proto::{AdaptiveParams, ProtocolKind};
 use mgs_sim::{CostModel, Cycles};
 use mgs_vm::PageGeometry;
@@ -38,6 +38,9 @@ pub struct DssmpConfig {
     /// Page geometry (default 1 KB, §5.1).
     pub geometry: PageGeometry,
     /// One-way inter-SSMP message latency (default 1000 cycles, §5.2.1).
+    /// Lock token transfers and barrier episodes are priced from it
+    /// even when [`scenario`](DssmpConfig::scenario) installs another
+    /// fabric (a documented modeling deviation).
     pub ext_latency: Cycles,
     /// Latency constants (default: calibrated Alewife model).
     pub cost: CostModel,
@@ -102,11 +105,11 @@ pub struct DssmpConfig {
     /// [`FaultPlan::none`]: the paper's perfect fabric, with message
     /// behaviour bit-identical to builds without fault support).
     pub fault_plan: FaultPlan,
-    /// The external-fabric scenario (see [`Scenario`]): latency tiers,
-    /// interface contention and SSMP churn. `None` (the default) keeps
-    /// the paper's fixed-latency LAN, bit-identical to builds without
-    /// scenario support (gated by `tests/scenario_equivalence.rs`).
-    pub scenario: Option<Arc<dyn Scenario>>,
+    /// The external fabric (see [`TieredScenario`]): latency tiers,
+    /// interface contention and SSMP churn. `None` (the default) is the
+    /// paper's LAN, `TieredScenario::uniform(LinkTier::Lan, ext_latency)`
+    /// (`tests/scenario_equivalence.rs` pins the two spellings equal).
+    pub scenario: Option<Arc<TieredScenario>>,
 }
 
 impl DssmpConfig {
@@ -150,9 +153,9 @@ impl DssmpConfig {
         self
     }
 
-    /// Installs an external-fabric [`Scenario`] (latency tiers,
-    /// interface contention, churn schedule).
-    pub fn with_scenario(mut self, scenario: Arc<dyn Scenario>) -> DssmpConfig {
+    /// Installs the external fabric (latency tiers, interface
+    /// contention, churn schedule).
+    pub fn with_scenario(mut self, scenario: Arc<TieredScenario>) -> DssmpConfig {
         self.scenario = Some(scenario);
         self
     }

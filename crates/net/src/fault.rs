@@ -183,11 +183,6 @@ impl FaultPlan {
         self
     }
 
-    /// The seed the decision streams derive from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// `true` when some transmission class can be faulted. An inactive
     /// plan is skipped entirely by [`LanModel`](crate::LanModel): no
     /// counters, no RNG draws.

@@ -1,6 +1,6 @@
 //! External (inter-SSMP) network: the LAN model of §4.2.2.
 
-use crate::{Fate, FaultPlan, FixedScenario, LinkTier, MsgKind, NetStats, Scenario};
+use crate::{Fate, FaultPlan, LinkTier, MsgKind, NetStats, TieredScenario};
 use mgs_sim::{Cycles, Occupancy};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -27,11 +27,13 @@ pub enum Delivery {
 ///
 /// Reproduces the paper's methodology (§4.2.2): every inter-SSMP message
 /// is delayed by a fixed latency (default **1000 cycles**, the value
-/// used for all application results). The paper explicitly does *not*
-/// model contention in the LAN fabric; we follow that, but optionally
-/// model occupancy at each SSMP's network *interface* (serialization of
-/// outgoing messages), which is disabled by default for fidelity to the
-/// paper.
+/// used for all application results). Every message is priced by one
+/// [`TieredScenario`]: [`new`](LanModel::new) installs the paper's
+/// uniform LAN, [`with_scenario`](LanModel::with_scenario) a tiered
+/// one. The paper explicitly does *not* model contention in the LAN
+/// fabric; we follow that, but a fabric may model occupancy at each
+/// SSMP's network *interface* (serialization of outgoing messages),
+/// which is off by default for fidelity to the paper.
 ///
 /// Two send entry points exist:
 ///
@@ -58,12 +60,9 @@ pub enum Delivery {
 #[derive(Debug)]
 pub struct LanModel {
     n_ssmps: usize,
-    latency: Cycles,
-    /// The fabric description consulted per message. Defaults to the
-    /// trivial [`FixedScenario`] at `latency`, whose cost arithmetic is
-    /// bit-identical to the historical fixed-latency model (gated by
-    /// `tests/scenario_equivalence.rs`).
-    scenario: Arc<dyn Scenario>,
+    /// The fabric consulted per message: the paper's uniform LAN unless
+    /// [`with_scenario`](LanModel::with_scenario) installed another.
+    scenario: Arc<TieredScenario>,
     /// Per-SSMP link state, flipped by churn: a down endpoint drops
     /// every transmission to or from it.
     down: Vec<AtomicBool>,
@@ -83,21 +82,19 @@ struct FaultState {
 }
 
 impl LanModel {
-    /// Creates a LAN between `n_ssmps` SSMPs with the given fixed
-    /// one-way latency and no interface contention (the paper's model).
+    /// Creates a LAN between `n_ssmps` SSMPs on the paper's fabric:
+    /// `TieredScenario::uniform(LinkTier::Lan, latency)`, with no
+    /// interface contention.
     ///
-    /// `n_ssmps` sizes the per-endpoint state of the optional
-    /// extensions — interface occupancies and fault-plan channel
-    /// counters — and bounds the endpoints accepted by
+    /// `n_ssmps` sizes the per-endpoint state — link states, interface
+    /// occupancies and fault-plan channel counters — and bounds the
+    /// endpoints accepted by
     /// [`send`](LanModel::send)/[`transmit`](LanModel::transmit)
-    /// (debug-asserted). The baseline fixed-latency model itself needs
-    /// no per-endpoint state, which is why early versions ignored the
-    /// argument entirely.
+    /// (debug-asserted).
     pub fn new(n_ssmps: usize, latency: Cycles) -> LanModel {
         LanModel {
             n_ssmps,
-            latency,
-            scenario: Arc::new(FixedScenario::new(latency)),
+            scenario: Arc::new(TieredScenario::uniform(LinkTier::Lan, latency)),
             down: (0..n_ssmps).map(|_| AtomicBool::new(false)).collect(),
             interfaces: None,
             iface_service: Cycles::ZERO,
@@ -106,12 +103,11 @@ impl LanModel {
         }
     }
 
-    /// Installs a [`Scenario`] describing the fabric: per-link tiers
-    /// and costs, optional interface contention (allocating the
-    /// per-endpoint occupancies here) and a churn schedule. Replaces
-    /// the trivial fixed-latency scenario installed by
-    /// [`new`](LanModel::new).
-    pub fn with_scenario(mut self, scenario: Arc<dyn Scenario>) -> LanModel {
+    /// Installs the fabric: per-link tiers and latencies, optional
+    /// interface contention (allocating the per-endpoint occupancies
+    /// here) and a churn schedule. Replaces the uniform LAN installed
+    /// by [`new`](LanModel::new).
+    pub fn with_scenario(mut self, scenario: Arc<TieredScenario>) -> LanModel {
         if let Some(service) = scenario.iface_service() {
             self.interfaces = Some((0..self.n_ssmps).map(|_| Occupancy::new()).collect());
             self.iface_service = service;
@@ -142,30 +138,18 @@ impl LanModel {
         self.faults.as_ref().map(|f| &f.plan)
     }
 
-    /// The fixed one-way latency of the trivial scenario. With an
-    /// installed [`Scenario`] this is the construction-time baseline
-    /// only; per-link costs come from [`Scenario::link`].
-    pub fn latency(&self) -> Cycles {
-        self.latency
-    }
-
     /// Number of SSMPs this LAN connects.
     pub fn n_ssmps(&self) -> usize {
         self.n_ssmps
     }
 
-    /// The installed scenario.
-    pub fn scenario(&self) -> &Arc<dyn Scenario> {
-        &self.scenario
-    }
-
     /// The tier of the `src → dst` link (`LinkTier::Lan` for intra-SSMP
-    /// messages, which never reach the scenario).
+    /// messages, which never reach the fabric).
     pub fn tier(&self, src: usize, dst: usize) -> LinkTier {
         if src == dst {
             LinkTier::Lan
         } else {
-            self.scenario.link(src, dst).tier
+            self.scenario.link(src, dst).0
         }
     }
 
@@ -210,15 +194,15 @@ impl LanModel {
         debug_assert!(src < self.n_ssmps, "src SSMP {src} out of range");
         debug_assert!(dst < self.n_ssmps, "dst SSMP {dst} out of range");
         self.stats.record(kind, payload_bytes);
-        let link = self.scenario.link(src, dst);
-        self.depart(src, now) + link.latency + link.per_byte * payload_bytes
+        let (_, latency) = self.scenario.link(src, dst);
+        self.depart(src, now) + latency
     }
 
     /// Sends a message through the fabric *including* the attached
     /// fault plan: the transmission may be dropped (the sender finds
     /// out by timeout), delivered with extra jitter delay, or delivered
-    /// along with duplicate copies. Fault statistics are recorded per
-    /// kind (see [`NetStats`]).
+    /// along with duplicate copies. Fault totals are recorded in
+    /// [`NetStats`].
     ///
     /// With no active fault plan this is exactly [`send`](LanModel::send)
     /// — same arrival time, same statistics — so fault-free runs are
@@ -264,10 +248,10 @@ impl LanModel {
         // deterministic per-channel fate streams nor holds the downed
         // interface busy.
         if !self.link_up(src) || !self.link_up(dst) {
-            self.stats.record_drop(kind);
+            self.stats.record_drop();
             return Delivery::Dropped;
         }
-        let link = self.scenario.link(src, dst);
+        let (_, latency) = self.scenario.link(src, dst);
         let depart = self.depart(src, now);
         let fate = match &self.faults {
             None => Fate::Deliver {
@@ -282,18 +266,18 @@ impl LanModel {
         };
         match fate {
             Fate::Drop => {
-                self.stats.record_drop(kind);
+                self.stats.record_drop();
                 Delivery::Dropped
             }
             Fate::Deliver { jitter, duplicates } => {
                 for _ in 0..duplicates {
-                    self.stats.record_duplicate(kind);
+                    self.stats.record_duplicate();
                 }
                 if jitter > Cycles::ZERO {
                     self.stats.record_jitter(jitter.raw());
                 }
                 Delivery::Delivered {
-                    arrival: depart + link.latency + jitter + link.per_byte * payload_bytes,
+                    arrival: depart + latency + jitter,
                     duplicates,
                 }
             }
@@ -325,16 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn per_byte_cost_scales_with_payload() {
-        let lan = LanModel::new(2, Cycles(100)).with_scenario(Arc::new(
-            FixedScenario::new(Cycles(100)).with_per_byte(Cycles(2)),
-        ));
-        assert_eq!(lan.send(0, 1, MsgKind::RDat, 10, Cycles(0)), Cycles(120));
-    }
-
-    #[test]
     fn interface_contention_queues_bursts() {
-        use crate::TieredScenario;
         let lan = LanModel::new(2, Cycles(1000)).with_scenario(Arc::new(
             TieredScenario::uniform(LinkTier::Lan, Cycles(1000))
                 .with_interface_contention(Cycles(50)),
@@ -365,11 +340,7 @@ mod tests {
 
     #[test]
     fn transmit_without_plan_matches_send() {
-        let mk = || {
-            LanModel::new(2, Cycles(1000)).with_scenario(Arc::new(
-                FixedScenario::new(Cycles(1000)).with_per_byte(Cycles(2)),
-            ))
-        };
+        let mk = || LanModel::new(2, Cycles(1000));
         let (a, b) = (mk(), mk());
         for (n, bytes) in [(0u64, 0u64), (1, 8), (2, 1024)] {
             let sent = a.send(0, 1, MsgKind::RDat, bytes, Cycles(n * 10));
@@ -440,12 +411,10 @@ mod tests {
         }
         assert_eq!(lan.stats().duplicated_total(), dup_seen);
         assert!(dup_seen > 0, "50% duplication over 200 sends");
-        assert_eq!(lan.stats().duplicated(MsgKind::Diff), dup_seen);
     }
 
     #[test]
     fn scenario_links_price_each_pair() {
-        use crate::TieredScenario;
         // 4 SSMPs: racks of 2, one rack per datacenter → rack / wan.
         let lan = LanModel::new(4, Cycles(1000)).with_scenario(Arc::new(TieredScenario::new(2, 1)));
         let near = lan.send(0, 1, MsgKind::RReq, 0, Cycles(0));

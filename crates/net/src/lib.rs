@@ -26,13 +26,13 @@
 //! MGS protocol layer (`mgs-proto`) recovers from losses with
 //! timeout/retry; a duplicate is only counted and reaches no handler.
 //!
-//! The external fabric itself is pluggable: a [`Scenario`] behind the
-//! `LanModel` describes per-link latency tiers ([`TieredScenario`]:
-//! rack / datacenter / WAN with asymmetric overrides), interface
-//! contention, and a schedule of SSMP departures and rejoins
-//! ([`ChurnEvent`]). The default [`FixedScenario`] reproduces the
-//! paper's single-constant LAN bit-identically. See
-//! `docs/SCENARIOS.md` for the contract and a worked churn example.
+//! One fabric type prices every message: a [`TieredScenario`] behind
+//! the `LanModel` describes per-link latency tiers (rack / datacenter /
+//! WAN), interface contention, and a schedule of SSMP departures and
+//! rejoins ([`ChurnEvent`]). [`LanModel::new`] installs
+//! `TieredScenario::uniform(LinkTier::Lan, latency)`, the paper's
+//! single-constant LAN. See `docs/SCENARIOS.md` for the contract and a
+//! worked churn example.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -45,4 +45,4 @@ mod scenario;
 pub use fault::{Fate, FaultPlan, FaultSpec};
 pub use lan::{Delivery, LanModel};
 pub use msg::{MsgKind, NetStats};
-pub use scenario::{ChurnEvent, FixedScenario, Link, LinkTier, Scenario, TieredScenario};
+pub use scenario::{ChurnEvent, LinkTier, TieredScenario};

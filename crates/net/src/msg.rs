@@ -127,7 +127,7 @@ impl fmt::Display for MsgKind {
 }
 
 /// Per-message-kind traffic counters (messages and payload bytes),
-/// plus injected-fault counters when the LAN runs under a
+/// plus injected-fault totals when the LAN runs under a
 /// [`FaultPlan`](crate::FaultPlan): transmissions lost in the fabric,
 /// duplicate copies delivered, and total jitter delay added.
 ///
@@ -139,8 +139,8 @@ impl fmt::Display for MsgKind {
 pub struct NetStats {
     msgs: [Counter; MsgKind::COUNT],
     bytes: [Counter; MsgKind::COUNT],
-    dropped: [Counter; MsgKind::COUNT],
-    duplicated: [Counter; MsgKind::COUNT],
+    dropped: Counter,
+    duplicated: Counter,
     jitter: Counter,
 }
 
@@ -176,14 +176,14 @@ impl NetStats {
         self.bytes.iter().map(Counter::get).sum()
     }
 
-    /// Records one transmission of `kind` lost in the fabric.
-    pub fn record_drop(&self, kind: MsgKind) {
-        self.dropped[kind.index()].incr();
+    /// Records one transmission lost in the fabric.
+    pub fn record_drop(&self) {
+        self.dropped.incr();
     }
 
-    /// Records one fabric-injected duplicate copy of `kind`.
-    pub fn record_duplicate(&self, kind: MsgKind) {
-        self.duplicated[kind.index()].incr();
+    /// Records one fabric-injected duplicate copy.
+    pub fn record_duplicate(&self) {
+        self.duplicated.incr();
     }
 
     /// Records `cycles` of fault-injected delivery jitter.
@@ -191,24 +191,14 @@ impl NetStats {
         self.jitter.add(cycles);
     }
 
-    /// Transmissions of `kind` lost in the fabric.
-    pub fn dropped(&self, kind: MsgKind) -> u64 {
-        self.dropped[kind.index()].get()
-    }
-
-    /// Total transmissions lost across all kinds.
+    /// Total transmissions lost in the fabric.
     pub fn dropped_total(&self) -> u64 {
-        self.dropped.iter().map(Counter::get).sum()
+        self.dropped.get()
     }
 
-    /// Duplicate copies of `kind` injected by the fabric.
-    pub fn duplicated(&self, kind: MsgKind) -> u64 {
-        self.duplicated[kind.index()].get()
-    }
-
-    /// Total duplicate copies injected across all kinds.
+    /// Total duplicate copies injected by the fabric.
     pub fn duplicated_total(&self) -> u64 {
-        self.duplicated.iter().map(Counter::get).sum()
+        self.duplicated.get()
     }
 
     /// Total delivery-jitter cycles injected by the fabric.
@@ -267,17 +257,14 @@ mod tests {
     }
 
     #[test]
-    fn fault_counters_accumulate_per_kind() {
+    fn fault_counters_accumulate() {
         let s = NetStats::new();
-        s.record_drop(MsgKind::RReq);
-        s.record_drop(MsgKind::RReq);
-        s.record_duplicate(MsgKind::Diff);
+        s.record_drop();
+        s.record_drop();
+        s.record_duplicate();
         s.record_jitter(100);
         s.record_jitter(23);
-        assert_eq!(s.dropped(MsgKind::RReq), 2);
-        assert_eq!(s.dropped(MsgKind::Diff), 0);
         assert_eq!(s.dropped_total(), 2);
-        assert_eq!(s.duplicated(MsgKind::Diff), 1);
         assert_eq!(s.duplicated_total(), 1);
         assert_eq!(s.jitter_cycles(), 123);
         let shown = s.to_string();

@@ -208,8 +208,9 @@ pub enum LatencyClass {
     BarrierWait,
     /// Retransmission backoff waits.
     RetryBackoff,
-    /// Message crossings over `LinkTier::Lan` links (trivial fixed
-    /// scenario): send → arrival, one sample per inter-SSMP message.
+    /// Message crossings over `LinkTier::Lan` links (the paper's
+    /// uniform LAN, the default fabric): send → arrival, one sample per
+    /// inter-SSMP message.
     TierLan,
     /// Message crossings over rack-tier links.
     TierRack,

@@ -1,8 +1,8 @@
-//! A page frame's directory blocks are found by index, never rebuilt:
-//! the protocol's transactions and the runtime's accesses reach a
-//! frame's line entries through the blocks the frame claimed on first
-//! use, and never ask the directory's `chunk → block` index (which
-//! only the hint-less API keeps). Debug builds count every index
+//! A page frame's directory blocks are found from the frame's hint,
+//! never rebuilt: the protocol's transactions and the runtime's
+//! accesses reach a frame's line entries through the blocks the frame
+//! claimed on first use, and never ask the directory's line map (which
+//! only lines without a frame use). Debug builds count every line-map
 //! acquisition per thread; these tests hold the production paths to
 //! zero. Then the other half of owning blocks for life: a dead frame's
 //! block goes to a later frame, and the dead frame's cache victims
@@ -58,7 +58,7 @@ fn access(
     }
 }
 
-/// `(stripe, index)` locks `f` takes on this thread.
+/// `(stripe, line map)` locks `f` takes on this thread.
 fn locks(f: impl FnOnce()) -> (u64, u64) {
     let before = Directory::thread_locks();
     f();
@@ -70,16 +70,16 @@ fn locks(f: impl FnOnce()) -> (u64, u64) {
 /// and dirty-marking at the home), then the home SSMP's own write and
 /// release, which invalidates the copy (shoot-down, quiesce, page
 /// clean), and the re-fault that ships a fresh copy: every transaction
-/// and every access in between takes stripe locks and no index lock.
+/// and every access in between takes stripe locks and no line-map lock.
 #[test]
-fn faults_releases_invalidations_and_accesses_never_take_the_index() {
+fn faults_releases_invalidations_and_accesses_never_take_the_line_map() {
     let proto = MgsProtocol::new(ProtoConfig::new(2, C));
     let mut t = timing();
     let mut caches: Vec<_> = (0..2 * C)
         .map(|_| ProcCache::new(CacheConfig::alewife()))
         .collect();
     let (home, remote) = (0, C); // page 0 is homed at SSMP 0
-    let (stripes, index) = locks(|| {
+    let (stripes, line_map) = locks(|| {
         for round in 1..=3u64 {
             for word in 0..16 {
                 access(
@@ -106,7 +106,7 @@ fn faults_releases_invalidations_and_accesses_never_take_the_index() {
             );
         }
     });
-    assert_eq!(index, 0, "no transaction or access asked the index");
+    assert_eq!(line_map, 0, "no transaction or access asked the line map");
     assert!(stripes > 0);
     assert!(proto.stats().invalidations.get() >= 3);
 }
@@ -146,12 +146,12 @@ fn a_dead_frames_victim_leaves_the_next_frames_entries_alone() {
         access(&mut other, 1, &next, word, true);
     }
     access(&mut cache, 0, &next, 0, false); // set 0: beside the dead line
-    let (stripes, index) = locks(|| {
+    let (stripes, line_map) = locks(|| {
         // Word 16 is line 8 of the frame, set 0: evicts the dead line.
         access(&mut cache, 0, &next, 16, false);
     });
     assert_eq!(
-        (stripes, index),
+        (stripes, line_map),
         (2, 0),
         "the line's stripe and the victim's"
     );

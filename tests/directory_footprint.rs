@@ -3,13 +3,12 @@
 //! protocol retires without a page clean (home-LRC's stale copies, a
 //! pinned page's stale reader) gives its entries back with its frame.
 //! And the runtime's accesses reach those blocks through the frame,
-//! never through the directory's index.
+//! never through the directory's line map.
 
 use mgs_repro::apps::{water::Water, MgsApp};
 use mgs_repro::core::{AccessKind, DssmpConfig, Machine, ProtocolKind};
 use mgs_repro::proto::ClientState;
 use mgs_repro::sim::Cycles;
-use std::sync::Arc;
 
 /// After a home-LRC Water run, the lines each SSMP's directory tracks
 /// are no more than the lines of the frames its processors can still
@@ -53,17 +52,18 @@ fn after_a_home_lrc_run_directories_track_only_live_frames() {
 /// A lock-protected migratory counter and a barrier on a one-worker
 /// machine: faults, upgrades, releases, invalidations and every access
 /// between them run on the one host thread, and none asks a directory's
-/// index (debug builds count index acquisitions per thread).
+/// line map (debug builds count line-map acquisitions per thread).
 #[test]
 #[cfg(debug_assertions)]
-fn runtime_accesses_never_take_the_directory_index() {
+fn runtime_accesses_never_take_the_directory_line_map() {
     use mgs_repro::cache::Directory;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
     let machine = Machine::new(DssmpConfig::new(4, 2).with_virtual_engine(Some(1)));
     let counter = machine.alloc_array::<u64>(256, AccessKind::DistArray);
     let lock = machine.new_lock();
-    let index_locks = Arc::new(AtomicU64::new(u64::MAX));
-    let seen = Arc::clone(&index_locks);
+    let line_map_locks = Arc::new(AtomicU64::new(u64::MAX));
+    let seen = Arc::clone(&line_map_locks);
     machine.run(move |env| {
         let before = Directory::thread_locks().1;
         for round in 0..8 {
@@ -78,6 +78,6 @@ fn runtime_accesses_never_take_the_directory_index() {
             seen.store(Directory::thread_locks().1 - before, Ordering::SeqCst);
         }
     });
-    assert_eq!(index_locks.load(Ordering::SeqCst), 0);
+    assert_eq!(line_map_locks.load(Ordering::SeqCst), 0);
     assert_eq!(machine.peek(&counter, 0), 4);
 }
