@@ -340,7 +340,8 @@ impl Machine {
     /// ([`VirtualScheduler::run`]): on x86_64 Linux a coroutine on a
     /// small guard-paged stack, switched into by `min(workers, P)` host
     /// threads (elsewhere a parked host thread), so at most the worker
-    /// budget of them executes at any instant, lowest simulated time
+    /// budget of them executes at any instant, none more than a window
+    /// ahead of the slowest and each worker's own block of processors
     /// first — all of them at once when the run is unpaced. A task that
     /// panics aborts the run: its peers are resumed into a panic, so
     /// their locals are dropped, and `run` re-raises the first task's

@@ -27,6 +27,9 @@ pub struct ProcGovWaits {
     /// a machine (the scheduler deschedules instead of parking);
     /// nonzero only in a standalone `EpochGate` snapshot.
     pub parks: u64,
+    /// Times the task resumed on another host worker than it last ran
+    /// on (0 with one worker, and in an `EpochGate` snapshot).
+    pub migrations: u64,
     /// Distribution of individual gate waits, in host **nanoseconds**
     /// (log2 buckets; `count` is the number of waits, `sum` the total
     /// nanoseconds waited).
@@ -68,6 +71,7 @@ impl GovernorWaitReport {
                     ProcGovWaits {
                         gates: s.gates,
                         parks: s.parks,
+                        migrations: s.migrations,
                         wait_ns: hist,
                     }
                 })
@@ -90,6 +94,11 @@ impl GovernorWaitReport {
         self.per_proc.iter().map(|p| p.wait_ns.sum).sum()
     }
 
+    /// Total resumptions on another host worker across all processors.
+    pub fn total_migrations(&self) -> u64 {
+        self.per_proc.iter().map(|p| p.migrations).sum()
+    }
+
     /// Hand-rolled JSON (the workspace builds without serde).
     pub fn to_json(&self) -> String {
         let mut s = format!(
@@ -101,10 +110,11 @@ impl GovernorWaitReport {
                 s.push(',');
             }
             s.push_str(&format!(
-                "\n      {{\"gates\": {}, \"parks\": {}, \"waits\": {}, \
+                "\n      {{\"gates\": {}, \"parks\": {}, \"migrations\": {}, \"waits\": {}, \
                  \"wait_ns_total\": {}, \"wait_ns_mean\": {:.0}, \"wait_ns_p90\": {}}}",
                 p.gates,
                 p.parks,
+                p.migrations,
                 p.wait_ns.count,
                 p.wait_ns.sum,
                 p.wait_ns.mean(),
@@ -113,9 +123,11 @@ impl GovernorWaitReport {
         }
         s.push_str("\n    ],\n");
         s.push_str(&format!(
-            "    \"total_gates\": {},\n    \"total_parks\": {},\n    \"total_wait_ns\": {}\n  }}",
+            "    \"total_gates\": {},\n    \"total_parks\": {},\n    \"total_migrations\": {},\n    \
+             \"total_wait_ns\": {}\n  }}",
             self.total_gates(),
             self.total_parks(),
+            self.total_migrations(),
             self.total_wait_ns(),
         ));
         s
@@ -127,16 +139,17 @@ impl fmt::Display for GovernorWaitReport {
         writeln!(f, "governor waits ({} engine)", self.engine)?;
         writeln!(
             f,
-            "{:>5}  {:>10}  {:>10}  {:>12}  {:>12}  {:>12}",
-            "proc", "gates", "parks", "wait total", "wait mean", "wait p90"
+            "{:>5}  {:>10}  {:>10}  {:>10}  {:>12}  {:>12}  {:>12}",
+            "proc", "gates", "parks", "migrations", "wait total", "wait mean", "wait p90"
         )?;
         for (i, p) in self.per_proc.iter().enumerate() {
             writeln!(
                 f,
-                "{:>5}  {:>10}  {:>10}  {:>10}us  {:>10}ns  {:>10}ns",
+                "{:>5}  {:>10}  {:>10}  {:>10}  {:>10}us  {:>10}ns  {:>10}ns",
                 i,
                 p.gates,
                 p.parks,
+                p.migrations,
                 p.wait_ns.sum / 1_000,
                 p.wait_ns.mean() as u64,
                 p.wait_ns.quantile_floor(0.9),
@@ -144,9 +157,10 @@ impl fmt::Display for GovernorWaitReport {
         }
         write!(
             f,
-            "total  {:>10}  {:>10}  {:>10}us",
+            "total  {:>10}  {:>10}  {:>10}  {:>10}us",
             self.total_gates(),
             self.total_parks(),
+            self.total_migrations(),
             self.total_wait_ns() / 1_000,
         )
     }
@@ -157,7 +171,7 @@ mod tests {
     use super::*;
     use mgs_sim::{GovWaitStats, WAIT_HIST_BUCKETS};
 
-    fn stats(gates: u64, parks: u64, waits: &[u64]) -> GovWaitStats {
+    fn stats(gates: u64, parks: u64, migrations: u64, waits: &[u64]) -> GovWaitStats {
         let mut hist = [0u64; WAIT_HIST_BUCKETS];
         let mut wait_ns = 0;
         for &w in waits {
@@ -168,6 +182,7 @@ mod tests {
             gates,
             parks,
             wait_ns,
+            migrations,
             hist,
         }
     }
@@ -176,7 +191,7 @@ mod tests {
     fn report_totals_and_hist_roundtrip() {
         let snap = GovWaitSnapshot {
             engine: "epoch",
-            per_proc: vec![stats(10, 3, &[100, 2_000]), stats(4, 0, &[8])],
+            per_proc: vec![stats(10, 3, 0, &[100, 2_000]), stats(4, 0, 0, &[8])],
         };
         let report = GovernorWaitReport::from_snapshot(&snap);
         assert_eq!(report.engine, "epoch");
@@ -191,5 +206,22 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"total_gates\": 14"));
         assert!(json.contains("\"wait_ns_total\": 2100"));
+    }
+
+    #[test]
+    fn migrations_reach_the_totals_the_table_and_the_json() {
+        let snap = GovWaitSnapshot {
+            engine: "virtual",
+            per_proc: vec![stats(10, 0, 2, &[100]), stats(4, 0, 5, &[8])],
+        };
+        assert_eq!(snap.total_migrations(), 7);
+        let report = GovernorWaitReport::from_snapshot(&snap);
+        assert_eq!(report.total_migrations(), 7);
+        assert_eq!(report.per_proc[1].migrations, 5);
+        let shown = format!("{report}");
+        assert!(shown.contains("migrations"), "{shown}");
+        let json = report.to_json();
+        assert!(json.contains("\"migrations\": 2,"), "{json}");
+        assert!(json.contains("\"total_migrations\": 7"), "{json}");
     }
 }

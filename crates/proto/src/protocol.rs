@@ -843,11 +843,16 @@ impl Interp<'_> {
     fn frame(&self, f: Frame) -> Arc<PageFrame> {
         match f {
             Frame::Home => self.home.clone(),
-            Frame::Copy(s) => self.clients[s]
-                .frame
-                .clone()
-                .expect("the SSMP holds a copy"),
+            Frame::Copy(s) => self.copy(s).clone(),
         }
+    }
+
+    /// SSMP `ssmp`'s copy, borrowed: no count on the shared `Arc`.
+    fn copy(&self, ssmp: usize) -> &Arc<PageFrame> {
+        self.clients[ssmp]
+            .frame
+            .as_ref()
+            .expect("the SSMP holds a copy")
     }
 }
 
@@ -886,7 +891,7 @@ impl Effects for Interp<'_> {
     }
 
     fn owner(&mut self, ssmp: usize) -> usize {
-        self.frame(Frame::Copy(ssmp)).home_node()
+        self.copy(ssmp).home_node()
     }
 
     fn observe(&mut self, event: ObsEvent) {
@@ -907,8 +912,7 @@ impl Effects for Interp<'_> {
 
     fn shoot_down(&mut self, ssmp: usize) {
         let (proto, page) = (self.proto, self.page);
-        let frame = self.frame(Frame::Copy(ssmp));
-        let rc = frame.home_node();
+        let rc = self.copy(ssmp).home_node();
         let tlb_dir = std::mem::take(&mut self.clients[ssmp].tlb_dir);
         for lidx in crate::step::bits(tlb_dir) {
             let proc = ssmp * proto.cfg.procs_per_ssmp + lidx;
@@ -922,7 +926,8 @@ impl Effects for Interp<'_> {
         // the bump and re-faults (the translation-critical-section
         // rollback, §4.2.1), and the mapping processors' DUQ entries go
         // stale (arc 12).
-        frame.quiesce(proto.directory_of(&frame)).bump_generation();
+        let frame = self.copy(ssmp);
+        frame.quiesce(proto.directory_of(frame)).bump_generation();
     }
 
     fn clean(&mut self, f: Frame, charged: bool) {

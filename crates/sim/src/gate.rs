@@ -126,6 +126,9 @@ pub(crate) struct WaitStat {
     parks: AtomicU64,
     /// Total host nanoseconds spent waiting at the gate.
     wait_ns: AtomicU64,
+    /// Times the task resumed on another host worker than it last ran
+    /// on (virtual scheduler only).
+    migrations: AtomicU64,
     /// log2 histogram of per-wait nanoseconds.
     hist: [AtomicU64; WAIT_HIST_BUCKETS],
 }
@@ -136,6 +139,7 @@ impl WaitStat {
             gates: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             wait_ns: AtomicU64::new(0),
+            migrations: AtomicU64::new(0),
             hist: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
@@ -143,6 +147,11 @@ impl WaitStat {
     #[inline]
     pub(crate) fn record_gate(&self) {
         self.gates.fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[inline]
+    pub(crate) fn record_migration(&self) {
+        self.migrations.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
@@ -157,6 +166,7 @@ impl WaitStat {
             gates: self.gates.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
             wait_ns: self.wait_ns.load(Ordering::Relaxed),
+            migrations: self.migrations.load(Ordering::Relaxed),
             hist: std::array::from_fn(|i| self.hist[i].load(Ordering::Relaxed)),
         }
     }
@@ -174,6 +184,10 @@ pub struct GovWaitStats {
     pub parks: u64,
     /// Total host nanoseconds spent waiting at the gate.
     pub wait_ns: u64,
+    /// Times the task resumed on another host worker than it last ran
+    /// on. Always 0 for an `EpochGate`, whose threads are the OS's to
+    /// place, and for a virtual scheduler with one worker.
+    pub migrations: u64,
     /// log2 histogram of individual wait durations in nanoseconds
     /// (bucket `i` counts waits with `i` significant bits; bucket 0 is
     /// instant waits).
@@ -207,6 +221,11 @@ impl GovWaitSnapshot {
     /// Total host nanoseconds spent waiting across all threads.
     pub fn total_wait_ns(&self) -> u64 {
         self.per_proc.iter().map(|s| s.wait_ns).sum()
+    }
+
+    /// Total resumptions on another host worker across all tasks.
+    pub fn total_migrations(&self) -> u64 {
+        self.per_proc.iter().map(|s| s.migrations).sum()
     }
 }
 

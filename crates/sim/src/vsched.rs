@@ -11,17 +11,17 @@
 //! the skew bound. Each simulated processor is a **task** — a resumable
 //! continuation whose suspension points are every charged access (via
 //! `tick`) and every lock/barrier wait (via `suspend`). The scheduler
-//! keeps a time-ordered ready queue (a binary heap keyed on
-//! `(local_time, pid)`) and admits at most `workers` tasks at once,
-//! always preferring the tasks with the **lowest simulated time**.
-//! A governed wait is then an O(log P) heap reschedule instead of a
-//! park/unpark round-trip against every other thread, and a task that
-//! blocks on simulated synchronization costs the host *nothing* until
-//! the releaser reschedules it.
+//! keeps time-ordered ready queues (binary heaps keyed on
+//! `(local_time, pid)`), one per host worker, and admits at most
+//! `workers` tasks at once, none of them more than a window ahead of
+//! the **lowest simulated time**. A governed wait is then an O(log P)
+//! heap reschedule instead of a park/unpark round-trip against every
+//! other thread, and a task that blocks on simulated synchronization
+//! costs the host *nothing* until the releaser reschedules it.
 //!
 //! # Continuations
 //!
-//! The *policy* — [`VState`], the heap, the window test, the
+//! The *policy* — [`VState`], the heaps, the window test, the
 //! `resume_pending` flag, the horizon mirror — is written once; what a
 //! task is suspended *as* depends on who runs it.
 //!
@@ -29,17 +29,17 @@
 //!   it hosts every task as a stackful coroutine (the private `coro`
 //!   module: a guard-paged 512 KB stack each and a context switch of
 //!   a dozen instructions) on `min(workers, n)` host threads. Each
-//!   worker loops *pop the lowest-time admissible task → switch into it
-//!   → take control back when it yields, suspends or finishes → do that
-//!   task's bookkeeping → pop the next*, and sleeps — all workers on
-//!   one condvar — only when nothing is admissible. A hand-over is a
+//!   worker loops *pop an admissible task → switch into it → take
+//!   control back when it yields, suspends or finishes → do that task's
+//!   bookkeeping → pop the next*, and sleeps — all workers on one
+//!   condvar — only when nothing is admissible. A hand-over is a
 //!   function call, and `P = 2048` needs `workers` OS threads. A task
 //!   becomes visible as ready, suspended or done only **after** its
 //!   context is saved: the task side of a yield only decides, and the
-//!   worker it switches back to does the requeue. The ready heap is
-//!   global, so a task may resume on a different worker than it left;
-//!   `coro`'s safety contract says what that forbids. On every other
-//!   target `run` backs each task with a parked host thread.
+//!   worker it switches back to does the requeue. A task may resume on
+//!   a different worker than it left (see *Affinity*); `coro`'s safety
+//!   contract says what that forbids. On every other target `run`
+//!   backs each task with a parked host thread.
 //! * [`start`](VirtualScheduler::start) /
 //!   [`finished`](VirtualScheduler::finished) are that thread-backed
 //!   continuation, open to a *foreign* thread on any target: the caller
@@ -48,6 +48,28 @@
 //! Either way the application loops in `mgs-apps` need **no**
 //! explicit-state rewrite: every `Env::read`/`write`/lock/barrier
 //! already routes through the hooks below.
+//!
+//! # Affinity
+//!
+//! A paced run keeps one ready heap per worker, `min(workers, n)` of
+//! them, and heap `h` holds a contiguous block of task ids: task `id`
+//! lives on heap `id · heaps / n` (its *home*), and every requeue puts
+//! it back there. A worker first takes the lowest-time admissible task
+//! of its own block; only when its block has none does it take the
+//! lowest-time ready task of all, wherever it lives — a *steal*, and the
+//! only way a task changes worker. The processors of one SSMP are
+//! consecutive ids, so they share a worker (their tag arrays, stacks,
+//! `Env`s and directory blocks stay in one core's caches) whenever the
+//! cluster size divides `n / workers`. Each resumption on a worker
+//! other than the one the task last ran on counts as a migration in
+//! [`wait_snapshot`](VirtualScheduler::wait_snapshot).
+//!
+//! The pacing rule below is the same for every heap, so affinity
+//! changes which admissible task runs, never what is admissible. With
+//! one worker there is one heap and the order is lowest time first. An
+//! unpaced run keeps one heap too: it has no window to keep, and a heap
+//! per task would make every minimum a scan of all of them. The
+//! thread-backed continuation always pops the lowest-time task.
 //!
 //! # Pacing semantics
 //!
@@ -88,7 +110,8 @@ use std::time::Instant;
 /// Environment variable pinning the worker budget (host admission
 /// slots) regardless of what the machine configuration asked for.
 /// CI uses `MGS_VWORKERS=1` to prove every suite is
-/// oversubscription-safe on a single host thread.
+/// oversubscription-safe on a single host thread, and `MGS_VWORKERS=3`
+/// to run three uneven blocks of tasks on a two-core host.
 pub const VWORKERS_ENV: &str = "MGS_VWORKERS";
 
 /// Stack of one task under [`VirtualScheduler::run`]. The app body plus
@@ -136,11 +159,36 @@ enum Leave {
 /// it as an ordinary panic with this report.
 struct Deadlock(String);
 
+/// Ready tasks, lowest `(time, pid)` on top.
+type Heap = BinaryHeap<Reverse<(u64, usize)>>;
+
+/// Which heap worker `own` pops from next, given every heap, the
+/// lowest time over active tasks and the window: its own heap if that
+/// heap's top is admissible, else the heap holding the lowest-time
+/// ready task if *that* one is (a steal), else none. `own = None`
+/// (the thread-backed continuation, and asking whether any worker
+/// would pop) always names the lowest. A top is admissible while it is
+/// under `active_min + window`; the minimum over active tasks itself
+/// always is.
+fn pick(heaps: &[Heap], active_min: u64, window: u64, own: Option<usize>) -> Option<usize> {
+    let limit = active_min.saturating_add(window);
+    let top = |h: usize| heaps[h].peek().map(|&Reverse(e)| e);
+    let fits = |h: usize| top(h).is_some_and(|(t, _)| t < limit);
+    if let Some(own) = own.filter(|&h| fits(h)) {
+        return Some(own);
+    }
+    (0..heaps.len())
+        .filter(|&h| !heaps[h].is_empty())
+        .min_by_key(|&h| top(h))
+        .filter(|&h| fits(h))
+}
+
 #[derive(Debug)]
 struct VState {
-    /// Ready tasks, lowest `(time, pid)` first. Entries are exact: a
-    /// task's recorded time never changes while it sits in the heap.
-    ready: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Ready tasks, one heap per block of task ids (see *Affinity* in
+    /// the module docs). Entries are exact: a task's recorded time
+    /// never changes while it sits in a heap.
+    ready: Vec<Heap>,
     /// Last simulated time each task reported (at start, tick, or
     /// suspension).
     time: Vec<u64>,
@@ -153,6 +201,9 @@ struct VState {
     /// the worker budget, so the window minimum is a scan of this set,
     /// not of every task.
     running: Vec<usize>,
+    /// The worker each hosted task last ran on (`usize::MAX`: none
+    /// yet), to count migrations.
+    worker: Vec<usize>,
     started: usize,
     finished: usize,
     /// Why the run failed, if it did: the first panic payload of a task
@@ -161,6 +212,14 @@ struct VState {
 }
 
 impl VState {
+    /// Queues task `id` as ready at its recorded time, on its home
+    /// heap.
+    fn push_ready(&mut self, id: usize) {
+        self.status[id] = VStatus::Ready;
+        let home = id * self.ready.len() / self.time.len();
+        self.ready[home].push(Reverse((self.time[id], id)));
+    }
+
     /// Takes task `id` out of the running set.
     fn leave_running(&mut self, id: usize) {
         let at = self
@@ -237,13 +296,21 @@ impl VirtualScheduler {
         assert!(n > 0, "scheduler needs at least one task");
         assert!(!window.is_zero(), "scheduler window must be nonzero");
         assert!(workers > 0, "worker budget must be nonzero");
+        let heaps = if window == Cycles::MAX {
+            1
+        } else {
+            workers.min(n)
+        };
         VirtualScheduler {
             state: Mutex::new(VState {
-                ready: BinaryHeap::with_capacity(n),
+                ready: (0..heaps)
+                    .map(|_| Heap::with_capacity(n.div_ceil(heaps)))
+                    .collect(),
                 time: vec![0; n],
                 status: vec![VStatus::Unstarted; n],
                 resume_pending: vec![false; n],
                 running: Vec::with_capacity(workers),
+                worker: vec![usize::MAX; n],
                 started: 0,
                 finished: 0,
                 failure: None,
@@ -340,9 +407,8 @@ impl VirtualScheduler {
         {
             let mut st = self.state.lock();
             debug_assert_eq!(st.status[id], VStatus::Unstarted);
-            st.status[id] = VStatus::Ready;
             st.time[id] = 0;
-            st.ready.push(Reverse((0, id)));
+            st.push_ready(id);
             st.started += 1;
             if st.started == st.time.len() {
                 self.admit(&mut st);
@@ -444,11 +510,7 @@ impl VirtualScheduler {
         let mut st = self.state.lock();
         for &id in ids {
             match st.status[id] {
-                VStatus::Suspended => {
-                    st.status[id] = VStatus::Ready;
-                    let t = st.time[id];
-                    st.ready.push(Reverse((t, id)));
-                }
+                VStatus::Suspended => st.push_ready(id),
                 VStatus::Done => {}
                 _ => st.resume_pending[id] = true,
             }
@@ -466,8 +528,11 @@ impl VirtualScheduler {
     }
 
     /// Per-task wait accounting: suspensions count as gates, the wait
-    /// histogram holds descheduled host time, and parks are zero by
-    /// construction (a descheduled task is not a governor park).
+    /// histogram holds descheduled host time, parks are zero by
+    /// construction (a descheduled task is not a governor park), and
+    /// migrations count resumptions on another worker than the task
+    /// last ran on (zero with one worker, and on the thread-backed
+    /// continuation, which has no workers).
     pub fn wait_snapshot(&self) -> GovWaitSnapshot {
         GovWaitSnapshot {
             engine: "virtual",
@@ -480,10 +545,14 @@ impl VirtualScheduler {
     // -----------------------------------------------------------------
 
     /// Lowest recorded time over active (ready or running) tasks: the
-    /// heap's top and a scan of the running set, O(workers) whatever
+    /// heaps' tops and a scan of the running set, O(workers) whatever
     /// the machine size.
     fn active_min(&self, st: &VState) -> u64 {
-        let ready = st.ready.peek().map_or(u64::MAX, |Reverse((t, _))| *t);
+        let ready = st
+            .ready
+            .iter()
+            .filter_map(|h| h.peek())
+            .fold(u64::MAX, |m, Reverse((t, _))| m.min(*t));
         let min = st.running.iter().fold(ready, |m, &id| m.min(st.time[id]));
         // Debug builds re-derive the minimum from every task's status,
         // checking the running set's bookkeeping at every gate.
@@ -527,11 +596,7 @@ impl VirtualScheduler {
             st.leave_running(id);
         }
         match how {
-            Leave::Yield => {
-                st.status[id] = VStatus::Ready;
-                let t = st.time[id];
-                st.ready.push(Reverse((t, id)));
-            }
+            Leave::Yield => st.push_ready(id),
             Leave::Suspend => st.status[id] = VStatus::Suspended,
             Leave::Done => {
                 st.status[id] = VStatus::Done;
@@ -543,18 +608,18 @@ impl VirtualScheduler {
         true
     }
 
-    /// The lowest-time ready task, if it fits inside the window: a
-    /// ready task is admissible while it is within a window of the
-    /// slowest active task, and the global minimum always is.
-    fn admissible(&self, st: &VState) -> Option<usize> {
-        let &Reverse((t, id)) = st.ready.peek()?;
-        (t < self.active_min(st).saturating_add(self.window)).then_some(id)
+    /// The heap worker `own` pops from next ([`pick`]): a ready task
+    /// is admissible while it is within a window of the slowest active
+    /// task, and the global minimum always is.
+    fn admissible(&self, st: &VState, own: Option<usize>) -> Option<usize> {
+        pick(&st.ready, self.active_min(st), self.window, own)
     }
 
-    /// Admits the task [`admissible`](Self::admissible) names.
-    fn pop_admissible(&self, st: &mut VState) -> Option<usize> {
-        let id = self.admissible(st)?;
-        st.ready.pop();
+    /// Admits the top of the heap [`admissible`](Self::admissible)
+    /// names.
+    fn pop_admissible(&self, st: &mut VState, own: Option<usize>) -> Option<usize> {
+        let heap = self.admissible(st, own)?;
+        let Reverse((_, id)) = st.ready[heap].pop()?;
         debug_assert_eq!(st.status[id], VStatus::Ready);
         st.status[id] = VStatus::Running;
         st.running.push(id);
@@ -569,7 +634,7 @@ impl VirtualScheduler {
         // task has checked in. And a poisoned run is already failing:
         // its parked tasks are on their way out, not stuck.)
         if !st.running.is_empty()
-            || !st.ready.is_empty()
+            || st.ready.iter().any(|h| !h.is_empty())
             || st.finished == st.time.len()
             || self.poisoned.load(Ordering::Acquire)
         {
@@ -590,7 +655,8 @@ impl VirtualScheduler {
     }
 
     /// Republishes the horizon, then lets the lowest-time ready tasks
-    /// that fit inside the window into the free admission slots.
+    /// that fit inside the window into the free admission slots (a
+    /// thread-backed task has no worker to be at home on).
     fn admit(&self, st: &mut VState) {
         if st.started < st.time.len() {
             return; // hold everyone until the full machine has spawned
@@ -610,7 +676,7 @@ impl VirtualScheduler {
             return self.wake_idle(st);
         }
         while st.running.len() < self.workers {
-            let Some(id) = self.pop_admissible(st) else {
+            let Some(id) = self.pop_admissible(st, None) else {
                 break;
             };
             self.grant(id);
@@ -823,8 +889,7 @@ mod hosted {
                         (*self.hosting.ctxs[id].0.get()).sp =
                             coro::prepare(stacks.top(id), task_entry, (&raw const lent).cast(), id);
                     }
-                    st.status[id] = VStatus::Ready;
-                    st.ready.push(Reverse((0, id)));
+                    st.push_ready(id);
                 }
                 st.started = n;
             }
@@ -832,7 +897,7 @@ mod hosted {
                 for w in 0..self.workers.min(n) {
                     std::thread::Builder::new()
                         .name(format!("vworker-{w}"))
-                        .spawn_scoped(scope, || self.worker())
+                        .spawn_scoped(scope, move || self.worker(w))
                         .expect("failed to spawn scheduler worker");
                 }
             });
@@ -840,9 +905,9 @@ mod hosted {
             self.reraise_failure();
         }
 
-        /// One host thread of [`run`](Self::run): runs admissible
-        /// tasks, lowest time first, until every task is done.
-        fn worker(&self) {
+        /// Host thread `w` of [`run`](Self::run): runs admissible
+        /// tasks, its own block's first, until every task is done.
+        fn worker(&self, w: usize) {
             /// A panic here is a broken scheduler invariant with tasks
             /// parked mid-switch: there is no state to unwind them
             /// from, and returning would leave the other workers
@@ -861,7 +926,7 @@ mod hosted {
             let mut st = self.state.lock();
             loop {
                 self.publish_horizon(&st);
-                let Some(id) = self.next_task(&mut st) else {
+                let Some(id) = self.next_task(&mut st, w) else {
                     if st.finished == st.time.len() {
                         return;
                     }
@@ -892,12 +957,19 @@ mod hosted {
             }
         }
 
-        /// The task this worker runs next, marked `Running`. On a
-        /// poisoned run that is any task still parked, whatever the
-        /// window says: it is resumed to unwind, not to compute.
-        fn next_task(&self, st: &mut VState) -> Option<usize> {
+        /// The task worker `w` runs next, marked `Running`: the
+        /// admissible task [`pick`] names for its heap, counted as a
+        /// migration if it last ran on another worker. On a poisoned
+        /// run that is any task still parked, whatever the window says:
+        /// it is resumed to unwind, not to compute.
+        fn next_task(&self, st: &mut VState, w: usize) -> Option<usize> {
             if !self.poisoned.load(Ordering::Acquire) {
-                return self.pop_admissible(st);
+                let id = self.pop_admissible(st, Some(w % st.ready.len()))?;
+                let last = std::mem::replace(&mut st.worker[id], w);
+                if last != w && last != usize::MAX {
+                    self.slots[id].stat.record_migration();
+                }
+                return Some(id);
             }
             let id = st
                 .status
@@ -911,7 +983,8 @@ mod hosted {
         /// Wakes one sleeping worker if there is a task it would pop
         /// (it wakes the next in turn).
         pub(super) fn wake_idle(&self, st: &VState) {
-            if self.hosting.idle.load(Ordering::Relaxed) > 0 && self.admissible(st).is_some() {
+            if self.hosting.idle.load(Ordering::Relaxed) > 0 && self.admissible(st, None).is_some()
+            {
                 self.hosting.wake.notify_one();
             }
         }
@@ -1090,10 +1163,11 @@ mod tests {
         // at every step. `W = 1` is a pure function of time and pid, so
         // the thread-backed and the hosted run must agree entry for
         // entry.
+        // (`build`, not `new`: one worker whatever `MGS_VWORKERS` says.)
         let log = Mutex::new(Vec::new());
         let logs = Mutex::new(Vec::new());
         on_each_continuation(
-            || VirtualScheduler::new(5, Cycles(64), 1),
+            || VirtualScheduler::build(5, Cycles(64), 1),
             |s, id| {
                 for step in 1..=40u64 {
                     let t = step * (17 + 9 * id as u64);
@@ -1139,9 +1213,9 @@ mod tests {
                     s.tick(id, Cycles(step));
                 }
             },
-            |_| {
+            |s| {
                 assert!(
-                    peak.load(Ordering::SeqCst) <= 2,
+                    peak.load(Ordering::SeqCst) <= s.workers(),
                     "admission exceeded budget"
                 )
             },
@@ -1337,7 +1411,7 @@ mod tests {
             |s| {
                 let st = s.state.lock();
                 assert!(st.running.is_empty(), "running set: {:?}", st.running);
-                assert!(st.ready.is_empty());
+                assert!(st.ready.iter().all(|h| h.is_empty()));
                 assert_eq!(st.finished, 8);
                 released.store(false, Ordering::SeqCst);
                 drivers_left.store(4, Ordering::SeqCst);
@@ -1346,14 +1420,20 @@ mod tests {
     }
 
     #[test]
-    fn hosted_tasks_migrate_between_workers_and_keep_their_stacks() {
-        // 64 tasks on two workers, every one yielding at every step:
-        // each keeps a running sum in a local across hundreds of
-        // switches, on whichever worker picks it up.
+    fn an_idle_worker_steals_from_the_other_block_and_tasks_keep_their_stacks() {
+        // 64 tasks on two workers, so two blocks of 32. Block 1's tasks
+        // return at once: from then on worker 1's own heap is empty and
+        // all it can run is what it steals from block 0. Every block-0
+        // task yields at every step and keeps a running sum in a local
+        // across hundreds of switches, on whichever worker picks it up.
         let threads = Mutex::new(std::collections::HashSet::new());
         let s = VirtualScheduler::new(64, Cycles(8), 2);
         let sums: Vec<AtomicU64> = (0..64).map(|_| AtomicU64::new(0)).collect();
         s.run(&|id| {
+            threads.lock().insert(std::thread::current().id());
+            if id >= 32 {
+                return;
+            }
             let mut sum = 0u64;
             for step in 1..=300u64 {
                 sum += step * (id as u64 + 1);
@@ -1363,12 +1443,104 @@ mod tests {
             threads.lock().insert(std::thread::current().id());
         });
         for (id, sum) in sums.iter().enumerate() {
-            assert_eq!(sum.load(Ordering::SeqCst), 45_150 * (id as u64 + 1));
+            let want = if id < 32 { 45_150 * (id as u64 + 1) } else { 0 };
+            assert_eq!(sum.load(Ordering::SeqCst), want, "task {id}");
         }
         let threads = threads.lock().len();
         if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
-            assert!(threads <= 2, "{threads} host threads for two workers");
+            let workers = s.workers();
+            assert!(
+                threads <= workers,
+                "{threads} host threads for {workers} workers"
+            );
         }
+    }
+
+    #[test]
+    fn one_worker_never_migrates_a_task() {
+        // `build`, not `new`: this is about one worker whatever
+        // `MGS_VWORKERS` says.
+        on_each_continuation(
+            || VirtualScheduler::build(6, Cycles(10), 1),
+            |s, id| {
+                for step in 1..=50u64 {
+                    s.tick(id, Cycles(step * (7 + id as u64)));
+                    if step % 10 == 0 {
+                        s.suspend(id);
+                    }
+                    s.resume((id + 1) % 6);
+                }
+                s.resume_many(&[0, 1, 2, 3, 4, 5]);
+            },
+            |s| {
+                let snap = s.wait_snapshot();
+                assert!(snap.total_gates() > 0, "tasks must have rescheduled");
+                assert_eq!(snap.total_migrations(), 0);
+            },
+        );
+    }
+
+    /// Heaps holding the given `(time, pid)` entries.
+    fn heaps(blocks: &[&[(u64, usize)]]) -> Vec<Heap> {
+        blocks
+            .iter()
+            .map(|b| b.iter().map(|&e| Reverse(e)).collect())
+            .collect()
+    }
+
+    #[test]
+    fn pick_takes_the_own_top_while_it_is_admissible() {
+        // Heap 1 holds the lower time, but heap 0's top is inside the
+        // window, so worker 0 stays at home.
+        let h = heaps(&[&[(50, 0), (60, 1)], &[(10, 5)]]);
+        assert_eq!(pick(&h, 10, 100, Some(0)), Some(0));
+        assert_eq!(pick(&h, 10, 100, Some(1)), Some(1));
+    }
+
+    #[test]
+    fn pick_steals_the_global_minimum_when_the_own_block_has_none() {
+        // Worker 0's top is a window ahead; worker 1's block is empty.
+        let h = heaps(&[&[(500, 0)], &[(10, 5)], &[]]);
+        assert_eq!(pick(&h, 10, 100, Some(0)), Some(1));
+        assert_eq!(pick(&h, 10, 100, Some(2)), Some(1));
+        // Without a worker it is always the global minimum.
+        assert_eq!(pick(&h, 10, 100, None), Some(1));
+        // Nothing fits while a running task holds the minimum far back.
+        let h = heaps(&[&[(500, 0)], &[(400, 5)]]);
+        assert_eq!(pick(&h, 10, 100, Some(0)), None);
+        assert_eq!(pick(&h, 10, 100, None), None);
+    }
+
+    #[test]
+    fn pick_always_admits_the_active_minimum() {
+        // The lowest ready task is the active minimum: it fits in any
+        // window, for every worker, even one whose block is empty.
+        let h = heaps(&[&[(900, 0)], &[(400, 5), (401, 4)], &[]]);
+        for own in [Some(0), Some(1), Some(2), None] {
+            assert_eq!(pick(&h, 400, 1, own), Some(1), "own {own:?}");
+        }
+        // Ties on time break on pid across heaps, and an own top tied
+        // with the minimum is admissible too.
+        let h = heaps(&[&[(400, 3)], &[(400, 2)]]);
+        assert_eq!(pick(&h, 400, 1, None), Some(1));
+        assert_eq!(pick(&h, 400, 1, Some(0)), Some(0));
+        assert_eq!(pick(&heaps(&[&[], &[]]), 0, 1, Some(0)), None);
+    }
+
+    #[test]
+    fn pick_with_one_heap_pops_in_time_then_pid_order() {
+        // One worker, one heap: every pick is the lowest (time, pid),
+        // the order before heaps were split per worker.
+        let entries = [(30, 1), (10, 4), (30, 0), (20, 2), (10, 3)];
+        let mut h = heaps(&[&entries]);
+        let mut popped = Vec::new();
+        while let Some(heap) = pick(&h, 0, u64::MAX, Some(0)) {
+            assert_eq!(pick(&h, 0, u64::MAX, None), Some(heap));
+            popped.push(h[heap].pop().expect("picked heap has a top").0);
+        }
+        let mut sorted = entries.to_vec();
+        sorted.sort();
+        assert_eq!(popped, sorted);
     }
 
     #[test]
