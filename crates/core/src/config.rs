@@ -1,7 +1,7 @@
 //! DSSMP machine configuration.
 
 use mgs_net::{FaultPlan, TieredScenario};
-use mgs_proto::{AdaptiveParams, ProtocolKind};
+use mgs_proto::ProtocolKind;
 use mgs_sim::{CostModel, Cycles};
 use mgs_vm::PageGeometry;
 use std::sync::Arc;
@@ -56,11 +56,9 @@ pub struct DssmpConfig {
     /// [`ProtocolKind::HomeLrc`] (home-based lazy release consistency
     /// for every page) or [`ProtocolKind::Adaptive`] (profile-driven
     /// per-page policies; forces the observability sink on — the
-    /// controller classifies from the sharing profiler).
+    /// controller classifies from the sharing profiler, with fixed
+    /// thresholds and sampling period).
     pub protocol: ProtocolKind,
-    /// Thresholds and pacing of the adaptive-grain controller (only
-    /// consulted under [`ProtocolKind::Adaptive`]).
-    pub adaptive: AdaptiveParams,
     /// Pacing window of the machine's scheduler: a processor may run
     /// at most this far (plus one tick stride, a quarter-window) past
     /// the slowest runnable processor before it yields its host slot.
@@ -135,7 +133,6 @@ impl DssmpConfig {
             single_writer_opt: true,
             readonly_clean_opt: false,
             protocol: ProtocolKind::Eager,
-            adaptive: AdaptiveParams::default(),
             governor_window: Some(Cycles(32_000)),
             workers: None,
             lock_affinity_window: mgs_sync::MgsLock::DEFAULT_AFFINITY_WINDOW,

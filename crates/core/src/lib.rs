@@ -64,7 +64,7 @@ pub use mgs_obs::{
     MetricsReport, ObsEvent, ObsSink, PageProfile, SharingReport, TraceEvent, XactKind,
     XactOutcome,
 };
-pub use mgs_proto::{AdaptiveParams, PagePolicy, PolicyDecision, ProtocolError, ProtocolKind};
+pub use mgs_proto::{PagePolicy, PolicyDecision, ProtocolError, ProtocolKind};
 pub use mgs_sim::{CostCategory, CostModel, CycleAccount, Cycles, GovWaitSnapshot, GovWaitStats};
 pub use mgs_sync::{HwLock, MgsBarrier, MgsLock};
 pub use mgs_vm::{AccessKind, PageGeometry};

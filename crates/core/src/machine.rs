@@ -60,7 +60,6 @@ impl Machine {
         pcfg.single_writer_opt = cfg.single_writer_opt;
         pcfg.readonly_clean_opt = cfg.readonly_clean_opt;
         pcfg.protocol = cfg.protocol;
-        pcfg.adaptive = cfg.adaptive;
         let proto = Arc::new(MgsProtocol::new(pcfg));
         let mut lan =
             LanModel::new(cfg.n_ssmps(), cfg.ext_latency).with_faults(cfg.fault_plan.clone());

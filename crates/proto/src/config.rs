@@ -1,6 +1,6 @@
 //! Protocol configuration.
 
-use crate::strategy::{AdaptiveParams, ProtocolKind};
+use crate::strategy::ProtocolKind;
 use mgs_sim::CostModel;
 use mgs_vm::PageGeometry;
 
@@ -37,13 +37,12 @@ pub struct ProtoConfig {
     /// default, matching the measured MGS prototype; enable for the
     /// ablation study.
     pub readonly_clean_opt: bool,
-    /// Which coherence strategy resolves per-page policies
-    /// ([`ProtocolKind::Eager`] reproduces the paper's protocol
-    /// bit-identically; see [`crate::MgsProtocol::policy`]).
+    /// Which coherence strategy sets each page's policy when its record
+    /// is created ([`ProtocolKind::Eager`] reproduces the paper's
+    /// protocol bit-identically; under [`ProtocolKind::Adaptive`] the
+    /// controller later reclassifies hot pages with fixed thresholds;
+    /// see [`crate::MgsProtocol::policy`]).
     pub protocol: ProtocolKind,
-    /// Thresholds and pacing of the adaptive-grain controller (only
-    /// consulted when `protocol` is [`ProtocolKind::Adaptive`]).
-    pub adaptive: AdaptiveParams,
 }
 
 impl ProtoConfig {
@@ -66,7 +65,6 @@ impl ProtoConfig {
             single_writer_opt: true,
             readonly_clean_opt: false,
             protocol: ProtocolKind::Eager,
-            adaptive: AdaptiveParams::default(),
         }
     }
 

@@ -63,6 +63,6 @@ pub use diff::SpanDiff;
 pub use protocol::MgsProtocol;
 pub use stats::ProtoStats;
 pub use step::{ClientState, ServerDirs};
-pub use strategy::{AdaptiveController, AdaptiveParams, PagePolicy, PolicyDecision, ProtocolKind};
+pub use strategy::{PagePolicy, PolicyDecision, ProtocolKind};
 pub use timing::{ProtoTiming, RecordingTiming};
 pub use transport::{ProtocolError, SendOutcome, Transaction};

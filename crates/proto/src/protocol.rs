@@ -71,6 +71,9 @@ impl Queued {
 #[derive(Debug)]
 struct Page {
     st: PageState,
+    /// The page's coherence policy: set at creation from the
+    /// configured protocol; only the adaptive controller changes it.
+    policy: PagePolicy,
     /// The physical home copy, at node `st.home`: fixed for all time
     /// (§3.1) unless a churn departure re-homes the page.
     home_frame: Arc<PageFrame>,
@@ -207,10 +210,8 @@ pub struct MgsProtocol {
     /// [`diff_scratch_created`](MgsProtocol::diff_scratch_created)).
     diff_scratch_created: AtomicU64,
     stats: ProtoStats,
-    /// The adaptive controller's per-page policy table: present iff
-    /// `cfg.protocol` is [`ProtocolKind::Adaptive`]. Consulted only on
-    /// protocol slow paths — faults, releases, acquire drains — never
-    /// per access.
+    /// The adaptive controller's sampling deadline and decision trace:
+    /// present iff `cfg.protocol` is [`ProtocolKind::Adaptive`].
     controller: Option<AdaptiveController>,
 }
 
@@ -221,8 +222,7 @@ impl MgsProtocol {
     /// [`cache_system`](MgsProtocol::cache_system)).
     pub fn new(cfg: ProtoConfig) -> MgsProtocol {
         let (n_procs, n_ssmps) = (cfg.n_procs(), cfg.n_ssmps);
-        let controller =
-            (cfg.protocol == ProtocolKind::Adaptive).then(|| AdaptiveController::new(cfg.adaptive));
+        let controller = (cfg.protocol == ProtocolKind::Adaptive).then(AdaptiveController::new);
         MgsProtocol {
             controller,
             frames: FrameAllocator::new(cfg.geometry),
@@ -271,30 +271,28 @@ impl MgsProtocol {
         &self.stats
     }
 
-    /// The adaptive controller, when the protocol is
-    /// [`ProtocolKind::Adaptive`].
-    pub fn controller(&self) -> Option<&AdaptiveController> {
-        self.controller.as_ref()
+    /// The policy in effect for `page`: its record's, or — if the page
+    /// has no record — the one a new record starts with
+    /// ([`PagePolicy::HomeLrc`] under [`ProtocolKind::HomeLrc`],
+    /// [`PagePolicy::Eager`] otherwise). An inspection accessor: it
+    /// takes the page lock and never creates a record.
+    ///
+    /// The protocol's steps read the record's policy once, in their
+    /// [`Ctx`], under the page lock; only [`adapt`](MgsProtocol::adapt)
+    /// and [`install`](MgsProtocol::install) change it, under the same
+    /// lock, so a transaction sees one policy throughout.
+    pub fn policy(&self, page: u64) -> PagePolicy {
+        match self.pages.get(page) {
+            Some(entry) => entry.lock().policy,
+            None => self.initial_policy(),
+        }
     }
 
-    /// The policy currently in effect for `page`: a constant under the
-    /// static protocols, the controller's table under the adaptive one.
-    ///
-    /// The contract the protocol's steps rely on:
-    ///
-    /// * the answer is **stable between protocol slow-path entries** of
-    ///   the same page — it may change over time (the adaptive
-    ///   controller does), but only through the controller's serialized
-    ///   apply step, never mid-transaction (each step reads it once, in
-    ///   its [`Ctx`], under the page lock);
-    /// * the lookup charges **no simulated cycles** and takes no page
-    ///   locks: it is called with the page lock held.
-    #[inline]
-    pub fn policy(&self, page: u64) -> PagePolicy {
-        match (self.cfg.protocol, &self.controller) {
-            (ProtocolKind::HomeLrc, _) => PagePolicy::HomeLrc,
-            (_, Some(controller)) => controller.policy(page),
-            _ => PagePolicy::Eager,
+    /// The policy every new page record starts with.
+    fn initial_policy(&self) -> PagePolicy {
+        match self.cfg.protocol {
+            ProtocolKind::HomeLrc => PagePolicy::HomeLrc,
+            ProtocolKind::Eager | ProtocolKind::Adaptive => PagePolicy::Eager,
         }
     }
 
@@ -323,11 +321,13 @@ impl MgsProtocol {
     }
 
     /// Runs one adaptive-controller sample: classifies hot pages from
-    /// the sharing profiler's deterministic snapshot and installs any
-    /// policy switches. Host-side only — no simulated cycles are
-    /// charged and no page locks are taken, so sampling cannot perturb
-    /// the simulated execution beyond the policies it installs.
-    /// Transitions are one-way (a page is classified at most once), so
+    /// the sharing profiler's deterministic snapshot and switches their
+    /// policies. Each profiled page's reclassification takes its page
+    /// lock (a page with no record is skipped, never created), so it
+    /// lands between that page's transactions. Host-side only — no
+    /// simulated cycles are charged — so sampling cannot perturb the
+    /// simulated execution beyond the policies it installs.
+    /// Transitions are one-way (only an `Eager` page is classified), so
     /// the decision trace is short and, at `W=1` under the virtual
     /// engine, fully deterministic.
     pub fn adapt(&self, profiler: &SharingProfiler, now: Cycles, t: &mut dyn ProtoTiming) {
@@ -335,19 +335,41 @@ impl MgsProtocol {
             return;
         };
         for (page, profile) in profiler.snapshot_sorted() {
-            if ctl.policy(page) != PagePolicy::Eager {
+            let Some(entry) = self.pages.get(page) else {
+                continue;
+            };
+            let mut rec = entry.lock();
+            if rec.policy != PagePolicy::Eager {
                 continue;
             }
-            if let Some((policy, reason)) = ctl.classify(&profile) {
-                ctl.install(PolicyDecision {
-                    page,
-                    policy,
-                    at: now,
-                    reason,
-                });
-                self.emit(t, ObsEvent::PolicySwitch { page, policy });
-            }
+            let Some((policy, reason)) = AdaptiveController::classify(&profile) else {
+                continue;
+            };
+            rec.policy = policy;
+            drop(rec);
+            ctl.record(PolicyDecision {
+                page,
+                policy,
+                at: now,
+                reason,
+            });
+            self.emit(t, ObsEvent::PolicySwitch { page, policy });
         }
+    }
+
+    /// Installs `decision`'s policy on its page, creating the page's
+    /// record if it has none, and appends it to the decision trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the protocol is [`ProtocolKind::Adaptive`].
+    pub fn install(&self, decision: PolicyDecision) {
+        let ctl = self
+            .controller
+            .as_ref()
+            .expect("install needs the adaptive protocol");
+        self.page_entry(decision.page).lock().policy = decision.policy;
+        ctl.record(decision);
     }
 
     /// The TLB of global processor `proc`.
@@ -449,6 +471,7 @@ impl MgsProtocol {
                 .unwrap_or_else(|| self.cfg.home_node(page));
             Box::new(Mutex::new(Page {
                 st: PageState::new(home),
+                policy: self.initial_policy(),
                 home_frame: self.frames.alloc(home),
                 clients: (0..self.cfg.n_ssmps).map(|_| Default::default()).collect(),
             }))
@@ -473,7 +496,7 @@ impl MgsProtocol {
         let cx = Ctx {
             cfg: &self.cfg,
             page,
-            policy: self.policy(page),
+            policy: rec.policy,
         };
         let mut fx = Interp {
             proto: self,
@@ -1113,6 +1136,7 @@ impl Effects for Interp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RecordingTiming;
 
     #[test]
     fn fresh_client_page_is_inv() {
@@ -1120,5 +1144,70 @@ mod tests {
         assert!(c.frame.is_none() && c.twin.is_none());
         assert_eq!(c.tlb_dir, 0);
         assert_eq!(PageState::new(0).client(0), ClientState::Inv);
+    }
+
+    /// A profiler fed the migratory signature for `page`: SSMPs 1 and 2
+    /// both took write privilege, and its 1WDATA flushes outnumber its
+    /// diffs (none).
+    fn migratory_profile(page: u64) -> SharingProfiler {
+        let profiler = SharingProfiler::new(64);
+        for ssmp in [1, 2] {
+            let outcome = XactOutcome::WriteMiss;
+            let xact = XactKind::WriteFault;
+            profiler.record(
+                ssmp,
+                &ObsEvent::XactEnd {
+                    xact,
+                    page,
+                    outcome,
+                },
+            );
+        }
+        for _ in 0..10 {
+            profiler.record(1, &ObsEvent::SingleWriterFlush { page, ssmp: 1 });
+        }
+        profiler
+    }
+
+    #[test]
+    fn adapt_pins_a_migratory_page_once_and_creates_no_record() {
+        const PAGE: u64 = 0;
+        let p = MgsProtocol::new(ProtoConfig {
+            protocol: ProtocolKind::Adaptive,
+            ..ProtoConfig::new(2, 2)
+        });
+        let mut t = RecordingTiming::new(p.cfg.cost.clone(), Cycles::ZERO);
+        p.home_frame(PAGE); // creates the record, with no sharers
+        let profiler = migratory_profile(PAGE);
+        p.adapt(&profiler, Cycles(7), &mut t);
+        let pin = PolicyDecision {
+            page: PAGE,
+            policy: PagePolicy::SingleWriterPin,
+            at: Cycles(7),
+            reason: "migratory",
+        };
+        assert_eq!(p.policy_decisions(), [pin]);
+        assert_eq!(p.stats().policy_switches.get(), 1);
+
+        // The next fault sees the pin: the sole writer's release moves
+        // no data and sends no message.
+        let entry = p.fault(2, PAGE, true, &mut t);
+        entry.frame.store(3, 9);
+        t.reset();
+        p.release_all(2, &mut t);
+        assert_eq!(t.crossings(), 0);
+        assert_eq!(p.home_frame(PAGE).load(3), 0);
+
+        // Transitions are one-way: a second sample installs nothing.
+        p.adapt(&profiler, Cycles(8), &mut t);
+        assert_eq!(p.policy_decisions(), [pin]);
+        assert_eq!(p.stats().policy_switches.get(), 1);
+
+        // A profiled page with no record is skipped, not created.
+        let frames = p.frames.allocated();
+        p.adapt(&migratory_profile(PAGE + 1000), Cycles(9), &mut t);
+        assert_eq!(p.frames.allocated(), frames);
+        assert!(p.pages.get(PAGE + 1000).is_none());
+        assert_eq!(p.policy_decisions(), [pin]);
     }
 }

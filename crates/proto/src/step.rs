@@ -99,9 +99,9 @@ pub struct Ctx<'a> {
     pub cfg: &'a ProtoConfig,
     /// The virtual page (for observed events).
     pub page: u64,
-    /// The page's policy, read once per transaction under the page's
-    /// lock, so one step sees one policy even if the adaptive
-    /// controller reclassifies the page concurrently.
+    /// The page's policy, copied from its record under the page's
+    /// lock. The adaptive controller reclassifies a page under the
+    /// same lock, so a step sees one policy from start to end.
     pub policy: PagePolicy,
 }
 

@@ -4,14 +4,14 @@
 //! The paper's protocol is one point in a large design space: eager
 //! invalidation at release, Munin-style twin/diff multiple writers, the
 //! single-writer 1WDATA optimization. This module makes the choice
-//! explicit. [`MgsProtocol::policy`](crate::MgsProtocol::policy)
-//! resolves each virtual page to a [`PagePolicy`] — a `match` on the
-//! configured [`ProtocolKind`] — that the protocol's steps dispatch on
-//! at their *slow paths only* (faults, releases, acquires): the
-//! per-access hot path never consults a policy, so under the static
-//! [`Eager`](ProtocolKind::Eager) protocol the dispatch folds to a
-//! constant (the `strategy_equivalence` suite gates that its reports
-//! are bit-identical to the protocol before policies existed).
+//! explicit. Each virtual page's record holds its [`PagePolicy`], set
+//! when the record is created from the configured [`ProtocolKind`]
+//! (see [`MgsProtocol::policy`](crate::MgsProtocol::policy)); the
+//! protocol's steps dispatch on it at their *slow paths only* (faults,
+//! releases, acquires): the per-access hot path never consults a
+//! policy, and under the static protocols it never changes (the
+//! `strategy_equivalence` suite gates that [`Eager`](ProtocolKind::Eager)
+//! reports are bit-identical to the protocol before policies existed).
 //!
 //! Three protocols exist:
 //!
@@ -35,7 +35,6 @@
 pub use mgs_obs::PagePolicy;
 use mgs_sim::Cycles;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which coherence strategy a protocol instance runs.
@@ -73,44 +72,27 @@ impl ProtocolKind {
     }
 }
 
-/// Thresholds and pacing of the adaptive-grain controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveParams {
-    /// Minimum simulated cycles between controller samples. Samples
-    /// are taken at safe poll points (fault entries), whichever
-    /// processor's poll point first crosses the deadline; the check is
-    /// a single lock-free atomic compare.
-    pub sample_every: Cycles,
-    /// A page must have accumulated at least this much profiler
-    /// activity before it is classified (cold pages stay `Eager`).
-    pub min_activity: u64,
-    /// A multi-writer page whose mean diff carries at most this many
-    /// changed words is treated as falsely shared (TSP's 56-byte path
-    /// records are 7 words) and switched to write-through.
-    pub small_diff_words: u64,
-    /// A single-writer page needs at least this many reader
-    /// invalidations (or lazy notices) before it is called
-    /// producer/consumer and switched to write-through.
-    pub min_consumer_invals: u64,
-    /// A sole-writer page needs at least this many 1WDATA flushes —
-    /// and flushes must outnumber reader invalidations two to one —
-    /// before it is pinned. The ratio keeps every-iteration
-    /// producer/consumer pages (flushes ≈ invalidations) on the
-    /// write-through track.
-    pub min_pin_flushes: u64,
-}
-
-impl Default for AdaptiveParams {
-    fn default() -> AdaptiveParams {
-        AdaptiveParams {
-            sample_every: Cycles(100_000),
-            min_activity: 12,
-            small_diff_words: 16,
-            min_consumer_invals: 8,
-            min_pin_flushes: 3,
-        }
-    }
-}
+/// Minimum simulated cycles between controller samples. Samples are
+/// taken at safe poll points (fault entries), whichever processor's
+/// poll point first crosses the deadline; the check is a single
+/// lock-free atomic compare.
+const SAMPLE_EVERY: Cycles = Cycles(100_000);
+/// A page must have accumulated at least this much profiler activity
+/// before it is classified (cold pages stay `Eager`).
+const MIN_ACTIVITY: u64 = 12;
+/// A multi-writer page whose mean diff carries at most this many
+/// changed words is treated as falsely shared (TSP's 56-byte path
+/// records are 7 words) and switched to write-through.
+const SMALL_DIFF_WORDS: u64 = 16;
+/// A single-writer page needs at least this many reader invalidations
+/// (or lazy notices) before it is called producer/consumer and
+/// switched to write-through.
+const MIN_CONSUMER_INVALS: u64 = 8;
+/// A sole-writer page needs at least this many 1WDATA flushes — and
+/// flushes must outnumber reader invalidations two to one — before it
+/// is pinned. The ratio keeps every-iteration producer/consumer pages
+/// (flushes ≈ invalidations) on the write-through track.
+const MIN_PIN_FLUSHES: u64 = 3;
 
 /// One adaptive policy decision, for the run report's policy trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,37 +107,25 @@ pub struct PolicyDecision {
     pub reason: &'static str,
 }
 
-const TABLE_SHARDS: usize = 16;
-
-/// The profile-driven adaptive-grain controller.
-///
-/// Holds the per-page policy table (pages start `Eager`; the sharded
-/// map only ever holds reclassified pages, so lookups on an untouched
-/// machine are one lock + one empty-map probe), the sampling deadline,
-/// and the decision trace. Classification itself lives in
-/// [`AdaptiveController::classify`]; the protocol's `adapt` entry point
-/// feeds it profiler snapshots at safe poll points.
+/// The profile-driven adaptive-grain controller: the sampling
+/// deadline and the decision trace. Each page's policy lives in its
+/// page record (pages start `Eager`); classification itself is
+/// [`AdaptiveController::classify`], which the protocol's `adapt` entry
+/// point feeds profiler snapshots at safe poll points.
 #[derive(Debug)]
-pub struct AdaptiveController {
-    params: AdaptiveParams,
+pub(crate) struct AdaptiveController {
     /// Next simulated time a sample is due. Poll points race on a
     /// compare-exchange; exactly one wins each deadline.
     next_due: AtomicU64,
-    /// Serializes the apply step (W>1 poll points that lose the CAS
-    /// never enter).
-    table: Vec<Mutex<HashMap<u64, PagePolicy>>>,
     decisions: Mutex<Vec<PolicyDecision>>,
 }
 
 impl AdaptiveController {
-    /// Creates a controller with every page `Eager`.
-    pub fn new(params: AdaptiveParams) -> AdaptiveController {
+    /// Creates a controller whose first sample is due one sampling
+    /// period in.
+    pub fn new() -> AdaptiveController {
         AdaptiveController {
-            params,
-            next_due: AtomicU64::new(params.sample_every.raw()),
-            table: (0..TABLE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            next_due: AtomicU64::new(SAMPLE_EVERY.raw()),
             decisions: Mutex::new(Vec::new()),
         }
     }
@@ -171,28 +141,16 @@ impl AdaptiveController {
         self.next_due
             .compare_exchange(
                 due,
-                now.raw() + self.params.sample_every.raw(),
+                now.raw() + SAMPLE_EVERY.raw(),
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             )
             .is_ok()
     }
 
-    /// Records a decision and installs the page's new policy.
-    pub fn install(&self, decision: PolicyDecision) {
-        self.table[(decision.page as usize) % TABLE_SHARDS]
-            .lock()
-            .insert(decision.page, decision.policy);
+    /// Appends a decision to the trace.
+    pub fn record(&self, decision: PolicyDecision) {
         self.decisions.lock().push(decision);
-    }
-
-    /// The policy installed for `page` (`Eager` until reclassified).
-    pub fn policy(&self, page: u64) -> PagePolicy {
-        self.table[(page as usize) % TABLE_SHARDS]
-            .lock()
-            .get(&page)
-            .copied()
-            .unwrap_or(PagePolicy::Eager)
     }
 
     /// The decision trace so far, in decision order.
@@ -205,9 +163,8 @@ impl AdaptiveController {
     /// stay `Eager`. Transitions are one-way — a page is classified at
     /// most once — so repeated sampling of cumulative counters is
     /// idempotent and the policy trace stays short and deterministic.
-    pub fn classify(&self, profile: &mgs_obs::PageProfile) -> Option<(PagePolicy, &'static str)> {
-        let p = &self.params;
-        if profile.activity() < p.min_activity {
+    pub fn classify(profile: &mgs_obs::PageProfile) -> Option<(PagePolicy, &'static str)> {
+        if profile.activity() < MIN_ACTIVITY {
             return None;
         }
         let writers = u64::from(profile.write_sharers());
@@ -230,7 +187,7 @@ impl AdaptiveController {
                 .diff_words
                 .checked_div(profile.diffs)
                 .unwrap_or(u64::MAX);
-            if profile.diffs > 0 && mean_diff <= p.small_diff_words {
+            if profile.diffs > 0 && mean_diff <= SMALL_DIFF_WORDS {
                 // Several SSMPs write the page but each release carries
                 // only a few words: page-grain coherence is amplifying
                 // sub-page (cache-line-grain) sharing. Patch sharers in
@@ -244,7 +201,7 @@ impl AdaptiveController {
         }
         if writers == 1
             && readers >= 1
-            && profile.invalidations + profile.lazy_notices >= p.min_consumer_invals
+            && profile.invalidations + profile.lazy_notices >= MIN_CONSUMER_INVALS
         {
             // One producer, stable consumers, and the consumers' copies
             // keep getting invalidated and refetched: push the
@@ -252,7 +209,7 @@ impl AdaptiveController {
             return Some((PagePolicy::WriteThrough, "producer-consumer"));
         }
         if writers <= 1
-            && profile.single_writer_flushes >= p.min_pin_flushes
+            && profile.single_writer_flushes >= MIN_PIN_FLUSHES
             && profile.single_writer_flushes > 2 * (profile.invalidations + profile.lazy_notices)
         {
             // One writer, and its whole-page 1WDATA flushes dwarf the
@@ -286,9 +243,10 @@ mod tests {
             assert_eq!(e.policy(page), PagePolicy::Eager);
             assert_eq!(l.policy(page), PagePolicy::HomeLrc);
         }
-        assert!(!e.uses_notices() && e.controller().is_none());
-        assert!(l.uses_notices() && l.controller().is_none());
-        assert!(proto(ProtocolKind::Adaptive).controller().is_some());
+        // Only the adaptive protocol ever has a sample due.
+        assert!(!e.uses_notices() && !e.adapt_due(SAMPLE_EVERY));
+        assert!(l.uses_notices() && !l.adapt_due(SAMPLE_EVERY));
+        assert!(proto(ProtocolKind::Adaptive).adapt_due(SAMPLE_EVERY));
     }
 
     #[test]
@@ -305,37 +263,39 @@ mod tests {
 
     #[test]
     fn sample_deadline_is_claimed_once() {
-        let c = AdaptiveController::new(AdaptiveParams {
-            sample_every: Cycles(100),
-            ..AdaptiveParams::default()
-        });
-        assert!(!c.sample_due(Cycles(99)));
-        assert!(c.sample_due(Cycles(150)));
-        // The winner advanced the deadline to 150 + 100.
-        assert!(!c.sample_due(Cycles(150)));
-        assert!(c.sample_due(Cycles(251)));
+        let c = AdaptiveController::new();
+        let first = SAMPLE_EVERY.raw();
+        assert!(!c.sample_due(Cycles(first - 1)));
+        assert!(c.sample_due(Cycles(first + 50)));
+        // The winner advanced the deadline to first + 50 + SAMPLE_EVERY.
+        assert!(!c.sample_due(Cycles(first + 50)));
+        assert!(!c.sample_due(Cycles(2 * first + 49)));
+        assert!(c.sample_due(Cycles(2 * first + 50)));
     }
 
     #[test]
-    fn install_changes_policy_and_traces() {
-        let c = AdaptiveController::new(AdaptiveParams::default());
-        assert_eq!(c.policy(5), PagePolicy::Eager);
-        c.install(PolicyDecision {
+    fn install_sets_the_record_and_traces() {
+        let p = MgsProtocol::new(ProtoConfig {
+            protocol: ProtocolKind::Adaptive,
+            ..ProtoConfig::new(2, 2)
+        });
+        assert_eq!(p.policy(5), PagePolicy::Eager);
+        p.install(PolicyDecision {
             page: 5,
             policy: PagePolicy::WriteThrough,
             at: Cycles(42),
             reason: "test",
         });
-        assert_eq!(c.policy(5), PagePolicy::WriteThrough);
-        assert_eq!(c.policy(6), PagePolicy::Eager);
-        let trace = c.decisions();
+        assert_eq!(p.policy(5), PagePolicy::WriteThrough);
+        assert_eq!(p.policy(6), PagePolicy::Eager);
+        let trace = p.policy_decisions();
         assert_eq!(trace.len(), 1);
         assert_eq!(trace[0].page, 5);
     }
 
     #[test]
     fn classify_separates_the_three_shapes() {
-        let c = AdaptiveController::new(AdaptiveParams::default());
+        let classify = AdaptiveController::classify;
 
         // Falsely shared: two writers, tiny diffs.
         let mut false_shared = PageProfile {
@@ -347,14 +307,14 @@ mod tests {
             ..PageProfile::default()
         };
         assert_eq!(
-            c.classify(&false_shared),
+            classify(&false_shared),
             Some((PagePolicy::WriteThrough, "falsely-shared"))
         );
 
         // Migratory: two writers, big diffs.
         false_shared.diff_words = 10_000;
         assert_eq!(
-            c.classify(&false_shared),
+            classify(&false_shared),
             Some((PagePolicy::SingleWriterPin, "migratory"))
         );
 
@@ -368,7 +328,7 @@ mod tests {
             ..PageProfile::default()
         };
         assert_eq!(
-            c.classify(&producer),
+            classify(&producer),
             Some((PagePolicy::WriteThrough, "producer-consumer"))
         );
 
@@ -379,6 +339,6 @@ mod tests {
             diff_words: 2,
             ..PageProfile::default()
         };
-        assert_eq!(c.classify(&cold), None);
+        assert_eq!(classify(&cold), None);
     }
 }

@@ -62,7 +62,7 @@ fn proto(kind: ProtocolKind) -> MgsProtocol {
 /// An adaptive protocol with `policy` installed on [`PAGE`].
 fn proto_with(policy: PagePolicy) -> MgsProtocol {
     let p = proto(ProtocolKind::Adaptive);
-    p.controller().expect("adaptive").install(PolicyDecision {
+    p.install(PolicyDecision {
         page: PAGE,
         policy,
         at: Cycles::ZERO,

@@ -150,8 +150,7 @@ fn evicting_a_pinned_writer_takes_the_stale_readers_with_it() {
     let mut cfg = ProtoConfig::new(4, 1);
     cfg.protocol = ProtocolKind::Adaptive;
     let proto = MgsProtocol::new(cfg);
-    let controller = proto.controller().expect("adaptive");
-    controller.install(PolicyDecision {
+    proto.install(PolicyDecision {
         page: PAGE,
         policy: PagePolicy::SingleWriterPin,
         at: Cycles::ZERO,

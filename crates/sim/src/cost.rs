@@ -6,13 +6,13 @@
 //!
 //! The default model, [`CostModel::alewife`], is calibrated so that the
 //! primitive shared-memory operation costs of **Table 3** of the paper
-//! emerge from sums of the component constants. The composite-cost
-//! reference functions ([`CostModel::read_miss_cost`] and friends)
-//! document the exact decomposition used; the protocol runtime in
-//! `mgs-core` charges the same components piecewise as it executes each
-//! transaction, so the micro-measurements of `mgs-core` reproduce
-//! Table 3 by construction *plus* dynamic effects (cache state,
-//! contention) on top.
+//! emerge from sums of the component constants. The protocol charges
+//! the components piecewise as it executes each transaction; the exact
+//! decomposition of each inter-SSMP row is a reference sum in
+//! `mgs-proto`'s `protocol_costs` tests, which check that the executed
+//! transaction charges exactly that sum. The micro-measurements of
+//! `mgs-core` therefore reproduce Table 3 by construction *plus*
+//! dynamic effects (cache state, contention) on top.
 //!
 //! Calibration targets (Table 3, 20 MHz Alewife, 1 KB pages, 0-cycle
 //! inter-SSMP latency):
@@ -63,8 +63,8 @@ pub enum CleanTier {
 ///
 /// let cm = CostModel::alewife();
 /// assert_eq!(cm.tlb_fill_cost(), Cycles(1037)); // Table 3
-/// let rm = cm.read_miss_cost(Cycles::ZERO, 128, 64);
-/// assert_eq!(rm, Cycles(6982)); // Table 3
+/// // One inter-SSMP message: send + 1000-cycle wire + receive.
+/// assert_eq!(cm.crossing(Cycles(1000)), Cycles(1430));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostModel {
@@ -303,114 +303,13 @@ impl CostModel {
     }
 
     // ------------------------------------------------------------------
-    // Composite reference costs (Table 3, bottom group)
+    // Composite costs
     // ------------------------------------------------------------------
 
     /// TLB fill: a fault that finds a mapping in the local SSMP
     /// (state-transition arc 1 of the protocol). Table 3: 1037 cycles.
     pub fn tlb_fill_cost(&self) -> Cycles {
         self.fault_entry + self.pt_lock + self.pt_walk + self.tlb_insert + self.fault_exit
-    }
-
-    /// Inter-SSMP read miss: fault → RREQ → server (clean home copy,
-    /// DMA out) → RDAT → install + map (arcs 5, 17, 6).
-    ///
-    /// Table 3: 6982 cycles at zero external latency, 1 KB pages
-    /// (`words = 128`, `lines = 64`).
-    pub fn read_miss_cost(&self, ext_latency: Cycles, words: u64, lines: u64) -> Cycles {
-        self.fault_entry
-            + self.pt_lock
-            + self.lc_miss_setup
-            + self.crossing(ext_latency) // RREQ
-            + self.server_read
-            + self.page_clean_cost(lines, CleanTier::Clean) // gather a globally coherent home image
-            + self.page_dma_cost(words)
-            + self.crossing(ext_latency) // RDAT
-            + self.page_install
-            + self.lc_finish
-            + self.tlb_insert
-            + self.fault_exit
-    }
-
-    /// Inter-SSMP write miss: like a read miss, but the home copy of a
-    /// write-shared page must be cleaned at the dirty tier, the server
-    /// sets up write tracking, and the client twins the incoming page
-    /// and enqueues it on the DUQ (arcs 5, 18, 7).
-    ///
-    /// Table 3: 16331 cycles at zero external latency, 1 KB pages.
-    pub fn write_miss_cost(&self, ext_latency: Cycles, words: u64, lines: u64) -> Cycles {
-        self.fault_entry
-            + self.pt_lock
-            + self.lc_miss_setup
-            + self.crossing(ext_latency) // WREQ
-            + self.server_write
-            + self.page_clean_cost(lines, CleanTier::Dirty)
-            + self.page_dma_cost(words)
-            + self.crossing(ext_latency) // WDAT
-            + self.page_install
-            + self.twin_cost(words)
-            + self.duq_insert
-            + self.lc_finish
-            + self.tlb_insert
-            + self.fault_exit
-    }
-
-    /// Release with a single writer SSMP (the single-writer
-    /// optimization path: 1WINV / 1WDATA, arcs 8, 20, 14, 16, 23, 9).
-    /// The writer cleans its copy and ships the whole page; the home
-    /// cleans its own copy and overwrites it.
-    ///
-    /// Table 3: 14226 cycles at zero external latency, 1 KB pages,
-    /// one mapping processor at the writer.
-    pub fn release_one_writer_cost(&self, ext_latency: Cycles, words: u64, lines: u64) -> Cycles {
-        self.rel_entry
-            + self.crossing(ext_latency) // REL
-            + self.server_rel
-            + self.crossing(ext_latency) // 1WINV
-            + self.rc_entry
-            + self.page_clean_cost(lines, CleanTier::Dirty)
-            + self.pinv
-            + self.pinv_ack
-            + self.page_dma_cost(words) // 1WDATA out
-            + self.crossing(ext_latency)
-            + self.page_clean_cost(lines, CleanTier::Clean) // home copy
-            + self.page_dma_cost(words) // copy into home
-            + self.server_merge
-            + self.crossing(ext_latency) // RACK
-            + self.rel_finish
-    }
-
-    /// Release with `writers >= 2` writer SSMPs: each is invalidated in
-    /// turn, cleans its copy, computes a diff of `changed_words`, and
-    /// ships it to the home where it is applied (arcs 8, 20, 14, 16,
-    /// 22, 23, 9).
-    ///
-    /// Table 3: 32570 cycles for two writers with full-page diffs at
-    /// zero external latency, 1 KB pages.
-    pub fn release_multi_writer_cost(
-        &self,
-        ext_latency: Cycles,
-        words: u64,
-        lines: u64,
-        writers: u64,
-        changed_words: u64,
-    ) -> Cycles {
-        let per_writer = self.crossing(ext_latency) // INV
-            + self.rc_entry
-            + self.page_clean_cost(lines, CleanTier::Dirty)
-            + self.pinv
-            + self.pinv_ack
-            + self.diff_compute_cost(words)
-            + self.crossing(ext_latency) // DIFF
-            + self.diff_transfer_apply_cost(changed_words);
-        self.rel_entry
-            + self.crossing(ext_latency) // REL
-            + self.server_rel
-            + per_writer * writers
-            + self.page_clean_cost(lines, CleanTier::Clean) // home copy
-            + self.server_merge
-            + self.crossing(ext_latency) // RACK
-            + self.rel_finish
     }
 }
 
@@ -423,9 +322,6 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const PAGE_WORDS: u64 = 128; // 1 KB pages, 8-byte words
-    const PAGE_LINES: u64 = 64; // 16-byte cache lines
 
     #[test]
     fn table3_hardware_shared_memory() {
@@ -450,76 +346,9 @@ mod tests {
     }
 
     #[test]
-    fn table3_inter_ssmp_read_miss() {
-        let cm = CostModel::alewife();
-        assert_eq!(
-            cm.read_miss_cost(Cycles::ZERO, PAGE_WORDS, PAGE_LINES),
-            Cycles(6982)
-        );
-    }
-
-    #[test]
-    fn table3_inter_ssmp_write_miss() {
-        let cm = CostModel::alewife();
-        assert_eq!(
-            cm.write_miss_cost(Cycles::ZERO, PAGE_WORDS, PAGE_LINES),
-            Cycles(16331)
-        );
-    }
-
-    #[test]
-    fn table3_release_one_writer() {
-        let cm = CostModel::alewife();
-        assert_eq!(
-            cm.release_one_writer_cost(Cycles::ZERO, PAGE_WORDS, PAGE_LINES),
-            Cycles(14226)
-        );
-    }
-
-    #[test]
-    fn table3_release_two_writers() {
-        let cm = CostModel::alewife();
-        assert_eq!(
-            cm.release_multi_writer_cost(Cycles::ZERO, PAGE_WORDS, PAGE_LINES, 2, PAGE_WORDS),
-            Cycles(32570)
-        );
-    }
-
-    #[test]
-    fn external_latency_adds_per_crossing() {
-        let cm = CostModel::alewife();
-        let base = cm.read_miss_cost(Cycles::ZERO, PAGE_WORDS, PAGE_LINES);
-        let with = cm.read_miss_cost(Cycles(1000), PAGE_WORDS, PAGE_LINES);
-        // A read miss has exactly two inter-SSMP crossings (RREQ, RDAT).
-        assert_eq!(with, base + Cycles(2000));
-    }
-
-    #[test]
-    fn release_crossing_counts() {
-        let cm = CostModel::alewife();
-        // 1-writer release: REL, 1WINV, 1WDATA, RACK = 4 crossings.
-        let d = cm.release_one_writer_cost(Cycles(100), PAGE_WORDS, PAGE_LINES)
-            - cm.release_one_writer_cost(Cycles::ZERO, PAGE_WORDS, PAGE_LINES);
-        assert_eq!(d, Cycles(400));
-        // 2-writer release: REL, 2×(INV, DIFF), RACK = 6 crossings.
-        let d2 = cm.release_multi_writer_cost(Cycles(100), PAGE_WORDS, PAGE_LINES, 2, PAGE_WORDS)
-            - cm.release_multi_writer_cost(Cycles::ZERO, PAGE_WORDS, PAGE_LINES, 2, PAGE_WORDS);
-        assert_eq!(d2, Cycles(600));
-    }
-
-    #[test]
     fn clean_tiers_are_ordered() {
         let cm = CostModel::alewife();
         assert!(cm.clean_per_line(CleanTier::Dirty) > cm.clean_per_line(CleanTier::Clean));
-    }
-
-    #[test]
-    fn smaller_diffs_are_cheaper() {
-        let cm = CostModel::alewife();
-        let small = cm.release_multi_writer_cost(Cycles::ZERO, PAGE_WORDS, PAGE_LINES, 2, 4);
-        let full =
-            cm.release_multi_writer_cost(Cycles::ZERO, PAGE_WORDS, PAGE_LINES, 2, PAGE_WORDS);
-        assert!(small < full);
     }
 
     #[test]

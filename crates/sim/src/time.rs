@@ -60,12 +60,6 @@ impl Cycles {
         Cycles(self.0.min(rhs.0))
     }
 
-    /// Converts to seconds assuming a 20 MHz clock (the Alewife clock
-    /// rate of the paper's prototype).
-    pub fn as_secs_20mhz(self) -> f64 {
-        self.0 as f64 / 20.0e6
-    }
-
     /// Converts to millions of cycles as a float, the unit used by
     /// Table 4 of the paper for sequential runtimes.
     pub fn as_mcycles(self) -> f64 {
@@ -172,7 +166,6 @@ mod tests {
 
     #[test]
     fn unit_conversions() {
-        assert!((Cycles(20_000_000).as_secs_20mhz() - 1.0).abs() < 1e-12);
         assert!((Cycles(2_500_000).as_mcycles() - 2.5).abs() < 1e-12);
     }
 

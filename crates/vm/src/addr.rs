@@ -88,12 +88,6 @@ impl PageGeometry {
         ((va - VIRT_BASE) % self.page_bytes) / Self::WORD_BYTES
     }
 
-    /// First virtual address of a page.
-    #[inline]
-    pub fn page_base(self, page: u64) -> u64 {
-        VIRT_BASE + page * self.page_bytes
-    }
-
     /// Is `addr` a virtual (as opposed to physical) address?
     #[inline]
     pub fn is_virtual(addr: u64) -> bool {
@@ -135,7 +129,6 @@ mod tests {
         let va = VIRT_BASE + 3 * 1024 + 24;
         assert_eq!(g.page_of(va), 3);
         assert_eq!(g.word_offset(va), 3);
-        assert_eq!(g.page_base(3), VIRT_BASE + 3072);
     }
 
     #[test]

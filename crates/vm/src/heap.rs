@@ -131,11 +131,6 @@ impl SharedHeap {
         *next = vbase + words * PageGeometry::WORD_BYTES;
         VRange { vbase, words, kind }
     }
-
-    /// Total words allocated so far.
-    pub fn used_words(&self) -> u64 {
-        (*self.next.lock() - VIRT_BASE) / PageGeometry::WORD_BYTES
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +147,6 @@ mod tests {
         let a = h.alloc(3, AccessKind::Pointer);
         let b = h.alloc(5, AccessKind::Pointer);
         assert_eq!(b.vbase(), a.vbase() + 24);
-        assert_eq!(h.used_words(), 8);
     }
 
     #[test]
