@@ -19,16 +19,13 @@ use std::fmt;
 /// One processor's governor wait accounting, report-shaped.
 #[derive(Debug, Clone)]
 pub struct ProcGovWaits {
-    /// Times the task was descheduled (yields + suspensions). For a
-    /// standalone `EpochGate` snapshot: times the thread reached the
-    /// gate slow path.
+    /// Times the task was descheduled (yields + suspensions).
     pub gates: u64,
-    /// Times the thread parked on a condvar while gated. Always 0 for
-    /// a machine (the scheduler deschedules instead of parking);
-    /// nonzero only in a standalone `EpochGate` snapshot.
+    /// Always 0: the scheduler deschedules instead of parking (see
+    /// [`mgs_sim::GovWaitStats::parks`]).
     pub parks: u64,
     /// Times the task resumed on another host worker than it last ran
-    /// on (0 with one worker, and in an `EpochGate` snapshot).
+    /// on (0 with one worker).
     pub migrations: u64,
     /// Distribution of individual gate waits, in host **nanoseconds**
     /// (log2 buckets; `count` is the number of waits, `sum` the total
@@ -41,12 +38,6 @@ pub struct ProcGovWaits {
 /// `Machine::governor_waits()`.
 #[derive(Debug, Clone)]
 pub struct GovernorWaitReport {
-    /// What produced the numbers: `"virtual"` for every machine (the
-    /// scheduler counts deschedules as gates and reports zero parks by
-    /// construction, with the wait histogram holding descheduled host
-    /// time), `"epoch"` for a standalone `EpochGate`, which reports
-    /// condvar parks.
-    pub engine: &'static str,
     /// One entry per simulated processor.
     pub per_proc: Vec<ProcGovWaits>,
 }
@@ -55,25 +46,18 @@ impl GovernorWaitReport {
     /// Converts the governor's raw snapshot into report shape.
     pub fn from_snapshot(snap: &GovWaitSnapshot) -> GovernorWaitReport {
         GovernorWaitReport {
-            engine: snap.engine,
             per_proc: snap
                 .per_proc
                 .iter()
-                .map(|s| {
-                    let mut hist = HistSummary::default();
-                    // The gate's histogram uses the same log2 layout as
-                    // HistSummary (bucket i = i significant bits).
-                    for (i, &b) in s.hist.iter().enumerate() {
-                        hist.buckets[i] = b;
-                        hist.count += b;
-                    }
-                    hist.sum = s.wait_ns;
-                    ProcGovWaits {
-                        gates: s.gates,
-                        parks: s.parks,
-                        migrations: s.migrations,
-                        wait_ns: hist,
-                    }
+                .map(|s| ProcGovWaits {
+                    gates: s.gates,
+                    parks: s.parks,
+                    migrations: s.migrations,
+                    wait_ns: HistSummary {
+                        buckets: s.hist,
+                        count: s.hist.iter().sum(),
+                        sum: s.wait_ns,
+                    },
                 })
                 .collect(),
         }
@@ -101,10 +85,7 @@ impl GovernorWaitReport {
 
     /// Hand-rolled JSON (the workspace builds without serde).
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\n    \"engine\": \"{}\",\n    \"per_proc\": [",
-            self.engine
-        );
+        let mut s = String::from("{\n    \"per_proc\": [");
         for (i, p) in self.per_proc.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -136,7 +117,7 @@ impl GovernorWaitReport {
 
 impl fmt::Display for GovernorWaitReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "governor waits ({} engine)", self.engine)?;
+        writeln!(f, "governor waits")?;
         writeln!(
             f,
             "{:>5}  {:>10}  {:>10}  {:>10}  {:>12}  {:>12}  {:>12}",
@@ -169,18 +150,18 @@ impl fmt::Display for GovernorWaitReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgs_sim::{GovWaitStats, WAIT_HIST_BUCKETS};
+    use mgs_sim::{log2_bucket, GovWaitStats, WAIT_HIST_BUCKETS};
 
-    fn stats(gates: u64, parks: u64, migrations: u64, waits: &[u64]) -> GovWaitStats {
+    fn stats(gates: u64, migrations: u64, waits: &[u64]) -> GovWaitStats {
         let mut hist = [0u64; WAIT_HIST_BUCKETS];
         let mut wait_ns = 0;
         for &w in waits {
-            hist[(64 - w.leading_zeros()) as usize] += 1;
+            hist[log2_bucket(w)] += 1;
             wait_ns += w;
         }
         GovWaitStats {
             gates,
-            parks,
+            parks: 0,
             wait_ns,
             migrations,
             hist,
@@ -190,13 +171,11 @@ mod tests {
     #[test]
     fn report_totals_and_hist_roundtrip() {
         let snap = GovWaitSnapshot {
-            engine: "epoch",
-            per_proc: vec![stats(10, 3, 0, &[100, 2_000]), stats(4, 0, 0, &[8])],
+            per_proc: vec![stats(10, 0, &[100, 2_000]), stats(4, 0, &[8])],
         };
         let report = GovernorWaitReport::from_snapshot(&snap);
-        assert_eq!(report.engine, "epoch");
         assert_eq!(report.total_gates(), 14);
-        assert_eq!(report.total_parks(), 3);
+        assert_eq!(report.total_parks(), 0);
         assert_eq!(report.total_wait_ns(), 2_108);
         assert_eq!(report.per_proc[0].wait_ns.count, 2);
         assert_eq!(report.per_proc[0].wait_ns.sum, 2_100);
@@ -211,8 +190,7 @@ mod tests {
     #[test]
     fn migrations_reach_the_totals_the_table_and_the_json() {
         let snap = GovWaitSnapshot {
-            engine: "virtual",
-            per_proc: vec![stats(10, 0, 2, &[100]), stats(4, 0, 5, &[8])],
+            per_proc: vec![stats(10, 2, &[100]), stats(4, 5, &[8])],
         };
         assert_eq!(snap.total_migrations(), 7);
         let report = GovernorWaitReport::from_snapshot(&snap);

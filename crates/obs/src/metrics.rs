@@ -9,7 +9,8 @@
 
 use crate::XactOutcome;
 use mgs_net::MsgKind;
-use mgs_sim::Cycles;
+// Histograms use mgs-sim's log2 layout, which its wait histograms share.
+use mgs_sim::{log2_bucket, Cycles, WAIT_HIST_BUCKETS as HIST_BUCKETS};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -287,15 +288,6 @@ impl LatencyClass {
     }
 }
 
-/// Number of log2 buckets per histogram: bucket `i` holds samples whose
-/// value's bit length is `i` (bucket 0 = value 0, bucket 1 = 1, bucket
-/// 2 = 2–3, bucket `i` = `2^(i-1)..2^i`).
-pub const HIST_BUCKETS: usize = 65;
-
-fn bucket_of(value: u64) -> usize {
-    (64 - value.leading_zeros()) as usize
-}
-
 /// One live log2-bucketed histogram (all-atomic; recording is a single
 /// relaxed add per field).
 #[derive(Debug)]
@@ -316,7 +308,7 @@ impl Histogram {
 
     #[inline]
     fn record(&self, value: u64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[log2_bucket(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
@@ -592,16 +584,6 @@ impl fmt::Display for MetricsReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn buckets_are_log2() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(u64::MAX), 64);
-    }
 
     #[test]
     fn shards_merge() {

@@ -22,9 +22,11 @@
 //!   stackful coroutine on x86_64 Linux (the private `coro` module:
 //!   `workers` host threads switch between tasks in user space) and a
 //!   parked host thread elsewhere. [`GovHook`] is the handle sync
-//!   primitives deschedule and wake tasks through.
-//! * [`EpochGate`] — a sharded lock-free epoch gate; no machine uses it
-//!   any more, it stays for the benchmark's `sim.gate_*` unit costs.
+//!   primitives deschedule and wake tasks through; [`GovWaitSnapshot`]
+//!   is the scheduler's per-task host wait accounting.
+//! * [`EpochGate`] — the scheduler's thread-backed continuation for
+//!   threads the caller owns; no machine uses it, it stays for the
+//!   benchmark's `sim.gate_*` unit costs.
 //! * [`XorShift64`] — a small deterministic RNG used by workloads.
 //!
 //! # Example
@@ -57,9 +59,12 @@ mod vsched;
 pub use account::{CostCategory, CycleAccount};
 pub use clock::ProcClock;
 pub use cost::{CleanTier, CostModel};
-pub use gate::{EpochGate, GovWaitSnapshot, GovWaitStats, SpinPolicy, WAIT_HIST_BUCKETS};
+pub use gate::EpochGate;
 pub use resource::Occupancy;
 pub use rng::XorShift64;
 pub use stats::Counter;
 pub use time::Cycles;
-pub use vsched::{GovHook, VirtualScheduler, VWORKERS_ENV};
+pub use vsched::{
+    log2_bucket, GovHook, GovWaitSnapshot, GovWaitStats, VirtualScheduler, VWORKERS_ENV,
+    WAIT_HIST_BUCKETS,
+};

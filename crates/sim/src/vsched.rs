@@ -44,6 +44,8 @@
 //!   [`finished`](VirtualScheduler::finished) are that thread-backed
 //!   continuation, open to a *foreign* thread on any target: the caller
 //!   parks on a per-task `Mutex<bool>` + `Condvar` until admitted.
+//!   [`EpochGate`](crate::EpochGate) is this continuation with the
+//!   check-in folded into a thread's first tick.
 //!
 //! Either way the application loops in `mgs-apps` need **no**
 //! explicit-state rewrite: every `Env::read`/`write`/lock/barrier
@@ -97,8 +99,7 @@
 //! lossy-fabric runs — produce bit-identical reports run after run, on
 //! either continuation.
 
-use crate::gate::WaitStat;
-use crate::{Cycles, GovWaitSnapshot};
+use crate::Cycles;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::any::Any;
 use std::cmp::Reverse;
@@ -122,6 +123,122 @@ pub const VWORKERS_ENV: &str = "MGS_VWORKERS";
 /// without coroutines they are the task threads' stacks) and only the
 /// pages a task has run on are ever backed.
 const TASK_STACK: usize = 512 * 1024;
+
+/// Number of log2 buckets in a histogram of `u64` samples: bucket `i`
+/// counts values with `i` significant bits (bucket 0 holds zero, bucket
+/// `i > 0` holds `2^(i-1)..2^i`). The wait histogram below and
+/// `mgs-obs`'s latency histograms share this layout.
+pub const WAIT_HIST_BUCKETS: usize = 65;
+
+/// The log2 bucket of `value` under the [`WAIT_HIST_BUCKETS`] layout.
+#[inline]
+pub fn log2_bucket(value: u64) -> usize {
+    (64 - value.leading_zeros()) as usize
+}
+
+/// Host-side wait accounting for one task. Written only while the task
+/// runs or by the worker switching it; read at snapshot time.
+#[derive(Debug)]
+struct WaitStat {
+    /// Times the task was descheduled (yields and suspensions).
+    gates: AtomicU64,
+    /// Total host nanoseconds spent descheduled.
+    wait_ns: AtomicU64,
+    /// Times the task resumed on another host worker than it last ran
+    /// on.
+    migrations: AtomicU64,
+    /// log2 histogram of per-wait nanoseconds.
+    hist: [AtomicU64; WAIT_HIST_BUCKETS],
+}
+
+impl WaitStat {
+    fn new() -> WaitStat {
+        WaitStat {
+            gates: AtomicU64::new(0),
+            wait_ns: AtomicU64::new(0),
+            migrations: AtomicU64::new(0),
+            hist: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    #[inline]
+    fn record_gate(&self) {
+        self.gates.fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn record_migration(&self) {
+        self.migrations.fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn record_wait(&self, ns: u64) {
+        self.wait_ns.fetch_add(ns, Ordering::Relaxed);
+        self.hist[log2_bucket(ns)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> GovWaitStats {
+        GovWaitStats {
+            gates: self.gates.load(Ordering::Relaxed),
+            parks: 0,
+            wait_ns: self.wait_ns.load(Ordering::Relaxed),
+            migrations: self.migrations.load(Ordering::Relaxed),
+            hist: std::array::from_fn(|i| self.hist[i].load(Ordering::Relaxed)),
+        }
+    }
+}
+
+/// One task's pacing wait accounting, as captured by
+/// [`VirtualScheduler::wait_snapshot`]. All values are host-side
+/// (wall-clock) observations; they never touch simulated time.
+#[derive(Debug, Clone)]
+pub struct GovWaitStats {
+    /// Times the task was descheduled (yields and suspensions).
+    pub gates: u64,
+    /// Always 0: a descheduled task is not a condvar park. The field
+    /// stays while the benchmark crate reads
+    /// [`GovWaitSnapshot::total_parks`].
+    pub parks: u64,
+    /// Total host nanoseconds spent descheduled.
+    pub wait_ns: u64,
+    /// Times the task resumed on another host worker than it last ran
+    /// on. Always 0 with one worker and on the thread-backed
+    /// continuation, which has no workers.
+    pub migrations: u64,
+    /// log2 histogram of individual wait durations in nanoseconds
+    /// ([`WAIT_HIST_BUCKETS`] layout).
+    pub hist: [u64; WAIT_HIST_BUCKETS],
+}
+
+/// Per-task pacing wait accounting for a whole run.
+#[derive(Debug, Clone)]
+pub struct GovWaitSnapshot {
+    /// One entry per simulated processor.
+    pub per_proc: Vec<GovWaitStats>,
+}
+
+impl GovWaitSnapshot {
+    /// Total deschedules across all tasks.
+    pub fn total_gates(&self) -> u64 {
+        self.per_proc.iter().map(|s| s.gates).sum()
+    }
+
+    /// Total condvar parks across all tasks: always 0 (see
+    /// [`GovWaitStats::parks`]).
+    pub fn total_parks(&self) -> u64 {
+        self.per_proc.iter().map(|s| s.parks).sum()
+    }
+
+    /// Total host nanoseconds spent descheduled across all tasks.
+    pub fn total_wait_ns(&self) -> u64 {
+        self.per_proc.iter().map(|s| s.wait_ns).sum()
+    }
+
+    /// Total resumptions on another host worker across all tasks.
+    pub fn total_migrations(&self) -> u64 {
+        self.per_proc.iter().map(|s| s.migrations).sum()
+    }
+}
 
 /// A task's lifecycle state, as the scheduler sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,7 +409,8 @@ impl VirtualScheduler {
         VirtualScheduler::build(n, Cycles::MAX, n)
     }
 
-    fn build(n: usize, window: Cycles, workers: usize) -> VirtualScheduler {
+    /// [`new`](Self::new) without the `MGS_VWORKERS` override.
+    pub(crate) fn build(n: usize, window: Cycles, workers: usize) -> VirtualScheduler {
         assert!(n > 0, "scheduler needs at least one task");
         assert!(!window.is_zero(), "scheduler window must be nonzero");
         assert!(workers > 0, "worker budget must be nonzero");
@@ -464,11 +582,9 @@ impl VirtualScheduler {
     /// or at once if a pending resume cancels a suspension.
     fn deschedule(&self, st: Option<MutexGuard<'_, VState>>, id: usize, how: Leave) {
         let start = Instant::now();
-        // Descheduled time is not a governor park: it goes in the wait
-        // histogram with a park count of zero.
         let record_wait = || {
             let waited = start.elapsed().as_nanos() as u64;
-            self.slots[id].stat.record_wait(waited, 0);
+            self.slots[id].stat.record_wait(waited);
         };
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         if self.hosting.is_on() {
@@ -535,7 +651,6 @@ impl VirtualScheduler {
     /// continuation, which has no workers).
     pub fn wait_snapshot(&self) -> GovWaitSnapshot {
         GovWaitSnapshot {
-            engine: "virtual",
             per_proc: self.slots.iter().map(|s| s.stat.snapshot()).collect(),
         }
     }
@@ -1112,6 +1227,12 @@ mod tests {
     }
 
     #[test]
+    fn buckets_are_log2() {
+        let buckets = [0, 1, 2, 3, 4, u64::MAX].map(log2_bucket);
+        assert_eq!(buckets, [0, 1, 2, 2, 3, WAIT_HIST_BUCKETS - 1]);
+    }
+
+    #[test]
     fn single_task_never_waits() {
         on_each_continuation(
             || VirtualScheduler::new(1, Cycles(100), 1),
@@ -1374,7 +1495,6 @@ mod tests {
             },
             |s| {
                 let snap = s.wait_snapshot();
-                assert_eq!(snap.engine, "virtual");
                 let gates: u64 = snap.per_proc.iter().map(|p| p.gates).sum();
                 let parks: u64 = snap.per_proc.iter().map(|p| p.parks).sum();
                 assert!(gates > 0, "interleaved tasks must have rescheduled");
