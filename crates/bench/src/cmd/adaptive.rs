@@ -33,7 +33,7 @@ use mgs_bench::cli::Options;
 use mgs_bench::json::JsonObject;
 use mgs_bench::parallel::run_pool;
 use mgs_bench::suite;
-use mgs_core::framework::{sweep_point, SweepPoint};
+use mgs_core::framework::{breakup_penalty, multigrain_potential, sweep_point, SweepPoint};
 use mgs_core::{DssmpConfig, LinkTier, ProtocolKind, TieredScenario};
 use mgs_sim::Cycles;
 use std::sync::Arc;
@@ -73,34 +73,6 @@ struct ProtoSweep {
     /// Pages the adaptive controller reclassified (0 for static
     /// strategies), summed over the sweep's runs.
     reclassified: u64,
-}
-
-fn duration_at(points: &[SweepPoint], c: usize) -> f64 {
-    points
-        .iter()
-        .find(|pt| pt.cluster_size == c)
-        .map(|pt| pt.report.duration.raw() as f64)
-        .unwrap_or_else(|| panic!("sweep lacks the C = {c} point"))
-}
-
-/// The §2.4 breakup penalty: the slowdown from `C = P` to `C = P/2`,
-/// relative to the all-hardware time. Computed directly (not via
-/// [`mgs_core::framework::metrics`]) so the smoke matrix can skip the
-/// `C = 1` point.
-fn breakup_penalty(points: &[SweepPoint], p: usize) -> f64 {
-    let t_full = duration_at(points, p);
-    let t_half = duration_at(points, (p / 2).max(1));
-    (t_half - t_full) / t_full
-}
-
-/// The multigrain potential, when the sweep carries the `C = 1` point.
-fn multigrain_potential(points: &[SweepPoint], p: usize) -> Option<f64> {
-    let t_one = points
-        .iter()
-        .find(|pt| pt.cluster_size == 1)
-        .map(|pt| pt.report.duration.raw() as f64)?;
-    let t_half = duration_at(points, (p / 2).max(1));
-    Some((t_one - t_half) / t_one)
 }
 
 fn cluster_sizes(p: usize, smoke: bool) -> Vec<usize> {
@@ -192,7 +164,7 @@ pub fn run(opts: &Options) {
         sweeps
             .iter()
             .find(|s| s.app == app && s.tier == tier && s.protocol == protocol)
-            .map(|s| breakup_penalty(&s.points, opts.p))
+            .map(|s| breakup_penalty(&s.points))
     };
 
     let mut sweep_records = Vec::with_capacity(sweeps.len());
@@ -202,9 +174,9 @@ pub fn run(opts: &Options) {
             .str("tier", s.tier.name())
             .str("protocol", s.protocol.label())
             .num("latency_cycles", s.latency.raw() as f64)
-            .num("breakup_penalty", breakup_penalty(&s.points, opts.p))
+            .num("breakup_penalty", breakup_penalty(&s.points))
             .num("pages_reclassified", s.reclassified as f64);
-        if let Some(potential) = multigrain_potential(&s.points, opts.p) {
+        if let Some(potential) = multigrain_potential(&s.points) {
             o.num("multigrain_potential", potential);
         }
         let mut pts = Vec::with_capacity(s.points.len());

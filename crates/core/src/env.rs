@@ -8,7 +8,7 @@ use mgs_cache::{CacheConfig, ProcCache};
 use mgs_obs::{LatencyClass, Metric, ObsSink};
 use mgs_proto::MgsProtocol;
 use mgs_sim::{
-    CostCategory, CostModel, CycleAccount, Cycles, GovHook, ProcClock, VirtualScheduler, XorShift64,
+    CostCategory, CostModel, CycleAccount, Cycles, ProcClock, VirtualScheduler, XorShift64,
 };
 use mgs_sync::{HwLock, MgsLock};
 use mgs_vm::{AccessKind, PageGeometry, TlbEntry, VRange};
@@ -475,7 +475,7 @@ impl Env {
         self.maybe_churn();
         self.maybe_adapt();
         let requested = self.clock.now();
-        let (granted, hit) = lock.acquire_gov(self.ssmp, requested, Some(self.gov_hook()));
+        let (granted, hit) = lock.acquire_gov(self.ssmp, requested, Some((&self.gov, self.proc)));
         if let Some(obs) = &self.obs {
             let m = if hit {
                 Metric::LockAcquiresLocal
@@ -501,7 +501,7 @@ impl Env {
         self.flush();
         self.clock
             .charge(CostCategory::Lock, self.cost.lock_local_release);
-        lock.release_gov(self.clock.now(), Some(self.gov_hook()));
+        lock.release_gov(self.clock.now(), Some(&self.gov));
     }
 
     /// Acquires an intra-SSMP hardware lock (no software coherence
@@ -509,7 +509,7 @@ impl Env {
     pub fn acquire_hw(&mut self, lock: &HwLock) {
         self.maybe_tick();
         let requested = self.clock.now();
-        let granted = lock.acquire_gov(requested, Some(self.gov_hook()));
+        let granted = lock.acquire_gov(requested, Some((&self.gov, self.proc)));
         if let Some(obs) = &self.obs {
             obs.registry.count(self.proc, Metric::HwLockAcquires, 1);
             obs.registry.record_latency(
@@ -526,7 +526,7 @@ impl Env {
     pub fn release_hw(&mut self, lock: &HwLock) {
         self.clock
             .charge(CostCategory::Lock, self.cost.lock_local_release);
-        lock.release_gov(self.clock.now(), Some(self.gov_hook()));
+        lock.release_gov(self.clock.now(), Some(&self.gov));
     }
 
     /// Waits at the machine-wide barrier (also a release point, and —
@@ -552,7 +552,7 @@ impl Env {
         let released = self
             .machine
             .barrier_obj()
-            .arrive_gov(arrived, Some(self.gov_hook()));
+            .arrive_gov(arrived, Some((&self.gov, self.proc)));
         if let Some(obs) = &self.obs {
             obs.registry.count(self.proc, Metric::BarrierArrivals, 1);
             obs.registry.record_latency(
@@ -627,12 +627,6 @@ impl Env {
             self.gov.tick(self.proc, self.clock.now());
             self.next_tick = self.clock.now() + self.tick_stride;
         }
-    }
-
-    /// Scheduler hook handed to sync primitives so a contended wait
-    /// deschedules this task instead of blocking its host thread.
-    fn gov_hook(&self) -> GovHook<'_> {
-        GovHook::new(&self.gov, self.proc)
     }
 
     pub(crate) fn finish(self) -> ProcResult {

@@ -17,7 +17,6 @@
 //!   *concave* means it needs large clusters.
 
 use crate::{DssmpConfig, Machine, RunReport};
-use mgs_sim::Cycles;
 use std::fmt;
 use std::sync::Arc;
 
@@ -109,11 +108,52 @@ pub fn sweep_with(base: &DssmpConfig, run: impl Fn(&Arc<Machine>) -> RunReport) 
         .collect()
 }
 
-fn time_at(points: &[SweepPoint], c: usize) -> Option<Cycles> {
+/// `P`: the sweep's largest cluster size.
+fn machine_size(points: &[SweepPoint]) -> usize {
+    points
+        .iter()
+        .map(|pt| pt.cluster_size)
+        .max()
+        .expect("nonempty sweep")
+}
+
+/// Simulated time of the sweep's `C = c` point, if it has one.
+fn time_at(points: &[SweepPoint], c: usize) -> Option<f64> {
     points
         .iter()
         .find(|p| p.cluster_size == c)
-        .map(|p| p.report.duration)
+        .map(|p| p.report.duration.raw() as f64)
+}
+
+/// Simulated time of the sweep's `C = c` point.
+fn time_of(points: &[SweepPoint], c: usize) -> f64 {
+    time_at(points, c).unwrap_or_else(|| panic!("sweep lacks the C = {c} point"))
+}
+
+/// The breakup penalty: the increase from `C = P` to `C = P/2`,
+/// relative to the tightly-coupled time (§2.4 / §5.2.1).
+///
+/// # Panics
+///
+/// Panics if the sweep lacks the `C = P` or `C = P/2` point.
+pub fn breakup_penalty(points: &[SweepPoint]) -> f64 {
+    let p = machine_size(points);
+    let t_full = time_of(points, p);
+    (time_of(points, (p / 2).max(1)) - t_full) / t_full
+}
+
+/// The multigrain potential: how much faster `C = P/2` is than `C = 1`,
+/// relative to the uniprocessor-node time ("applications execute up to
+/// 85% faster when each DSSMP node is a multiprocessor"). `None` when
+/// the sweep has no `C = 1` point.
+///
+/// # Panics
+///
+/// Panics if the sweep has a `C = 1` point but lacks `C = P/2`.
+pub fn multigrain_potential(points: &[SweepPoint]) -> Option<f64> {
+    let t_one = time_at(points, 1)?;
+    let t_half = time_of(points, (machine_size(points) / 2).max(1));
+    Some((t_one - t_half) / t_one)
 }
 
 /// Computes the three framework metrics from a sweep.
@@ -123,23 +163,12 @@ fn time_at(points: &[SweepPoint], c: usize) -> Option<Cycles> {
 /// Panics if the sweep lacks the `C = 1`, `C = P/2` or `C = P` points,
 /// or if `P < 4` (the metrics need three distinct cluster sizes).
 pub fn metrics(points: &[SweepPoint]) -> FrameworkMetrics {
-    let p = points
-        .iter()
-        .map(|pt| pt.cluster_size)
-        .max()
-        .expect("nonempty sweep");
+    let p = machine_size(points);
     assert!(p >= 4, "framework metrics need P >= 4");
-    let t_full = time_at(points, p).expect("C = P point").raw() as f64;
-    let t_half = time_at(points, p / 2).expect("C = P/2 point").raw() as f64;
-    let t_one = time_at(points, 1).expect("C = 1 point").raw() as f64;
-
-    // Breakup penalty: the increase from C = P to C = P/2, relative to
-    // the tightly-coupled time (§2.4 / §5.2.1).
-    let breakup_penalty = (t_half - t_full) / t_full;
-    // Multigrain potential: how much faster C = P/2 is than C = 1,
-    // relative to the uniprocessor-node time ("applications execute up
-    // to 85% faster when each DSSMP node is a multiprocessor").
-    let multigrain_potential = (t_one - t_half) / t_one;
+    let breakup_penalty = breakup_penalty(points);
+    let multigrain_potential = multigrain_potential(points).expect("sweep lacks the C = 1 point");
+    let t_half = time_of(points, p / 2);
+    let t_one = time_of(points, 1);
 
     // Curvature: mean signed deviation of the measured curve from the
     // straight chord between (log2 1, T(1)) and (log2 P/2, T(P/2)),
@@ -179,7 +208,7 @@ pub fn metrics(points: &[SweepPoint]) -> FrameworkMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgs_sim::CycleAccount;
+    use mgs_sim::{CycleAccount, Cycles};
 
     fn point(c: usize, mcycles: u64) -> SweepPoint {
         SweepPoint {

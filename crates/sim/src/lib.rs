@@ -21,8 +21,8 @@
 //!   larger than the host. Under [`VirtualScheduler::run`] a task is a
 //!   stackful coroutine on x86_64 Linux (the private `coro` module:
 //!   `workers` host threads switch between tasks in user space) and a
-//!   parked host thread elsewhere. [`GovHook`] is the handle sync
-//!   primitives deschedule and wake tasks through; [`GovWaitSnapshot`]
+//!   parked host thread elsewhere. Sync primitives deschedule and wake
+//!   tasks through its `suspend` / `resume_many`; [`GovWaitSnapshot`]
 //!   is the scheduler's per-task host wait accounting.
 //! * [`EpochGate`] — the scheduler's thread-backed continuation for
 //!   threads the caller owns; no machine uses it, it stays for the
@@ -65,6 +65,5 @@ pub use rng::XorShift64;
 pub use stats::Counter;
 pub use time::Cycles;
 pub use vsched::{
-    log2_bucket, GovHook, GovWaitSnapshot, GovWaitStats, VirtualScheduler, VWORKERS_ENV,
-    WAIT_HIST_BUCKETS,
+    log2_bucket, GovWaitSnapshot, GovWaitStats, VirtualScheduler, VWORKERS_ENV, WAIT_HIST_BUCKETS,
 };

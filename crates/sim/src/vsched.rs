@@ -23,7 +23,11 @@
 //!
 //! The *policy* — [`VState`], the heaps, the window test, the
 //! `resume_pending` flag, the horizon mirror — is written once; what a
-//! task is suspended *as* depends on who runs it.
+//! task is suspended *as* depends on who runs it. So is admission: one
+//! step (`admit`: republish the horizon, report a deadlock, grant a
+//! parked thread-backed task or wake an idle worker) ends every critical
+//! section that changes the state. The state guard runs it on drop; only
+//! a worker, for which it also picks the next task, calls it by hand.
 //!
 //! * [`VirtualScheduler::run`] is how a machine runs. On x86_64 Linux
 //!   it hosts every task as a stackful coroutine (the private `coro`
@@ -32,7 +36,8 @@
 //!   worker loops *pop an admissible task → switch into it → take
 //!   control back when it yields, suspends or finishes → do that task's
 //!   bookkeeping → pop the next*, and sleeps — all workers on one
-//!   condvar — only when nothing is admissible. A hand-over is a
+//!   condvar — only when nothing is admissible; the step wakes one when
+//!   something becomes admissible. A hand-over is a
 //!   function call, and `P = 2048` needs `workers` OS threads. A task
 //!   becomes visible as ready, suspended or done only **after** its
 //!   context is saved: the task side of a yield only decides, and the
@@ -104,6 +109,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -348,6 +354,39 @@ impl VState {
     }
 }
 
+/// The state lock, held for one critical section. Dropping it runs the
+/// admission step ([`VirtualScheduler::admit`]), so no change to the
+/// state can leave the step out.
+struct Section<'a> {
+    sched: &'a VirtualScheduler,
+    st: MutexGuard<'a, VState>,
+}
+
+impl Deref for Section<'_> {
+    type Target = VState;
+    fn deref(&self) -> &VState {
+        &self.st
+    }
+}
+
+impl DerefMut for Section<'_> {
+    fn deref_mut(&mut self) -> &mut VState {
+        &mut self.st
+    }
+}
+
+impl Drop for Section<'_> {
+    fn drop(&mut self) {
+        // The step reports a thread-backed deadlock by panicking. A
+        // section that is already unwinding (a broken invariant) skips
+        // it and leaves the run to the poisoning its panic causes: a
+        // second panic would abort.
+        if !std::thread::panicking() {
+            self.sched.admit(&mut self.st, None);
+        }
+    }
+}
+
 /// Per-task parking slot: the admission token handed over on grant to
 /// a thread-backed task, and the wait accounting of either kind.
 #[derive(Debug)]
@@ -493,7 +532,7 @@ impl VirtualScheduler {
                         // Poisoning wakes the peers parked on a grant
                         // that cannot come, or the scope would never
                         // join.
-                        self.fail(&mut self.state.lock(), payload);
+                        self.fail(&mut self.lock(), payload);
                     }
                 };
                 std::thread::Builder::new()
@@ -508,7 +547,7 @@ impl VirtualScheduler {
 
     /// Ends a `run`: if it failed, panics with the first failure.
     fn reraise_failure(&self) {
-        let failure = self.state.lock().failure.take();
+        let failure = self.lock().failure.take();
         if let Some(payload) = failure {
             match payload.downcast::<Deadlock>() {
                 Ok(report) => panic!("{}", report.0),
@@ -522,16 +561,12 @@ impl VirtualScheduler {
     /// have checked in, so admission order — and, at `workers = 1`, the
     /// entire execution — is independent of thread spawn timing.
     pub fn start(&self, id: usize) {
-        {
-            let mut st = self.state.lock();
-            debug_assert_eq!(st.status[id], VStatus::Unstarted);
-            st.time[id] = 0;
-            st.push_ready(id);
-            st.started += 1;
-            if st.started == st.time.len() {
-                self.admit(&mut st);
-            }
-        }
+        let mut st = self.lock();
+        debug_assert_eq!(st.status[id], VStatus::Unstarted);
+        st.time[id] = 0;
+        st.push_ready(id);
+        st.started += 1;
+        drop(st); // the last check-in's step admits the first tasks
         self.wait_for_grant(id);
     }
 
@@ -549,22 +584,21 @@ impl VirtualScheduler {
         self.gate(id, t);
     }
 
-    /// Tick slow path: record our time, re-derive the horizon, and
-    /// yield the admission slot if we are a full window ahead.
+    /// Tick slow path: record our time, and yield the admission slot
+    /// if we are a full window ahead.
     #[cold]
     fn gate(&self, id: usize, t: u64) {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         st.time[id] = t;
-        let min = self.active_min(&st);
-        if t < min.saturating_add(self.window) {
+        if t < self.active_min(&st).saturating_add(self.window) {
             // Still inside the window once the true minimum is known
             // (the atomic mirror only lags while another task holds the
-            // state lock). Publish and keep running.
-            self.publish_horizon(&st);
+            // state lock): keep running. Our new time may have raised
+            // the minimum; the step admits whoever that lets in.
             return;
         }
-        // Yield: requeue at our own time and hand the slot to the
-        // lowest-time ready task.
+        // Yield: requeue at our own time; the step hands the slot to
+        // the lowest-time ready task.
         self.deschedule(Some(st), id, Leave::Yield);
     }
 
@@ -580,7 +614,7 @@ impl VirtualScheduler {
     /// Task `id` gives up its slot — `st` is the state lock if the
     /// caller decided under it — and returns once it is admitted again,
     /// or at once if a pending resume cancels a suspension.
-    fn deschedule(&self, st: Option<MutexGuard<'_, VState>>, id: usize, how: Leave) {
+    fn deschedule(&self, st: Option<Section<'_>>, id: usize, how: Leave) {
         let start = Instant::now();
         let record_wait = || {
             let waited = start.elapsed().as_nanos() as u64;
@@ -595,12 +629,11 @@ impl VirtualScheduler {
             self.switch_out(id, how);
             return record_wait();
         }
-        let mut st = st.unwrap_or_else(|| self.state.lock());
+        let mut st = st.unwrap_or_else(|| self.lock());
         if !self.leave(&mut st, id, how) {
             return;
         }
-        self.admit(&mut st);
-        drop(st);
+        drop(st); // the step hands our slot on, or reports a deadlock
         self.wait_for_grant(id);
         record_wait();
     }
@@ -623,7 +656,7 @@ impl VirtualScheduler {
         if ids.is_empty() {
             return;
         }
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         for &id in ids {
             match st.status[id] {
                 VStatus::Suspended => st.push_ready(id),
@@ -631,16 +664,12 @@ impl VirtualScheduler {
                 _ => st.resume_pending[id] = true,
             }
         }
-        self.admit(&mut st);
     }
 
     /// Marks thread-backed task `id` as finished for the rest of the
     /// run. (A task under [`run`](Self::run) finishes by returning.)
     pub fn finished(&self, id: usize) {
-        let mut st = self.state.lock();
-        if self.leave(&mut st, id, Leave::Done) {
-            self.admit(&mut st);
-        }
+        self.leave(&mut self.lock(), id, Leave::Done);
     }
 
     /// Per-task wait accounting: suspensions count as gates, the wait
@@ -684,11 +713,13 @@ impl VirtualScheduler {
         min
     }
 
-    /// Publishes the tick fast-path horizon from the current state.
-    fn publish_horizon(&self, st: &VState) {
-        let min = self.active_min(st);
-        self.horizon
-            .store(min.saturating_add(self.window), Ordering::Release);
+    /// Locks the state for one critical section, which the admission
+    /// step ends ([`Section`]).
+    fn lock(&self) -> Section<'_> {
+        Section {
+            sched: self,
+            st: self.state.lock(),
+        }
     }
 
     /// Task `id` gives up its slot: the one place a task stops being
@@ -769,12 +800,17 @@ impl VirtualScheduler {
         ))
     }
 
-    /// Republishes the horizon, then lets the lowest-time ready tasks
-    /// that fit inside the window into the free admission slots (a
-    /// thread-backed task has no worker to be at home on).
-    fn admit(&self, st: &mut VState) {
+    /// The admission step, which ends every critical section that
+    /// changes the state: republishes the tick horizon, reports a
+    /// deadlock, and hands admissible tasks to free slots — it grants
+    /// parked thread-backed tasks, or wakes one idle worker (which wakes
+    /// the next in turn). `free` is the worker running the step when it
+    /// holds no task: it takes the task [`pick`] names for it before
+    /// waking another, so its own pop never wakes a peer for nothing,
+    /// and that task is returned.
+    fn admit(&self, st: &mut VState, free: Option<usize>) -> Option<usize> {
         if st.started < st.time.len() {
-            return; // hold everyone until the full machine has spawned
+            return None; // hold everyone until the full machine has spawned
         }
         // Publish before granting: admission moves tasks from the ready
         // heap to the running set without changing the minimum over
@@ -783,12 +819,32 @@ impl VirtualScheduler {
         // host thread, while this one is still in the loop. It must not
         // find a stale value there (that would make its first ticks a
         // host-timing race, even at `workers = 1`).
-        self.publish_horizon(st);
+        let horizon = self.active_min(st).saturating_add(self.window);
+        self.horizon.store(horizon, Ordering::Release);
+        let deadlock = self.deadlock(st);
+        if let Some(report) = &deadlock {
+            // Record it and wake every parked task into a panic: whoever
+            // joins the tasks would wait forever on grants that cannot
+            // come, and the peers' "poisoned" panics must not be taken
+            // for the cause.
+            self.fail(st, Box::new(Deadlock(report.clone())));
+        }
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         if self.hosting.is_on() {
-            // Workers admit for themselves, and the caller is a task
-            // occupying one: all there is to do is wake a sleeping one.
-            return self.wake_idle(st);
+            // Workers pop for themselves (a poisoned run's parked tasks
+            // too, to unwind them; `run` then reports the failure).
+            let own = free.and_then(|w| self.next_task(st, w));
+            let idle = &self.hosting.idle;
+            if st.finished == st.time.len() {
+                self.hosting.wake_all();
+            } else if idle.load(Ordering::Relaxed) > 0 && self.admissible(st, None).is_some() {
+                self.hosting.wake.notify_one();
+            }
+            return own;
+        }
+        debug_assert!(free.is_none(), "only a worker runs the step for itself");
+        if let Some(report) = deadlock {
+            panic!("{report}");
         }
         while st.running.len() < self.workers {
             let Some(id) = self.pop_admissible(st, None) else {
@@ -796,14 +852,7 @@ impl VirtualScheduler {
             };
             self.grant(id);
         }
-        if let Some(report) = self.deadlock(st) {
-            // Record it and wake every parked task into a panic before
-            // panicking ourselves: whoever joins the task threads would
-            // wait forever on grants that cannot come, and the peers'
-            // "poisoned" panics must not be taken for the cause.
-            self.fail(st, Box::new(Deadlock(report.clone())));
-            panic!("{report}");
-        }
+        None
     }
 
     /// Hands the admission token to thread-backed task `id`.
@@ -908,9 +957,9 @@ mod hosted {
         on: AtomicBool,
         /// Workers asleep on `wake` because nothing was admissible.
         /// Changed only under the state lock (atomic for `Sync` only).
-        idle: AtomicUsize,
+        pub(super) idle: AtomicUsize,
         /// Where those workers sleep, with the state lock.
-        wake: Condvar,
+        pub(super) wake: Condvar,
         ctxs: Vec<CtxCell>,
     }
 
@@ -959,7 +1008,7 @@ mod hosted {
             body(id);
         }));
         if let Err(payload) = outcome {
-            sched.fail(&mut sched.state.lock(), payload);
+            sched.fail(&mut sched.lock(), payload);
         }
         sched.switch_out(id, Leave::Done);
         unreachable!("a finished task is never resumed")
@@ -991,7 +1040,7 @@ mod hosted {
             let stacks = coro::Stacks::map(n, TASK_STACK);
             let lent = Lent { sched: self, body };
             {
-                let mut st = self.state.lock();
+                let mut st = self.lock();
                 assert_eq!(st.started, 0, "a scheduler runs its tasks once");
                 self.hosting.on.store(true, Ordering::Relaxed);
                 for id in 0..n {
@@ -1038,23 +1087,19 @@ mod hosted {
             let _guard = AbortOnPanic;
 
             let idle = &self.hosting.idle;
+            // The bare lock: each section here ends with the step run
+            // by hand, which hands this worker its next task when free.
             let mut st = self.state.lock();
             loop {
-                self.publish_horizon(&st);
-                let Some(id) = self.next_task(&mut st, w) else {
+                let Some(id) = self.admit(&mut st, Some(w)) else {
                     if st.finished == st.time.len() {
                         return;
-                    }
-                    if let Some(report) = self.deadlock(&st) {
-                        self.fail(&mut st, Box::new(Deadlock(report)));
-                        continue;
                     }
                     idle.fetch_add(1, Ordering::Relaxed);
                     self.hosting.wake.wait(&mut st);
                     idle.fetch_sub(1, Ordering::Relaxed);
                     continue;
                 };
-                self.wake_idle(&st);
                 // Run the task until it really gives its slot up: a
                 // resume that raced ahead of a suspension sends it
                 // straight back.
@@ -1065,9 +1110,7 @@ mod hosted {
                     if self.leave(&mut st, id, how) {
                         break;
                     }
-                }
-                if st.finished == st.time.len() {
-                    self.hosting.wake_all();
+                    self.admit(&mut st, None);
                 }
             }
         }
@@ -1077,7 +1120,7 @@ mod hosted {
         /// migration if it last ran on another worker. On a poisoned
         /// run that is any task still parked, whatever the window says:
         /// it is resumed to unwind, not to compute.
-        fn next_task(&self, st: &mut VState, w: usize) -> Option<usize> {
+        pub(super) fn next_task(&self, st: &mut VState, w: usize) -> Option<usize> {
             if !self.poisoned.load(Ordering::Acquire) {
                 let id = self.pop_admissible(st, Some(w % st.ready.len()))?;
                 let last = std::mem::replace(&mut st.worker[id], w);
@@ -1093,15 +1136,6 @@ mod hosted {
             st.status[id] = VStatus::Running;
             st.running.push(id);
             Some(id)
-        }
-
-        /// Wakes one sleeping worker if there is a task it would pop
-        /// (it wakes the next in turn).
-        pub(super) fn wake_idle(&self, st: &VState) {
-            if self.hosting.idle.load(Ordering::Relaxed) > 0 && self.admissible(st, None).is_some()
-            {
-                self.hosting.wake.notify_one();
-            }
         }
 
         /// Worker side of the switch: resumes task `id`, which this
@@ -1149,57 +1183,12 @@ mod hosted {
     }
 }
 
-/// Borrowed handle pairing the scheduler with a task id, for layers
-/// (like `mgs-sync`) that wait and wake without knowing the task's
-/// `Env`. A primitive handed a hook waits by
-/// [`deschedule`](Self::deschedule) and wakes by
-/// [`wake`](Self::wake)/[`wake_many`](Self::wake_many); without one
-/// (standalone use) it falls back to its own condvar.
-#[derive(Debug, Clone, Copy)]
-pub struct GovHook<'a> {
-    sched: &'a VirtualScheduler,
-    id: usize,
-}
-
-impl<'a> GovHook<'a> {
-    /// Pairs `sched` with task `id`.
-    pub fn new(sched: &'a VirtualScheduler, id: usize) -> GovHook<'a> {
-        GovHook { sched, id }
-    }
-
-    /// The task id this hook speaks for.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// Deschedules the calling task until a peer [`wake`](Self::wake)s
-    /// it. **Never call while holding a host lock**: the primitive
-    /// registers the waiter, drops its lock, then deschedules (a wake
-    /// that races ahead is consumed, not lost) — the waking peer needs
-    /// that lock, and the task may resume on another host thread.
-    pub fn deschedule(&self) {
-        self.sched.suspend(self.id);
-    }
-
-    /// Reschedules peer task `target` (typically: a lock releaser
-    /// rescheduling the waiter it granted to).
-    pub fn wake(&self, target: usize) {
-        self.sched.resume(target);
-    }
-
-    /// Batched [`wake`](Self::wake) for group releases (a barrier's
-    /// final arriver, a hardware-lock herd): one scheduler pass for the
-    /// whole waiter set instead of one per task.
-    pub fn wake_many(&self, targets: &[usize]) {
-        self.sched.resume_many(targets);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
+    use std::time::Duration;
 
     /// Runs `body(scheduler, id)` to completion on a fresh scheduler
     /// under each continuation — thread-backed, then whatever `run`
@@ -1384,6 +1373,43 @@ mod tests {
                 |_| {},
             );
         }
+    }
+
+    #[test]
+    fn a_tick_that_raises_the_minimum_admits_the_task_it_lets_in() {
+        // Two slots, window 100. Task 0 yields at 200; task 1's tick to
+        // 150 raises the minimum to 150, which lets task 0 back in while
+        // a slot is free: it must run then, not when task 1 next yields,
+        // suspends or finishes. Task 1 sleeps first so that, hosted, the
+        // other worker is asleep by the time it ticks. A regression
+        // fails at the deadline instead of hanging.
+        let ran = AtomicBool::new(false);
+        on_each_continuation(
+            || VirtualScheduler::build(2, Cycles(100), 2),
+            |s, id| {
+                if id == 0 {
+                    s.tick(0, Cycles(200));
+                    ran.store(true, Ordering::SeqCst);
+                    return;
+                }
+                let deadline = Instant::now() + Duration::from_secs(3);
+                let wait_until = |done: &dyn Fn() -> bool, what: &str| {
+                    while !done() {
+                        assert!(Instant::now() < deadline, "{what}");
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                };
+                let yielded = || {
+                    let st = s.state.lock();
+                    st.status[0] == VStatus::Ready && st.time[0] == 200
+                };
+                wait_until(&yielded, "task 0 never yielded at 200");
+                std::thread::sleep(Duration::from_millis(100));
+                s.tick(1, Cycles(150));
+                wait_until(&|| ran.load(Ordering::SeqCst), "task 0 left parked");
+            },
+            |_| ran.store(false, Ordering::SeqCst),
+        );
     }
 
     #[test]

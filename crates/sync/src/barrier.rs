@@ -1,6 +1,6 @@
 //! The MGS hierarchical tree barrier.
 
-use mgs_sim::{CostModel, Cycles, GovHook};
+use mgs_sim::{CostModel, Cycles, VirtualScheduler};
 use parking_lot::{Condvar, Mutex};
 
 #[derive(Debug)]
@@ -115,11 +115,11 @@ impl MgsBarrier {
         self.arrive_gov(now, None)
     }
 
-    /// [`arrive`](Self::arrive) for a scheduled task: with a
-    /// [`GovHook`], a non-final arriver is descheduled until the
-    /// episode's last arrival reschedules it; without one it waits on
-    /// the barrier's condvar. The final arriver never waits.
-    pub fn arrive_gov(&self, now: Cycles, gov: Option<GovHook<'_>>) -> Cycles {
+    /// [`arrive`](Self::arrive) for a scheduled task: given its
+    /// scheduler and task id, a non-final arriver is suspended until the
+    /// episode's last arrival resumes it; without them it waits on the
+    /// barrier's condvar. The final arriver never waits.
+    pub fn arrive_gov(&self, now: Cycles, gov: Option<(&VirtualScheduler, usize)>) -> Cycles {
         let mut inner = self.inner.lock();
         inner.arrived += 1;
         inner.latest = inner.latest.max(now);
@@ -135,24 +135,17 @@ impl MgsBarrier {
             // Reschedule every descheduled arriver through the ready
             // queue — they resume in simulated-time order as admission
             // slots free up, not as a herd.
-            if let Some(g) = gov {
-                g.wake_many(&waiters);
+            if let Some((sched, _)) = gov {
+                sched.resume_many(&waiters);
             }
             release_time
         } else {
             let epoch = inner.epoch;
-            if let Some(g) = gov {
-                inner.vwaiters.push(g.id());
+            if let Some((_, id)) = gov {
+                inner.vwaiters.push(id);
             }
             while inner.epoch == epoch {
-                match gov {
-                    Some(g) => {
-                        drop(inner);
-                        g.deschedule();
-                        inner = self.inner.lock();
-                    }
-                    None => self.cond.wait(&mut inner),
-                }
+                inner = crate::wait(gov, &self.inner, &self.cond, inner);
             }
             inner.release_time
         }

@@ -1,6 +1,6 @@
 //! Intra-SSMP hardware locks.
 
-use mgs_sim::{CostModel, Cycles, GovHook};
+use mgs_sim::{CostModel, Cycles, VirtualScheduler};
 use parking_lot::{Condvar, Mutex};
 
 /// A plain hardware spin lock (LL/SC over hardware cache coherence).
@@ -63,27 +63,19 @@ impl HwLock {
         self.acquire_gov(now, None)
     }
 
-    /// [`acquire`](Self::acquire) for a scheduled task: with a
-    /// [`GovHook`], the calling task is descheduled while the lock is
-    /// held; without one the calling thread waits on the lock's
+    /// [`acquire`](Self::acquire) for a scheduled task: given its
+    /// scheduler and task id, the task is suspended while the lock is
+    /// held; without them the calling thread waits on the lock's
     /// condvar. An uncontended acquire never waits either way.
-    pub fn acquire_gov(&self, now: Cycles, gov: Option<GovHook<'_>>) -> Cycles {
+    pub fn acquire_gov(&self, now: Cycles, gov: Option<(&VirtualScheduler, usize)>) -> Cycles {
         let mut inner = self.inner.lock();
         while inner.held {
-            match gov {
-                // Deschedule with the primitive mutex dropped;
-                // re-register before each wait in case the releaser
-                // drained us but another task won the lock.
-                Some(g) => {
-                    if !inner.vwaiters.contains(&g.id()) {
-                        inner.vwaiters.push(g.id());
-                    }
-                    drop(inner);
-                    g.deschedule();
-                    inner = self.inner.lock();
-                }
-                None => self.cond.wait(&mut inner),
+            // Re-register before each wait in case the releaser drained
+            // us but another task won the lock.
+            if let Some((_, id)) = gov.filter(|&(_, id)| !inner.vwaiters.contains(&id)) {
+                inner.vwaiters.push(id);
             }
+            inner = crate::wait(gov, &self.inner, &self.cond, inner);
         }
         inner.held = true;
         now.max(inner.free_at) + self.acquire_cost
@@ -99,13 +91,13 @@ impl HwLock {
     }
 
     /// [`release`](Self::release) for a scheduled task: every
-    /// descheduled waiter is rescheduled through the hook (the lowest
-    /// simulated time re-acquires first).
+    /// suspended waiter is resumed through `sched` (the lowest simulated
+    /// time re-acquires first).
     ///
     /// # Panics
     ///
     /// Panics if the lock is not held.
-    pub fn release_gov(&self, now: Cycles, gov: Option<GovHook<'_>>) {
+    pub fn release_gov(&self, now: Cycles, sched: Option<&VirtualScheduler>) {
         let mut inner = self.inner.lock();
         assert!(inner.held, "release of an unheld hardware lock");
         inner.held = false;
@@ -113,8 +105,8 @@ impl HwLock {
         self.cond.notify_one();
         let waiters = std::mem::take(&mut inner.vwaiters);
         drop(inner);
-        if let Some(g) = gov {
-            g.wake_many(&waiters);
+        if let Some(sched) = sched {
+            sched.resume_many(&waiters);
         }
     }
 }

@@ -34,3 +34,26 @@ mod lock;
 pub use barrier::MgsBarrier;
 pub use hwlock::HwLock;
 pub use lock::{LockStats, MgsLock};
+
+use mgs_sim::VirtualScheduler;
+use parking_lot::{Condvar, Mutex, MutexGuard};
+
+/// Waits once on a primitive. A scheduler task (`task`: the scheduler
+/// and its id) is suspended with the primitive's mutex dropped; the
+/// caller has registered it as a waiter, so a resume that races ahead
+/// is consumed, not lost, and the task may come back on another host
+/// thread. A standalone thread waits on the primitive's condvar.
+fn wait<'a, T>(
+    task: Option<(&VirtualScheduler, usize)>,
+    mutex: &'a Mutex<T>,
+    cond: &Condvar,
+    mut guard: MutexGuard<'a, T>,
+) -> MutexGuard<'a, T> {
+    let Some((sched, id)) = task else {
+        cond.wait(&mut guard);
+        return guard;
+    };
+    drop(guard);
+    sched.suspend(id);
+    mutex.lock()
+}

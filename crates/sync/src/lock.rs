@@ -1,6 +1,6 @@
 //! The MGS token-based distributed lock.
 
-use mgs_sim::{CostModel, Counter, Cycles, GovHook};
+use mgs_sim::{CostModel, Counter, Cycles, VirtualScheduler};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -154,16 +154,16 @@ impl MgsLock {
         self.acquire_gov(ssmp, now, None)
     }
 
-    /// [`acquire`](Self::acquire) for a scheduled task: with a
-    /// [`GovHook`], a contended acquire deschedules the calling task
-    /// until the releaser reschedules it; without one the calling
-    /// thread waits on the lock's condvar. Uncontended acquires never
-    /// wait either way.
+    /// [`acquire`](Self::acquire) for a scheduled task: given its
+    /// scheduler and task id, a contended acquire suspends the task
+    /// until the releaser resumes it; without them the calling thread
+    /// waits on the lock's condvar. Uncontended acquires never wait
+    /// either way.
     pub fn acquire_gov(
         &self,
         ssmp: usize,
         now: Cycles,
-        gov: Option<GovHook<'_>>,
+        gov: Option<(&VirtualScheduler, usize)>,
     ) -> (Cycles, bool) {
         let mut inner = self.inner.lock();
         self.stats.acquires.incr();
@@ -180,26 +180,14 @@ impl MgsLock {
             id,
             ssmp,
             req_time: now,
-            task: gov.map(|g| g.id()),
+            task: gov.map(|(_, id)| id),
             grant: None,
         });
         loop {
             if let Some(res) = self.try_take_grant(&mut inner, id) {
                 return res;
             }
-            match gov {
-                // The waiter record is visible before the primitive
-                // mutex is dropped, so the releaser's wake can never be
-                // lost (a wake racing ahead of the deschedule is
-                // consumed, not dropped), and the mutex is never held
-                // across a deschedule.
-                Some(g) => {
-                    drop(inner);
-                    g.deschedule();
-                    inner = self.inner.lock();
-                }
-                None => self.cond.wait(&mut inner),
-            }
+            inner = crate::wait(gov, &self.inner, &self.cond, inner);
         }
     }
 
@@ -231,14 +219,13 @@ impl MgsLock {
     }
 
     /// [`release`](Self::release) for a scheduled task: a granted
-    /// waiter that descheduled is rescheduled through the hook's
-    /// time-ordered ready queue; condvar waiters are notified either
-    /// way.
+    /// waiter that suspended is resumed through `sched`'s time-ordered
+    /// ready queue; condvar waiters are notified either way.
     ///
     /// # Panics
     ///
     /// Panics if the lock is not held.
-    pub fn release_gov(&self, now: Cycles, gov: Option<GovHook<'_>>) {
+    pub fn release_gov(&self, now: Cycles, sched: Option<&VirtualScheduler>) {
         let mut inner = self.inner.lock();
         assert!(inner.held, "release of an unheld lock");
         inner.free_at = now.max(inner.free_at) + self.cost.lock_local_release;
@@ -254,8 +241,8 @@ impl MgsLock {
         inner.waiters[next].grant = Some(grant);
         self.cond.notify_all();
         drop(inner);
-        if let (Some(g), Some(task)) = (gov, task) {
-            g.wake(task);
+        if let (Some(sched), Some(task)) = (sched, task) {
+            sched.resume(task);
         }
     }
 
