@@ -2,15 +2,14 @@
 
 use crate::MissClass;
 use parking_lot::{HeldLock, Mutex};
-use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicU8};
 use std::sync::{Arc, OnceLock};
 
-/// Lines per block.
-const BLOCK_LINES: u64 = 64;
+/// Lines per block: a chunk, `line >> 6`.
+pub(crate) const BLOCK_LINES: u64 = 64;
 /// Lock stripes per block; also the entries per stripe.
 const STRIPES: usize = 8;
 /// Blocks in the first segment (as a power of two); segment `k` holds
@@ -26,19 +25,9 @@ const SPINS: u32 = 64;
 
 #[cfg(debug_assertions)]
 thread_local! {
-    /// `(stripe, line map)` lock acquisitions by this thread (debug
-    /// builds only): the access path asserts that a locked access costs
-    /// one stripe lock and no line-map lookup, and tests that a frame's
-    /// paths never ask the line map.
-    static LOCKS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
-}
-
-#[cfg(debug_assertions)]
-fn note_lock(stripe: bool) {
-    LOCKS.with(|c| {
-        let (s, i) = c.get();
-        c.set(if stripe { (s + 1, i) } else { (s, i + 1) });
-    });
+    /// Stripe lock acquisitions by this thread (debug builds only): the
+    /// access path asserts that a locked access costs one.
+    static STRIPE_LOCKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Outcome of cleaning a page's lines out of the directory
@@ -110,7 +99,7 @@ impl Stripe {
     /// between looks; nobody sleeps on a futex.
     fn acquire(&self) {
         #[cfg(debug_assertions)]
-        note_lock(true);
+        STRIPE_LOCKS.with(|c| c.set(c.get() + 1));
         let mut spins = 0;
         while self.seq.fetch_or(1, Acquire) & 1 != 0 {
             while self.seq.load(Relaxed) & 1 != 0 {
@@ -189,16 +178,9 @@ impl Held<'_> {
         self.owner[e].store(owner.map_or(0, |p| p as u8 + 1), Relaxed);
     }
 
-    /// Adds `proc` as a sharer of entry `e`; returns the sharer count.
-    fn add_sharer(&mut self, e: usize, proc: usize) -> u32 {
-        let sharers = self.sharers(e) | 1 << proc;
-        self.sharers[e].store(sharers, Relaxed);
-        sharers.count_ones()
-    }
-
     /// Makes `proc` the dirty owner and only sharer of entry `e`;
     /// returns how many other sharers that invalidated.
-    fn take_exclusive(&mut self, e: usize, proc: usize) -> u32 {
+    fn own(&mut self, e: usize, proc: usize) -> u32 {
         let others = (self.sharers(e) & !(1 << proc)).count_ones();
         self.set(e, 1 << proc, Some(proc));
         others
@@ -229,7 +211,7 @@ impl Held<'_> {
         if tag_hit && sharer_mask & (1 << proc) != 0 {
             return if !is_write || owner == Some(proc) {
                 MissClass::Hit
-            } else if self.take_exclusive(e, proc) > 0 {
+            } else if self.own(e, proc) > 0 {
                 // Write to a shared line: upgrade, invalidating other
                 // sharers through the directory.
                 MissClass::TwoParty
@@ -257,7 +239,7 @@ impl Held<'_> {
             }
         };
         if is_write {
-            self.take_exclusive(e, proc);
+            self.own(e, proc);
         } else {
             // Reading a dirty line forces a write-back; the line
             // becomes shared.
@@ -299,7 +281,7 @@ impl Block {
         for (stripe, lanes) in stripes_of(mask) {
             let mut entries = self.stripes[stripe].lock();
             for e in entries_of(lanes) {
-                entries.take_exclusive(e, proc);
+                entries.own(e, proc);
             }
         }
     }
@@ -473,8 +455,8 @@ fn zeroed_blocks(len: usize) -> Box<[Block]> {
 
 /// A directory-slot cell: a claim on the run of blocks that holds some
 /// lines' entries, in the directory of the SSMP whose processors access
-/// them. A page frame carries one for its lines; the directory keeps
-/// one per chunk of bare lines in its line map. Empty when made; the
+/// them. A page frame carries one for its lines; for lines with no
+/// frame, [`SsmpCacheSystem`] keeps one per chunk. Empty when made; the
 /// first access, quiesce or dirty-marking claims the run
 /// ([`Directory::hint`]), which is then the cell's alone and never
 /// moves; dropping the cell — the frame dies — zeroes the run and frees
@@ -483,6 +465,8 @@ fn zeroed_blocks(len: usize) -> Box<[Block]> {
 /// A frame is aligned to its size, so its lines are half a block (a
 /// 512 B page, whose block's other half stays zero), one block, or a
 /// power of two of them; a bare chunk's lines are one block.
+///
+/// [`SsmpCacheSystem`]: crate::SsmpCacheSystem
 #[derive(Debug, Default)]
 pub struct BlockCell {
     claim: OnceLock<Claim>,
@@ -528,29 +512,23 @@ impl Drop for BlockCell {
 /// * Every block is claimed by a [`BlockCell`], which claims a run of
 ///   blocks on first use, with no stripe lock, and keeps it, with the
 ///   same hint, until it drops. Every path reaches a line's entry
-///   through its cell's hint alone, and the hint is right by
-///   construction.
-/// * A page frame carries its own cell: its first access, quiesce or
-///   dirty-marking claims the run. The protocol and the runtime — an
-///   access with a frame word, a quiesce ([`hold`](Self::hold)), a page
-///   clean ([`clean_frame`](Self::clean_frame)), a dirty-marking
-///   ([`mark_dirty_frame`](Self::mark_dirty_frame)) — go through it.
-///   A frame's lines are never reused (frames never reuse a base), so
-///   when the frame dies its run is zeroed and freed, and a block that
-///   no longer holds a line's chunk means the line's frame is dead. A
-///   tag array's memo beside a line ([`ProcCache`]) is the hint of the
-///   line's block; a victim whose memo names a block holding another
-///   chunk has no entry left to remove.
-/// * A line with no frame (a **bare line**: the line-keyed API,
-///   [`SsmpCacheSystem::access`], [`clean_page`], [`add_sharer`], …,
-///   which unit tests, the oracles and host micro-benchmarks use) has
-///   its chunk's cell in the directory's **line map**, `chunk → cell`,
-///   created on the chunk's first touch and kept for the directory's
-///   life. A line-keyed call takes the hint from that cell, then runs
-///   the frame path.
+///   through its cell — an access with the cell's hint, a quiesce
+///   ([`hold`](Self::hold)), a page clean
+///   ([`clean_frame`](Self::clean_frame)), a dirty-marking
+///   ([`mark_dirty_frame`](Self::mark_dirty_frame)) — and the hint is
+///   right by construction. The directory knows no line outside a cell.
+/// * A page frame carries its own cell. A frame's lines are never
+///   reused (frames never reuse a base), so when the frame dies its run
+///   is zeroed and freed, and a block that no longer holds a line's
+///   chunk means the line's frame is dead. A tag array's memo beside a
+///   line ([`ProcCache`]) is the hint of the line's block; a victim
+///   whose memo names a block holding another chunk has no entry left
+///   to remove.
+/// * A line with no frame (a **bare line**) has its chunk's cell in
+///   [`SsmpCacheSystem`]'s line map, and then takes the frame path.
 /// * Blocks live in segments that double in size, each allocated on
-///   first use. The slab is as large as the frames that were touched
-///   and are still alive, plus one block per chunk of bare lines.
+///   first use. The slab is as large as the cells that were touched and
+///   are still alive.
 ///
 /// # Locks
 ///
@@ -567,33 +545,31 @@ impl Drop for BlockCell {
 /// Two stripes are never held at once outside a [`hold`](Self::hold),
 /// which takes every stripe of a frame's run in order; freeing a run
 /// and cleaning a frame take its stripes one at a time. The free list
-/// is a leaf lock. So is the line map's lock, except for the free-list
-/// lock a claim takes under it: no stripe is taken under it, and
-/// nothing takes it while holding a stripe.
+/// is a leaf lock.
 ///
 /// Every held stripe carries a [`parking_lot::HeldLock`], so the
 /// debug-build check that no task suspends holding a host lock sees it.
 ///
 /// [`ProcCache`]: crate::ProcCache
-/// [`SsmpCacheSystem::access`]: crate::SsmpCacheSystem::access
-/// [`clean_page`]: Self::clean_page
-/// [`add_sharer`]: Self::add_sharer
+/// [`SsmpCacheSystem`]: crate::SsmpCacheSystem
 ///
 /// # Example
 ///
 /// ```
-/// use mgs_cache::Directory;
+/// use mgs_cache::{BlockCell, Directory};
 ///
+/// // A frame's lines, 64..128, and the cell it carries.
 /// let dir = Directory::new();
-/// dir.add_sharer(0x100, 2);
-/// assert!(dir.is_sharer(0x100, 2));
-/// assert!(!dir.is_sharer(0x100, 3));
+/// let cell = BlockCell::default();
+/// dir.mark_dirty_frame(&cell, 64..128, [70, 71], 2);
+/// assert_eq!(dir.tracked_lines(), 2);
+/// let out = dir.clean_frame(&cell, 64..128);
+/// assert_eq!((out.dirty_lines, out.uncached_lines), (2, 62));
+/// assert_eq!(dir.tracked_lines(), 0);
 /// ```
 #[derive(Debug)]
 pub struct Directory {
     slab: Arc<Slab>,
-    /// The line map: the cell of each chunk a bare line touched.
-    lines: Mutex<HashMap<u64, BlockCell>>,
 }
 
 impl Default for Directory {
@@ -608,16 +584,15 @@ impl Directory {
     pub fn new() -> Directory {
         Directory {
             slab: Arc::new(Slab::new()),
-            lines: Mutex::default(),
         }
     }
 
-    /// `(stripe, line map)` lock acquisitions made by the calling
-    /// thread so far (debug builds only; used by the access path's
-    /// one-stripe-lock assertion and tests).
+    /// Stripe lock acquisitions made by the calling thread so far
+    /// (debug builds only; used by the access path's one-stripe-lock
+    /// assertion and tests).
     #[cfg(debug_assertions)]
-    pub fn thread_locks() -> (u64, u64) {
-        LOCKS.with(|c| c.get())
+    pub fn thread_locks() -> u64 {
+        STRIPE_LOCKS.with(|c| c.get())
     }
 
     /// The block a hint names, if this directory has one there.
@@ -691,26 +666,38 @@ impl Directory {
         }
     }
 
-    /// Removes a frame's lines from the directory (page cleaning,
-    /// §4.2.4): `cell` is the frame's, `lines` all of its lines.
-    /// Returns the per-tier line counts so the caller can cost the
-    /// operation.
+    /// Removes `lines`, some of those whose blocks `cell` claims, from
+    /// the directory (page cleaning, §4.2.4) and returns the per-tier
+    /// line counts so the caller can cost the operation: a frame passes
+    /// its own cell and all of its lines, the bare path a chunk's cell
+    /// and the lines asked for. A line named twice is cleaned twice:
+    /// cached the first time, uncached the second.
     ///
-    /// One pass: each stripe of the frame's blocks is locked once and
-    /// its entries read in a straight loop (only the frame's lines have
-    /// any). A frame never accessed has no blocks: every line is
-    /// uncached, and no lock is taken.
-    pub fn clean_frame(&self, cell: &BlockCell, lines: Range<u64>) -> CleanOutcome {
-        let mut out = CleanOutcome {
-            uncached_lines: lines.end - lines.start,
-            ..CleanOutcome::default()
-        };
-        if let Some(claim) = cell.claim.get() {
+    /// One pass: each run of lines in one block locks each stripe it
+    /// touches once and reads its entries in a straight loop. A cell
+    /// never used has no blocks: every line is uncached, and no lock is
+    /// taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` has claimed its blocks and a line lies outside
+    /// them.
+    pub fn clean_frame(
+        &self,
+        cell: &BlockCell,
+        lines: impl IntoIterator<Item = u64>,
+    ) -> CleanOutcome {
+        let mut out = CleanOutcome::default();
+        let blocks = cell.claim.get().map(|claim| {
             debug_assert!(Arc::ptr_eq(&claim.slab, &self.slab));
-            for block in self.slab.run(claim.slot, claim.blocks) {
-                block.clean(u64::MAX, &mut out);
+            (claim.chunk, self.slab.run(claim.slot, claim.blocks))
+        });
+        chunk_runs(lines, |chunk, mask| {
+            out.uncached_lines += u64::from(mask.count_ones());
+            if let Some((first, blocks)) = blocks {
+                blocks[(chunk - first) as usize].clean(mask, &mut out);
             }
-        }
+        });
         out.uncached_lines -= out.shared_lines + out.dirty_lines;
         out
     }
@@ -801,115 +788,6 @@ impl Directory {
         stripe.read_valid(seq).then_some(value)
     }
 
-    // -----------------------------------------------------------------
-    // Bare lines: the line map
-    // -----------------------------------------------------------------
-
-    /// The hint of bare `line`'s block, from its chunk's cell in the
-    /// line map: created and claimed if the chunk has none and `create`
-    /// says so, `None` otherwise.
-    pub(crate) fn line_hint(&self, line: u64, create: bool) -> Option<u32> {
-        #[cfg(debug_assertions)]
-        note_lock(false);
-        let chunk = line / BLOCK_LINES;
-        let mut cells = self.lines.lock();
-        let cell = if create {
-            cells.entry(chunk).or_default()
-        } else {
-            cells.get(&chunk)?
-        };
-        let lines = chunk * BLOCK_LINES..(chunk + 1) * BLOCK_LINES;
-        Some(self.hint(cell, lines, line))
-    }
-
-    /// Bare `line`'s stripe, locked, and its entry's index there;
-    /// `None` if the line's chunk has no block and `create` is false.
-    fn entry_of(&self, line: u64, create: bool) -> Option<(Held<'_>, usize)> {
-        let hint = self.line_hint(line, create)?;
-        let (_, stripe, e) = place(line);
-        Some((self.claimed(hint).stripes[stripe].lock(), e))
-    }
-
-    /// Is `proc` currently a sharer of `line`?
-    pub fn is_sharer(&self, line: u64, proc: usize) -> bool {
-        self.entry_of(line, false)
-            .is_some_and(|(entries, e)| entries.sharers(e) & (1 << proc) != 0)
-    }
-
-    /// Adds `proc` as a sharer of `line`. Returns the resulting number
-    /// of sharers (used for the LimitLESS overflow check).
-    pub fn add_sharer(&self, line: u64, proc: usize) -> u32 {
-        let (mut entries, e) = self
-            .entry_of(line, true)
-            .expect("a creating lookup finds a block");
-        entries.add_sharer(e, proc)
-    }
-
-    /// Removes `proc` as a sharer (e.g. on eviction from its cache). If
-    /// `proc` was the dirty owner, ownership is dropped (write-back).
-    pub fn remove_sharer(&self, line: u64, proc: usize) {
-        if let Some((mut entries, e)) = self.entry_of(line, false) {
-            entries.remove(e, proc);
-        }
-    }
-
-    /// Information needed to classify a miss: `(sharer_count,
-    /// dirty_owner)`.
-    pub fn probe(&self, line: u64) -> (u32, Option<usize>) {
-        match self.entry_of(line, false) {
-            Some((entries, e)) => (entries.sharers(e).count_ones(), entries.owner(e)),
-            None => (0, None),
-        }
-    }
-
-    /// Grants `proc` exclusive dirty ownership of `line`, invalidating
-    /// all other sharers. Returns how many other sharers were
-    /// invalidated.
-    pub fn take_exclusive(&self, line: u64, proc: usize) -> u32 {
-        let (mut entries, e) = self
-            .entry_of(line, true)
-            .expect("a creating lookup finds a block");
-        entries.take_exclusive(e, proc)
-    }
-
-    /// Downgrades `line` so that `proc` holds it shared (dirty data has
-    /// been written back). Other sharers are preserved.
-    pub fn downgrade(&self, line: u64, proc: usize) {
-        if let Some((mut entries, e)) = self.entry_of(line, false) {
-            if entries.owner(e) == Some(proc) {
-                let sharers = entries.sharers(e);
-                entries.set(e, sharers, None);
-            }
-        }
-    }
-
-    /// Removes bare lines from the directory (page cleaning, §4.2.4)
-    /// and returns the per-tier line counts. A line named twice is
-    /// cleaned twice: cached the first time, uncached the second. A
-    /// chunk never touched has only uncached lines and takes no stripe
-    /// lock.
-    pub fn clean_page<I: IntoIterator<Item = u64>>(&self, lines: I) -> CleanOutcome {
-        let mut out = CleanOutcome::default();
-        chunk_runs(lines, |chunk, mask| {
-            out.uncached_lines += u64::from(mask.count_ones());
-            if let Some(hint) = self.line_hint(chunk * BLOCK_LINES, false) {
-                self.claimed(hint).clean(mask, &mut out);
-            }
-        });
-        out.uncached_lines -= out.shared_lines + out.dirty_lines;
-        out
-    }
-
-    /// Marks bare lines dirty-owned by `proc`.
-    pub fn mark_dirty_lines<I: IntoIterator<Item = u64>>(&self, lines: I, proc: usize) {
-        chunk_runs(lines, |chunk, mask| {
-            let hint = self
-                .line_hint(chunk * BLOCK_LINES, true)
-                .expect("a creating lookup finds a block");
-            self.claimed(hint).mark_dirty(mask, proc);
-        });
-    }
-
     /// Total number of tracked lines (for tests/statistics).
     pub fn tracked_lines(&self) -> usize {
         (1..=self.blocks_allocated())
@@ -937,12 +815,17 @@ pub(crate) struct LineGuard<'a> {
 }
 
 impl LineGuard<'_> {
+    /// The line's entry: its sharer mask, one bit per local processor,
+    /// and its dirty owner.
+    pub(crate) fn entry(&self) -> (u64, Option<usize>) {
+        (self.held.sharers(self.entry), self.held.owner(self.entry))
+    }
+
     /// The line's coherence transaction: classifies the access and
     /// applies the state change. `tag_hit` is whether the line was
     /// already in `proc`'s tag array. Observably identical to the
-    /// unfused sequence `is_sharer` / `probe` / `take_exclusive` /
-    /// `downgrade` / `add_sharer` that `tests/transact_oracle.rs` keeps
-    /// as the reference.
+    /// hashed per-line directory's transaction that
+    /// `tests/directory_oracle.rs` keeps as the reference.
     pub(crate) fn transact(
         &mut self,
         proc: usize,
@@ -1004,26 +887,41 @@ impl fmt::Debug for HeldLines<'_> {
 mod tests {
     use super::*;
 
-    /// The hint of the block holding bare `line`, which has one.
-    fn hint_of(d: &Directory, line: u64) -> u32 {
-        d.line_hint(line, false).expect("a touched chunk")
+    /// `line`'s stripe, locked, in the block `cell` claims for the
+    /// line's chunk (a frame of one block).
+    fn lock<'d>(d: &'d Directory, cell: &BlockCell, line: u64) -> LineGuard<'d> {
+        let chunk = line / BLOCK_LINES * BLOCK_LINES;
+        d.lock_claimed(line, d.hint(cell, chunk..chunk + BLOCK_LINES, line))
+    }
+
+    /// `proc`'s access to `line` through `cell`, homed at processor 0
+    /// with five hardware pointers: its class.
+    fn access(d: &Directory, cell: &BlockCell, line: u64, proc: usize, write: bool) -> MissClass {
+        let tag_hit = lock(d, cell, line).entry().0 & 1 << proc != 0;
+        lock(d, cell, line).transact(proc, 0, write, 5, tag_hit)
+    }
+
+    /// `line`'s entry through `cell`: its sharer mask and owner.
+    fn entry(d: &Directory, cell: &BlockCell, line: u64) -> (u64, Option<usize>) {
+        lock(d, cell, line).entry()
     }
 
     #[test]
     fn add_and_remove_sharers() {
-        let d = Directory::new();
-        assert_eq!(d.add_sharer(7, 0), 1);
-        assert_eq!(d.add_sharer(7, 3), 2);
-        d.remove_sharer(7, 0);
-        assert!(!d.is_sharer(7, 0));
-        assert!(d.is_sharer(7, 3));
+        let (d, cell) = (Directory::new(), BlockCell::default());
+        access(&d, &cell, 7, 0, false);
+        access(&d, &cell, 7, 3, false);
+        assert_eq!(entry(&d, &cell, 7), (0b1001, None));
+        d.remove_claimed(7, 0, d.hint(&cell, 0..64, 7));
+        assert_eq!(entry(&d, &cell, 7), (0b1000, None));
     }
 
     #[test]
     fn empty_entries_are_garbage_collected() {
-        let d = Directory::new();
-        d.add_sharer(9, 1);
-        d.remove_sharer(9, 1);
+        let (d, cell) = (Directory::new(), BlockCell::default());
+        access(&d, &cell, 9, 1, false);
+        assert_eq!(d.tracked_lines(), 1);
+        d.remove_claimed(9, 1, d.hint(&cell, 0..64, 9));
         assert_eq!(d.tracked_lines(), 0);
     }
 
@@ -1032,50 +930,47 @@ mod tests {
     #[test]
     fn default_and_new_both_track_lines() {
         for d in [Directory::default(), Directory::new()] {
-            assert!(!d.is_sharer(1, 0));
-            assert_eq!(d.take_exclusive(1, 0), 0);
-            assert_eq!(d.probe(1), (1, Some(0)));
+            let cell = BlockCell::default();
+            assert_eq!(entry(&d, &cell, 1), (0, None));
+            assert_eq!(access(&d, &cell, 1, 0, true), MissClass::LocalMiss);
+            assert_eq!(entry(&d, &cell, 1), (1, Some(0)));
         }
     }
 
+    /// A write to a shared copy is an upgrade: the writer becomes the
+    /// owner and only sharer.
     #[test]
     fn take_exclusive_invalidates_others() {
-        let d = Directory::new();
-        d.add_sharer(5, 0);
-        d.add_sharer(5, 1);
-        d.add_sharer(5, 2);
-        let invalidated = d.take_exclusive(5, 1);
-        assert_eq!(invalidated, 2);
-        assert!(d.is_sharer(5, 1));
-        assert!(!d.is_sharer(5, 0));
-        let (n, owner) = d.probe(5);
-        assert_eq!((n, owner), (1, Some(1)));
+        let (d, cell) = (Directory::new(), BlockCell::default());
+        for proc in 0..3 {
+            access(&d, &cell, 5, proc, false);
+        }
+        assert_eq!(access(&d, &cell, 5, 1, true), MissClass::TwoParty);
+        assert_eq!(entry(&d, &cell, 5), (0b10, Some(1)));
     }
 
     #[test]
     fn downgrade_clears_owner_keeps_sharer() {
-        let d = Directory::new();
-        d.take_exclusive(4, 2);
-        d.downgrade(4, 2);
-        let (n, owner) = d.probe(4);
-        assert_eq!((n, owner), (1, None));
+        let (d, cell) = (Directory::new(), BlockCell::default());
+        access(&d, &cell, 4, 2, true);
+        assert_eq!(access(&d, &cell, 4, 1, false), MissClass::ThreeParty);
+        assert_eq!(entry(&d, &cell, 4), (0b110, None));
     }
 
     #[test]
     fn removing_owner_drops_ownership() {
-        let d = Directory::new();
-        d.take_exclusive(4, 2);
-        d.remove_sharer(4, 2);
-        let (n, owner) = d.probe(4);
-        assert_eq!((n, owner), (0, None));
+        let (d, cell) = (Directory::new(), BlockCell::default());
+        access(&d, &cell, 4, 2, true);
+        d.remove_claimed(4, 2, d.hint(&cell, 0..64, 4));
+        assert_eq!(entry(&d, &cell, 4), (0, None));
     }
 
     #[test]
     fn clean_page_classifies_lines() {
-        let d = Directory::new();
-        d.add_sharer(100, 0); // shared
-        d.take_exclusive(101, 1); // dirty
-        let out = d.clean_page(100..104);
+        let (d, cell) = (Directory::new(), BlockCell::default());
+        access(&d, &cell, 100, 0, false); // shared
+        access(&d, &cell, 101, 1, true); // dirty
+        let out = d.clean_frame(&cell, 100..104);
         assert_eq!(out.shared_lines, 1);
         assert_eq!(out.dirty_lines, 1);
         assert_eq!(out.uncached_lines, 2);
@@ -1086,51 +981,19 @@ mod tests {
     /// uncached the second, as when each line was its own map removal.
     #[test]
     fn clean_page_counts_a_repeated_line_twice() {
-        let d = Directory::new();
-        d.add_sharer(3, 0);
-        let out = d.clean_page([3, 3]);
+        let (d, cell) = (Directory::new(), BlockCell::default());
+        access(&d, &cell, 3, 0, false);
+        let out = d.clean_frame(&cell, [3, 3]);
         assert_eq!((out.shared_lines, out.uncached_lines), (1, 1));
     }
 
+    /// A clean names only the cell's own lines.
     #[test]
-    fn probe_unknown_line() {
-        let d = Directory::new();
-        assert_eq!(d.probe(12345), (0, None));
-        assert_eq!(d.blocks_allocated(), 0, "a lookup creates nothing");
-    }
-
-    /// A bare line's chunk claims its block on first touch and keeps
-    /// it: cleaning empties the block but frees nothing, the next
-    /// access to the chunk finds the same block, and a chunk never
-    /// touched is cleaned with no lock and no claim.
-    #[test]
-    fn a_bare_chunks_block_is_claimed_once_and_kept() {
-        use crate::{CacheConfig, ProcCache, SsmpCacheSystem};
-        let sys = SsmpCacheSystem::new(5);
-        let d = sys.directory();
-        let mut cache = ProcCache::new(CacheConfig::alewife());
-        // Chunks 1, 2 and 15.
-        let lines = [64, 65, 130, 1000];
-        for line in lines {
-            sys.access(&mut cache, 0, line, 0, line % 2 == 0);
-        }
-        assert_eq!(d.blocks_allocated(), 3);
-        let hint = hint_of(d, 130);
-        let out = d.clean_page(lines);
-        assert_eq!((out.dirty_lines, out.shared_lines), (3, 1));
-        assert_eq!(d.tracked_lines(), 0);
-        assert_eq!(d.blocks_allocated(), 3, "cleaning frees nothing");
-        let mut other = ProcCache::new(CacheConfig::alewife());
-        sys.access(&mut other, 1, 131, 0, false);
-        assert_eq!(other.peek(131).map(|(_, memo)| memo), Some(hint));
-        assert_eq!(d.blocks_allocated(), 3, "the same block");
-        #[cfg(debug_assertions)]
-        let before = Directory::thread_locks();
-        let out = d.clean_page(640..704);
-        #[cfg(debug_assertions)]
-        assert_eq!(Directory::thread_locks().0, before.0, "no stripe lock");
-        assert_eq!(out.uncached_lines, 64);
-        assert_eq!(d.blocks_allocated(), 3, "and no claim");
+    #[should_panic(expected = "index out of bounds")]
+    fn cleaning_a_line_outside_the_cells_blocks_panics() {
+        let (d, cell) = (Directory::new(), BlockCell::default());
+        access(&d, &cell, 3, 0, false);
+        d.clean_frame(&cell, [64]);
     }
 
     /// A frame's lines, `first_chunk`'s onward, at `lines` lines to a
@@ -1140,8 +1003,8 @@ mod tests {
     }
 
     /// A frame's blocks are claimed with no lock at all and cleaned in
-    /// one pass under their eight stripes, never through the line map;
-    /// dropping the frame frees the block, zeroed, for the next frame.
+    /// one pass under their eight stripes; dropping the frame frees the
+    /// block, zeroed, for the next frame.
     #[test]
     fn a_frame_claims_cleans_and_frees_its_block_without_the_line_map() {
         let d = Directory::new();
@@ -1158,11 +1021,7 @@ mod tests {
         let before = Directory::thread_locks();
         let out = d.clean_frame(&cell, lines.clone());
         #[cfg(debug_assertions)]
-        assert_eq!(
-            Directory::thread_locks(),
-            (before.0 + 8, before.1),
-            "eight stripes, no line map"
-        );
+        assert_eq!(Directory::thread_locks(), before + 8, "eight stripes");
         assert_eq!(
             (out.dirty_lines, out.shared_lines, out.uncached_lines),
             (3, 0, 61)
@@ -1177,11 +1036,6 @@ mod tests {
         let next = BlockCell::default();
         assert_eq!(d.hint(&next, frame(9, 64), 9 * 64), hint, "reused");
         assert_eq!(d.blocks_allocated(), 1);
-        assert_eq!(
-            d.line_hint(64, false),
-            None,
-            "the line map never heard of them"
-        );
     }
 
     /// A frame never accessed has no block: its clean reads every line
@@ -1271,12 +1125,14 @@ mod tests {
     fn concurrent_access_is_safe() {
         use std::sync::Arc;
         let d = Arc::new(Directory::new());
+        let cells: Arc<[BlockCell]> = (0..16).map(|_| BlockCell::default()).collect();
         let handles: Vec<_> = (0..4usize)
             .map(|p| {
-                let d = Arc::clone(&d);
+                let (d, cells) = (Arc::clone(&d), Arc::clone(&cells));
                 std::thread::spawn(move || {
                     for line in 0..1000u64 {
-                        d.add_sharer(line, p);
+                        let cell = &cells[(line / BLOCK_LINES) as usize];
+                        lock(&d, cell, line).transact(p, 0, false, 64, false);
                     }
                 })
             })
@@ -1285,7 +1141,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(d.tracked_lines(), 1000);
-        assert_eq!(d.probe(500).0, 4);
+        assert_eq!(entry(&d, &cells[7], 500), (0b1111, None));
     }
 
     // -----------------------------------------------------------------
@@ -1324,9 +1180,9 @@ mod tests {
     /// the stripe is free again by then and the entry looks the same.
     #[test]
     fn validation_catches_a_write_in_between() {
-        let d = Directory::new();
-        d.add_sharer(70, 3);
-        let hint = hint_of(&d, 70);
+        let (d, cell) = (Directory::new(), BlockCell::default());
+        access(&d, &cell, 70, 3, false);
+        let hint = d.hint(&cell, 64..128, 70);
         let (_, stripe, _) = place(70);
         let stripe = &d.block(hint).unwrap().stripes[stripe];
         let seq = stripe.read_begin().expect("free");
@@ -1334,7 +1190,7 @@ mod tests {
         assert!(!stripe.read_valid(seq));
         // Through the whole read: the load itself lets a writer in.
         let got = d.read_shared(70, 3, hint, || {
-            d.add_sharer(70 + 8, 1); // another entry of the same stripe
+            access(&d, &cell, 70 + 8, 1, false); // another entry of the same stripe
             Some(())
         });
         assert_eq!(got, None);
@@ -1343,8 +1199,8 @@ mod tests {
     }
 
     /// `hold` takes every stripe of a frame's blocks — claiming them
-    /// first if the frame has none yet — and never the line map; its
-    /// guard counts as one held host lock.
+    /// first if the frame has none yet; its guard counts as one held
+    /// host lock.
     #[test]
     fn hold_locks_a_frames_whole_blocks() {
         let d = Directory::new();
@@ -1365,8 +1221,8 @@ mod tests {
         #[cfg(debug_assertions)]
         assert_eq!(
             Directory::thread_locks(),
-            (before.0 + 4 * 8, before.1),
-            "four blocks' stripes, no line map"
+            before + 4 * 8,
+            "four blocks' stripes"
         );
         assert_eq!(
             parking_lot::held_locks(),
@@ -1454,9 +1310,9 @@ mod tests {
     #[test]
     fn optimistic_readers_never_see_half_a_write() {
         const THREADS: usize = 4;
-        let d = Directory::new();
-        d.add_sharer(70, 0);
-        let hint = hint_of(&d, 70);
+        let (d, cell) = (Directory::new(), BlockCell::default());
+        access(&d, &cell, 70, 0, false);
+        let hint = d.hint(&cell, 64..128, 70);
         let (_, s, e) = place(70);
         let stripe = &d.block(hint).unwrap().stripes[s];
         let start = stripe.seq.load(Relaxed);

@@ -15,13 +15,14 @@
 //!   processor's thread; no other thread touches it.
 //! * [`Directory`] — the per-SSMP line directory: dense 64-line blocks,
 //!   each claimed for life by a [`BlockCell`] (a page frame's, or, for
-//!   lines with no frame, their chunk's in the directory's line map),
-//!   eight sequence-locked stripes to a block, reached through the
-//!   cell's hint and never by hashing a line. It is the single source of truth for which
-//!   processors hold a line and who owns it dirty; a processor-side tag
-//!   is only *valid* if the directory still lists that processor as a
-//!   sharer, which is how remote invalidations take effect without
-//!   touching another thread's tag array.
+//!   lines with no frame, their chunk's in [`SsmpCacheSystem`]'s line
+//!   map), eight sequence-locked stripes to a block, reached through
+//!   the cell's hint and never by hashing a line. It is the single
+//!   source of truth for which processors hold a line and who owns it
+//!   dirty; a processor-side tag is only *valid* if the directory still
+//!   lists that processor as a sharer, which is how remote
+//!   invalidations take effect without touching another thread's tag
+//!   array.
 //!
 //! [`SsmpCacheSystem::access`] combines the two into the latency classes
 //! of Table 3 of the paper ([`MissClass`]): hit, local miss, remote

@@ -20,8 +20,9 @@ use crate::CacheConfig;
 /// line's last access used (0: none), so that when the line is evicted
 /// its directory block is reached without a lookup: the block of the
 /// line's cell — its frame's, which still holds the line unless the
-/// frame has died, or, for a bare line, its chunk's in the line map,
-/// which holds it for the directory's life (see the directory's docs).
+/// frame has died, or, for a bare line, its chunk's in the cache
+/// system's line map, which holds it for the system's life (see the
+/// directory's docs).
 /// A bare line's tag hit takes its hint from the memo too. The memo
 /// costs no memory of its own.
 /// Each set is kept in most-recently-used-first order with its empty

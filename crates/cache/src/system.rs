@@ -1,10 +1,21 @@
 //! The combined intra-SSMP cache system and latency classification.
 
-use crate::{CleanOutcome, Directory, ProcCache};
+use crate::directory::BLOCK_LINES;
+use crate::{BlockCell, CleanOutcome, Directory, ProcCache};
 use mgs_sim::{CleanTier, CostModel, Cycles};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Line-map lookups by this thread (debug builds only): the access
+    /// path asserts that a locked access makes none, and tests that a
+    /// frame's paths never do.
+    static LOOKUPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// Latency class of one hardware shared-memory access, matching the
 /// first group of Table 3 of the paper.
@@ -158,12 +169,6 @@ impl CacheStats {
         }
     }
 
-    /// Records one access of the given class, in local processor 0's
-    /// shard (its one writer, like every access of processor 0).
-    pub fn record(&self, class: MissClass) {
-        self.record_for(0, class);
-    }
-
     /// Records one access of the given class by local processor `proc`,
     /// the shard's one writer.
     #[inline]
@@ -188,21 +193,18 @@ impl CacheStats {
             .map(|c| c.load(Relaxed))
             .sum()
     }
-
-    /// Fraction of accesses that hit (0.0 when no accesses).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.count(MissClass::Hit) as f64 / total as f64
-        }
-    }
 }
 
 /// The hardware shared-memory system of one SSMP: the line directory
 /// plus access classification. Per-processor tag arrays are owned by
 /// the processor threads and passed in by `&mut`.
+///
+/// A line with no page frame (a **bare line**: [`access`](Self::access),
+/// [`clean_page`](Self::clean_page), [`probe`](Self::probe); tests,
+/// oracles and host micro-benchmarks) has its chunk's [`BlockCell`] in
+/// the system's **line map**, created on first touch and kept for the
+/// system's life, and then runs the frame path. The map's lock is taken
+/// before stripes (a bare clean holds it), never under one.
 ///
 /// # Example
 ///
@@ -218,6 +220,8 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct SsmpCacheSystem {
     directory: Directory,
+    /// The line map: the cell of each chunk a bare line touched.
+    lines: Mutex<HashMap<u64, BlockCell>>,
     stats: CacheStats,
     /// LimitLESS hardware pointer count: reads that would create more
     /// sharers than this are handled by a software directory handler.
@@ -230,6 +234,7 @@ impl SsmpCacheSystem {
     pub fn new(hw_pointers: usize) -> SsmpCacheSystem {
         SsmpCacheSystem {
             directory: Directory::new(),
+            lines: Mutex::default(),
             stats: CacheStats::new(),
             hw_pointers,
         }
@@ -245,17 +250,50 @@ impl SsmpCacheSystem {
         &self.stats
     }
 
+    /// Line-map lookups made by the calling thread so far (debug builds
+    /// only; used by the access path's no-lookup assertion and tests).
+    #[cfg(debug_assertions)]
+    pub fn thread_lookups() -> u64 {
+        LOOKUPS.with(|c| c.get())
+    }
+
+    /// The hint of bare `line`'s block, from its chunk's cell in the
+    /// line map: created and claimed if the chunk has none and `create`
+    /// says so, `None` otherwise.
+    fn line_hint(&self, line: u64, create: bool) -> Option<u32> {
+        #[cfg(debug_assertions)]
+        LOOKUPS.with(|c| c.set(c.get() + 1));
+        let chunk = line / BLOCK_LINES;
+        let mut cells = self.lines.lock();
+        let cell = if create {
+            cells.entry(chunk).or_default()
+        } else {
+            cells.get(&chunk)?
+        };
+        let lines = chunk * BLOCK_LINES..(chunk + 1) * BLOCK_LINES;
+        Some(self.directory.hint(cell, lines, line))
+    }
+
+    /// Bare `line`'s directory entry: its sharer mask, one bit per local
+    /// processor, and its dirty owner. A line whose chunk was never
+    /// touched has none, and the lookup claims nothing.
+    pub fn probe(&self, line: u64) -> (u64, Option<usize>) {
+        self.line_hint(line, false).map_or((0, None), |hint| {
+            self.directory.lock_claimed(line, hint).entry()
+        })
+    }
+
     /// Simulates one access by local processor `proc` to `line`, a
     /// bare line (one with no page frame), whose backing memory is
     /// homed at local processor `home`. Updates the directory and the
     /// processor's tag array, and returns the latency class.
     ///
     /// This is [`access_hinted`](Self::access_hinted) given the hint of
-    /// the block of the line's chunk in the directory's line map and a
-    /// word of its own at a generation that never moves. A tag hit takes
-    /// the hint from the memo beside the tag, which stays right because
-    /// a bare chunk's block is kept for the directory's life; a tag miss
-    /// looks it up, claiming the chunk's block on its first touch.
+    /// the block of the line's chunk in the line map and a word of its
+    /// own at a generation that never moves. A tag hit takes the hint
+    /// from the memo beside the tag, which stays right because a bare
+    /// chunk's block is kept for the system's life; a tag miss looks it
+    /// up, claiming the chunk's block on its first touch.
     ///
     /// # Panics
     ///
@@ -273,7 +311,6 @@ impl SsmpCacheSystem {
         let hint = match cache.peek(line) {
             Some((_, memo)) => memo,
             None => self
-                .directory
                 .line_hint(line, true)
                 .expect("a creating lookup finds a block"),
         };
@@ -347,20 +384,20 @@ impl SsmpCacheSystem {
             }
         }
         #[cfg(debug_assertions)]
-        let locks_before = Directory::thread_locks();
+        let before = (Directory::thread_locks(), Self::thread_lookups());
         let mut entry = self.directory.lock_claimed(line, hint);
         if !word.current() {
             return None;
         }
         #[cfg(debug_assertions)]
-        {
-            let (stripes, lookups) = Directory::thread_locks();
-            debug_assert_eq!(
-                (stripes - locks_before.0, lookups - locks_before.1),
-                (1, 0),
-                "a locked access takes exactly one stripe lock and no line-map lookup"
-            );
-        }
+        debug_assert_eq!(
+            (
+                Directory::thread_locks() - before.0,
+                Self::thread_lookups() - before.1
+            ),
+            (1, 0),
+            "a locked access takes exactly one stripe lock and no line-map lookup"
+        );
         let evicted = match tag {
             Some((way, _)) => {
                 cache.promote(line, way);
@@ -381,10 +418,24 @@ impl SsmpCacheSystem {
 
     /// Cleans bare lines (§4.2.4): removes them from the directory and
     /// returns the cycle cost under `cost`, tiered per line by whether
-    /// the line was dirty.
+    /// the line was dirty. Each run of lines in one chunk is one
+    /// [`Directory::clean_frame`] of the chunk's cell; a line named
+    /// twice is cleaned twice, and a chunk never touched has only
+    /// uncached lines and takes no stripe lock.
     pub fn clean_page<I: IntoIterator<Item = u64>>(&self, lines: I, cost: &CostModel) -> Cycles {
-        let out = self.directory.clean_page(lines);
-        Self::clean_cost(out, cost)
+        #[cfg(debug_assertions)]
+        LOOKUPS.with(|c| c.set(c.get() + 1));
+        let cells = self.lines.lock();
+        let untouched = BlockCell::default();
+        let mut lines = lines.into_iter().peekable();
+        let mut total = Cycles::ZERO;
+        while let Some(&first) = lines.peek() {
+            let chunk = first / BLOCK_LINES;
+            let cell = cells.get(&chunk).unwrap_or(&untouched);
+            let run = std::iter::from_fn(|| lines.next_if(|line| line / BLOCK_LINES == chunk));
+            total += Self::clean_cost(self.directory.clean_frame(cell, run), cost);
+        }
+        total
     }
 
     /// Cycle cost of a [`CleanOutcome`] under `cost`.
@@ -404,7 +455,7 @@ pub fn lines_of(base: u64, bytes: u64, line_bytes: u64) -> impl Iterator<Item = 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BlockCell, CacheConfig};
+    use crate::CacheConfig;
 
     #[allow(clippy::needless_range_loop)]
     fn setup() -> (SsmpCacheSystem, Vec<ProcCache>) {
@@ -463,9 +514,7 @@ mod tests {
         let (a, b) = caches.split_at_mut(1);
         sys.access(&mut b[0], 1, 10, 0, true);
         sys.access(&mut a[0], 0, 10, 0, false);
-        let (sharers, owner) = sys.directory().probe(10);
-        assert_eq!(sharers, 2);
-        assert_eq!(owner, None);
+        assert_eq!(sys.probe(10), (0b11, None));
     }
 
     #[test]
@@ -515,8 +564,8 @@ mod tests {
         sys.access(&mut cache, 0, 0, 0, false);
         sys.access(&mut cache, 0, 8, 0, false);
         sys.access(&mut cache, 0, 16, 0, false); // evicts line 0 (LRU)
-        assert!(!sys.directory().is_sharer(0, 0));
-        assert!(sys.directory().is_sharer(16, 0));
+        assert_eq!(sys.probe(0), (0, None));
+        assert_eq!(sys.probe(16), (1, None));
     }
 
     #[test]
@@ -551,7 +600,7 @@ mod tests {
         sys.access(&mut caches[0], 0, 1, 0, false);
         assert_eq!(sys.stats().count(MissClass::LocalMiss), 1);
         assert_eq!(sys.stats().count(MissClass::Hit), 1);
-        assert!((sys.stats().hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(sys.stats().total(), 2);
     }
 
     /// Lines 0, 8 and 16 share set 0 of the 8-set cache and (one
@@ -564,22 +613,19 @@ mod tests {
         sys.access(&mut cache, 0, 0, 0, false);
         sys.access(&mut cache, 0, 8, 0, false);
         #[cfg(debug_assertions)]
-        let before = Directory::thread_locks();
+        let before = (Directory::thread_locks(), SsmpCacheSystem::thread_lookups());
         assert_eq!(
             sys.access(&mut cache, 0, 16, 0, false),
             MissClass::LocalMiss
         );
         #[cfg(debug_assertions)]
         assert_eq!(
-            Directory::thread_locks(),
+            (Directory::thread_locks(), SsmpCacheSystem::thread_lookups()),
             (before.0 + 1, before.1 + 1),
             "a tag miss: one line-map lookup, then one stripe for the line and its victim"
         );
-        assert!(
-            !sys.directory().is_sharer(0, 0),
-            "victim's sharer bit cleared"
-        );
-        assert!(sys.directory().is_sharer(16, 0));
+        assert_eq!(sys.probe(0), (0, None), "victim's sharer bit cleared");
+        assert_eq!(sys.probe(16), (1, None));
     }
 
     #[test]
@@ -596,26 +642,90 @@ mod tests {
         for line in [0, 2, 4, 64] {
             sys.access(&mut cache, 0, line, 0, false);
         }
-        assert!(!sys.directory().is_sharer(0, 0));
-        assert!(!sys.directory().is_sharer(2, 0));
-        assert!(sys.directory().is_sharer(4, 0) && sys.directory().is_sharer(64, 0));
+        for (line, sharers) in [(0, 0), (2, 0), (4, 1), (64, 1)] {
+            assert_eq!(sys.probe(line), (sharers, None), "line {line}");
+        }
         assert_eq!(sys.directory().tracked_lines(), 2);
     }
 
     #[test]
-    fn write_upgrade_matches_take_exclusive() {
+    fn write_upgrade_leaves_the_writer_sole_owner() {
         let (sys, mut caches) = setup();
-        let reference = Directory::new();
         for (proc, cache) in caches.iter_mut().enumerate().take(2) {
             sys.access(cache, proc, 5, 0, false);
-            reference.add_sharer(5, proc);
         }
+        assert_eq!(sys.probe(5), (0b11, None));
         assert_eq!(
             sys.access(&mut caches[0], 0, 5, 0, true),
             MissClass::TwoParty
         );
-        reference.take_exclusive(5, 0);
-        assert_eq!(sys.directory().probe(5), reference.probe(5));
+        assert_eq!(sys.probe(5), (0b1, Some(0)));
+    }
+
+    #[test]
+    fn probe_unknown_line() {
+        let sys = SsmpCacheSystem::new(5);
+        assert_eq!(sys.probe(12345), (0, None));
+        assert_eq!(
+            sys.directory().blocks_allocated(),
+            0,
+            "a lookup creates nothing"
+        );
+    }
+
+    /// A bare line's chunk claims its block on first touch and keeps
+    /// it: cleaning empties the block but frees nothing, the next
+    /// access to the chunk finds the same block, and a chunk never
+    /// touched is cleaned with no lock and no claim.
+    #[test]
+    fn a_bare_chunks_block_is_claimed_once_and_kept() {
+        let sys = SsmpCacheSystem::new(5);
+        let d = sys.directory();
+        let cost = CostModel::alewife();
+        let mut cache = ProcCache::new(CacheConfig::alewife());
+        // Chunks 1, 2 and 15.
+        let lines = [64, 65, 130, 1000];
+        for line in lines {
+            sys.access(&mut cache, 0, line, 0, line % 2 == 0);
+        }
+        assert_eq!(d.blocks_allocated(), 3);
+        let hint = sys.line_hint(130, false).expect("a touched chunk");
+        assert_eq!(
+            sys.clean_page(lines, &cost),
+            cost.clean_line_dirty * 3 + cost.clean_line_clean,
+            "three dirty lines, one shared"
+        );
+        assert_eq!(d.tracked_lines(), 0);
+        assert_eq!(d.blocks_allocated(), 3, "cleaning frees nothing");
+        let mut other = ProcCache::new(CacheConfig::alewife());
+        sys.access(&mut other, 1, 131, 0, false);
+        assert_eq!(other.peek(131).map(|(_, memo)| memo), Some(hint));
+        assert_eq!(d.blocks_allocated(), 3, "the same block");
+        #[cfg(debug_assertions)]
+        let before = Directory::thread_locks();
+        let charged = sys.clean_page(640..704, &cost);
+        #[cfg(debug_assertions)]
+        assert_eq!(Directory::thread_locks(), before, "no stripe lock");
+        assert_eq!(charged, cost.clean_line_clean * 64);
+        assert_eq!(d.blocks_allocated(), 3, "and no claim");
+    }
+
+    /// A clean may name lines of several chunks, in any order, each
+    /// run of one chunk cleaned through its cell; a line named twice
+    /// costs twice.
+    #[test]
+    fn a_clean_spans_chunks_and_repeats() {
+        let sys = SsmpCacheSystem::new(5);
+        let cost = CostModel::alewife();
+        let mut cache = ProcCache::new(CacheConfig::alewife());
+        for line in [3, 70, 71] {
+            sys.access(&mut cache, 0, line, 0, line != 3);
+        }
+        assert_eq!(
+            sys.clean_page([70, 3, 3, 71, 200], &cost),
+            cost.clean_line_dirty * 2 + cost.clean_line_clean * 3
+        );
+        assert_eq!(sys.directory().tracked_lines(), 0);
     }
 
     /// An access whose translation went stale is refused with nothing

@@ -58,10 +58,9 @@ fn dirty_lines_have_exactly_one_sharer() {
     for_each_case(128, 200, |seed, accesses| {
         let (sys, _) = run(&accesses);
         for line in 0..LINES {
-            let (sharers, owner) = sys.directory().probe(line);
+            let (sharers, owner) = sys.probe(line);
             if let Some(o) = owner {
-                assert_eq!(sharers, 1, "dirty line {line} ({seed:#x})");
-                assert!(sys.directory().is_sharer(line, o), "seed {seed:#x}");
+                assert_eq!(sharers, 1 << o, "dirty line {line} ({seed:#x})");
             }
         }
     });
@@ -120,8 +119,8 @@ fn tag_arrays_respect_capacity() {
     });
 }
 
-/// Access classification is always one of the Table 3 classes and hit
-/// statistics are consistent with totals.
+/// Access classification is always one of the Table 3 classes and the
+/// per-class counts add up to the total.
 #[test]
 fn stats_are_consistent() {
     for_each_case(128, 200, |seed, accesses| {
@@ -130,6 +129,5 @@ fn stats_are_consistent() {
         let by_class: u64 = MissClass::ALL.iter().map(|&c| stats.count(c)).sum();
         assert_eq!(by_class, stats.total(), "seed {seed:#x}");
         assert_eq!(stats.total(), accesses.len() as u64, "seed {seed:#x}");
-        assert!((0.0..=1.0).contains(&stats.hit_rate()), "seed {seed:#x}");
     });
 }

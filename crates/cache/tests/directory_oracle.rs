@@ -1,9 +1,12 @@
-//! Differential oracle for the block directory: [`Directory`] must give
-//! exactly the answers of the hashed per-line map it replaced. The old
-//! structure lives on here as the reference — one map entry per tracked
-//! line, removed when its last sharer leaves, with the transaction body
-//! it had in production — and both are driven with the same seeded
-//! stream of accesses, page cleans, dirty markings and page
+//! Differential oracle for the block directory and the fused access:
+//! [`Directory`] behind [`SsmpCacheSystem`] must give exactly the
+//! answers of the hashed per-line map it replaced. The old structure
+//! lives on here as the reference — one map entry per tracked line,
+//! removed when its last sharer leaves, with the transaction body it
+//! had in production, which is also the unfused sequence of directory
+//! calls (sharer test, probe, take-exclusive, downgrade, add-sharer)
+//! the fused transaction replaced — and both are driven with the same
+//! seeded stream of accesses, page cleans, dirty markings and page
 //! retirements; every return value is compared, and at checkpoints the
 //! tracked-line count, the per-class totals and (where the API can read
 //! them) every tracked line's state.
@@ -11,16 +14,19 @@
 //! Each trace runs twice: once through frames' own blocks, as the
 //! protocol and the runtime use the directory (claimed hints, frames
 //! that die with live entries, victims of dead frames), and once
-//! through bare lines, the line-keyed API whose chunks keep their
-//! blocks in the directory's line map (tag hits on remembered hints,
-//! victims in other blocks). Both reach pages of half a block and of
-//! four. Then the lock counts of an access, and the bound that freeing
+//! through bare lines, the cache system's adapter whose chunks keep
+//! their blocks in its line map (tag hits on remembered hints, victims
+//! in other blocks). Both reach pages of half a block and of four.
+//! Then pure access traces through bare lines, which also compare the
+//! tag arrays; the lock counts of an access; and the bound that freeing
 //! dead frames keeps.
+//!
+//! [`Directory`]: mgs_cache::Directory
 
 use mgs_cache::{
     BlockCell, CacheConfig, CleanOutcome, FrameWord, MissClass, ProcCache, SsmpCacheSystem,
 };
-use mgs_sim::XorShift64;
+use mgs_sim::{CostModel, XorShift64};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 
@@ -146,15 +152,11 @@ impl HashedDirectory {
         class
     }
 
-    fn is_sharer(&self, line: u64, proc: usize) -> bool {
-        self.lines
-            .get(&line)
-            .is_some_and(|e| e.sharers & (1 << proc) != 0)
-    }
-
-    fn probe(&self, line: u64) -> (u32, Option<usize>) {
+    /// A line's sharer mask and dirty owner, as
+    /// `SsmpCacheSystem::probe` reads them.
+    fn probe(&self, line: u64) -> (u64, Option<usize>) {
         match self.lines.get(&line) {
-            Some(e) => (e.sharers.count_ones(), e.owner.map(|p| p as usize)),
+            Some(e) => (e.sharers, e.owner.map(|p| p as usize)),
             None => (0, None),
         }
     }
@@ -218,7 +220,7 @@ impl HashedSystem {
 
 /// A physical page as the layers above the cache see it: its lines and
 /// the directory-slot cell `PageFrame` carries (which the bare-line
-/// mode leaves unused).
+/// mode leaves unused: the cache system keeps its own per chunk).
 #[derive(Debug)]
 struct Frame {
     first_line: u64,
@@ -230,7 +232,7 @@ struct Frame {
 struct Case {
     seed: u64,
     /// Whether the frames' own blocks serve every operation (the
-    /// production paths), or the line-keyed API does.
+    /// production paths), or the bare-line adapter does.
     owned: bool,
     rng: XorShift64,
     block: SsmpCacheSystem,
@@ -335,16 +337,32 @@ impl Case {
     }
 
     /// Cleans a page's lines on both sides and compares the outcomes.
+    /// A bare clean returns its cost, which with the lines it removed
+    /// from the directory gives the whole outcome: the dirty count from
+    /// the cost (a dirty line costs more), the shared count from the
+    /// lines removed, the uncached count from the rest.
     fn clean_at(&mut self, page: usize) {
         let lines = self.lines(page);
-        let directory = self.block.directory();
-        let got = if self.owned {
-            directory.clean_frame(&self.frames[page].cell, lines.clone())
-        } else {
-            directory.clean_page(lines.clone())
-        };
-        let want = self.hashed.directory.clean_page(lines);
-        assert_eq!(got, want, "clean outcome diverged at {}", self.at());
+        let want = self.hashed.directory.clean_page(lines.clone());
+        if self.owned {
+            let got = (self.block.directory()).clean_frame(&self.frames[page].cell, lines);
+            assert_eq!(got, want, "clean outcome diverged at {}", self.at());
+            return;
+        }
+        let cost = CostModel::alewife();
+        assert_ne!(cost.clean_line_dirty, cost.clean_line_clean);
+        let tracked = self.block.directory().tracked_lines();
+        let charged = self.block.clean_page(lines, &cost);
+        let removed = tracked - self.block.directory().tracked_lines();
+        assert_eq!(
+            (charged, removed as u64),
+            (
+                SsmpCacheSystem::clean_cost(want, &cost),
+                want.shared_lines + want.dirty_lines
+            ),
+            "clean cost or lines removed diverged at {}",
+            self.at()
+        );
     }
 
     fn clean(&mut self) {
@@ -352,8 +370,9 @@ impl Case {
         self.clean_at(page);
     }
 
-    /// Dirty-marks a random ascending subset of a page's lines, as a
-    /// diff's touched lines are.
+    /// Dirty-marks a random ascending subset of a frame's lines, as a
+    /// diff's touched lines are. (Only frames are dirty-marked: the
+    /// bare-line mode accesses instead.)
     fn mark_dirty(&mut self) {
         let page = self.below(self.frames.len() as u64) as usize;
         let proc = self.below(PROCS as u64) as usize;
@@ -363,13 +382,13 @@ impl Case {
             .lines(page)
             .filter(|_| picks.next_below(keep) == 0)
             .collect();
-        let directory = self.block.directory();
-        if self.owned {
-            let frame = &self.frames[page];
-            directory.mark_dirty_frame(&frame.cell, self.lines(page), lines.iter().copied(), proc);
-        } else {
-            directory.mark_dirty_lines(lines.iter().copied(), proc);
-        }
+        let frame = &self.frames[page];
+        (self.block.directory()).mark_dirty_frame(
+            &frame.cell,
+            self.lines(page),
+            lines.iter().copied(),
+            proc,
+        );
         self.hashed.directory.mark_dirty_lines(lines, proc);
     }
 
@@ -392,8 +411,8 @@ impl Case {
     }
 
     /// Compares the tracked-line count, the per-class totals and, where
-    /// the line-keyed API can read them, every line any frame ever
-    /// covered.
+    /// the bare-line adapter can read them, every line any frame ever
+    /// covered: its sharer mask (so every sharer bit) and owner.
     fn checkpoint(&self) {
         let (block, hashed) = (self.block.directory(), &self.hashed.directory);
         assert_eq!(
@@ -406,19 +425,11 @@ impl Case {
             let first = frame * self.stride;
             for line in first..first + self.lines_per_page {
                 assert_eq!(
-                    block.probe(line),
+                    self.block.probe(line),
                     hashed.probe(line),
                     "entry of line {line} diverged at {}",
                     self.at()
                 );
-                for proc in 0..PROCS {
-                    assert_eq!(
-                        block.is_sharer(line, proc),
-                        hashed.is_sharer(line, proc),
-                        "sharer bit ({line}, {proc}) diverged at {}",
-                        self.at()
-                    );
-                }
             }
         }
         for class in MissClass::ALL {
@@ -443,7 +454,7 @@ impl Case {
             match self.below(40) {
                 0 => self.retire(),
                 1 | 2 => self.clean(),
-                3 | 4 => self.mark_dirty(),
+                3 | 4 if self.owned => self.mark_dirty(),
                 _ => self.access(),
             }
             if step % 500 == 499 {
@@ -531,22 +542,23 @@ fn a_victim_of_a_dead_frame_is_skipped() {
     assert_eq!((out.shared_lines, out.dirty_lines), (2, 62));
 }
 
-/// Debug builds count locks per thread. A frame's read hit takes no
-/// lock at all, and any other frame access takes one stripe lock and
-/// never asks the line map. A bare line's tag miss looks its chunk up
-/// in the line map (claiming the block on first touch, with no stripe
-/// lock) and takes one stripe lock; its tag hit takes the memo beside
-/// the tag and never asks the line map.
+/// Debug builds count stripe locks and line-map lookups per thread. A
+/// frame's read hit takes no lock at all, and any other frame access
+/// takes one stripe lock and never asks the line map. A bare line's
+/// tag miss looks its chunk up in the line map (claiming the block on
+/// first touch, with no stripe lock) and takes one stripe lock; its tag
+/// hit takes the memo beside the tag and never asks the line map.
 #[cfg(debug_assertions)]
 #[test]
 fn an_access_takes_one_stripe_lock_or_none() {
     use mgs_cache::Directory;
     let sys = SsmpCacheSystem::new(HW_POINTERS);
     let mut cache = ProcCache::new(CacheConfig::alewife());
+    let counts = || (Directory::thread_locks(), SsmpCacheSystem::thread_lookups());
     let locks = |f: &mut dyn FnMut()| {
-        let before = Directory::thread_locks();
+        let before = counts();
         f();
-        let after = Directory::thread_locks();
+        let after = counts();
         (after.0 - before.0, after.1 - before.1)
     };
     let (cell, lines) = (BlockCell::default(), 64..128);
@@ -581,6 +593,119 @@ fn an_access_takes_one_stripe_lock_or_none() {
         (4097, true, (1, 0), "write hit"),
     ] {
         assert_eq!(bare(line, write), want, "bare line {line}: {what}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Access traces through bare lines
+// ---------------------------------------------------------------------
+
+/// Processors of an access trace.
+const TRACE_PROCS: usize = 4;
+
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    proc: usize,
+    line: u64,
+    home: usize,
+    write: bool,
+}
+
+/// `len` accesses to lines below `lines`, one in `write_odds` a write.
+fn random_trace(rng: &mut XorShift64, len: usize, lines: u64, write_odds: u64) -> Vec<Access> {
+    (0..len)
+        .map(|_| Access {
+            proc: rng.next_below(TRACE_PROCS as u64) as usize,
+            line: rng.next_below(lines),
+            home: rng.next_below(TRACE_PROCS as u64) as usize,
+            write: rng.next_below(write_odds) == 0,
+        })
+        .collect()
+}
+
+/// Runs `trace` through `SsmpCacheSystem::access` and the hashed
+/// system, comparing the class of every access; then the tracked-line
+/// count, every line's entry (sharer mask and owner), every tag array's
+/// residency, line by line, and the per-class counts.
+fn assert_equivalent(seed: u64, cfg: CacheConfig, trace: &[Access], lines: u64) {
+    let fused = SsmpCacheSystem::new(HW_POINTERS);
+    let mut reference = HashedSystem::default();
+    let mut fused_caches: Vec<ProcCache> = (0..TRACE_PROCS).map(|_| ProcCache::new(cfg)).collect();
+    let mut ref_caches = fused_caches.clone();
+    for (i, a) in trace.iter().enumerate() {
+        let f = fused.access(&mut fused_caches[a.proc], a.proc, a.line, a.home, a.write);
+        let r = reference.access(&mut ref_caches[a.proc], a.proc, a.line, a.home, a.write);
+        assert_eq!(f, r, "class diverged at step {i} on {a:?} (seed {seed:#x})");
+    }
+    assert_eq!(
+        fused.directory().tracked_lines(),
+        reference.directory.tracked_lines(),
+        "tracked lines diverged (seed {seed:#x})"
+    );
+    for line in 0..lines {
+        assert_eq!(
+            fused.probe(line),
+            reference.directory.probe(line),
+            "directory entry for line {line} diverged (seed {seed:#x})"
+        );
+    }
+    // Tag arrays: same residency per line (the fused path fills the
+    // tag array before the transaction, which must not change *what*
+    // is resident). `contains` ticks both sides' LRU alike.
+    for (p, (fc, rc)) in fused_caches.iter_mut().zip(&mut ref_caches).enumerate() {
+        assert_eq!(
+            fc.resident(),
+            rc.resident(),
+            "proc {p} resident count diverged (seed {seed:#x})"
+        );
+        for line in 0..lines {
+            assert_eq!(
+                fc.contains(line),
+                rc.contains(line),
+                "proc {p} residency of line {line} diverged (seed {seed:#x})"
+            );
+        }
+    }
+    for class in MissClass::ALL {
+        assert_eq!(
+            fused.stats().count(class),
+            reference.counts[class.index()],
+            "{class} count diverged (seed {seed:#x})"
+        );
+    }
+}
+
+/// Tiny caches (8 sets × 2 ways) force constant evictions: the victim
+/// co-location and single-lock removal path is exercised on nearly
+/// every access.
+#[test]
+fn fused_matches_reference_with_heavy_eviction() {
+    for case in 0..48u64 {
+        let seed = 0x5AC1_E000 | case;
+        let trace = random_trace(&mut XorShift64::new(seed), 400, 64, 4);
+        assert_equivalent(seed, CacheConfig::tiny(), &trace, 64);
+    }
+}
+
+/// Alewife-sized caches (2048 sets): mostly conflict-free, exercising
+/// the hit/upgrade/miss classification paths.
+#[test]
+fn fused_matches_reference_at_alewife_geometry() {
+    for case in 0..16u64 {
+        let seed = 0x0A1E_F000 | case;
+        let trace = random_trace(&mut XorShift64::new(seed), 600, 4096, 4);
+        assert_equivalent(seed, CacheConfig::alewife(), &trace, 4096);
+    }
+}
+
+/// Write-heavy traces exercise upgrades, take-exclusive invalidations
+/// and dirty-line downgrades.
+#[test]
+fn fused_matches_reference_under_write_storms() {
+    for case in 0..32u64 {
+        let seed = 0x0BAD_C0DE | case;
+        let trace = random_trace(&mut XorShift64::new(seed), 300, 32, 2);
+        assert_equivalent(seed, CacheConfig::tiny(), &trace, 32);
     }
 }
 

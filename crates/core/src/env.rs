@@ -438,9 +438,11 @@ impl Env {
         if self.null_mgs {
             // Tightly-coupled baseline (§5.2.1): MGS calls are null; the
             // remaining cost is the software-VM page-table fill, which
-            // the paper folds into user time.
+            // the paper folds into user time. It is a fault satisfied by
+            // a local mapping, so the protocol's count sees it too.
             self.clock
                 .charge(CostCategory::User, self.cost.tlb_fill_cost());
+            self.proto.stats().tlb_fills.incr();
             if let Some(obs) = &self.obs {
                 obs.registry.count(self.proc, Metric::TlbFills, 1);
                 obs.registry.record_latency(

@@ -58,7 +58,7 @@ pub use machine::Machine;
 pub use report::RunReport;
 
 // Re-exports used throughout the public API.
-pub use mgs_net::{ChurnEvent, FaultPlan, FaultSpec, LinkTier, NetStats, TieredScenario};
+pub use mgs_net::{ChurnEvent, FaultPlan, LinkTier, NetStats, TieredScenario};
 pub use mgs_obs::{
     export_perfetto, first_divergence, GovernorWaitReport, HistSummary, LatencyClass, Metric,
     MetricsReport, ObsEvent, ObsSink, PageProfile, SharingReport, TraceEvent, XactKind,

@@ -5,8 +5,8 @@
 //! commodity LANs drop, duplicate and delay messages, and a software
 //! DSM layer that has never seen those behaviours cannot be trusted at
 //! scale. A [`FaultPlan`] describes a *seeded, reproducible* unreliable
-//! fabric: per-kind drop probability, duplication probability and
-//! delay jitter, each decided by a
+//! fabric: one drop probability, duplication probability and delay
+//! jitter for every inter-SSMP transmission, each decided by a
 //! [`XorShift64`](mgs_sim::XorShift64) stream derived purely from
 //! `(seed, src, dst, kind, transmission index)`. Two runs with the same
 //! plan and the same per-channel transmission order therefore inject
@@ -21,57 +21,30 @@
 use crate::MsgKind;
 use mgs_sim::{Cycles, XorShift64};
 
-/// Fault probabilities and jitter bound for one class of transmissions.
+/// Fault probabilities and jitter bound for every transmission of a
+/// plan.
 ///
 /// `drop` and `duplicate` are probabilities; `jitter` is the *maximum*
 /// extra delivery delay, drawn uniformly from `[0, jitter]` per
 /// delivered message.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultSpec {
+#[derive(Debug, Clone, Copy, Default)]
+struct FaultSpec {
     /// Probability in `[0, 1)` that a transmission is lost in the
     /// fabric (strictly below 1: a link that loses everything can never
     /// deliver, so no retry bound would terminate).
-    pub drop: f64,
+    drop: f64,
     /// Probability in `[0, 1]` that the fabric delivers one extra copy
     /// of the message (e.g. a link-layer retransmission artifact).
-    pub duplicate: f64,
+    duplicate: f64,
     /// Maximum extra delivery delay; the actual jitter is uniform in
     /// `[0, jitter]` cycles.
-    pub jitter: Cycles,
+    jitter: Cycles,
 }
 
 impl FaultSpec {
-    /// The fault-free spec: nothing dropped, nothing duplicated, no
-    /// jitter.
-    pub const NONE: FaultSpec = FaultSpec {
-        drop: 0.0,
-        duplicate: 0.0,
-        jitter: Cycles::ZERO,
-    };
-
     /// `true` when this spec injects no faults at all.
-    pub fn is_none(&self) -> bool {
+    fn is_none(&self) -> bool {
         self.drop == 0.0 && self.duplicate == 0.0 && self.jitter == Cycles::ZERO
-    }
-
-    /// Panics unless `0 <= drop < 1` and `0 <= duplicate <= 1`.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..1.0).contains(&self.drop),
-            "drop probability must be in [0, 1), got {}",
-            self.drop
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.duplicate),
-            "duplicate probability must be in [0, 1], got {}",
-            self.duplicate
-        );
-    }
-}
-
-impl Default for FaultSpec {
-    fn default() -> FaultSpec {
-        FaultSpec::NONE
     }
 }
 
@@ -92,16 +65,15 @@ pub enum Fate {
     Drop,
 }
 
-/// A seeded description of an unreliable LAN fabric.
-///
-/// A transmission of a kind with a per-kind override
-/// ([`with_kind`](FaultPlan::with_kind)) gets that spec; every other
-/// one gets the plan default.
+/// A seeded description of an unreliable LAN fabric: one drop
+/// probability, duplication probability and jitter bound for every
+/// inter-SSMP link and message kind, and the seed its fault streams
+/// derive from.
 ///
 /// # Example
 ///
 /// ```
-/// use mgs_net::{Fate, FaultPlan, FaultSpec, MsgKind};
+/// use mgs_net::{Fate, FaultPlan, MsgKind};
 /// use mgs_sim::Cycles;
 ///
 /// // A perfect fabric decides nothing.
@@ -124,8 +96,7 @@ pub enum Fate {
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     seed: u64,
-    default: FaultSpec,
-    kinds: Vec<(MsgKind, FaultSpec)>,
+    spec: FaultSpec,
 }
 
 impl FaultPlan {
@@ -136,67 +107,36 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// An (initially fault-free) plan seeded for reproducible fault
-    /// streams; add faults with the `with_*` builders.
-    pub fn seeded(seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            ..FaultPlan::default()
-        }
-    }
-
-    /// The common case: every inter-SSMP link faulting identically.
+    /// Every inter-SSMP link faulting identically: each transmission is
+    /// lost with probability `drop`, else delivered with one extra copy
+    /// with probability `duplicate`, up to `jitter` cycles late.
     ///
     /// # Panics
     ///
     /// Panics if `drop` is not in `[0, 1)` or `duplicate` not in
     /// `[0, 1]`.
     pub fn uniform(seed: u64, drop: f64, duplicate: f64, jitter: Cycles) -> FaultPlan {
-        FaultPlan::seeded(seed).with_default(FaultSpec {
+        assert!(
+            (0.0..1.0).contains(&drop),
+            "drop probability must be in [0, 1), got {drop}"
+        );
+        assert!(
+            (0.0..=1.0).contains(&duplicate),
+            "duplicate probability must be in [0, 1], got {duplicate}"
+        );
+        let spec = FaultSpec {
             drop,
             duplicate,
             jitter,
-        })
+        };
+        FaultPlan { seed, spec }
     }
 
-    /// Sets the default spec applied to transmissions with no more
-    /// specific override.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's probabilities are out of range.
-    pub fn with_default(mut self, spec: FaultSpec) -> FaultPlan {
-        spec.validate();
-        self.default = spec;
-        self
-    }
-
-    /// Overrides the spec for every message of one kind, on any link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's probabilities are out of range.
-    pub fn with_kind(mut self, kind: MsgKind, spec: FaultSpec) -> FaultPlan {
-        spec.validate();
-        self.kinds.retain(|(k, _)| *k != kind);
-        self.kinds.push((kind, spec));
-        self
-    }
-
-    /// `true` when some transmission class can be faulted. An inactive
-    /// plan is skipped entirely by [`LanModel`](crate::LanModel): no
-    /// counters, no RNG draws.
+    /// `true` when a transmission can be faulted. An inactive plan is
+    /// skipped entirely by [`LanModel`](crate::LanModel): no counters,
+    /// no RNG draws.
     pub fn is_active(&self) -> bool {
-        !self.default.is_none() || self.kinds.iter().any(|(_, s)| !s.is_none())
-    }
-
-    /// The spec governing `kind` messages: its override, else the
-    /// default.
-    fn spec_for(&self, kind: MsgKind) -> FaultSpec {
-        self.kinds
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map_or(self.default, |(_, s)| *s)
+        !self.spec.is_none()
     }
 
     /// Decides the fate of the `n`-th transmission of `kind` from `src`
@@ -204,7 +144,7 @@ impl FaultPlan {
     /// arguments, so a caller that numbers transmissions per channel
     /// replays identical fault schedules for a given seed.
     pub fn fate(&self, src: usize, dst: usize, kind: MsgKind, n: u64) -> Fate {
-        let spec = self.spec_for(kind);
+        let spec = self.spec;
         if spec.is_none() {
             return Fate::Deliver {
                 jitter: Cycles::ZERO,
@@ -302,24 +242,30 @@ mod tests {
         }
     }
 
+    /// A zero-fault plan is inactive whatever its seed, and any one
+    /// nonzero knob makes a plan active.
     #[test]
-    fn resolution_prefers_most_specific() {
-        let loud = FaultSpec {
-            drop: 0.9,
-            duplicate: 0.0,
-            jitter: Cycles::ZERO,
-        };
-        let quiet = FaultSpec {
-            drop: 0.1,
-            duplicate: 0.0,
-            jitter: Cycles::ZERO,
-        };
-        let plan = FaultPlan::seeded(1)
-            .with_default(quiet)
-            .with_kind(MsgKind::Inv, loud);
-        assert_eq!(plan.spec_for(MsgKind::Inv), loud); // kind
-        assert_eq!(plan.spec_for(MsgKind::Ack), quiet); // default
-        assert_eq!(FaultPlan::seeded(1).spec_for(MsgKind::Ack), FaultSpec::NONE);
+    fn a_plan_is_active_iff_its_spec_faults() {
+        assert!(!FaultPlan::uniform(9, 0.0, 0.0, Cycles::ZERO).is_active());
+        assert!(FaultPlan::uniform(9, 0.1, 0.0, Cycles::ZERO).is_active());
+        assert!(FaultPlan::uniform(9, 0.0, 1.0, Cycles::ZERO).is_active());
+        assert!(FaultPlan::uniform(9, 0.0, 0.0, Cycles(1)).is_active());
+    }
+
+    /// A duplicate storm delivers every transmission once, with one
+    /// extra copy and no delay.
+    #[test]
+    fn a_duplicate_storm_delivers_everything_twice() {
+        let plan = FaultPlan::uniform(7, 0.0, 1.0, Cycles::ZERO);
+        for n in 0..500 {
+            assert_eq!(
+                plan.fate(0, 1, MsgKind::Update, n),
+                Fate::Deliver {
+                    jitter: Cycles::ZERO,
+                    duplicates: 1
+                }
+            );
+        }
     }
 
     #[test]

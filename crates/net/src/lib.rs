@@ -16,9 +16,9 @@
 //! message type.
 //!
 //! Beyond the paper's perfect fabric, the crate provides **seeded
-//! fault injection** ([`FaultPlan`]): per-kind message drop,
-//! duplication and delay-jitter, decided per (source, destination,
-//! kind) channel by deterministic
+//! fault injection** ([`FaultPlan`]): message drop, duplication and
+//! delay jitter, decided per (source, destination, kind) channel by
+//! deterministic
 //! [`XorShift64`](mgs_sim::XorShift64) streams so that a
 //! faulty run replays bit-identically for a given seed. The
 //! [`LanModel::transmit`] entry point filters every transmission
@@ -42,7 +42,7 @@ mod lan;
 mod msg;
 mod scenario;
 
-pub use fault::{Fate, FaultPlan, FaultSpec};
+pub use fault::{Fate, FaultPlan};
 pub use lan::{Delivery, LanModel};
 pub use msg::{MsgKind, NetStats};
 pub use scenario::{ChurnEvent, LinkTier, TieredScenario};

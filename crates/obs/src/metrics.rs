@@ -33,7 +33,9 @@ pub enum Metric {
     HwThreeParty,
     /// Hardware misses through the software directory (LimitLESS).
     HwSwDirectory,
-    /// Faults satisfied by an existing local mapping (arcs 1/3).
+    /// Faults satisfied by an existing local mapping (arcs 1/3),
+    /// page-table fills at `C = P` included: the protocol's
+    /// `tlb_fills` counts the same faults.
     TlbFills,
     /// Inter-SSMP read misses (arcs 5→17→6).
     ReadMisses,

@@ -227,7 +227,7 @@ impl SpanDiff {
     /// (each line exactly once) and ascending — spans covering several
     /// words of one line, and adjacent spans sharing a line, still
     /// yield a single mark. Allocation-free; feeds
-    /// `Directory::mark_dirty_lines` after a home merge.
+    /// `PageFrame::mark_dirty` after a home merge.
     pub fn touched_lines<'a>(&'a self, frame: &'a PageFrame) -> impl Iterator<Item = u64> + 'a {
         // Spans are ascending and disjoint, so per-span line ranges are
         // ascending; clamping each range's start past the last emitted

@@ -8,7 +8,9 @@ use std::fmt;
 /// and tests.
 #[derive(Debug, Default)]
 pub struct ProtoStats {
-    /// Arc 1/3: faults satisfied by an existing local mapping.
+    /// Arc 1/3: faults satisfied by an existing local mapping. At
+    /// `C = P`, where every MGS call is null, `Env` counts each
+    /// page-table fill here, as `Metric::TlbFills` does.
     pub tlb_fills: Counter,
     /// Arc 5→17→6: inter-SSMP read misses (including home-SSMP
     /// re-mappings, which move no data).

@@ -1,10 +1,10 @@
 //! A page frame's directory blocks are found from the frame's hint,
 //! never rebuilt: the protocol's transactions and the runtime's
 //! accesses reach a frame's line entries through the blocks the frame
-//! claimed on first use, and never ask the directory's line map (which
-//! only lines without a frame use). Debug builds count every line-map
-//! acquisition per thread; these tests hold the production paths to
-//! zero. Then the other half of owning blocks for life: a dead frame's
+//! claimed on first use, and never ask the cache system's line map
+//! (which only lines without a frame use). Debug builds count every
+//! line-map lookup per thread; these tests hold the production paths
+//! to zero. Then the other half of owning blocks for life: a dead frame's
 //! block goes to a later frame, and the dead frame's cache victims
 //! leave that frame's entries alone.
 
@@ -58,11 +58,12 @@ fn access(
     }
 }
 
-/// `(stripe, line map)` locks `f` takes on this thread.
+/// Stripe locks and line-map lookups `f` makes on this thread.
 fn locks(f: impl FnOnce()) -> (u64, u64) {
-    let before = Directory::thread_locks();
+    let counts = || (Directory::thread_locks(), SsmpCacheSystem::thread_lookups());
+    let before = counts();
     f();
-    let after = Directory::thread_locks();
+    let after = counts();
     (after.0 - before.0, after.1 - before.1)
 }
 

@@ -17,8 +17,6 @@
 
 use parking_lot::Mutex;
 use std::ops::{Deref, DerefMut};
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A pool of page-sized `Box<[u64]>` buffers.
@@ -47,55 +45,17 @@ pub struct TwinPool {
 #[derive(Debug)]
 struct PoolInner {
     words: usize,
-    /// Lock-free fast path holding at most one free buffer (as the
-    /// thin data pointer of a `Box<[u64]>` of exactly `words` words;
-    /// null when empty). Release/upgrade cycles keep one buffer in
-    /// flight, so in steady state acquire and drop are each a single
-    /// atomic swap — no mutex round-trip on the hot path.
-    slot: AtomicPtr<u64>,
-    /// Overflow list for every buffer beyond the one in `slot`.
-    free: Mutex<Vec<Box<[u64]>>>,
-    allocated: AtomicU64,
-    reused: AtomicU64,
+    /// A leaf lock, held for one take or give-back.
+    free: Mutex<Free>,
 }
 
-impl PoolInner {
-    /// Bumps the reuse telemetry counter with a plain load + store
-    /// instead of an atomic RMW: on machines with slow locked
-    /// operations the RMW costs as much as the buffer hand-off itself.
-    /// Concurrent acquires may lose an increment, so `reused` is a
-    /// **statistic** (a lower bound), exact whenever observations are
-    /// quiescent or single-threaded — which is what the pool's tests
-    /// rely on. `allocated`, the counter correctness arguments rest
-    /// on, is only touched on the (already slow) allocation path and
-    /// stays a true RMW.
-    fn bump_reused(&self) {
-        let n = self.reused.load(Ordering::Relaxed);
-        self.reused.store(n + 1, Ordering::Relaxed);
-    }
-
-    /// Rebuilds the `Box<[u64]>` whose data pointer was stashed in
-    /// [`slot`](PoolInner::slot).
-    ///
-    /// # Safety
-    ///
-    /// `p` must be a pointer obtained from `Box::into_raw` on a
-    /// `Box<[u64]>` of exactly `self.words` words that has not been
-    /// reconstructed since.
-    unsafe fn rebuild(&self, p: *mut u64) -> Box<[u64]> {
-        unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(p, self.words)) }
-    }
-}
-
-impl Drop for PoolInner {
-    fn drop(&mut self) {
-        let p = self.slot.swap(ptr::null_mut(), Ordering::Acquire);
-        if !p.is_null() {
-            // SAFETY: only `PageBuf::drop` stores into the slot, and it
-            // always stashes a freshly leaked `words`-long box.
-            drop(unsafe { self.rebuild(p) });
-        }
-    }
+/// The free buffers and the counts of how acquires were served, kept
+/// together under one lock so that every count is exact.
+#[derive(Debug, Default)]
+struct Free {
+    bufs: Vec<Box<[u64]>>,
+    allocated: u64,
+    reused: u64,
 }
 
 /// Point-in-time statistics of a [`TwinPool`].
@@ -103,9 +63,7 @@ impl Drop for PoolInner {
 pub struct PoolStats {
     /// Buffers created by a fresh heap allocation.
     pub allocated: u64,
-    /// Acquires satisfied by recycling a returned buffer. Updated
-    /// without an atomic RMW, so under concurrent acquires this is a
-    /// lower bound; it is exact when observed quiescently.
+    /// Acquires satisfied by recycling a returned buffer.
     pub reused: u64,
     /// Buffers currently sitting in the free list.
     pub free: u64,
@@ -122,10 +80,7 @@ impl TwinPool {
         TwinPool {
             inner: Arc::new(PoolInner {
                 words,
-                slot: AtomicPtr::new(ptr::null_mut()),
-                free: Mutex::new(Vec::new()),
-                allocated: AtomicU64::new(0),
-                reused: AtomicU64::new(0),
+                free: Mutex::default(),
             }),
         }
     }
@@ -136,26 +91,19 @@ impl TwinPool {
     }
 
     /// Takes a buffer from the free list, or allocates a fresh (zeroed)
-    /// one if the list is empty. Recycled buffers keep their previous
-    /// contents; overwrite before reading.
+    /// one, outside the lock, if the list is empty. Recycled buffers
+    /// keep their previous contents; overwrite before reading.
     pub fn acquire(&self) -> PageBuf {
-        // Fast path: swap the single-buffer slot; the acquire edge
-        // pairs with the release in `PageBuf::drop` so the recycled
-        // contents (which callers overwrite anyway) are well-defined.
-        let p = self.inner.slot.swap(ptr::null_mut(), Ordering::Acquire);
-        let buf = if !p.is_null() {
-            self.inner.bump_reused();
-            // SAFETY: the slot only ever holds pointers leaked from
-            // `words`-long boxes by `PageBuf::drop`, and the swap took
-            // unique ownership of this one.
-            unsafe { self.inner.rebuild(p) }
-        } else if let Some(b) = self.inner.free.lock().pop() {
-            self.inner.bump_reused();
-            b
-        } else {
-            self.inner.allocated.fetch_add(1, Ordering::Relaxed);
-            vec![0u64; self.inner.words].into_boxed_slice()
+        let recycled = {
+            let mut free = self.inner.free.lock();
+            let buf = free.bufs.pop();
+            match buf {
+                Some(_) => free.reused += 1,
+                None => free.allocated += 1,
+            }
+            buf
         };
+        let buf = recycled.unwrap_or_else(|| vec![0u64; self.inner.words].into_boxed_slice());
         PageBuf {
             buf: Some(buf),
             pool: Arc::clone(&self.inner),
@@ -164,11 +112,11 @@ impl TwinPool {
 
     /// Current pool statistics.
     pub fn stats(&self) -> PoolStats {
-        let slot = !self.inner.slot.load(Ordering::Relaxed).is_null() as u64;
+        let free = self.inner.free.lock();
         PoolStats {
-            allocated: self.inner.allocated.load(Ordering::Relaxed),
-            reused: self.inner.reused.load(Ordering::Relaxed),
-            free: self.inner.free.lock().len() as u64 + slot,
+            allocated: free.allocated,
+            reused: free.reused,
+            free: free.bufs.len() as u64,
         }
     }
 }
@@ -207,18 +155,7 @@ impl DerefMut for PageBuf {
 impl Drop for PageBuf {
     fn drop(&mut self) {
         if let Some(buf) = self.buf.take() {
-            // Fast path: park the buffer in the single-buffer slot; the
-            // release edge pairs with the acquire in
-            // [`TwinPool::acquire`]. A buffer displaced from the slot
-            // goes to the overflow list.
-            let p = Box::into_raw(buf) as *mut u64;
-            let prev = self.pool.slot.swap(p, Ordering::AcqRel);
-            if !prev.is_null() {
-                // SAFETY: same provenance argument as in `acquire` —
-                // the swap took unique ownership of `prev`.
-                let displaced = unsafe { self.pool.rebuild(prev) };
-                self.pool.free.lock().push(displaced);
-            }
+            self.pool.free.lock().bufs.push(buf);
         }
     }
 }
@@ -279,6 +216,25 @@ mod tests {
         drop(clone.acquire());
         let s = pool.stats();
         assert_eq!((s.allocated, s.reused, s.free), (1, 1, 1));
+    }
+
+    /// Every acquire is counted once, as a fresh allocation or a
+    /// reuse, however many threads share the pool.
+    #[test]
+    fn counts_are_exact_under_concurrent_acquires() {
+        let pool = TwinPool::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..1000 {
+                        drop(pool.acquire());
+                    }
+                });
+            }
+        });
+        let s = pool.stats();
+        assert_eq!(s.allocated + s.reused, 4000);
+        assert_eq!(s.free, s.allocated, "every buffer came back");
     }
 
     #[test]

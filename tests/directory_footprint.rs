@@ -3,7 +3,7 @@
 //! protocol retires without a page clean (home-LRC's stale copies, a
 //! pinned page's stale reader) gives its entries back with its frame.
 //! And the runtime's accesses reach those blocks through the frame,
-//! never through the directory's line map.
+//! never through the cache system's line map of bare lines.
 
 use mgs_repro::apps::{water::Water, MgsApp};
 use mgs_repro::core::{AccessKind, DssmpConfig, Machine, ProtocolKind};
@@ -51,12 +51,12 @@ fn after_a_home_lrc_run_directories_track_only_live_frames() {
 
 /// A lock-protected migratory counter and a barrier on a one-worker
 /// machine: faults, upgrades, releases, invalidations and every access
-/// between them run on the one host thread, and none asks a directory's
-/// line map (debug builds count line-map acquisitions per thread).
+/// between them run on the one host thread, and none asks a cache
+/// system's line map (debug builds count line-map lookups per thread).
 #[test]
 #[cfg(debug_assertions)]
 fn runtime_accesses_never_take_the_directory_line_map() {
-    use mgs_repro::cache::Directory;
+    use mgs_repro::cache::SsmpCacheSystem;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     let machine = Machine::new(DssmpConfig::new(4, 2).with_virtual_engine(Some(1)));
@@ -65,7 +65,7 @@ fn runtime_accesses_never_take_the_directory_line_map() {
     let line_map_locks = Arc::new(AtomicU64::new(u64::MAX));
     let seen = Arc::clone(&line_map_locks);
     machine.run(move |env| {
-        let before = Directory::thread_locks().1;
+        let before = SsmpCacheSystem::thread_lookups();
         for round in 0..8 {
             env.acquire(&lock);
             let v = counter.read(env, round);
@@ -75,7 +75,7 @@ fn runtime_accesses_never_take_the_directory_line_map() {
         }
         env.barrier();
         if env.pid() == 0 {
-            seen.store(Directory::thread_locks().1 - before, Ordering::SeqCst);
+            seen.store(SsmpCacheSystem::thread_lookups() - before, Ordering::SeqCst);
         }
     });
     assert_eq!(line_map_locks.load(Ordering::SeqCst), 0);

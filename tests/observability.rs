@@ -21,10 +21,9 @@
 
 use mgs_repro::apps::{envelope, tsp::Tsp, water::Water, MgsApp};
 use mgs_repro::core::{
-    export_perfetto, first_divergence, AccessKind, DssmpConfig, FaultPlan, FaultSpec, Machine,
-    Metric, ObsEvent, ProtocolKind, RunReport, TraceEvent,
+    export_perfetto, first_divergence, AccessKind, DssmpConfig, FaultPlan, Machine, Metric,
+    ObsEvent, ProtocolKind, RunReport, TraceEvent,
 };
-use mgs_repro::net::MsgKind;
 use mgs_repro::sim::Cycles;
 use std::sync::Arc;
 
@@ -254,13 +253,10 @@ fn message_trace(plan: FaultPlan) -> Vec<TraceEvent> {
 #[test]
 fn delivered_message_is_stamped_the_same_under_any_fault_plan() {
     let perfect = message_trace(FaultPlan::none());
-    // An active plan that happens to deliver everything this run
-    // sends: it only ever loses UPDATE pushes, which eager never sends.
-    let lossy_updates = FaultSpec {
-        drop: 0.5,
-        ..FaultSpec::NONE
-    };
-    let spared = message_trace(FaultPlan::seeded(7).with_kind(MsgKind::Update, lossy_updates));
+    // An active plan that still delivers every message on time: a
+    // duplicate storm, whose extra copies reach no handler (and are
+    // `Duplicate` events, which the trace leaves out).
+    let spared = message_trace(FaultPlan::uniform(7, 0.0, 1.0, Cycles::ZERO));
     let crossings = perfect
         .iter()
         .filter(|e| matches!(e.event, ObsEvent::Message { from, to, .. } if from != to));
@@ -326,9 +322,11 @@ fn trace_registry_and_stats_count_the_same_events() {
 /// Under the adaptive protocol `Machine::run` drains the pages the
 /// controller left pinned after the processors finish; the registry
 /// must see that drain's events exactly as the protocol counts them.
+/// At `C = P` every MGS call is null and a fault is a page-table fill,
+/// which both count as a TLB fill.
 #[test]
 fn adaptive_proto_stats_reconcile_with_metrics_after_the_pinned_drain() {
-    for c in [2, 4] {
+    for c in [2, 4, 8] {
         let mut cfg = DssmpConfig::new(8, c).with_protocol(ProtocolKind::Adaptive);
         cfg.workers = Some(1);
         let machine = Machine::new(cfg);
