@@ -314,6 +314,20 @@ fn chunk_runs(lines: impl IntoIterator<Item = u64>, mut visit: impl FnMut(u64, u
     }
 }
 
+/// What [`chunk_runs`] visits for the contiguous run `lines`, each
+/// chunk's mask computed from the run's ends.
+fn range_runs(lines: Range<u64>, mut visit: impl FnMut(u64, u64)) {
+    if lines.is_empty() {
+        return;
+    }
+    for chunk in lines.start / BLOCK_LINES..lines.end.div_ceil(BLOCK_LINES) {
+        let base = chunk * BLOCK_LINES;
+        let lo = lines.start.max(base) - base;
+        let hi = lines.end.min(base + BLOCK_LINES) - base;
+        visit(chunk, u64::MAX >> (BLOCK_LINES - (hi - lo)) << lo);
+    }
+}
+
 /// The stripes a chunk mask touches, each with its lines in it as
 /// [`entries_of`] reads them.
 fn stripes_of(mask: u64) -> impl Iterator<Item = (usize, u64)> {
@@ -514,7 +528,7 @@ impl Drop for BlockCell {
 ///   same hint, until it drops. Every path reaches a line's entry
 ///   through its cell — an access with the cell's hint, a quiesce
 ///   ([`hold`](Self::hold)), a page clean
-///   ([`clean_frame`](Self::clean_frame)), a dirty-marking
+///   ([`clean_range`](Self::clean_range)), a dirty-marking
 ///   ([`mark_dirty_frame`](Self::mark_dirty_frame)) — and the hint is
 ///   right by construction. The directory knows no line outside a cell.
 /// * A page frame carries its own cell. A frame's lines are never
@@ -563,7 +577,7 @@ impl Drop for BlockCell {
 /// let cell = BlockCell::default();
 /// dir.mark_dirty_frame(&cell, 64..128, [70, 71], 2);
 /// assert_eq!(dir.tracked_lines(), 2);
-/// let out = dir.clean_frame(&cell, 64..128);
+/// let out = dir.clean_range(&cell, 64..128);
 /// assert_eq!((out.dirty_lines, out.uncached_lines), (2, 62));
 /// assert_eq!(dir.tracked_lines(), 0);
 /// ```
@@ -668,10 +682,11 @@ impl Directory {
 
     /// Removes `lines`, some of those whose blocks `cell` claims, from
     /// the directory (page cleaning, §4.2.4) and returns the per-tier
-    /// line counts so the caller can cost the operation: a frame passes
-    /// its own cell and all of its lines, the bare path a chunk's cell
-    /// and the lines asked for. A line named twice is cleaned twice:
-    /// cached the first time, uncached the second.
+    /// line counts so the caller can cost the operation: the bare path
+    /// passes a chunk's cell and the lines asked for (a frame passes its
+    /// own cell and all of its lines to
+    /// [`clean_range`](Self::clean_range)). A line named twice is cleaned
+    /// twice: cached the first time, uncached the second.
     ///
     /// One pass: each run of lines in one block locks each stripe it
     /// touches once and reads its entries in a straight loop. A cell
@@ -687,12 +702,28 @@ impl Directory {
         cell: &BlockCell,
         lines: impl IntoIterator<Item = u64>,
     ) -> CleanOutcome {
+        self.clean_runs(cell, |visit| chunk_runs(lines, visit))
+    }
+
+    /// [`clean_frame`](Self::clean_frame) of a contiguous run of lines,
+    /// such as a whole frame's: each block's mask comes from the run's
+    /// ends, not from a walk of its lines.
+    pub fn clean_range(&self, cell: &BlockCell, lines: Range<u64>) -> CleanOutcome {
+        self.clean_runs(cell, |visit| range_runs(lines, visit))
+    }
+
+    /// Cleans the lines of each `(chunk, mask)` that `runs` visits.
+    fn clean_runs(
+        &self,
+        cell: &BlockCell,
+        runs: impl FnOnce(&mut dyn FnMut(u64, u64)),
+    ) -> CleanOutcome {
         let mut out = CleanOutcome::default();
         let blocks = cell.claim.get().map(|claim| {
             debug_assert!(Arc::ptr_eq(&claim.slab, &self.slab));
             (claim.chunk, self.slab.run(claim.slot, claim.blocks))
         });
-        chunk_runs(lines, |chunk, mask| {
+        runs(&mut |chunk, mask| {
             out.uncached_lines += u64::from(mask.count_ones());
             if let Some((first, blocks)) = blocks {
                 blocks[(chunk - first) as usize].clean(mask, &mut out);
@@ -1019,14 +1050,14 @@ mod tests {
         d.mark_dirty_frame(&cell, lines.clone(), [64, 65, 100], 1);
         #[cfg(debug_assertions)]
         let before = Directory::thread_locks();
-        let out = d.clean_frame(&cell, lines.clone());
+        let out = d.clean_range(&cell, lines.clone());
         #[cfg(debug_assertions)]
         assert_eq!(Directory::thread_locks(), before + 8, "eight stripes");
         assert_eq!(
             (out.dirty_lines, out.shared_lines, out.uncached_lines),
             (3, 0, 61)
         );
-        assert_eq!(d.clean_frame(&cell, lines.clone()).uncached_lines, 64);
+        assert_eq!(d.clean_range(&cell, lines.clone()).uncached_lines, 64);
         // Dropped with live entries, the block comes back zero.
         d.mark_dirty_frame(&cell, lines, [66], 2);
         assert_eq!(d.tracked_lines(), 1);
@@ -1046,7 +1077,7 @@ mod tests {
         let cell = BlockCell::default();
         #[cfg(debug_assertions)]
         let before = Directory::thread_locks();
-        let out = d.clean_frame(&cell, frame(3, 32));
+        let out = d.clean_range(&cell, frame(3, 32));
         #[cfg(debug_assertions)]
         assert_eq!(Directory::thread_locks(), before);
         assert_eq!(out.uncached_lines, 32);
@@ -1067,10 +1098,10 @@ mod tests {
             d.hint(&lo, lo_lines.clone(), 64),
             d.hint(&hi, hi_lines.clone(), 96)
         );
-        let out = d.clean_frame(&hi, hi_lines);
+        let out = d.clean_range(&hi, hi_lines);
         assert_eq!((out.dirty_lines, out.uncached_lines), (1, 31));
         assert_eq!(d.tracked_lines(), 32, "the other half is untouched");
-        assert_eq!(d.clean_frame(&lo, lo_lines).dirty_lines, 32);
+        assert_eq!(d.clean_range(&lo, lo_lines).dirty_lines, 32);
 
         let big = BlockCell::default();
         let lines = frame(4, 256);
@@ -1080,8 +1111,44 @@ mod tests {
         }
         assert_eq!((first - 1) % 4, 0, "aligned to its length");
         d.mark_dirty_frame(&big, lines.clone(), [256, 300, 511], 3);
-        let out = d.clean_frame(&big, lines);
+        let out = d.clean_range(&big, lines);
         assert_eq!((out.dirty_lines, out.uncached_lines), (3, 253));
+    }
+
+    /// The range path's masks clean what the per-line walk cleans, for
+    /// frames of half a block (either half of a chunk), one block and
+    /// four blocks, over entries shared, dirty and absent.
+    #[test]
+    fn a_range_clean_matches_the_per_line_walk() {
+        let state = |line: u64| line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61;
+        for lines in [frame(2, 32), 160..192, frame(3, 64), frame(4, 256)] {
+            let outcomes = [true, false].map(|range| {
+                let (d, cell) = (Directory::new(), BlockCell::default());
+                for line in lines.clone() {
+                    let hint = d.hint(&cell, lines.clone(), line);
+                    for proc in 0..state(line) {
+                        let mut entry = d.lock_claimed(line, hint);
+                        let tag_hit = entry.entry().0 & 1 << proc != 0;
+                        entry.transact(proc as usize, 0, state(line) == 1, 5, tag_hit);
+                    }
+                }
+                let tracked = d.tracked_lines();
+                let out = if range {
+                    d.clean_range(&cell, lines.clone())
+                } else {
+                    d.clean_frame(&cell, lines.clone())
+                };
+                assert_eq!(d.tracked_lines(), 0, "{lines:?}");
+                (tracked, out)
+            });
+            assert_eq!(outcomes[0], outcomes[1], "{lines:?}");
+            let (tracked, out) = outcomes[0];
+            assert_eq!(out.shared_lines + out.dirty_lines, tracked as u64);
+            assert!(out.shared_lines > 0 && out.dirty_lines > 0 && out.uncached_lines > 0);
+        }
+        let never = BlockCell::default();
+        let out = Directory::new().clean_range(&never, frame(1, 256));
+        assert_eq!(out.uncached_lines, 256);
     }
 
     /// Runs are handed out whole inside one segment, and a freed run is

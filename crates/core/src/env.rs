@@ -3,6 +3,7 @@
 use crate::churn::ChurnState;
 use crate::report::ProcResult;
 use crate::runtime::RuntimeTiming;
+use crate::xlate::XlateCache;
 use crate::Machine;
 use mgs_cache::{CacheConfig, ProcCache};
 use mgs_obs::{LatencyClass, Metric, ObsSink};
@@ -18,14 +19,6 @@ use std::sync::Arc;
 /// A fixed-point multiplier used to derive distinct RNG streams per
 /// processor.
 const RNG_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Sets of the Env-local translation cache (by page number modulo the
-/// set count) and ways per set: 64 entries cover the working set of
-/// every application's inner loop while costing ~2 KB per processor,
-/// and four ways keep pages a power-of-two stride apart (Jacobi's two
-/// grids) from evicting each other.
-const XLATE_SETS: usize = 16;
-const XLATE_WAYS: usize = 4;
 
 /// Maps a hardware [`MissClass`](mgs_cache::MissClass) (by `index()`)
 /// to its observability counter.
@@ -189,18 +182,10 @@ pub struct Env {
     cluster_size: usize,
     /// The cost table (cloned out of the config).
     cost: CostModel,
-    /// Env-local translation cache: recent `(page, TlbEntry)` pairs
-    /// private to this processor, `XLATE_SETS` sets of `XLATE_WAYS`
-    /// ways, set-major, each set most recently used first. A hit skips
-    /// the shared TLB's mutex and map lookup entirely; validity is
-    /// still guaranteed by the frame-generation check of the
-    /// translation critical section (§4.2.1) — every path that revokes
-    /// a mapping bumps the frame generation while the frame is
-    /// quiesced, so a stale cached entry simply fails the check and
-    /// re-faults. Purely a host-side optimization: simulated cycle
-    /// charges are identical, though the shared TLB's host-side hit
-    /// counters no longer see the cached lookups.
-    xlate_cache: Vec<Option<(u64, TlbEntry)>>,
+    /// Env-local translation cache in front of the shared TLB (see
+    /// [`XlateCache`]); its per-set refill cursor is written here, by
+    /// this processor only.
+    xlate: XlateCache,
     /// Whether the protocol posts write notices (an LRC-flavored
     /// strategy), hoisted because it is constant for the machine's
     /// lifetime and gates every acquire point.
@@ -251,7 +236,7 @@ impl Env {
             geometry,
             cluster_size,
             cost,
-            xlate_cache: (0..XLATE_SETS * XLATE_WAYS).map(|_| None).collect(),
+            xlate: XlateCache::new(),
             uses_notices,
             obs,
             churn,
@@ -340,20 +325,13 @@ impl Env {
         self.clock.charge(CostCategory::User, xlate);
 
         let page = self.geometry.page_of(va);
-        // Env-local translation fast path: a recently used entry for
-        // this page in its set, moved to the set's front. Staleness is
-        // caught by the generation check below, so the only
-        // requirements here are page match and sufficient privilege.
-        let set = Self::xlate_set(page);
-        let ways = &mut self.xlate_cache[set..set + XLATE_WAYS];
-        match ways
-            .iter()
-            .position(|w| matches!(w, Some((p, e)) if *p == page && (e.writable || !write)))
-        {
-            Some(0) => {}
-            Some(way) => ways[..=way].rotate_right(1),
+        // Env-local translation fast path: a tag of this page in its
+        // set, with sufficient privilege. Staleness is caught by the
+        // generation check below.
+        let mut slot = match self.xlate.probe(page, write) {
+            Some(slot) => slot,
             None => self.translate_slow(page, write),
-        }
+        };
         // One call does the rest under the line's directory stripe —
         // or, for a read hit, inside an optimistic read of it: the
         // mapping generation is re-validated, so a mapping read just
@@ -366,17 +344,14 @@ impl Env {
         // line's stripe is found through the frame's own directory
         // blocks, claimed by its first access and fixed thereafter.
         //
-        // The entry is borrowed from the set's front, not cloned: the
-        // frame's `Arc` count is a line every processor mapping the
-        // page would otherwise write on every access. Nothing below
-        // touches `xlate_cache`, so the borrow lives across the access.
+        // The entry is borrowed from its slot, not cloned: the frame's
+        // `Arc` count is a line every processor mapping the page would
+        // otherwise write on every access. Nothing below touches
+        // `xlate`, so the borrow lives across the access.
         let word = self.geometry.word_offset(va);
         let my_local = self.proc % self.cluster_size;
         loop {
-            let (_, entry) = self.xlate_cache[set]
-                .as_ref()
-                .expect("translate_slow fills the front of the page's set");
-            let frame = &*entry.frame;
+            let (frame, gen) = self.xlate.entry(slot);
             debug_assert_eq!(
                 frame.home_node() / self.cluster_size,
                 self.ssmp,
@@ -391,10 +366,10 @@ impl Env {
                 frame.home_node() % self.cluster_size,
                 write,
                 frame.dir_hint(sys.directory(), line),
-                frame.word(word, entry.gen, value),
+                frame.word(word, gen, value),
             );
             let Some(served) = served else {
-                self.translate_slow(page, write);
+                slot = self.translate_slow(page, write);
                 continue;
             };
             let class = served.class;
@@ -409,29 +384,16 @@ impl Env {
         }
     }
 
-    /// Where `page`'s set starts in the translation cache.
-    fn xlate_set(page: u64) -> usize {
-        (page as usize) % XLATE_SETS * XLATE_WAYS
-    }
-
     /// Translation slow path: consult the shared TLB (mutex-protected)
     /// and fault if it has no sufficient mapping; either way the result
-    /// goes to the front of the page's set in the Env-local cache,
-    /// replacing the page's old entry or, failing one, the set's least
-    /// recently used.
-    fn translate_slow(&mut self, page: u64, write: bool) {
+    /// fills the page's own way of the Env-local cache or, failing one,
+    /// the way its set's round-robin cursor names. Returns the slot.
+    fn translate_slow(&mut self, page: u64, write: bool) -> usize {
         let entry = match self.proto.tlb(self.proc).lookup(page, write) {
             Some(e) => e,
             None => self.fault(page, write),
         };
-        let set = Self::xlate_set(page);
-        let ways = &mut self.xlate_cache[set..set + XLATE_WAYS];
-        let way = ways
-            .iter()
-            .position(|w| matches!(w, Some((p, _)) if *p == page))
-            .unwrap_or(XLATE_WAYS - 1);
-        ways[..=way].rotate_right(1);
-        ways[0] = Some((page, entry));
+        self.xlate.fill(page, entry)
     }
 
     fn fault(&mut self, page: u64, write: bool) -> TlbEntry {
@@ -648,5 +610,97 @@ impl Env {
             end: self.clock.now(),
             account: delta,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{DssmpConfig, RunReport};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// `mgs_apps::MatMul`'s kernel at n = 96 on P = C = 32 with one
+    /// host worker: each processor's rows read all 72 pages of `B`.
+    /// `forced` empties the Env-local translation cache before every
+    /// access, so each one goes through the shared TLB. Returns the
+    /// machine, its report and the accesses made.
+    fn matmul(forced: bool) -> (Arc<Machine>, RunReport, u64) {
+        const N: u64 = 96;
+        const P: usize = 32;
+        let machine = Machine::new(DssmpConfig::new(P, P).with_virtual_engine(Some(1)));
+        let [a, b, c] =
+            [(); 3].map(|_| machine.alloc_array_blocked::<f64>(N * N, AccessKind::DistArray));
+        for i in 0..N * N {
+            machine.poke(&a, i, i as f64);
+            machine.poke(&b, i, 1.0 / (i + 1) as f64);
+        }
+        let accesses = AtomicU64::new(0);
+        let report = machine.run(|env| {
+            let access = |env: &mut Env, arr: SharedArray<f64>, i: u64, write: Option<f64>| {
+                if forced {
+                    env.xlate.clear();
+                }
+                accesses.fetch_add(1, Ordering::Relaxed);
+                match write {
+                    Some(v) => {
+                        arr.write(env, i, v);
+                        v
+                    }
+                    None => arr.read(env, i),
+                }
+            };
+            let rows = env.pid() as u64 * N / P as u64..(env.pid() as u64 + 1) * N / P as u64;
+            env.barrier();
+            env.start_measurement();
+            for r in rows {
+                for col in 0..N {
+                    let mut acc = 0.0;
+                    for k in 0..N {
+                        let x = access(env, a, r * N + k, None);
+                        let y = access(env, b, k * N + col, None);
+                        acc += x * y;
+                        env.compute(134);
+                    }
+                    access(env, c, r * N + col, Some(acc));
+                }
+            }
+            env.barrier();
+        });
+        (machine, report, accesses.into_inner())
+    }
+
+    /// Page faults, TLB fills included, of a run.
+    fn faults(machine: &Machine) -> [u64; 4] {
+        let s = machine.proto_stats();
+        [&s.tlb_fills, &s.read_misses, &s.write_misses, &s.upgrades].map(|c| c.get())
+    }
+
+    /// `(hits, misses)` of every processor's shared TLB.
+    fn shared_tlb(machine: &Machine) -> (u64, u64) {
+        (0..machine.config().n_procs)
+            .map(|p| machine.protocol().tlb(p).stats())
+            .fold((0, 0), |(h, m), s| (h + s.hits.get(), m + s.misses.get()))
+    }
+
+    #[test]
+    fn matmul_at_n96_translates_in_the_env_cache_and_charges_as_the_shared_tlb() {
+        let (cached, report, accesses) = matmul(false);
+        let (hits, _) = shared_tlb(&cached);
+        assert!(
+            hits * 100 < accesses,
+            "{hits} shared-TLB hits in {accesses} accesses: the working set misses the Env cache"
+        );
+
+        let (forced, forced_report, forced_accesses) = matmul(true);
+        let (forced_hits, forced_misses) = shared_tlb(&forced);
+        assert_eq!(forced_accesses, accesses);
+        assert!(
+            forced_hits + forced_misses >= accesses,
+            "every access took the shared TLB"
+        );
+        assert_eq!(faults(&cached), faults(&forced));
+        assert!(faults(&cached)[0] > 0, "C = P faults are TLB fills");
+        assert_eq!(report.duration, forced_report.duration);
+        assert_eq!(report.breakdown, forced_report.breakdown);
     }
 }

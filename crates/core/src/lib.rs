@@ -48,6 +48,7 @@ mod env;
 mod machine;
 mod report;
 mod runtime;
+mod xlate;
 
 pub mod framework;
 pub mod micro;

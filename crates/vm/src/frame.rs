@@ -207,7 +207,7 @@ impl PageFrame {
     /// §4.2.4) in one pass over its blocks; a frame never accessed
     /// has none, and every line counts as uncached.
     pub fn clean(&self, directory: &Directory) -> CleanOutcome {
-        directory.clean_frame(&self.blocks, self.lines())
+        directory.clean_range(&self.blocks, self.lines())
     }
 
     /// Marks `lines`, some of the frame's, dirty-owned by local

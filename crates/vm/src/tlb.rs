@@ -4,6 +4,7 @@ use crate::PageFrame;
 use mgs_sim::Counter;
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// One mapping in a processor's software TLB.
@@ -20,6 +21,29 @@ pub struct TlbEntry {
     /// The frame generation this mapping was created against; the
     /// mapping is stale once `frame.generation()` moves past it.
     pub gen: u64,
+}
+
+/// Hashes a page number with one multiply by the golden ratio: page
+/// numbers are small and dense, so SipHash's defence against chosen
+/// keys buys nothing, and the product spreads them over both the low
+/// bits (the bucket) and the high ones (the map's tag byte).
+#[derive(Debug, Default, Clone, Copy)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        self.0 = page.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// TLB traffic statistics.
@@ -59,7 +83,7 @@ pub struct TlbStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct Tlb {
-    map: Mutex<HashMap<u64, TlbEntry>>,
+    map: Mutex<HashMap<u64, TlbEntry, BuildHasherDefault<PageHasher>>>,
     stats: TlbStats,
 }
 
@@ -178,6 +202,21 @@ mod tests {
         assert!(!tlb.shootdown(1));
         assert!(tlb.lookup(1, false).is_none());
         assert_eq!(tlb.stats().shootdowns.get(), 1);
+    }
+
+    #[test]
+    fn dense_and_strided_pages_keep_their_own_entries() {
+        let tlb = Tlb::new();
+        let pages: Vec<u64> = (0..512).chain((1..64).map(|i| i << 32)).collect();
+        for &page in &pages {
+            tlb.insert(page, entry(page % 2 == 0));
+        }
+        assert_eq!(tlb.len(), pages.len());
+        for &page in &pages {
+            assert!(tlb.lookup(page, false).is_some());
+            assert_eq!(tlb.lookup(page, true).is_some(), page % 2 == 0);
+        }
+        assert!(tlb.lookup(512, false).is_none());
     }
 
     #[test]

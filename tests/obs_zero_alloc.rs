@@ -68,9 +68,9 @@ static MEASURED: AtomicU64 = AtomicU64::new(u64::MAX);
 #[test]
 fn per_access_metrics_path_allocates_nothing() {
     // Both the default Eager strategy and the adaptive controller: the
-    // per-page policy rides in the Env translation cache (a `Copy`
-    // tuple field), so strategy dispatch must add no heap traffic to
-    // the steady-state access path in either mode.
+    // per-page policy lives in the page record, read only on the slow
+    // path, so strategy dispatch must add no heap traffic to the
+    // steady-state access path in either mode.
     for protocol in [ProtocolKind::Eager, ProtocolKind::Adaptive] {
         check_zero_alloc(protocol);
     }
@@ -78,7 +78,7 @@ fn per_access_metrics_path_allocates_nothing() {
 
 fn check_zero_alloc(protocol: ProtocolKind) {
     const WORDS: u64 = 1024; // 8 KiB: several pages, well within the
-                             // 64-slot translation cache
+                             // 128-entry translation cache
 
     let mut cfg = DssmpConfig::new(1, 1)
         .with_observability()
