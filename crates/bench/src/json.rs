@@ -1,44 +1,8 @@
 //! Machine-readable harness output (hand-rolled JSON; the build
-//! environment is offline, so no serde), for downstream plotting of the
-//! regenerated figures and for the benchmark history files.
+//! environment is offline, so no serde): the `BENCH_*.json` files the
+//! study commands write.
 
-use mgs_core::framework::{FrameworkMetrics, SweepPoint};
-use mgs_core::CostCategory;
 use std::fmt::Write as _;
-
-/// One application's sweep plus its framework metrics, as the object
-/// `summary --json` writes per application.
-pub fn sweep_json(app: &str, p: usize, points: &[SweepPoint], m: &FrameworkMetrics) -> JsonObject {
-    let points = points
-        .iter()
-        .map(|pt| {
-            let mut o = JsonObject::new();
-            o.num("cluster_size", pt.cluster_size as f64)
-                .num("duration_cycles", pt.report.duration.raw() as f64);
-            for (key, cat) in [
-                ("user", CostCategory::User),
-                ("lock", CostCategory::Lock),
-                ("barrier", CostCategory::Barrier),
-                ("mgs", CostCategory::Mgs),
-            ] {
-                o.num(key, pt.report.breakdown.get(cat).raw() as f64);
-            }
-            o.num("lock_hit_ratio", pt.lock_hit_ratio)
-                .num("lan_messages", pt.report.lan_messages as f64)
-                .num("lan_bytes", pt.report.lan_bytes as f64);
-            o
-        })
-        .collect();
-    let mut root = JsonObject::new();
-    root.str("app", app)
-        .num("p", p as f64)
-        .array("points", points)
-        .num("breakup_penalty", m.breakup_penalty)
-        .num("multigrain_potential", m.multigrain_potential)
-        .str("curvature", &m.curvature.to_string())
-        .num("curvature_value", m.curvature_value);
-    root
-}
 
 /// A minimal ordered JSON object builder (numbers, strings, and arrays
 /// of objects — everything the harness emits).
@@ -147,45 +111,6 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgs_core::framework::{metrics, SweepPoint};
-    use mgs_core::{CycleAccount, Cycles, RunReport};
-
-    fn point(c: usize, cycles: u64) -> SweepPoint {
-        let mut breakdown = CycleAccount::new();
-        breakdown.record(CostCategory::User, Cycles(cycles));
-        SweepPoint {
-            cluster_size: c,
-            report: RunReport {
-                per_proc: vec![],
-                duration: Cycles(cycles),
-                breakdown,
-                lock_acquires: 0,
-                lock_hits: 0,
-                lan_messages: 5,
-                lan_bytes: 1024,
-                lan_drops: 0,
-                lan_duplicates: 0,
-                retries: 0,
-                churn_departs: 0,
-                churn_rejoins: 0,
-                rehomed_pages: 0,
-                metrics: None,
-                policy_decisions: Vec::new(),
-            },
-            lock_hit_ratio: 0.5,
-        }
-    }
-
-    #[test]
-    fn serializes_a_sweep() {
-        let pts = vec![point(1, 400), point(2, 300), point(4, 200), point(8, 100)];
-        let m = metrics(&pts);
-        let s = sweep_json("demo", 8, &pts, &m).render(0);
-        assert!(s.contains("\"app\": \"demo\""));
-        assert!(s.contains("\"cluster_size\": 8"));
-        assert!(s.contains("breakup_penalty"));
-        assert!(s.contains("\"lan_bytes\": 1024"));
-    }
 
     #[test]
     fn escapes_strings() {

@@ -1,7 +1,8 @@
-//! `mgs-bench <command> [flags]` — the harness: one command per table,
-//! figure and study, each a module under `cmd/` sharing the library's
-//! sweep, JSON and provenance code. The library's crate doc says what
-//! each command regenerates.
+//! `mgs-bench <command> [flags]` — the harness: one command per study
+//! (`paper` renders every table and figure read off the cluster-size
+//! sweep), each a module under `cmd/` sharing the library's sweep, JSON
+//! and provenance code. The library's crate doc says what each command
+//! regenerates.
 
 use mgs_bench::cli::Options;
 
@@ -9,15 +10,10 @@ mod cmd {
     pub mod ablation;
     pub mod adaptive;
     pub mod chaos;
-    pub mod fig11;
-    pub mod fig12;
-    pub mod figures;
+    pub mod paper;
     pub mod profile;
-    pub mod scaling;
     pub mod scenario;
-    pub mod summary;
     pub mod table3;
-    pub mod table4;
 }
 
 type Run = fn(&Options);
@@ -25,15 +21,10 @@ type Run = fn(&Options);
 /// Every command: name, entry point, and the flags it reads from
 /// `Options::args` itself (a flag's value is not `--`-prefixed, so the
 /// table needs no arity).
-const COMMANDS: [(&str, Run, &[&str]); 12] = [
+const COMMANDS: [(&str, Run, &[&str]); 7] = [
     ("table3", cmd::table3::run, &[]),
-    ("table4", cmd::table4::run, &[]),
-    ("figures", cmd::figures::run, &[]),
-    ("fig11", cmd::fig11::run, &[]),
-    ("fig12", cmd::fig12::run, &[]),
-    ("summary", cmd::summary::run, &["--json"]),
+    ("paper", cmd::paper::run, &[]),
     ("ablation", cmd::ablation::run, &[]),
-    ("scaling", cmd::scaling::run, &[]),
     ("chaos", cmd::chaos::run, &[]),
     ("scenario", cmd::scenario::run, &["--smoke"]),
     ("adaptive", cmd::adaptive::run, &["--smoke"]),

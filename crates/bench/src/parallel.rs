@@ -65,21 +65,6 @@ pub fn parallel_sweeps_of(
         .collect()
 }
 
-/// Sweeps every application over all power-of-two cluster sizes from
-/// one shared base configuration — the common case of
-/// [`parallel_sweeps_of`].
-pub fn parallel_sweeps(
-    base: &DssmpConfig,
-    apps: &[Box<dyn MgsApp>],
-    jobs: Option<usize>,
-) -> Vec<Vec<SweepPoint>> {
-    let sweeps: Vec<(DssmpConfig, &dyn MgsApp)> = apps
-        .iter()
-        .map(|app| (base.clone(), app.as_ref()))
-        .collect();
-    parallel_sweeps_of(&sweeps, jobs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,9 +121,9 @@ mod tests {
         let opts = crate::cli::Options::parse_from(["--p", "4"].map(String::from));
         let base = crate::suite::base_config(&opts);
         let serial = sweep_app(&base, &Jacobi::small());
-        let apps: Vec<Box<dyn MgsApp>> = vec![Box::new(Jacobi::small())];
+        let sweeps: [(DssmpConfig, &dyn MgsApp); 1] = [(base.clone(), &Jacobi::small())];
         for jobs in [1, 4] {
-            let par = parallel_sweeps(&base, &apps, Some(jobs));
+            let par = parallel_sweeps_of(&sweeps, Some(jobs));
             assert_eq!(par.len(), 1);
             assert_eq!(par[0].len(), serial.len());
             for (a, b) in par[0].iter().zip(&serial) {

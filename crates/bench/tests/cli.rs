@@ -12,7 +12,7 @@ fn mgs_bench(args: &[&str]) -> Command {
 }
 
 /// Exit status 2, nothing on stdout, and on stderr the usage line
-/// followed by the command table — exactly the 12 names.
+/// followed by the command table — exactly the 7 names.
 fn assert_usage_error(args: &[&str]) -> String {
     let out = mgs_bench(args).output().expect("run mgs-bench");
     assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -20,10 +20,7 @@ fn assert_usage_error(args: &[&str]) -> String {
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(stderr.contains("usage: mgs-bench <command>"), "{stderr}");
     assert!(
-        stderr.ends_with(
-            "commands: table3 table4 figures fig11 fig12 summary ablation scaling \
-             chaos scenario adaptive profile\n"
-        ),
+        stderr.ends_with("commands: table3 paper ablation chaos scenario adaptive profile\n"),
         "{stderr}"
     );
     stderr
@@ -32,8 +29,8 @@ fn assert_usage_error(args: &[&str]) -> String {
 /// A missing or unknown command is a usage error, not a panic (which
 /// would exit 101).
 #[test]
-fn unknown_command_is_a_usage_error_listing_the_twelve() {
-    for args in [&["nope"][..], &[], &["--quick"]] {
+fn unknown_command_is_a_usage_error_listing_the_seven() {
+    for args in [&["nope"][..], &[], &["--quick"], &["summary"], &["scaling"]] {
         assert!(assert_usage_error(args).contains("unknown command"));
     }
 }
@@ -45,10 +42,11 @@ fn unknown_command_is_a_usage_error_listing_the_twelve() {
 #[test]
 fn unknown_flags_are_usage_errors_naming_the_flag() {
     for (args, flag) in [
-        (&["summary", "--reps", "3"][..], "--reps"),
+        (&["paper", "--reps", "3"][..], "--reps"),
+        (&["paper", "--json"], "--json"),
         (&["table3", "--bogus"], "--bogus"),
         (&["table3", "--job", "4"], "--job"),
-        (&["table4", "--smoke"], "--smoke"),
+        (&["paper", "--smoke"], "--smoke"),
     ] {
         let stderr = assert_usage_error(args);
         assert!(
@@ -62,7 +60,7 @@ fn unknown_flags_are_usage_errors_naming_the_flag() {
 #[test]
 fn declared_flags_and_app_names_are_accepted() {
     for args in [
-        &["figures", "--quick", "--p", "4", "jacobi"][..],
+        &["profile", "--quick", "--p", "4", "--no-trace", "water"][..],
         &["profile", "--smoke", "--no-trace", "--c", "2", "--top", "3"],
     ] {
         let dir = std::env::temp_dir().join(format!("mgs-bench-cli-{}", std::process::id()));
@@ -80,7 +78,7 @@ fn declared_flags_and_app_names_are_accepted() {
 /// fails on the main thread before any point runs, naming the limit.
 #[test]
 fn a_sweep_past_64_ssmps_fails_before_it_starts() {
-    let out = mgs_bench(&["fig12", "--p", "128", "--quick"])
+    let out = mgs_bench(&["paper", "--p", "128", "--quick"])
         .output()
         .expect("run mgs-bench");
     assert_eq!(out.status.code(), Some(101), "{out:?}");
@@ -91,20 +89,47 @@ fn a_sweep_past_64_ssmps_fails_before_it_starts() {
     assert!(!stderr.contains("scoped thread"), "{stderr}");
 }
 
-/// With no environment variable set a sweep command prints the same
-/// bytes on every run, and the same bytes however many points run at
-/// once.
+/// `paper` sweeps every application: a name after it (a known one or
+/// not) fails on the main thread before any machine runs and points to
+/// `profile`, instead of running the whole sweep.
+#[test]
+fn paper_refuses_an_application_name() {
+    for args in [&["paper", "jacobi"][..], &["paper", "--quick", "bogus"]] {
+        let out = mgs_bench(args).output().expect("run mgs-bench");
+        assert_eq!(out.status.code(), Some(101), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("`mgs-bench profile <app>`"), "{stderr}");
+        assert!(!stderr.contains("machines"), "{stderr}");
+    }
+}
+
+/// With no environment variable set `paper` writes the same five files
+/// on every run, and the same bytes however many points run at once.
 #[test]
 fn a_sweep_prints_the_same_bytes_twice_and_at_any_jobs() {
-    let sweep = |jobs: &str| {
-        let out = mgs_bench(&["summary", "--quick", "--p", "4", "--jobs", jobs])
+    let sweep = |run: &str, jobs: &str| {
+        let dir =
+            std::env::temp_dir().join(format!("mgs-bench-cli-sweep-{}-{run}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let out = mgs_bench(&["paper", "--quick", "--p", "4", "--jobs", jobs])
+            .current_dir(&dir)
             .output()
             .expect("run mgs-bench");
         assert!(out.status.success(), "{out:?}");
-        assert!(!out.stdout.is_empty());
-        out.stdout
+        let files: Vec<(&str, Vec<u8>)> = ["table4", "figures", "fig11", "fig12", "summary"]
+            .into_iter()
+            .map(|name| {
+                let bytes = std::fs::read(dir.join(format!("results/{name}.txt")))
+                    .unwrap_or_else(|e| panic!("{name}.txt: {e}"));
+                assert!(!bytes.is_empty(), "{name}.txt is empty");
+                (name, bytes)
+            })
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        files
     };
-    let first = sweep("4");
-    assert_eq!(first, sweep("4"), "two runs at --jobs 4");
-    assert_eq!(first, sweep("1"), "--jobs 4 against --jobs 1");
+    let first = sweep("a", "4");
+    assert_eq!(first, sweep("b", "4"), "two runs at --jobs 4");
+    assert_eq!(first, sweep("c", "1"), "--jobs 4 against --jobs 1");
 }

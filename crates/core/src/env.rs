@@ -180,6 +180,11 @@ pub struct Env {
     geometry: PageGeometry,
     /// Processors per SSMP.
     cluster_size: usize,
+    /// Global id of this SSMP's first processor (`ssmp * C`): a
+    /// processor of the SSMP, this one or a frame's home, is local
+    /// index `id - first_proc`, a subtraction where `id % C` would
+    /// divide on every access.
+    first_proc: usize,
     /// The cost table (cloned out of the config).
     cost: CostModel,
     /// Env-local translation cache in front of the shared TLB (see
@@ -235,6 +240,7 @@ impl Env {
             proto,
             geometry,
             cluster_size,
+            first_proc: ssmp * cluster_size,
             cost,
             xlate: XlateCache::new(),
             uses_notices,
@@ -270,7 +276,7 @@ impl Env {
 
     /// This processor's index within its SSMP.
     pub fn local_index(&self) -> usize {
-        self.proc % self.cluster_size()
+        self.proc - self.first_proc
     }
 
     /// The processor's current simulated time.
@@ -349,7 +355,7 @@ impl Env {
         // otherwise write on every access. Nothing below touches
         // `xlate`, so the borrow lives across the access.
         let word = self.geometry.word_offset(va);
-        let my_local = self.proc % self.cluster_size;
+        let my_local = self.local_index();
         loop {
             let (frame, gen) = self.xlate.entry(slot);
             debug_assert_eq!(
@@ -363,7 +369,7 @@ impl Env {
                 &mut self.pcache,
                 my_local,
                 line,
-                frame.home_node() % self.cluster_size,
+                frame.home_node() - self.first_proc,
                 write,
                 frame.dir_hint(sys.directory(), line),
                 frame.word(word, gen, value),

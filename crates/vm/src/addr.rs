@@ -79,13 +79,14 @@ impl PageGeometry {
     #[inline]
     pub fn page_of(self, va: u64) -> u64 {
         debug_assert!(va >= VIRT_BASE, "not a virtual address: {va:#x}");
-        (va - VIRT_BASE) / self.page_bytes
+        // A shift, not a division: the page size is a power of two.
+        (va - VIRT_BASE) >> self.page_bytes.trailing_zeros()
     }
 
     /// Word index within its page of a virtual address.
     #[inline]
     pub fn word_offset(self, va: u64) -> u64 {
-        ((va - VIRT_BASE) % self.page_bytes) / Self::WORD_BYTES
+        ((va - VIRT_BASE) & (self.page_bytes - 1)) / Self::WORD_BYTES
     }
 
     /// Is `addr` a virtual (as opposed to physical) address?

@@ -33,8 +33,8 @@ fn main() {
     let large = std::env::args().any(|a| a == "--large");
 
     // A small Water problem keeps this example quick; the full
-    // evaluation lives in the mgs-bench commands (`figures`,
-    // `summary`), and host-speed measurement in `benchmark/`.
+    // evaluation lives in `mgs-bench paper`, and host-speed
+    // measurement in `benchmark/`.
     let app = Water {
         n: 64,
         ..Water::paper()

@@ -6,30 +6,30 @@
 #
 #   scripts/results.sh [--check] [--quick]
 #
-# Without flags it rewrites the files in place (stdout only; progress
-# lines go to the terminal). `--check` writes nothing: it compares each
-# file with a fresh run and stops at the first that differs, naming it,
-# with exit status 1. `--quick` keeps to the rows run at `--quick`
-# scale (the goldens and the three BENCH_*.json: seconds, where the
-# paper-scale rows take minutes).
+# Without flags it rewrites the files in place (progress lines go to
+# the terminal). `--check` writes nothing: it compares each file with a
+# fresh run and stops at the first that differs, naming it, with exit
+# status 1. `--quick` keeps to the rows run at `--quick` scale (the
+# goldens and the three BENCH_*.json: seconds, where the paper-scale
+# rows take minutes). Each row's wall seconds, and the total, go to
+# stderr.
 set -euo pipefail
+# `$EPOCHREALTIME` and awk agree on the decimal point.
+export LC_ALL=C
 
-# file | mgs-bench arguments. A BENCH_*.json row names the file its
-# command writes into the working directory; the other rows are stdout.
+# mgs-bench arguments | the files the run produces. An output is
+# `fresh:committed` — the file the command leaves in its working
+# directory (`-` for its stdout) and the committed file it must equal —
+# or one path, the same in both.
 table='
-results/table3.txt            | table3
-results/table4.txt            | table4
-results/figures.txt           | figures
-results/fig11.txt             | fig11
-results/fig12.txt             | fig12
-results/summary.txt           | summary
-results/ablation.txt          | ablation
-results/golden/table3.w1.txt  | table3
-results/golden/table4.w1.txt  | table4 --quick
-results/golden/summary.w1.txt | summary --quick
-BENCH_chaos.json              | chaos --quick
-BENCH_scenario.json           | scenario --quick
-BENCH_adaptive.json           | adaptive --quick
+table3          | -:results/table3.txt
+paper           | results/table4.txt results/figures.txt results/fig11.txt results/fig12.txt results/summary.txt
+ablation        | -:results/ablation.txt
+table3          | -:results/golden/table3.w1.txt
+paper --quick   | results/table4.txt:results/golden/table4.w1.txt results/figures.txt:results/golden/figures.w1.txt results/fig11.txt:results/golden/fig11.w1.txt results/fig12.txt:results/golden/fig12.w1.txt results/summary.txt:results/golden/summary.w1.txt
+chaos --quick   | BENCH_chaos.json
+scenario --quick | BENCH_scenario.json
+adaptive --quick | BENCH_adaptive.json
 '
 
 check=0
@@ -38,7 +38,7 @@ for arg in "$@"; do
     case "$arg" in
         --check) check=1 ;;
         --quick) quick=1 ;;
-        *) sed -n '2,14p' "$0" >&2; exit 2 ;;
+        *) sed -n '2,15p' "$0" >&2; exit 2 ;;
     esac
 done
 
@@ -54,28 +54,39 @@ unset MGS_VWORKERS
 
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
-cd "$scratch"
+start=$EPOCHREALTIME
 
-while IFS='|' read -r file args; do
-    file=${file// /}
-    [ -n "$file" ] || continue
-    case "$file" in
+while IFS='|' read -r command produced; do
+    [ -n "${produced// /}" ] || continue
+    read -ra args <<< "$command"
+    read -ra outputs <<< "$produced"
+    case "${outputs[0]#*:}" in
         results/golden/* | BENCH_*) ;;
         *) [ $quick -eq 0 ] || continue ;;
     esac
-    echo "results.sh: $file <- mgs-bench$args" >&2
-    # shellcheck disable=SC2086  # $args is a flag list, split on purpose
-    "$bin" $args > stdout < /dev/null
-    case "$file" in
-        BENCH_*) fresh=$file ;;
-        *) fresh=stdout ;;
-    esac
-    if [ $check -eq 1 ]; then
-        cmp "$fresh" "$root/$file" || {
-            echo "results.sh: $file differs from a fresh 'mgs-bench$args'" >&2
-            exit 1
-        }
-    else
-        cp "$fresh" "$root/$file"
-    fi
+    # Each run starts in an empty directory, so a file it failed to
+    # write cannot be an earlier run's.
+    rm -rf "$scratch/run"
+    mkdir "$scratch/run"
+    cd "$scratch/run"
+    echo "results.sh: mgs-bench ${args[*]}" >&2
+    row=$EPOCHREALTIME
+    "$bin" "${args[@]}" > "$scratch/stdout" < /dev/null
+    for output in "${outputs[@]}"; do
+        fresh=${output%%:*}
+        file=${output#*:}
+        [ "$fresh" != - ] || fresh=$scratch/stdout
+        if [ $check -eq 1 ]; then
+            cmp "$fresh" "$root/$file" || {
+                echo "results.sh: $file differs from a fresh 'mgs-bench ${args[*]}'" >&2
+                exit 1
+            }
+        else
+            cp "$fresh" "$root/$file"
+        fi
+    done
+    awk -v a="$row" -v b="$EPOCHREALTIME" -v args="${args[*]}" \
+        'BEGIN { printf "results.sh: %7.1f s  mgs-bench %s\n", b - a, args }' >&2
 done <<< "$table"
+awk -v a="$start" -v b="$EPOCHREALTIME" \
+    'BEGIN { printf "results.sh: %7.1f s  total\n", b - a }' >&2
