@@ -133,3 +133,83 @@ fn a_sweep_prints_the_same_bytes_twice_and_at_any_jobs() {
     assert_eq!(first, sweep("b", "4"), "two runs at --jobs 4");
     assert_eq!(first, sweep("c", "1"), "--jobs 4 against --jobs 1");
 }
+
+/// The top-level `(key, value text)` members of a JSON object, in
+/// document order (enough of a parser for the harness's own output).
+fn members(json: &str) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    let (mut depth, mut in_string, mut escaped, mut start) = (0, false, false, 0);
+    for (i, ch) in json.char_indices() {
+        if in_string {
+            match (escaped, ch) {
+                (true, _) => escaped = false,
+                (false, '\\') => escaped = true,
+                (false, '"') => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match ch {
+            '"' => in_string = true,
+            '{' | '[' => {
+                depth += 1;
+                if depth == 1 {
+                    start = i + 1;
+                }
+            }
+            '}' | ']' | ',' => {
+                if depth == 1 {
+                    let (key, value) = json[start..i].split_once(':').expect("a key");
+                    out.push((key.trim().to_string(), value.trim().to_string()));
+                    start = i + 1;
+                }
+                if ch != ',' {
+                    depth -= 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// `profile --smoke` writes the committed sample again: every
+/// top-level member but `governor` (host wall-clock waits) is the same
+/// text, the metrics' counters included.
+#[test]
+fn profile_smoke_rewrites_the_committed_sample() {
+    let dir = std::env::temp_dir().join(format!("mgs-bench-cli-profile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = mgs_bench(&["profile", "--smoke", "--no-trace"])
+        .current_dir(&dir)
+        .output()
+        .expect("run mgs-bench");
+    let fresh = std::fs::read_to_string(dir.join("results/profile_jacobi_c4.json"));
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(out.status.success(), "{out:?}");
+    let committed = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/profile_jacobi_c4.json"
+    );
+    let committed = std::fs::read_to_string(committed).expect("committed sample");
+    let keep = |json: &str| {
+        let mut m = members(json);
+        let before = m.len();
+        m.retain(|(key, _)| key != "\"governor\"");
+        assert_eq!(m.len() + 1, before, "one governor member");
+        m
+    };
+    let (fresh, committed) = (
+        keep(&fresh.expect("profile wrote its JSON")),
+        keep(&committed),
+    );
+    assert!(committed.len() >= 10, "{committed:?}");
+    assert_eq!(
+        fresh.iter().map(|(k, _)| k).collect::<Vec<_>>(),
+        committed.iter().map(|(k, _)| k).collect::<Vec<_>>(),
+        "the same members in the same order"
+    );
+    for ((key, now), (_, then)) in fresh.iter().zip(&committed) {
+        assert_eq!(now, then, "member {key}");
+    }
+}

@@ -125,16 +125,18 @@ pub struct Served {
     pub value: u64,
 }
 
-/// One local processor's counters, on cache lines of their own so that
-/// the processors of an SSMP never write a line another one counts on
-/// (128 bytes covers the adjacent-line prefetcher's pairs).
+/// One local processor's counters, loads then stores by class, on
+/// cache lines of their own so that the processors of an SSMP never
+/// write a line another one counts on (128 bytes covers the
+/// adjacent-line prefetcher's pairs).
 #[derive(Debug, Default)]
 #[repr(align(128))]
 struct StatShard {
-    counts: [AtomicU64; 6],
+    counts: [[AtomicU64; 6]; 2],
 }
 
-/// Per-class access counters for one SSMP.
+/// Per-class access counters for one SSMP, split into loads and
+/// stores: the machine's one count of its simulated accesses.
 ///
 /// Sharded by local processor: an access bumps only its own
 /// processor's shard, and readers sum the shards. The totals are exact
@@ -169,11 +171,11 @@ impl CacheStats {
         }
     }
 
-    /// Records one access of the given class by local processor `proc`,
-    /// the shard's one writer.
+    /// Records one load (or store, `is_write`) of the given class by
+    /// local processor `proc`, the shard's one writer.
     #[inline]
-    fn record_for(&self, proc: usize, class: MissClass) {
-        let count = &self.shards[proc].counts[class.index()];
+    fn record_for(&self, proc: usize, class: MissClass, is_write: bool) {
+        let count = &self.shards[proc].counts[usize::from(is_write)][class.index()];
         count.store(count.load(Relaxed) + 1, Relaxed);
     }
 
@@ -181,17 +183,23 @@ impl CacheStats {
     pub fn count(&self, class: MissClass) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.counts[class.index()].load(Relaxed))
+            .flat_map(|s| &s.counts)
+            .map(|by_class| by_class[class.index()].load(Relaxed))
+            .sum()
+    }
+
+    /// Loads (`is_write == false`) or stores so far, over every class.
+    pub fn accesses(&self, is_write: bool) -> u64 {
+        self.shards
+            .iter()
+            .flat_map(|s| &s.counts[usize::from(is_write)])
+            .map(|c| c.load(Relaxed))
             .sum()
     }
 
     /// Total accesses.
     pub fn total(&self) -> u64 {
-        self.shards
-            .iter()
-            .flat_map(|s| &s.counts)
-            .map(|c| c.load(Relaxed))
-            .sum()
+        self.accesses(false) + self.accesses(true)
     }
 }
 
@@ -373,7 +381,7 @@ impl SsmpCacheSystem {
             if tag.map(|(_, memo)| memo) != Some(hint) {
                 cache.remember(line, hint);
             }
-            self.stats.record_for(proc, class);
+            self.stats.record_for(proc, class, is_write);
             Some(Served { class, value })
         };
         if let (false, Some((way, _))) = (is_write, tag) {
@@ -598,9 +606,12 @@ mod tests {
         let (sys, mut caches) = setup();
         sys.access(&mut caches[0], 0, 1, 0, false);
         sys.access(&mut caches[0], 0, 1, 0, false);
-        assert_eq!(sys.stats().count(MissClass::LocalMiss), 1);
+        sys.access(&mut caches[0], 0, 2, 0, true);
+        assert_eq!(sys.stats().count(MissClass::LocalMiss), 2);
         assert_eq!(sys.stats().count(MissClass::Hit), 1);
-        assert_eq!(sys.stats().total(), 2);
+        assert_eq!(sys.stats().accesses(false), 2);
+        assert_eq!(sys.stats().accesses(true), 1);
+        assert_eq!(sys.stats().total(), 3);
     }
 
     /// Lines 0, 8 and 16 share set 0 of the 8-set cache and (one

@@ -20,17 +20,6 @@ use std::sync::Arc;
 /// processor.
 const RNG_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Maps a hardware [`MissClass`](mgs_cache::MissClass) (by `index()`)
-/// to its observability counter.
-const HW_METRIC: [Metric; 6] = [
-    Metric::HwHit,
-    Metric::HwLocalMiss,
-    Metric::HwRemoteClean,
-    Metric::HwTwoParty,
-    Metric::HwThreeParty,
-    Metric::HwSwDirectory,
-];
-
 /// Types that can live in simulated shared memory (one 8-byte word per
 /// element).
 pub trait Word: Copy + Send + Sync + 'static {
@@ -378,14 +367,8 @@ impl Env {
                 slot = self.translate_slow(page, write);
                 continue;
             };
-            let class = served.class;
             self.clock
-                .charge(CostCategory::User, class.cost(&self.cost));
-            if let Some(obs) = &self.obs {
-                let m = if write { Metric::Stores } else { Metric::Loads };
-                obs.registry.count(self.proc, m, 1);
-                obs.registry.count(self.proc, HW_METRIC[class.index()], 1);
-            }
+                .charge(CostCategory::User, served.class.cost(&self.cost));
             return served.value;
         }
     }
@@ -412,7 +395,6 @@ impl Env {
                 .charge(CostCategory::User, self.cost.tlb_fill_cost());
             self.proto.stats().tlb_fills.incr();
             if let Some(obs) = &self.obs {
-                obs.registry.count(self.proc, Metric::TlbFills, 1);
                 obs.registry.record_latency(
                     self.proc,
                     LatencyClass::TlbFill,
@@ -445,14 +427,8 @@ impl Env {
         self.maybe_churn();
         self.maybe_adapt();
         let requested = self.clock.now();
-        let (granted, hit) = lock.acquire_gov(self.ssmp, requested, Some((&self.gov, self.proc)));
+        let (granted, _) = lock.acquire_gov(self.ssmp, requested, Some((&self.gov, self.proc)));
         if let Some(obs) = &self.obs {
-            let m = if hit {
-                Metric::LockAcquiresLocal
-            } else {
-                Metric::LockAcquiresRemote
-            };
-            obs.registry.count(self.proc, m, 1);
             obs.registry.record_latency(
                 self.proc,
                 LatencyClass::LockWait,

@@ -4,8 +4,9 @@ use crate::churn::ChurnState;
 use crate::env::{Env, SharedArray, Word};
 use crate::report::{ProcResult, RunReport};
 use crate::DssmpConfig;
-use mgs_net::LanModel;
-use mgs_obs::{ObsEvent, ObsSink, TraceEvent};
+use mgs_cache::MissClass;
+use mgs_net::{LanModel, MsgKind};
+use mgs_obs::{Metric, MetricsReport, ObsEvent, ObsSink, TraceEvent};
 use mgs_proto::{MgsProtocol, ProtoConfig, ProtoStats, RecordingTiming};
 use mgs_sim::{Cycles, GovWaitSnapshot, Occupancy, VirtualScheduler};
 use mgs_sync::{HwLock, MgsBarrier, MgsLock};
@@ -168,13 +169,13 @@ impl Machine {
     }
 
     /// Records one protocol event on behalf of processor `proc` at its
-    /// simulated `time`: into the observability sink, and into the
-    /// trace when tracing — except the requester-local charges (`Local`,
+    /// simulated `time`: into the sharing profiler, and into the trace
+    /// when tracing — except the requester-local charges (`Local`,
     /// `WaitUntil`), which a transaction span's length already sums.
     #[inline]
     pub(crate) fn record(&self, proc: usize, time: Cycles, event: ObsEvent) {
         if let Some(obs) = &self.obs {
-            obs.record(proc, self.cfg.ssmp_of(proc), &event);
+            obs.profiler.record(self.cfg.ssmp_of(proc), &event);
         }
         if let Some(t) = &self.trace {
             if !matches!(event, ObsEvent::Local { .. } | ObsEvent::WaitUntil { .. }) {
@@ -189,11 +190,55 @@ impl Machine {
 
     /// The observability sink, when
     /// [`DssmpConfig::observe`](crate::DssmpConfig) is enabled: the
-    /// sharded metrics registry and the per-page sharing profiler. Query
-    /// it after [`run`](Machine::run) (or take the merged snapshot from
-    /// [`RunReport::metrics`](crate::RunReport)).
+    /// sharded latency registry and the per-page sharing profiler. Query
+    /// it after [`run`](Machine::run) (the counts are in
+    /// [`metrics`](Machine::metrics)).
     pub fn obs(&self) -> Option<&Arc<ObsSink>> {
         self.obs.as_ref()
+    }
+
+    /// The run's counts so far, when
+    /// [`DssmpConfig::observe`](crate::DssmpConfig) is enabled
+    /// ([`RunReport::metrics`](crate::RunReport) after a run): the
+    /// registry's histograms and two counts, and every other count read
+    /// from the layer that owns it.
+    pub fn metrics(&self) -> Option<MetricsReport> {
+        let mut m = self.obs.as_ref()?.registry.merge();
+        let caches = || (0..self.cfg.n_ssmps()).map(|s| self.proto.cache_system(s).stats());
+        let hw = [
+            Metric::HwHit,
+            Metric::HwLocalMiss,
+            Metric::HwRemoteClean,
+            Metric::HwTwoParty,
+            Metric::HwThreeParty,
+            Metric::HwSwDirectory,
+        ];
+        for (class, metric) in MissClass::ALL.into_iter().zip(hw) {
+            m.set(metric, caches().map(|c| c.count(class)).sum());
+        }
+        for (metric, write) in [(Metric::Loads, false), (Metric::Stores, true)] {
+            m.set(metric, caches().map(|c| c.accesses(write)).sum());
+        }
+        let net = self.lan.stats();
+        for kind in MsgKind::ALL {
+            m.set_lan(kind, net.msgs(kind));
+        }
+        let (acquires, hits) = self.lock_totals();
+        let (departs, rejoins, rehomed) = self.churn.as_ref().map_or((0, 0, 0), |c| c.totals());
+        let owned = [
+            (Metric::LanDrops, net.dropped_total()),
+            (Metric::LanDuplicates, net.duplicated_total()),
+            (Metric::LockAcquiresLocal, hits),
+            // Mid-run, a hit may land between the two reads.
+            (Metric::LockAcquiresRemote, acquires.saturating_sub(hits)),
+            (Metric::ChurnDepartures, departs),
+            (Metric::ChurnRejoins, rejoins),
+            (Metric::ChurnRehomedPages, rehomed),
+        ];
+        for (metric, total) in self.proto.stats().metrics().into_iter().chain(owned) {
+            m.set(metric, total);
+        }
+        Some(m)
     }
 
     /// Takes the accumulated protocol trace (empty unless
@@ -386,9 +431,11 @@ impl Machine {
         // verification) sees the canonical final memory image. Runs on
         // a detached recording sink after the simulated clocks are
         // final — it charges no simulated time and perturbs nothing; a
-        // no-op unless the adaptive controller pinned pages. Its events
-        // still happened, so they are recorded for processor 0 at the
-        // run's final time (the recorder's clock starts there too).
+        // no-op unless the adaptive controller pinned pages. Its
+        // observations still happened, so they are recorded for
+        // processor 0 at the run's final time (the recorder's clock
+        // starts there too); its messages and engine work did not, as
+        // neither the fabric nor an engine carried them.
         let end = results.iter().map(|r| r.end).max().unwrap_or(Cycles::ZERO);
         let mut drain = RecordingTiming::new(self.cfg.cost.clone(), Cycles::ZERO);
         drain.wait_until(end);
@@ -396,7 +443,9 @@ impl Machine {
             .drain_pinned(&mut drain)
             .unwrap_or_else(|e| panic!("unrecoverable MGS protocol failure: {e}"));
         for &event in drain.events() {
-            self.record(0, end, event);
+            if !matches!(event, ObsEvent::Message { .. } | ObsEvent::NodeWork { .. }) {
+                self.record(0, end, event);
+            }
         }
         RunReport::from_procs(
             results,
@@ -411,7 +460,7 @@ impl Machine {
                 self.proto.stats().retries.get(),
             ),
             self.churn.as_ref().map_or((0, 0, 0), |c| c.totals()),
-            self.obs.as_ref().map(|o| o.registry.merge()),
+            self.metrics(),
             self.proto.policy_decisions(),
         )
     }

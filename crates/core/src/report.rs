@@ -59,8 +59,9 @@ pub struct RunReport {
     pub churn_rejoins: u64,
     /// Pages re-homed to survivors across all departures.
     pub rehomed_pages: u64,
-    /// Merged metrics snapshot from the `mgs-obs` registry; present only
-    /// when [`DssmpConfig::observe`](crate::DssmpConfig) was enabled.
+    /// The run's metrics ([`Machine::metrics`](crate::Machine::metrics)
+    /// at its end); present exactly when
+    /// [`DssmpConfig::observe`](crate::DssmpConfig) was enabled.
     pub metrics: Option<MetricsReport>,
     /// The adaptive-grain controller's policy-decision trace, in
     /// decision order (empty under the static strategies). With one

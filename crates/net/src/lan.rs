@@ -324,7 +324,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_lan_messages() {
+    fn stats_count_messages_sent_over_the_lan() {
         let lan = LanModel::new(3, Cycles(10));
         lan.send(0, 1, MsgKind::RReq, 0, Cycles(0));
         lan.send(0, 2, MsgKind::RDat, 1024, Cycles(0));

@@ -5,8 +5,9 @@
 //! `ProtoTiming` hook calls that move simulated time or cross the
 //! fabric; *observations* (everything else) are what `mgs-proto`'s
 //! engines emit through the `ProtoTiming::observe` hook as state
-//! changes. The runtime feeds both to [`ObsSink::record`](crate::ObsSink)
-//! and (when tracing) to the machine's [`TraceEvent`](crate::TraceEvent)
+//! changes, which `mgs-proto`'s `ProtoStats::record` counts. The runtime
+//! feeds both to the [`SharingProfiler`](crate::SharingProfiler) and
+//! (when tracing) to the machine's [`TraceEvent`](crate::TraceEvent)
 //! list; `RecordingTiming` keeps both in one list. Every variant is
 //! `Copy` and carries only scalars, so emitting one allocates nothing.
 
@@ -113,8 +114,8 @@ impl XactOutcome {
 }
 
 /// One protocol event: a timing charge, or a state transition emitted
-/// by the engines at the instant it happens (with its page-level
-/// attribution, which the flat `ProtoStats` counters lack).
+/// by the engines at the instant it happens, with the page and node it
+/// concerns (which a count drops; the profiler and the trace keep it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObsEvent {
     /// Work executed on the requesting processor itself.

@@ -1,11 +1,10 @@
-//! The metrics registry: typed counters and log2-bucketed latency
-//! histograms, sharded per simulated processor.
+//! The metrics registry: log2-bucketed latency histograms and the
+//! counts no other layer keeps, sharded per simulated processor.
 //!
 //! The recording fast path is one array index plus one relaxed atomic
-//! add into the calling processor's own shard — no lock, no allocation,
-//! and (since each simulated processor runs on its own host thread) no
-//! cache-line contention. Shards are merged into an immutable
-//! [`MetricsReport`] when the run finishes.
+//! add into the calling processor's own shard: no lock and no
+//! allocation. Shards are merged into a [`MetricsReport`] when the run
+//! finishes, and the machine sets every count another layer owns.
 
 use crate::XactOutcome;
 use mgs_net::MsgKind;
@@ -14,7 +13,9 @@ use mgs_sim::{log2_bucket, Cycles, WAIT_HIST_BUCKETS as HIST_BUCKETS};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Typed event counters, one per protocol event class.
+/// Typed event counters, one per protocol event class. Each is counted
+/// once, by the layer that owns its event (the [`ObsRegistry`] owns
+/// only hardware-lock acquires and barrier arrivals).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// Shared-memory loads issued through the simulated memory system.
@@ -34,8 +35,7 @@ pub enum Metric {
     /// Hardware misses through the software directory (LimitLESS).
     HwSwDirectory,
     /// Faults satisfied by an existing local mapping (arcs 1/3),
-    /// page-table fills at `C = P` included: the protocol's
-    /// `tlb_fills` counts the same faults.
+    /// page-table fills at `C = P` included (no event marks those).
     TlbFills,
     /// Inter-SSMP read misses (arcs 5→17→6).
     ReadMisses,
@@ -88,7 +88,8 @@ pub enum Metric {
     LanDuplicates,
     /// Protocol retransmissions after a timeout.
     Retries,
-    /// Transactions aborted after exhausting their retry budget.
+    /// Transactions abandoned because a message exhausted its retry
+    /// budget: inside a span, its `XactEnd { Aborted }`.
     XactAborts,
     /// SSMPs that departed the machine mid-run (churn).
     ChurnDepartures,
@@ -321,7 +322,6 @@ impl Histogram {
 #[repr(align(128))]
 struct ProcShard {
     counters: [AtomicU64; Metric::COUNT],
-    lan: [AtomicU64; MsgKind::COUNT],
     hists: [Histogram; LatencyClass::COUNT],
 }
 
@@ -329,7 +329,6 @@ impl ProcShard {
     fn new() -> ProcShard {
         ProcShard {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            lan: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: std::array::from_fn(|_| Histogram::new()),
         }
     }
@@ -338,6 +337,9 @@ impl ProcShard {
 /// The live metrics registry: one cache-line-aligned shard per
 /// simulated processor, all storage pre-sized at construction.
 ///
+/// A shard is written by its processor's task, which runs on one host
+/// worker at a time but may move between them.
+///
 /// # Example
 ///
 /// ```
@@ -345,11 +347,11 @@ impl ProcShard {
 /// use mgs_sim::Cycles;
 ///
 /// let reg = ObsRegistry::new(2);
-/// reg.count(0, Metric::Loads, 3);
-/// reg.count(1, Metric::Loads, 1);
+/// reg.count(0, Metric::BarrierArrivals, 3);
+/// reg.count(1, Metric::BarrierArrivals, 1);
 /// reg.record_latency(0, LatencyClass::ReadMiss, Cycles(4096));
 /// let report = reg.merge();
-/// assert_eq!(report.get(Metric::Loads), 4);
+/// assert_eq!(report.get(Metric::BarrierArrivals), 4);
 /// assert_eq!(report.hist(LatencyClass::ReadMiss).count, 1);
 /// ```
 #[derive(Debug)]
@@ -365,17 +367,11 @@ impl ObsRegistry {
         }
     }
 
-    /// Adds `n` to `metric` in processor `proc`'s shard.
+    /// Adds `n` to `metric` in processor `proc`'s shard: for a count
+    /// that no other layer keeps.
     #[inline]
     pub fn count(&self, proc: usize, metric: Metric, n: u64) {
         self.shards[proc].counters[metric.index()].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one inter-SSMP transmission of `kind` attributed to
-    /// processor `proc`.
-    #[inline]
-    pub fn count_lan(&self, proc: usize, kind: MsgKind) {
-        self.shards[proc].lan[kind.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a simulated-latency sample in `class`'s histogram.
@@ -384,18 +380,14 @@ impl ObsRegistry {
         self.shards[proc].hists[class.index()].record(latency.raw());
     }
 
-    /// Merges every shard into an immutable report.
+    /// Merges every shard into a report.
     pub fn merge(&self) -> MetricsReport {
         let mut counters = [0u64; Metric::COUNT];
-        let mut lan = [0u64; MsgKind::COUNT];
         let mut hists: [HistSummary; LatencyClass::COUNT] =
             std::array::from_fn(|_| HistSummary::default());
         for shard in &self.shards {
             for (i, c) in shard.counters.iter().enumerate() {
                 counters[i] += c.load(Ordering::Relaxed);
-            }
-            for (i, c) in shard.lan.iter().enumerate() {
-                lan[i] += c.load(Ordering::Relaxed);
             }
             for (i, h) in shard.hists.iter().enumerate() {
                 for (b, c) in h.buckets.iter().enumerate() {
@@ -407,7 +399,7 @@ impl ObsRegistry {
         }
         MetricsReport {
             counters,
-            lan,
+            lan: [0; MsgKind::COUNT],
             hists,
         }
     }
@@ -465,10 +457,9 @@ impl HistSummary {
     }
 }
 
-/// Immutable merged metrics for one run.
-///
-/// Attached to `RunReport::metrics` by the runtime when observability
-/// is enabled; also available mid-run via `ObsRegistry::merge`.
+/// Merged metrics for one run: [`ObsRegistry::merge`]'s histograms and
+/// counts, with every count another layer owns [`set`](Self::set) by
+/// the machine (`RunReport::metrics`).
 #[derive(Debug, Clone)]
 pub struct MetricsReport {
     counters: [u64; Metric::COUNT],
@@ -482,10 +473,19 @@ impl MetricsReport {
         self.counters[metric.index()]
     }
 
-    /// Inter-SSMP transmissions of `kind` (including fabric-dropped
-    /// ones, matching `NetStats`' definition).
+    /// Sets one counter metric's total, read from the layer that owns it.
+    pub fn set(&mut self, metric: Metric, total: u64) {
+        self.counters[metric.index()] = total;
+    }
+
+    /// Inter-SSMP transmissions of `kind`, fabric-dropped ones included.
     pub fn lan(&self, kind: MsgKind) -> u64 {
         self.lan[kind.index()]
+    }
+
+    /// Sets the transmissions of `kind`.
+    pub fn set_lan(&mut self, kind: MsgKind, total: u64) {
+        self.lan[kind.index()] = total;
     }
 
     /// Total inter-SSMP transmissions across all kinds.
@@ -496,11 +496,6 @@ impl MetricsReport {
     /// Merged histogram for one latency class.
     pub fn hist(&self, class: LatencyClass) -> &HistSummary {
         &self.hists[class.index()]
-    }
-
-    /// Total MGS lock acquires (local + remote).
-    pub fn lock_acquires(&self) -> u64 {
-        self.get(Metric::LockAcquiresLocal) + self.get(Metric::LockAcquiresRemote)
     }
 
     /// Serializes the report as a JSON object (hand-rolled; the build
@@ -601,14 +596,18 @@ mod tests {
     }
 
     #[test]
-    fn lan_counts_by_kind() {
-        let reg = ObsRegistry::new(2);
-        reg.count_lan(0, MsgKind::RReq);
-        reg.count_lan(1, MsgKind::RReq);
-        reg.count_lan(1, MsgKind::Diff);
-        let r = reg.merge();
+    fn set_totals_replace_and_lan_sums_by_kind() {
+        let reg = ObsRegistry::new(1);
+        reg.count(0, Metric::BarrierArrivals, 2);
+        let mut r = reg.merge();
+        r.set(Metric::Loads, 9);
+        r.set_lan(MsgKind::RReq, 2);
+        r.set_lan(MsgKind::Diff, 1);
+        assert_eq!(
+            (r.get(Metric::Loads), r.get(Metric::BarrierArrivals)),
+            (9, 2)
+        );
         assert_eq!(r.lan(MsgKind::RReq), 2);
-        assert_eq!(r.lan(MsgKind::Diff), 1);
         assert_eq!(r.lan_total(), 3);
     }
 

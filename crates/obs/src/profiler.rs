@@ -193,8 +193,8 @@ impl SharingProfiler {
                 p.reader_mask |= 1 << (ssmp as u64 & 63);
             }),
             // Charges, span begins, DUQ drains, policy switches and churn
-            // are not page activity; the registry and the trace carry
-            // them.
+            // are not page activity; the report's counts and the trace
+            // carry them.
             _ => {}
         }
     }

@@ -12,7 +12,7 @@
 //! to exactly-once: identical state, always.
 
 use mgs_net::{FaultPlan, MsgKind};
-use mgs_obs::ObsEvent;
+use mgs_obs::{ObsEvent, XactOutcome};
 use mgs_proto::{ClientState, MgsProtocol, ProtoConfig, RecordingTiming};
 use mgs_sim::{CostModel, Cycles, XorShift64};
 use std::collections::HashSet;
@@ -272,6 +272,27 @@ fn exhausted_retries_surface_errors_without_wedging() {
         "error must name the transaction: {msg}"
     );
     assert!(p.stats().xact_failures.get() > 0, "failure not counted");
+    // A run report's `XactAborts` is this count. Every send here runs
+    // inside a fault span, so each failure is also exactly one span
+    // ending `Aborted`.
+    let aborted = t
+        .events()
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                ObsEvent::XactEnd {
+                    outcome: XactOutcome::Aborted,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(
+        p.stats().xact_failures.get(),
+        aborted as u64,
+        "exhausted sends vs aborted spans"
+    );
 
     // The aborted fill released the page's lock: on a healed fabric
     // the very same access completes and installs a mapping.

@@ -9,8 +9,9 @@ use mgs_repro::core::{AccessKind, DssmpConfig, Machine};
 
 fn main() {
     // An 8-processor DSSMP made of four 2-processor SSMPs, with the
-    // paper's defaults: 1 KB pages, 1000-cycle inter-SSMP latency.
-    let machine = Machine::new(DssmpConfig::new(8, 2));
+    // paper's defaults: 1 KB pages, 1000-cycle inter-SSMP latency. With
+    // observability on, the run report carries the protocol's counts.
+    let machine = Machine::new(DssmpConfig::new(8, 2).with_observability());
 
     // Shared memory is allocated on the machine, then accessed through
     // each simulated processor's environment.
@@ -47,5 +48,6 @@ fn main() {
 
     println!("All 8 processors summed the shared array: {expect}");
     println!("\nRun report:\n{report}");
-    println!("\nProtocol activity:\n{}", machine.proto_stats());
+    let metrics = report.metrics.as_ref().expect("observability is on");
+    println!("\nProtocol activity:\n{metrics}");
 }

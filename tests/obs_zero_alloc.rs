@@ -5,8 +5,9 @@
 //! test binary. A single-processor machine runs with the `mgs-obs` sink
 //! attached; after a warm-up pass (TLB fills, cache-directory growth,
 //! translation-cache population), a steady-state loop of loads and
-//! stores — each of which bumps typed counters in the registry — must
-//! perform **zero** heap allocations.
+//! stores — each of which counts its load or store and hardware miss
+//! class in its SSMP's cache statistics — must perform **zero** heap
+//! allocations.
 //!
 //! Kept to a single `#[test]` so no concurrent test case can allocate
 //! while the measured window is open — and counting is scoped to the
@@ -98,8 +99,8 @@ fn check_zero_alloc(protocol: ProtocolKind) {
         }
         std::hint::black_box(acc);
 
-        // Steady state: every access still counts loads/stores and a
-        // hardware miss class into the registry shard.
+        // Steady state: every access still counts its load or store
+        // and hardware miss class into its cache-statistics shard.
         COUNTING.with(|c| c.set(true));
         let before = ALLOCS.load(Ordering::Relaxed);
         for round in 0..50u64 {
@@ -124,6 +125,6 @@ fn check_zero_alloc(protocol: ProtocolKind) {
     );
 
     // The counting really happened.
-    let metrics = machine.obs().expect("observability on").registry.merge();
+    let metrics = machine.metrics().expect("observability on");
     assert!(metrics.get(mgs_repro::obs::Metric::Stores) >= 51 * WORDS);
 }

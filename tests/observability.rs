@@ -6,11 +6,13 @@
 //!   without `DssmpConfig::observe` at C = 4 and C = 32 and must be
 //!   bit-identical in duration, per-processor accounting and LAN
 //!   traffic.
-//! * **Reconciliation** — the `mgs-obs` registry counts events at
-//!   different layers than the `RunReport` totals (per-proc shards vs.
-//!   `NetStats` / lock stats / protocol stats), and the trace is a third
-//!   record of the same event stream; on the same run all of them must
-//!   agree exactly, including the adaptive protocol's post-run drain.
+//! * **Reconciliation** — each event is counted once, by the layer that
+//!   owns it, and `RunReport::metrics` reads those counts; the trace is
+//!   an independent record of the same event stream. Every count the
+//!   trace implies, tallied from it, must equal the report's exactly,
+//!   under each protocol and including the adaptive protocol's
+//!   post-run drain; the lock and barrier counts are checked against
+//!   the program's structure.
 //! * **Perfetto export** — the exported `trace_event` JSON parses, and
 //!   on every track the begin/end spans nest: depth never goes
 //!   negative, every span closes, and timestamps are monotonic.
@@ -22,8 +24,9 @@
 use mgs_repro::apps::{envelope, tsp::Tsp, water::Water, MgsApp};
 use mgs_repro::core::{
     export_perfetto, first_divergence, AccessKind, DssmpConfig, FaultPlan, Machine, Metric,
-    ObsEvent, ProtocolKind, RunReport, TraceEvent,
+    ObsEvent, ProtocolKind, RunReport, TraceEvent, XactOutcome,
 };
+use mgs_repro::net::MsgKind;
 use mgs_repro::sim::Cycles;
 use std::sync::Arc;
 
@@ -92,14 +95,14 @@ fn observability_is_zero_perturbation() {
     }
 }
 
+/// The counts no trace event implies, against the ring's structure:
+/// one barrier arrival per processor per phase, the token taken once per
+/// phase, and no retry on a perfect fabric.
 #[test]
 fn metric_totals_reconcile_with_run_report() {
-    // Perfect fabric: LAN and lock counters.
     let r = run_ring(PROCS, 4, true, FaultPlan::none());
     let m = r.metrics.as_ref().expect("observability on");
     assert!(r.lan_messages > 0, "ring must cross SSMPs");
-    assert_eq!(m.lan_total(), r.lan_messages, "LAN transmissions");
-    assert_eq!(m.lock_acquires(), r.lock_acquires, "lock acquires");
     assert_eq!(m.get(Metric::Retries), 0);
     assert_eq!(
         m.get(Metric::BarrierArrivals),
@@ -111,22 +114,6 @@ fn metric_totals_reconcile_with_run_report() {
         PROCS as u64,
         "the token is taken once per phase"
     );
-
-    // Lossy fabric (smaller ring: retries make runs long): the registry
-    // sees exactly the transmissions, drops, duplicates and retries the
-    // fabric and protocol report.
-    let r = run_ring(
-        8,
-        2,
-        true,
-        FaultPlan::uniform(0xB0B, 0.25, 0.05, Cycles(200)),
-    );
-    let m = r.metrics.as_ref().expect("observability on");
-    assert!(r.lan_drops > 0, "the plan must actually drop something");
-    assert_eq!(m.lan_total(), r.lan_messages, "lossy LAN transmissions");
-    assert_eq!(m.get(Metric::LanDrops), r.lan_drops, "drops");
-    assert_eq!(m.get(Metric::LanDuplicates), r.lan_duplicates, "duplicates");
-    assert_eq!(m.get(Metric::Retries), r.retries, "retries");
 }
 
 /// One parsed `trace_event` line of the exported JSON.
@@ -264,92 +251,215 @@ fn delivered_message_is_stamped_the_same_under_any_fault_plan() {
     assert_eq!(first_divergence(&perfect, &spared), None);
 }
 
-#[test]
-fn trace_registry_and_stats_count_the_same_events() {
-    let mut cfg = DssmpConfig::new(8, 2)
-        .with_faults(FaultPlan::uniform(0xB0B, 0.25, 0.05, Cycles(200)))
-        .with_observability();
-    cfg.trace = true;
-    let (machine, r) = ring(cfg);
-    let m = r.metrics.as_ref().expect("observability on");
-    let s = machine.proto_stats();
-    // Per count: the trace's (tallied below), the registry's, the stats'.
-    let mut rows = [
-        (
-            "invalidations",
-            0,
-            m.get(Metric::Invalidations),
-            s.invalidations.get(),
-        ),
-        ("pinvs", 0, m.get(Metric::Pinvs), s.pinvs.get()),
-        ("diffs", 0, m.get(Metric::DiffsSent), s.diffs.get()),
-        ("retries", 0, m.get(Metric::Retries), s.retries.get()),
-        ("drops", 0, m.get(Metric::LanDrops), r.lan_drops),
-        (
-            "duplicates",
-            0,
-            m.get(Metric::LanDuplicates),
-            r.lan_duplicates,
-        ),
-        ("LAN transmissions", 0, m.lan_total(), r.lan_messages),
-    ];
-    for e in machine.take_trace() {
-        let (row, n) = match e.event {
-            ObsEvent::Invalidate { .. } => (0, 1),
-            ObsEvent::Pinv { .. } => (1, 1),
-            ObsEvent::Diff { .. } => (2, 1),
-            ObsEvent::Retry { .. } => (3, 1),
-            ObsEvent::Drop { .. } => {
-                rows[6].1 += 1; // a dropped transmission entered the fabric
-                (4, 1)
-            }
-            ObsEvent::Duplicate { copies, .. } => (5, u64::from(copies)),
-            ObsEvent::Message { from, to, .. } if from != to => (6, 1),
-            _ => continue,
+/// Every reported count that a trace implies, tallied from the trace
+/// alone: the independent record each run report's counts are checked
+/// against. Not implied, so absent here: loads, stores, the `Hw*`
+/// access classes, lock and barrier counts, and the page-table fills
+/// at `C = P` (not protocol transactions, so no event marks them).
+struct Tally {
+    counts: [u64; Metric::COUNT],
+    lan: [u64; MsgKind::COUNT],
+}
+
+/// The metrics no trace event implies.
+const UNTRACED: [Metric; 12] = [
+    Metric::Loads,
+    Metric::Stores,
+    Metric::HwHit,
+    Metric::HwLocalMiss,
+    Metric::HwRemoteClean,
+    Metric::HwTwoParty,
+    Metric::HwThreeParty,
+    Metric::HwSwDirectory,
+    Metric::LockAcquiresLocal,
+    Metric::LockAcquiresRemote,
+    Metric::HwLockAcquires,
+    Metric::BarrierArrivals,
+];
+
+impl Tally {
+    fn of(trace: &[TraceEvent]) -> Tally {
+        let mut t = Tally {
+            counts: [0; Metric::COUNT],
+            lan: [0; MsgKind::COUNT],
         };
-        rows[row].1 += n;
+        for e in trace {
+            let mut add = |metric: Metric, n: u64| t.counts[metric.index()] += n;
+            match e.event {
+                ObsEvent::Message { from, to, kind, .. } if from != to => {
+                    t.lan[kind.index()] += 1;
+                }
+                ObsEvent::Drop { kind, .. } => {
+                    // A dropped transmission entered the fabric too.
+                    t.lan[kind.index()] += 1;
+                    add(Metric::LanDrops, 1);
+                }
+                ObsEvent::Duplicate { copies, .. } => add(Metric::LanDuplicates, copies.into()),
+                ObsEvent::Retry { .. } => add(Metric::Retries, 1),
+                ObsEvent::XactEnd { outcome, .. } => add(
+                    match outcome {
+                        XactOutcome::TlbFill => Metric::TlbFills,
+                        XactOutcome::ReadMiss => Metric::ReadMisses,
+                        XactOutcome::WriteMiss => Metric::WriteMisses,
+                        XactOutcome::Upgrade => Metric::Upgrades,
+                        XactOutcome::Released => Metric::PagesReleased,
+                        XactOutcome::Aborted => Metric::XactAborts,
+                    },
+                    1,
+                ),
+                ObsEvent::TwinCreate { .. } => add(Metric::TwinCreates, 1),
+                ObsEvent::Diff { words, spans, .. } => {
+                    add(Metric::DiffsSent, 1);
+                    add(Metric::DiffWords, words);
+                    add(Metric::DiffSpans, spans);
+                }
+                ObsEvent::Invalidate { .. } => add(Metric::Invalidations, 1),
+                ObsEvent::SingleWriterFlush { .. } => add(Metric::SingleWriterFlushes, 1),
+                ObsEvent::SingleWriterBreak { .. } => add(Metric::SingleWriterBreaks, 1),
+                ObsEvent::DuqFlush { .. } => add(Metric::DuqFlushes, 1),
+                ObsEvent::LazyNotice { .. } => add(Metric::LazyNotices, 1),
+                ObsEvent::Pinv { .. } => add(Metric::Pinvs, 1),
+                ObsEvent::UpdatePush { words, .. } => {
+                    add(Metric::UpdatePushes, 1);
+                    add(Metric::UpdatePushWords, words);
+                }
+                ObsEvent::PolicySwitch { .. } => add(Metric::PolicySwitches, 1),
+                ObsEvent::Churn { rejoin: true, .. } => add(Metric::ChurnRejoins, 1),
+                ObsEvent::Churn { rehomed, .. } => {
+                    add(Metric::ChurnDepartures, 1);
+                    add(Metric::ChurnRehomedPages, rehomed);
+                }
+                _ => {}
+            }
+        }
+        t
     }
-    for (name, traced, registry, stat) in rows {
-        assert!(traced > 0, "{name}: the ring must produce some");
+
+    fn get(&self, metric: Metric) -> u64 {
+        self.counts[metric.index()]
+    }
+
+    /// Requires every count the trace implies to equal the report's,
+    /// in its metrics and in its own fields. `page_table_fills` marks a
+    /// run at `C = P`, whose TLB fills no event marks.
+    fn check(&self, r: &RunReport, page_table_fills: bool, run: &str) {
+        let m = r.metrics.as_ref().expect("observability on");
+        for metric in Metric::ALL {
+            if UNTRACED.contains(&metric) || (page_table_fills && metric == Metric::TlbFills) {
+                continue;
+            }
+            assert_eq!(
+                self.get(metric),
+                m.get(metric),
+                "{run}: {}: trace vs report",
+                metric.name()
+            );
+        }
+        for kind in MsgKind::ALL {
+            assert_eq!(
+                self.lan[kind.index()],
+                m.lan(kind),
+                "{run}: {} transmissions: trace vs report",
+                kind.name()
+            );
+        }
+        let lan: u64 = self.lan.iter().sum();
         assert_eq!(
-            (traced, registry),
-            (stat, stat),
-            "{name}: trace, registry vs stats"
+            (lan, self.get(Metric::LanDrops)),
+            (r.lan_messages, r.lan_drops),
+            "{run}: LAN transmissions and drops: trace vs report fields"
+        );
+        assert_eq!(
+            (self.get(Metric::LanDuplicates), self.get(Metric::Retries)),
+            (r.lan_duplicates, r.retries),
+            "{run}: duplicates and retries: trace vs report fields"
+        );
+    }
+}
+
+/// The trace is the oracle for every count it implies, under each
+/// protocol: the eager ring on a lossy fabric (misses, twins, diffs,
+/// single-writer flushes and breaks, invalidations, PINVs, the LAN mix,
+/// drops, duplicates, retries), a home-LRC Water run (lazy notices) and
+/// an adaptive TSP run (update pushes, policy switches). Every listed
+/// kind must occur in some run, so no comparison passes as zero against
+/// zero.
+#[test]
+fn trace_tally_matches_every_reported_count() {
+    let traced = |cfg: DssmpConfig| {
+        let mut cfg = cfg.with_observability();
+        cfg.trace = true;
+        cfg.workers = Some(1);
+        cfg
+    };
+    let mut seen = [0u64; Metric::COUNT];
+    let mut check = |run: &str, machine: &Machine, r: &RunReport| {
+        let t = Tally::of(&machine.take_trace());
+        t.check(r, false, run);
+        for (s, n) in seen.iter_mut().zip(t.counts) {
+            *s += n;
+        }
+    };
+
+    let lossy = FaultPlan::uniform(0xB0B, 0.25, 0.05, Cycles(200));
+    let (machine, r) = ring(traced(DssmpConfig::new(8, 2).with_faults(lossy)));
+    check("eager lossy ring", &machine, &r);
+
+    let water: &dyn MgsApp = &Water::small();
+    for (protocol, app, run) in [
+        (ProtocolKind::HomeLrc, water, "home-LRC Water"),
+        (ProtocolKind::Adaptive, &Tsp::small(), "adaptive TSP"),
+    ] {
+        let machine = Machine::new(traced(DssmpConfig::new(8, 2).with_protocol(protocol)));
+        let r = app.execute(&machine);
+        check(run, &machine, &r);
+    }
+
+    for metric in [
+        Metric::ReadMisses,
+        Metric::WriteMisses,
+        Metric::Upgrades,
+        Metric::TlbFills,
+        Metric::PagesReleased,
+        Metric::TwinCreates,
+        Metric::DiffsSent,
+        Metric::DiffWords,
+        Metric::DiffSpans,
+        Metric::SingleWriterFlushes,
+        Metric::SingleWriterBreaks,
+        Metric::DuqFlushes,
+        Metric::Invalidations,
+        Metric::Pinvs,
+        Metric::LazyNotices,
+        Metric::UpdatePushes,
+        Metric::UpdatePushWords,
+        Metric::PolicySwitches,
+        Metric::LanDrops,
+        Metric::LanDuplicates,
+        Metric::Retries,
+    ] {
+        assert!(
+            seen[metric.index()] > 0,
+            "{}: no run produced one",
+            metric.name()
         );
     }
 }
 
 /// Under the adaptive protocol `Machine::run` drains the pages the
-/// controller left pinned after the processors finish; the registry
-/// must see that drain's events exactly as the protocol counts them.
-/// At `C = P` every MGS call is null and a fault is a page-table fill,
-/// which both count as a TLB fill.
+/// controller left pinned after the processors finish, and records the
+/// drain's events for processor 0: the trace's tally, which includes
+/// them, must equal every count the report gives. At `C = P` every MGS
+/// call is null and a fault is a page-table fill, which no event marks.
 #[test]
-fn adaptive_proto_stats_reconcile_with_metrics_after_the_pinned_drain() {
+fn adaptive_trace_tally_matches_the_report_after_the_pinned_drain() {
     for c in [2, 4, 8] {
         let mut cfg = DssmpConfig::new(8, c).with_protocol(ProtocolKind::Adaptive);
         cfg.workers = Some(1);
+        cfg.trace = true;
         let machine = Machine::new(cfg);
         let r = Water::small().execute(&machine);
-        let m = r.metrics.as_ref().expect("adaptive forces observability");
-        let s = machine.proto_stats();
-        for (name, metric, stat) in [
-            ("invalidations", Metric::Invalidations, &s.invalidations),
-            ("pinvs", Metric::Pinvs, &s.pinvs),
-            ("diffs", Metric::DiffsSent, &s.diffs),
-            ("diff words", Metric::DiffWords, &s.diff_words),
-            ("TLB fills", Metric::TlbFills, &s.tlb_fills),
-            ("read misses", Metric::ReadMisses, &s.read_misses),
-            ("write misses", Metric::WriteMisses, &s.write_misses),
-            ("upgrades", Metric::Upgrades, &s.upgrades),
-            (
-                "single-writer flushes",
-                Metric::SingleWriterFlushes,
-                &s.single_writer_flushes,
-            ),
-        ] {
-            assert_eq!(m.get(metric), stat.get(), "C={c} {name}: registry vs stats");
-        }
+        Tally::of(&machine.take_trace()).check(&r, c == 8, &format!("C={c}"));
     }
 }
 
