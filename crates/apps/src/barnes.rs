@@ -13,14 +13,13 @@
 //! where the paper observes critical-section dilation under software
 //! coherence.
 
-use crate::common::{assert_close, block_range};
+use crate::common::{assert_close, block_range, read3, write3, REC_WORDS};
 use crate::MgsApp;
 use mgs_core::{AccessKind, Env, Machine, MgsLock, RunReport, SharedArray};
 use mgs_sim::XorShift64;
 use std::sync::Arc;
 
-/// Words per body record.
-const BODY_WORDS: u64 = 16;
+// Body records are `REC_WORDS` long.
 const B_POS: u64 = 0; // x, y, z
 const B_VEL: u64 = 3;
 const B_ACC: u64 = 6;
@@ -355,25 +354,25 @@ impl BarnesHut {
 
             // Phase 4: force computation by tree traversal.
             for b in lo..hi {
-                let p = bread3(env, sh.bodies, b as u64, B_POS);
+                let p = read3(env, sh.bodies, b as u64, B_POS);
                 let mut acc = [0.0; 3];
                 self.force_walk(env, sh, 0, p, side, &mut acc);
-                bwrite3(env, sh.bodies, b as u64, B_ACC, acc);
+                write3(env, sh.bodies, b as u64, B_ACC, acc);
             }
             env.barrier();
 
             // Phase 5: integrate.
             for b in lo..hi {
-                let a = bread3(env, sh.bodies, b as u64, B_ACC);
-                let mut v = bread3(env, sh.bodies, b as u64, B_VEL);
-                let mut p = bread3(env, sh.bodies, b as u64, B_POS);
+                let a = read3(env, sh.bodies, b as u64, B_ACC);
+                let mut v = read3(env, sh.bodies, b as u64, B_VEL);
+                let mut p = read3(env, sh.bodies, b as u64, B_POS);
                 for k in 0..3 {
                     v[k] += DT * a[k];
                     p[k] = (p[k] + DT * v[k]).clamp(0.0, side - 1e-9);
                 }
                 env.compute(80);
-                bwrite3(env, sh.bodies, b as u64, B_VEL, v);
-                bwrite3(env, sh.bodies, b as u64, B_POS, p);
+                write3(env, sh.bodies, b as u64, B_VEL, v);
+                write3(env, sh.bodies, b as u64, B_POS, p);
             }
             env.barrier();
         }
@@ -389,7 +388,7 @@ impl BarnesHut {
         pool_end: usize,
         side: f64,
     ) {
-        let p = bread3(env, sh.bodies, b, B_POS);
+        let p = read3(env, sh.bodies, b, B_POS);
         let mut cur = 0u64; // root
         let mut center = [side / 2.0; 3];
         let mut half = side / 2.0;
@@ -415,7 +414,7 @@ impl BarnesHut {
                             .write(env, nc * CELL_WORDS + C_CHILD + c, f64::from_bits(EMPTY));
                     }
                     let cc = child_center(center, half, oct as usize);
-                    let op = bread3(env, sh.bodies, other, B_POS);
+                    let op = read3(env, sh.bodies, other, B_POS);
                     let o2 = octant(op, cc) as u64;
                     sh.cells.write(
                         env,
@@ -453,8 +452,8 @@ impl BarnesHut {
                 0 => continue,
                 TAG_BODY => {
                     let b = child & !TAG_MASK;
-                    let q = bread3(env, sh.bodies, b, B_POS);
-                    (sh.bodies.read(env, b * BODY_WORDS + B_MASS), q)
+                    let q = read3(env, sh.bodies, b, B_POS);
+                    (sh.bodies.read(env, b * REC_WORDS + B_MASS), q)
                 }
                 TAG_CELL => self.summarize(env, sh, child & !TAG_MASK),
                 _ => unreachable!(),
@@ -496,8 +495,8 @@ impl BarnesHut {
                 0 => {}
                 TAG_BODY => {
                     let b = child & !TAG_MASK;
-                    let q = bread3(env, sh.bodies, b, B_POS);
-                    let m = sh.bodies.read(env, b * BODY_WORDS + B_MASS);
+                    let q = read3(env, sh.bodies, b, B_POS);
+                    let m = sh.bodies.read(env, b * REC_WORDS + B_MASS);
                     env.compute(self.interact_cycles);
                     accumulate(p, q, m, acc);
                 }
@@ -522,20 +521,6 @@ impl BarnesHut {
     }
 }
 
-fn bread3(env: &mut Env, a: SharedArray<f64>, i: u64, off: u64) -> [f64; 3] {
-    [
-        a.read(env, i * BODY_WORDS + off),
-        a.read(env, i * BODY_WORDS + off + 1),
-        a.read(env, i * BODY_WORDS + off + 2),
-    ]
-}
-
-fn bwrite3(env: &mut Env, a: SharedArray<f64>, i: u64, off: u64, v: [f64; 3]) {
-    for k in 0..3 {
-        a.write(env, i * BODY_WORDS + off + k as u64, v[k]);
-    }
-}
-
 impl MgsApp for BarnesHut {
     fn name(&self) -> &'static str {
         "barnes-hut"
@@ -545,7 +530,7 @@ impl MgsApp for BarnesHut {
         let n = self.n;
         let nprocs = machine.config().n_procs;
         let n_cells = 1 + nprocs * self.pool_size(nprocs);
-        let bodies = machine.alloc_array_blocked::<f64>(n as u64 * BODY_WORDS, AccessKind::Pointer);
+        let bodies = machine.alloc_array_blocked::<f64>(n as u64 * REC_WORDS, AccessKind::Pointer);
         // Cells are homed with their allocating processor's pool (the
         // distributed-allocation modification of §5.2).
         let pool = self.pool_size(nprocs) as u64;
@@ -561,10 +546,10 @@ impl MgsApp for BarnesHut {
         );
         for (i, (p, v, m)) in self.initial().into_iter().enumerate() {
             for k in 0..3 {
-                machine.poke(&bodies, i as u64 * BODY_WORDS + B_POS + k as u64, p[k]);
-                machine.poke(&bodies, i as u64 * BODY_WORDS + B_VEL + k as u64, v[k]);
+                machine.poke(&bodies, i as u64 * REC_WORDS + B_POS + k as u64, p[k]);
+                machine.poke(&bodies, i as u64 * REC_WORDS + B_VEL + k as u64, v[k]);
             }
-            machine.poke(&bodies, i as u64 * BODY_WORDS + B_MASS, m);
+            machine.poke(&bodies, i as u64 * REC_WORDS + B_MASS, m);
         }
         let sh = TreeShared {
             bodies,
@@ -576,8 +561,8 @@ impl MgsApp for BarnesHut {
         // Verify final positions/velocities against the reference.
         for (i, (p, v)) in self.reference().into_iter().enumerate() {
             for k in 0..3 {
-                let gp = machine.peek(&sh.bodies, i as u64 * BODY_WORDS + B_POS + k as u64);
-                let gv = machine.peek(&sh.bodies, i as u64 * BODY_WORDS + B_VEL + k as u64);
+                let gp = machine.peek(&sh.bodies, i as u64 * REC_WORDS + B_POS + k as u64);
+                let gv = machine.peek(&sh.bodies, i as u64 * REC_WORDS + B_VEL + k as u64);
                 assert_close(&format!("body {i} pos[{k}]"), gp, p[k], 1e-9);
                 assert_close(&format!("body {i} vel[{k}]"), gv, v[k], 1e-9);
             }

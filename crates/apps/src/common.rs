@@ -1,5 +1,14 @@
 //! Shared helpers for the application suite.
 
+use mgs_core::{Env, SharedArray};
+
+/// Words per molecule or body record of Water, the Water kernel and
+/// Barnes-Hut (128 bytes: 8 records per 1 KB page).
+pub(crate) const REC_WORDS: u64 = 16;
+
+/// Softening constant of the Water pair potential.
+const SOFT: f64 = 0.05;
+
 /// Splits `n` items over `parts` workers as evenly as possible; returns
 /// the half-open range of worker `part`.
 ///
@@ -32,6 +41,43 @@ pub fn assert_close(label: &str, got: f64, want: f64, rel_tol: f64) {
         (got - want).abs() <= rel_tol * scale,
         "{label}: got {got}, want {want} (rel tol {rel_tol})"
     );
+}
+
+/// Reads the 3-vector at word `off` of record `rec`, in word order.
+pub(crate) fn read3(env: &mut Env, a: SharedArray<f64>, rec: u64, off: u64) -> [f64; 3] {
+    [
+        a.read(env, rec * REC_WORDS + off),
+        a.read(env, rec * REC_WORDS + off + 1),
+        a.read(env, rec * REC_WORDS + off + 2),
+    ]
+}
+
+/// Writes `v` to the 3-vector at word `off` of record `rec`, in word
+/// order.
+pub(crate) fn write3(env: &mut Env, a: SharedArray<f64>, rec: u64, off: u64, v: [f64; 3]) {
+    for k in 0..3 {
+        a.write(env, rec * REC_WORDS + off + k as u64, v[k]);
+    }
+}
+
+/// Adds `v` to the 3-vector at word `off` of record `rec`: each word
+/// read then written, in word order.
+pub(crate) fn add3(env: &mut Env, a: SharedArray<f64>, rec: u64, off: u64, v: [f64; 3]) {
+    for k in 0..3 {
+        let idx = rec * REC_WORDS + off + k as u64;
+        let cur = a.read(env, idx);
+        a.write(env, idx, cur + v[k]);
+    }
+}
+
+/// Softened inverse-square pair force on `i` from `j` (Water and its
+/// kernel), plus the pair's potential energy contribution.
+pub(crate) fn pair_force(pi: [f64; 3], pj: [f64; 3]) -> ([f64; 3], f64) {
+    let d = [pi[0] - pj[0], pi[1] - pj[1], pi[2] - pj[2]];
+    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + SOFT;
+    let inv = 1.0 / r2;
+    let s = inv * inv;
+    ([d[0] * s, d[1] * s, d[2] * s], inv)
 }
 
 #[cfg(test)]

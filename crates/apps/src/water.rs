@@ -14,14 +14,12 @@
 //! at fine grain, and molecule-lock ownership tends to stay within an
 //! SSMP.
 
-use crate::common::{assert_close, block_range};
+use crate::common::{add3, assert_close, block_range, pair_force, read3, write3, REC_WORDS};
 use crate::MgsApp;
 use mgs_core::{AccessKind, Env, Machine, MgsLock, RunReport, SharedArray};
 use mgs_sim::XorShift64;
 use std::sync::Arc;
 
-/// Words per molecule record (128 bytes: 8 molecules per 1 KB page).
-const MOL_WORDS: u64 = 16;
 // Field offsets within a molecule record.
 const M_POS: u64 = 0; // x, y, z
 const M_VEL: u64 = 3; // vx, vy, vz
@@ -29,8 +27,6 @@ const M_FRC: u64 = 6; // fx, fy, fz
 
 /// Integration time step.
 const DT: f64 = 0.002;
-/// Softening constant in the pair potential.
-const SOFT: f64 = 0.05;
 
 /// The Water application.
 #[derive(Debug, Clone)]
@@ -143,7 +139,7 @@ impl Water {
             // Phase 1: zero our molecules' force accumulators.
             for i in lo..hi {
                 for k in 0..3 {
-                    mol.write(env, i as u64 * MOL_WORDS + M_FRC + k, 0.0);
+                    mol.write(env, i as u64 * REC_WORDS + M_FRC + k, 0.0);
                 }
             }
             env.barrier();
@@ -195,38 +191,6 @@ impl Water {
     }
 }
 
-/// Softened inverse-square pair force on `i` from `j`, plus the pair's
-/// potential energy contribution.
-fn pair_force(pi: [f64; 3], pj: [f64; 3]) -> ([f64; 3], f64) {
-    let d = [pi[0] - pj[0], pi[1] - pj[1], pi[2] - pj[2]];
-    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + SOFT;
-    let inv = 1.0 / r2;
-    let s = inv * inv;
-    ([d[0] * s, d[1] * s, d[2] * s], inv)
-}
-
-fn read3(env: &mut Env, a: SharedArray<f64>, m: u64, off: u64) -> [f64; 3] {
-    [
-        a.read(env, m * MOL_WORDS + off),
-        a.read(env, m * MOL_WORDS + off + 1),
-        a.read(env, m * MOL_WORDS + off + 2),
-    ]
-}
-
-fn write3(env: &mut Env, a: SharedArray<f64>, m: u64, off: u64, v: [f64; 3]) {
-    for k in 0..3 {
-        a.write(env, m * MOL_WORDS + off + k as u64, v[k]);
-    }
-}
-
-fn add3(env: &mut Env, a: SharedArray<f64>, m: u64, off: u64, v: [f64; 3]) {
-    for k in 0..3 {
-        let idx = m * MOL_WORDS + off + k as u64;
-        let cur = a.read(env, idx);
-        a.write(env, idx, cur + v[k]);
-    }
-}
-
 impl MgsApp for Water {
     fn name(&self) -> &'static str {
         "water"
@@ -238,12 +202,12 @@ impl MgsApp for Water {
         // homed at the owning processor (§5.2.1); the global statistics
         // structure is homed at processor 0, whose server the paper
         // observes receiving extra coherence traffic.
-        let mol = machine.alloc_array_blocked::<f64>(n as u64 * MOL_WORDS, AccessKind::DistArray);
+        let mol = machine.alloc_array_blocked::<f64>(n as u64 * REC_WORDS, AccessKind::DistArray);
         let stats = machine.alloc_array_homed::<f64>(2, AccessKind::Pointer, |_| 0);
         for (i, m) in self.initial().iter().enumerate() {
             for k in 0..3 {
-                machine.poke(&mol, i as u64 * MOL_WORDS + M_POS + k as u64, m[k]);
-                machine.poke(&mol, i as u64 * MOL_WORDS + M_VEL + k as u64, m[3 + k]);
+                machine.poke(&mol, i as u64 * REC_WORDS + M_POS + k as u64, m[k]);
+                machine.poke(&mol, i as u64 * REC_WORDS + M_VEL + k as u64, m[3 + k]);
             }
         }
         let locks: Vec<_> = (0..n).map(|_| machine.new_lock()).collect();
@@ -261,8 +225,8 @@ impl MgsApp for Water {
         let reference = self.reference();
         for (i, want) in reference.iter().enumerate() {
             for k in 0..3 {
-                let p = machine.peek(&mol, i as u64 * MOL_WORDS + M_POS + k as u64);
-                let v = machine.peek(&mol, i as u64 * MOL_WORDS + M_VEL + k as u64);
+                let p = machine.peek(&mol, i as u64 * REC_WORDS + M_POS + k as u64);
+                let v = machine.peek(&mol, i as u64 * REC_WORDS + M_VEL + k as u64);
                 assert_close(&format!("water mol {i} pos[{k}]"), p, want[k], 1e-4);
                 assert_close(&format!("water mol {i} vel[{k}]"), v, want[3 + k], 1e-4);
             }

@@ -17,16 +17,14 @@
 //!   is the "best-effort implementation" that drops the breakup penalty
 //!   from 334% to 26% in the paper.
 
-use crate::common::{assert_close, block_range};
+use crate::common::{add3, assert_close, block_range, pair_force, read3, REC_WORDS};
 use crate::MgsApp;
 use mgs_core::{AccessKind, Env, HwLock, Machine, MgsLock, RunReport, SharedArray};
 use mgs_sim::XorShift64;
 use std::sync::Arc;
 
-const MOL_WORDS: u64 = 16;
 const M_POS: u64 = 0;
 const M_FRC: u64 = 6;
-const SOFT: f64 = 0.05;
 
 /// The Water force kernel.
 #[derive(Debug, Clone)]
@@ -86,7 +84,7 @@ impl WaterKernel {
         let mut f = vec![[0.0f64; 3]; self.n];
         for i in 0..self.n {
             for j in i + 1..self.n {
-                let g = pair(pos[i], pos[j]);
+                let (g, _) = pair_force(pos[i], pos[j]);
                 for k in 0..3 {
                     f[i][k] += g[k] * self.iters as f64;
                     f[j][k] -= g[k] * self.iters as f64;
@@ -97,13 +95,13 @@ impl WaterKernel {
     }
 
     fn interact(&self, env: &mut Env, mol: SharedArray<f64>, locks: &LockSet, i: usize, j: usize) {
-        let pi = kread3(env, mol, i as u64, M_POS);
-        let pj = kread3(env, mol, j as u64, M_POS);
-        let g = pair(pi, pj);
+        let pi = read3(env, mol, i as u64, M_POS);
+        let pj = read3(env, mol, j as u64, M_POS);
+        let (g, _) = pair_force(pi, pj);
         env.compute(self.pair_cycles);
-        locks.with(env, i, |env| kadd3(env, mol, i as u64, g));
+        locks.with(env, i, |env| add3(env, mol, i as u64, M_FRC, g));
         locks.with(env, j, |env| {
-            kadd3(env, mol, j as u64, [-g[0], -g[1], -g[2]])
+            add3(env, mol, j as u64, M_FRC, [-g[0], -g[1], -g[2]])
         });
     }
 
@@ -218,30 +216,6 @@ fn tournament_pair(tiles: usize, round: usize, k: usize) -> (usize, usize) {
     (a.min(b), a.max(b))
 }
 
-fn pair(pi: [f64; 3], pj: [f64; 3]) -> [f64; 3] {
-    let d = [pi[0] - pj[0], pi[1] - pj[1], pi[2] - pj[2]];
-    let r2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + SOFT;
-    let inv = 1.0 / r2;
-    let s = inv * inv;
-    [d[0] * s, d[1] * s, d[2] * s]
-}
-
-fn kread3(env: &mut Env, a: SharedArray<f64>, m: u64, off: u64) -> [f64; 3] {
-    [
-        a.read(env, m * MOL_WORDS + off),
-        a.read(env, m * MOL_WORDS + off + 1),
-        a.read(env, m * MOL_WORDS + off + 2),
-    ]
-}
-
-fn kadd3(env: &mut Env, a: SharedArray<f64>, m: u64, v: [f64; 3]) {
-    for k in 0..3 {
-        let idx = m * MOL_WORDS + M_FRC + k as u64;
-        let cur = a.read(env, idx);
-        a.write(env, idx, cur + v[k]);
-    }
-}
-
 impl MgsApp for WaterKernel {
     fn name(&self) -> &'static str {
         if self.tiled {
@@ -253,10 +227,10 @@ impl MgsApp for WaterKernel {
 
     fn execute(&self, machine: &Arc<Machine>) -> RunReport {
         let n = self.n;
-        let mol = machine.alloc_array_blocked::<f64>(n as u64 * MOL_WORDS, AccessKind::DistArray);
+        let mol = machine.alloc_array_blocked::<f64>(n as u64 * REC_WORDS, AccessKind::DistArray);
         for (i, p) in self.positions().iter().enumerate() {
             for k in 0..3 {
-                machine.poke(&mol, i as u64 * MOL_WORDS + M_POS + k as u64, p[k]);
+                machine.poke(&mol, i as u64 * REC_WORDS + M_POS + k as u64, p[k]);
             }
         }
         let locks = if self.tiled {
@@ -271,7 +245,7 @@ impl MgsApp for WaterKernel {
         };
         for (i, want) in self.reference_forces().iter().enumerate() {
             for k in 0..3 {
-                let got = machine.peek(&mol, i as u64 * MOL_WORDS + M_FRC + k as u64);
+                let got = machine.peek(&mol, i as u64 * REC_WORDS + M_FRC + k as u64);
                 assert_close(&format!("kernel mol {i} f[{k}]"), got, want[k], 1e-4);
             }
         }

@@ -59,7 +59,7 @@ pub fn run(opts: &Options) {
             vec![
                 format!("affinity {}", window),
                 format!("{:.2}", r.duration.as_mcycles()),
-                format!("{:.3}", machine.lock_hit_ratio()),
+                format!("{:.3}", r.lock_hit_ratio()),
             ]
         }));
     }

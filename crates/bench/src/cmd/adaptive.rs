@@ -50,16 +50,9 @@ const PROTOCOLS: [ProtocolKind; 3] = [
 /// LAN constant), and WAN (10 000 cycles), so the report shows how the
 /// strategies separate as the inter-SSMP link slows down.
 fn tiers(smoke: bool) -> Vec<(LinkTier, Cycles)> {
-    let all = [
-        (LinkTier::Rack, TieredScenario::RACK_LATENCY),
-        (LinkTier::Datacenter, TieredScenario::DATACENTER_LATENCY),
-        (LinkTier::Wan, TieredScenario::WAN_LATENCY),
-    ];
-    if smoke {
-        vec![all[0], all[1]]
-    } else {
-        all.to_vec()
-    }
+    let all = [LinkTier::Rack, LinkTier::Datacenter, LinkTier::Wan];
+    let swept = if smoke { &all[..2] } else { &all[..] };
+    swept.iter().map(|&t| (t, suite::tier_latency(t))).collect()
 }
 
 /// One full sweep: `app` at `tier` under `protocol`, over the

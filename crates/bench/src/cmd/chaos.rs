@@ -23,7 +23,7 @@
 //! Run with `cargo run --release -p mgs-bench -- chaos --quick`.
 //! Accepts the usual `--p`, `--scale` and `--jobs` flags.
 
-use mgs_apps::{envelope, MgsApp};
+use mgs_apps::MgsApp;
 use mgs_bench::cli::Options;
 use mgs_bench::json::JsonObject;
 use mgs_bench::parallel::run_pool;
@@ -38,21 +38,6 @@ const SEED: u64 = 0x4D47_5343_4841_4F53;
 const DROP_RATES: [f64; 4] = [0.0, 0.001, 0.01, 0.05];
 /// Delivery jitter bound used whenever faults are active.
 const JITTER: Cycles = Cycles(200);
-
-/// Processors in the deterministic equivalence ring.
-const RING_PROCS: usize = 8;
-/// Words per processor block (4 one-KB pages each).
-const RING_WORDS: u64 = 512;
-
-/// The envelope's token ring (`mgs_apps::envelope::ring`), unpaced, on
-/// the given fabric.
-fn ring(cluster_size: usize, plan: FaultPlan, protocol: ProtocolKind) -> RunReport {
-    let mut cfg = DssmpConfig::new(RING_PROCS, cluster_size)
-        .with_protocol(protocol)
-        .with_faults(plan);
-    cfg.governor_window = None;
-    envelope::ring(&Machine::new(cfg), RING_WORDS)
-}
 
 fn equivalence_record(name: &str, c: usize, r: &RunReport) -> JsonObject {
     let mut o = JsonObject::new();
@@ -71,23 +56,19 @@ fn equivalence_record(name: &str, c: usize, r: &RunReport) -> JsonObject {
 fn run_equivalence(protocol: ProtocolKind) -> Vec<JsonObject> {
     let mut records = Vec::new();
     for c in [1, 2, 4] {
-        let baseline = ring(c, FaultPlan::none(), protocol);
+        let baseline = suite::ring(c, protocol, |cfg| cfg.with_faults(FaultPlan::none()));
         assert!(baseline.lan_messages > 0, "ring must cross SSMPs at C={c}");
 
-        let zero = ring(
-            c,
-            FaultPlan::uniform(SEED, 0.0, 0.0, Cycles::ZERO),
-            protocol,
-        );
+        let zero = suite::ring(c, protocol, |cfg| {
+            cfg.with_faults(FaultPlan::uniform(SEED, 0.0, 0.0, Cycles::ZERO))
+        });
         assert_eq!(baseline.first_divergence(&zero), None, "drop-0 plan C={c}");
         assert_eq!(zero.lan_drops + zero.lan_duplicates + zero.retries, 0);
         records.push(equivalence_record("ring/drop0", c, &zero));
 
-        let storm = ring(
-            c,
-            FaultPlan::uniform(SEED, 0.0, 1.0, Cycles::ZERO),
-            protocol,
-        );
+        let storm = suite::ring(c, protocol, |cfg| {
+            cfg.with_faults(FaultPlan::uniform(SEED, 0.0, 1.0, Cycles::ZERO))
+        });
         assert_eq!(
             baseline.first_divergence(&storm),
             None,

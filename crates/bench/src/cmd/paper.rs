@@ -206,7 +206,7 @@ fn fig11(sweeps: &[Sweep]) -> String {
         let series: Vec<(usize, f64)> = sweep
             .points
             .iter()
-            .map(|pt| (pt.cluster_size, pt.lock_hit_ratio))
+            .map(|pt| (pt.cluster_size, pt.report.lock_hit_ratio()))
             .collect();
         writeln!(out, "\n=== {name} ===").unwrap();
         writeln!(out, "{}", series_chart("lock hit ratio", &series, 1.0)).unwrap();

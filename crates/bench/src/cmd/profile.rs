@@ -28,7 +28,7 @@
 
 use mgs_bench::cli::Options;
 use mgs_bench::suite::{base_config, by_name};
-use mgs_core::{export_perfetto, GovernorWaitReport, Machine};
+use mgs_core::{export_perfetto, GovWaitSnapshot, Machine};
 
 pub fn run(opts: &Options) {
     let mut opts = opts.clone();
@@ -106,13 +106,10 @@ pub fn run(opts: &Options) {
 
     // Scheduler wait accounting: host-side cost of pacing (times
     // descheduled, wall-clock wait histograms per processor).
-    let governor = machine
-        .governor_waits()
-        .map(|snap| GovernorWaitReport::from_snapshot(&snap));
-    let gov_json = match &governor {
+    let gov_json = match machine.governor_waits() {
         Some(gov) => {
             println!("\n== governor waits (host-side) ==\n{gov}");
-            gov.to_json()
+            governor_json(&gov)
         }
         None => String::from("null"),
     };
@@ -148,5 +145,96 @@ pub fn run(opts: &Options) {
     }
     if smoke {
         println!("smoke profile complete");
+    }
+}
+
+/// The profile's `governor` member: per processor its deschedules,
+/// parks, migrations and host wait histogram (count, total, mean, p90
+/// floor), then the totals. Hand-rolled, like the rest of the file.
+fn governor_json(gov: &GovWaitSnapshot) -> String {
+    let mut s = String::from("{\n    \"per_proc\": [");
+    for (i, p) in gov.per_proc.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        s.push_str(&format!(
+            "\n      {{\"gates\": {}, \"parks\": {}, \"migrations\": {}, \"waits\": {}, \
+             \"wait_ns_total\": {}, \"wait_ns_mean\": {:.0}, \"wait_ns_p90\": {}}}",
+            p.gates,
+            p.parks,
+            p.migrations,
+            p.waits.count,
+            p.waits.sum,
+            p.waits.mean(),
+            p.waits.quantile_floor(0.9),
+        ));
+    }
+    s.push_str(&format!(
+        "\n    ],\n    \"total_gates\": {},\n    \"total_parks\": {},\n    \
+         \"total_migrations\": {},\n    \"total_wait_ns\": {}\n  }}",
+        gov.total_gates(),
+        gov.total_parks(),
+        gov.total_migrations(),
+        gov.total_wait_ns(),
+    ));
+    s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mgs_core::GovWaitStats;
+    use mgs_sim::Histogram;
+
+    fn stats(gates: u64, migrations: u64, waits: &[u64]) -> GovWaitStats {
+        let h = Histogram::new();
+        for &w in waits {
+            h.record(w);
+        }
+        GovWaitStats {
+            gates,
+            parks: 0,
+            migrations,
+            waits: h.summary(),
+        }
+    }
+
+    #[test]
+    fn totals_and_waits_reach_the_table_and_the_json() {
+        let snap = GovWaitSnapshot {
+            per_proc: vec![stats(10, 0, &[100, 2_000]), stats(4, 0, &[8])],
+        };
+        assert_eq!(snap.total_gates(), 14);
+        assert_eq!(snap.total_parks(), 0);
+        assert_eq!(snap.total_wait_ns(), 2_108);
+        assert_eq!(snap.per_proc[0].waits.count, 2);
+        assert_eq!(snap.per_proc[0].waits.sum, 2_100);
+        assert_eq!(snap.per_proc[1].waits.count, 1);
+        let shown = format!("{snap}");
+        assert!(shown.starts_with("governor waits\n"), "{shown}");
+        assert!(shown.contains("gates"), "{shown}");
+        let json = governor_json(&snap);
+        assert!(json.contains("\"total_gates\": 14"), "{json}");
+        assert!(json.contains("\"waits\": 2, \"wait_ns_total\": 2100, \"wait_ns_mean\": 1050, \"wait_ns_p90\": 1024}"), "{json}");
+        assert!(json.contains("\"total_wait_ns\": 2108\n  }"), "{json}");
+    }
+
+    #[test]
+    fn migrations_reach_the_totals_the_table_and_the_json() {
+        let snap = GovWaitSnapshot {
+            per_proc: vec![stats(10, 2, &[100]), stats(4, 5, &[8])],
+        };
+        assert_eq!(snap.total_migrations(), 7);
+        assert_eq!(snap.per_proc[1].migrations, 5);
+        let shown = format!("{snap}");
+        assert!(shown.contains("migrations"), "{shown}");
+        let total = shown.lines().last().expect("a total row");
+        assert_eq!(
+            total.split_whitespace().collect::<Vec<_>>(),
+            ["total", "14", "0", "7", "0us"]
+        );
+        let json = governor_json(&snap);
+        assert!(json.contains("\"migrations\": 2,"), "{json}");
+        assert!(json.contains("\"total_migrations\": 7"), "{json}");
     }
 }

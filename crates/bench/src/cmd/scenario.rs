@@ -36,10 +36,6 @@ use mgs_core::{
 use mgs_sim::Cycles;
 use std::sync::Arc;
 
-/// Processors in the deterministic equivalence/contention ring.
-const RING_PROCS: usize = 8;
-/// Words per processor block.
-const RING_WORDS: u64 = 512;
 /// Interface service time per message in the contention section.
 const IFACE_SERVICE: Cycles = Cycles(500);
 
@@ -49,49 +45,21 @@ const GRID_ROUNDS: u64 = 24;
 const DEPART: Cycles = Cycles(60_000);
 const REJOIN: Cycles = Cycles(260_000);
 
-/// The representative latency of each tier (simulated cycles): the
-/// `TieredScenario` defaults, with the paper's 1000-cycle LAN.
-fn tier_latency(tier: LinkTier) -> Cycles {
-    match tier {
-        LinkTier::Lan => Cycles(1000),
-        LinkTier::Rack => TieredScenario::RACK_LATENCY,
-        LinkTier::Datacenter => TieredScenario::DATACENTER_LATENCY,
-        LinkTier::Wan => TieredScenario::WAN_LATENCY,
-    }
-}
-
-/// The envelope's token ring (`mgs_apps::envelope::ring`), unpaced, on
-/// the given fabric (`None` = the default-constructed machine).
-fn ring(
-    cluster_size: usize,
-    scenario: Option<Arc<TieredScenario>>,
-    protocol: ProtocolKind,
-) -> RunReport {
-    let mut cfg = DssmpConfig::new(RING_PROCS, cluster_size).with_protocol(protocol);
-    cfg.governor_window = None;
-    if let Some(s) = scenario {
-        cfg = cfg.with_scenario(s);
-    }
-    envelope::ring(&Machine::new(cfg), RING_WORDS)
-}
-
 /// The asserted section: the explicit uniform LAN must not move a
 /// cycle against the default machine (the record key
 /// `cycle_exact_fixed_and_uniform` says the two agree).
 fn run_equivalence(protocol: ProtocolKind) -> Vec<JsonObject> {
     let mut records = Vec::new();
     for c in [1, 2, 4] {
-        let legacy = ring(c, None, protocol);
+        let legacy = suite::ring(c, protocol, |cfg| cfg);
         assert!(legacy.lan_messages > 0, "ring must cross SSMPs at C={c}");
 
-        let uniform = ring(
-            c,
-            Some(Arc::new(TieredScenario::uniform(
+        let uniform = suite::ring(c, protocol, |cfg| {
+            cfg.with_scenario(Arc::new(TieredScenario::uniform(
                 LinkTier::Lan,
                 Cycles(1000),
-            ))),
-            protocol,
-        );
+            )))
+        });
         assert_eq!(legacy.first_divergence(&uniform), None, "uniform-lan C={c}");
 
         let mut o = JsonObject::new();
@@ -115,22 +83,18 @@ fn run_equivalence(protocol: ProtocolKind) -> Vec<JsonObject> {
 fn run_contention(protocol: ProtocolKind) -> Vec<JsonObject> {
     let mut records = Vec::new();
     for c in [1, 2] {
-        let free = ring(
-            c,
-            Some(Arc::new(TieredScenario::uniform(
+        let free = suite::ring(c, protocol, |cfg| {
+            cfg.with_scenario(Arc::new(TieredScenario::uniform(
                 LinkTier::Lan,
                 Cycles(1000),
-            ))),
-            protocol,
-        );
-        let contended = ring(
-            c,
-            Some(Arc::new(
+            )))
+        });
+        let contended = suite::ring(c, protocol, |cfg| {
+            cfg.with_scenario(Arc::new(
                 TieredScenario::uniform(LinkTier::Lan, Cycles(1000))
                     .with_interface_contention(IFACE_SERVICE),
-            )),
-            protocol,
-        );
+            ))
+        });
         assert!(
             contended.duration.raw() >= free.duration.raw(),
             "contention cannot speed the ring up at C={c}"
@@ -246,7 +210,7 @@ pub fn run(opts: &Options) {
     let mut labels = Vec::new();
     for app in &apps {
         for &tier in tiers {
-            let fabric = TieredScenario::uniform(tier, tier_latency(tier));
+            let fabric = TieredScenario::uniform(tier, suite::tier_latency(tier));
             sweeps.push((base.clone().with_scenario(Arc::new(fabric)), app.as_ref()));
             labels.push((app.name(), tier));
         }
@@ -260,7 +224,7 @@ pub fn run(opts: &Options) {
 
     let mut tier_records = Vec::with_capacity(tier_sweeps.len());
     for (&(app, tier), points) in labels.iter().zip(&tier_sweeps) {
-        let latency = tier_latency(tier);
+        let latency = suite::tier_latency(tier);
         let m = metrics(points);
         let mut o = JsonObject::new();
         o.str("app", app)
@@ -276,7 +240,7 @@ pub fn run(opts: &Options) {
             s.num("cluster_size", pt.cluster_size as f64)
                 .num("duration_cycles", pt.report.duration.raw() as f64)
                 .num("lan_messages", pt.report.lan_messages as f64)
-                .num("lock_hit_ratio", pt.lock_hit_ratio);
+                .num("lock_hit_ratio", pt.report.lock_hit_ratio());
             sweep.push(s);
         }
         o.array("sweep", sweep);

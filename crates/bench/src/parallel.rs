@@ -128,7 +128,6 @@ mod tests {
             assert_eq!(par[0].len(), serial.len());
             for (a, b) in par[0].iter().zip(&serial) {
                 assert_eq!(a.cluster_size, b.cluster_size);
-                assert_eq!(a.lock_hit_ratio, b.lock_hit_ratio);
                 assert_eq!(a.report.first_divergence(&b.report), None, "--jobs {jobs}");
             }
         }

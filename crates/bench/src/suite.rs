@@ -2,10 +2,16 @@
 
 use crate::cli::Options;
 use mgs_apps::{
-    barnes::BarnesHut, jacobi::Jacobi, matmul::MatMul, tsp::Tsp, water::Water,
+    barnes::BarnesHut, envelope, jacobi::Jacobi, matmul::MatMul, tsp::Tsp, water::Water,
     water_kernel::WaterKernel, MgsApp,
 };
-use mgs_core::DssmpConfig;
+use mgs_core::{DssmpConfig, LinkTier, Machine, ProtocolKind, RunReport, TieredScenario};
+use mgs_sim::Cycles;
+
+/// Processors in the `chaos` and `scenario` commands' token ring.
+const RING_PROCS: usize = 8;
+/// Words per processor block of that ring (4 one-KB pages each).
+const RING_WORDS: u64 = 512;
 
 /// Paper-reported framework numbers for comparison in harness output.
 #[derive(Debug, Clone, Copy)]
@@ -123,6 +129,31 @@ pub fn base_config(opts: &Options) -> DssmpConfig {
     let mut cfg = DssmpConfig::new(opts.p, 1).with_protocol(opts.protocol);
     cfg.workers = Some(1);
     cfg
+}
+
+/// The envelope's token ring (`mgs_apps::envelope::ring`) at
+/// `RING_PROCS` processors, unpaced, under `protocol` on the fabric
+/// `fabric` puts into its configuration: the deterministic workload the
+/// `chaos` and `scenario` commands assert cycle-exact.
+pub fn ring(
+    cluster_size: usize,
+    protocol: ProtocolKind,
+    fabric: impl FnOnce(DssmpConfig) -> DssmpConfig,
+) -> RunReport {
+    let mut cfg = fabric(DssmpConfig::new(RING_PROCS, cluster_size).with_protocol(protocol));
+    cfg.governor_window = None;
+    envelope::ring(&Machine::new(cfg), RING_WORDS)
+}
+
+/// The representative latency of each link tier (simulated cycles):
+/// the `TieredScenario` defaults, with the paper's 1000-cycle LAN.
+pub fn tier_latency(tier: LinkTier) -> Cycles {
+    match tier {
+        LinkTier::Lan => Cycles(1000),
+        LinkTier::Rack => TieredScenario::RACK_LATENCY,
+        LinkTier::Datacenter => TieredScenario::DATACENTER_LATENCY,
+        LinkTier::Wan => TieredScenario::WAN_LATENCY,
+    }
 }
 
 /// Looks an application up by harness name.

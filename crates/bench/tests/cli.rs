@@ -173,6 +173,50 @@ fn members(json: &str) -> Vec<(String, String)> {
     out
 }
 
+/// The profile's `governor` member (host waits, so its values vary run
+/// to run) keeps its keys: a row of counts and wait statistics per
+/// processor, then the four totals.
+fn governor_keeps_its_keys(json: &str) {
+    let keys = |m: Vec<(String, String)>| m.into_iter().map(|(k, _)| k).collect::<Vec<_>>();
+    let (_, governor) = members(json)
+        .into_iter()
+        .find(|(k, _)| k == "\"governor\"")
+        .expect("a governor member");
+    let governor = members(&governor);
+    assert_eq!(
+        keys(governor.clone()),
+        [
+            "\"per_proc\"",
+            "\"total_gates\"",
+            "\"total_parks\"",
+            "\"total_migrations\"",
+            "\"total_wait_ns\""
+        ]
+    );
+    let rows: Vec<&str> = governor[0]
+        .1
+        .lines()
+        .map(|l| l.trim().trim_end_matches(','))
+        .filter(|l| l.starts_with('{'))
+        .collect();
+    assert_eq!(rows.len(), 8, "one row per processor at P = 8");
+    for row in rows {
+        assert_eq!(
+            keys(members(row)),
+            [
+                "\"gates\"",
+                "\"parks\"",
+                "\"migrations\"",
+                "\"waits\"",
+                "\"wait_ns_total\"",
+                "\"wait_ns_mean\"",
+                "\"wait_ns_p90\""
+            ],
+            "{row}"
+        );
+    }
+}
+
 /// `profile --smoke` writes the committed sample again: every
 /// top-level member but `governor` (host wall-clock waits) is the same
 /// text, the metrics' counters included.
@@ -199,10 +243,9 @@ fn profile_smoke_rewrites_the_committed_sample() {
         assert_eq!(m.len() + 1, before, "one governor member");
         m
     };
-    let (fresh, committed) = (
-        keep(&fresh.expect("profile wrote its JSON")),
-        keep(&committed),
-    );
+    let fresh = fresh.expect("profile wrote its JSON");
+    governor_keeps_its_keys(&fresh);
+    let (fresh, committed) = (keep(&fresh), keep(&committed));
     assert!(committed.len() >= 10, "{committed:?}");
     assert_eq!(
         fresh.iter().map(|(k, _)| k).collect::<Vec<_>>(),

@@ -6,7 +6,7 @@ use crate::runtime::RuntimeTiming;
 use crate::xlate::XlateCache;
 use crate::Machine;
 use mgs_cache::{CacheConfig, ProcCache};
-use mgs_obs::{LatencyClass, Metric, ObsSink};
+use mgs_obs::{LatencyClass, ObsSink};
 use mgs_proto::MgsProtocol;
 use mgs_sim::{
     CostCategory, CostModel, CycleAccount, Cycles, ProcClock, VirtualScheduler, XorShift64,
@@ -457,7 +457,6 @@ impl Env {
         let requested = self.clock.now();
         let granted = lock.acquire_gov(requested, Some((&self.gov, self.proc)));
         if let Some(obs) = &self.obs {
-            obs.registry.count(self.proc, Metric::HwLockAcquires, 1);
             obs.registry.record_latency(
                 self.proc,
                 LatencyClass::LockWait,
@@ -500,7 +499,6 @@ impl Env {
             .barrier_obj()
             .arrive_gov(arrived, Some((&self.gov, self.proc)));
         if let Some(obs) = &self.obs {
-            obs.registry.count(self.proc, Metric::BarrierArrivals, 1);
             obs.registry.record_latency(
                 self.proc,
                 LatencyClass::BarrierWait,

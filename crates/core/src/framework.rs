@@ -25,10 +25,9 @@ use std::sync::Arc;
 pub struct SweepPoint {
     /// The cluster size `C` of this configuration.
     pub cluster_size: usize,
-    /// The run's report.
+    /// The run's report (its [`RunReport::lock_hit_ratio`] is the
+    /// point's Figure 11 value).
     pub report: RunReport,
-    /// The machine-wide lock hit ratio after the run (Figure 11).
-    pub lock_hit_ratio: f64,
 }
 
 /// Curvature classification of the execution-time curve (§2.4).
@@ -90,12 +89,9 @@ pub fn sweep_point(
 ) -> SweepPoint {
     let mut cfg = base.clone();
     cfg.cluster_size = c;
-    let machine = Machine::new(cfg);
-    let report = run(&machine);
     SweepPoint {
         cluster_size: c,
-        report,
-        lock_hit_ratio: machine.lock_hit_ratio(),
+        report: run(&Machine::new(cfg)),
     }
 }
 
@@ -230,7 +226,6 @@ mod tests {
                 metrics: None,
                 policy_decisions: Vec::new(),
             },
-            lock_hit_ratio: 1.0,
         }
     }
 

@@ -61,9 +61,8 @@ pub use report::RunReport;
 // Re-exports used throughout the public API.
 pub use mgs_net::{ChurnEvent, FaultPlan, LinkTier, NetStats, TieredScenario};
 pub use mgs_obs::{
-    export_perfetto, first_divergence, GovernorWaitReport, HistSummary, LatencyClass, Metric,
-    MetricsReport, ObsEvent, ObsSink, PageProfile, SharingReport, TraceEvent, XactKind,
-    XactOutcome,
+    export_perfetto, first_divergence, HistSummary, LatencyClass, Metric, MetricsReport, ObsEvent,
+    ObsSink, PageProfile, SharingReport, TraceEvent, XactKind, XactOutcome,
 };
 pub use mgs_proto::{PagePolicy, PolicyDecision, ProtocolError, ProtocolKind};
 pub use mgs_sim::{CostCategory, CostModel, CycleAccount, Cycles, GovWaitSnapshot, GovWaitStats};

@@ -38,6 +38,7 @@ pub struct Machine {
     barrier: Arc<MgsBarrier>,
     governor: Arc<VirtualScheduler>,
     locks: Mutex<Vec<Arc<MgsLock>>>,
+    hw_locks: Mutex<Vec<Arc<HwLock>>>,
     trace: Option<Mutex<Vec<TraceEvent>>>,
     obs: Option<Arc<ObsSink>>,
     churn: Option<Arc<ChurnState>>,
@@ -111,6 +112,7 @@ impl Machine {
             barrier,
             governor,
             locks: Mutex::new(Vec::new()),
+            hw_locks: Mutex::new(Vec::new()),
             trace,
             obs,
             churn,
@@ -200,8 +202,8 @@ impl Machine {
     /// The run's counts so far, when
     /// [`DssmpConfig::observe`](crate::DssmpConfig) is enabled
     /// ([`RunReport::metrics`](crate::RunReport) after a run): the
-    /// registry's histograms and two counts, and every other count read
-    /// from the layer that owns it.
+    /// registry's histograms, and every count read from the layer that
+    /// owns it.
     pub fn metrics(&self) -> Option<MetricsReport> {
         let mut m = self.obs.as_ref()?.registry.merge();
         let caches = || (0..self.cfg.n_ssmps()).map(|s| self.proto.cache_system(s).stats());
@@ -225,12 +227,15 @@ impl Machine {
         }
         let (acquires, hits) = self.lock_totals();
         let (departs, rejoins, rehomed) = self.churn.as_ref().map_or((0, 0, 0), |c| c.totals());
+        let hw_acquires = self.hw_locks.lock().iter().map(|l| l.acquires()).sum();
         let owned = [
             (Metric::LanDrops, net.dropped_total()),
             (Metric::LanDuplicates, net.duplicated_total()),
             (Metric::LockAcquiresLocal, hits),
             // Mid-run, a hit may land between the two reads.
             (Metric::LockAcquiresRemote, acquires.saturating_sub(hits)),
+            (Metric::HwLockAcquires, hw_acquires),
+            (Metric::BarrierArrivals, self.barrier.arrivals()),
             (Metric::ChurnDepartures, departs),
             (Metric::ChurnRejoins, rejoins),
             (Metric::ChurnRehomedPages, rehomed),
@@ -324,12 +329,14 @@ impl Machine {
         lock
     }
 
-    /// Creates an intra-SSMP hardware lock (see
-    /// [`HwLock`](mgs_sync::HwLock); not counted in the MGS lock
-    /// hit-ratio statistics, since it never communicates between
-    /// SSMPs).
-    pub fn new_hw_lock(&self) -> std::sync::Arc<HwLock> {
-        std::sync::Arc::new(HwLock::new(self.cfg.cost.clone()))
+    /// Creates (and registers, for the `HwLockAcquires` count) an
+    /// intra-SSMP hardware lock (see [`HwLock`](mgs_sync::HwLock); not
+    /// counted in the MGS lock hit-ratio statistics, since it never
+    /// communicates between SSMPs).
+    pub fn new_hw_lock(&self) -> Arc<HwLock> {
+        let lock = Arc::new(HwLock::new(self.cfg.cost.clone()));
+        self.hw_locks.lock().push(Arc::clone(&lock));
+        lock
     }
 
     /// Aggregate lock statistics over every lock created so far:
@@ -343,17 +350,6 @@ impl Machine {
             hits += l.stats().hits.get();
         }
         (acquires, hits)
-    }
-
-    /// The machine-wide lock hit ratio (Figure 11); 1.0 when no lock
-    /// has been used.
-    pub fn lock_hit_ratio(&self) -> f64 {
-        let (acquires, hits) = self.lock_totals();
-        if acquires == 0 {
-            1.0
-        } else {
-            hits as f64 / acquires as f64
-        }
     }
 
     /// Reads element `i` of a shared array directly from its home copy,

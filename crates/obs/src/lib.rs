@@ -7,13 +7,12 @@
 //! diagnostic substrate that lets the reproduction tell the same
 //! stories:
 //!
-//! * [`ObsRegistry`] — log2-bucketed latency histograms and the two
-//!   counts no other layer keeps (hardware-lock acquires, barrier
-//!   arrivals), sharded per simulated processor and merged into a
-//!   [`MetricsReport`] at the end of a run. Every other [`Metric`] is
-//!   counted once, by the layer that owns its event (the protocol, the
-//!   caches, the fabric, the locks, the churn controller), and the
-//!   machine reads it into the report.
+//! * [`ObsRegistry`] — log2-bucketed latency histograms (`mgs-sim`'s
+//!   `Histogram`, summarized as [`HistSummary`]), sharded per simulated
+//!   processor and merged into a [`MetricsReport`] at the end of a run.
+//!   Every [`Metric`] is counted once, by the layer that owns its event
+//!   (the protocol, the caches, the fabric, the locks, the barrier, the
+//!   churn controller), and the machine reads it into the report.
 //! * [`SharingProfiler`] — attributes protocol events per page (and
 //!   diffed words per cache line), producing the top-N hot pages with
 //!   sharer counts and invalidation rates ([`SharingReport`]).
@@ -39,14 +38,13 @@
 #![warn(missing_debug_implementations)]
 
 mod event;
-mod gov;
 mod metrics;
 mod perfetto;
 mod profiler;
 
 pub use event::{ObsEvent, PagePolicy, XactKind, XactOutcome};
-pub use gov::{GovernorWaitReport, ProcGovWaits};
-pub use metrics::{HistSummary, LatencyClass, Metric, MetricsReport, ObsRegistry};
+pub use metrics::{LatencyClass, Metric, MetricsReport, ObsRegistry};
+pub use mgs_sim::HistSummary;
 pub use perfetto::{export_perfetto, first_divergence, PerfettoTrace, TraceEvent};
 pub use profiler::{PageProfile, SharingProfiler, SharingReport};
 
@@ -54,11 +52,10 @@ pub use profiler::{PageProfile, SharingProfiler, SharingReport};
 /// enabled: the latency-histogram registry and the per-page sharing
 /// profiler. One `ObsSink` exists per machine; the runtime feeds the
 /// profiler every protocol [`ObsEvent`], and the registry the latency
-/// samples and its two counts.
+/// samples.
 #[derive(Debug)]
 pub struct ObsSink {
-    /// Latency histograms and the counts no other layer keeps, sharded
-    /// per processor.
+    /// Latency histograms, sharded per processor.
     pub registry: ObsRegistry,
     /// Per-page (and per-line) protocol-event attribution.
     pub profiler: SharingProfiler,

@@ -1,21 +1,20 @@
-//! The metrics registry: log2-bucketed latency histograms and the
-//! counts no other layer keeps, sharded per simulated processor.
+//! The metrics registry: log2-bucketed latency histograms
+//! (`mgs-sim`'s [`Histogram`]), sharded per simulated processor.
 //!
-//! The recording fast path is one array index plus one relaxed atomic
-//! add into the calling processor's own shard: no lock and no
-//! allocation. Shards are merged into a [`MetricsReport`] when the run
-//! finishes, and the machine sets every count another layer owns.
+//! Recording a latency is one array index plus two relaxed atomic adds
+//! into the calling processor's own shard: no lock and no allocation.
+//! Shards are merged into a [`MetricsReport`] when the run finishes,
+//! and the machine sets every count from the layer that owns it.
 
 use crate::XactOutcome;
 use mgs_net::MsgKind;
-// Histograms use mgs-sim's log2 layout, which its wait histograms share.
-use mgs_sim::{log2_bucket, Cycles, WAIT_HIST_BUCKETS as HIST_BUCKETS};
+use mgs_sim::{Cycles, HistSummary, Histogram};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Typed event counters, one per protocol event class. Each is counted
-/// once, by the layer that owns its event (the [`ObsRegistry`] owns
-/// only hardware-lock acquires and barrier arrivals).
+/// once, by the layer that owns its event, and the machine reads it
+/// into the [`MetricsReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// Shared-memory loads issued through the simulated memory system.
@@ -291,32 +290,6 @@ impl LatencyClass {
     }
 }
 
-/// One live log2-bucketed histogram (all-atomic; recording is a single
-/// relaxed add per field).
-#[derive(Debug)]
-struct Histogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Histogram {
-    fn new() -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    fn record(&self, value: u64) {
-        self.buckets[log2_bucket(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-    }
-}
-
 /// One processor's private slice of the registry.
 #[derive(Debug)]
 #[repr(align(128))]
@@ -338,7 +311,10 @@ impl ProcShard {
 /// simulated processor, all storage pre-sized at construction.
 ///
 /// A shard is written by its processor's task, which runs on one host
-/// worker at a time but may move between them.
+/// worker at a time but may move between them. Production code only
+/// records latencies: every count is kept by the layer that owns its
+/// event, and [`count`](Self::count) has no production caller (it
+/// stays for the benchmark's `obs.count_ns` unit cost).
 ///
 /// # Example
 ///
@@ -367,8 +343,8 @@ impl ObsRegistry {
         }
     }
 
-    /// Adds `n` to `metric` in processor `proc`'s shard: for a count
-    /// that no other layer keeps.
+    /// Adds `n` to `metric` in processor `proc`'s shard. No production
+    /// code calls it: the machine sets every count from its owner.
     #[inline]
     pub fn count(&self, proc: usize, metric: Metric, n: u64) {
         self.shards[proc].counters[metric.index()].fetch_add(n, Ordering::Relaxed);
@@ -389,12 +365,8 @@ impl ObsRegistry {
             for (i, c) in shard.counters.iter().enumerate() {
                 counters[i] += c.load(Ordering::Relaxed);
             }
-            for (i, h) in shard.hists.iter().enumerate() {
-                for (b, c) in h.buckets.iter().enumerate() {
-                    hists[i].buckets[b] += c.load(Ordering::Relaxed);
-                }
-                hists[i].count += h.count.load(Ordering::Relaxed);
-                hists[i].sum += h.sum.load(Ordering::Relaxed);
+            for (merged, h) in hists.iter_mut().zip(&shard.hists) {
+                merged.merge(&h.summary());
             }
         }
         MetricsReport {
@@ -402,58 +374,6 @@ impl ObsRegistry {
             lan: [0; MsgKind::COUNT],
             hists,
         }
-    }
-}
-
-/// A merged (plain-integer) histogram.
-#[derive(Debug, Clone)]
-pub struct HistSummary {
-    /// Per-bucket sample counts (log2 buckets: bucket `i > 0` holds
-    /// values whose bit length is `i`; bucket 0 holds zero).
-    pub buckets: [u64; HIST_BUCKETS],
-    /// Total samples.
-    pub count: u64,
-    /// Sum of all sample values.
-    pub sum: u64,
-}
-
-impl Default for HistSummary {
-    fn default() -> HistSummary {
-        HistSummary {
-            buckets: [0; HIST_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-}
-
-impl HistSummary {
-    /// Mean sample value (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Lower bound of the bucket containing the `q`-quantile sample
-    /// (`q` in 0..=1), or 0 when empty. Log2 buckets make this exact to
-    /// within a factor of two — enough to separate a 40-cycle TLB fill
-    /// from a 4000-cycle two-crossing miss.
-    pub fn quantile_floor(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count as f64 * q).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                return if i <= 1 { i as u64 } else { 1u64 << (i - 1) };
-            }
-        }
-        0
     }
 }
 

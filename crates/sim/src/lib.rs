@@ -27,6 +27,10 @@
 //! * [`EpochGate`] — the scheduler's thread-backed continuation for
 //!   threads the caller owns; no machine uses it, it stays for the
 //!   benchmark's `sim.gate_*` unit costs.
+//! * [`Histogram`] / [`HistSummary`] — the one log2 histogram: the
+//!   scheduler records each task's host waits in it, and `mgs-obs`'s
+//!   registry its simulated latencies. [`Counter`] is the event
+//!   counter the layers count their own events with.
 //! * [`XorShift64`] — a small deterministic RNG used by workloads.
 //!
 //! # Example
@@ -62,8 +66,6 @@ pub use cost::{CleanTier, CostModel};
 pub use gate::EpochGate;
 pub use resource::Occupancy;
 pub use rng::XorShift64;
-pub use stats::Counter;
+pub use stats::{Counter, HistSummary, Histogram};
 pub use time::Cycles;
-pub use vsched::{
-    log2_bucket, GovWaitSnapshot, GovWaitStats, VirtualScheduler, VWORKERS_ENV, WAIT_HIST_BUCKETS,
-};
+pub use vsched::{GovWaitSnapshot, GovWaitStats, VirtualScheduler, VWORKERS_ENV};

@@ -104,11 +104,12 @@
 //! lossy-fabric runs — produce bit-identical reports run after run, on
 //! either continuation.
 
-use crate::Cycles;
+use crate::{Cycles, HistSummary, Histogram};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -130,43 +131,20 @@ pub const VWORKERS_ENV: &str = "MGS_VWORKERS";
 /// pages a task has run on are ever backed.
 const TASK_STACK: usize = 512 * 1024;
 
-/// Number of log2 buckets in a histogram of `u64` samples: bucket `i`
-/// counts values with `i` significant bits (bucket 0 holds zero, bucket
-/// `i > 0` holds `2^(i-1)..2^i`). The wait histogram below and
-/// `mgs-obs`'s latency histograms share this layout.
-pub const WAIT_HIST_BUCKETS: usize = 65;
-
-/// The log2 bucket of `value` under the [`WAIT_HIST_BUCKETS`] layout.
-#[inline]
-pub fn log2_bucket(value: u64) -> usize {
-    (64 - value.leading_zeros()) as usize
-}
-
 /// Host-side wait accounting for one task. Written only while the task
 /// runs or by the worker switching it; read at snapshot time.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct WaitStat {
     /// Times the task was descheduled (yields and suspensions).
     gates: AtomicU64,
-    /// Total host nanoseconds spent descheduled.
-    wait_ns: AtomicU64,
     /// Times the task resumed on another host worker than it last ran
     /// on.
     migrations: AtomicU64,
-    /// log2 histogram of per-wait nanoseconds.
-    hist: [AtomicU64; WAIT_HIST_BUCKETS],
+    /// Host nanoseconds of each wait.
+    waits: Histogram,
 }
 
 impl WaitStat {
-    fn new() -> WaitStat {
-        WaitStat {
-            gates: AtomicU64::new(0),
-            wait_ns: AtomicU64::new(0),
-            migrations: AtomicU64::new(0),
-            hist: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
     #[inline]
     fn record_gate(&self) {
         self.gates.fetch_add(1, Ordering::Relaxed);
@@ -177,19 +155,12 @@ impl WaitStat {
         self.migrations.fetch_add(1, Ordering::Relaxed);
     }
 
-    #[inline]
-    fn record_wait(&self, ns: u64) {
-        self.wait_ns.fetch_add(ns, Ordering::Relaxed);
-        self.hist[log2_bucket(ns)].fetch_add(1, Ordering::Relaxed);
-    }
-
     fn snapshot(&self) -> GovWaitStats {
         GovWaitStats {
             gates: self.gates.load(Ordering::Relaxed),
             parks: 0,
-            wait_ns: self.wait_ns.load(Ordering::Relaxed),
             migrations: self.migrations.load(Ordering::Relaxed),
-            hist: std::array::from_fn(|i| self.hist[i].load(Ordering::Relaxed)),
+            waits: self.waits.summary(),
         }
     }
 }
@@ -205,18 +176,17 @@ pub struct GovWaitStats {
     /// stays while the benchmark crate reads
     /// [`GovWaitSnapshot::total_parks`].
     pub parks: u64,
-    /// Total host nanoseconds spent descheduled.
-    pub wait_ns: u64,
     /// Times the task resumed on another host worker than it last ran
     /// on. Always 0 with one worker and on the thread-backed
     /// continuation, which has no workers.
     pub migrations: u64,
-    /// log2 histogram of individual wait durations in nanoseconds
-    /// ([`WAIT_HIST_BUCKETS`] layout).
-    pub hist: [u64; WAIT_HIST_BUCKETS],
+    /// Individual wait durations in host **nanoseconds**: `count` is the
+    /// number of waits, `sum` the total nanoseconds descheduled.
+    pub waits: HistSummary,
 }
 
-/// Per-task pacing wait accounting for a whole run.
+/// Per-task pacing wait accounting for a whole run. Its `Display` is
+/// the per-processor table `mgs-bench profile` prints.
 #[derive(Debug, Clone)]
 pub struct GovWaitSnapshot {
     /// One entry per simulated processor.
@@ -237,12 +207,44 @@ impl GovWaitSnapshot {
 
     /// Total host nanoseconds spent descheduled across all tasks.
     pub fn total_wait_ns(&self) -> u64 {
-        self.per_proc.iter().map(|s| s.wait_ns).sum()
+        self.per_proc.iter().map(|s| s.waits.sum).sum()
     }
 
     /// Total resumptions on another host worker across all tasks.
     pub fn total_migrations(&self) -> u64 {
         self.per_proc.iter().map(|s| s.migrations).sum()
+    }
+}
+
+impl fmt::Display for GovWaitSnapshot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "governor waits")?;
+        writeln!(
+            f,
+            "{:>5}  {:>10}  {:>10}  {:>10}  {:>12}  {:>12}  {:>12}",
+            "proc", "gates", "parks", "migrations", "wait total", "wait mean", "wait p90"
+        )?;
+        for (i, p) in self.per_proc.iter().enumerate() {
+            writeln!(
+                f,
+                "{:>5}  {:>10}  {:>10}  {:>10}  {:>10}us  {:>10}ns  {:>10}ns",
+                i,
+                p.gates,
+                p.parks,
+                p.migrations,
+                p.waits.sum / 1_000,
+                p.waits.mean() as u64,
+                p.waits.quantile_floor(0.9),
+            )?;
+        }
+        write!(
+            f,
+            "total  {:>10}  {:>10}  {:>10}  {:>10}us",
+            self.total_gates(),
+            self.total_parks(),
+            self.total_migrations(),
+            self.total_wait_ns() / 1_000,
+        )
     }
 }
 
@@ -480,7 +482,7 @@ impl VirtualScheduler {
                 .map(|_| TaskSlot {
                     granted: Mutex::new(false),
                     cv: Condvar::new(),
-                    stat: WaitStat::new(),
+                    stat: WaitStat::default(),
                 })
                 .collect(),
             #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -618,7 +620,7 @@ impl VirtualScheduler {
         let start = Instant::now();
         let record_wait = || {
             let waited = start.elapsed().as_nanos() as u64;
-            self.slots[id].stat.record_wait(waited);
+            self.slots[id].stat.waits.record(waited);
         };
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         if self.hosting.is_on() {
@@ -1213,12 +1215,6 @@ mod tests {
             .cloned()
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default()
-    }
-
-    #[test]
-    fn buckets_are_log2() {
-        let buckets = [0, 1, 2, 3, 4, u64::MAX].map(log2_bucket);
-        assert_eq!(buckets, [0, 1, 2, 2, 3, WAIT_HIST_BUCKETS - 1]);
     }
 
     #[test]

@@ -13,6 +13,8 @@ struct BarInner {
     /// episode; the final arriver reschedules them through the
     /// time-ordered ready queue.
     vwaiters: Vec<usize>,
+    /// Arrivals over every episode so far.
+    arrivals: u64,
 }
 
 /// A tree barrier structured to match the DSSMP hierarchy (§3.2).
@@ -72,6 +74,7 @@ impl MgsBarrier {
                 latest: Cycles::ZERO,
                 release_time: Cycles::ZERO,
                 vwaiters: Vec::new(),
+                arrivals: 0,
             }),
             cond: Condvar::new(),
             n_procs: n_ssmps * procs_per_ssmp,
@@ -108,6 +111,12 @@ impl MgsBarrier {
         self.episode_cost
     }
 
+    /// Arrivals over every episode so far (the machine's
+    /// `BarrierArrivals`).
+    pub fn arrivals(&self) -> u64 {
+        self.inner.lock().arrivals
+    }
+
     /// Arrives at the barrier at simulated time `now`; blocks until all
     /// processors have arrived and returns the common simulated release
     /// time.
@@ -122,6 +131,7 @@ impl MgsBarrier {
     pub fn arrive_gov(&self, now: Cycles, gov: Option<(&VirtualScheduler, usize)>) -> Cycles {
         let mut inner = self.inner.lock();
         inner.arrived += 1;
+        inner.arrivals += 1;
         inner.latest = inner.latest.max(now);
         if inner.arrived == self.n_procs {
             inner.release_time = inner.latest + self.episode_cost;
@@ -230,5 +240,6 @@ mod tests {
         }
         let finals: Vec<Cycles> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert!(finals.iter().all(|&t| t == finals[0]));
+        assert_eq!(bar.arrivals(), 4 * 50);
     }
 }

@@ -40,6 +40,8 @@ struct HwInner {
     /// reschedules them all and the lowest-simulated-time one wins the
     /// re-acquire (the rest re-deschedule).
     vwaiters: Vec<usize>,
+    /// Acquires granted so far.
+    acquires: u64,
 }
 
 impl HwLock {
@@ -50,6 +52,7 @@ impl HwLock {
                 held: false,
                 free_at: Cycles::ZERO,
                 vwaiters: Vec::new(),
+                acquires: 0,
             }),
             cond: Condvar::new(),
             acquire_cost: cost.lock_local_acquire,
@@ -78,7 +81,13 @@ impl HwLock {
             inner = crate::wait(gov, &self.inner, &self.cond, inner);
         }
         inner.held = true;
+        inner.acquires += 1;
         now.max(inner.free_at) + self.acquire_cost
+    }
+
+    /// Acquires granted so far (the machine's `HwLockAcquires`).
+    pub fn acquires(&self) -> u64 {
+        self.inner.lock().acquires
     }
 
     /// Releases at simulated time `now`.
@@ -157,6 +166,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 800);
+        assert_eq!(l.acquires(), 800);
     }
 
     #[test]

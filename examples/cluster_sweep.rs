@@ -55,7 +55,7 @@ fn main() {
                 "{:>4} {:>14.2} {:>9.1}%",
                 c,
                 report.duration.as_mcycles(),
-                100.0 * machine.lock_hit_ratio()
+                100.0 * report.lock_hit_ratio()
             );
         }
         return;
@@ -72,7 +72,7 @@ fn main() {
             "{:>4} {:>14.2} {:>9.1}%",
             pt.cluster_size,
             pt.report.duration.as_mcycles(),
-            100.0 * pt.lock_hit_ratio
+            100.0 * pt.report.lock_hit_ratio()
         );
     }
 

@@ -51,7 +51,7 @@ fn water_lock_hit_ratio_rises_with_cluster_size() {
     // Figure 11: hit ratio increases monotonically with C and reaches
     // 1.0 at C = P.
     let points = sweep_app(&base(8), &Water::small());
-    let ratios: Vec<f64> = points.iter().map(|p| p.lock_hit_ratio).collect();
+    let ratios: Vec<f64> = points.iter().map(|p| p.report.lock_hit_ratio()).collect();
     assert!(
         (ratios.last().unwrap() - 1.0).abs() < 1e-12,
         "C = P is all hits"

@@ -21,7 +21,7 @@
 //! * **Trace determinism** — at one worker, two traced runs of a
 //!   schedule-sensitive application record the same trace.
 
-use mgs_repro::apps::{envelope, tsp::Tsp, water::Water, MgsApp};
+use mgs_repro::apps::{envelope, tsp::Tsp, water::Water, water_kernel::WaterKernel, MgsApp};
 use mgs_repro::core::{
     export_perfetto, first_divergence, AccessKind, DssmpConfig, FaultPlan, Machine, Metric,
     ObsEvent, ProtocolKind, RunReport, TraceEvent, XactOutcome,
@@ -114,6 +114,38 @@ fn metric_totals_reconcile_with_run_report() {
         PROCS as u64,
         "the token is taken once per phase"
     );
+}
+
+/// The tiled Water kernel, the one `HwLock` user: its lock and barrier
+/// owners' counts reach the report. Every unordered pair takes both
+/// molecules' locks once per iteration, and each processor arrives once
+/// before measuring and then once per phase: the internal phase plus
+/// `tiles - 1` tournament rounds, `tiles = 2P/C`.
+#[test]
+fn hw_lock_and_barrier_counts_follow_the_tiled_kernel() {
+    let (p, iters, n) = (8usize, 2usize, 24usize);
+    for c in [2, 4] {
+        let mut cfg = DssmpConfig::new(p, c);
+        cfg.observe = true;
+        let kernel = WaterKernel {
+            n,
+            iters,
+            ..WaterKernel::small(true)
+        };
+        let r = kernel.execute(&Machine::new(cfg));
+        let m = r.metrics.as_ref().expect("observability on");
+        assert_eq!(
+            m.get(Metric::HwLockAcquires),
+            (iters * n * (n - 1)) as u64,
+            "C={c}"
+        );
+        assert_eq!(
+            m.get(Metric::BarrierArrivals),
+            (p * (1 + iters * 2 * p / c)) as u64,
+            "C={c}"
+        );
+        assert_eq!(r.lock_acquires, 0, "no MGS lock at C={c}");
+    }
 }
 
 /// One parsed `trace_event` line of the exported JSON.
