@@ -43,6 +43,27 @@ pub fn assert_close(label: &str, got: f64, want: f64, rel_tol: f64) {
     );
 }
 
+/// Asserts that cell `i` of the shared result, `got(i)`, equals
+/// `want[i]` bit for bit (`f64::to_bits`), for every cell in index
+/// order: for a race-free kernel whose every cell is one fixed sequence
+/// of float operations, repeated by `want`'s reference.
+///
+/// # Panics
+///
+/// Panics at the first mismatch, naming its row and column of a grid
+/// `cols` cells wide.
+pub(crate) fn assert_cells_exact(label: &str, cols: usize, want: &[f64], got: impl Fn(u64) -> f64) {
+    for (i, &want) in want.iter().enumerate() {
+        let got = got(i as u64);
+        assert!(
+            got.to_bits() == want.to_bits(),
+            "{label}: cell ({}, {}) is {got:e}, want {want:e} bit for bit",
+            i / cols,
+            i % cols
+        );
+    }
+}
+
 /// Reads the 3-vector at word `off` of record `rec`, in word order.
 pub(crate) fn read3(env: &mut Env, a: SharedArray<f64>, rec: u64, off: u64) -> [f64; 3] {
     [

@@ -10,7 +10,7 @@
 //! the shared memory implementation (breakup penalty 16%, flat
 //! multigrain region).
 
-use crate::common::{assert_close, block_range};
+use crate::common::{assert_cells_exact, block_range};
 use crate::MgsApp;
 use mgs_core::{AccessKind, Env, Machine, RunReport, SharedArray};
 use std::sync::Arc;
@@ -54,8 +54,9 @@ impl Jacobi {
         }
     }
 
-    /// Plain-Rust reference: the checksum of the final grid.
-    fn reference_checksum(&self) -> f64 {
+    /// Plain-Rust reference: the final grid, each cell computed by the
+    /// kernel's own float operations in the kernel's order.
+    fn reference_grid(&self) -> Vec<f64> {
         let n = self.n;
         let mut a: Vec<f64> = (0..n * n).map(|i| self.initial(i / n, i % n)).collect();
         let mut b = a.clone();
@@ -71,7 +72,7 @@ impl Jacobi {
             }
             std::mem::swap(&mut a, &mut b);
         }
-        a.iter().sum()
+        a
     }
 
     fn body(&self, env: &mut Env, src0: SharedArray<f64>, dst0: SharedArray<f64>) {
@@ -119,10 +120,9 @@ impl MgsApp for Jacobi {
         // After an even/odd number of iterations the result lives in
         // `a`/`b` respectively (grids swap each iteration).
         let final_grid = if self.iters.is_multiple_of(2) { a } else { b };
-        let sum: f64 = (0..(n * n) as u64)
-            .map(|i| machine.peek(&final_grid, i))
-            .sum();
-        assert_close("jacobi checksum", sum, self.reference_checksum(), 1e-9);
+        assert_cells_exact("jacobi", n, &self.reference_grid(), |i| {
+            machine.peek(&final_grid, i)
+        });
         report
     }
 }
@@ -139,12 +139,25 @@ mod tests {
     }
 
     #[test]
-    fn reference_checksum_is_stable() {
+    fn reference_grid_relaxes_inward_from_the_hot_edges() {
         let j = Jacobi::small();
-        let s1 = j.reference_checksum();
-        let s2 = j.reference_checksum();
-        assert_eq!(s1, s2);
-        assert!(s1 > 0.0);
+        let grid = j.reference_grid();
+        let n = j.n;
+        assert_eq!(grid[0], 100.0, "edges stay hot");
+        // Each iteration carries heat one row further in: four reach
+        // row 4, not row 5.
+        assert!(grid[4 * n + n / 2] > 0.0);
+        assert_eq!(grid[5 * n + n / 2], 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "jacobi: cell (5, 7)")]
+    fn a_wrong_cell_is_named() {
+        let mut got = Jacobi::small().reference_grid();
+        got[5 * 32 + 7] += 1e-12;
+        assert_cells_exact("jacobi", 32, &Jacobi::small().reference_grid(), |i| {
+            got[i as usize]
+        });
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! paper finds essentially no breakup penalty and a flat multigrain
 //! region.
 
-use crate::common::{assert_close, block_range};
+use crate::common::{assert_cells_exact, block_range};
 use crate::MgsApp;
 use mgs_core::{AccessKind, Env, Machine, RunReport, SharedArray};
 use mgs_sim::XorShift64;
@@ -51,6 +51,22 @@ impl MatMul {
         (a, b)
     }
 
+    /// Plain-Rust reference: `a × b`, each cell summed as the kernel
+    /// sums it, `acc += a·b` from `0.0` in ascending `k`.
+    fn product(n: usize, a: &[f64], b: &[f64]) -> Vec<f64> {
+        let mut c = vec![0.0; n * n];
+        for r in 0..n {
+            for col in 0..n {
+                let mut acc = 0.0;
+                for k in 0..n {
+                    acc += a[r * n + k] * b[k * n + col];
+                }
+                c[r * n + col] = acc;
+            }
+        }
+        c
+    }
+
     fn body(&self, env: &mut Env, a: SharedArray<f64>, b: SharedArray<f64>, c: SharedArray<f64>) {
         let n = self.n;
         let (row_lo, row_hi) = block_range(n, env.nprocs(), env.pid());
@@ -88,18 +104,9 @@ impl MgsApp for MatMul {
             machine.poke(&b, i as u64, bv[i]);
         }
         let report = machine.run(|env| self.body(env, a, b, c));
-
-        // Verify a deterministic sample of output cells against direct
-        // dot products (plus the full checksum row sums on small sizes).
-        let mut rng = XorShift64::new(self.seed ^ 0x5eed);
-        let samples = if n <= 32 { n * n } else { 64 };
-        for _ in 0..samples {
-            let r = rng.next_below(n as u64) as usize;
-            let col = rng.next_below(n as u64) as usize;
-            let want: f64 = (0..n).map(|k| av[r * n + k] * bv[k * n + col]).sum();
-            let got = machine.peek(&c, (r * n + col) as u64);
-            assert_close("matmul cell", got, want, 1e-9);
-        }
+        assert_cells_exact("matmul", n, &Self::product(n, &av, &bv), |i| {
+            machine.peek(&c, i)
+        });
         report
     }
 }

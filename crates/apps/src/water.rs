@@ -216,12 +216,17 @@ impl MgsApp for Water {
         let report = machine.run(|env| self.body(env, mol, stats, &locks, &stats_lock));
 
         // Verify final positions and velocities against the reference.
-        // Tolerance 1e-4: the execution-driven simulator is not
-        // bit-deterministic (lock grant order varies across real
-        // threads), and rare benign interleavings perturb one force
-        // term's input by one update (~1e-6..1e-5 relative drift). A
-        // genuinely lost accumulation shows up at 1e-2 and above, far
-        // over this bound.
+        // Tolerance 1e-4. A molecule's force is a sum of pair terms that
+        // processors add under its lock in grant order, while the
+        // sequential reference adds them in its `i, j` loop order. Float
+        // addition is not associative, so the sums differ in their last
+        // bits, and the integration carries that into positions and
+        // velocities over the iterations (~1e-6..1e-5 relative drift).
+        // This holds at one host worker too: that run is a pure function
+        // of the config, but its grants follow simulated time, not the
+        // reference's loop. With more workers the grant order also
+        // varies with host timing from run to run. A genuinely lost
+        // accumulation shows up at 1e-2 and above, far over this bound.
         let reference = self.reference();
         for (i, want) in reference.iter().enumerate() {
             for k in 0..3 {

@@ -83,8 +83,6 @@ pub struct DssmpConfig {
     pub workers: Option<usize>,
     /// Token-affinity window of the MGS lock.
     pub lock_affinity_window: Cycles,
-    /// Seed for per-processor workload RNGs.
-    pub seed: u64,
     /// Record the protocol event stream into the machine trace (see
     /// [`Machine::take_trace`](crate::Machine)): every
     /// [`ObsEvent`](mgs_obs::ObsEvent) but the requester-local charges,
@@ -136,7 +134,6 @@ impl DssmpConfig {
             governor_window: Some(Cycles(32_000)),
             workers: None,
             lock_affinity_window: mgs_sync::MgsLock::DEFAULT_AFFINITY_WINDOW,
-            seed: 0x4D47_5331, // "MGS1"
             trace: false,
             observe: false,
             fault_plan: FaultPlan::none(),

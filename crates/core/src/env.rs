@@ -3,22 +3,15 @@
 use crate::churn::ChurnState;
 use crate::report::ProcResult;
 use crate::runtime::RuntimeTiming;
-use crate::xlate::XlateCache;
 use crate::Machine;
 use mgs_cache::{CacheConfig, ProcCache};
 use mgs_obs::{LatencyClass, ObsSink};
 use mgs_proto::MgsProtocol;
-use mgs_sim::{
-    CostCategory, CostModel, CycleAccount, Cycles, ProcClock, VirtualScheduler, XorShift64,
-};
+use mgs_sim::{CostCategory, CostModel, CycleAccount, Cycles, ProcClock, VirtualScheduler};
 use mgs_sync::{HwLock, MgsLock};
-use mgs_vm::{AccessKind, PageGeometry, TlbEntry, VRange};
+use mgs_vm::{AccessKind, PageGeometry, ProcTlb, TlbEntry, VRange};
 use std::marker::PhantomData;
 use std::sync::Arc;
-
-/// A fixed-point multiplier used to derive distinct RNG streams per
-/// processor.
-const RNG_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Types that can live in simulated shared memory (one 8-byte word per
 /// element).
@@ -153,7 +146,6 @@ pub struct Env {
     null_mgs: bool,
     clock: ProcClock,
     pcache: ProcCache,
-    rng: XorShift64,
     start: (Cycles, CycleAccount),
     next_tick: Cycles,
     tick_stride: Cycles,
@@ -176,10 +168,9 @@ pub struct Env {
     first_proc: usize,
     /// The cost table (cloned out of the config).
     cost: CostModel,
-    /// Env-local translation cache in front of the shared TLB (see
-    /// [`XlateCache`]); its per-set refill cursor is written here, by
-    /// this processor only.
-    xlate: XlateCache,
+    /// This processor's software TLB: only this processor reads or
+    /// writes it (see [`ProcTlb`]).
+    tlb: ProcTlb,
     /// Whether the protocol posts write notices (an LRC-flavored
     /// strategy), hoisted because it is constant for the machine's
     /// lifetime and gates every acquire point.
@@ -200,7 +191,6 @@ impl Env {
         let cfg = machine.config();
         let ssmp = cfg.ssmp_of(proc);
         let null_mgs = cfg.is_tightly_coupled();
-        let rng = XorShift64::new(cfg.seed ^ (proc as u64).wrapping_mul(RNG_STREAM) | 1);
         // Consult the scheduler at most once per stride of simulated
         // cycles, a quarter-window. The observable skew bound is
         // `window + stride`. (An unpaced scheduler's window is
@@ -221,7 +211,6 @@ impl Env {
             null_mgs,
             clock: ProcClock::new(),
             pcache: ProcCache::new(CacheConfig::alewife()),
-            rng,
             start: (Cycles::ZERO, CycleAccount::new()),
             next_tick: Cycles::ZERO,
             tick_stride,
@@ -231,7 +220,7 @@ impl Env {
             cluster_size,
             first_proc: ssmp * cluster_size,
             cost,
-            xlate: XlateCache::new(),
+            tlb: ProcTlb::new(),
             uses_notices,
             obs,
             churn,
@@ -278,11 +267,6 @@ impl Env {
         &self.machine
     }
 
-    /// This processor's deterministic workload RNG.
-    pub fn rng(&mut self) -> &mut XorShift64 {
-        &mut self.rng
-    }
-
     /// Charges `cycles` of computation to user time (the simulator's
     /// stand-in for instruction execution between shared accesses).
     pub fn compute(&mut self, cycles: u64) {
@@ -320,69 +304,54 @@ impl Env {
         self.clock.charge(CostCategory::User, xlate);
 
         let page = self.geometry.page_of(va);
-        // Env-local translation fast path: a tag of this page in its
-        // set, with sufficient privilege. Staleness is caught by the
-        // generation check below.
-        let mut slot = match self.xlate.probe(page, write) {
-            Some(slot) => slot,
-            None => self.translate_slow(page, write),
-        };
         // One call does the rest under the line's directory stripe —
         // or, for a read hit, inside an optimistic read of it: the
-        // mapping generation is re-validated, so a mapping read just
-        // before a shootdown re-faults rather than touching a retired
-        // copy (the translation critical section of §4.2.1), and
-        // hardware coherence classifies the access (its stall counts
-        // as user time, §5.2.1) and performs the load or store. A
-        // quiesce holds every stripe of the frame's lines, so a store
-        // that lands is always covered by the diff that follows it. The
-        // line's stripe is found through the frame's own directory
-        // blocks, claimed by its first access and fixed thereafter.
+        // mapping generation is re-validated, so a mapping made before
+        // a shootdown re-faults rather than touching a retired copy
+        // (the translation critical section of §4.2.1), and hardware
+        // coherence classifies the access (its stall counts as user
+        // time, §5.2.1) and performs the load or store. A quiesce holds
+        // every stripe of the frame's lines, so a store that lands is
+        // always covered by the diff that follows it. The line's stripe
+        // is found through the frame's own directory blocks, claimed by
+        // its first access and fixed thereafter.
         //
-        // The entry is borrowed from its slot, not cloned: the frame's
+        // The frame is borrowed from its slot, not cloned: the frame's
         // `Arc` count is a line every processor mapping the page would
-        // otherwise write on every access. Nothing below touches
-        // `xlate`, so the borrow lives across the access.
+        // otherwise write on every access. Nothing below touches `tlb`,
+        // so the borrow lives across the access.
         let word = self.geometry.word_offset(va);
         let my_local = self.local_index();
         loop {
-            let (frame, gen) = self.xlate.entry(slot);
-            debug_assert_eq!(
-                frame.home_node() / self.cluster_size,
-                self.ssmp,
-                "a processor accesses only frames of its own SSMP, whose directory guards them"
-            );
-            let sys = self.proto.cache_system(self.ssmp);
-            let line = frame.line_of_word(word);
-            let served = sys.access_hinted(
-                &mut self.pcache,
-                my_local,
-                line,
-                frame.home_node() - self.first_proc,
-                write,
-                frame.dir_hint(sys.directory(), line),
-                frame.word(word, gen, value),
-            );
-            let Some(served) = served else {
-                slot = self.translate_slow(page, write);
-                continue;
-            };
-            self.clock
-                .charge(CostCategory::User, served.class.cost(&self.cost));
-            return served.value;
+            if let Some((frame, gen)) = self.tlb.probe(page, write) {
+                debug_assert_eq!(
+                    frame.home_node() / self.cluster_size,
+                    self.ssmp,
+                    "a processor accesses only frames of its own SSMP, whose directory guards them"
+                );
+                let sys = self.proto.cache_system(self.ssmp);
+                let line = frame.line_of_word(word);
+                let served = sys.access_hinted(
+                    &mut self.pcache,
+                    my_local,
+                    line,
+                    frame.home_node() - self.first_proc,
+                    write,
+                    frame.dir_hint(sys.directory(), line),
+                    frame.word(word, gen, value),
+                );
+                if let Some(served) = served {
+                    self.clock
+                        .charge(CostCategory::User, served.class.cost(&self.cost));
+                    return served.value;
+                }
+            }
+            // A miss, a read-only slot for a write or a retired
+            // generation: a TLB fault, whose entry overwrites the
+            // page's slot.
+            let entry = self.fault(page, write);
+            self.tlb.fill(page, entry);
         }
-    }
-
-    /// Translation slow path: consult the shared TLB (mutex-protected)
-    /// and fault if it has no sufficient mapping; either way the result
-    /// fills the page's own way of the Env-local cache or, failing one,
-    /// the way its set's round-robin cursor names. Returns the slot.
-    fn translate_slow(&mut self, page: u64, write: bool) -> usize {
-        let entry = match self.proto.tlb(self.proc).lookup(page, write) {
-            Some(e) => e,
-            None => self.fault(page, write),
-        };
-        self.xlate.fill(page, entry)
     }
 
     fn fault(&mut self, page: u64, write: bool) -> TlbEntry {
@@ -402,13 +371,11 @@ impl Env {
                 );
             }
             let frame = self.proto.home_frame(page);
-            let entry = TlbEntry {
+            return TlbEntry {
                 gen: frame.generation(),
                 frame,
                 writable: true,
             };
-            self.proto.tlb(self.proc).insert(page, entry.clone());
-            return entry;
         }
         self.maybe_churn();
         self.maybe_adapt();
@@ -596,16 +563,20 @@ impl Env {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DssmpConfig, RunReport};
+    use crate::DssmpConfig;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// `mgs_apps::MatMul`'s kernel at n = 96 on P = C = 32 with one
-    /// host worker: each processor's rows read all 72 pages of `B`.
-    /// `forced` empties the Env-local translation cache before every
-    /// access, so each one goes through the shared TLB. Returns the
-    /// machine, its report and the accesses made.
-    fn matmul(forced: bool) -> (Arc<Machine>, RunReport, u64) {
-        const N: u64 = 96;
+    /// `mgs_apps::MatMul`'s kernel at n = 128 on P = C = 32 with one
+    /// host worker: 4.2 M accesses, and each processor touches the 4
+    /// pages of its rows of `A` and of `C` (a 128-word row is one page)
+    /// and all 128 pages of `B`, 136 pages, more than the 128 entries
+    /// of the translation cache the table replaced. At `C = P` every
+    /// fault is a TLB fill from the home copy, and no mapping is ever
+    /// retired, so a processor faults once on each page it touches and
+    /// never again: the table has no capacity misses.
+    #[test]
+    fn matmul_at_n128_fills_once_per_processor_and_page() {
+        const N: u64 = 128;
         const P: usize = 32;
         let machine = Machine::new(DssmpConfig::new(P, P).with_virtual_engine(Some(1)));
         let [a, b, c] =
@@ -615,72 +586,33 @@ mod tests {
             machine.poke(&b, i, 1.0 / (i + 1) as f64);
         }
         let accesses = AtomicU64::new(0);
-        let report = machine.run(|env| {
-            let access = |env: &mut Env, arr: SharedArray<f64>, i: u64, write: Option<f64>| {
-                if forced {
-                    env.xlate.clear();
-                }
-                accesses.fetch_add(1, Ordering::Relaxed);
-                match write {
-                    Some(v) => {
-                        arr.write(env, i, v);
-                        v
-                    }
-                    None => arr.read(env, i),
-                }
-            };
+        machine.run(|env| {
             let rows = env.pid() as u64 * N / P as u64..(env.pid() as u64 + 1) * N / P as u64;
+            let mut made = 0;
             env.barrier();
-            env.start_measurement();
             for r in rows {
                 for col in 0..N {
                     let mut acc = 0.0;
                     for k in 0..N {
-                        let x = access(env, a, r * N + k, None);
-                        let y = access(env, b, k * N + col, None);
-                        acc += x * y;
+                        acc += a.read(env, r * N + k) * b.read(env, k * N + col);
                         env.compute(134);
                     }
-                    access(env, c, r * N + col, Some(acc));
+                    c.write(env, r * N + col, acc);
+                    made += 2 * N + 1;
                 }
             }
             env.barrier();
+            accesses.fetch_add(made, Ordering::Relaxed);
         });
-        (machine, report, accesses.into_inner())
-    }
-
-    /// Page faults, TLB fills included, of a run.
-    fn faults(machine: &Machine) -> [u64; 4] {
+        assert_eq!(accesses.into_inner(), N * N * (2 * N + 1));
+        let words_per_page = machine.config().geometry.words_per_page();
+        let rows_per_proc = N / P as u64;
+        let pages_per_proc = 2 * rows_per_proc * N / words_per_page + N * N / words_per_page;
+        assert_eq!(pages_per_proc, 136);
         let s = machine.proto_stats();
-        [&s.tlb_fills, &s.read_misses, &s.write_misses, &s.upgrades].map(|c| c.get())
-    }
-
-    /// `(hits, misses)` of every processor's shared TLB.
-    fn shared_tlb(machine: &Machine) -> (u64, u64) {
-        (0..machine.config().n_procs)
-            .map(|p| machine.protocol().tlb(p).stats())
-            .fold((0, 0), |(h, m), s| (h + s.hits.get(), m + s.misses.get()))
-    }
-
-    #[test]
-    fn matmul_at_n96_translates_in_the_env_cache_and_charges_as_the_shared_tlb() {
-        let (cached, report, accesses) = matmul(false);
-        let (hits, _) = shared_tlb(&cached);
-        assert!(
-            hits * 100 < accesses,
-            "{hits} shared-TLB hits in {accesses} accesses: the working set misses the Env cache"
-        );
-
-        let (forced, forced_report, forced_accesses) = matmul(true);
-        let (forced_hits, forced_misses) = shared_tlb(&forced);
-        assert_eq!(forced_accesses, accesses);
-        assert!(
-            forced_hits + forced_misses >= accesses,
-            "every access took the shared TLB"
-        );
-        assert_eq!(faults(&cached), faults(&forced));
-        assert!(faults(&cached)[0] > 0, "C = P faults are TLB fills");
-        assert_eq!(report.duration, forced_report.duration);
-        assert_eq!(report.breakdown, forced_report.breakdown);
+        assert_eq!(s.tlb_fills.get(), P as u64 * pages_per_proc);
+        for other in [&s.read_misses, &s.write_misses, &s.upgrades] {
+            assert_eq!(other.get(), 0, "C = P faults are TLB fills");
+        }
     }
 }

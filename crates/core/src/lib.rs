@@ -48,7 +48,6 @@ mod env;
 mod machine;
 mod report;
 mod runtime;
-mod xlate;
 
 pub mod framework;
 pub mod micro;

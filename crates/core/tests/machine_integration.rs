@@ -242,17 +242,3 @@ fn ext_latency_slows_clustered_machines_only() {
     assert!(time(1, 10_000) > time(1, 0), "latency must matter at C = 1");
     assert_eq!(time(8, 10_000), time(8, 0), "no LAN exists at C = P");
 }
-
-#[test]
-fn rng_streams_differ_per_processor() {
-    let machine = Machine::new(DssmpConfig::new(4, 2).quiet());
-    let vals = std::sync::Mutex::new(Vec::new());
-    machine.run(|env| {
-        let v = env.rng().next_u64();
-        vals.lock().unwrap().push(v);
-    });
-    let mut vals = vals.into_inner().unwrap();
-    vals.sort_unstable();
-    vals.dedup();
-    assert_eq!(vals.len(), 4, "each processor gets a distinct stream");
-}

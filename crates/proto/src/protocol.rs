@@ -143,8 +143,11 @@ impl PageTable {
 ///
 /// One instance manages every virtual page of a DSSMP: each page's
 /// record (its protocol state, its physical home copy and every SSMP's
-/// copy), per-processor TLBs and delayed update queues, and the
-/// per-SSMP cache directories (for page cleaning).
+/// copy), per-processor delayed update queues, and the per-SSMP cache
+/// directories (for page cleaning). It keeps no TLB contents: each
+/// processor's `Env` owns its table (`mgs_vm::ProcTlb`) and fills it
+/// with the entry [`fault`](MgsProtocol::fault) returns, and a PINV
+/// retires a mapping by bumping its frame's generation.
 ///
 /// The records sit in a dense table indexed by page number (page
 /// numbers count up from `VIRT_BASE`): a transaction finds its page's
@@ -181,7 +184,8 @@ impl PageTable {
 pub struct MgsProtocol {
     cfg: ProtoConfig,
     frames: FrameAllocator,
-    tlbs: Vec<Arc<Tlb>>,
+    /// What [`tlb`](MgsProtocol::tlb) returns: never filled.
+    empty_tlb: Tlb,
     /// Per-processor delayed update queues, in queueing order; only the
     /// processor itself writes its queue.
     duqs: Vec<Mutex<Vec<Queued>>>,
@@ -216,9 +220,8 @@ pub struct MgsProtocol {
 }
 
 impl MgsProtocol {
-    /// Creates a protocol instance with its TLBs, DUQs and cache
-    /// systems (the runtime's memory-access fast path reaches them
-    /// through [`tlb`](MgsProtocol::tlb) and
+    /// Creates a protocol instance with its DUQs and cache systems (the
+    /// runtime's memory-access fast path reaches the latter through
     /// [`cache_system`](MgsProtocol::cache_system)).
     pub fn new(cfg: ProtoConfig) -> MgsProtocol {
         let (n_procs, n_ssmps) = (cfg.n_procs(), cfg.n_ssmps);
@@ -229,7 +232,7 @@ impl MgsProtocol {
             twin_pools: (0..n_ssmps)
                 .map(|_| TwinPool::new(cfg.geometry.words_per_page() as usize))
                 .collect(),
-            tlbs: (0..n_procs).map(|_| Arc::new(Tlb::new())).collect(),
+            empty_tlb: Tlb::new(),
             duqs: (0..n_procs).map(|_| Mutex::default()).collect(),
             caches: (0..n_ssmps)
                 .map(|_| Arc::new(SsmpCacheSystem::new(cfg.cost.dir_hw_pointers)))
@@ -372,9 +375,11 @@ impl MgsProtocol {
         ctl.record(decision);
     }
 
-    /// The TLB of global processor `proc`.
-    pub fn tlb(&self, proc: usize) -> &Arc<Tlb> {
-        &self.tlbs[proc]
+    /// One empty [`Tlb`], whatever `proc`: the protocol keeps no TLB
+    /// contents, so its counters always read 0. The method stays while
+    /// the benchmark crate reads those counters.
+    pub fn tlb(&self, _proc: usize) -> &Tlb {
+        &self.empty_tlb
     }
 
     /// Is `page` live on global processor `proc`'s delayed update
@@ -510,8 +515,8 @@ impl MgsProtocol {
     }
 
     /// Handles a TLB fault by global processor `proc` on `page`
-    /// (`RTLBFault` / `WTLBFault` of Table 1). Installs and returns the
-    /// new TLB entry.
+    /// (`RTLBFault` / `WTLBFault` of Table 1). Returns the new TLB
+    /// entry, which the caller installs in its own table.
     ///
     /// # Panics
     ///
@@ -593,31 +598,19 @@ impl MgsProtocol {
         let outcome = self.step(&mut rec, page, t, |st, cx, fx| {
             st.fault(cx, proc, want_write, fx)
         })?;
-        // Inserted before the page lock goes, so no shoot-down can miss
-        // the entry.
+        // The generation is read under the page lock: a shoot-down
+        // after it goes bumps it, and the caller's first access
+        // re-faults.
         let frame = rec.clients[self.cfg.ssmp_of(proc)].frame.clone();
         let frame = frame.expect("a faulted page has a frame");
-        Ok((self.install_tlb(proc, page, frame, want_write, t), outcome))
-    }
-
-    /// The tail of every fault: charge the TLB insert and the fault
-    /// exit, and map `frame` at its current generation.
-    fn install_tlb(
-        &self,
-        proc: usize,
-        page: u64,
-        frame: Arc<PageFrame>,
-        writable: bool,
-        t: &mut dyn ProtoTiming,
-    ) -> TlbEntry {
+        // The tail of every fault: the TLB insert and the fault exit.
         t.local(self.cfg.cost.tlb_insert + self.cfg.cost.fault_exit);
-        let e = TlbEntry {
+        let entry = TlbEntry {
             gen: frame.generation(),
             frame,
-            writable,
+            writable: want_write,
         };
-        self.tlbs[proc].insert(page, e.clone());
-        e
+        Ok((entry, outcome))
     }
 
     /// Performs a release operation for global processor `proc`: flushes
@@ -939,16 +932,17 @@ impl Effects for Interp<'_> {
         let tlb_dir = std::mem::take(&mut self.clients[ssmp].tlb_dir);
         for lidx in crate::step::bits(tlb_dir) {
             let proc = ssmp * proto.cfg.procs_per_ssmp + lidx;
-            proto.tlbs[proc].shootdown(page);
             self.t.node_work(proc, proto.cfg.cost.pinv);
             self.t.node_work(rc, proto.cfg.cost.pinv_ack);
             proto.emit(self.t, ObsEvent::Pinv { page, proc });
         }
-        // Drain in-flight accesses and retire the mapping generation:
-        // an access that cloned a TLB entry before the shootdown sees
-        // the bump and re-faults (the translation-critical-section
-        // rollback, §4.2.1), and the mapping processors' DUQ entries go
-        // stale (arc 12).
+        // The shoot-down itself: drain in-flight accesses and retire the
+        // mapping generation. No processor's table is touched; each
+        // mapping processor's slot keeps the old generation, and its
+        // next access to the page sees the bump under the line's stripe
+        // and re-faults (the translation-critical-section rollback,
+        // §4.2.1). The mapping processors' DUQ entries go stale too
+        // (arc 12).
         let frame = self.copy(ssmp);
         frame.quiesce(proto.directory_of(frame)).bump_generation();
     }

@@ -17,6 +17,9 @@ use mgs_proto::{ClientState, MgsProtocol, ProtoConfig, RecordingTiming};
 use mgs_sim::{CostModel, Cycles, XorShift64};
 use std::collections::HashSet;
 
+mod common;
+use common::Tlbs;
+
 const N_SSMPS: usize = 4;
 const C: usize = 2;
 const N_PROCS: usize = N_SSMPS * C;
@@ -65,39 +68,31 @@ fn random_ops(rng: &mut XorShift64, max_len: u64) -> Vec<Op> {
 /// Replays `ops` on a fresh protocol through `t`. Uses the panicking
 /// entry points: with `drop < 1` every transaction must terminate
 /// (the retry cap makes residual failure odds astronomically small).
-fn replay(ops: &[Op], single_writer_opt: bool, t: &mut RecordingTiming) -> MgsProtocol {
+fn replay(ops: &[Op], single_writer_opt: bool, t: &mut RecordingTiming) -> (MgsProtocol, Tlbs) {
     let mut cfg = ProtoConfig::new(N_SSMPS, C);
     cfg.single_writer_opt = single_writer_opt;
     let p = MgsProtocol::new(cfg);
+    let mut tlbs = Tlbs::new(&p);
     for op in ops {
         match *op {
             Op::Read { proc, page } => {
-                let e = match p.tlb(proc).lookup(page, false) {
-                    Some(e) => e,
-                    None => p.fault(proc, page, false, t),
-                };
-                let _ = e.frame.load(0);
+                let _ = tlbs.translate(&p, proc, page, false, t).load(0);
             }
             Op::Write {
                 proc,
                 page,
                 word,
                 val,
-            } => {
-                let e = match p.tlb(proc).lookup(page, true) {
-                    Some(e) => e,
-                    None => p.fault(proc, page, true, t),
-                };
-                e.frame.store(word, val);
-            }
+            } => tlbs.translate(&p, proc, page, true, t).store(word, val),
             Op::Release { proc } => p.release_all(proc, t),
         }
     }
-    p
+    (p, tlbs)
 }
 
-/// A complete, comparable image of the protocol-visible machine state.
-fn fingerprint(p: &MgsProtocol) -> Vec<u64> {
+/// A complete, comparable image of the protocol-visible machine state,
+/// each processor's live TLB mappings included.
+fn fingerprint((p, tlbs): &(MgsProtocol, Tlbs)) -> Vec<u64> {
     let mut v = Vec::new();
     for page in 0..N_PAGES {
         let dirs = p.server_dirs(page);
@@ -111,7 +106,7 @@ fn fingerprint(p: &MgsProtocol) -> Vec<u64> {
             });
         }
         for proc in 0..N_PROCS {
-            v.push(u64::from(p.tlb(proc).lookup(page, false).is_some()));
+            v.push(u64::from(tlbs.mapped(proc, page, false).is_some()));
             v.push(u64::from(p.queued(proc, page)));
         }
         let frame = p.home_frame(page);
@@ -159,7 +154,7 @@ fn faulty_runs_converge_to_fault_free_state() {
             .iter()
             .filter(|e| matches!(e, ObsEvent::Drop { .. }))
             .count();
-        total_retries += chaos.stats().retries.get();
+        total_retries += chaos.0.stats().retries.get();
     }
     // A 20% loss rate over 48 cases must actually exercise recovery.
     assert!(total_drops > 100, "only {total_drops} drops injected");
@@ -321,6 +316,7 @@ fn released_writes_survive_a_lossy_fabric() {
         let seed = 0x4D47_5600_0000_0000 | case;
         let mut rng = XorShift64::new(seed);
         let p = MgsProtocol::new(ProtoConfig::new(N_SSMPS, C));
+        let mut tlbs = Tlbs::new(&p);
         let mut t = faulted(FaultPlan::uniform(seed, 0.25, 0.25, Cycles(300)));
         let mut seen = HashSet::new();
         let mut expected = Vec::new();
@@ -334,11 +330,8 @@ fn released_writes_survive_a_lossy_fabric() {
             }
         }
         for &(proc, page, word, val) in &expected {
-            let e = match p.tlb(proc).lookup(page, true) {
-                Some(e) => e,
-                None => p.fault(proc, page, true, &mut t),
-            };
-            e.frame.store(word, val);
+            tlbs.translate(&p, proc, page, true, &mut t)
+                .store(word, val);
         }
         for proc in 0..N_PROCS {
             p.release_all(proc, &mut t);

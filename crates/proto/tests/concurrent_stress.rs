@@ -17,6 +17,9 @@ use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+mod common;
+use common::{access, Proc};
+
 const N_SSMPS: usize = 4;
 const C: usize = 2;
 const N_PROCS: usize = N_SSMPS * C;
@@ -25,46 +28,6 @@ const PHASES: usize = 5;
 
 fn timing() -> RecordingTiming {
     RecordingTiming::new(CostModel::alewife(), Cycles::ZERO)
-}
-
-/// The runtime's access loop (`Env::access`): translate through the TLB
-/// (or fault), then one access through the SSMP's cache system, which
-/// re-validates the mapping generation under the line's directory
-/// stripe; an access refused because a concurrent invalidation retired
-/// the mapping re-faults and retries. Stores `store` if given; returns
-/// the word.
-fn access(
-    proto: &MgsProtocol,
-    cache: &mut ProcCache,
-    proc: usize,
-    page: u64,
-    word: u64,
-    store: Option<u64>,
-    t: &mut RecordingTiming,
-) -> u64 {
-    let write = store.is_some();
-    let sys = proto.cache_system(proc / C);
-    let mut e = match proto.tlb(proc).lookup(page, write) {
-        Some(e) => e,
-        None => proto.fault(proc, page, write, t),
-    };
-    loop {
-        let frame = &e.frame;
-        let line = frame.line_of_word(word);
-        let served = sys.access_hinted(
-            cache,
-            proc % C,
-            line,
-            frame.home_node() % C,
-            write,
-            frame.dir_hint(sys.directory(), line),
-            frame.word(word, e.gen, store.unwrap_or(0)),
-        );
-        if let Some(served) = served {
-            return served.value;
-        }
-        e = proto.fault(proc, page, write, t);
-    }
 }
 
 /// Runs a phased DRF workload: in each phase every processor writes a
@@ -98,15 +61,14 @@ fn stress(proto: &Arc<MgsProtocol>) -> Vec<Vec<u64>> {
             let rendezvous = Arc::clone(&rendezvous);
             let plans = Arc::clone(&plans);
             scope.spawn(move || {
-                let mut t = timing();
-                let mut cache = ProcCache::new(CacheConfig::alewife());
+                let (mut t, mut me) = (timing(), Proc::new());
                 for plan in plans.iter() {
                     for &(_p, page, word, value) in plan.iter().filter(|&&(p, ..)| p == proc) {
-                        access(&proto, &mut cache, proc, page, word, Some(value), &mut t);
+                        access(&proto, &mut me, proc, page, word, Some(value), &mut t);
                         // Random extra reads create read sharing.
                         if word % 7 == 0 {
                             let page = (page + 1) % N_PAGES;
-                            access(&proto, &mut cache, proc, page, word, None, &mut t);
+                            access(&proto, &mut me, proc, page, word, None, &mut t);
                         }
                     }
                     // Release point + rendezvous (a barrier).

@@ -15,47 +15,13 @@ use mgs_proto::{ClientState, MgsProtocol, ProtoConfig, RecordingTiming};
 use mgs_sim::{CostModel, Cycles};
 use mgs_vm::{FrameAllocator, PageFrame, PageGeometry};
 
+mod common;
+use common::Proc;
+
 const C: usize = 2;
 
 fn timing() -> RecordingTiming {
     RecordingTiming::new(CostModel::alewife(), Cycles::ZERO)
-}
-
-/// One access as `Env::access` makes it: through the TLB (or a fault),
-/// then the SSMP's cache system given the frame's hint and word,
-/// re-faulting when the mapping was retired.
-fn access(
-    proto: &MgsProtocol,
-    cache: &mut ProcCache,
-    proc: usize,
-    page: u64,
-    word: u64,
-    store: Option<u64>,
-    t: &mut RecordingTiming,
-) -> u64 {
-    let write = store.is_some();
-    let sys = proto.cache_system(proc / C);
-    let mut e = match proto.tlb(proc).lookup(page, write) {
-        Some(e) => e,
-        None => proto.fault(proc, page, write, t),
-    };
-    loop {
-        let frame = &e.frame;
-        let line = frame.line_of_word(word);
-        let served = sys.access_hinted(
-            cache,
-            proc % C,
-            line,
-            frame.home_node() % C,
-            write,
-            frame.dir_hint(sys.directory(), line),
-            frame.word(word, e.gen, store.unwrap_or(0)),
-        );
-        if let Some(served) = served {
-            return served.value;
-        }
-        e = proto.fault(proc, page, write, t);
-    }
 }
 
 /// Stripe locks and line-map lookups `f` makes on this thread.
@@ -76,35 +42,22 @@ fn locks(f: impl FnOnce()) -> (u64, u64) {
 fn faults_releases_invalidations_and_accesses_never_take_the_line_map() {
     let proto = MgsProtocol::new(ProtoConfig::new(2, C));
     let mut t = timing();
-    let mut caches: Vec<_> = (0..2 * C)
-        .map(|_| ProcCache::new(CacheConfig::alewife()))
-        .collect();
+    let mut procs: Vec<_> = (0..2 * C).map(|_| Proc::new()).collect();
+    let mut access = |proc: usize, word, store, t: &mut RecordingTiming| {
+        common::access(&proto, &mut procs[proc], proc, 0, word, store, t)
+    };
     let (home, remote) = (0, C); // page 0 is homed at SSMP 0
     let (stripes, line_map) = locks(|| {
         for round in 1..=3u64 {
             for word in 0..16 {
-                access(
-                    &proto,
-                    &mut caches[remote],
-                    remote,
-                    0,
-                    word,
-                    Some(round),
-                    &mut t,
-                );
+                access(remote, word, Some(round), &mut t);
             }
             proto.release_all(remote, &mut t);
-            access(&proto, &mut caches[home], home, 0, 20, Some(round), &mut t);
+            access(home, 20, Some(round), &mut t);
             proto.release_all(home, &mut t);
             assert_eq!(proto.client_state(1, 0), ClientState::Inv, "round {round}");
-            assert_eq!(
-                access(&proto, &mut caches[remote], remote, 0, 3, None, &mut t),
-                round
-            );
-            assert_eq!(
-                access(&proto, &mut caches[remote], remote, 0, 20, None, &mut t),
-                round
-            );
+            assert_eq!(access(remote, 3, None, &mut t), round);
+            assert_eq!(access(remote, 20, None, &mut t), round);
         }
     });
     assert_eq!(line_map, 0, "no transaction or access asked the line map");

@@ -4,6 +4,9 @@
 use mgs_proto::{ClientState, MgsProtocol, ProtoConfig, ProtocolKind, RecordingTiming};
 use mgs_sim::{CostModel, Cycles};
 
+mod common;
+use common::Tlbs;
+
 fn lrc_proto() -> MgsProtocol {
     let mut cfg = ProtoConfig::new(4, 2);
     cfg.protocol = ProtocolKind::HomeLrc;
@@ -17,14 +20,14 @@ fn timing() -> RecordingTiming {
 #[test]
 fn release_posts_notice_instead_of_invalidating_readers() {
     let p = lrc_proto();
-    let mut t = timing();
-    p.fault(2, 0, false, &mut t); // reader, SSMP 1
-    let w = p.fault(4, 0, true, &mut t); // writer, SSMP 2
+    let (mut t, mut tlbs) = (timing(), Tlbs::new(&p));
+    tlbs.fault(&p, 2, 0, false, &mut t); // reader, SSMP 1
+    let w = tlbs.fault(&p, 4, 0, true, &mut t); // writer, SSMP 2
     w.frame.store(0, 9);
     p.release_all(4, &mut t);
     // The reader's copy survives the release...
     assert_eq!(p.client_state(1, 0), ClientState::Read);
-    assert!(p.tlb(2).lookup(0, false).is_some());
+    assert!(tlbs.mapped(2, 0, false).is_some());
     assert_eq!(p.stats().lazy_notices.get(), 1);
     // ...but the home already has the released data (diffs are eager).
     assert_eq!(p.home_frame(0).load(0), 9);
@@ -33,8 +36,8 @@ fn release_posts_notice_instead_of_invalidating_readers() {
 #[test]
 fn acquire_sync_drops_noticed_copies() {
     let p = lrc_proto();
-    let mut t = timing();
-    let r = p.fault(2, 0, false, &mut t);
+    let (mut t, mut tlbs) = (timing(), Tlbs::new(&p));
+    let r = tlbs.fault(&p, 2, 0, false, &mut t);
     assert_eq!(r.frame.load(0), 0); // stale value visible pre-acquire
     let w = p.fault(4, 0, true, &mut t);
     w.frame.store(0, 9);
@@ -42,7 +45,7 @@ fn acquire_sync_drops_noticed_copies() {
     // Acquire-side coherence at the reader.
     p.acquire_sync(2, &mut t);
     assert_eq!(p.client_state(1, 0), ClientState::Inv);
-    assert!(p.tlb(2).lookup(0, false).is_none());
+    assert!(tlbs.mapped(2, 0, false).is_none());
     // The next fault fetches the released value.
     let r2 = p.fault(2, 0, false, &mut t);
     assert_eq!(r2.frame.load(0), 9);

@@ -4,6 +4,9 @@ use mgs_obs::{ObsEvent, XactKind};
 use mgs_proto::{ClientState, MgsProtocol, ProtoConfig, RecordingTiming};
 use mgs_sim::{CostModel, Cycles};
 
+mod common;
+use common::Tlbs;
+
 /// 4 SSMPs × 2 processors; pages are homed round-robin over the 8
 /// processors, so page 0 is homed at processor 0 (SSMP 0).
 fn proto(n_ssmps: usize, c: usize) -> MgsProtocol {
@@ -17,13 +20,14 @@ fn timing() -> RecordingTiming {
 #[test]
 fn read_fault_installs_read_only_mapping() {
     let p = proto(4, 2);
-    let mut t = timing();
-    let e = p.fault(2, 0, false, &mut t); // proc 2 = SSMP 1
+    let (mut t, mut tlbs) = (timing(), Tlbs::new(&p));
+    let e = tlbs.fault(&p, 2, 0, false, &mut t); // proc 2 = SSMP 1
     assert!(!e.writable);
     assert_eq!(p.client_state(1, 0), ClientState::Read);
     assert_eq!(p.server_dirs(0).read_dir, 0b0010);
     assert_eq!(p.stats().read_misses.get(), 1);
-    assert!(p.tlb(2).lookup(0, false).is_some());
+    assert!(tlbs.mapped(2, 0, false).is_some());
+    assert!(tlbs.mapped(2, 0, true).is_none());
 }
 
 #[test]
@@ -92,15 +96,15 @@ fn read_then_write_upgrades_privilege() {
 #[test]
 fn single_writer_release_updates_home_and_keeps_copy() {
     let p = proto(2, 2);
-    let mut t = timing();
-    let e = p.fault(2, 0, true, &mut t);
+    let (mut t, mut tlbs) = (timing(), Tlbs::new(&p));
+    let e = tlbs.fault(&p, 2, 0, true, &mut t);
     e.frame.store(3, 99);
     p.release_all(2, &mut t);
     assert_eq!(p.home_frame(0).load(3), 99);
     // Single-writer optimization: the copy remains cached...
     assert_eq!(p.client_state(1, 0), ClientState::Write);
     // ...but the mappings are gone.
-    assert!(p.tlb(2).lookup(0, false).is_none());
+    assert!(tlbs.mapped(2, 0, false).is_none());
     assert!(!p.queued(2, 0));
     // The server still tracks the writer (Table 1 erratum).
     assert_eq!(p.server_dirs(0).write_dir, 0b0010);
@@ -177,13 +181,13 @@ fn release_prunes_other_writers_duqs() {
 #[test]
 fn remote_release_shoots_down_reader_tlbs() {
     let p = proto(4, 2);
-    let mut t = timing();
-    p.fault(2, 0, false, &mut t); // reader in SSMP 1
-    p.fault(4, 0, true, &mut t); // writer in SSMP 2
-    assert!(p.tlb(2).lookup(0, false).is_some());
+    let (mut t, mut tlbs) = (timing(), Tlbs::new(&p));
+    tlbs.fault(&p, 2, 0, false, &mut t); // reader in SSMP 1
+    tlbs.fault(&p, 4, 0, true, &mut t); // writer in SSMP 2
+    assert!(tlbs.mapped(2, 0, false).is_some());
     p.release_all(4, &mut t);
     // Eager invalidation: the reader's mapping and copy are gone.
-    assert!(p.tlb(2).lookup(0, false).is_none());
+    assert!(tlbs.mapped(2, 0, false).is_none());
     assert_eq!(p.client_state(1, 0), ClientState::Inv);
     // The reader re-faults and sees the new data.
     let home = p.home_frame(0);

@@ -7,6 +7,9 @@
 use mgs_proto::{ClientState, MgsProtocol, ProtoConfig, ProtoTiming, RecordingTiming};
 use mgs_sim::{CostModel, Cycles, XorShift64};
 
+mod common;
+use common::Tlbs;
+
 const N_SSMPS: usize = 4;
 const C: usize = 2;
 const N_PROCS: usize = N_SSMPS * C;
@@ -64,36 +67,28 @@ fn run_checked(ops: &[Op], single_writer_opt: bool) -> MgsProtocol {
     let mut cfg = ProtoConfig::new(N_SSMPS, C);
     cfg.single_writer_opt = single_writer_opt;
     let p = MgsProtocol::new(cfg);
-    let mut t = timing();
+    let (mut t, mut tlbs) = (timing(), Tlbs::new(&p));
     for op in ops {
         match *op {
             Op::Read { proc, page, word } => {
-                let e = match p.tlb(proc).lookup(page, false) {
-                    Some(e) => e,
-                    None => p.fault(proc, page, false, &mut t),
-                };
-                let _ = e.frame.load(word);
+                let _ = tlbs.translate(&p, proc, page, false, &mut t).load(word);
             }
             Op::Write {
                 proc,
                 page,
                 word,
                 val,
-            } => {
-                let e = match p.tlb(proc).lookup(page, true) {
-                    Some(e) => e,
-                    None => p.fault(proc, page, true, &mut t),
-                };
-                e.frame.store(word, val);
-            }
+            } => tlbs
+                .translate(&p, proc, page, true, &mut t)
+                .store(word, val),
             Op::Release { proc } => p.release_all(proc, &mut t),
         }
-        check_invariants(&p);
+        check_invariants(&p, &tlbs);
     }
     p
 }
 
-fn check_invariants(p: &MgsProtocol) {
+fn check_invariants(p: &MgsProtocol, tlbs: &Tlbs) {
     for page in 0..N_PAGES {
         let dirs = p.server_dirs(page);
         // An SSMP is never both a reader and a writer.
@@ -111,9 +106,10 @@ fn check_invariants(p: &MgsProtocol) {
                 }
             }
         }
-        // A processor's TLB entry implies a live local copy.
+        // A processor's slot at its frame's current generation implies
+        // a live local copy.
         for proc in 0..N_PROCS {
-            if p.tlb(proc).lookup(page, false).is_some() {
+            if tlbs.mapped(proc, page, false).is_some() {
                 let state = p.client_state(proc / C, page);
                 assert_ne!(state, ClientState::Inv, "mapping implies a copy");
             }
@@ -157,7 +153,7 @@ fn released_writes_reach_home() {
         let mut rng = XorShift64::new(seed);
         let n = 1 + rng.next_below(39) as usize;
         let p = MgsProtocol::new(ProtoConfig::new(N_SSMPS, C));
-        let mut t = timing();
+        let (mut t, mut tlbs) = (timing(), Tlbs::new(&p));
         // Deduplicate (page, word) so each word has one writer: DRF.
         let mut seen = std::collections::HashSet::new();
         let mut expected = Vec::new();
@@ -171,11 +167,8 @@ fn released_writes_reach_home() {
             }
         }
         for &(proc, page, word, val) in &expected {
-            let e = match p.tlb(proc).lookup(page, true) {
-                Some(e) => e,
-                None => p.fault(proc, page, true, &mut t),
-            };
-            e.frame.store(word, val);
+            tlbs.translate(&p, proc, page, true, &mut t)
+                .store(word, val);
         }
         for proc in 0..N_PROCS {
             p.release_all(proc, &mut t);
@@ -195,27 +188,21 @@ fn recorded_time_is_monotone() {
         let mut rng = XorShift64::new(seed);
         let ops = random_ops(&mut rng, 40);
         let p = MgsProtocol::new(ProtoConfig::new(N_SSMPS, C));
-        let mut t = timing();
+        let (mut t, mut tlbs) = (timing(), Tlbs::new(&p));
         let mut last = Cycles::ZERO;
         for op in &ops {
             match *op {
                 Op::Read { proc, page, .. } => {
-                    if p.tlb(proc).lookup(page, false).is_none() {
-                        p.fault(proc, page, false, &mut t);
-                    }
+                    tlbs.translate(&p, proc, page, false, &mut t);
                 }
                 Op::Write {
                     proc,
                     page,
                     word,
                     val,
-                } => {
-                    let e = match p.tlb(proc).lookup(page, true) {
-                        Some(e) => e,
-                        None => p.fault(proc, page, true, &mut t),
-                    };
-                    e.frame.store(word, val);
-                }
+                } => tlbs
+                    .translate(&p, proc, page, true, &mut t)
+                    .store(word, val),
                 Op::Release { proc } => p.release_all(proc, &mut t),
             }
             assert!(t.now() >= last, "seed {seed:#x}");

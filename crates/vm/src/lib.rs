@@ -23,9 +23,14 @@
 //! * [`TwinPool`] — recycled page-sized buffers for twins, snapshots
 //!   and arriving page images, so the protocol's data kernels run
 //!   allocation-free in steady state.
-//! * [`Tlb`] — the per-processor mapping table with the three states of
+//! * [`ProcTlb`] — a processor's software TLB, with the three states of
 //!   the paper's Local Client (no entry = `TLB_INV`, read-only entry =
-//!   `TLB_READ`, writable entry = `TLB_WRITE`).
+//!   `TLB_READ`, writable entry = `TLB_WRITE`): a page-indexed table
+//!   that only its processor reads and fills, with no lock. A PINV
+//!   shoot-down does not reach into it; it bumps the frame's
+//!   generation, and the owner's next access re-faults. ([`Tlb`], the
+//!   mutex-guarded map it replaced, stays only for the benchmark
+//!   crate.)
 //! * [`SharedHeap`] / [`VRange`] — virtual address allocation for
 //!   shared objects, tagged with the [`AccessKind`] that determines the
 //!   inline-translation cost (distributed array vs. pointer).
@@ -43,4 +48,4 @@ pub use addr::{PageGeometry, VIRT_BASE};
 pub use frame::{FrameAllocator, PageFrame, Quiesced};
 pub use heap::{AccessKind, SharedHeap, VRange};
 pub use pool::{PageBuf, PoolStats, TwinPool};
-pub use tlb::{Tlb, TlbEntry, TlbStats};
+pub use tlb::{ProcTlb, Tlb, TlbEntry, TlbStats};

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// One mapping in a processor's software TLB.
+/// One mapping in a processor's software TLB, as a fault returns it.
 ///
 /// Absence of an entry is the paper's `TLB_INV` state; an entry with
 /// `writable == false` is `TLB_READ`; with `writable == true`,
@@ -23,10 +23,100 @@ pub struct TlbEntry {
     pub gen: u64,
 }
 
-/// Hashes a page number with one multiply by the golden ratio: page
-/// numbers are small and dense, so SipHash's defence against chosen
-/// keys buys nothing, and the product spreads them over both the low
-/// bits (the bucket) and the high ones (the map's tag byte).
+/// Pages per leaf of a [`ProcTlb`].
+const LEAF_PAGES: usize = 64;
+
+/// One page's mapping in a [`ProcTlb`] leaf.
+#[derive(Debug, Default)]
+struct Slot {
+    /// `None` until the page's first fill.
+    frame: Option<Arc<PageFrame>>,
+    /// The frame generation the mapping was made against.
+    gen: u64,
+    /// Whether the mapping carries write privilege.
+    writable: bool,
+}
+
+/// A processor's software TLB: its "local page table" in the paper's
+/// terms (§4.2.1), owned by the processor alone.
+///
+/// A table indexed by page number (pages count from `VIRT_BASE`): a
+/// `Vec` of 64-page leaves, each allocated on the first fill of one of
+/// its pages, so a processor that touches no page holds only the `Vec`
+/// header. A leaf is built in place on the heap. On Alewife the page
+/// table *is* the TLB, so there are no capacity misses, only cold and
+/// invalidation misses, and nothing is ever evicted.
+///
+/// Nobody else writes it. A PINV shoot-down does not reach in: it
+/// bumps the frame's generation, and the owner's next access to the
+/// page finds its slot retired under the line's directory stripe and
+/// re-faults (the translation critical section of §4.2.1). So a probe
+/// takes `&self` and no lock, and a fill takes `&mut self`. A retired
+/// slot keeps its frame, and so that frame's directory blocks, alive
+/// until the owner's next fault on the page overwrites it.
+///
+/// # Example
+///
+/// ```
+/// use mgs_cache::Directory;
+/// use mgs_vm::{FrameAllocator, PageGeometry, ProcTlb, TlbEntry};
+///
+/// let frames = FrameAllocator::new(PageGeometry::default());
+/// let mut tlb = ProcTlb::new();
+/// assert!(tlb.probe(7, false).is_none()); // TLB_INV
+/// let frame = frames.alloc(0);
+/// tlb.fill(7, TlbEntry { gen: frame.generation(), frame: frame.clone(), writable: false });
+/// assert!(tlb.probe(7, false).is_some());
+/// assert!(tlb.probe(7, true).is_none()); // TLB_READ
+/// // A shoot-down retires the slot; the owner sees it at its next access.
+/// frame.quiesce(&Directory::new()).bump_generation();
+/// let (mapped, gen) = tlb.probe(7, false).unwrap();
+/// assert_ne!(gen, mapped.generation());
+/// ```
+#[derive(Debug, Default)]
+pub struct ProcTlb {
+    /// Leaf `i` maps pages `64 i .. 64 (i + 1)`; `None` until one of
+    /// them is filled.
+    leaves: Vec<Option<Box<[Slot]>>>,
+}
+
+impl ProcTlb {
+    /// An empty table: no leaf is allocated.
+    pub fn new() -> ProcTlb {
+        ProcTlb::default()
+    }
+
+    /// The frame and mapping generation of `page`'s slot, if it was
+    /// filled with enough privilege for the access (a write needs a
+    /// writable mapping: the `WTLBFault` case). The generation may be
+    /// retired; the access checks it.
+    #[inline]
+    pub fn probe(&self, page: u64, write: bool) -> Option<(&Arc<PageFrame>, u64)> {
+        let leaf = self.leaves.get(page as usize / LEAF_PAGES)?.as_deref()?;
+        let slot = &leaf[page as usize % LEAF_PAGES];
+        let frame = slot.frame.as_ref()?;
+        (slot.writable || !write).then_some((frame, slot.gen))
+    }
+
+    /// Overwrites `page`'s slot with `entry` (a fault's result),
+    /// allocating the page's leaf on its first fill.
+    pub fn fill(&mut self, page: u64, entry: TlbEntry) {
+        let leaf = page as usize / LEAF_PAGES;
+        if self.leaves.len() <= leaf {
+            self.leaves.resize_with(leaf + 1, || None);
+        }
+        let leaf = self.leaves[leaf]
+            .get_or_insert_with(|| (0..LEAF_PAGES).map(|_| Slot::default()).collect());
+        leaf[page as usize % LEAF_PAGES] = Slot {
+            frame: Some(entry.frame),
+            gen: entry.gen,
+            writable: entry.writable,
+        };
+    }
+}
+
+/// Hashes a page number with one multiply by the golden ratio. Kept
+/// only for [`Tlb`], which nothing in the simulator fills any more.
 #[derive(Debug, Default, Clone, Copy)]
 struct PageHasher(u64);
 
@@ -46,41 +136,24 @@ impl Hasher for PageHasher {
     }
 }
 
-/// TLB traffic statistics.
+/// TLB traffic statistics of a [`Tlb`].
 #[derive(Debug, Default)]
 pub struct TlbStats {
     /// Successful lookups.
     pub hits: Counter,
     /// Lookups that found no entry (or insufficient privilege).
     pub misses: Counter,
-    /// Entries removed by shootdowns (the protocol's PINV messages).
+    /// Entries removed by [`Tlb::shootdown`].
     pub shootdowns: Counter,
 }
 
-/// A processor's software TLB (its "local page table" in the paper's
-/// terms, §4.2.1).
+/// A mutex-guarded page-to-mapping map, the software TLB's old shape.
 ///
-/// The owning processor looks entries up on every shared access; the
-/// Remote Client of its SSMP removes entries during page invalidation
-/// (a TLB shootdown via PINV), which is why the map is behind a mutex.
-/// Capacity is unbounded: on Alewife the per-processor page table *is*
-/// the TLB, so there are no capacity misses, only invalidation misses
-/// and cold misses.
-///
-/// # Example
-///
-/// ```
-/// use std::sync::Arc;
-/// use mgs_vm::{FrameAllocator, PageGeometry, Tlb, TlbEntry};
-///
-/// let frames = FrameAllocator::new(PageGeometry::default());
-/// let tlb = Tlb::new();
-/// assert!(tlb.lookup(7, false).is_none());
-/// let frame = frames.alloc(0);
-/// tlb.insert(7, TlbEntry { gen: frame.generation(), frame, writable: false });
-/// assert!(tlb.lookup(7, false).is_some());
-/// assert!(tlb.lookup(7, true).is_none()); // read-only mapping
-/// ```
+/// The simulator no longer uses it: each processor's `Env` owns a
+/// [`ProcTlb`], and a shoot-down is a generation bump. The type stays
+/// while the benchmark crate times its lookup and insert, and
+/// `MgsProtocol::tlb` returns one that is never filled, so every
+/// counter of its [`TlbStats`] reads 0.
 #[derive(Debug, Default)]
 pub struct Tlb {
     map: Mutex<HashMap<u64, TlbEntry, BuildHasherDefault<PageHasher>>>,
@@ -94,8 +167,7 @@ impl Tlb {
     }
 
     /// Looks up the mapping for `page`. Returns `None` when there is no
-    /// entry or when `need_write` and the entry is read-only (the
-    /// `WTLBFault` case of the protocol).
+    /// entry or when `need_write` and the entry is read-only.
     pub fn lookup(&self, page: u64, need_write: bool) -> Option<TlbEntry> {
         let map = self.map.lock();
         match map.get(&page) {
@@ -115,29 +187,14 @@ impl Tlb {
         self.map.lock().insert(page, entry);
     }
 
-    /// Removes the mapping for `page` (a PINV shootdown). Returns
-    /// whether an entry was present.
+    /// Removes the mapping for `page`. Returns whether an entry was
+    /// present.
     pub fn shootdown(&self, page: u64) -> bool {
         let removed = self.map.lock().remove(&page).is_some();
         if removed {
             self.stats.shootdowns.incr();
         }
         removed
-    }
-
-    /// Removes every mapping (used between runs).
-    pub fn clear(&self) {
-        self.map.lock().clear();
-    }
-
-    /// Number of live mappings.
-    pub fn len(&self) -> usize {
-        self.map.lock().len()
-    }
-
-    /// `true` if no mappings are installed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Traffic statistics.
@@ -150,9 +207,45 @@ impl Tlb {
 mod tests {
     use super::*;
     use crate::{FrameAllocator, PageGeometry};
+    use mgs_cache::Directory;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
 
-    fn entry(writable: bool) -> TlbEntry {
-        let frames = FrameAllocator::new(PageGeometry::default());
+    /// Counts the allocations of the thread that arms it, so the other
+    /// tests' threads do not disturb a measurement.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            let _ = ALLOCS.try_with(|a| a.set(a.get().map(|n| n + 1)));
+            System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
+
+    /// Allocations `f` makes on this thread.
+    fn allocations(f: impl FnOnce()) -> u64 {
+        ALLOCS.with(|a| a.set(Some(0)));
+        f();
+        ALLOCS.with(|a| a.take()).expect("armed")
+    }
+
+    /// Leaves `tlb` has allocated.
+    fn leaves(tlb: &ProcTlb) -> usize {
+        tlb.leaves.iter().flatten().count()
+    }
+
+    fn entry(frames: &FrameAllocator, writable: bool) -> TlbEntry {
         let frame = frames.alloc(0);
         TlbEntry {
             gen: frame.generation(),
@@ -162,69 +255,124 @@ mod tests {
     }
 
     #[test]
-    fn missing_entry_is_tlb_inv() {
+    fn no_leaf_before_the_first_fill() {
+        let frames = FrameAllocator::new(PageGeometry::default());
+        let mut tlb = ProcTlb::new();
+        assert_eq!(leaves(&tlb), 0);
+        assert!(tlb.probe(0, false).is_none());
+        assert!(tlb.probe(1 << 20, false).is_none());
+        assert_eq!(leaves(&tlb), 0, "a probe allocates nothing");
+        tlb.fill(5, entry(&frames, false));
+        assert_eq!(leaves(&tlb), 1);
+        // The rest of the leaf is still TLB_INV.
+        assert!(tlb.probe(4, false).is_none());
+        assert!(tlb.probe(6, false).is_none());
+    }
+
+    #[test]
+    fn an_upgrade_overwrites_the_slot_in_place() {
+        let frames = FrameAllocator::new(PageGeometry::default());
+        let mut tlb = ProcTlb::new();
+        let read = entry(&frames, false);
+        tlb.fill(3, read.clone());
+        assert!(
+            tlb.probe(3, true).is_none(),
+            "a read-only slot serves no write"
+        );
+        let write = TlbEntry {
+            writable: true,
+            ..read.clone()
+        };
+        tlb.fill(3, write);
+        let (frame, gen) = tlb.probe(3, true).expect("upgraded");
+        assert!(Arc::ptr_eq(frame, &read.frame));
+        assert_eq!(gen, read.gen);
+        assert!(tlb.probe(3, false).is_some());
+        assert_eq!(leaves(&tlb), 1);
+    }
+
+    #[test]
+    fn a_retired_generation_is_refilled_by_the_next_fault() {
+        let frames = FrameAllocator::new(PageGeometry::default());
+        let mut tlb = ProcTlb::new();
+        let old = entry(&frames, true);
+        tlb.fill(9, old.clone());
+        old.frame.quiesce(&Directory::new()).bump_generation();
+        // The slot is still there, at a generation its frame retired.
+        let (frame, gen) = tlb.probe(9, true).expect("kept");
+        assert_eq!(gen, old.gen);
+        assert_ne!(gen, frame.generation());
+        let fresh = entry(&frames, false);
+        tlb.fill(9, fresh.clone());
+        let (frame, gen) = tlb.probe(9, false).expect("refilled");
+        assert!(Arc::ptr_eq(frame, &fresh.frame));
+        assert_eq!(gen, frame.generation());
+        assert!(tlb.probe(9, true).is_none(), "the refill's privilege");
+        assert_eq!(
+            Arc::strong_count(&old.frame),
+            1,
+            "the retired frame is let go"
+        );
+    }
+
+    #[test]
+    fn pages_far_apart_take_their_own_leaves() {
+        let frames = FrameAllocator::new(PageGeometry::default());
+        let mut tlb = ProcTlb::new();
+        let pages = [0, 63, 64, 1000, 100_000];
+        for &page in &pages {
+            tlb.fill(page, entry(&frames, page % 2 == 0));
+        }
+        assert_eq!(leaves(&tlb), 4, "0 and 63 share a leaf");
+        for &page in &pages {
+            assert!(tlb.probe(page, false).is_some(), "page {page}");
+            assert_eq!(tlb.probe(page, true).is_some(), page % 2 == 0);
+        }
+        let frames_of = pages.map(|p| tlb.probe(p, false).unwrap().0.base());
+        let mut distinct = frames_of.to_vec();
+        distinct.dedup();
+        assert_eq!(distinct.len(), pages.len(), "each page keeps its own frame");
+        for page in [1, 62, 65, 999, 1001, 99_999, 100_001] {
+            assert!(tlb.probe(page, false).is_none(), "page {page}");
+        }
+    }
+
+    #[test]
+    fn a_hit_allocates_nothing_and_clones_no_frame() {
+        let frames = FrameAllocator::new(PageGeometry::default());
+        let mut tlb = ProcTlb::new();
+        let e = entry(&frames, true);
+        for page in 0..256 {
+            tlb.fill(page, e.clone());
+        }
+        let refs = Arc::strong_count(&e.frame);
+        let n = allocations(|| {
+            for round in 0..4u64 {
+                for page in 0..256 {
+                    let (frame, gen) = tlb.probe(page, round % 2 == 0).expect("hit");
+                    std::hint::black_box((frame.base(), gen));
+                }
+            }
+        });
+        assert_eq!(n, 0);
+        assert_eq!(Arc::strong_count(&e.frame), refs);
+    }
+
+    #[test]
+    fn the_benchmarks_tlb_maps_and_shoots_down() {
+        let frames = FrameAllocator::new(PageGeometry::default());
         let tlb = Tlb::new();
         assert!(tlb.lookup(1, false).is_none());
-        assert_eq!(tlb.stats().misses.get(), 1);
-    }
-
-    #[test]
-    fn read_entry_serves_reads_not_writes() {
-        let tlb = Tlb::new();
-        tlb.insert(1, entry(false));
+        tlb.insert(1, entry(&frames, false));
         assert!(tlb.lookup(1, false).is_some());
         assert!(tlb.lookup(1, true).is_none());
-    }
-
-    #[test]
-    fn write_entry_serves_both() {
-        let tlb = Tlb::new();
-        tlb.insert(1, entry(true));
-        assert!(tlb.lookup(1, false).is_some());
-        assert!(tlb.lookup(1, true).is_some());
-        assert_eq!(tlb.stats().hits.get(), 2);
-    }
-
-    #[test]
-    fn upgrade_replaces_entry() {
-        let tlb = Tlb::new();
-        tlb.insert(1, entry(false));
-        tlb.insert(1, entry(true));
-        assert!(tlb.lookup(1, true).is_some());
-        assert_eq!(tlb.len(), 1);
-    }
-
-    #[test]
-    fn shootdown_removes() {
-        let tlb = Tlb::new();
-        tlb.insert(1, entry(true));
         assert!(tlb.shootdown(1));
         assert!(!tlb.shootdown(1));
         assert!(tlb.lookup(1, false).is_none());
-        assert_eq!(tlb.stats().shootdowns.get(), 1);
-    }
-
-    #[test]
-    fn dense_and_strided_pages_keep_their_own_entries() {
-        let tlb = Tlb::new();
-        let pages: Vec<u64> = (0..512).chain((1..64).map(|i| i << 32)).collect();
-        for &page in &pages {
-            tlb.insert(page, entry(page % 2 == 0));
-        }
-        assert_eq!(tlb.len(), pages.len());
-        for &page in &pages {
-            assert!(tlb.lookup(page, false).is_some());
-            assert_eq!(tlb.lookup(page, true).is_some(), page % 2 == 0);
-        }
-        assert!(tlb.lookup(512, false).is_none());
-    }
-
-    #[test]
-    fn clear_empties() {
-        let tlb = Tlb::new();
-        tlb.insert(1, entry(false));
-        tlb.insert(2, entry(false));
-        tlb.clear();
-        assert!(tlb.is_empty());
+        let s = tlb.stats();
+        assert_eq!(
+            (s.hits.get(), s.misses.get(), s.shootdowns.get()),
+            (1, 3, 1)
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! A wrapping global allocator counts every `alloc`/`realloc` in this
 //! test binary. A single-processor machine runs with the `mgs-obs` sink
 //! attached; after a warm-up pass (TLB fills, cache-directory growth,
-//! translation-cache population), a steady-state loop of loads and
+//! TLB leaf allocation), a steady-state loop of loads and
 //! stores — each of which counts its load or store and hardware miss
 //! class in its SSMP's cache statistics — must perform **zero** heap
 //! allocations.
@@ -78,8 +78,8 @@ fn per_access_metrics_path_allocates_nothing() {
 }
 
 fn check_zero_alloc(protocol: ProtocolKind) {
-    const WORDS: u64 = 1024; // 8 KiB: several pages, well within the
-                             // 128-entry translation cache
+    const WORDS: u64 = 1024; // 8 KiB: several pages, whose TLB leaf
+                             // the warm-up allocates
 
     let mut cfg = DssmpConfig::new(1, 1)
         .with_observability()
@@ -88,7 +88,7 @@ fn check_zero_alloc(protocol: ProtocolKind) {
     let machine = Machine::new(cfg);
     let arr = machine.alloc_array::<u64>(WORDS, AccessKind::DistArray);
     machine.run(|env| {
-        // Warm-up: fault every page in, populate the translation cache
+        // Warm-up: fault every page in, fill the TLB
         // and the hardware cache's directory state.
         for i in 0..WORDS {
             arr.write(env, i, i);
