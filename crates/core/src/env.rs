@@ -475,15 +475,21 @@ impl Env {
         self.clock.advance_to(CostCategory::Barrier, released);
     }
 
-    /// Acquire-side coherence (a no-op unless the protocol posts write
-    /// notices — a home-based LRC strategy):
-    /// drop stale copies noticed by releases.
+    /// Acquire-side coherence: drop stale copies noticed by releases
+    /// (only when the protocol posts write notices — a home-based LRC
+    /// strategy), then empty the TLB slots that shoot-downs retired, so
+    /// an invalidated copy is not kept alive by a page this processor
+    /// never touches again. Pruning charges nothing and moves no cycle:
+    /// a retired slot and an empty one both fault.
     fn acquire_sync(&mut self) {
-        if self.null_mgs || !self.uses_notices {
+        if self.null_mgs {
             return;
         }
-        let mut timing = RuntimeTiming::new(&mut self.clock, &self.machine, self.proc);
-        self.proto.acquire_sync(self.proc, &mut timing);
+        if self.uses_notices {
+            let mut timing = RuntimeTiming::new(&mut self.clock, &self.machine, self.proc);
+            self.proto.acquire_sync(self.proc, &mut timing);
+        }
+        self.tlb.prune();
     }
 
     /// Flushes this processor's delayed update queue (a release

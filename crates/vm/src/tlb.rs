@@ -53,7 +53,8 @@ struct Slot {
 /// re-faults (the translation critical section of §4.2.1). So a probe
 /// takes `&self` and no lock, and a fill takes `&mut self`. A retired
 /// slot keeps its frame, and so that frame's directory blocks, alive
-/// until the owner's next fault on the page overwrites it.
+/// until the owner's next fault on the page overwrites it or its next
+/// acquire point [`prune`](ProcTlb::prune)s the table.
 ///
 /// # Example
 ///
@@ -112,6 +113,20 @@ impl ProcTlb {
             gen: entry.gen,
             writable: entry.writable,
         };
+    }
+
+    /// Empties every slot whose frame has retired its generation,
+    /// letting go of the invalidated copy. The table reads the same
+    /// afterwards: a retired slot serves no access, so the page faults
+    /// at its next access either way. Leaves stay allocated.
+    pub fn prune(&mut self) {
+        for leaf in self.leaves.iter_mut().flatten() {
+            for slot in leaf.iter_mut() {
+                if matches!(&slot.frame, Some(f) if f.generation() != slot.gen) {
+                    slot.frame = None;
+                }
+            }
+        }
     }
 }
 
@@ -208,37 +223,6 @@ mod tests {
     use super::*;
     use crate::{FrameAllocator, PageGeometry};
     use mgs_cache::Directory;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
-    /// Counts the allocations of the thread that arms it, so the other
-    /// tests' threads do not disturb a measurement.
-    struct CountingAlloc;
-
-    thread_local! {
-        static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
-    }
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            let _ = ALLOCS.try_with(|a| a.set(a.get().map(|n| n + 1)));
-            System.alloc(layout)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: CountingAlloc = CountingAlloc;
-
-    /// Allocations `f` makes on this thread.
-    fn allocations(f: impl FnOnce()) -> u64 {
-        ALLOCS.with(|a| a.set(Some(0)));
-        f();
-        ALLOCS.with(|a| a.take()).expect("armed")
-    }
 
     /// Leaves `tlb` has allocated.
     fn leaves(tlb: &ProcTlb) -> usize {
@@ -261,7 +245,8 @@ mod tests {
         assert_eq!(leaves(&tlb), 0);
         assert!(tlb.probe(0, false).is_none());
         assert!(tlb.probe(1 << 20, false).is_none());
-        assert_eq!(leaves(&tlb), 0, "a probe allocates nothing");
+        tlb.prune();
+        assert_eq!(leaves(&tlb), 0, "a probe or a prune allocates no leaf");
         tlb.fill(5, entry(&frames, false));
         assert_eq!(leaves(&tlb), 1);
         // The rest of the leaf is still TLB_INV.
@@ -316,29 +301,49 @@ mod tests {
     }
 
     #[test]
+    fn a_prune_lets_go_of_retired_frames_only() {
+        let frames = FrameAllocator::new(PageGeometry::default());
+        let mut tlb = ProcTlb::new();
+        let retired = entry(&frames, true);
+        let live = entry(&frames, false);
+        tlb.fill(2, retired.clone());
+        tlb.fill(70, live.clone());
+        retired.frame.quiesce(&Directory::new()).bump_generation();
+        tlb.prune();
+        assert!(tlb.probe(2, false).is_none(), "TLB_INV after the prune");
+        assert_eq!(Arc::strong_count(&retired.frame), 1, "the copy is let go");
+        let (frame, gen) = tlb.probe(70, false).expect("a current slot stays");
+        assert!(Arc::ptr_eq(frame, &live.frame));
+        assert_eq!(gen, live.gen);
+        assert_eq!(leaves(&tlb), 2, "leaves stay allocated");
+    }
+
+    #[test]
     fn pages_far_apart_take_their_own_leaves() {
         let frames = FrameAllocator::new(PageGeometry::default());
         let mut tlb = ProcTlb::new();
         let pages = [0, 63, 64, 1000, 100_000];
-        for &page in &pages {
-            tlb.fill(page, entry(&frames, page % 2 == 0));
+        let entries = pages.map(|page| entry(&frames, page % 2 == 0));
+        for (&page, e) in pages.iter().zip(&entries) {
+            tlb.fill(page, e.clone());
         }
         assert_eq!(leaves(&tlb), 4, "0 and 63 share a leaf");
-        for &page in &pages {
-            assert!(tlb.probe(page, false).is_some(), "page {page}");
+        for (&page, e) in pages.iter().zip(&entries) {
+            let (frame, _) = tlb.probe(page, false).expect("mapped");
+            assert!(Arc::ptr_eq(frame, &e.frame), "page {page} keeps its frame");
             assert_eq!(tlb.probe(page, true).is_some(), page % 2 == 0);
         }
-        let frames_of = pages.map(|p| tlb.probe(p, false).unwrap().0.base());
-        let mut distinct = frames_of.to_vec();
-        distinct.dedup();
-        assert_eq!(distinct.len(), pages.len(), "each page keeps its own frame");
         for page in [1, 62, 65, 999, 1001, 99_999, 100_001] {
             assert!(tlb.probe(page, false).is_none(), "page {page}");
         }
     }
 
+    /// A hit borrows the slot's frame: it takes no reference, so the
+    /// frame's count is not a line every mapper writes. That a
+    /// steady-state access allocates nothing is checked end to end by
+    /// `tests/obs_zero_alloc.rs`.
     #[test]
-    fn a_hit_allocates_nothing_and_clones_no_frame() {
+    fn a_hit_clones_no_frame() {
         let frames = FrameAllocator::new(PageGeometry::default());
         let mut tlb = ProcTlb::new();
         let e = entry(&frames, true);
@@ -346,33 +351,79 @@ mod tests {
             tlb.fill(page, e.clone());
         }
         let refs = Arc::strong_count(&e.frame);
-        let n = allocations(|| {
-            for round in 0..4u64 {
-                for page in 0..256 {
-                    let (frame, gen) = tlb.probe(page, round % 2 == 0).expect("hit");
-                    std::hint::black_box((frame.base(), gen));
-                }
+        for round in 0..4u64 {
+            for page in 0..256 {
+                let (frame, gen) = tlb.probe(page, round % 2 == 0).expect("hit");
+                std::hint::black_box((frame.base(), gen));
             }
-        });
-        assert_eq!(n, 0);
+        }
         assert_eq!(Arc::strong_count(&e.frame), refs);
     }
 
+    fn tlb_entry(writable: bool) -> TlbEntry {
+        entry(&FrameAllocator::new(PageGeometry::default()), writable)
+    }
+
     #[test]
-    fn the_benchmarks_tlb_maps_and_shoots_down() {
-        let frames = FrameAllocator::new(PageGeometry::default());
+    fn missing_entry_is_tlb_inv() {
         let tlb = Tlb::new();
         assert!(tlb.lookup(1, false).is_none());
-        tlb.insert(1, entry(&frames, false));
+        assert_eq!(tlb.stats().misses.get(), 1);
+    }
+
+    #[test]
+    fn read_entry_serves_reads_not_writes() {
+        let tlb = Tlb::new();
+        tlb.insert(1, tlb_entry(false));
         assert!(tlb.lookup(1, false).is_some());
         assert!(tlb.lookup(1, true).is_none());
+    }
+
+    #[test]
+    fn write_entry_serves_both() {
+        let tlb = Tlb::new();
+        tlb.insert(1, tlb_entry(true));
+        assert!(tlb.lookup(1, false).is_some());
+        assert!(tlb.lookup(1, true).is_some());
+        assert_eq!(tlb.stats().hits.get(), 2);
+    }
+
+    #[test]
+    fn upgrade_replaces_entry() {
+        let tlb = Tlb::new();
+        tlb.insert(1, tlb_entry(false));
+        let upgrade = tlb_entry(true);
+        tlb.insert(1, upgrade.clone());
+        let found = tlb.lookup(1, true).expect("upgraded");
+        assert!(Arc::ptr_eq(&found.frame, &upgrade.frame));
+        assert!(tlb.shootdown(1));
+        assert!(!tlb.shootdown(1), "one entry per page");
+    }
+
+    #[test]
+    fn shootdown_removes() {
+        let tlb = Tlb::new();
+        tlb.insert(1, tlb_entry(true));
         assert!(tlb.shootdown(1));
         assert!(!tlb.shootdown(1));
         assert!(tlb.lookup(1, false).is_none());
-        let s = tlb.stats();
-        assert_eq!(
-            (s.hits.get(), s.misses.get(), s.shootdowns.get()),
-            (1, 3, 1)
-        );
+        assert_eq!(tlb.stats().shootdowns.get(), 1);
+    }
+
+    #[test]
+    fn dense_and_strided_pages_keep_their_own_entries() {
+        let frames = FrameAllocator::new(PageGeometry::default());
+        let tlb = Tlb::new();
+        let pages: Vec<u64> = (0..512).chain((1..64).map(|i| i << 32)).collect();
+        let entries: Vec<TlbEntry> = pages.iter().map(|p| entry(&frames, p % 2 == 0)).collect();
+        for (&page, e) in pages.iter().zip(&entries) {
+            tlb.insert(page, e.clone());
+        }
+        for (&page, e) in pages.iter().zip(&entries) {
+            let found = tlb.lookup(page, false).expect("mapped");
+            assert!(Arc::ptr_eq(&found.frame, &e.frame), "page {page}");
+            assert_eq!(tlb.lookup(page, true).is_some(), page % 2 == 0);
+        }
+        assert!(tlb.lookup(512, false).is_none());
     }
 }
