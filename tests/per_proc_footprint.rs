@@ -3,17 +3,18 @@
 //! it costs the host in threads and resident memory.
 //!
 //! A processor that runs an empty body touches no simulated memory, so
-//! its host-side state — the `Env`, its tag array, its scheduler slot —
-//! must come to a few allocations of a few kilobytes, not a structure
-//! sized and written for the whole cache geometry. (Task stacks are
-//! mapped by `VirtualScheduler::run` with `mmap`, not by the allocator,
-//! and are not what the first half counts; the second half does see
-//! them, as resident pages.)
+//! its host-side state — the `Env`, its tag array's table of leaves,
+//! its scheduler slot — must come to a few small allocations, not a
+//! structure sized and written for the whole cache geometry; and a
+//! processor that stores one word adds about one tag leaf. (Task
+//! stacks are mapped by `VirtualScheduler::run` with `mmap`, not by the
+//! allocator, and are not what the first half counts; the second half
+//! does see them, as resident pages.)
 //!
 //! Kept to a single `#[test]`: the allocator counts every thread while
 //! armed, so no sibling test may run inside the window.
 
-use mgs_repro::core::{DssmpConfig, Machine};
+use mgs_repro::core::{AccessKind, DssmpConfig, Machine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -54,11 +55,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// What an idle processor may cost the heap: far below the 32 KB of
+/// an Alewife tag array.
+const MAX_BYTES_PER_PROC: u64 = 4 * 1024;
+
 #[test]
 fn an_idle_processor_costs_the_heap_a_few_small_blocks() {
     const PROCS: u64 = 64;
     const MAX_BLOCKS_PER_PROC: u64 = 64;
-    const MAX_BYTES_PER_PROC: u64 = 64 * 1024;
 
     let machine = Machine::new(DssmpConfig::new(PROCS as usize, 32).with_virtual_engine(Some(2)));
     ARMED.store(true, Ordering::SeqCst);
@@ -67,6 +71,7 @@ fn an_idle_processor_costs_the_heap_a_few_small_blocks() {
 
     let blocks = BLOCKS.load(Ordering::SeqCst) / PROCS;
     let bytes = BYTES.load(Ordering::SeqCst) / PROCS;
+    eprintln!("an idle processor: {bytes} heap bytes in {blocks} blocks");
     assert!(
         blocks < MAX_BLOCKS_PER_PROC,
         "{blocks} heap blocks per simulated processor (limit {MAX_BLOCKS_PER_PROC})"
@@ -78,6 +83,7 @@ fn an_idle_processor_costs_the_heap_a_few_small_blocks() {
     // The window was open: a run allocates *something* per processor.
     assert!(blocks > 0 && bytes > 0);
 
+    a_sparse_machine_pays_only_for_the_tag_leaves_it_fills();
     machine_new_allocates_no_more_than_it_did();
 
     if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
@@ -85,13 +91,44 @@ fn an_idle_processor_costs_the_heap_a_few_small_blocks() {
     }
 }
 
+/// `P = 2048, C = 32`, of which only processors 0..128 store a word:
+/// the run may request one 4 KB tag leaf for each of those 128 and no
+/// more than an idle processor's bound for every processor, about
+/// 8.5 MB. A tag array allocated whole would request 2,048 × 32 KB =
+/// 64 MB. Bytes requested, not resident pages: exact on any host.
+fn a_sparse_machine_pays_only_for_the_tag_leaves_it_fills() {
+    const PROCS: u64 = 2048;
+    const WRITERS: u64 = 128;
+    const LEAF_BYTES: u64 = 4096;
+    const MAX_BYTES: u64 = WRITERS * LEAF_BYTES + PROCS * MAX_BYTES_PER_PROC;
+
+    let machine = Machine::new(DssmpConfig::new(PROCS as usize, 32).with_virtual_engine(Some(2)));
+    let arr = machine.alloc_array::<u64>(WRITERS, AccessKind::DistArray);
+    let bytes_before = BYTES.load(Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    machine.run(|env| {
+        let pid = env.pid() as u64;
+        if pid < WRITERS {
+            arr.write(env, pid, pid);
+        }
+    });
+    ARMED.store(false, Ordering::SeqCst);
+    let bytes = BYTES.load(Ordering::SeqCst) - bytes_before;
+    eprintln!("P = {PROCS}, {WRITERS} writers: {bytes} heap bytes over the run");
+    assert!(
+        bytes <= MAX_BYTES,
+        "a P = {PROCS} run in which {WRITERS} processors store one word requested {bytes} \
+         heap bytes (limit {MAX_BYTES})"
+    );
+}
+
 /// `Machine::new` at `P = 2048, C = 32` builds 64 SSMP line
-/// directories, and an empty directory owns no heap. The limits are
-/// what the constructor allocated while each directory pre-sized eight
-/// hash maps (commit `e3ee601`); it now reads 2.5 MB in 6,424 blocks.
+/// directories, and an empty directory owns no heap. It reads
+/// 1,977,488 bytes in 2,328 blocks; the limits leave about a quarter
+/// over that.
 fn machine_new_allocates_no_more_than_it_did() {
-    const MAX_BYTES: u64 = 28_710_808;
-    const MAX_BLOCKS: u64 = 7_000;
+    const MAX_BYTES: u64 = 2_500_000;
+    const MAX_BLOCKS: u64 = 3_000;
 
     let (blocks_before, bytes_before) =
         (BLOCKS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst));
