@@ -467,40 +467,156 @@ fn zeroed_blocks(len: usize) -> Box<[Block]> {
     }
 }
 
-/// A directory-slot cell: a claim on the run of blocks that holds some
-/// lines' entries, in the directory of the SSMP whose processors access
-/// them. A page frame carries one for its lines; for lines with no
-/// frame, [`SsmpCacheSystem`] keeps one per chunk. Empty when made; the
-/// first access, quiesce or dirty-marking claims the run
-/// ([`Directory::hint`]), which is then the cell's alone and never
-/// moves; dropping the cell — the frame dies — zeroes the run and frees
-/// it.
+/// A directory-slot cell: the run of blocks, in one directory's slab,
+/// that holds some lines' entries. The directory that makes it
+/// ([`Directory::cell`]) and the lines it covers are bound when it is
+/// made: a page frame's cell is made by its allocator, in the directory
+/// of its home node's SSMP, and for lines with no frame
+/// [`SsmpCacheSystem`] makes one per chunk. Empty when made; the first
+/// access, quiesce or dirty-marking claims the run ([`hint`](Self::hint)),
+/// which is then the cell's alone and never moves; dropping the cell —
+/// the frame dies — zeroes the run and frees it.
 ///
 /// A frame is aligned to its size, so its lines are half a block (a
 /// 512 B page, whose block's other half stays zero), one block, or a
 /// power of two of them; a bare chunk's lines are one block.
 ///
 /// [`SsmpCacheSystem`]: crate::SsmpCacheSystem
-#[derive(Debug, Default)]
-pub struct BlockCell {
-    claim: OnceLock<Claim>,
-}
-
 #[derive(Debug)]
-struct Claim {
+pub struct BlockCell {
     slab: Arc<Slab>,
-    /// The run's first slot.
-    slot: u32,
-    blocks: u32,
-    /// The chunk the run's first block holds.
-    chunk: u64,
+    lines: Range<u64>,
+    /// The run's first slot, once claimed.
+    slot: OnceLock<u32>,
 }
 
 impl Drop for BlockCell {
     fn drop(&mut self) {
-        if let Some(claim) = self.claim.take() {
-            claim.slab.free(claim.slot, claim.blocks);
+        if let Some(&slot) = self.slot.get() {
+            self.slab.free(slot, self.blocks());
         }
+    }
+}
+
+impl BlockCell {
+    /// The lines the cell covers.
+    pub fn lines(&self) -> Range<u64> {
+        self.lines.clone()
+    }
+
+    /// The chunk the run's first block holds.
+    fn chunk(&self) -> u64 {
+        self.lines.start / BLOCK_LINES
+    }
+
+    /// Blocks in the run.
+    fn blocks(&self) -> u32 {
+        (self.lines.end.div_ceil(BLOCK_LINES) - self.chunk()) as u32
+    }
+
+    /// The run's first slot, taken from the slab on first use. Takes no
+    /// stripe lock: a run off the free list is zero and reachable by
+    /// nobody else, so its chunks are written plainly and published with
+    /// the slot.
+    #[inline]
+    fn slot(&self) -> u32 {
+        *self.slot.get_or_init(|| {
+            let slot = self.slab.take(self.blocks());
+            for (chunk, block) in (self.chunk()..).zip(self.slab.run(slot, self.blocks())) {
+                for stripe in &block.stripes {
+                    debug_assert!(
+                        stripe.holds() == 0 && stripe.is_empty(),
+                        "a free block is zero"
+                    );
+                    stripe.holds.store(chunk + 1, Relaxed);
+                }
+            }
+            slot
+        })
+    }
+
+    /// The run, claimed on first use.
+    fn run(&self) -> &[Block] {
+        self.slab.run(self.slot(), self.blocks())
+    }
+
+    /// The hint of `line`'s block, claiming the run on first use: right
+    /// by construction for as long as the cell lives.
+    #[inline]
+    pub fn hint(&self, line: u64) -> u32 {
+        self.slot() + 1 + (line / BLOCK_LINES - self.chunk()) as u32
+    }
+
+    /// Holds every stripe of the run (claiming it on first use), in
+    /// order, until the guard drops: no access to the cell's lines can
+    /// complete meanwhile — a locked one waits for its stripe, an
+    /// optimistic read fails its validation.
+    ///
+    /// This is how a page frame is quiesced (`PageFrame::quiesce`): the
+    /// data and mapping generation of a frame are only ever touched by
+    /// accesses under its lines' stripes.
+    pub fn hold(&self) -> HeldLines<'_> {
+        let blocks = self.run();
+        for stripe in blocks.iter().flat_map(|block| &block.stripes) {
+            stripe.acquire();
+        }
+        HeldLines {
+            blocks,
+            _held: HeldLock::new(),
+        }
+    }
+
+    /// Removes every line of the cell from the directory (page
+    /// cleaning, §4.2.4) and returns the per-tier line counts so the
+    /// caller can cost the operation. Each block's mask comes from the
+    /// range's ends, not from a walk of its lines.
+    ///
+    /// One pass: each block locks each stripe it touches once and reads
+    /// its entries in a straight loop. A cell never used has no blocks:
+    /// every line is uncached, and no lock is taken.
+    pub fn clean(&self) -> CleanOutcome {
+        self.clean_runs(|visit| range_runs(self.lines(), visit))
+    }
+
+    /// [`clean`](Self::clean) of `lines`, some of the cell's, walked one
+    /// by one: the bare-line path passes a chunk's cell and the lines
+    /// asked for. A line named twice is cleaned twice: cached the first
+    /// time, uncached the second.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell has claimed its blocks and a line lies outside
+    /// them.
+    pub fn clean_lines(&self, lines: impl IntoIterator<Item = u64>) -> CleanOutcome {
+        self.clean_runs(|visit| chunk_runs(lines, visit))
+    }
+
+    /// Cleans the lines of each `(chunk, mask)` that `runs` visits.
+    fn clean_runs(&self, runs: impl FnOnce(&mut dyn FnMut(u64, u64))) -> CleanOutcome {
+        let mut out = CleanOutcome::default();
+        let blocks = self
+            .slot
+            .get()
+            .map(|&slot| self.slab.run(slot, self.blocks()));
+        runs(&mut |chunk, mask| {
+            out.uncached_lines += u64::from(mask.count_ones());
+            if let Some(blocks) = blocks {
+                blocks[(chunk - self.chunk()) as usize].clean(mask, &mut out);
+            }
+        });
+        out.uncached_lines -= out.shared_lines + out.dirty_lines;
+        out
+    }
+
+    /// Marks `dirty`, some of the cell's lines, dirty-owned by `proc`
+    /// (used when the protocol engine writes a diff or a push through
+    /// its cache), claiming the run on first use. Each run of lines in
+    /// one block locks each stripe it touches once.
+    pub fn mark_dirty(&self, dirty: impl IntoIterator<Item = u64>, proc: usize) {
+        let blocks = self.run();
+        chunk_runs(dirty, |chunk, mask| {
+            blocks[(chunk - self.chunk()) as usize].mark_dirty(mask, proc);
+        });
     }
 }
 
@@ -523,15 +639,18 @@ impl Drop for BlockCell {
 ///   only on the same eighth of the same block at the same instant.
 /// * A stripe records which chunk its block holds, or that the block is
 ///   free. A hint is `slot + 1`, and 0 names no block.
-/// * Every block is claimed by a [`BlockCell`], which claims a run of
-///   blocks on first use, with no stripe lock, and keeps it, with the
-///   same hint, until it drops. Every path reaches a line's entry
-///   through its cell — an access with the cell's hint, a quiesce
-///   ([`hold`](Self::hold)), a page clean
-///   ([`clean_range`](Self::clean_range)), a dirty-marking
-///   ([`mark_dirty_frame`](Self::mark_dirty_frame)) — and the hint is
-///   right by construction. The directory knows no line outside a cell.
-/// * A page frame carries its own cell. A frame's lines are never
+/// * Every block is claimed by a [`BlockCell`], which the directory
+///   makes for some lines ([`cell`](Self::cell)) and which claims a run
+///   of blocks on first use, with no stripe lock, and keeps it, with
+///   the same hint, until it drops. Every path reaches a line's entry
+///   through its cell — an access with the cell's
+///   [`hint`](BlockCell::hint), a quiesce ([`hold`](BlockCell::hold)),
+///   a page clean ([`clean`](BlockCell::clean)), a dirty-marking
+///   ([`mark_dirty`](BlockCell::mark_dirty)) — and the hint is right by
+///   construction. The directory knows no line outside a cell, and a
+///   cell knows no directory but the one that made it.
+/// * A page frame carries its own cell, made in the directory of its
+///   home node's SSMP when the frame is. A frame's lines are never
 ///   reused (frames never reuse a base), so when the frame dies its run
 ///   is zeroed and freed, and a block that no longer holds a line's
 ///   chunk means the line's frame is dead. A tag array's memo beside a
@@ -556,7 +675,8 @@ impl Drop for BlockCell {
 /// needs, and keeps the answer only if the sequence number is still the
 /// even value it started from.
 ///
-/// Two stripes are never held at once outside a [`hold`](Self::hold),
+/// Two stripes are never held at once outside a
+/// [`hold`](BlockCell::hold),
 /// which takes every stripe of a frame's run in order; freeing a run
 /// and cleaning a frame take its stripes one at a time. The free list
 /// is a leaf lock.
@@ -570,18 +690,20 @@ impl Drop for BlockCell {
 /// # Example
 ///
 /// ```
-/// use mgs_cache::{BlockCell, Directory};
+/// use mgs_cache::Directory;
 ///
 /// // A frame's lines, 64..128, and the cell it carries.
 /// let dir = Directory::new();
-/// let cell = BlockCell::default();
-/// dir.mark_dirty_frame(&cell, 64..128, [70, 71], 2);
+/// let cell = dir.cell(64..128);
+/// cell.mark_dirty([70, 71], 2);
 /// assert_eq!(dir.tracked_lines(), 2);
-/// let out = dir.clean_range(&cell, 64..128);
+/// let out = cell.clean();
 /// assert_eq!((out.dirty_lines, out.uncached_lines), (2, 62));
 /// assert_eq!(dir.tracked_lines(), 0);
 /// ```
-#[derive(Debug)]
+///
+/// A clone is another handle on the same directory.
+#[derive(Debug, Clone)]
 pub struct Directory {
     slab: Arc<Slab>,
 }
@@ -601,6 +723,16 @@ impl Directory {
         }
     }
 
+    /// A cell for `lines`, bound to this directory: it claims their
+    /// blocks here on first use, and nowhere else.
+    pub fn cell(&self, lines: Range<u64>) -> BlockCell {
+        BlockCell {
+            slab: Arc::clone(&self.slab),
+            lines,
+            slot: OnceLock::new(),
+        }
+    }
+
     /// Stripe lock acquisitions made by the calling thread so far
     /// (debug builds only; used by the access path's one-stripe-lock
     /// assertion and tests).
@@ -613,143 +745,6 @@ impl Directory {
     #[inline]
     fn block(&self, hint: u32) -> Option<&Block> {
         self.slab.block(hint)
-    }
-
-    // -----------------------------------------------------------------
-    // A frame's blocks
-    // -----------------------------------------------------------------
-
-    /// `cell`'s claim on the blocks of `lines`, taken from this
-    /// directory on first use. Takes no stripe lock: a run off the free
-    /// list is zero and reachable by nobody else, so its chunks are
-    /// written plainly and published with the claim.
-    fn claim<'c>(&self, cell: &'c BlockCell, lines: &Range<u64>) -> &'c Claim {
-        let claim = cell.claim.get_or_init(|| {
-            let chunk = lines.start / BLOCK_LINES;
-            let blocks = (lines.end.div_ceil(BLOCK_LINES) - chunk) as u32;
-            let slot = self.slab.take(blocks);
-            for (chunk, block) in (chunk..).zip(self.slab.run(slot, blocks)) {
-                for stripe in &block.stripes {
-                    debug_assert!(
-                        stripe.holds() == 0 && stripe.is_empty(),
-                        "a free block is zero"
-                    );
-                    stripe.holds.store(chunk + 1, Relaxed);
-                }
-            }
-            Claim {
-                slab: Arc::clone(&self.slab),
-                slot,
-                blocks,
-                chunk,
-            }
-        });
-        debug_assert!(
-            Arc::ptr_eq(&claim.slab, &self.slab),
-            "a frame's lines go through one directory"
-        );
-        claim
-    }
-
-    /// The hint of `line`'s block among those `cell` claims for the
-    /// lines `lines`, claiming them on first use: right by construction
-    /// for as long as the cell lives.
-    #[inline]
-    pub fn hint(&self, cell: &BlockCell, lines: Range<u64>, line: u64) -> u32 {
-        let claim = self.claim(cell, &lines);
-        claim.slot + 1 + (line / BLOCK_LINES - claim.chunk) as u32
-    }
-
-    /// Holds every stripe of the blocks `cell` claims for `lines`
-    /// (claiming them on first use), in order, until the guard drops:
-    /// no access to those lines can complete meanwhile — a locked one
-    /// waits for its stripe, an optimistic read fails its validation.
-    ///
-    /// This is how a page frame is quiesced (`PageFrame::quiesce`): the
-    /// data and mapping generation of a frame are only ever touched by
-    /// accesses under its lines' stripes.
-    pub fn hold(&self, cell: &BlockCell, lines: Range<u64>) -> HeldLines<'_> {
-        let claim = self.claim(cell, &lines);
-        let blocks = self.slab.run(claim.slot, claim.blocks);
-        for stripe in blocks.iter().flat_map(|block| &block.stripes) {
-            stripe.acquire();
-        }
-        HeldLines {
-            blocks,
-            _held: HeldLock::new(),
-        }
-    }
-
-    /// Removes `lines`, some of those whose blocks `cell` claims, from
-    /// the directory (page cleaning, §4.2.4) and returns the per-tier
-    /// line counts so the caller can cost the operation: the bare path
-    /// passes a chunk's cell and the lines asked for (a frame passes its
-    /// own cell and all of its lines to
-    /// [`clean_range`](Self::clean_range)). A line named twice is cleaned
-    /// twice: cached the first time, uncached the second.
-    ///
-    /// One pass: each run of lines in one block locks each stripe it
-    /// touches once and reads its entries in a straight loop. A cell
-    /// never used has no blocks: every line is uncached, and no lock is
-    /// taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` has claimed its blocks and a line lies outside
-    /// them.
-    pub fn clean_frame(
-        &self,
-        cell: &BlockCell,
-        lines: impl IntoIterator<Item = u64>,
-    ) -> CleanOutcome {
-        self.clean_runs(cell, |visit| chunk_runs(lines, visit))
-    }
-
-    /// [`clean_frame`](Self::clean_frame) of a contiguous run of lines,
-    /// such as a whole frame's: each block's mask comes from the run's
-    /// ends, not from a walk of its lines.
-    pub fn clean_range(&self, cell: &BlockCell, lines: Range<u64>) -> CleanOutcome {
-        self.clean_runs(cell, |visit| range_runs(lines, visit))
-    }
-
-    /// Cleans the lines of each `(chunk, mask)` that `runs` visits.
-    fn clean_runs(
-        &self,
-        cell: &BlockCell,
-        runs: impl FnOnce(&mut dyn FnMut(u64, u64)),
-    ) -> CleanOutcome {
-        let mut out = CleanOutcome::default();
-        let blocks = cell.claim.get().map(|claim| {
-            debug_assert!(Arc::ptr_eq(&claim.slab, &self.slab));
-            (claim.chunk, self.slab.run(claim.slot, claim.blocks))
-        });
-        runs(&mut |chunk, mask| {
-            out.uncached_lines += u64::from(mask.count_ones());
-            if let Some((first, blocks)) = blocks {
-                blocks[(chunk - first) as usize].clean(mask, &mut out);
-            }
-        });
-        out.uncached_lines -= out.shared_lines + out.dirty_lines;
-        out
-    }
-
-    /// Marks `dirty`, some of a frame's lines, dirty-owned by `proc`
-    /// (used when the protocol engine writes a diff or a push through
-    /// its cache); `cell` and `lines` are the frame's, as for
-    /// [`hold`](Self::hold). Each run of lines in one block locks each
-    /// stripe it touches once.
-    pub fn mark_dirty_frame(
-        &self,
-        cell: &BlockCell,
-        lines: Range<u64>,
-        dirty: impl IntoIterator<Item = u64>,
-        proc: usize,
-    ) {
-        let claim = self.claim(cell, &lines);
-        let blocks = self.slab.run(claim.slot, claim.blocks);
-        chunk_runs(dirty, |chunk, mask| {
-            blocks[(chunk - claim.chunk) as usize].mark_dirty(mask, proc);
-        });
     }
 
     /// Locks the stripe holding `line`'s entry in the block `hint`
@@ -891,7 +886,7 @@ impl LineGuard<'_> {
     }
 }
 
-/// Every stripe of a frame's blocks, held ([`Directory::hold`]);
+/// Every stripe of a frame's blocks, held ([`BlockCell::hold`]);
 /// released on drop.
 pub struct HeldLines<'a> {
     blocks: &'a [Block],
@@ -918,11 +913,17 @@ impl fmt::Debug for HeldLines<'_> {
 mod tests {
     use super::*;
 
-    /// `line`'s stripe, locked, in the block `cell` claims for the
-    /// line's chunk (a frame of one block).
+    /// `line`'s stripe, locked, in the block `cell` claims for it.
     fn lock<'d>(d: &'d Directory, cell: &BlockCell, line: u64) -> LineGuard<'d> {
+        d.lock_claimed(line, cell.hint(line))
+    }
+
+    /// A directory and a cell for the chunk of `line` in it.
+    fn chunk_cell(line: u64) -> (Directory, BlockCell) {
+        let d = Directory::new();
         let chunk = line / BLOCK_LINES * BLOCK_LINES;
-        d.lock_claimed(line, d.hint(cell, chunk..chunk + BLOCK_LINES, line))
+        let cell = d.cell(chunk..chunk + BLOCK_LINES);
+        (d, cell)
     }
 
     /// `proc`'s access to `line` through `cell`, homed at processor 0
@@ -939,20 +940,20 @@ mod tests {
 
     #[test]
     fn add_and_remove_sharers() {
-        let (d, cell) = (Directory::new(), BlockCell::default());
+        let (d, cell) = chunk_cell(7);
         access(&d, &cell, 7, 0, false);
         access(&d, &cell, 7, 3, false);
         assert_eq!(entry(&d, &cell, 7), (0b1001, None));
-        d.remove_claimed(7, 0, d.hint(&cell, 0..64, 7));
+        d.remove_claimed(7, 0, cell.hint(7));
         assert_eq!(entry(&d, &cell, 7), (0b1000, None));
     }
 
     #[test]
     fn empty_entries_are_garbage_collected() {
-        let (d, cell) = (Directory::new(), BlockCell::default());
+        let (d, cell) = chunk_cell(9);
         access(&d, &cell, 9, 1, false);
         assert_eq!(d.tracked_lines(), 1);
-        d.remove_claimed(9, 1, d.hint(&cell, 0..64, 9));
+        d.remove_claimed(9, 1, cell.hint(9));
         assert_eq!(d.tracked_lines(), 0);
     }
 
@@ -961,7 +962,7 @@ mod tests {
     #[test]
     fn default_and_new_both_track_lines() {
         for d in [Directory::default(), Directory::new()] {
-            let cell = BlockCell::default();
+            let cell = d.cell(0..64);
             assert_eq!(entry(&d, &cell, 1), (0, None));
             assert_eq!(access(&d, &cell, 1, 0, true), MissClass::LocalMiss);
             assert_eq!(entry(&d, &cell, 1), (1, Some(0)));
@@ -972,7 +973,7 @@ mod tests {
     /// owner and only sharer.
     #[test]
     fn take_exclusive_invalidates_others() {
-        let (d, cell) = (Directory::new(), BlockCell::default());
+        let (d, cell) = chunk_cell(5);
         for proc in 0..3 {
             access(&d, &cell, 5, proc, false);
         }
@@ -982,7 +983,7 @@ mod tests {
 
     #[test]
     fn downgrade_clears_owner_keeps_sharer() {
-        let (d, cell) = (Directory::new(), BlockCell::default());
+        let (d, cell) = chunk_cell(4);
         access(&d, &cell, 4, 2, true);
         assert_eq!(access(&d, &cell, 4, 1, false), MissClass::ThreeParty);
         assert_eq!(entry(&d, &cell, 4), (0b110, None));
@@ -990,18 +991,18 @@ mod tests {
 
     #[test]
     fn removing_owner_drops_ownership() {
-        let (d, cell) = (Directory::new(), BlockCell::default());
+        let (d, cell) = chunk_cell(4);
         access(&d, &cell, 4, 2, true);
-        d.remove_claimed(4, 2, d.hint(&cell, 0..64, 4));
+        d.remove_claimed(4, 2, cell.hint(4));
         assert_eq!(entry(&d, &cell, 4), (0, None));
     }
 
     #[test]
     fn clean_page_classifies_lines() {
-        let (d, cell) = (Directory::new(), BlockCell::default());
+        let (d, cell) = chunk_cell(100);
         access(&d, &cell, 100, 0, false); // shared
         access(&d, &cell, 101, 1, true); // dirty
-        let out = d.clean_frame(&cell, 100..104);
+        let out = cell.clean_lines(100..104);
         assert_eq!(out.shared_lines, 1);
         assert_eq!(out.dirty_lines, 1);
         assert_eq!(out.uncached_lines, 2);
@@ -1012,9 +1013,9 @@ mod tests {
     /// uncached the second, as when each line was its own map removal.
     #[test]
     fn clean_page_counts_a_repeated_line_twice() {
-        let (d, cell) = (Directory::new(), BlockCell::default());
+        let (d, cell) = chunk_cell(3);
         access(&d, &cell, 3, 0, false);
-        let out = d.clean_frame(&cell, [3, 3]);
+        let out = cell.clean_lines([3, 3]);
         assert_eq!((out.shared_lines, out.uncached_lines), (1, 1));
     }
 
@@ -1022,9 +1023,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "index out of bounds")]
     fn cleaning_a_line_outside_the_cells_blocks_panics() {
-        let (d, cell) = (Directory::new(), BlockCell::default());
+        let (d, cell) = chunk_cell(3);
         access(&d, &cell, 3, 0, false);
-        d.clean_frame(&cell, [64]);
+        cell.clean_lines([64]);
     }
 
     /// A frame's lines, `first_chunk`'s onward, at `lines` lines to a
@@ -1039,33 +1040,32 @@ mod tests {
     #[test]
     fn a_frame_claims_cleans_and_frees_its_block_without_the_line_map() {
         let d = Directory::new();
-        let cell = BlockCell::default();
-        let lines = frame(1, 64);
+        let cell = d.cell(frame(1, 64));
         #[cfg(debug_assertions)]
         let before = Directory::thread_locks();
-        let hint = d.hint(&cell, lines.clone(), 70);
+        let hint = cell.hint(70);
         #[cfg(debug_assertions)]
         assert_eq!(Directory::thread_locks(), before, "a claim takes no lock");
-        assert_eq!(d.hint(&cell, lines.clone(), 127), hint, "one block");
-        d.mark_dirty_frame(&cell, lines.clone(), [64, 65, 100], 1);
+        assert_eq!(cell.hint(127), hint, "one block");
+        cell.mark_dirty([64, 65, 100], 1);
         #[cfg(debug_assertions)]
         let before = Directory::thread_locks();
-        let out = d.clean_range(&cell, lines.clone());
+        let out = cell.clean();
         #[cfg(debug_assertions)]
         assert_eq!(Directory::thread_locks(), before + 8, "eight stripes");
         assert_eq!(
             (out.dirty_lines, out.shared_lines, out.uncached_lines),
             (3, 0, 61)
         );
-        assert_eq!(d.clean_range(&cell, lines.clone()).uncached_lines, 64);
+        assert_eq!(cell.clean().uncached_lines, 64);
         // Dropped with live entries, the block comes back zero.
-        d.mark_dirty_frame(&cell, lines, [66], 2);
+        cell.mark_dirty([66], 2);
         assert_eq!(d.tracked_lines(), 1);
         drop(cell);
         assert_eq!(d.tracked_lines(), 0);
         assert_eq!(d.block(hint).unwrap().stripes[0].holds(), 0, "free");
-        let next = BlockCell::default();
-        assert_eq!(d.hint(&next, frame(9, 64), 9 * 64), hint, "reused");
+        let next = d.cell(frame(9, 64));
+        assert_eq!(next.hint(9 * 64), hint, "reused");
         assert_eq!(d.blocks_allocated(), 1);
     }
 
@@ -1074,10 +1074,10 @@ mod tests {
     #[test]
     fn a_frame_never_accessed_cleans_without_a_block() {
         let d = Directory::new();
-        let cell = BlockCell::default();
+        let cell = d.cell(frame(3, 32));
         #[cfg(debug_assertions)]
         let before = Directory::thread_locks();
-        let out = d.clean_range(&cell, frame(3, 32));
+        let out = cell.clean();
         #[cfg(debug_assertions)]
         assert_eq!(Directory::thread_locks(), before);
         assert_eq!(out.uncached_lines, 32);
@@ -1090,28 +1090,23 @@ mod tests {
     #[test]
     fn frames_of_half_a_block_and_of_four_blocks() {
         let d = Directory::new();
-        let (lo, hi) = (BlockCell::default(), BlockCell::default());
-        let (lo_lines, hi_lines) = (64..96, 96..128);
-        d.mark_dirty_frame(&lo, lo_lines.clone(), lo_lines.clone(), 0);
-        d.mark_dirty_frame(&hi, hi_lines.clone(), [100], 1);
-        assert_ne!(
-            d.hint(&lo, lo_lines.clone(), 64),
-            d.hint(&hi, hi_lines.clone(), 96)
-        );
-        let out = d.clean_range(&hi, hi_lines);
+        let (lo, hi) = (d.cell(64..96), d.cell(96..128));
+        lo.mark_dirty(lo.lines(), 0);
+        hi.mark_dirty([100], 1);
+        assert_ne!(lo.hint(64), hi.hint(96));
+        let out = hi.clean();
         assert_eq!((out.dirty_lines, out.uncached_lines), (1, 31));
         assert_eq!(d.tracked_lines(), 32, "the other half is untouched");
-        assert_eq!(d.clean_range(&lo, lo_lines).dirty_lines, 32);
+        assert_eq!(lo.clean().dirty_lines, 32);
 
-        let big = BlockCell::default();
-        let lines = frame(4, 256);
-        let first = d.hint(&big, lines.clone(), lines.start);
-        for (i, line) in lines.clone().step_by(64).enumerate() {
-            assert_eq!(d.hint(&big, lines.clone(), line + 63), first + i as u32);
+        let big = d.cell(frame(4, 256));
+        let first = big.hint(big.lines().start);
+        for (i, line) in big.lines().step_by(64).enumerate() {
+            assert_eq!(big.hint(line + 63), first + i as u32);
         }
         assert_eq!((first - 1) % 4, 0, "aligned to its length");
-        d.mark_dirty_frame(&big, lines.clone(), [256, 300, 511], 3);
-        let out = d.clean_range(&big, lines);
+        big.mark_dirty([256, 300, 511], 3);
+        let out = big.clean();
         assert_eq!((out.dirty_lines, out.uncached_lines), (3, 253));
     }
 
@@ -1123,9 +1118,10 @@ mod tests {
         let state = |line: u64| line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61;
         for lines in [frame(2, 32), 160..192, frame(3, 64), frame(4, 256)] {
             let outcomes = [true, false].map(|range| {
-                let (d, cell) = (Directory::new(), BlockCell::default());
+                let d = Directory::new();
+                let cell = d.cell(lines.clone());
                 for line in lines.clone() {
-                    let hint = d.hint(&cell, lines.clone(), line);
+                    let hint = cell.hint(line);
                     for proc in 0..state(line) {
                         let mut entry = d.lock_claimed(line, hint);
                         let tag_hit = entry.entry().0 & 1 << proc != 0;
@@ -1134,9 +1130,9 @@ mod tests {
                 }
                 let tracked = d.tracked_lines();
                 let out = if range {
-                    d.clean_range(&cell, lines.clone())
+                    cell.clean()
                 } else {
-                    d.clean_frame(&cell, lines.clone())
+                    cell.clean_lines(lines.clone())
                 };
                 assert_eq!(d.tracked_lines(), 0, "{lines:?}");
                 (tracked, out)
@@ -1146,9 +1142,15 @@ mod tests {
             assert_eq!(out.shared_lines + out.dirty_lines, tracked as u64);
             assert!(out.shared_lines > 0 && out.dirty_lines > 0 && out.uncached_lines > 0);
         }
-        let never = BlockCell::default();
-        let out = Directory::new().clean_range(&never, frame(1, 256));
+        let out = Directory::new().cell(frame(1, 256)).clean();
         assert_eq!(out.uncached_lines, 256);
+    }
+
+    /// A cell bound to its directory and lines costs what an unbound
+    /// one with its claim's slab, slot and chunk did.
+    #[test]
+    fn a_cell_fits_in_32_bytes() {
+        assert!(std::mem::size_of::<BlockCell>() <= 32);
     }
 
     /// Runs are handed out whole inside one segment, and a freed run is
@@ -1192,7 +1194,9 @@ mod tests {
     fn concurrent_access_is_safe() {
         use std::sync::Arc;
         let d = Arc::new(Directory::new());
-        let cells: Arc<[BlockCell]> = (0..16).map(|_| BlockCell::default()).collect();
+        let cells: Arc<[BlockCell]> = (0..16)
+            .map(|chunk| d.cell(chunk * BLOCK_LINES..(chunk + 1) * BLOCK_LINES))
+            .collect();
         let handles: Vec<_> = (0..4usize)
             .map(|p| {
                 let (d, cells) = (Arc::clone(&d), Arc::clone(&cells));
@@ -1220,13 +1224,12 @@ mod tests {
     #[test]
     fn an_optimistic_read_fails_while_the_stripe_is_held() {
         let d = Directory::new();
-        let cell = BlockCell::default();
-        let lines = frame(1, 64);
-        d.mark_dirty_frame(&cell, lines.clone(), [70], 3);
-        let hint = d.hint(&cell, lines.clone(), 70);
+        let cell = d.cell(frame(1, 64));
+        cell.mark_dirty([70], 3);
+        let hint = cell.hint(70);
         let read = || d.read_shared(70, 3, hint, || Some(7));
         assert_eq!(read(), Some(7));
-        let held = d.hold(&cell, lines);
+        let held = cell.hold();
         assert_eq!(read(), None, "stripe held by a quiesce");
         drop(held);
         let (_, stripe, _) = place(70);
@@ -1247,9 +1250,9 @@ mod tests {
     /// the stripe is free again by then and the entry looks the same.
     #[test]
     fn validation_catches_a_write_in_between() {
-        let (d, cell) = (Directory::new(), BlockCell::default());
+        let (d, cell) = chunk_cell(70);
         access(&d, &cell, 70, 3, false);
-        let hint = d.hint(&cell, 64..128, 70);
+        let hint = cell.hint(70);
         let (_, stripe, _) = place(70);
         let stripe = &d.block(hint).unwrap().stripes[stripe];
         let seq = stripe.read_begin().expect("free");
@@ -1271,9 +1274,8 @@ mod tests {
     #[test]
     fn hold_locks_a_frames_whole_blocks() {
         let d = Directory::new();
-        let cell = BlockCell::default();
-        let lines = frame(4, 256); // a 4 KB page: chunks 4 to 7
-        let hint = d.hint(&cell, lines.clone(), 64 * 6);
+        let cell = d.cell(frame(4, 256)); // a 4 KB page: chunks 4 to 7
+        let hint = cell.hint(64 * 6);
         let seqs = || {
             d.block(hint)
                 .unwrap()
@@ -1284,7 +1286,7 @@ mod tests {
         let before_seqs = seqs();
         #[cfg(debug_assertions)]
         let before = Directory::thread_locks();
-        let held = d.hold(&cell, lines);
+        let held = cell.hold();
         #[cfg(debug_assertions)]
         assert_eq!(
             Directory::thread_locks(),
@@ -1300,9 +1302,9 @@ mod tests {
         assert_eq!(parking_lot::held_locks(), 0);
         assert_eq!(seqs(), before_seqs.map(|s| s + 2), "and given back");
         // Half a block (512 B pages), never touched: the hold claims it.
-        let half = BlockCell::default();
-        let held = d.hold(&half, 64 * 3 + 32..64 * 4);
-        let hint = d.hint(&half, 64 * 3 + 32..64 * 4, 64 * 3 + 40);
+        let half = d.cell(64 * 3 + 32..64 * 4);
+        let held = half.hold();
+        let hint = half.hint(64 * 3 + 40);
         assert!(d.block(hint).unwrap().stripes[0].read_begin().is_none());
         drop(held);
         assert_eq!(d.blocks_allocated(), 5);
@@ -1318,12 +1320,12 @@ mod tests {
         use crate::{CacheConfig, FrameWord, ProcCache, SsmpCacheSystem};
         const THREADS: usize = 4;
         let sys = SsmpCacheSystem::new(5);
-        let (cell, lines) = (BlockCell::default(), frame(1, 64));
+        let cell = sys.directory().cell(frame(1, 64));
         let generation = AtomicU64::new(0);
         let start = std::sync::Barrier::new(THREADS);
         std::thread::scope(|scope| {
             for proc in 0..THREADS {
-                let (sys, cell, lines) = (&sys, &cell, lines.clone());
+                let (sys, cell) = (&sys, &cell);
                 let (generation, start) = (&generation, &start);
                 scope.spawn(move || {
                     let mut cache = ProcCache::new(CacheConfig::tiny());
@@ -1333,7 +1335,7 @@ mod tests {
                     for round in 0..20_000 {
                         let r = rng.next_u64();
                         let line = 64 + r % 64;
-                        let hint = sys.directory().hint(cell, lines.clone(), line);
+                        let hint = cell.hint(line);
                         let word = FrameWord {
                             generation,
                             expect: 0,
@@ -1344,10 +1346,10 @@ mod tests {
                         sys.access_hinted(&mut cache, proc, line, 0, write, hint, word)
                             .expect("never refused");
                         if proc == 0 && round % 64 == 63 {
-                            sys.directory().clean_frame(cell, lines.clone());
+                            cell.clean();
                         }
                         if proc == 0 && round % 64 == 31 {
-                            let held = sys.directory().hold(cell, lines.clone());
+                            let held = cell.hold();
                             std::hint::black_box(&held);
                         }
                     }
@@ -1355,7 +1357,7 @@ mod tests {
             }
         });
         let d = sys.directory();
-        let block = d.block(d.hint(&cell, lines.clone(), 64)).unwrap();
+        let block = d.block(cell.hint(64)).unwrap();
         let mut nonempty = 0;
         for stripe in &block.stripes {
             for e in 0..STRIPES {
@@ -1377,9 +1379,9 @@ mod tests {
     #[test]
     fn optimistic_readers_never_see_half_a_write() {
         const THREADS: usize = 4;
-        let (d, cell) = (Directory::new(), BlockCell::default());
+        let (d, cell) = chunk_cell(70);
         access(&d, &cell, 70, 0, false);
-        let hint = d.hint(&cell, 64..128, 70);
+        let hint = cell.hint(70);
         let (_, s, e) = place(70);
         let stripe = &d.block(hint).unwrap().stripes[s];
         let start = stripe.seq.load(Relaxed);

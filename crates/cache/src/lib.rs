@@ -14,10 +14,12 @@
 //!   capacity and conflict behaviour. It is owned by the simulated
 //!   processor's thread; no other thread touches it.
 //! * [`Directory`] — the per-SSMP line directory: dense 64-line blocks,
-//!   each claimed for life by a [`BlockCell`] (a page frame's, or, for
-//!   lines with no frame, their chunk's in [`SsmpCacheSystem`]'s line
-//!   map), eight sequence-locked stripes to a block, reached through
-//!   the cell's hint and never by hashing a line. It is the single
+//!   each claimed for life by a [`BlockCell`] that the directory made
+//!   for some lines and that does every operation on them (a page
+//!   frame's, or, for lines with no frame, their chunk's in
+//!   [`SsmpCacheSystem`]'s line map), eight sequence-locked stripes to
+//!   a block, reached through the cell's hint and never by hashing a
+//!   line. It is the single
 //!   source of truth for which processors hold a line and who owns it
 //!   dirty; a processor-side tag is only *valid* if the directory still
 //!   lists that processor as a sharer, which is how remote

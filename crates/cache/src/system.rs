@@ -210,9 +210,10 @@ impl CacheStats {
 /// A line with no page frame (a **bare line**: [`access`](Self::access),
 /// [`clean_page`](Self::clean_page), [`probe`](Self::probe); tests,
 /// oracles and host micro-benchmarks) has its chunk's [`BlockCell`] in
-/// the system's **line map**, created on first touch and kept for the
-/// system's life, and then runs the frame path. The map's lock is taken
-/// before stripes (a bare clean holds it), never under one.
+/// the system's **line map**, made in the system's own directory on
+/// first touch and kept for the system's life, and then runs the frame
+/// path. The map's lock is taken before stripes (a bare clean holds
+/// it), never under one.
 ///
 /// # Example
 ///
@@ -274,12 +275,14 @@ impl SsmpCacheSystem {
         let chunk = line / BLOCK_LINES;
         let mut cells = self.lines.lock();
         let cell = if create {
-            cells.entry(chunk).or_default()
+            cells.entry(chunk).or_insert_with(|| {
+                self.directory
+                    .cell(chunk * BLOCK_LINES..(chunk + 1) * BLOCK_LINES)
+            })
         } else {
             cells.get(&chunk)?
         };
-        let lines = chunk * BLOCK_LINES..(chunk + 1) * BLOCK_LINES;
-        Some(self.directory.hint(cell, lines, line))
+        Some(cell.hint(line))
     }
 
     /// Bare `line`'s directory entry: its sharer mask, one bit per local
@@ -316,7 +319,8 @@ impl SsmpCacheSystem {
         home: usize,
         is_write: bool,
     ) -> MissClass {
-        let hint = match cache.peek(line) {
+        let tag = cache.peek(line);
+        let hint = match tag {
             Some((_, memo)) => memo,
             None => self
                 .line_hint(line, true)
@@ -329,14 +333,14 @@ impl SsmpCacheSystem {
             cell: &cell,
             value: 0,
         };
-        self.access_hinted(cache, proc, line, home, is_write, hint, word)
+        self.access_tagged(cache, proc, line, home, is_write, hint, word, tag)
             .expect("a generation that never moves is never stale")
             .class
     }
 
     /// One whole access to `line`, a frame's: [`access`](Self::access)
     /// given the hint of the line's directory block, which is the
-    /// frame's own ([`Directory::hint`]) and right by construction, and
+    /// frame's own ([`BlockCell::hint`]) and right by construction, and
     /// the frame word it loads or stores. Returns what it did, or
     /// `None`, having changed nothing, when the frame's mapping
     /// generation has moved past the one `word` expects: the caller's
@@ -377,6 +381,25 @@ impl SsmpCacheSystem {
             return None;
         }
         let tag = cache.peek(line);
+        self.access_tagged(cache, proc, line, home, is_write, hint, word, tag)
+    }
+
+    /// The body of [`access_hinted`](Self::access_hinted), given what
+    /// its one peek at `cache` found for `line`: the way and memo of a
+    /// resident tag, or `None`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn access_tagged(
+        &self,
+        cache: &mut ProcCache,
+        proc: usize,
+        line: u64,
+        home: usize,
+        is_write: bool,
+        hint: u32,
+        word: FrameWord<'_>,
+        tag: Option<(usize, u32)>,
+    ) -> Option<Served> {
         let served = |cache: &mut ProcCache, class: MissClass, value: u64| {
             if tag.map(|(_, memo)| memo) != Some(hint) {
                 cache.remember(line, hint);
@@ -427,21 +450,26 @@ impl SsmpCacheSystem {
     /// Cleans bare lines (§4.2.4): removes them from the directory and
     /// returns the cycle cost under `cost`, tiered per line by whether
     /// the line was dirty. Each run of lines in one chunk is one
-    /// [`Directory::clean_frame`] of the chunk's cell; a line named
+    /// [`BlockCell::clean_lines`] of the chunk's cell; a line named
     /// twice is cleaned twice, and a chunk never touched has only
     /// uncached lines and takes no stripe lock.
     pub fn clean_page<I: IntoIterator<Item = u64>>(&self, lines: I, cost: &CostModel) -> Cycles {
         #[cfg(debug_assertions)]
         LOOKUPS.with(|c| c.set(c.get() + 1));
         let cells = self.lines.lock();
-        let untouched = BlockCell::default();
         let mut lines = lines.into_iter().peekable();
         let mut total = Cycles::ZERO;
         while let Some(&first) = lines.peek() {
             let chunk = first / BLOCK_LINES;
-            let cell = cells.get(&chunk).unwrap_or(&untouched);
             let run = std::iter::from_fn(|| lines.next_if(|line| line / BLOCK_LINES == chunk));
-            total += Self::clean_cost(self.directory.clean_frame(cell, run), cost);
+            let out = match cells.get(&chunk) {
+                Some(cell) => cell.clean_lines(run),
+                None => CleanOutcome {
+                    uncached_lines: run.count() as u64,
+                    ..CleanOutcome::default()
+                },
+            };
+            total += Self::clean_cost(out, cost);
         }
         total
     }
@@ -755,11 +783,9 @@ mod tests {
             value,
         };
         // Two frames: lines 0..64 and 64..128.
-        let frames = [BlockCell::default(), BlockCell::default()];
+        let frames = [sys.directory().cell(0..64), sys.directory().cell(64..128)];
         for (line, write) in [(64, false), (3, true), (3, false)] {
-            let frame = (line / 64) as usize;
-            let lines = line / 64 * 64..line / 64 * 64 + 64;
-            let hint = sys.directory().hint(&frames[frame], lines, line);
+            let hint = frames[(line / 64) as usize].hint(line);
             let tags = cache.clone();
             let before = (sys.directory().tracked_lines(), sys.stats().total());
             let blocks = sys.directory().blocks_allocated();

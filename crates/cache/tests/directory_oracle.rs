@@ -32,19 +32,17 @@ use std::sync::atomic::AtomicU64;
 
 /// A frame's access: `SsmpCacheSystem::access_hinted` with the hint of
 /// the frame's block and a frame word whose generation never moves.
-#[allow(clippy::too_many_arguments)]
 fn frame_access(
     sys: &SsmpCacheSystem,
     cache: &mut ProcCache,
     proc: usize,
     cell: &BlockCell,
-    lines: std::ops::Range<u64>,
     line: u64,
     home: usize,
     write: bool,
 ) -> MissClass {
     let (generation, word) = (AtomicU64::new(0), AtomicU64::new(0));
-    let hint = sys.directory().hint(cell, lines, line);
+    let hint = cell.hint(line);
     let frame_word = FrameWord {
         generation: &generation,
         expect: 0,
@@ -218,12 +216,12 @@ impl HashedSystem {
 // The trace
 // ---------------------------------------------------------------------
 
-/// A physical page as the layers above the cache see it: its lines and
-/// the directory-slot cell `PageFrame` carries (which the bare-line
-/// mode leaves unused: the cache system keeps its own per chunk).
+/// A physical page as the layers above the cache see it: the
+/// directory-slot cell `PageFrame` carries, bound to its lines (which
+/// the bare-line mode leaves unused: the cache system keeps its own per
+/// chunk).
 #[derive(Debug)]
 struct Frame {
-    first_line: u64,
     cell: BlockCell,
 }
 
@@ -291,9 +289,9 @@ impl Case {
     /// `FrameAllocator`.
     fn alloc(&mut self) -> Frame {
         self.allocated += 1;
+        let first = self.allocated * self.stride;
         Frame {
-            first_line: self.allocated * self.stride,
-            cell: BlockCell::default(),
+            cell: (self.block.directory()).cell(first..first + self.lines_per_page),
         }
     }
 
@@ -302,8 +300,7 @@ impl Case {
     }
 
     fn lines(&self, page: usize) -> std::ops::Range<u64> {
-        let first = self.frames[page].first_line;
-        first..first + self.lines_per_page
+        self.frames[page].cell.lines()
     }
 
     fn at(&self) -> String {
@@ -318,15 +315,14 @@ impl Case {
     /// One access: through the frame's block, or as a bare line.
     fn access(&mut self) {
         let page = self.below(self.frames.len() as u64) as usize;
-        let line = self.frames[page].first_line + self.below(self.lines_per_page);
+        let line = self.lines(page).start + self.below(self.lines_per_page);
         let proc = self.below(PROCS as u64) as usize;
         let home = self.below(PROCS as u64) as usize;
         let write = self.below(4) == 0;
-        let lines = self.lines(page);
         let cache = &mut self.block_caches[proc];
         let got = if self.owned {
             let cell = &self.frames[page].cell;
-            frame_access(&self.block, cache, proc, cell, lines, line, home, write)
+            frame_access(&self.block, cache, proc, cell, line, home, write)
         } else {
             self.block.access(cache, proc, line, home, write)
         };
@@ -345,7 +341,7 @@ impl Case {
         let lines = self.lines(page);
         let want = self.hashed.directory.clean_page(lines.clone());
         if self.owned {
-            let got = (self.block.directory()).clean_frame(&self.frames[page].cell, lines);
+            let got = self.frames[page].cell.clean();
             assert_eq!(got, want, "clean outcome diverged at {}", self.at());
             return;
         }
@@ -382,13 +378,9 @@ impl Case {
             .lines(page)
             .filter(|_| picks.next_below(keep) == 0)
             .collect();
-        let frame = &self.frames[page];
-        (self.block.directory()).mark_dirty_frame(
-            &frame.cell,
-            self.lines(page),
-            lines.iter().copied(),
-            proc,
-        );
+        self.frames[page]
+            .cell
+            .mark_dirty(lines.iter().copied(), proc);
         self.hashed.directory.mark_dirty_lines(lines, proc);
     }
 
@@ -505,40 +497,37 @@ fn block_directory_matches_hashed_at_other_page_sizes() {
 fn a_victim_of_a_dead_frame_is_skipped() {
     let sys = SsmpCacheSystem::new(HW_POINTERS);
     let mut cache = ProcCache::new(CacheConfig::tiny()); // 8 sets × 2 ways
-    let mut access = |cell: &BlockCell, lines: std::ops::Range<u64>, line: u64, write: bool| {
-        frame_access(&sys, &mut cache, 0, cell, lines, line, 0, write)
+    let mut access = |cell: &BlockCell, line: u64, write: bool| {
+        frame_access(&sys, &mut cache, 0, cell, line, 0, write)
     };
-    let (a, a_lines) = (BlockCell::default(), 64..128);
-    let (z, z_lines) = (BlockCell::default(), 128..192);
-    sys.directory().hint(&z, z_lines.clone(), 128); // claimed first
-    access(&a, a_lines.clone(), 64, true); // set 0
-    access(&a, a_lines.clone(), 65, true); // set 1
-    let hint = sys.directory().hint(&a, a_lines, 64);
+    let (a, z) = (
+        sys.directory().cell(64..128),
+        sys.directory().cell(128..192),
+    );
+    z.hint(128); // claimed first
+    access(&a, 64, true); // set 0
+    access(&a, 65, true); // set 1
+    let hint = a.hint(64);
     drop(a);
     // 136 evicts 64, whose memo names a free block.
-    access(&z, z_lines.clone(), 128, false);
-    access(&z, z_lines.clone(), 136, false);
+    access(&z, 128, false);
+    access(&z, 136, false);
     assert_eq!(sys.directory().tracked_lines(), 2);
     // A later frame takes the dead frame's block, all of it owned by
     // processor 1; 6409 evicts 65, whose stripe and entry there are
     // 6401's.
-    let (b, b_lines) = (BlockCell::default(), 6400..6464);
+    let b = sys.directory().cell(6400..6464);
+    assert_eq!(b.hint(6401), hint, "reused");
+    b.mark_dirty(b.lines(), 1);
+    access(&b, 6401, false);
+    access(&b, 6409, false);
     assert_eq!(
-        sys.directory().hint(&b, b_lines.clone(), 6401),
-        hint,
-        "reused"
-    );
-    sys.directory()
-        .mark_dirty_frame(&b, b_lines.clone(), b_lines.clone(), 1);
-    access(&b, b_lines.clone(), 6401, false);
-    access(&b, b_lines.clone(), 6409, false);
-    assert_eq!(
-        access(&b, b_lines.clone(), 6401, false),
+        access(&b, 6401, false),
         MissClass::Hit,
         "processor 0 still shares 6401"
     );
     assert_eq!(sys.directory().tracked_lines(), 66);
-    let out = sys.directory().clean_frame(&b, b_lines);
+    let out = b.clean();
     assert_eq!((out.shared_lines, out.dirty_lines), (2, 62));
 }
 
@@ -561,10 +550,10 @@ fn an_access_takes_one_stripe_lock_or_none() {
         let after = counts();
         (after.0 - before.0, after.1 - before.1)
     };
-    let (cell, lines) = (BlockCell::default(), 64..128);
+    let cell = sys.directory().cell(64..128);
     let frame = |cache: &mut ProcCache, line, write| {
         locks(&mut || {
-            frame_access(&sys, cache, 0, &cell, lines.clone(), line, 0, write);
+            frame_access(&sys, cache, 0, &cell, line, 0, write);
         })
     };
     for (line, write, want, what) in [
@@ -722,26 +711,17 @@ fn ten_thousand_fresh_frames_reuse_one_block() {
     let sys = SsmpCacheSystem::new(HW_POINTERS);
     let mut caches = vec![ProcCache::new(CacheConfig::alewife()); 2];
     for page in 1..=20_000u64 {
-        let (cell, lines) = (BlockCell::default(), page * 64..(page + 1) * 64);
-        for line in lines.clone() {
+        let cell = sys.directory().cell(page * 64..(page + 1) * 64);
+        for line in cell.lines() {
             for (proc, cache) in caches.iter_mut().enumerate() {
-                frame_access(
-                    &sys,
-                    cache,
-                    proc,
-                    &cell,
-                    lines.clone(),
-                    line,
-                    0,
-                    line % 2 == 0,
-                );
+                frame_access(&sys, cache, proc, &cell, line, 0, line % 2 == 0);
             }
         }
         assert_eq!(sys.directory().tracked_lines(), 64);
         if page <= 10_000 {
-            let out = sys.directory().clean_frame(&cell, lines.clone());
+            let out = cell.clean();
             assert_eq!((out.dirty_lines, out.shared_lines), (32, 32), "page {page}");
-            drop(sys.directory().hold(&cell, lines));
+            drop(cell.hold());
         }
         drop(cell);
         assert_eq!(sys.directory().tracked_lines(), 0);

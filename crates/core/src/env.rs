@@ -337,7 +337,7 @@ impl Env {
                     line,
                     frame.home_node() - self.first_proc,
                     write,
-                    frame.dir_hint(sys.directory(), line),
+                    frame.dir_hint(line),
                     frame.word(word, gen, value),
                 );
                 if let Some(served) = served {

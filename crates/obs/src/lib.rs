@@ -17,9 +17,9 @@
 //!   diffed words per cache line), producing the top-N hot pages with
 //!   sharer counts and invalidation rates ([`SharingReport`]).
 //! * [`TraceEvent`] and [`export_perfetto`] — the machine trace and its
-//!   Chrome/Perfetto `trace_event` JSON (built with [`PerfettoTrace`]),
-//!   so a run's protocol timeline can be scrubbed in `ui.perfetto.dev`;
-//!   [`first_divergence`] names where two traces part.
+//!   Chrome/Perfetto `trace_event` JSON, so a run's protocol timeline
+//!   can be scrubbed in `ui.perfetto.dev`; [`first_divergence`] names
+//!   where two traces part.
 //! * [`ObsEvent`] — the one protocol-event stream: the `mgs-proto`
 //!   engines' timing charges and state changes. `mgs-proto`'s
 //!   `ProtoStats::record` counts it, the profiler attributes it per
@@ -45,7 +45,7 @@ mod profiler;
 pub use event::{ObsEvent, PagePolicy, XactKind, XactOutcome};
 pub use metrics::{LatencyClass, Metric, MetricsReport, ObsRegistry};
 pub use mgs_sim::HistSummary;
-pub use perfetto::{export_perfetto, first_divergence, PerfettoTrace, TraceEvent};
+pub use perfetto::{export_perfetto, first_divergence, TraceEvent};
 pub use profiler::{PageProfile, SharingProfiler, SharingReport};
 
 /// The pair of recorders a machine carries when observability is

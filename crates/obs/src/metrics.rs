@@ -290,31 +290,31 @@ impl LatencyClass {
     }
 }
 
-/// One processor's private slice of the registry.
+/// One processor's private slice of the registry: its histograms.
 #[derive(Debug)]
 #[repr(align(128))]
 struct ProcShard {
-    counters: [AtomicU64; Metric::COUNT],
     hists: [Histogram; LatencyClass::COUNT],
 }
 
 impl ProcShard {
     fn new() -> ProcShard {
         ProcShard {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: std::array::from_fn(|_| Histogram::new()),
         }
     }
 }
 
-/// The live metrics registry: one cache-line-aligned shard per
-/// simulated processor, all storage pre-sized at construction.
+/// The live metrics registry: one cache-line-aligned shard of
+/// histograms per simulated processor, all storage pre-sized at
+/// construction, and one registry-wide array of counters.
 ///
 /// A shard is written by its processor's task, which runs on one host
 /// worker at a time but may move between them. Production code only
 /// records latencies: every count is kept by the layer that owns its
 /// event, and [`count`](Self::count) has no production caller (it
-/// stays for the benchmark's `obs.count_ns` unit cost).
+/// stays for the benchmark's `obs.count_ns` unit cost), so the
+/// counters are not sharded.
 ///
 /// # Example
 ///
@@ -333,6 +333,7 @@ impl ProcShard {
 #[derive(Debug)]
 pub struct ObsRegistry {
     shards: Vec<ProcShard>,
+    counters: [AtomicU64; Metric::COUNT],
 }
 
 impl ObsRegistry {
@@ -340,14 +341,17 @@ impl ObsRegistry {
     pub fn new(n_procs: usize) -> ObsRegistry {
         ObsRegistry {
             shards: (0..n_procs.max(1)).map(|_| ProcShard::new()).collect(),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
-    /// Adds `n` to `metric` in processor `proc`'s shard. No production
-    /// code calls it: the machine sets every count from its owner.
+    /// Adds `n` to `metric` on behalf of processor `proc`. No
+    /// production code calls it: the machine sets every count from its
+    /// owner.
     #[inline]
     pub fn count(&self, proc: usize, metric: Metric, n: u64) {
-        self.shards[proc].counters[metric.index()].fetch_add(n, Ordering::Relaxed);
+        debug_assert!(proc < self.shards.len(), "processor {proc} out of range");
+        self.counters[metric.index()].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records a simulated-latency sample in `class`'s histogram.
@@ -358,13 +362,10 @@ impl ObsRegistry {
 
     /// Merges every shard into a report.
     pub fn merge(&self) -> MetricsReport {
-        let mut counters = [0u64; Metric::COUNT];
+        let counters = self.counters.each_ref().map(|c| c.load(Ordering::Relaxed));
         let mut hists: [HistSummary; LatencyClass::COUNT] =
             std::array::from_fn(|_| HistSummary::default());
         for shard in &self.shards {
-            for (i, c) in shard.counters.iter().enumerate() {
-                counters[i] += c.load(Ordering::Relaxed);
-            }
             for (merged, h) in hists.iter_mut().zip(&shard.hists) {
                 merged.merge(&h.summary());
             }

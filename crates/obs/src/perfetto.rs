@@ -5,13 +5,13 @@
 //! time. [`export_perfetto`] renders that list in the legacy JSON trace
 //! format that both `chrome://tracing` and
 //! [ui.perfetto.dev](https://ui.perfetto.dev) load directly, through
-//! the generic [`PerfettoTrace`] builder (pids, tids and microsecond
+//! a private builder, `PerfettoTrace` (pids, tids and microsecond
 //! timestamps; 1 simulated cycle = 1 µs). [`first_divergence`] names
 //! where two traces first differ.
 //!
 //! Serialization is hand-rolled: the build environment is offline, so
 //! no serde. Each event is rendered to its JSON string at `push` time,
-//! keeping [`finish`](PerfettoTrace::finish) a cheap join.
+//! keeping `finish` a cheap join.
 
 use crate::ObsEvent;
 use mgs_sim::Cycles;
@@ -59,7 +59,7 @@ impl fmt::Display for TraceEvent {
 /// ordered, exactly as on the simulated machine.
 pub fn export_perfetto(events: &[TraceEvent], n_procs: usize, cluster_size: usize) -> String {
     let cluster = cluster_size.max(1);
-    let mut t = PerfettoTrace::new();
+    let mut t = PerfettoTrace::default();
     for ssmp in 0..n_procs.div_ceil(cluster) {
         t.process_name(ssmp as u64, &format!("ssmp {ssmp}"));
     }
@@ -145,7 +145,7 @@ pub fn first_divergence(a: &[TraceEvent], b: &[TraceEvent]) -> Option<String> {
 
 /// A typed argument value for an event's `args` object.
 #[derive(Debug, Clone)]
-pub enum ArgValue {
+enum ArgValue {
     /// An integer argument.
     Int(u64),
     /// A string argument.
@@ -213,42 +213,12 @@ fn args_into(out: &mut String, args: &[(&str, ArgValue)]) {
 }
 
 /// An in-progress Chrome/Perfetto trace.
-///
-/// # Example
-///
-/// ```
-/// use mgs_obs::PerfettoTrace;
-///
-/// let mut t = PerfettoTrace::new();
-/// t.process_name(0, "ssmp 0");
-/// t.thread_name(0, 1, "proc 1");
-/// t.begin(0, 1, 100, "read_fault", &[("page", 7u64.into())]);
-/// t.end(0, 1, 4200);
-/// t.instant(0, 1, 4200, "retry", &[]);
-/// let json = t.finish();
-/// assert!(json.starts_with("{\"traceEvents\":["));
-/// ```
 #[derive(Debug, Default)]
-pub struct PerfettoTrace {
+struct PerfettoTrace {
     events: Vec<String>,
 }
 
 impl PerfettoTrace {
-    /// Creates an empty trace.
-    pub fn new() -> PerfettoTrace {
-        PerfettoTrace::default()
-    }
-
-    /// Number of events pushed so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when no events have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn push(
         &mut self,
@@ -278,7 +248,7 @@ impl PerfettoTrace {
     }
 
     /// Names the Perfetto *process* (track group) `pid`.
-    pub fn process_name(&mut self, pid: u64, name: &str) {
+    fn process_name(&mut self, pid: u64, name: &str) {
         let mut extra = String::from(",\"args\":{\"name\":\"");
         escape_into(&mut extra, name);
         extra.push_str("\"}");
@@ -292,7 +262,7 @@ impl PerfettoTrace {
     }
 
     /// Names the Perfetto *thread* (track) `tid` within process `pid`.
-    pub fn thread_name(&mut self, pid: u64, tid: u64, name: &str) {
+    fn thread_name(&mut self, pid: u64, tid: u64, name: &str) {
         let mut extra = String::from(",\"args\":{\"name\":\"");
         escape_into(&mut extra, name);
         extra.push_str("\"}");
@@ -308,19 +278,19 @@ impl PerfettoTrace {
     /// Opens a duration span (`ph:"B"`). Spans on the same track nest
     /// by stack order, so callers must push each track's events in
     /// non-decreasing timestamp order.
-    pub fn begin(&mut self, pid: u64, tid: u64, ts: u64, name: &str, args: &[(&str, ArgValue)]) {
+    fn begin(&mut self, pid: u64, tid: u64, ts: u64, name: &str, args: &[(&str, ArgValue)]) {
         self.push('B', pid, tid, ts, Some(name), "", args);
     }
 
     /// Closes the innermost open span on the track (`ph:"E"`).
-    pub fn end(&mut self, pid: u64, tid: u64, ts: u64) {
+    fn end(&mut self, pid: u64, tid: u64, ts: u64) {
         self.push('E', pid, tid, ts, None, "", &[]);
     }
 
     /// Pushes a complete span (`ph:"X"`) with an explicit duration —
     /// used for engine-occupancy slices whose begin and end are both
     /// known when recorded.
-    pub fn complete(
+    fn complete(
         &mut self,
         pid: u64,
         tid: u64,
@@ -334,12 +304,12 @@ impl PerfettoTrace {
     }
 
     /// Pushes a thread-scoped instant event (`ph:"i"`).
-    pub fn instant(&mut self, pid: u64, tid: u64, ts: u64, name: &str, args: &[(&str, ArgValue)]) {
+    fn instant(&mut self, pid: u64, tid: u64, ts: u64, name: &str, args: &[(&str, ArgValue)]) {
         self.push('i', pid, tid, ts, Some(name), ",\"s\":\"t\"", args);
     }
 
     /// Finishes the trace, returning the complete JSON document.
-    pub fn finish(self) -> String {
+    fn finish(self) -> String {
         let body_len: usize = self.events.iter().map(|e| e.len() + 1).sum();
         let mut out = String::with_capacity(body_len + 64);
         out.push_str("{\"traceEvents\":[");
@@ -361,7 +331,7 @@ mod tests {
 
     #[test]
     fn spans_render_with_args() {
-        let mut t = PerfettoTrace::new();
+        let mut t = PerfettoTrace::default();
         t.begin(1, 2, 10, "read_fault", &[("page", 7u64.into())]);
         t.end(1, 2, 50);
         let json = t.finish();
@@ -373,14 +343,14 @@ mod tests {
 
     #[test]
     fn complete_spans_carry_duration() {
-        let mut t = PerfettoTrace::new();
+        let mut t = PerfettoTrace::default();
         t.complete(0, 100, 5, 40, "engine", &[]);
         assert!(t.finish().contains("\"dur\":40"));
     }
 
     #[test]
     fn names_are_escaped() {
-        let mut t = PerfettoTrace::new();
+        let mut t = PerfettoTrace::default();
         t.process_name(0, "weird \"name\"\n");
         let json = t.finish();
         assert!(json.contains("weird \\\"name\\\"\\n"));
@@ -388,7 +358,7 @@ mod tests {
 
     #[test]
     fn metadata_names_tracks() {
-        let mut t = PerfettoTrace::new();
+        let mut t = PerfettoTrace::default();
         t.thread_name(3, 9, "proc 9");
         let json = t.finish();
         assert!(json.contains("\"name\":\"thread_name\""));

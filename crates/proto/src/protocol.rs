@@ -16,7 +16,7 @@ use crate::step::{ClientState, Ctx, Effects, Frame, PageState, ServerDirs};
 use crate::strategy::{AdaptiveController, PagePolicy, PolicyDecision, ProtocolKind};
 use crate::transport::{timeout_for, ProtocolError, SendOutcome, Transaction, MAX_RETRIES};
 use crate::{ProtoConfig, ProtoStats, ProtoTiming, SpanDiff};
-use mgs_cache::{Directory, SsmpCacheSystem};
+use mgs_cache::SsmpCacheSystem;
 use mgs_net::MsgKind;
 use mgs_obs::{ObsEvent, SharingProfiler, XactKind, XactOutcome};
 use mgs_sim::Cycles;
@@ -154,9 +154,8 @@ impl PageTable {
 /// lock by indexing, with no lock, hash or reference count, and only
 /// a page's creation takes a lock — its shard of the home overrides
 /// [`set_home`](MgsProtocol::set_home) registers. Every frame the
-/// protocol holds keeps its line-directory blocks in the directory of
-/// its home node's SSMP ([`directory_of`](MgsProtocol::directory_of))
-/// until it drops.
+/// protocol holds is made bound to the line directory of its home
+/// node's SSMP and keeps its blocks there until it drops.
 ///
 /// Transactions ([`fault`](MgsProtocol::fault),
 /// [`release_all`](MgsProtocol::release_all)) execute synchronously in
@@ -226,17 +225,22 @@ impl MgsProtocol {
     pub fn new(cfg: ProtoConfig) -> MgsProtocol {
         let (n_procs, n_ssmps) = (cfg.n_procs(), cfg.n_ssmps);
         let controller = (cfg.protocol == ProtocolKind::Adaptive).then(AdaptiveController::new);
+        let caches: Vec<_> = (0..n_ssmps)
+            .map(|_| Arc::new(SsmpCacheSystem::new(cfg.cost.dir_hw_pointers)))
+            .collect();
         MgsProtocol {
             controller,
-            frames: FrameAllocator::new(cfg.geometry),
+            frames: FrameAllocator::with_directories(
+                cfg.geometry,
+                cfg.procs_per_ssmp,
+                caches.iter().map(|sys| sys.directory().clone()),
+            ),
             twin_pools: (0..n_ssmps)
                 .map(|_| TwinPool::new(cfg.geometry.words_per_page() as usize))
                 .collect(),
             empty_tlb: Tlb::new(),
             duqs: (0..n_procs).map(|_| Mutex::default()).collect(),
-            caches: (0..n_ssmps)
-                .map(|_| Arc::new(SsmpCacheSystem::new(cfg.cost.dir_hw_pointers)))
-                .collect(),
+            caches,
             cfg,
             pages: PageTable::new(),
             homes: (0..PAGE_SHARDS).map(|_| Mutex::default()).collect(),
@@ -394,12 +398,6 @@ impl MgsProtocol {
     /// The cache system of SSMP `ssmp`.
     pub fn cache_system(&self, ssmp: usize) -> &Arc<SsmpCacheSystem> {
         &self.caches[ssmp]
-    }
-
-    /// The line directory whose stripes guard `frame`: that of its home
-    /// node's SSMP, the only processors that access it.
-    pub fn directory_of(&self, frame: &PageFrame) -> &Directory {
-        self.caches[self.cfg.ssmp_of(frame.home_node())].directory()
     }
 
     fn homes(&self, page: u64) -> MutexGuard<'_, HashMap<u64, usize>> {
@@ -818,7 +816,7 @@ impl MgsProtocol {
     pub fn dirty_home_lines(&self, page: u64) {
         let frame = self.home_frame(page);
         let proc = self.cfg.local_index(frame.home_node());
-        frame.mark_dirty(self.directory_of(&frame), frame.lines(), proc);
+        frame.mark_dirty(frame.lines(), proc);
     }
 
     /// Marks every line of `page`'s copy at `ssmp` dirty in that SSMP's
@@ -831,7 +829,7 @@ impl MgsProtocol {
         let frame = self.page_entry(page).lock().clients[ssmp].frame.clone();
         let frame = frame.expect("SSMP holds a copy");
         let proc = self.cfg.local_index(frame.home_node());
-        frame.mark_dirty(self.directory_of(&frame), frame.lines(), proc);
+        frame.mark_dirty(frame.lines(), proc);
     }
 }
 
@@ -944,12 +942,12 @@ impl Effects for Interp<'_> {
         // §4.2.1). The mapping processors' DUQ entries go stale too
         // (arc 12).
         let frame = self.copy(ssmp);
-        frame.quiesce(proto.directory_of(frame)).bump_generation();
+        frame.quiesce().bump_generation();
     }
 
     fn clean(&mut self, f: Frame, charged: bool) {
         let frame = self.frame(f);
-        let clean = frame.clean(self.proto.directory_of(&frame));
+        let clean = frame.clean();
         if charged {
             let cycles = SsmpCacheSystem::clean_cost(clean, &self.proto.cfg.cost);
             self.t.node_work(frame.home_node(), cycles);
@@ -959,9 +957,7 @@ impl Effects for Interp<'_> {
     fn twin(&mut self, ssmp: usize) {
         let frame = self.frame(Frame::Copy(ssmp));
         let mut twin = self.proto.twin_pools[ssmp].acquire();
-        frame.with_quiesced(self.proto.directory_of(&frame), |words| {
-            twin.copy_from_slice(words)
-        });
+        frame.with_quiesced(|words| twin.copy_from_slice(words));
         self.clients[ssmp].twin = Some(twin);
     }
 
@@ -985,7 +981,7 @@ impl Effects for Interp<'_> {
             // next release's diff would re-ship (or miss) words written
             // in between.
             let twin = client.twin.as_mut().expect("a releasing writer has a twin");
-            frame.with_quiesced(proto.directory_of(&frame), |w| {
+            frame.with_quiesced(|w| {
                 diff.compute_into(w, twin);
                 twin.copy_from_slice(w);
             });
@@ -993,7 +989,7 @@ impl Effects for Interp<'_> {
             // Diffed in place against the retired frame; the twin goes
             // back to the pool before the transfer.
             let twin = client.twin.take().expect("a writer SSMP has a twin");
-            frame.with_quiesced(proto.directory_of(&frame), |w| diff.compute_into(w, &twin));
+            frame.with_quiesced(|w| diff.compute_into(w, &twin));
         }
         diff.changed_words()
     }
@@ -1007,7 +1003,7 @@ impl Effects for Interp<'_> {
         let (_, diff) = self.diff.as_ref().expect("a diff to merge");
         diff.apply_to_frame(home);
         let proc = proto.cfg.local_index(home.home_node());
-        home.mark_dirty(proto.directory_of(home), diff.touched_lines(home), proc);
+        home.mark_dirty(diff.touched_lines(home), proc);
         let (words, spans) = (diff.changed_words(), diff.span_count() as u64);
         proto.emit(
             self.t,
@@ -1043,11 +1039,7 @@ impl Effects for Interp<'_> {
         // The words entered through the sharer's protocol processor's
         // cache: a later page clean pays the dirty tier.
         let proc = self.proto.cfg.local_index(frame.home_node());
-        frame.mark_dirty(
-            self.proto.directory_of(&frame),
-            diff.touched_lines(&frame),
-            proc,
-        );
+        frame.mark_dirty(diff.touched_lines(&frame), proc);
     }
 
     fn ship(&mut self, from: Frame, to: Frame, node: usize, kind: MsgKind, twin: bool) -> Res {
@@ -1070,9 +1062,7 @@ impl Effects for Interp<'_> {
         let mut data = proto.twin_pools[copy.unwrap_or(src_ssmp)].acquire();
         match from {
             Frame::Home => src.snapshot_into(&mut data),
-            Frame::Copy(_) => src.with_quiesced(proto.directory_of(&src), |words| {
-                data.copy_from_slice(words)
-            }),
+            Frame::Copy(_) => src.with_quiesced(|words| data.copy_from_slice(words)),
         }
         self.t.node_work(src.home_node(), dma);
         self.send(src_ssmp, dst_ssmp, kind, cfg.geometry.page_bytes())?;

@@ -100,7 +100,7 @@ pub fn access(
                 line,
                 frame.home_node() % c,
                 write,
-                frame.dir_hint(sys.directory(), line),
+                frame.dir_hint(line),
                 frame.word(word, gen, store.unwrap_or(0)),
             );
             if let Some(served) = served {

@@ -262,8 +262,10 @@ fn siblings_acquiring_at_once_drop_every_noticed_copy_at_4_threads() {
 fn stores_race_quiesce_diff_bump(threads: usize) {
     const STORES: u64 = 20_000;
     let writers = threads - 1;
-    let frame = FrameAllocator::new(PageGeometry::default()).alloc(0);
     let sys = SsmpCacheSystem::new(5);
+    let frame =
+        FrameAllocator::with_directories(PageGeometry::default(), 1, [sys.directory().clone()])
+            .alloc(0);
     let finished = AtomicUsize::new(0);
     let twin = frame.snapshot();
     let (logs, diffs) = std::thread::scope(|scope| {
@@ -276,7 +278,7 @@ fn stores_race_quiesce_diff_bump(threads: usize) {
                     let mut log = Vec::new(); // (generation, word, value)
                     let mut access = |word, write, value, gen: &mut u64| loop {
                         let line = frame.line_of_word(word);
-                        let hint = frame.dir_hint(sys.directory(), line);
+                        let hint = frame.dir_hint(line);
                         let got = frame.word(word, *gen, value);
                         match sys.access_hinted(&mut cache, w, line, 0, write, hint, got) {
                             Some(served) => return served.value,
@@ -309,7 +311,7 @@ fn stores_race_quiesce_diff_bump(threads: usize) {
             let mut diffs = Vec::new(); // diffs[g] closes generation g
             loop {
                 let last = finished.load(Ordering::SeqCst) == writers;
-                let q = frame.quiesce(sys.directory());
+                let q = frame.quiesce();
                 diff.compute_into(q.words(), &twin);
                 twin.copy_from_slice(q.words());
                 q.bump_generation();

@@ -72,27 +72,27 @@ fn faults_releases_invalidations_and_accesses_never_take_the_line_map() {
 /// were, and no lookup is made.
 #[test]
 fn a_dead_frames_victim_leaves_the_next_frames_entries_alone() {
-    let frames = FrameAllocator::new(PageGeometry::default());
     let sys = SsmpCacheSystem::new(5);
-    let directory = sys.directory();
+    let frames =
+        FrameAllocator::with_directories(PageGeometry::default(), 1, [sys.directory().clone()]);
     // 8 sets × 2 ways: frames are 64 lines apart, so every frame's
     // first line falls in set 0.
     let mut cache = ProcCache::new(CacheConfig::tiny());
     let mut other = ProcCache::new(CacheConfig::alewife());
     let access = |cache: &mut ProcCache, proc, frame: &PageFrame, word, write| {
         let line = frame.line_of_word(word);
-        let hint = frame.dir_hint(directory, line);
+        let hint = frame.dir_hint(line);
         sys.access_hinted(cache, proc, line, 0, write, hint, frame.word(word, 0, 1))
             .expect("a current translation")
             .class
     };
     let dead = frames.alloc(0);
     access(&mut cache, 0, &dead, 0, true);
-    let hint = dead.dir_hint(directory, dead.line_of_word(0));
+    let hint = dead.dir_hint(dead.line_of_word(0));
     drop(dead);
     let next = frames.alloc(0);
     assert_eq!(
-        next.dir_hint(directory, next.line_of_word(0)),
+        next.dir_hint(next.line_of_word(0)),
         hint,
         "the block is reused"
     );
@@ -110,6 +110,6 @@ fn a_dead_frames_victim_leaves_the_next_frames_entries_alone() {
         "the line's stripe and the victim's"
     );
     assert_eq!(access(&mut cache, 0, &next, 0, false), MissClass::Hit);
-    let out = next.clean(directory);
+    let out = next.clean();
     assert_eq!((out.shared_lines, out.dirty_lines), (2, 62));
 }

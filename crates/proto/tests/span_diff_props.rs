@@ -16,7 +16,6 @@
 //! * pooled buffers never leak stale words into a twin,
 //! * a steady-state release cycle performs zero pool allocations.
 
-use mgs_cache::Directory;
 use mgs_proto::{MgsProtocol, ProtoConfig, RecordingTiming, SpanDiff};
 use mgs_sim::{Cycles, XorShift64};
 use mgs_vm::{FrameAllocator, PageFrame, PageGeometry, TwinPool};
@@ -146,14 +145,13 @@ fn random_case(
 #[test]
 fn span_diff_equals_page_diff_oracle() {
     let frames = FrameAllocator::new(PageGeometry::default());
-    let directory = Directory::new();
     let mut scratch = SpanDiff::new();
     for seed in 0..CASES {
         let mut rng = XorShift64::new(span_mix(seed));
         let (frame, twin) = random_case(&mut rng, &frames);
 
         let oracle = PageDiff::compute_from_frame(&frame, &twin);
-        frame.with_quiesced(&directory, |w| scratch.compute_into(w, &twin));
+        frame.with_quiesced(|w| scratch.compute_into(w, &twin));
 
         // Same entries ⇒ same transfer word count ⇒ same cycle charge.
         assert_eq!(
@@ -214,7 +212,7 @@ fn span_matches_page_diff_on_frames() {
         frame.store(w, w + 100);
     }
     let oracle = PageDiff::compute_from_frame(&frame, &twin);
-    let span = frame.with_quiesced(&Directory::new(), |w| SpanDiff::compute(w, &twin));
+    let span = frame.with_quiesced(|w| SpanDiff::compute(w, &twin));
     assert_eq!(
         span.entries().collect::<Vec<_>>(),
         oracle.entries().to_vec()
@@ -399,7 +397,7 @@ fn home_merge_marks_each_line_once_and_matches_reference() {
     // dirty-owned by the home node: a later clean pays the dirty tier
     // for 2 lines, not 3 word-marks.
     let home = p.home_frame(0);
-    let clean = home.clean(p.directory_of(&home));
+    let clean = home.clean();
     assert_eq!(clean.dirty_lines, 2, "one mark per touched line");
     assert_eq!(home.load(10), 1);
     assert_eq!(home.load(11), 2);

@@ -17,7 +17,6 @@
 //! standard library initializes that thread's channel context on the
 //! heap, and whether that lands inside the window is a timing race.
 
-use mgs_cache::Directory;
 use mgs_proto::SpanDiff;
 use mgs_sim::XorShift64;
 use mgs_vm::{FrameAllocator, PageGeometry, TwinPool};
@@ -71,8 +70,7 @@ fn steady_state_twin_diff_merge_allocates_nothing() {
     let frames = FrameAllocator::new(PageGeometry::default());
     let frame = frames.alloc(0);
     let home = frames.alloc(0);
-    let directory = Directory::new();
-    frame.mark_dirty(&directory, frame.lines(), 0); // the frame claims its block
+    frame.mark_dirty(frame.lines(), 0); // the frame claims its block
     let pool = TwinPool::new(WORDS as usize);
     let mut diff = SpanDiff::new();
     let mut rng = XorShift64::new(0x2E50_A110_C0DE);
@@ -86,7 +84,7 @@ fn steady_state_twin_diff_merge_allocates_nothing() {
             let w = rng.next_below(WORDS);
             frame.store(w, rng.next_u64()); // application writes
         }
-        frame.with_quiesced(&directory, |w| diff.compute_into(w, &twin)); // make diff
+        frame.with_quiesced(|w| diff.compute_into(w, &twin)); // make diff
         diff.apply_to_frame(&home); // merge at the home
         let lines = diff.touched_lines(&home).count(); // dirty marking
         std::hint::black_box(lines);

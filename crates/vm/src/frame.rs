@@ -21,18 +21,20 @@ use std::sync::Arc;
 /// * a **mapping generation**, which an access checks and a page
 ///   invalidation bumps — the simulator's analogue of the paper's
 ///   "translation critical section" roll-back mechanism (§4.2.1),
-/// * a **directory-slot cell** ([`BlockCell`]): the run of blocks in
-///   the SSMP's line directory that holds its lines' entries. Empty in
-///   a fresh frame, it is claimed by the frame's first access
+/// * a **directory-slot cell** ([`BlockCell`]): the run of blocks that
+///   holds its lines' entries, bound when the frame is made
+///   ([`FrameAllocator::alloc`]) to the line directory of its home
+///   node's SSMP, the only processors that access it. Its blocks are
+///   claimed by the frame's first access
 ///   ([`dir_hint`](PageFrame::dir_hint)), quiesce or dirty-marking,
-///   stays the frame's for life — every accessor reaches the entries
+///   stay the frame's for life — every accessor reaches the entries
 ///   through the frame it already has in hand, never through a lookup
-///   — and is zeroed and freed when the frame drops.
+///   or a directory of its own choosing — and are zeroed and freed when
+///   the frame drops.
 ///
-/// The frame holds no lock. Its guard is the line directory of the SSMP
-/// whose processors access it: a simulated access checks the
-/// generation and touches its word under its line's directory stripe
-/// ([`word`](PageFrame::word) hands both to
+/// The frame holds no lock. Its guard is that directory: a simulated
+/// access checks the generation and touches its word under its line's
+/// directory stripe ([`word`](PageFrame::word) hands both to
 /// `SsmpCacheSystem::access_hinted`), so holding every stripe of the
 /// frame's lines ([`quiesce`](PageFrame::quiesce)) drains the frame.
 #[derive(Debug)]
@@ -153,25 +155,22 @@ impl PageFrame {
         }
     }
 
-    /// Drains the frame: holds every stripe of its blocks in
-    /// `directory` (claiming them if it has none yet), so no access to
-    /// it is in flight or can start until the guard drops. `directory`
-    /// must be the one its accesses go through: that of the SSMP of its
-    /// home node.
+    /// Drains the frame: holds every stripe of its blocks (claiming
+    /// them if it has none yet), so no access to it is in flight or can
+    /// start until the guard drops.
     ///
     /// The protocol holds this to bump the generation
     /// ([`Quiesced::bump_generation`]) and to read the frame as a
     /// plain slice ([`Quiesced::words`]).
-    pub fn quiesce<'a>(&'a self, directory: &'a Directory) -> Quiesced<'a> {
+    pub fn quiesce(&self) -> Quiesced<'_> {
         Quiesced {
-            _held: directory.hold(&self.blocks, self.lines()),
+            _held: self.blocks.hold(),
             frame: self,
         }
     }
 
     /// Runs `f` over the frame's words as one plain shared slice,
-    /// [`quiesce`](PageFrame::quiesce)d through `directory` for the
-    /// duration.
+    /// [`quiesce`](PageFrame::quiesce)d for the duration.
     ///
     /// The plain view lets page-grain kernels compile to vectorized
     /// slice code instead of a per-word atomic-load loop. Use it only
@@ -179,8 +178,8 @@ impl PageFrame {
     /// path's diff, which runs after the TLB shootdown): on a live
     /// frame the drain would serialize concurrent accessors, changing
     /// host-side interleavings.
-    pub fn with_quiesced<R>(&self, directory: &Directory, f: impl FnOnce(&[u64]) -> R) -> R {
-        f(self.quiesce(directory).words())
+    pub fn with_quiesced<R>(&self, f: impl FnOnce(&[u64]) -> R) -> R {
+        f(self.quiesce().words())
     }
 
     /// The frame's mapping generation. A TLB entry is only valid while
@@ -193,40 +192,32 @@ impl PageFrame {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// The hint of the block holding `line`, one of the frame's, in
-    /// `directory` (claiming the frame's blocks there on first use):
-    /// fixed for the frame's life, and what
-    /// `SsmpCacheSystem::access_hinted` takes beside the frame's
-    /// [`word`](PageFrame::word).
+    /// The hint of the block holding `line`, one of the frame's
+    /// (claiming the frame's blocks on first use): fixed for the
+    /// frame's life, and what `SsmpCacheSystem::access_hinted` takes
+    /// beside the frame's [`word`](PageFrame::word).
     #[inline]
-    pub fn dir_hint(&self, directory: &Directory, line: u64) -> u32 {
-        directory.hint(&self.blocks, self.lines(), line)
+    pub fn dir_hint(&self, line: u64) -> u32 {
+        self.blocks.hint(line)
     }
 
-    /// Cleans the frame's lines out of `directory` (page cleaning,
+    /// Cleans the frame's lines out of its directory (page cleaning,
     /// §4.2.4) in one pass over its blocks; a frame never accessed
     /// has none, and every line counts as uncached.
-    pub fn clean(&self, directory: &Directory) -> CleanOutcome {
-        directory.clean_range(&self.blocks, self.lines())
+    pub fn clean(&self) -> CleanOutcome {
+        self.blocks.clean()
     }
 
     /// Marks `lines`, some of the frame's, dirty-owned by local
-    /// processor `proc` in `directory`: the protocol engine wrote them
+    /// processor `proc` in its directory: the protocol engine wrote them
     /// through its cache.
-    pub fn mark_dirty(
-        &self,
-        directory: &Directory,
-        lines: impl IntoIterator<Item = u64>,
-        proc: usize,
-    ) {
-        directory.mark_dirty_frame(&self.blocks, self.lines(), lines, proc);
+    pub fn mark_dirty(&self, lines: impl IntoIterator<Item = u64>, proc: usize) {
+        self.blocks.mark_dirty(lines, proc);
     }
 
     /// Line addresses (for the cache model) covering this frame.
     pub fn lines(&self) -> std::ops::Range<u64> {
-        let first = self.base / PageGeometry::LINE_BYTES;
-        let count = self.len_words() * PageGeometry::WORD_BYTES / PageGeometry::LINE_BYTES;
-        first..first + count
+        self.blocks.lines()
     }
 
     /// Line address (for the cache model) containing word `idx`.
@@ -271,7 +262,14 @@ impl Quiesced<'_> {
     }
 }
 
-/// Allocates [`PageFrame`]s with unique physical base addresses.
+/// Allocates [`PageFrame`]s with unique physical base addresses, each
+/// bound to the line directory of its home node's SSMP: the one place
+/// that maps a node to its SSMP's directory.
+///
+/// An allocator made with [`new`](Self::new) binds every frame to one
+/// private directory, for frames that stand alone (tests and host
+/// micro-benchmarks); the protocol makes its allocator with the SSMPs'
+/// directories ([`with_directories`](Self::with_directories)).
 ///
 /// # Example
 ///
@@ -288,15 +286,33 @@ impl Quiesced<'_> {
 pub struct FrameAllocator {
     geometry: PageGeometry,
     next_base: AtomicU64,
+    /// Processors per SSMP: node `n`'s SSMP is `n / ssmp_procs`.
+    ssmp_procs: usize,
+    /// Each SSMP's line directory.
+    directories: Box<[Directory]>,
 }
 
 impl FrameAllocator {
-    /// Creates an allocator for the given geometry. Physical addresses
-    /// start at one page (so that no frame has base 0).
+    /// Creates an allocator for the given geometry whose frames all go
+    /// through one private directory. Physical addresses start at one
+    /// page (so that no frame has base 0).
     pub fn new(geometry: PageGeometry) -> FrameAllocator {
+        FrameAllocator::with_directories(geometry, usize::MAX, [Directory::new()])
+    }
+
+    /// Creates an allocator for the given geometry that binds a frame
+    /// homed at node `n` to `directories[n / ssmp_procs]`, the
+    /// directory of the SSMP of `ssmp_procs` processors that holds it.
+    pub fn with_directories(
+        geometry: PageGeometry,
+        ssmp_procs: usize,
+        directories: impl IntoIterator<Item = Directory>,
+    ) -> FrameAllocator {
         FrameAllocator {
             geometry,
             next_base: AtomicU64::new(geometry.page_bytes()),
+            ssmp_procs,
+            directories: directories.into_iter().collect(),
         }
     }
 
@@ -305,7 +321,12 @@ impl FrameAllocator {
         self.geometry
     }
 
-    /// Allocates a zeroed frame homed at global processor `home_node`.
+    /// Allocates a zeroed frame homed at global processor `home_node`,
+    /// bound to the directory of its SSMP.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `home_node`'s SSMP has no directory.
     pub fn alloc(&self, home_node: usize) -> Arc<PageFrame> {
         let bytes = self.geometry.page_bytes();
         let base = self.next_base.fetch_add(bytes, Ordering::Relaxed);
@@ -313,12 +334,14 @@ impl FrameAllocator {
             .map(|_| AtomicU64::new(0))
             .collect::<Vec<_>>()
             .into_boxed_slice();
+        let first = base / PageGeometry::LINE_BYTES;
+        let lines = first..first + self.geometry.lines_per_page();
         Arc::new(PageFrame {
             base,
             home_node,
             words,
             generation: AtomicU64::new(0),
-            blocks: BlockCell::default(),
+            blocks: self.directories[home_node / self.ssmp_procs].cell(lines),
         })
     }
 
@@ -388,21 +411,82 @@ mod tests {
     /// given back when the frame drops.
     #[test]
     fn a_frame_claims_its_block_once_and_frees_it_when_it_drops() {
-        let frames = alloc();
         let directory = Directory::new();
+        let frames =
+            FrameAllocator::with_directories(PageGeometry::default(), 1, [directory.clone()]);
         let f = frames.alloc(0);
-        assert_eq!(f.clean(&directory).uncached_lines, 64, "no block yet");
+        assert_eq!(f.clean().uncached_lines, 64, "no block yet");
         assert_eq!(directory.blocks_allocated(), 0);
-        f.mark_dirty(&directory, [f.line_of_word(0)], 1);
-        let hint = f.dir_hint(&directory, f.line_of_word(127));
-        drop(f.quiesce(&directory));
-        assert_eq!(f.dir_hint(&directory, f.line_of_word(0)), hint);
+        f.mark_dirty([f.line_of_word(0)], 1);
+        let hint = f.dir_hint(f.line_of_word(127));
+        drop(f.quiesce());
+        assert_eq!(f.dir_hint(f.line_of_word(0)), hint);
         assert_eq!(directory.tracked_lines(), 1);
         drop(f);
         assert_eq!(directory.tracked_lines(), 0);
         let g = frames.alloc(0);
-        assert_eq!(g.dir_hint(&directory, g.line_of_word(0)), hint, "reused");
+        assert_eq!(g.dir_hint(g.line_of_word(0)), hint, "reused");
         assert_eq!(directory.blocks_allocated(), 1);
+    }
+
+    /// Two SSMPs of two processors: a frame homed at node 3 is guarded
+    /// by the second directory, and the first never sees it.
+    #[test]
+    fn a_frame_is_bound_to_its_home_ssmps_directory() {
+        use mgs_cache::{CacheConfig, MissClass, ProcCache, SsmpCacheSystem};
+        use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+        let systems = [SsmpCacheSystem::new(5), SsmpCacheSystem::new(5)];
+        let frames = FrameAllocator::with_directories(
+            PageGeometry::default(),
+            2,
+            systems.iter().map(|sys| sys.directory().clone()),
+        );
+        let f = frames.alloc(3);
+        f.mark_dirty(f.lines(), 1);
+        let tracked = systems
+            .each_ref()
+            .map(|sys| sys.directory().tracked_lines());
+        assert_eq!(tracked, [0, 64]);
+        // Local processor 1 reads a line through the second system: a
+        // miss, then a hit served by an optimistic read ...
+        let mut cache = ProcCache::new(CacheConfig::alewife());
+        let line = f.line_of_word(0);
+        let mut read = || {
+            let word = f.word(0, 0, 0);
+            (systems[1].access_hinted(&mut cache, 1, line, 1, false, f.dir_hint(line), word))
+                .expect("a current translation")
+                .class
+        };
+        assert_eq!(read(), MissClass::LocalMiss);
+        assert_eq!(read(), MissClass::Hit);
+        // ... which fails while the frame is quiesced, so the read waits.
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let quiesced = f.quiesce();
+            scope.spawn(|| {
+                assert_eq!(read(), MissClass::Hit);
+                done.store(true, Relaxed);
+            });
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(!done.load(Relaxed), "a read of a quiesced frame waits");
+            drop(quiesced);
+        });
+        assert!(done.load(Relaxed));
+    }
+
+    /// A frame from an allocator of its own quiesces, cleans and bumps
+    /// its generation through the allocator's private directory.
+    #[test]
+    fn a_standalone_frame_uses_its_allocators_directory() {
+        let f = alloc().alloc(5);
+        f.mark_dirty([f.line_of_word(0), f.line_of_word(2)], 0);
+        let q = f.quiesce();
+        q.bump_generation();
+        drop(q);
+        assert_eq!(f.generation(), 1);
+        let out = f.clean();
+        assert_eq!((out.dirty_lines, out.uncached_lines), (2, 62));
+        assert_eq!(f.clean().uncached_lines, 64, "cleaned out");
     }
 
     /// A quiesced frame shows its words plainly; once a bump has retired
@@ -411,18 +495,20 @@ mod tests {
     #[test]
     fn quiesce_drains_accesses_and_bump_retires_translations() {
         use mgs_cache::{CacheConfig, ProcCache, SsmpCacheSystem};
-        let f = alloc().alloc(0);
         let sys = SsmpCacheSystem::new(5);
+        let frames =
+            FrameAllocator::with_directories(PageGeometry::default(), 1, [sys.directory().clone()]);
+        let f = frames.alloc(0);
         let mut cache = ProcCache::new(CacheConfig::alewife());
         let line = f.line_of_word(3);
-        let hint = f.dir_hint(sys.directory(), line);
+        let hint = f.dir_hint(line);
         let mut write = |gen, value| {
             sys.access_hinted(&mut cache, 0, line, 0, true, hint, f.word(3, gen, value))
                 .map(|s| s.value)
         };
         assert_eq!(write(0, 5), Some(5));
         {
-            let q = f.quiesce(sys.directory());
+            let q = f.quiesce();
             assert_eq!(q.words()[3], 5);
             q.bump_generation();
         }
@@ -431,8 +517,8 @@ mod tests {
         assert_eq!(f.load(3), 5);
         assert_eq!(write(1, 6), Some(6));
         // A cleaned frame keeps its block.
-        assert_eq!(f.clean(sys.directory()).dirty_lines, 1);
-        f.with_quiesced(sys.directory(), |w| assert_eq!(w[3], 6));
+        assert_eq!(f.clean().dirty_lines, 1);
+        f.with_quiesced(|w| assert_eq!(w[3], 6));
         assert_eq!(sys.directory().blocks_allocated(), 1);
     }
 

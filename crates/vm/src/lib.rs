@@ -15,11 +15,13 @@
 //! * [`PageFrame`] — a physical page: the actual backing store (atomic
 //!   64-bit words, so simulated applications compute real results), a
 //!   physical base address for the cache model, a home node for
-//!   first-touch placement, and a mapping generation; the protocol
-//!   drains in-flight accesses ([`PageFrame::quiesce`]) through the
-//!   SSMP's line directory before invalidating.
+//!   first-touch placement, a mapping generation, and its lines' blocks
+//!   in the line directory of its home node's SSMP; the protocol drains
+//!   in-flight accesses ([`PageFrame::quiesce`]) through those blocks
+//!   before invalidating.
 //! * [`FrameAllocator`] — allocates frames with unique physical
-//!   addresses.
+//!   addresses, binding each to its home SSMP's directory (or, for
+//!   frames that stand alone, to one private directory).
 //! * [`TwinPool`] — recycled page-sized buffers for twins, snapshots
 //!   and arriving page images, so the protocol's data kernels run
 //!   allocation-free in steady state.

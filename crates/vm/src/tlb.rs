@@ -26,17 +26,6 @@ pub struct TlbEntry {
 /// Pages per leaf of a [`ProcTlb`].
 const LEAF_PAGES: usize = 64;
 
-/// One page's mapping in a [`ProcTlb`] leaf.
-#[derive(Debug, Default)]
-struct Slot {
-    /// `None` until the page's first fill.
-    frame: Option<Arc<PageFrame>>,
-    /// The frame generation the mapping was made against.
-    gen: u64,
-    /// Whether the mapping carries write privilege.
-    writable: bool,
-}
-
 /// A processor's software TLB: its "local page table" in the paper's
 /// terms (§4.2.1), owned by the processor alone.
 ///
@@ -59,7 +48,6 @@ struct Slot {
 /// # Example
 ///
 /// ```
-/// use mgs_cache::Directory;
 /// use mgs_vm::{FrameAllocator, PageGeometry, ProcTlb, TlbEntry};
 ///
 /// let frames = FrameAllocator::new(PageGeometry::default());
@@ -70,15 +58,15 @@ struct Slot {
 /// assert!(tlb.probe(7, false).is_some());
 /// assert!(tlb.probe(7, true).is_none()); // TLB_READ
 /// // A shoot-down retires the slot; the owner sees it at its next access.
-/// frame.quiesce(&Directory::new()).bump_generation();
+/// frame.quiesce().bump_generation();
 /// let (mapped, gen) = tlb.probe(7, false).unwrap();
 /// assert_ne!(gen, mapped.generation());
 /// ```
 #[derive(Debug, Default)]
 pub struct ProcTlb {
     /// Leaf `i` maps pages `64 i .. 64 (i + 1)`; `None` until one of
-    /// them is filled.
-    leaves: Vec<Option<Box<[Slot]>>>,
+    /// them is filled. A page's slot is `None` until its first fill.
+    leaves: Vec<Option<Box<[Option<TlbEntry>]>>>,
 }
 
 impl ProcTlb {
@@ -94,9 +82,8 @@ impl ProcTlb {
     #[inline]
     pub fn probe(&self, page: u64, write: bool) -> Option<(&Arc<PageFrame>, u64)> {
         let leaf = self.leaves.get(page as usize / LEAF_PAGES)?.as_deref()?;
-        let slot = &leaf[page as usize % LEAF_PAGES];
-        let frame = slot.frame.as_ref()?;
-        (slot.writable || !write).then_some((frame, slot.gen))
+        let slot = leaf[page as usize % LEAF_PAGES].as_ref()?;
+        (slot.writable || !write).then_some((&slot.frame, slot.gen))
     }
 
     /// Overwrites `page`'s slot with `entry` (a fault's result),
@@ -106,13 +93,8 @@ impl ProcTlb {
         if self.leaves.len() <= leaf {
             self.leaves.resize_with(leaf + 1, || None);
         }
-        let leaf = self.leaves[leaf]
-            .get_or_insert_with(|| (0..LEAF_PAGES).map(|_| Slot::default()).collect());
-        leaf[page as usize % LEAF_PAGES] = Slot {
-            frame: Some(entry.frame),
-            gen: entry.gen,
-            writable: entry.writable,
-        };
+        let leaf = self.leaves[leaf].get_or_insert_with(|| (0..LEAF_PAGES).map(|_| None).collect());
+        leaf[page as usize % LEAF_PAGES] = Some(entry);
     }
 
     /// Empties every slot whose frame has retired its generation,
@@ -122,8 +104,8 @@ impl ProcTlb {
     pub fn prune(&mut self) {
         for leaf in self.leaves.iter_mut().flatten() {
             for slot in leaf.iter_mut() {
-                if matches!(&slot.frame, Some(f) if f.generation() != slot.gen) {
-                    slot.frame = None;
+                if matches!(slot, Some(e) if e.frame.generation() != e.gen) {
+                    *slot = None;
                 }
             }
         }
@@ -222,7 +204,6 @@ impl Tlb {
 mod tests {
     use super::*;
     use crate::{FrameAllocator, PageGeometry};
-    use mgs_cache::Directory;
 
     /// Leaves `tlb` has allocated.
     fn leaves(tlb: &ProcTlb) -> usize {
@@ -282,7 +263,7 @@ mod tests {
         let mut tlb = ProcTlb::new();
         let old = entry(&frames, true);
         tlb.fill(9, old.clone());
-        old.frame.quiesce(&Directory::new()).bump_generation();
+        old.frame.quiesce().bump_generation();
         // The slot is still there, at a generation its frame retired.
         let (frame, gen) = tlb.probe(9, true).expect("kept");
         assert_eq!(gen, old.gen);
@@ -308,7 +289,7 @@ mod tests {
         let live = entry(&frames, false);
         tlb.fill(2, retired.clone());
         tlb.fill(70, live.clone());
-        retired.frame.quiesce(&Directory::new()).bump_generation();
+        retired.frame.quiesce().bump_generation();
         tlb.prune();
         assert!(tlb.probe(2, false).is_none(), "TLB_INV after the prune");
         assert_eq!(Arc::strong_count(&retired.frame), 1, "the copy is let go");

@@ -135,7 +135,7 @@ fn suspending_while_holding_a_directory_stripe_is_caught() {
                 let machine = Arc::clone(env.machine());
                 let proto = machine.protocol();
                 let frame = proto.home_frame(0);
-                let _held = frame.quiesce(proto.directory_of(&frame));
+                let _held = frame.quiesce();
                 env.barrier();
             } else {
                 env.compute(1_000_000); // arrives last
