@@ -1353,6 +1353,7 @@ mod tests {
                             std::hint::black_box(&held);
                         }
                     }
+                    sys.absorb(&mut cache);
                 });
             }
         });

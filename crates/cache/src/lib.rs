@@ -11,8 +11,10 @@
 //! The model has two parts:
 //!
 //! * [`ProcCache`] — a per-processor set-associative tag array tracking
-//!   capacity and conflict behaviour. It is owned by the simulated
-//!   processor's thread; no other thread touches it.
+//!   capacity and conflict behaviour, and counting the processor's
+//!   accesses until [`SsmpCacheSystem::absorb`] adds them to the SSMP's
+//!   [`CacheStats`]. It is owned by the simulated processor's thread;
+//!   no other thread touches it.
 //! * [`Directory`] — the per-SSMP line directory: dense 64-line blocks,
 //!   each claimed for life by a [`BlockCell`] that the directory made
 //!   for some lines and that does every operation on them (a page

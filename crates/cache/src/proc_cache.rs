@@ -35,6 +35,10 @@ use crate::CacheConfig;
 /// always the least recently used one and exact LRU needs no
 /// timestamps. A hit on way 0 — the common case — writes nothing.
 ///
+/// The array also counts its processor's accesses, which
+/// [`SsmpCacheSystem::absorb`](crate::SsmpCacheSystem::absorb) moves to
+/// the SSMP's [`CacheStats`](crate::CacheStats).
+///
 /// [`Directory`]: crate::Directory
 ///
 /// # Example
@@ -58,6 +62,9 @@ pub struct ProcCache {
     set_mask: usize,
     /// log2 of the sets per leaf.
     leaf_shift: u32,
+    /// Accesses not yet absorbed, loads then stores, by
+    /// [`MissClass::index`](crate::MissClass::index).
+    pub(crate) counts: [[u64; 6]; 2],
 }
 
 /// Tag words per leaf at most: one 4 KB host page. Smaller leaves cost
@@ -109,6 +116,7 @@ impl ProcCache {
             leaves: (0..sets >> leaf_shift).map(|_| None).collect(),
             set_mask: sets - 1,
             leaf_shift,
+            counts: [[0; 6]; 2],
         }
     }
 
@@ -378,6 +386,58 @@ mod tests {
         assert_eq!(c.leaves[0].as_ref().map(|l| l.len()), Some(16));
         assert_eq!(c.resident(), 16);
         assert_eq!(c.insert(16), Some(0));
+    }
+
+    /// An access is counted on its processor's tag array, by class and
+    /// by load or store; absorbing adds the counts to the SSMP's totals
+    /// and zeroes them, so a second absorb adds nothing.
+    #[test]
+    fn accesses_are_counted_here_until_absorbed() {
+        use crate::{MissClass, SsmpCacheSystem};
+        let sys = SsmpCacheSystem::new(5);
+        let (mut a, mut b) = (alewife(), alewife());
+        sys.access(&mut a, 0, 1, 0, false); // local miss
+        sys.access(&mut a, 0, 1, 0, false); // hit
+        sys.access(&mut a, 0, 1, 0, true); // local miss (an upgrade alone)
+        sys.access(&mut a, 0, 2, 1, true); // remote clean
+        sys.access(&mut b, 1, 1, 0, false); // 2-party: dirty at its home, 0
+        let (hit, local, remote, two) = (
+            MissClass::Hit.index(),
+            MissClass::LocalMiss.index(),
+            MissClass::RemoteClean.index(),
+            MissClass::TwoParty.index(),
+        );
+        let mut loads = [0; 6];
+        let mut stores = [0; 6];
+        (loads[local], loads[hit], stores[local], stores[remote]) = (1, 1, 1, 1);
+        assert_eq!(a.counts, [loads, stores]);
+        let mut b_loads = [0; 6];
+        b_loads[two] = 1;
+        assert_eq!(b.counts, [b_loads, [0; 6]]);
+        assert_eq!(
+            sys.stats().total(),
+            0,
+            "nothing reaches the totals before an absorb"
+        );
+
+        sys.absorb(&mut a);
+        assert_eq!(a.counts, [[0; 6]; 2]);
+        assert_eq!(sys.stats().accesses(false), 2);
+        assert_eq!(sys.stats().accesses(true), 2);
+        sys.absorb(&mut b);
+        sys.absorb(&mut b);
+        assert_eq!(b.counts, [[0; 6]; 2]);
+        for (class, n) in [
+            (MissClass::Hit, 1),
+            (MissClass::LocalMiss, 2),
+            (MissClass::RemoteClean, 1),
+            (MissClass::TwoParty, 1),
+            (MissClass::ThreeParty, 0),
+        ] {
+            assert_eq!(sys.stats().count(class), n, "{class}");
+        }
+        assert_eq!(sys.stats().total(), 5);
+        assert_eq!(a.resident() + b.resident(), 3, "absorbing keeps the tags");
     }
 
     #[test]

@@ -125,74 +125,37 @@ pub struct Served {
     pub value: u64,
 }
 
-/// One local processor's counters, loads then stores by class, on
-/// cache lines of their own so that the processors of an SSMP never
-/// write a line another one counts on (128 bytes covers the
-/// adjacent-line prefetcher's pairs).
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct StatShard {
-    counts: [[AtomicU64; 6]; 2],
-}
-
 /// Per-class access counters for one SSMP, split into loads and
 /// stores: the machine's one count of its simulated accesses.
 ///
-/// Sharded by local processor: an access bumps only its own
-/// processor's shard, and readers sum the shards. The totals are exact
-/// — every access is recorded exactly once, in exactly one shard.
-///
-/// A shard has a single writer: the simulated processor it belongs to,
-/// whose task runs on one host worker at a time (a task that moves to
-/// another worker is handed over through the scheduler's lock, which
-/// orders its last increment before its next). So an increment is a
-/// relaxed load and a relaxed store, not a read-modify-write; readers
-/// may see a count one access behind, never a lost one.
-#[derive(Debug)]
+/// Each processor counts its own accesses in its tag array
+/// ([`ProcCache`]), and [`SsmpCacheSystem::absorb`] adds them here when
+/// the processor finishes, so a processor's accesses reach these
+/// totals then, and not before: read them after the run.
+#[derive(Debug, Default)]
 pub struct CacheStats {
-    shards: Box<[StatShard]>,
-}
-
-impl Default for CacheStats {
-    fn default() -> CacheStats {
-        CacheStats::new()
-    }
+    /// Loads then stores, by class.
+    counts: [[AtomicU64; 6]; 2],
 }
 
 impl CacheStats {
-    /// Shards per SSMP: the [`Directory`]'s sharer bitmask already caps
-    /// an SSMP at 64 local processors.
-    const SHARDS: usize = 64;
-
     /// Creates zeroed statistics.
     pub fn new() -> CacheStats {
-        CacheStats {
-            shards: (0..Self::SHARDS).map(|_| StatShard::default()).collect(),
-        }
-    }
-
-    /// Records one load (or store, `is_write`) of the given class by
-    /// local processor `proc`, the shard's one writer.
-    #[inline]
-    fn record_for(&self, proc: usize, class: MissClass, is_write: bool) {
-        let count = &self.shards[proc].counts[usize::from(is_write)][class.index()];
-        count.store(count.load(Relaxed) + 1, Relaxed);
+        CacheStats::default()
     }
 
     /// Accesses of the given class so far.
     pub fn count(&self, class: MissClass) -> u64 {
-        self.shards
+        self.counts
             .iter()
-            .flat_map(|s| &s.counts)
             .map(|by_class| by_class[class.index()].load(Relaxed))
             .sum()
     }
 
     /// Loads (`is_write == false`) or stores so far, over every class.
     pub fn accesses(&self, is_write: bool) -> u64 {
-        self.shards
+        self.counts[usize::from(is_write)]
             .iter()
-            .flat_map(|s| &s.counts[usize::from(is_write)])
             .map(|c| c.load(Relaxed))
             .sum()
     }
@@ -254,9 +217,20 @@ impl SsmpCacheSystem {
         &self.directory
     }
 
-    /// Access statistics.
+    /// Access statistics: the accesses of every tag array
+    /// [`absorb`](Self::absorb)ed so far.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
+    }
+
+    /// Adds the accesses `cache` has counted to the SSMP's totals and
+    /// zeroes them in `cache`.
+    pub fn absorb(&self, cache: &mut ProcCache) {
+        let counts = std::mem::take(&mut cache.counts);
+        let totals = self.stats.counts.iter().flatten();
+        for (total, n) in totals.zip(counts.as_flattened()) {
+            total.fetch_add(*n, Relaxed);
+        }
     }
 
     /// Line-map lookups made by the calling thread so far (debug builds
@@ -404,7 +378,7 @@ impl SsmpCacheSystem {
             if tag.map(|(_, memo)| memo) != Some(hint) {
                 cache.remember(line, hint);
             }
-            self.stats.record_for(proc, class, is_write);
+            cache.counts[usize::from(is_write)][class.index()] += 1;
             Some(Served { class, value })
         };
         if let (false, Some((way, _))) = (is_write, tag) {
@@ -635,6 +609,7 @@ mod tests {
         sys.access(&mut caches[0], 0, 1, 0, false);
         sys.access(&mut caches[0], 0, 1, 0, false);
         sys.access(&mut caches[0], 0, 2, 0, true);
+        sys.absorb(&mut caches[0]);
         assert_eq!(sys.stats().count(MissClass::LocalMiss), 2);
         assert_eq!(sys.stats().count(MissClass::Hit), 1);
         assert_eq!(sys.stats().accesses(false), 2);
@@ -787,12 +762,14 @@ mod tests {
         for (line, write) in [(64, false), (3, true), (3, false)] {
             let hint = frames[(line / 64) as usize].hint(line);
             let tags = cache.clone();
+            sys.absorb(&mut cache);
             let before = (sys.directory().tracked_lines(), sys.stats().total());
             let blocks = sys.directory().blocks_allocated();
             let got = sys.access_hinted(&mut cache, 0, line, 0, write, hint, word(0, 9));
             assert_eq!(got, None, "line {line}");
             assert_eq!(cache.peek(line), tags.peek(line));
             assert_eq!(cache.resident(), tags.resident());
+            sys.absorb(&mut cache);
             assert_eq!(
                 (sys.directory().tracked_lines(), sys.stats().total()),
                 before

@@ -124,7 +124,10 @@ fn tag_arrays_respect_capacity() {
 #[test]
 fn stats_are_consistent() {
     for_each_case(128, 200, |seed, accesses| {
-        let (sys, _) = run(&accesses);
+        let (sys, mut caches) = run(&accesses);
+        for cache in &mut caches {
+            sys.absorb(cache);
+        }
         let stats = sys.stats();
         let by_class: u64 = MissClass::ALL.iter().map(|&c| stats.count(c)).sum();
         assert_eq!(by_class, stats.total(), "seed {seed:#x}");

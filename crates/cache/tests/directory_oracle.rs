@@ -402,10 +402,14 @@ impl Case {
         self.frames[page] = self.alloc();
     }
 
-    /// Compares the tracked-line count, the per-class totals and, where
-    /// the bare-line adapter can read them, every line any frame ever
-    /// covered: its sharer mask (so every sharer bit) and owner.
-    fn checkpoint(&self) {
+    /// Compares the tracked-line count, the per-class totals (once every
+    /// tag array's counts are absorbed) and, where the bare-line adapter
+    /// can read them, every line any frame ever covered: its sharer mask
+    /// (so every sharer bit) and owner.
+    fn checkpoint(&mut self) {
+        for cache in &mut self.block_caches {
+            self.block.absorb(cache);
+        }
         let (block, hashed) = (self.block.directory(), &self.hashed.directory);
         assert_eq!(
             block.tracked_lines(),
@@ -654,6 +658,9 @@ fn assert_equivalent(seed: u64, cfg: CacheConfig, trace: &[Access], lines: u64) 
                 "proc {p} residency of line {line} diverged (seed {seed:#x})"
             );
         }
+    }
+    for cache in &mut fused_caches {
+        fused.absorb(cache);
     }
     for class in MissClass::ALL {
         assert_eq!(

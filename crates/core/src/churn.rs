@@ -30,7 +30,7 @@ use mgs_obs::ObsEvent;
 use mgs_proto::ProtoTiming;
 use mgs_sim::Cycles;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Slot phases: the transition each slot is waiting for. The rejoin is
 /// split in two so that a sender stuck in retry backoff (which holds
@@ -50,17 +50,23 @@ struct ChurnSlot {
     phase: AtomicU8,
 }
 
+/// What the applied transitions did so far.
+#[derive(Debug, Default)]
+struct ChurnTotals {
+    departs: u64,
+    rejoins: u64,
+    rehomed: u64,
+    repaired: u64,
+}
+
 /// Live churn-schedule state for one run.
 #[derive(Debug)]
 pub(crate) struct ChurnState {
     slots: Vec<ChurnSlot>,
-    /// Serializes transition application; the `due` fast check stays
+    /// Serializes transition application, and holds the totals that
+    /// only an application writes; the `due` fast check stays
     /// lock-free.
-    apply: Mutex<()>,
-    departs: AtomicU64,
-    rejoins: AtomicU64,
-    rehomed: AtomicU64,
-    repaired: AtomicU64,
+    apply: Mutex<ChurnTotals>,
 }
 
 impl ChurnState {
@@ -91,11 +97,7 @@ impl ChurnState {
             .collect();
         Some(ChurnState {
             slots,
-            apply: Mutex::new(()),
-            departs: AtomicU64::new(0),
-            rejoins: AtomicU64::new(0),
-            rehomed: AtomicU64::new(0),
-            repaired: AtomicU64::new(0),
+            apply: Mutex::default(),
         })
     }
 
@@ -139,7 +141,7 @@ impl ChurnState {
     /// Other due-checkers queue briefly on the apply lock and find
     /// nothing left to do.
     pub fn apply(&self, machine: &Machine, t: &mut RuntimeTiming<'_>) {
-        let _guard = self.apply.lock();
+        let mut totals = self.apply.lock();
         let lan = machine.lan();
         let proto = machine.protocol();
         let cluster = machine.config().cluster_size;
@@ -158,8 +160,8 @@ impl ChurnState {
                         });
                     lan.set_link_up(slot.ssmp, false);
                     slot.phase.store(DEPARTED, Ordering::Release);
-                    self.departs.fetch_add(1, Ordering::Relaxed);
-                    self.rehomed.fetch_add(rehomed, Ordering::Relaxed);
+                    totals.departs += 1;
+                    totals.rehomed += rehomed;
                     t.observe(ObsEvent::Churn {
                         ssmp: slot.ssmp,
                         rejoin: false,
@@ -175,8 +177,8 @@ impl ChurnState {
                             panic!("unrecoverable MGS protocol failure in churn rejoin: {e}")
                         });
                     slot.phase.store(DONE, Ordering::Release);
-                    self.rejoins.fetch_add(1, Ordering::Relaxed);
-                    self.repaired.fetch_add(repaired, Ordering::Relaxed);
+                    totals.rejoins += 1;
+                    totals.repaired += repaired;
                     t.observe(ObsEvent::Churn {
                         ssmp: slot.ssmp,
                         rejoin: true,
@@ -190,16 +192,13 @@ impl ChurnState {
 
     /// `(departures, rejoins, rehomed_pages)` applied so far.
     pub fn totals(&self) -> (u64, u64, u64) {
-        (
-            self.departs.load(Ordering::Relaxed),
-            self.rejoins.load(Ordering::Relaxed),
-            self.rehomed.load(Ordering::Relaxed),
-        )
+        let totals = self.apply.lock();
+        (totals.departs, totals.rejoins, totals.rehomed)
     }
 
     /// Stale directory entries repaired at rejoins (0 after clean
     /// drains — the churn property tests assert this).
     pub fn repaired(&self) -> u64 {
-        self.repaired.load(Ordering::Relaxed)
+        self.apply.lock().repaired
     }
 }

@@ -546,7 +546,9 @@ impl Env {
         }
     }
 
-    pub(crate) fn finish(self) -> ProcResult {
+    /// Ends the processor's run, adding its access counts to its SSMP's.
+    pub(crate) fn finish(mut self) -> ProcResult {
+        self.proto.cache_system(self.ssmp).absorb(&mut self.pcache);
         let (start_time, start_account) = self.start;
         let mut delta = CycleAccount::new();
         for c in CostCategory::ALL {

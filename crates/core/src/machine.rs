@@ -203,7 +203,8 @@ impl Machine {
     /// [`DssmpConfig::observe`](crate::DssmpConfig) is enabled
     /// ([`RunReport::metrics`](crate::RunReport) after a run): the
     /// registry's histograms, and every count read from the layer that
-    /// owns it.
+    /// owns it. A processor's accesses reach its SSMP's
+    /// [`CacheStats`](mgs_cache::CacheStats) when that processor finishes.
     pub fn metrics(&self) -> Option<MetricsReport> {
         let mut m = self.obs.as_ref()?.registry.merge();
         let caches = || (0..self.cfg.n_ssmps()).map(|s| self.proto.cache_system(s).stats());

@@ -1,6 +1,6 @@
 //! Cross-layer integration tests of the DSSMP machine.
 
-use mgs_core::{AccessKind, CostCategory, Cycles, DssmpConfig, Machine};
+use mgs_core::{AccessKind, CostCategory, Cycles, DssmpConfig, Machine, Metric};
 
 /// Convenience: configs used repeatedly in tests.
 trait DssmpConfigExt {
@@ -241,4 +241,45 @@ fn ext_latency_slows_clustered_machines_only() {
     };
     assert!(time(1, 10_000) > time(1, 0), "latency must matter at C = 1");
     assert_eq!(time(8, 10_000), time(8, 0), "no LAN exists at C = P");
+}
+
+/// Each processor counts its own accesses and adds them to its SSMP's
+/// totals when it finishes: on a paced machine, whose workers finish
+/// processors at once, the totals after the run are exact. Each of
+/// `P = 8` processors (`C = 4`) reads its own 64-word block twice and
+/// writes it once.
+#[test]
+fn every_access_reaches_its_ssmps_totals_when_its_processor_finishes() {
+    const P: usize = 8;
+    const C: usize = 4;
+    const WORDS: u64 = 64;
+    let mut cfg = DssmpConfig::new(P, C);
+    cfg.observe = true;
+    let machine = Machine::new(cfg);
+    let a = machine.alloc_array_blocked::<u64>(WORDS * P as u64, AccessKind::DistArray);
+    let report = machine.run(|env| {
+        let block = env.pid() as u64 * WORDS..(env.pid() as u64 + 1) * WORDS;
+        for i in block.clone().chain(block.clone()) {
+            assert_eq!(a.read(env, i), 0);
+        }
+        for i in block {
+            a.write(env, i, i);
+        }
+    });
+    let (loads, stores) = (2 * WORDS * C as u64, WORDS * C as u64);
+    let proto = machine.protocol();
+    for ssmp in 0..P / C {
+        let stats = proto.cache_system(ssmp).stats();
+        assert_eq!(
+            (stats.accesses(false), stats.accesses(true)),
+            (loads, stores),
+            "SSMP {ssmp}: loads and stores"
+        );
+        assert_eq!(stats.total(), loads + stores, "SSMP {ssmp}");
+    }
+    let m = report.metrics.as_ref().expect("observability on");
+    assert_eq!(
+        (m.get(Metric::Loads), m.get(Metric::Stores)),
+        (loads * (P / C) as u64, stores * (P / C) as u64)
+    );
 }

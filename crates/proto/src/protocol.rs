@@ -25,7 +25,6 @@ use mgs_vm::{
 };
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 type Res<T = ()> = Result<T, ProtocolError>;
@@ -207,11 +206,7 @@ pub struct MgsProtocol {
     /// Per-SSMP recycled [`SpanDiff`] scratch instances for the release
     /// path (their span/value buffers keep their capacity between
     /// diffs).
-    diff_scratch: Vec<Mutex<Vec<SpanDiff>>>,
-    /// Fresh `SpanDiff` instances ever created (for the zero-allocation
-    /// steady-state assertion; see
-    /// [`diff_scratch_created`](MgsProtocol::diff_scratch_created)).
-    diff_scratch_created: AtomicU64,
+    diff_scratch: Vec<Mutex<ScratchPool>>,
     stats: ProtoStats,
     /// The adaptive controller's sampling deadline and decision trace:
     /// present iff `cfg.protocol` is [`ProtocolKind::Adaptive`].
@@ -245,8 +240,7 @@ impl MgsProtocol {
             pages: PageTable::new(),
             homes: (0..PAGE_SHARDS).map(|_| Mutex::default()).collect(),
             notices: (0..n_ssmps).map(|_| Default::default()).collect(),
-            diff_scratch: (0..n_ssmps).map(|_| Mutex::new(Vec::new())).collect(),
-            diff_scratch_created: AtomicU64::new(0),
+            diff_scratch: (0..n_ssmps).map(|_| Mutex::default()).collect(),
             stats: ProtoStats::new(),
         }
     }
@@ -265,7 +259,7 @@ impl MgsProtocol {
     /// Number of [`SpanDiff`] scratches ever created; stops growing in
     /// steady state (at most one per concurrently-releasing processor).
     pub fn diff_scratch_created(&self) -> u64 {
-        self.diff_scratch_created.load(Ordering::Relaxed)
+        self.diff_scratch.iter().map(|p| p.lock().created).sum()
     }
 
     /// The protocol configuration.
@@ -833,6 +827,14 @@ impl MgsProtocol {
     }
 }
 
+/// One SSMP's recycled [`SpanDiff`] scratches, and how many it ever
+/// made (see [`MgsProtocol::diff_scratch_created`]).
+#[derive(Debug, Default)]
+struct ScratchPool {
+    free: Vec<SpanDiff>,
+    created: u64,
+}
+
 /// The interpreter's side of one step: the [`Effects`] carried out on
 /// one page while its lock is held.
 struct Interp<'a> {
@@ -848,7 +850,7 @@ struct Interp<'a> {
 impl Drop for Interp<'_> {
     fn drop(&mut self) {
         if let Some((s, diff)) = self.diff.take() {
-            self.proto.diff_scratch[s].lock().push(diff);
+            self.proto.diff_scratch[s].lock().free.push(diff);
         }
     }
 }
@@ -965,11 +967,12 @@ impl Effects for Interp<'_> {
         let proto = self.proto;
         let frame = self.frame(Frame::Copy(ssmp));
         let (_, diff) = self.diff.get_or_insert_with(|| {
-            let scratch = proto.diff_scratch[ssmp].lock().pop();
+            let mut pool = proto.diff_scratch[ssmp].lock();
+            let scratch = pool.free.pop();
             (
                 ssmp,
                 scratch.unwrap_or_else(|| {
-                    proto.diff_scratch_created.fetch_add(1, Ordering::Relaxed);
+                    pool.created += 1;
                     SpanDiff::new()
                 }),
             )

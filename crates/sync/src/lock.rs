@@ -2,7 +2,6 @@
 
 use mgs_sim::{CostModel, Counter, Cycles, VirtualScheduler};
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lock acquisition statistics (Figure 11 of the paper).
 #[derive(Debug, Default)]
@@ -44,6 +43,8 @@ struct LockInner {
     token_ssmp: usize,
     free_at: Cycles,
     waiters: Vec<Waiter>,
+    /// The id the next queued waiter takes.
+    next_id: u64,
 }
 
 /// A token-based distributed lock (§3.2).
@@ -86,7 +87,6 @@ pub struct MgsLock {
     cost: CostModel,
     ext_latency: Cycles,
     affinity_window: Cycles,
-    next_id: AtomicU64,
     stats: LockStats,
 }
 
@@ -106,12 +106,12 @@ impl MgsLock {
                 token_ssmp: 0,
                 free_at: Cycles::ZERO,
                 waiters: Vec::new(),
+                next_id: 0,
             }),
             cond: Condvar::new(),
             cost,
             ext_latency,
             affinity_window: Self::DEFAULT_AFFINITY_WINDOW,
-            next_id: AtomicU64::new(0),
             stats: LockStats::default(),
         }
     }
@@ -175,7 +175,8 @@ impl MgsLock {
             }
             return (t, hit);
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = inner.next_id;
+        inner.next_id += 1;
         inner.waiters.push(Waiter {
             id,
             ssmp,
@@ -264,6 +265,7 @@ impl MgsLock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     fn lock() -> MgsLock {
@@ -365,7 +367,7 @@ mod tests {
     #[test]
     fn mutual_exclusion_under_contention() {
         let l = Arc::new(lock());
-        let counter = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let counter = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         for p in 0..8usize {
             let l = Arc::clone(&l);

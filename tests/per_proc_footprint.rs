@@ -85,6 +85,7 @@ fn an_idle_processor_costs_the_heap_a_few_small_blocks() {
 
     a_sparse_machine_pays_only_for_the_tag_leaves_it_fills();
     machine_new_allocates_no_more_than_it_did();
+    an_ssmp_costs_machine_new_a_few_kilobytes();
 
     if cfg!(all(target_arch = "x86_64", target_os = "linux")) {
         a_processor_is_not_a_host_thread();
@@ -124,8 +125,8 @@ fn a_sparse_machine_pays_only_for_the_tag_leaves_it_fills() {
 
 /// `Machine::new` at `P = 2048, C = 32` builds 64 SSMP line
 /// directories, and an empty directory owns no heap. It reads
-/// 1,977,488 bytes in 2,328 blocks; the limits leave about a quarter
-/// over that.
+/// 1,459,360 bytes in 2,265 blocks; the limits were set a quarter over
+/// an earlier 1,977,488 bytes in 2,328.
 fn machine_new_allocates_no_more_than_it_did() {
     const MAX_BYTES: u64 = 2_500_000;
     const MAX_BLOCKS: u64 = 3_000;
@@ -143,6 +144,30 @@ fn machine_new_allocates_no_more_than_it_did() {
         bytes <= MAX_BYTES && blocks <= MAX_BLOCKS,
         "Machine::new(P = 2048, C = 32) allocated {bytes} bytes in {blocks} blocks \
          (limits {MAX_BYTES}, {MAX_BLOCKS})"
+    );
+}
+
+/// `Machine::new` at `P = 64, C = 1`: 64 SSMPs of one processor each,
+/// so what an SSMP costs (its cache system, directory handle, pools and
+/// queues) is most of what the machine requests. It reads 106,272
+/// bytes in 281 blocks, 1.7 KB an SSMP; 64 cache-line-padded counter
+/// shards per SSMP, 8 KB, would break the limit alone.
+fn an_ssmp_costs_machine_new_a_few_kilobytes() {
+    const SSMPS: u64 = 64;
+    const MAX_BYTES_PER_SSMP: u64 = 4 * 1024;
+    let (blocks_before, bytes_before) =
+        (BLOCKS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst));
+    ARMED.store(true, Ordering::SeqCst);
+    let machine = Machine::new(DssmpConfig::new(SSMPS as usize, 1).with_virtual_engine(Some(2)));
+    ARMED.store(false, Ordering::SeqCst);
+    let blocks = BLOCKS.load(Ordering::SeqCst) - blocks_before;
+    let bytes = BYTES.load(Ordering::SeqCst) - bytes_before;
+    drop(machine);
+    eprintln!("Machine::new(P = 64, C = 1): {bytes} bytes in {blocks} blocks");
+    assert!(
+        bytes <= SSMPS * MAX_BYTES_PER_SSMP,
+        "Machine::new(P = 64, C = 1) allocated {bytes} bytes, {} per SSMP (limit {MAX_BYTES_PER_SSMP})",
+        bytes / SSMPS
     );
 }
 
